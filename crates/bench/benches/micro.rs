@@ -170,10 +170,15 @@ fn bench_hot_path_tight_loops(c: &mut Criterion) {
 
 fn bench_change_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("change_detection_per_update");
-    let coords: Vec<Coordinate> = (0..128)
-        .map(|i| Coordinate::new(vec![i as f64 * 0.3, 20.0, 5.0]).unwrap())
-        .collect();
-    for window in [8usize, 32, 128] {
+    let drift = |len: usize| -> Vec<Coordinate> {
+        (0..len)
+            .map(|i| Coordinate::new(vec![i as f64 * 0.3, 20.0, 5.0]).unwrap())
+            .collect()
+    };
+    for window in [8usize, 32, 128, 1024] {
+        // Four windows' worth per case, so that every size fills, slides,
+        // declares a change point and starts over, not only the small ones.
+        let coords = drift(4 * window);
         group.bench_function(format!("energy_window_{window}"), |b| {
             b.iter_batched(
                 || EnergyHeuristic::new(8.0, window),
@@ -191,6 +196,7 @@ fn bench_change_detection(c: &mut Criterion) {
             )
         });
     }
+    let coords = drift(128);
     group.bench_function("relative_window_32", |b| {
         b.iter_batched(
             || RelativeHeuristic::new(0.3, 32),

@@ -16,7 +16,7 @@
 //! robust: they increase stability substantially before accuracy starts to
 //! decline, while the window-less ones can only trade one for the other.
 
-use nc_stats::{energy_distance_by, energy_distance_with_cached_within, within_sum_by};
+use nc_stats::{cross_sum_by, energy_distance_by, energy_from_sums, slide_delta_by, within_sum_by};
 use nc_vivaldi::Coordinate;
 use serde::{Deserialize, Serialize};
 
@@ -342,6 +342,10 @@ impl UpdateHeuristic for ApplicationHeuristic {
 pub struct RelativeHeuristic {
     threshold: f64,
     windows: TwoWindowDetector,
+    /// Cached centroid of the **frozen** start window: computed at the first
+    /// comparison after the window fills, dropped at a change point and on
+    /// `import_state`. Same loop as recomputing it, so bit-identical.
+    start_centroid: Option<Coordinate>,
 }
 
 impl RelativeHeuristic {
@@ -360,6 +364,7 @@ impl RelativeHeuristic {
         RelativeHeuristic {
             threshold,
             windows: TwoWindowDetector::new(window_size).expect("window size must be >= 2"),
+            start_centroid: None,
         }
     }
 
@@ -398,15 +403,19 @@ impl UpdateHeuristic for RelativeHeuristic {
         let Some(neighbor) = &ctx.nearest_neighbor else {
             return UpdateDecision::Keep;
         };
-        let start_centroid = self.windows.start_centroid().expect("windows are ready");
-        let current_centroid = self.windows.current_centroid().expect("windows are ready");
+        let windows = &self.windows;
+        let start_centroid = self
+            .start_centroid
+            .get_or_insert_with(|| windows.start_centroid().expect("windows are ready"));
         let locale = start_centroid.distance(neighbor);
         if locale <= f64::EPSILON {
             return UpdateDecision::Keep;
         }
+        let current_centroid = windows.current_centroid().expect("windows are ready");
         let movement = start_centroid.distance(&current_centroid);
         if movement / locale > self.threshold {
             self.windows.declare_change_point();
+            self.start_centroid = None;
             UpdateDecision::Publish(current_centroid)
         } else {
             UpdateDecision::Keep
@@ -421,6 +430,7 @@ impl UpdateHeuristic for RelativeHeuristic {
         match state {
             HeuristicState::Windowed(detector) => {
                 self.windows.import_state(detector);
+                self.start_centroid = None;
                 Ok(())
             }
             other => Err(HeuristicStateMismatch {
@@ -442,16 +452,34 @@ impl UpdateHeuristic for RelativeHeuristic {
 pub struct EnergyHeuristic {
     threshold: f64,
     windows: TwoWindowDetector,
-    /// Reusable buffer for the current window's contiguous copy, so the
-    /// per-update energy statistic runs without heap allocations once the
-    /// buffer has grown to the window size.
-    scratch: Vec<Coordinate>,
-    /// Cached `Σ_{i≠j} d(s_i, s_j)` over the **frozen** start window. The
-    /// start window only changes while filling and at a change point, so
-    /// between change points this O(k²) term is computed once instead of on
-    /// every observation — bit-identical to the full recomputation (same
-    /// loop, see [`within_sum_by`]).
-    start_within: Option<f64>,
+    /// The sums behind the statistic of the windows as they stand, or `None`
+    /// when the next comparison has to compute them from scratch: before the
+    /// first one, after a change point and after `import_state`.
+    sums: Option<EnergySums>,
+}
+
+/// The three pairwise-distance sums the energy statistic is closed from
+/// (`nc_stats::energy_from_sums`).
+///
+/// One observation replaces one of the current window's `k` coordinates, so
+/// instead of the `2k² − k` distances of a recomputation the sums are *slid*:
+/// `cross` moves by `Σ_s d(s,n) − Σ_s d(s,o)` over the start window and
+/// `current_within` by twice `Σ_r d(r,n) − Σ_r d(r,o)` over the `k − 1`
+/// surviving coordinates — `4k − 2` distances for evicted `o`, admitted `n`.
+/// Rounding cannot build up: the sums are *anchored* — recomputed by the
+/// from-scratch loops — whenever they are missing and whenever
+/// `pushes_since_reset` is a multiple of `k`. That schedule is a function of
+/// the snapshotted [`DetectorState`] alone, so a restored heuristic holds
+/// sums bit-identical to an uninterrupted one from the next multiple on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EnergySums {
+    /// `Σ_{i≠j} d(s_i, s_j)` over the frozen start window; only anchors
+    /// after a change point or `import_state` have to compute it.
+    start_within: f64,
+    /// `Σ_i Σ_j d(s_i, c_j)` between the two windows.
+    cross: f64,
+    /// `Σ_{i≠j} d(c_i, c_j)` over the sliding current window.
+    current_within: f64,
 }
 
 impl EnergyHeuristic {
@@ -470,8 +498,7 @@ impl EnergyHeuristic {
         EnergyHeuristic {
             threshold,
             windows: TwoWindowDetector::new(window_size).expect("window size must be >= 2"),
-            scratch: Vec::with_capacity(window_size),
-            start_within: None,
+            sums: None,
         }
     }
 
@@ -492,7 +519,8 @@ impl EnergyHeuristic {
     }
 
     /// Energy distance between the two current windows, or `None` when the
-    /// windows are not yet full. Exposed for diagnostics and tests.
+    /// windows are not yet full. Always computed from scratch: the reference
+    /// the per-update statistic is tested against, and a diagnostic.
     pub fn current_statistic(&self) -> Option<f64> {
         if !self.windows.is_ready() {
             return None;
@@ -502,21 +530,46 @@ impl EnergyHeuristic {
         energy_distance_by(start, &current, |a, b| a.distance(b)).ok()
     }
 
-    /// The per-update form of
-    /// [`current_statistic`](EnergyHeuristic::current_statistic): identical
-    /// result, but the current window is staged through the reusable scratch
-    /// buffer instead of a fresh `Vec` per update.
-    fn current_statistic_hot(&mut self) -> Option<f64> {
+    /// Pushes `system` into the windows, brings the sums up to date (see
+    /// [`EnergySums`]) and returns the statistic, or `None` while the windows
+    /// are filling.
+    fn advance(&mut self, system: &Coordinate) -> Option<f64> {
+        let evicted = self.windows.push(system.clone());
         if !self.windows.is_ready() {
             return None;
         }
-        self.windows.current_window_into(&mut self.scratch);
-        let start = self.windows.start_window();
-        let within_start = *self
-            .start_within
-            .get_or_insert_with(|| within_sum_by(start, |a, b| a.distance(b)));
-        energy_distance_with_cached_within(start, &self.scratch, within_start, |a, b| a.distance(b))
-            .ok()
+        let k = self.windows.window_size();
+        let anchor_due = self.windows.pushes_since_reset().is_multiple_of(k as u64);
+        let dist = |a: &Coordinate, b: &Coordinate| a.distance(b);
+        let sums = match (self.sums, &evicted) {
+            (Some(sums), Some(evicted)) if !anchor_due => {
+                let start = self.windows.start_window();
+                let survivors = self.windows.current_iter().take(k - 1);
+                EnergySums {
+                    start_within: sums.start_within,
+                    cross: sums.cross + slide_delta_by(start, system, evicted, dist),
+                    current_within: sums.current_within
+                        + 2.0 * slide_delta_by(survivors, system, evicted, dist),
+                }
+            }
+            (stale, _) => {
+                let (start, current) = self.windows.contiguous_windows();
+                EnergySums {
+                    start_within: stale
+                        .map_or_else(|| within_sum_by(start, dist), |sums| sums.start_within),
+                    cross: cross_sum_by(start, current, dist),
+                    current_within: within_sum_by(current, dist),
+                }
+            }
+        };
+        self.sums = Some(sums);
+        Some(energy_from_sums(
+            k,
+            k,
+            sums.cross,
+            sums.start_within,
+            sums.current_within,
+        ))
     }
 }
 
@@ -531,20 +584,15 @@ impl UpdateHeuristic for EnergyHeuristic {
         _application: &Coordinate,
         _ctx: &UpdateContext,
     ) -> UpdateDecision {
-        self.windows.push(system.clone());
-        if !self.windows.is_ready() {
-            return UpdateDecision::Keep;
-        }
-        let statistic = self.current_statistic_hot().expect("windows are ready");
-        if statistic > self.threshold {
-            let target = self.windows.current_centroid().expect("windows are ready");
-            self.windows.declare_change_point();
-            // A change point starts a fresh start window; the cached
-            // within-sum belongs to the old one.
-            self.start_within = None;
-            UpdateDecision::Publish(target)
-        } else {
-            UpdateDecision::Keep
+        match self.advance(system) {
+            Some(statistic) if statistic > self.threshold => {
+                let target = self.windows.current_centroid().expect("windows are ready");
+                self.windows.declare_change_point();
+                // The sums describe the windows just cleared.
+                self.sums = None;
+                UpdateDecision::Publish(target)
+            }
+            _ => UpdateDecision::Keep,
         }
     }
 
@@ -556,7 +604,7 @@ impl UpdateHeuristic for EnergyHeuristic {
         match state {
             HeuristicState::Windowed(detector) => {
                 self.windows.import_state(detector);
-                self.start_within = None;
+                self.sums = None;
                 Ok(())
             }
             other => Err(HeuristicStateMismatch {
@@ -683,6 +731,7 @@ pub fn make_heuristic(kind: HeuristicKind) -> Box<dyn UpdateHeuristic + Send> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn c(x: f64, y: f64) -> Coordinate {
         Coordinate::new(vec![x, y]).unwrap()
@@ -872,6 +921,208 @@ mod tests {
             h.on_system_update(&c(1.0, 1.0), &app, &UpdateContext::default());
         }
         assert!(h.current_statistic().is_some());
+    }
+
+    fn distance(a: &Coordinate, b: &Coordinate) -> f64 {
+        a.distance(b)
+    }
+
+    /// The sums of `h`'s windows as they stand, by the from-scratch loops.
+    fn sums_from_scratch(h: &EnergyHeuristic) -> EnergySums {
+        let start = h.windows.start_window();
+        let current = h.windows.current_window();
+        EnergySums {
+            start_within: within_sum_by(start, distance),
+            cross: cross_sum_by(start, &current, distance),
+            current_within: within_sum_by(&current, distance),
+        }
+    }
+
+    fn bits(sums: Option<EnergySums>) -> Option<[u64; 3]> {
+        sums.map(|s| [s.start_within, s.cross, s.current_within].map(f64::to_bits))
+    }
+
+    #[test]
+    fn energy_window_that_never_slides_is_anchored() {
+        let mut h = EnergyHeuristic::new(8.0, 4);
+        let app = c(0.0, 0.0);
+        for i in 0..4 {
+            assert_eq!(h.sums, None, "nothing to compare while filling");
+            h.on_system_update(&c(i as f64 * 0.7, 1.0), &app, &UpdateContext::default());
+        }
+        assert_eq!(bits(h.sums), bits(Some(sums_from_scratch(&h))));
+    }
+
+    #[test]
+    fn energy_anchors_after_each_of_two_consecutive_change_points() {
+        // k quiet pushes fill both windows, then the coordinate leaps so far
+        // that the very next comparison (the first slide) is a change point;
+        // the same again straight after it. Neither refill may inherit sums.
+        let k = 4;
+        let mut h = EnergyHeuristic::new(8.0, k);
+        let app = c(0.0, 0.0);
+        for round in 0..2 {
+            let base = round as f64 * 2_000.0;
+            for i in 0..k {
+                let d =
+                    h.on_system_update(&c(base + i as f64, 0.0), &app, &UpdateContext::default());
+                assert_eq!(d, UpdateDecision::Keep);
+            }
+            // The first ready push of the round: sums present and anchored.
+            assert_eq!(bits(h.sums), bits(Some(sums_from_scratch(&h))));
+            let d = h.on_system_update(&c(base + 1_000.0, 0.0), &app, &UpdateContext::default());
+            assert!(d.is_publish(), "round {round}: the leap is a change point");
+            assert_eq!(h.sums, None, "sums of the cleared windows are dropped");
+        }
+        assert_eq!(h.windows.change_points(), 2);
+    }
+
+    #[test]
+    fn energy_import_state_drops_the_sums() {
+        let mut h = EnergyHeuristic::new(8.0, 4);
+        let app = c(0.0, 0.0);
+        for i in 0..7 {
+            h.on_system_update(&c(i as f64 * 0.3, 0.0), &app, &UpdateContext::default());
+        }
+        assert!(h.sums.is_some());
+        let state = h.export_state();
+        h.import_state(&state).unwrap();
+        assert_eq!(h.sums, None);
+        // 8 = 2k pushes: restored or not, this one anchors.
+        h.on_system_update(&c(2.1, 0.0), &app, &UpdateContext::default());
+        assert_eq!(bits(h.sums), bits(Some(sums_from_scratch(&h))));
+    }
+
+    #[test]
+    fn relative_caches_the_frozen_start_centroid() {
+        let mut h = RelativeHeuristic::new(0.5, 3);
+        let app = c(0.0, 0.0);
+        let ctx = ctx_with_neighbor(0.0, 50.0);
+        for i in 0..3 {
+            h.on_system_update(&c(i as f64, 0.0), &app, &ctx);
+        }
+        assert_eq!(h.start_centroid, h.windows.start_centroid());
+        assert_eq!(h.start_centroid, Some(c(1.0, 0.0)));
+        // Sliding the current window leaves the cache alone ...
+        h.on_system_update(&c(3.0, 0.0), &app, &ctx);
+        assert_eq!(h.start_centroid, Some(c(1.0, 0.0)));
+        // ... restoring state and a change point both drop it.
+        let state = h.export_state();
+        h.import_state(&state).unwrap();
+        assert_eq!(h.start_centroid, None);
+        let d = h.on_system_update(&c(500.0, 0.0), &app, &ctx);
+        assert!(d.is_publish());
+        assert_eq!(h.start_centroid, None);
+    }
+
+    /// ENERGY with the statistic recomputed by `energy_distance_by` at every
+    /// ready push: what the sliding update has to be indistinguishable from.
+    struct FromScratchEnergy {
+        threshold: f64,
+        windows: TwoWindowDetector,
+    }
+
+    impl FromScratchEnergy {
+        fn on_system_update(&mut self, system: &Coordinate) -> (Option<f64>, UpdateDecision) {
+            self.windows.push(system.clone());
+            if !self.windows.is_ready() {
+                return (None, UpdateDecision::Keep);
+            }
+            let current = self.windows.current_window();
+            let statistic =
+                energy_distance_by(self.windows.start_window(), &current, distance).unwrap();
+            if statistic > self.threshold {
+                let target = Coordinate::centroid(&current).unwrap();
+                self.windows.declare_change_point();
+                (Some(statistic), UpdateDecision::Publish(target))
+            } else {
+                (Some(statistic), UpdateDecision::Keep)
+            }
+        }
+    }
+
+    const MAX_PUSHES: usize = 20 * 64 + 40;
+
+    proptest! {
+        #[test]
+        fn sliding_energy_is_indistinguishable_from_recomputation(
+            // 2..=64, small windows as likely as large ones: the reference
+            // costs 2k² distances a push.
+            k in (1.0f64..=6.0).prop_map(|x| x.exp2().round() as usize),
+            dims in 2usize..=5,
+            extra in 0usize..=40,
+            noise in proptest::collection::vec(-1.0f64..1.0, MAX_PUSHES * 6),
+            noise_ms in 0.05f64..3.0,
+            jump_at in proptest::collection::vec(0.0f64..1.0, 1..8),
+            jump_ms in proptest::collection::vec(-300.0f64..300.0, 8),
+            restore_at in 0.0f64..1.0,
+        ) {
+            let threshold = 8.0;
+            let pushes = 20 * k + extra;
+            let jump_at: Vec<usize> = jump_at.iter().map(|f| (f * pushes as f64) as usize).collect();
+            let restore_at = (restore_at * pushes as f64) as usize;
+
+            let mut h = EnergyHeuristic::new(threshold, k);
+            let mut reference = FromScratchEnergy {
+                threshold,
+                windows: TwoWindowDetector::new(k).unwrap(),
+            };
+            let mut restored: Option<EnergyHeuristic> = None;
+            let mut restored_has_anchored = false;
+            let app = Coordinate::origin(dims);
+            let ctx = UpdateContext::default();
+            let mut centre = vec![0.0; dims];
+
+            for push in 0..pushes {
+                for (j, at) in jump_at.iter().enumerate() {
+                    if *at == push {
+                        centre[j % dims] += jump_ms[j];
+                    }
+                }
+                let noise = &noise[push * 6..][..6];
+                let point: Vec<f64> = (0..dims)
+                    .map(|d| centre[d] + noise_ms * noise[d])
+                    .collect();
+                // A height too, so that d(x, x) = 2·height is not zero.
+                let system = Coordinate::with_height(point, noise[5].abs()).unwrap();
+
+                if push == restore_at {
+                    let mut fresh = EnergyHeuristic::new(threshold, k);
+                    fresh.import_state(&h.export_state()).unwrap();
+                    restored = Some(fresh);
+                }
+
+                let used = h.clone().advance(&system);
+                let (exact, expected) = reference.on_system_update(&system);
+                prop_assert_eq!(used.is_some(), exact.is_some());
+                if let (Some(used), Some(exact)) = (used, exact) {
+                    let tolerance = 1e-9 * (1.0 + exact.abs());
+                    prop_assert!(
+                        (used - exact).abs() <= tolerance,
+                        "k={k} push={push}: slid {used} vs recomputed {exact}"
+                    );
+                    if (exact - threshold).abs() <= tolerance {
+                        // Too close to τ for rounding not to matter: either
+                        // decision is right and the streams may part here.
+                        break;
+                    }
+                }
+                let decision = h.on_system_update(&system, &app, &ctx);
+                prop_assert_eq!(&decision, &expected, "k={k} push={push}");
+
+                if let Some(restored) = restored.as_mut() {
+                    let again = restored.on_system_update(&system, &app, &ctx);
+                    prop_assert_eq!(&again, &decision, "k={k} push={push} after restore");
+                    // Anchors fall where `pushes_since_reset` is a multiple of
+                    // k (0 straight after a change point, where both hold
+                    // nothing); from the first one on the sums are the same.
+                    restored_has_anchored |= h.windows.pushes_since_reset().is_multiple_of(k as u64);
+                    if restored_has_anchored {
+                        prop_assert_eq!(bits(restored.sums), bits(h.sums), "k={k} push={push}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

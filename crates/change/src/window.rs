@@ -103,17 +103,21 @@ impl TwoWindowDetector {
         self.window_size
     }
 
-    /// Appends one system-level coordinate to the stream.
-    pub fn push(&mut self, coordinate: Coordinate) {
+    /// Appends one system-level coordinate to the stream and hands back the
+    /// coordinate it pushed out of the current window, if that was full.
+    pub fn push(&mut self, coordinate: Coordinate) -> Option<Coordinate> {
         self.total_pushes += 1;
         self.pushes_since_reset += 1;
         if self.start.len() < self.window_size {
             self.start.push(coordinate.clone());
         }
-        if self.current.len() == self.window_size {
-            self.current.pop_front();
-        }
+        let evicted = if self.current.len() == self.window_size {
+            self.current.pop_front()
+        } else {
+            None
+        };
         self.current.push_back(coordinate);
+        evicted
     }
 
     /// True once both windows hold `window_size` elements and a comparison is
@@ -134,14 +138,17 @@ impl TwoWindowDetector {
         self.current.iter().cloned().collect()
     }
 
-    /// Copies the sliding current window into `buf` (cleared first), oldest
-    /// first. The hot-path form of
-    /// [`current_window`](TwoWindowDetector::current_window): a caller that
-    /// reuses one buffer per detector pays no allocation once the buffer has
-    /// grown to the window size.
-    pub fn current_window_into(&self, buf: &mut Vec<Coordinate>) {
-        buf.clear();
-        buf.extend(self.current.iter().cloned());
+    /// The sliding current window oldest first, borrowed off the ring
+    /// buffer.
+    pub fn current_iter(&self) -> impl Iterator<Item = &Coordinate> {
+        self.current.iter()
+    }
+
+    /// Both windows as slices, `(start, current)`, each oldest first. The
+    /// ring buffer is rotated in place until it no longer wraps, which moves
+    /// at most `k` coordinates and allocates nothing.
+    pub fn contiguous_windows(&mut self) -> (&[Coordinate], &[Coordinate]) {
+        (&self.start, self.current.make_contiguous())
     }
 
     /// Centroid of the start window, or `None` before any push.
@@ -247,6 +254,22 @@ mod tests {
             .map(|c| c.components()[0])
             .collect();
         assert_eq!(current, vec![5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn push_hands_back_what_the_current_window_evicts() {
+        let mut w = TwoWindowDetector::new(3).unwrap();
+        for i in 0..3 {
+            assert_eq!(w.push(coord(i as f64)), None, "still filling");
+        }
+        assert_eq!(w.push(coord(3.0)), Some(coord(0.0)));
+        assert_eq!(w.push(coord(4.0)), Some(coord(1.0)));
+        // The ring buffer wraps by now; the slices are still oldest first.
+        let owned = w.current_window();
+        let (start, current) = w.contiguous_windows();
+        assert_eq!(start, [coord(0.0), coord(1.0), coord(2.0)]);
+        assert_eq!(current, owned);
+        assert!(w.current_iter().eq(owned.iter()));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use std::hash::Hash;
 
-use nc_change::{ApplicationCoordinate, ApplicationUpdate, HeuristicStateMismatch, UpdateContext};
+use nc_change::{
+    ApplicationCoordinate, ApplicationUpdate, HeuristicKind, HeuristicStateMismatch, UpdateContext,
+};
 
 use crate::fxhash::FxHashMap;
 use nc_filters::{FilterState, LatencyFilter, MovingPercentileFilter, StateMismatch};
@@ -1305,13 +1307,19 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 None
             }
         } else {
-            let ctx = UpdateContext {
-                nearest_neighbor: self
-                    .nearest_neighbor
-                    .as_ref()
-                    .and_then(|(nid, _)| self.peers.get(nid))
-                    .and_then(|peer| peer.neighbor.as_ref())
-                    .map(|snapshot| snapshot.coordinate.clone()),
+            // Only RELATIVE reads the context; everyone else is spared the
+            // lookup into the (cold) peer table and the coordinate clone.
+            let ctx = if self.config.heuristic.kind() == Some(HeuristicKind::Relative) {
+                UpdateContext {
+                    nearest_neighbor: self
+                        .nearest_neighbor
+                        .as_ref()
+                        .and_then(|(nid, _)| self.peers.get(nid))
+                        .and_then(|peer| peer.neighbor.as_ref())
+                        .map(|snapshot| snapshot.coordinate.clone()),
+                }
+            } else {
+                UpdateContext::default()
             };
             self.application
                 .on_system_update(self.vivaldi.coordinate(), &ctx)

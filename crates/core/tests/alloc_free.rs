@@ -125,6 +125,43 @@ fn steady_state_vivaldi_update_performs_zero_allocations() {
 }
 
 #[test]
+fn energy_update_performs_zero_allocations_across_slides_anchor_and_change_point() {
+    use nc_change::{EnergyHeuristic, UpdateContext, UpdateHeuristic};
+    use nc_vivaldi::Coordinate;
+
+    let window = 32u64;
+    let mut heuristic = EnergyHeuristic::paper_defaults();
+    let application = Coordinate::origin(3);
+    let ctx = UpdateContext::default();
+    // Jitter around a centre that leaps 500 ms at push 100: the windows are
+    // ready from push 32, slide from push 33, re-anchor at pushes 64 and 96,
+    // declare a change point shortly after the leap, refill, anchor afresh
+    // and slide on.
+    let stream = |push: u64| {
+        let centre = if push < 100 { 20.0 } else { 520.0 };
+        Coordinate::new([centre + (push % 7) as f64 * 0.1, -4.0, 9.0]).unwrap()
+    };
+    for push in 1..=window + 1 {
+        heuristic.on_system_update(&stream(push), &application, &ctx);
+    }
+
+    let (allocations, publishes) = allocations_during(|| {
+        (window + 2..=6 * window)
+            .filter(|&push| {
+                heuristic
+                    .on_system_update(&stream(push), &application, &ctx)
+                    .is_publish()
+            })
+            .count()
+    });
+    assert_eq!(publishes, 1, "the leap is one change point");
+    assert_eq!(
+        allocations, 0,
+        "sliding, anchoring and restarting the ENERGY windows must not allocate"
+    );
+}
+
+#[test]
 fn steady_state_filter_observe_performs_zero_allocations() {
     use nc_filters::LatencyFilter;
     let mut filter = nc_filters::MovingPercentileFilter::new(128, 25.0).unwrap();

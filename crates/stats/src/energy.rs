@@ -76,18 +76,25 @@ where
     if a.is_empty() || b.is_empty() {
         return Err(StatsError::EmptyInput);
     }
+    let cross = cross_sum_by(a, b, &dist);
     let within_a = within_sum_by(a, &dist);
-    energy_distance_with_cached_within(a, b, within_a, dist)
+    let within_b = within_sum_by(b, &dist);
+    Ok(energy_from_sums(
+        a.len(),
+        b.len(),
+        cross,
+        within_a,
+        within_b,
+    ))
 }
 
 /// The within-sample pairwise sum `Σ_{i≠j} d(x_i, x_j)` over one sample, in
 /// the fixed `(i, j)` iteration order [`energy_distance_by`] uses.
 ///
-/// Exposed so callers whose first sample is *frozen* between computations
-/// (the ENERGY heuristic's start window, §V-B) can compute this sum once
-/// and reuse it through [`energy_distance_with_cached_within`] — the cached
-/// path is bit-identical to the full recomputation because both run this
-/// exact loop.
+/// Exposed, with [`cross_sum_by`], [`slide_delta_by`] and
+/// [`energy_from_sums`], so a caller whose samples change one element at a
+/// time (the ENERGY heuristic's windows, §V-B) can keep the three sums and
+/// update them instead of recomputing the statistic.
 pub fn within_sum_by<T, F>(sample: &[T], dist: F) -> f64
 where
     F: Fn(&T, &T) -> f64,
@@ -112,30 +119,12 @@ where
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
-/// [`energy_distance_by`] with the first sample's within-sum supplied by the
-/// caller (see [`within_sum_by`]). The cross term and the second sample's
-/// within term are computed as usual.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when either sample is empty.
-pub fn energy_distance_with_cached_within<T, F>(
-    a: &[T],
-    b: &[T],
-    within_a: f64,
-    dist: F,
-) -> Result<f64, StatsError>
+/// The between-sample sum `Σ_i Σ_j d(a_i, b_j)`, in the fixed `(i, j)`
+/// iteration order [`energy_distance_by`] uses.
+pub fn cross_sum_by<T, F>(a: &[T], b: &[T], dist: F) -> f64
 where
     F: Fn(&T, &T) -> f64,
 {
-    let n1 = a.len();
-    let n2 = b.len();
-    if n1 == 0 || n2 == 0 {
-        return Err(StatsError::EmptyInput);
-    }
-    let n1f = n1 as f64;
-    let n2f = n2 as f64;
-
     // Same four-lane accumulation as `within_sum_by`; see the note there.
     let mut lanes = [0.0f64; 4];
     let mut pair = 0usize;
@@ -145,12 +134,40 @@ where
             pair += 1;
         }
     }
-    let cross = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
 
-    let within_b = within_sum_by(b, &dist);
+/// `Σ_x d(x, admitted) − Σ_x d(x, evicted)` over `others`: what replacing
+/// `evicted` by `admitted` in one sample adds to its sum of distances
+/// against `others`.
+///
+/// With `others` the opposite sample this is the change of
+/// [`cross_sum_by`]; with `others` the sample's own surviving elements,
+/// twice this is the change of [`within_sum_by`] (every pair is counted in
+/// both orders). Either way one replacement costs `2·|others|` distance
+/// evaluations where the full sums cost `|a|·|b|` and `|b|·(|b|−1)`.
+pub fn slide_delta_by<'a, T: 'a, I, F>(others: I, admitted: &T, evicted: &T, dist: F) -> f64
+where
+    I: IntoIterator<Item = &'a T>,
+    F: Fn(&T, &T) -> f64,
+{
+    let mut added = 0.0;
+    let mut removed = 0.0;
+    for x in others {
+        added += dist(x, admitted);
+        removed += dist(x, evicted);
+    }
+    added - removed
+}
 
+/// Closes the energy statistic over samples of `n1` and `n2` items from
+/// their between-sample sum ([`cross_sum_by`]) and their two within-sample
+/// sums ([`within_sum_by`]).
+pub fn energy_from_sums(n1: usize, n2: usize, cross: f64, within_a: f64, within_b: f64) -> f64 {
+    let n1f = n1 as f64;
+    let n2f = n2 as f64;
     let term = 2.0 / (n1f * n2f) * cross - within_a / (n1f * n1f) - within_b / (n2f * n2f);
-    Ok(n1f * n2f / (n1f + n2f) * term)
+    n1f * n2f / (n1f + n2f) * term
 }
 
 #[cfg(test)]
@@ -221,6 +238,28 @@ mod tests {
         let b_refs: Vec<&[f64]> = b.iter().map(|p| p.as_slice()).collect();
         let by = energy_distance_by(&a_refs, &b_refs, |x, y| euclidean(x, y)).unwrap();
         assert!((direct - by).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slide_delta_counts_one_replacement() {
+        // Replacing b[0] by `admitted`: the cross sum moves by the delta
+        // against `a`, the within sum by twice the delta against the
+        // survivors b[1..].
+        let a = vec![pt(&[0.0, 0.0]), pt(&[1.0, 2.0]), pt(&[-3.0, 0.5])];
+        let b = vec![pt(&[4.0, 4.0]), pt(&[5.0, 1.0]), pt(&[6.0, -2.0])];
+        let admitted = pt(&[-1.0, 7.0]);
+        let mut slid = b[1..].to_vec();
+        slid.push(admitted.clone());
+        let d = |x: &Vec<f64>, y: &Vec<f64>| euclidean(x, y);
+
+        let cross = cross_sum_by(&a, &b, d) + slide_delta_by(&a, &admitted, &b[0], d);
+        let within = within_sum_by(&b, d) + 2.0 * slide_delta_by(&b[1..], &admitted, &b[0], d);
+        assert!((cross - cross_sum_by(&a, &slid, d)).abs() < 1e-12);
+        assert!((within - within_sum_by(&slid, d)).abs() < 1e-12);
+
+        let from_sums = energy_from_sums(3, 3, cross, within_sum_by(&a, d), within);
+        let direct = energy_distance_by(&a, &slid, d).unwrap();
+        assert!((from_sums - direct).abs() < 1e-12);
     }
 
     proptest! {

@@ -53,7 +53,8 @@ pub mod timeseries;
 pub use boxplot::BoxplotSummary;
 pub use cdf::Ecdf;
 pub use energy::{
-    energy_distance, energy_distance_by, energy_distance_with_cached_within, within_sum_by,
+    cross_sum_by, energy_distance, energy_distance_by, energy_from_sums, slide_delta_by,
+    within_sum_by,
 };
 pub use histogram::{Histogram, HistogramBin};
 pub use percentile::{median, percentile, percentile_of_sorted};

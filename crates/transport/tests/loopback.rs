@@ -10,7 +10,7 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nc_transport::{DelayHarness, LinkSpec, NodeRuntime, RuntimeConfig};
 use nc_vivaldi::Coordinate;
@@ -169,18 +169,28 @@ fn eight_node_cluster_converges_under_loss_and_duplication_and_survives_restart(
 
     // And it rejoins: fresh probes flow both ways, and the node stays at its
     // converged position instead of re-converging from scratch.
+    // First looked at after 1.5 s as before, then every 250 ms up to 6 s: on
+    // a host that is busy elsewhere the harness delivers late and a single
+    // sample can catch the node mid-step.
+    let rejoined_at = Instant::now();
     std::thread::sleep(Duration::from_millis(1_500));
+    let node0_median = loop {
+        let (settled, _) = node0.coordinate();
+        let mut node0_errors = Vec::new();
+        for (peer, runtime) in runtimes.iter().enumerate() {
+            let actual = harness.emulated_rtt_ms(0, peer + 1);
+            let estimated = settled.distance(&runtime.coordinate().0);
+            node0_errors.push((estimated - actual).abs() / actual);
+        }
+        let node0_median = median(node0_errors);
+        if node0_median < 0.20 || rejoined_at.elapsed() >= Duration::from_secs(6) {
+            break node0_median;
+        }
+        std::thread::sleep(Duration::from_millis(250));
+    };
     let stats = node0.stats();
     assert!(stats.probes_sent > 0, "restarted node probes");
     assert!(stats.responses_received > 0, "restarted node hears replies");
-    let (settled, _) = node0.coordinate();
-    let mut node0_errors = Vec::new();
-    for (peer, runtime) in runtimes.iter().enumerate() {
-        let actual = harness.emulated_rtt_ms(0, peer + 1);
-        let estimated = settled.distance(&runtime.coordinate().0);
-        node0_errors.push((estimated - actual).abs() / actual);
-    }
-    let node0_median = median(node0_errors);
     assert!(
         node0_median < 0.20,
         "restarted node stays converged (median error {node0_median:.3})"
