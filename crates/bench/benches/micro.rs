@@ -9,6 +9,7 @@ use std::hint::black_box;
 
 use nc_change::{EnergyHeuristic, RelativeHeuristic, UpdateContext, UpdateHeuristic};
 use nc_filters::{EwmaFilter, LatencyFilter, MovingPercentileFilter, RawFilter};
+use nc_netsim::sim::EventQueue;
 use nc_stats::{energy_distance_by, percentile};
 use nc_vivaldi::{Coordinate, RemoteObservation, VivaldiConfig, VivaldiState};
 use rand::rngs::StdRng;
@@ -274,8 +275,95 @@ fn bench_stable_node(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four queue events of one probe exchange.
+enum MixEvent {
+    Tick,
+    Timeout,
+    Deliver,
+    Response,
+}
+
+/// The simulator's queue traffic at 1,024 nodes, without the simulator: each
+/// tick re-arms itself one interval on, arms a timeout three intervals on
+/// and sends a packet whose delivery sends the reply — per exchange two
+/// constant-offset timers and two drawn-delay packets, at a resident depth
+/// of 4 · 1,024 (one tick and three timeouts per node, ≈ 30 packets in
+/// flight). `exchange_mix_1024` sends the timers through the lanes as the
+/// simulator does; `..._heap_only` sends the same mix through plain
+/// `schedule`, which is what the simulator did before the lanes. One sample
+/// is a million exchanges, so the printed milliseconds read as nanoseconds
+/// per exchange (four events).
+fn bench_event_queue(c: &mut Criterion) {
+    const NODES: usize = 1_024;
+    const EXCHANGES: usize = 1_000_000;
+    const INTERVAL_S: f64 = 5.0;
+    const TIMEOUT_S: f64 = 15.0;
+    const TICK_LANE: usize = 0;
+    const TIMEOUT_LANE: usize = 1;
+    let mut rng = StdRng::seed_from_u64(11);
+    let delays: Vec<f64> = (0..4_096).map(|_| rng.gen_range(0.01..0.15)).collect();
+    let mut group = c.benchmark_group("event_queue");
+    for (name, lanes) in [
+        ("exchange_mix_1024", true),
+        ("exchange_mix_1024_heap_only", false),
+    ] {
+        let timer = move |queue: &mut EventQueue<MixEvent>, lane, time_s, event| {
+            if lanes {
+                queue.schedule_timer(lane, time_s, event);
+            } else {
+                queue.schedule(time_s, event);
+            }
+        };
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    // Ticks spread over one interval; behind each node the
+                    // timeouts of its last three probes.
+                    let mut queue = EventQueue::new();
+                    let tick_at = |node: usize| INTERVAL_S * node as f64 / NODES as f64;
+                    for node in 0..NODES {
+                        timer(&mut queue, TICK_LANE, tick_at(node), MixEvent::Tick);
+                    }
+                    for round in 0..3 {
+                        for node in 0..NODES {
+                            let time_s = tick_at(node) + INTERVAL_S * round as f64;
+                            timer(&mut queue, TIMEOUT_LANE, time_s, MixEvent::Timeout);
+                        }
+                    }
+                    queue
+                },
+                |mut queue| {
+                    let mut exchanges = 0;
+                    let mut draws = delays.iter().cycle();
+                    while exchanges < EXCHANGES {
+                        let (now, event) = queue.pop().expect("ticks re-arm forever");
+                        match event {
+                            MixEvent::Tick => {
+                                timer(&mut queue, TICK_LANE, now + INTERVAL_S, MixEvent::Tick);
+                                timer(&mut queue, TIMEOUT_LANE, now + TIMEOUT_S, MixEvent::Timeout);
+                                let delay = draws.next().expect("cycle never ends");
+                                queue.schedule(now + delay, MixEvent::Deliver);
+                            }
+                            MixEvent::Deliver => {
+                                let delay = draws.next().expect("cycle never ends");
+                                queue.schedule(now + delay, MixEvent::Response);
+                            }
+                            MixEvent::Response => exchanges += 1,
+                            MixEvent::Timeout => {}
+                        }
+                    }
+                    queue
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     micro,
+    bench_event_queue,
     bench_filters,
     bench_vivaldi_update,
     bench_hot_path_tight_loops,

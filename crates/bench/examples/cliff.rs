@@ -1,11 +1,11 @@
 //! Per-event-cost profiler for the simulator's scaling behaviour.
 //!
 //! Runs one simulated hour (shorter at very large sizes unless overridden)
-//! at a ladder of mesh sizes and reports wall-clock time, an approximate
-//! event count and the resulting events-per-second rate. A flat rate across
-//! sizes means per-event cost is size-independent — the property the
-//! 4096-node scaling work targets; a falling rate exposes a cliff
-//! (superlinear per-event cost).
+//! at a ladder of mesh sizes and reports wall-clock time, the number of
+//! events popped from the queue and the resulting events-per-second rate.
+//! A flat rate across sizes means per-event cost is size-independent — the
+//! property the 4096-node scaling work targets; a falling rate exposes a
+//! cliff (superlinear per-event cost).
 //!
 //! Usage:
 //!
@@ -23,7 +23,8 @@ use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::sim::{SimConfig, Simulator};
 use stable_nc::NodeConfig;
 
-fn run(nodes: usize, duration_s: f64, threads: Option<usize>) -> f64 {
+/// Wall seconds of one run and the events it popped.
+fn run(nodes: usize, duration_s: f64, threads: Option<usize>) -> (f64, u64) {
     let workload = PlanetLabConfig::small(nodes).with_seed(20_050_502);
     let sim_config = SimConfig::new(duration_s, 5.0).with_measurement_start(duration_s / 2.0);
     let mut simulator = Simulator::new(
@@ -37,7 +38,7 @@ fn run(nodes: usize, duration_s: f64, threads: Option<usize>) -> f64 {
     let start = Instant::now();
     let report = simulator.run();
     std::hint::black_box(report);
-    start.elapsed().as_secs_f64()
+    (start.elapsed().as_secs_f64(), simulator.events_popped())
 }
 
 fn main() {
@@ -69,10 +70,8 @@ fn main() {
         // Keep the largest sizes affordable by default: the rate, not the
         // total, is the quantity under test.
         let duration_s = duration_override.unwrap_or(if nodes > 8192 { 900.0 } else { 3600.0 });
-        let elapsed = run(nodes, duration_s, threads);
-        // Each probe produces ~4 events (send, deliver, response, timeout).
-        let events = nodes as f64 * (duration_s / 5.0) * 4.0;
-        let rate = events / elapsed / 1e6;
+        let (elapsed, events) = run(nodes, duration_s, threads);
+        let rate = events as f64 / elapsed / 1e6;
         let relative = baseline.get_or_insert(rate);
         println!(
             "{nodes:>6} nodes  {duration_s:>6.0} s simulated  {elapsed:>8.2} s wall  \

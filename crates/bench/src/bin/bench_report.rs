@@ -19,9 +19,10 @@
 //! `--quick` runs single iterations of the 256-node workloads and both
 //! query batches, and `--huge` adds a 65,536-node hour and a
 //! 1,000,000-node query batch. The JSON maps bench name → median
-//! nanoseconds, node count and throughput (simulator events or queries per
-//! second), and embeds the frozen pre-PR-3 baseline for before/after
-//! comparison.
+//! nanoseconds, node count and throughput — queries per second for the read
+//! path; for the simulator the exact number of events the run popped from
+//! its queue (`Simulator::events_popped`) and that count per second — and
+//! embeds the frozen pre-PR-3 baseline for before/after comparison.
 //!
 //! `--check` compares fresh medians against the committed `BENCH_sim.json`
 //! instead of rewriting it: any measured bench more than the threshold
@@ -64,6 +65,9 @@ struct BenchResult {
     name: &'static str,
     nodes: u64,
     median_ns: f64,
+    /// Queue events one simulation popped (a function of the workload, so
+    /// identical across iterations and hosts); `None` for the query benches.
+    events: Option<u64>,
     /// Throughput over the median sample; labelled per bench family in the
     /// JSON (`events_per_sec` for the simulator, `queries_per_sec` for the
     /// query read path).
@@ -71,15 +75,8 @@ struct BenchResult {
     rate_key: &'static str,
 }
 
-/// Approximate number of discrete events one simulated hour generates: each
-/// node launches a probe every interval, and a delivered exchange costs four
-/// queue events (send, deliver, response, timeout no-op).
-fn approx_events(nodes: u64) -> f64 {
-    let ticks = (DURATION_S / PROBE_INTERVAL_S).floor();
-    nodes as f64 * ticks * 4.0
-}
-
-fn run_sim(nodes: usize, lossy_churn: bool, threads: Option<usize>) -> std::time::Duration {
+/// One timed simulation: wall time of build + run, and the events it popped.
+fn run_sim(nodes: usize, lossy_churn: bool, threads: Option<usize>) -> (std::time::Duration, u64) {
     let start = Instant::now();
     let mut workload = PlanetLabConfig::small(nodes).with_seed(20050502);
     if lossy_churn {
@@ -101,7 +98,7 @@ fn run_sim(nodes: usize, lossy_churn: bool, threads: Option<usize>) -> std::time
     }
     let report = simulator.run();
     std::hint::black_box(report);
-    start.elapsed()
+    (start.elapsed(), simulator.events_popped())
 }
 
 fn median_ns(mut samples: Vec<f64>) -> f64 {
@@ -117,17 +114,23 @@ fn measure(
     threads: Option<usize>,
 ) -> BenchResult {
     let mut samples = Vec::with_capacity(iterations);
+    let mut events = 0;
     for iteration in 0..iterations {
-        let elapsed = run_sim(nodes as usize, lossy_churn, threads);
-        eprintln!("  {name} iteration {}: {elapsed:?}", iteration + 1);
+        let (elapsed, popped) = run_sim(nodes as usize, lossy_churn, threads);
+        eprintln!(
+            "  {name} iteration {}: {elapsed:?}, {popped} events",
+            iteration + 1
+        );
         samples.push(elapsed.as_nanos() as f64);
+        events = popped;
     }
     let median = median_ns(samples);
     BenchResult {
         name,
         nodes,
         median_ns: median,
-        rate: approx_events(nodes) / (median / 1e9),
+        events: Some(events),
+        rate: events as f64 / (median / 1e9),
         rate_key: "events_per_sec",
     }
 }
@@ -195,6 +198,7 @@ fn measure_queries(name: &'static str, nodes: u64, iterations: usize) -> BenchRe
         name,
         nodes,
         median_ns: median,
+        events: None,
         rate: QUERY_BATCH as f64 / (median / 1e9),
         rate_key: "queries_per_sec",
     }
@@ -366,8 +370,12 @@ fn main() {
     );
     json.push_str("  \"benches\": {\n");
     for (index, result) in results.iter().enumerate() {
+        let events = match result.events {
+            Some(events) => format!("\"events\": {events}, "),
+            None => String::new(),
+        };
         json.push_str(&format!(
-            "    \"{}\": {{ \"median_ns\": {:.0}, \"nodes\": {}, \"{}\": {:.0} }}{}\n",
+            "    \"{}\": {{ \"median_ns\": {:.0}, \"nodes\": {}, {events}\"{}\": {:.0} }}{}\n",
             result.name,
             result.median_ns,
             result.nodes,
@@ -380,9 +388,12 @@ fn main() {
     json.push_str("  \"baseline_pre_pr3\": {\n");
     for (index, (name, nodes, ns)) in PRE_PR3_BASELINE.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{name}\": {{ \"median_ns\": {ns:.0}, \"nodes\": {nodes}, \"events_per_sec\": {:.0} }}{}\n",
-            approx_events(*nodes) / (ns / 1e9),
-            if index + 1 < PRE_PR3_BASELINE.len() { "," } else { "" }
+            "    \"{name}\": {{ \"median_ns\": {ns:.0}, \"nodes\": {nodes} }}{}\n",
+            if index + 1 < PRE_PR3_BASELINE.len() {
+                ","
+            } else {
+                ""
+            }
         ));
     }
     json.push_str("  }\n}\n");

@@ -818,10 +818,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             }
             None => {}
         }
-        if let Some(peer) = self.peers.get_mut(&response.responder) {
-            peer.loss_streak = 0;
-        }
-        if self.register_member(response.responder.clone()) {
+        // One probe of the peer table clears the streak and registers the
+        // responder (the self-response case returned above).
+        let (peer, discovered) = self.member_entry(response.responder.clone());
+        peer.loss_streak = 0;
+        if discovered {
             events.push(Event::NeighborDiscovered {
                 id: response.responder.clone(),
             });
@@ -1341,13 +1342,20 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         if self.identity.as_ref() == Some(&id) {
             return false;
         }
+        self.member_entry(id).1
+    }
+
+    /// The peer's table entry (created when absent), entered into the probe
+    /// rotation unless it is already a member or a known neighbour; the flag
+    /// is `true` when it just entered.
+    fn member_entry(&mut self, id: Id) -> (&mut PeerState, bool) {
         let peer = self.peers.entry(id.clone()).or_default();
-        if peer.member || peer.neighbor.is_some() {
-            return false;
+        let new = !(peer.member || peer.neighbor.is_some());
+        if new {
+            peer.member = true;
+            self.membership.push(id);
         }
-        peer.member = true;
-        self.membership.push(id);
-        true
+        (peer, new)
     }
 }
 

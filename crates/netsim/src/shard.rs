@@ -52,7 +52,7 @@ use crate::metrics::{NodeMetrics, TrackedCoordinate};
 use crate::scenario::ScenarioAction;
 use crate::sim::{
     feed_query_index, fold_events, EngineState, EventQueue, PartitionWindow, ScheduleState, SimEnv,
-    SimEvent,
+    SimEvent, TICK_LANE, TIMEOUT_LANE,
 };
 
 /// One engine operation for one node, emitted by the planner in global
@@ -118,6 +118,7 @@ struct Plan {
     recs: Vec<ExchangeRec>,
     slot_count: usize,
     scenario_actions: u64,
+    events_popped: u64,
 }
 
 /// The per-node mirror of the engine state that feeds back into the shared
@@ -410,6 +411,7 @@ impl Worker {
 pub(crate) fn run_sharded(env: &SimEnv, state: &mut EngineState, threads: usize) {
     let max_losses = state.runs[0].config.max_consecutive_losses;
     let plan = build_plan(env, &mut state.schedule, max_losses, threads);
+    state.events_popped = plan.events_popped;
     execute_plan(env, state, &plan, threads);
 }
 
@@ -444,7 +446,7 @@ fn build_plan(
     for src in 0..n {
         if schedule.alive[src] {
             schedule.probe_cycle_active[src] = true;
-            queue.schedule(0.0, SimEvent::ProbeSend { src });
+            queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
         }
     }
     if !env.sim_config.track_nodes.is_empty() {
@@ -466,7 +468,7 @@ fn build_plan(
                 }
                 let next_tick = now + env.sim_config.probe_interval_s;
                 if next_tick < duration {
-                    queue.schedule(next_tick, SimEvent::ProbeSend { src });
+                    queue.schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
                 } else {
                     schedule.probe_cycle_active[src] = false;
                 }
@@ -489,7 +491,8 @@ fn build_plan(
                     dst: dst as u32,
                     now_ms,
                 });
-                queue.schedule(
+                queue.schedule_timer(
+                    TIMEOUT_LANE,
                     now + env.sim_config.probe_timeout_s,
                     SimEvent::ProbeTimeout { src, seq },
                 );
@@ -716,6 +719,7 @@ fn build_plan(
         recs,
         slot_count: slot_epochs.len(),
         scenario_actions,
+        events_popped: queue.popped(),
     }
 }
 

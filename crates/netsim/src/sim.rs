@@ -47,6 +47,7 @@
 //! daemon's timer wheel would call.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::{CoordinateIndex, QueryConfig};
@@ -374,11 +375,12 @@ impl SimConfig {
 // Event queue
 // ---------------------------------------------------------------------------
 
-/// A heap entry, ordered by `(time_s, insertion)`: earliest time first,
+/// A queue entry, ordered by `(time_s, insertion)`: earliest time first,
 /// FIFO among equal times. Insertion numbers are unique, so the order is a
-/// *strict* total order — every correct min-heap pops the exact same
-/// sequence, which is what lets the heap layout change without touching
-/// simulation results.
+/// *strict* total order — every correct priority queue pops the exact same
+/// sequence, which is what lets the containers behind [`EventQueue`] change
+/// (a binary heap, a 4-ary heap, FIFO timer lanes beside it) without
+/// touching simulation results.
 #[derive(Debug)]
 struct QueueEntry<T> {
     time_s: f64,
@@ -387,18 +389,44 @@ struct QueueEntry<T> {
 }
 
 /// Heap arity. A 4-ary heap halves the tree depth of a binary heap and
-/// packs each node's children into one or two cache lines; with tens of
-/// thousands of in-flight events (large meshes push the queue well past
-/// L2), the fewer, more local levels measurably cut per-pop cost.
+/// packs each node's children into one or two cache lines. Inside a
+/// simulation the heap holds only what the timer lanes do not take — packets
+/// in flight, about `n · RTT / probe_interval` entries (≈ 30 at 1,024 nodes,
+/// beside ≈ 4 · n timers in the lanes), and the scripted scenario actions —
+/// and at that depth any arity would do. The arity is chosen for the other
+/// callers: plain [`EventQueue::schedule`] takes arbitrary times, a caller
+/// that sends everything through it keeps thousands of entries resident (two
+/// per node in the `ncbench` queue replay), and there the fewer, more local
+/// levels measurably cut per-pop cost.
 const HEAP_ARITY: usize = 4;
+
+/// Number of FIFO timer lanes an [`EventQueue`] keeps beside its heap (see
+/// [`EventQueue::schedule_timer`]). One lane per family of timers that share
+/// a constant offset from the clock.
+pub const TIMER_LANES: usize = 2;
+
+/// The lane of the probe ticks: the initial ticks at `t = 0` and every
+/// re-arm one probe interval after the tick that fired.
+pub(crate) const TICK_LANE: usize = 0;
+/// The lane of the probe timeouts: one probe timeout after each send.
+pub(crate) const TIMEOUT_LANE: usize = 1;
 
 /// A deterministic discrete-event queue: events pop in nondecreasing time
 /// order, and events scheduled for the same instant pop in insertion order
 /// (FIFO), so a simulation's behaviour is a pure function of its inputs.
+///
+/// Entries live in one of two kinds of container under that single order: a
+/// min-heap, which takes any time, and [`TIMER_LANES`] FIFO lanes, which
+/// take the timers a periodic protocol schedules in the very order they
+/// will fire. [`pop`](EventQueue::pop) returns the earliest of the heap's
+/// head and the lane fronts, so which container an entry went into decides
+/// what it costs, never when it pops.
 #[derive(Debug, Default)]
 pub struct EventQueue<T> {
     heap: Vec<QueueEntry<T>>,
+    lanes: [VecDeque<QueueEntry<T>>; TIMER_LANES],
     insertions: u64,
+    popped: u64,
 }
 
 impl<T> EventQueue<T> {
@@ -406,7 +434,9 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            lanes: Default::default(),
             insertions: 0,
+            popped: 0,
         }
     }
 
@@ -454,50 +484,119 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedules `item` at `time_s`.
+    /// Stamps `item` with the next insertion number.
     ///
     /// # Panics
     ///
     /// Panics when `time_s` is not finite (an event at NaN-o'clock would
     /// never pop in a defined order).
-    pub fn schedule(&mut self, time_s: f64, item: T) {
+    fn stamp(&mut self, time_s: f64, item: T) -> QueueEntry<T> {
         assert!(time_s.is_finite(), "event times must be finite");
         let insertion = self.insertions;
         self.insertions += 1;
-        self.heap.push(QueueEntry {
+        QueueEntry {
             time_s,
             insertion,
             item,
-        });
+        }
+    }
+
+    fn push_heap(&mut self, entry: QueueEntry<T>) {
+        self.heap.push(entry);
         self.sift_up(self.heap.len() - 1);
+    }
+
+    fn pop_heap(&mut self) -> Option<QueueEntry<T>> {
+        let last = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(last);
+        }
+        let entry = std::mem::replace(&mut self.heap[0], last);
+        self.sift_down(0);
+        Some(entry)
+    }
+
+    /// Schedules `item` at `time_s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `time_s` is not finite.
+    pub fn schedule(&mut self, time_s: f64, item: T) {
+        let entry = self.stamp(time_s, item);
+        self.push_heap(entry);
+    }
+
+    /// Schedules a timer: an event at a constant offset from a clock that
+    /// only moves forward, so that successive calls on one `lane` carry
+    /// nondecreasing times. Such an entry is appended to the lane's FIFO in
+    /// O(1) and never enters the heap. A call that breaks the promise — a
+    /// time before the lane's last entry — is scheduled through the heap
+    /// exactly as [`schedule`](EventQueue::schedule) would: declaring
+    /// something a timer can cost speed, never order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `time_s` is not finite or `lane >= TIMER_LANES`.
+    pub fn schedule_timer(&mut self, lane: usize, time_s: f64, item: T) {
+        let entry = self.stamp(time_s, item);
+        let fifo = &mut self.lanes[lane];
+        // The new entry carries the largest insertion number so far, so it
+        // sorts after the tail exactly when its time is not earlier.
+        match fifo.back() {
+            Some(tail) if time_s.total_cmp(&tail.time_s) == Ordering::Less => self.push_heap(entry),
+            _ => fifo.push_back(entry),
+        }
+    }
+
+    /// The lane whose front is the earliest entry of the whole queue, or
+    /// `None` when that entry is the heap's head (or the queue is empty).
+    fn earliest_lane(&self) -> Option<usize> {
+        let mut earliest = self.heap.first();
+        let mut source = None;
+        for (lane, fifo) in self.lanes.iter().enumerate() {
+            if let Some(front) = fifo.front() {
+                if earliest.is_none_or(|entry| Self::earlier(front, entry)) {
+                    earliest = Some(front);
+                    source = Some(lane);
+                }
+            }
+        }
+        source
     }
 
     /// Removes and returns the earliest event as `(time, item)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        let last = self.heap.pop()?;
-        let entry = if self.heap.is_empty() {
-            last
-        } else {
-            let entry = std::mem::replace(&mut self.heap[0], last);
-            self.sift_down(0);
-            entry
+        let entry = match self.earliest_lane() {
+            Some(lane) => self.lanes[lane].pop_front()?,
+            None => self.pop_heap()?,
         };
+        self.popped += 1;
         Some((entry.time_s, entry.item))
     }
 
     /// The time of the next event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.first().map(|entry| entry.time_s)
+        let next = match self.earliest_lane() {
+            Some(lane) => self.lanes[lane].front(),
+            None => self.heap.first(),
+        };
+        next.map(|entry| entry.time_s)
     }
 
-    /// Number of scheduled events.
+    /// Number of scheduled events, heap and lanes together.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
+    }
+
+    /// Events popped since the queue was created, whichever container they
+    /// came from — the exact count behind an events-per-second figure.
+    pub fn popped(&self) -> u64 {
+        self.popped
     }
 }
 
@@ -739,6 +838,9 @@ pub(crate) struct EngineState {
     /// Reusable engine-event buffer, cleared before every
     /// `handle_response_into` / `handle_timeout_into` call.
     events_scratch: Vec<Event<usize>>,
+    /// Events one replay of the schedule popped from its [`EventQueue`]
+    /// (see [`Simulator::events_popped`]).
+    pub(crate) events_popped: u64,
 }
 
 /// Runs one or more coordinate-stack configurations over a synthetic
@@ -903,6 +1005,7 @@ impl Simulator {
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 events_scratch: Vec::new(),
+                events_popped: 0,
             },
             force_serial: false,
             threads: None,
@@ -1001,6 +1104,14 @@ impl Simulator {
             .enumerate()
             .filter_map(|(node, model)| model.as_ref().map(|_| node))
             .collect()
+    }
+
+    /// Events the finished run popped from its event queue: the exact count
+    /// of one replay of the schedule, the same under every executor (the
+    /// per-configuration workers each replay it once, the sharded planner
+    /// replays it once for all shards). Zero before [`Simulator::run`].
+    pub fn events_popped(&self) -> u64 {
+        self.state.events_popped
     }
 
     /// Runs the simulation to completion and returns the collected metrics.
@@ -1161,6 +1272,7 @@ impl EngineState {
             slots: Vec::new(),
             free_slots: Vec::new(),
             events_scratch: Vec::new(),
+            events_popped: 0,
         }
     }
 
@@ -1184,6 +1296,7 @@ impl EngineState {
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 events_scratch: Vec::new(),
+                events_popped: 0,
             })
             .collect()
     }
@@ -1233,7 +1346,7 @@ impl EngineState {
         for src in 0..env.topology.len() {
             if self.schedule.alive[src] {
                 self.schedule.probe_cycle_active[src] = true;
-                queue.schedule(0.0, SimEvent::ProbeSend { src });
+                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
             }
         }
         if !env.sim_config.track_nodes.is_empty() {
@@ -1271,6 +1384,7 @@ impl EngineState {
                 SimEvent::ScenarioAction { index } => self.on_scenario(env, now, index, &mut queue),
             }
         }
+        self.events_popped = queue.popped();
     }
 
     fn on_probe_send(
@@ -1292,7 +1406,7 @@ impl EngineState {
         }
         let next_tick = now + env.sim_config.probe_interval_s;
         if next_tick < env.sim_config.duration_s {
-            queue.schedule(next_tick, SimEvent::ProbeSend { src });
+            queue.schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
         } else {
             self.schedule.probe_cycle_active[src] = false;
         }
@@ -1327,7 +1441,8 @@ impl EngineState {
 
         // The timer is armed regardless of the probe's fate — exactly what a
         // deployed prober would do.
-        queue.schedule(
+        queue.schedule_timer(
+            TIMEOUT_LANE,
             now + env.sim_config.probe_timeout_s,
             SimEvent::ProbeTimeout { src, seq },
         );

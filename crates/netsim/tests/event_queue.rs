@@ -1,20 +1,34 @@
 //! Property tests for the discrete-event core (vendored proptest).
 //!
-//! Two invariants carry the whole simulator:
+//! Three invariants carry the whole simulator:
 //!
 //! 1. the [`EventQueue`] pops events in nondecreasing time order, FIFO among
 //!    equal times — the determinism and causality guarantee every handler
-//!    relies on;
+//!    relies on — whichever container (heap or timer lane) an event went
+//!    into;
 //! 2. a link that loses every packet produces *only* `ProbeLost` events:
 //!    no observation arrives, no coordinate ever moves, and the probe
-//!    schedule still runs to completion (lost probes never stall it).
+//!    schedule still runs to completion (lost probes never stall it);
+//! 3. a fixed run produces the report it produced yesterday: the executor
+//!    suites compare the three executors with each other, the pinned digest
+//!    below compares them with a constant.
+
+use std::cmp::Ordering;
 
 use proptest::prelude::*;
 
 use nc_netsim::linkmodel::LinkModelConfig;
+use nc_netsim::metrics::{ConfigMetrics, SimReport};
 use nc_netsim::planetlab::PlanetLabConfig;
-use nc_netsim::sim::{EventQueue, SimConfig, Simulator};
+use nc_netsim::scenario::Scenario;
+use nc_netsim::sim::{EventQueue, SimConfig, Simulator, TIMER_LANES};
 use stable_nc::NodeConfig;
+
+/// The queue's contract, written out: earliest time first (`total_cmp`),
+/// insertion order among equal times.
+fn reference_order(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
 
 proptest! {
     #[test]
@@ -57,6 +71,75 @@ proptest! {
         }
     }
 
+    /// A random mix of heap schedules, timer-lane schedules (monotone per
+    /// lane, deliberately non-monotone, and repeated equal times) and
+    /// interleaved pops: every pop returns the `(time, insertion)` minimum of
+    /// what is resident, `len` / `peek_time` agree at every step, and the
+    /// final drain is the stable sort of the remainder. Times sit on a
+    /// half-second grid so that ties across containers are common.
+    #[test]
+    fn lanes_and_heap_pop_in_one_strict_order(
+        ops in proptest::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        let mut queue: EventQueue<usize> = EventQueue::new();
+        let mut resident: Vec<(f64, usize)> = Vec::new();
+        let mut lane_clock = [0.0f64; TIMER_LANES];
+        let mut scheduled = 0usize;
+        let mut popped = 0u64;
+        for op in ops {
+            let lane = (op >> 8) as usize % TIMER_LANES;
+            let grid = ((op >> 16) % 64) as f64 * 0.5;
+            match op % 8 {
+                // Plain heap schedule at an arbitrary time.
+                0 | 1 => {
+                    queue.schedule(grid, scheduled);
+                    resident.push((grid, scheduled));
+                    scheduled += 1;
+                }
+                // A well-behaved timer: at or after the lane's last one
+                // (a zero step repeats the time exactly).
+                2..=4 => {
+                    let time = lane_clock[lane] + ((op >> 16) % 4) as f64 * 0.5;
+                    lane_clock[lane] = time;
+                    queue.schedule_timer(lane, time, scheduled);
+                    resident.push((time, scheduled));
+                    scheduled += 1;
+                }
+                // A mis-declared timer: anywhere on the grid, usually
+                // earlier than the lane's tail.
+                5 => {
+                    queue.schedule_timer(lane, grid, scheduled);
+                    resident.push((grid, scheduled));
+                    scheduled += 1;
+                }
+                _ => {
+                    let expected = resident
+                        .iter()
+                        .copied()
+                        .min_by(reference_order);
+                    prop_assert_eq!(queue.pop(), expected);
+                    if let Some(entry) = expected {
+                        resident.retain(|other| other.1 != entry.1);
+                        popped += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), resident.len());
+            prop_assert_eq!(queue.is_empty(), resident.is_empty());
+            prop_assert_eq!(
+                queue.peek_time(),
+                resident.iter().copied().min_by(reference_order).map(|entry| entry.0)
+            );
+            prop_assert_eq!(queue.popped(), popped);
+        }
+        // `sort_by` is stable and `resident` is in insertion order, so
+        // sorting by time alone is the contract's order.
+        resident.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let drained: Vec<(f64, usize)> = std::iter::from_fn(|| queue.pop()).collect();
+        prop_assert_eq!(drained, resident);
+        prop_assert_eq!(queue.popped(), scheduled as u64);
+    }
+
     #[test]
     fn total_loss_yields_only_probe_lost_and_frozen_coordinates(
         seed in 0u64..500,
@@ -87,4 +170,159 @@ proptest! {
             prop_assert_eq!(node_metrics.observations, 0);
         }
     }
+}
+
+/// The restart re-arm case: a node revived mid-interval ticks *now*, while
+/// the tick lane's tail already sits one interval ahead. The early timer
+/// must fall through to the heap and still pop first — and the lane keeps
+/// accepting later timers behind its old tail.
+#[test]
+fn timer_earlier_than_its_lanes_tail_falls_through_in_order() {
+    let mut queue: EventQueue<&str> = EventQueue::new();
+    queue.schedule_timer(0, 10.0, "tick-a");
+    queue.schedule_timer(0, 10.0, "tick-b");
+    queue.schedule_timer(0, 7.5, "restart");
+    queue.schedule_timer(0, 12.5, "restart-rearm");
+    queue.schedule_timer(1, 9.0, "timeout");
+    queue.schedule(10.0, "packet");
+    assert_eq!(queue.len(), 6);
+    assert_eq!(queue.peek_time(), Some(7.5));
+    let order: Vec<(f64, &str)> = std::iter::from_fn(|| queue.pop()).collect();
+    assert_eq!(
+        order,
+        vec![
+            (7.5, "restart"),
+            (9.0, "timeout"),
+            (10.0, "tick-a"),
+            (10.0, "tick-b"),
+            (10.0, "packet"),
+            (12.5, "restart-rearm"),
+        ]
+    );
+    assert_eq!(queue.popped(), 6);
+}
+
+#[test]
+#[should_panic(expected = "event times must be finite")]
+fn timers_reject_nan_times() {
+    let mut queue: EventQueue<u8> = EventQueue::new();
+    queue.schedule_timer(0, f64::NAN, 0);
+}
+
+fn fnv1a(hash: &mut u64, bits: u64) {
+    for byte in bits.to_le_bytes() {
+        *hash ^= byte as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Every number a configuration's accessors expose, scalars then per-node
+/// vectors.
+fn accessor_values(metrics: &ConfigMetrics) -> Vec<f64> {
+    let mut values = vec![
+        metrics.total_probes_sent() as f64,
+        metrics.total_responses_received() as f64,
+        metrics.total_probes_lost() as f64,
+        metrics.total_responses_ignored() as f64,
+        metrics.total_observations_rejected() as f64,
+        metrics.total_neighbors_evicted() as f64,
+        metrics.scenario_ops as f64,
+        metrics.aggregate_instability(),
+        metrics.aggregate_application_instability(),
+        metrics.median_of_median_relative_error(),
+        metrics.median_of_p95_relative_error(),
+        metrics.median_of_application_median_relative_error(),
+        metrics.median_of_application_p95_relative_error(),
+        metrics.application_updates_per_node_second(),
+        metrics.pooled_error_summary().mean(),
+    ];
+    values.extend(metrics.median_relative_errors());
+    values.extend(metrics.p95_relative_errors());
+    values.extend(metrics.application_median_relative_errors());
+    values.extend(metrics.application_p95_relative_errors());
+    values.extend(metrics.p95_coordinate_changes());
+    values.extend(metrics.per_node_instability());
+    values.extend(metrics.per_node_application_instability());
+    values
+}
+
+/// FNV-1a over the bits of every accessor value of every configuration, in
+/// name order.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for (name, metrics) in report.iter() {
+        for byte in name.bytes() {
+            fnv1a(&mut hash, byte as u64);
+        }
+        for value in accessor_values(metrics) {
+            fnv1a(&mut hash, value.to_bits());
+        }
+    }
+    hash
+}
+
+/// Digest of [`pinned_run`], taken at the commit *before* timers left the
+/// heap (PR 12, `157f771`). A change that moves it changed what the
+/// simulator computes — the pop order, a draw, an engine decision — and
+/// must say so; a pure performance change must not.
+const PINNED_DIGEST: u64 = 0x535D_35F5_A7D1_2649;
+
+/// 64 nodes, 20 simulated minutes, 5 % loss, eviction after three straight
+/// losses, eight nodes crashed for two minutes and restored from their
+/// snapshots: timeouts, evictions, the restart re-arm and snapshot/restore
+/// all fire, on two configurations so the per-configuration executor runs.
+fn pinned_run() -> Simulator {
+    let workload = PlanetLabConfig::small(64)
+        .with_seed(16)
+        .with_link_config(LinkModelConfig::default().with_loss_probability(0.05));
+    let sim_config = SimConfig::new(1_200.0, 5.0)
+        .with_measurement_start(300.0)
+        .with_initial_neighbors(8);
+    Simulator::new(
+        workload,
+        sim_config,
+        vec![
+            (
+                "mp".to_string(),
+                NodeConfig::builder().max_consecutive_losses(3).build(),
+            ),
+            (
+                "raw".to_string(),
+                NodeConfig::builder()
+                    .filter(stable_nc::FilterConfig::Raw)
+                    .max_consecutive_losses(3)
+                    .build(),
+            ),
+        ],
+    )
+    .with_scenario(Scenario::crash_restart((0..8).collect(), 500.0, 622.5))
+}
+
+#[test]
+fn report_digest_is_pinned_for_every_executor() {
+    let executors = [
+        ("serial", pinned_run().with_serial_execution(true)),
+        ("per-configuration", pinned_run()),
+        ("sharded over 2 threads", pinned_run().with_threads(2)),
+    ];
+    let mut pops = Vec::new();
+    for (name, mut simulator) in executors {
+        let report = simulator.run();
+        let metrics = report.config("mp").unwrap();
+        assert!(
+            metrics.total_probes_lost() > 0 && metrics.total_neighbors_evicted() > 0,
+            "the pinned run must exercise timeouts and evictions"
+        );
+        assert_eq!(
+            report_digest(&report),
+            PINNED_DIGEST,
+            "{name} executor: report digest moved"
+        );
+        pops.push(simulator.events_popped());
+    }
+    assert!(pops[0] > 0);
+    assert!(
+        pops.iter().all(|&count| count == pops[0]),
+        "every executor replays the same schedule: {pops:?}"
+    );
 }
