@@ -8,30 +8,39 @@
 //! cargo run -p nc-bench --release --bin bench_report                   # full run
 //! cargo run -p nc-bench --release --bin bench_report -- --quick
 //! cargo run -p nc-bench --release --bin bench_report -- --check --quick
-//! cargo run -p nc-bench --release --bin bench_report -- --threads 4
+//! cargo run -p nc-bench --release --bin bench_report -- --threads 1
 //! cargo run -p nc-bench --release --bin bench_report -- --huge
 //! ```
 //!
-//! The full run measures the 256-node hour (median of 3), its lossy/churn
-//! variant (median of 3), the 4096-node hour and the 16,384-node hour (1
-//! iteration each), plus the `nc-query` read path: batches of k-nearest
-//! queries against indexes of 10,000 and 100,000 synthetic tracked nodes;
-//! `--quick` runs single iterations of the 256-node workloads and both
-//! query batches, and `--huge` adds a 65,536-node hour and a
-//! 1,000,000-node query batch. The JSON maps bench name → median
-//! nanoseconds, node count and throughput — queries per second for the read
-//! path; for the simulator the exact number of events the run popped from
-//! its queue (`Simulator::events_popped`) and that count per second — and
-//! embeds the frozen pre-PR-3 baseline for before/after comparison.
+//! The full run measures the 256-node hour and its lossy/churn variant
+//! (median of 3), a 64-node hour (the row on the serial side of
+//! `Simulator::run`'s dispatch rule), the 1,024- and 4,096-node hours —
+//! each three times: as `run()` dispatches it, pinned to one worker and
+//! pinned to two (the sharding verdict, ROADMAP 1(d)) — and the 16,384-node
+//! hour (1 iteration each), plus the `nc-query` read path: batches of
+//! k-nearest queries against indexes of 10,000 and 100,000 synthetic
+//! tracked nodes; `--quick` runs single iterations of the 64- and 256-node
+//! workloads and both query batches, and `--huge` adds a 65,536-node hour
+//! and a 1,000,000-node query batch. The JSON (schema 2) opens with a
+//! `host` block — core count, CPU model, kernel, `rustc -V` — because every
+//! wall-clock figure below it, and which engine the unpinned rows ran, is a
+//! property of that host; it then maps bench name → median nanoseconds,
+//! node count and throughput — queries per second for the read path; for
+//! the simulator the exact number of events the run popped from its queue
+//! (`Simulator::events_popped`) and that count per second — and embeds the
+//! frozen pre-PR-3 baseline for before/after comparison.
 //!
-//! `--check` compares fresh medians against the committed `BENCH_sim.json`
-//! instead of rewriting it: any measured bench more than the threshold
-//! slower than its recorded median (default 15 %, `--threshold <percent>`)
-//! fails the run with exit code 1. CI invokes `--check --quick` as a
-//! regression smoke test.
+//! `--check` compares fresh results against the committed `BENCH_sim.json`
+//! instead of rewriting it. Every simulator row's `events` must equal the
+//! recorded count exactly — the count is a function of the workload alone,
+//! so the tolerance is 0 % on any host and under any engine — and any
+//! measured bench more than the threshold slower than its recorded median
+//! (default 15 %, `--threshold <percent>`) fails the run with exit code 1.
+//! CI invokes `--check --quick` as a regression smoke test.
 //!
-//! `--threads N` (or the `NC_BENCH_THREADS` environment variable) runs
-//! every simulation through the node-sharded executor
+//! Without `--threads N` (or the `NC_BENCH_THREADS` environment variable)
+//! the unpinned rows measure what `Simulator::run` does on this host; with
+//! it they run through the node-sharded executor on exactly `N` workers
 //! (`Simulator::with_threads`); the flag wins over the environment.
 
 use std::time::Instant;
@@ -59,6 +68,93 @@ const DEFAULT_CHECK_THRESHOLD: f64 = 0.15;
 const PRE_PR3_BASELINE: &[(&str, u64, f64)] = &[
     ("event_sim/one_hour_256_nodes", 256, 1.298e9),
     ("event_sim/one_hour_256_nodes_lossy_churn", 256, 1.054e9),
+];
+
+/// When a simulator row runs: in every mode, in full runs, or only with
+/// `--huge`.
+enum Tier {
+    Quick,
+    Full,
+    Huge,
+}
+
+/// One simulator row of the report.
+struct SimBench {
+    name: &'static str,
+    nodes: usize,
+    lossy_churn: bool,
+    /// The worker count the row is pinned to; `None` follows `--threads`,
+    /// or — without it — whatever `Simulator::run` picks on this host.
+    threads: Option<usize>,
+    /// Iterations behind the median in a full run (`--quick` runs one).
+    iterations: usize,
+    tier: Tier,
+}
+
+const fn sim_bench(
+    name: &'static str,
+    nodes: usize,
+    threads: Option<usize>,
+    iterations: usize,
+    tier: Tier,
+) -> SimBench {
+    SimBench {
+        name,
+        nodes,
+        lossy_churn: false,
+        threads,
+        iterations,
+        tier,
+    }
+}
+
+/// 64 nodes sit on the serial side of `run()`'s dispatch rule on any host;
+/// 256 is the paper-sized mesh and the first it shards on its own; the
+/// pinned 1,024- and 4,096-node rows are the sharding verdict — one worker
+/// against two, beside what `run()` picked.
+const SIM_BENCHES: &[SimBench] = &[
+    sim_bench("event_sim/one_hour_64_nodes", 64, None, 3, Tier::Quick),
+    sim_bench("event_sim/one_hour_256_nodes", 256, None, 3, Tier::Quick),
+    SimBench {
+        name: "event_sim/one_hour_256_nodes_lossy_churn",
+        nodes: 256,
+        lossy_churn: true,
+        threads: None,
+        iterations: 3,
+        tier: Tier::Quick,
+    },
+    sim_bench("event_sim/one_hour_1024_nodes", 1024, None, 3, Tier::Full),
+    sim_bench(
+        "event_sim/one_hour_1024_nodes_threads_1",
+        1024,
+        Some(1),
+        3,
+        Tier::Full,
+    ),
+    sim_bench(
+        "event_sim/one_hour_1024_nodes_threads_2",
+        1024,
+        Some(2),
+        3,
+        Tier::Full,
+    ),
+    sim_bench("event_sim/one_hour_4096_nodes", 4096, None, 1, Tier::Full),
+    sim_bench(
+        "event_sim/one_hour_4096_nodes_threads_1",
+        4096,
+        Some(1),
+        1,
+        Tier::Full,
+    ),
+    sim_bench(
+        "event_sim/one_hour_4096_nodes_threads_2",
+        4096,
+        Some(2),
+        1,
+        Tier::Full,
+    ),
+    sim_bench("event_sim/one_hour_16384_nodes", 16384, None, 1, Tier::Full),
+    sim_bench("event_sim/one_hour_65536_nodes", 65536, None, 1, Tier::Huge),
 ];
 
 struct BenchResult {
@@ -106,17 +202,12 @@ fn median_ns(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn measure(
-    name: &'static str,
-    nodes: u64,
-    iterations: usize,
-    lossy_churn: bool,
-    threads: Option<usize>,
-) -> BenchResult {
+fn measure(bench: &SimBench, iterations: usize, threads: Option<usize>) -> BenchResult {
+    let name = bench.name;
     let mut samples = Vec::with_capacity(iterations);
     let mut events = 0;
     for iteration in 0..iterations {
-        let (elapsed, popped) = run_sim(nodes as usize, lossy_churn, threads);
+        let (elapsed, popped) = run_sim(bench.nodes, bench.lossy_churn, threads);
         eprintln!(
             "  {name} iteration {}: {elapsed:?}, {popped} events",
             iteration + 1
@@ -127,7 +218,7 @@ fn measure(
     let median = median_ns(samples);
     BenchResult {
         name,
-        nodes,
+        nodes: bench.nodes as u64,
         median_ns: median,
         events: Some(events),
         rate: events as f64 / (median / 1e9),
@@ -204,14 +295,15 @@ fn measure_queries(name: &'static str, nodes: u64, iterations: usize) -> BenchRe
     }
 }
 
-/// Pulls `"<name>": { "median_ns": <value> ... }` out of the committed
+/// Pulls `"<name>": { ... "<key>": <value> ... }` out of the committed
 /// report. The file is written by this binary with one bench per line, so a
 /// line scan is enough — no JSON parser dependency needed here.
-fn recorded_median(json: &str, name: &str) -> Option<f64> {
+fn recorded_number(json: &str, name: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{name}\"");
+    let key = format!("\"{key}\":");
     for line in json.lines() {
         if let Some(rest) = line.trim_start().strip_prefix(&needle) {
-            let rest = rest.split("\"median_ns\":").nth(1)?;
+            let rest = rest.split(key.as_str()).nth(1)?;
             let value: String = rest
                 .trim_start()
                 .chars()
@@ -221,6 +313,37 @@ fn recorded_median(json: &str, name: &str) -> Option<f64> {
         }
     }
     None
+}
+
+/// The machine the numbers were taken on, as a JSON object body: without
+/// it a wall-clock figure, and the engine an unpinned row ran on, cannot be
+/// read. Anything the host does not reveal is recorded as `unknown`.
+fn host_block() -> String {
+    let read = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
+    let cpu = read("/proc/cpuinfo")
+        .lines()
+        .find_map(|line| line.strip_prefix("model name")?.split(':').nth(1))
+        .map_or("unknown".to_string(), |model| model.trim().to_string());
+    let kernel = match read("/proc/sys/kernel/osrelease").trim() {
+        "" => "unknown".to_string(),
+        release => release.to_string(),
+    };
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|output| String::from_utf8(output.stdout).ok())
+        .map(|version| version.trim().to_string())
+        .filter(|version| !version.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, |cores| cores.get());
+    let quote = |text: String| text.replace(['"', '\\'], "'");
+    format!(
+        "\"nproc\": {nproc}, \"cpu\": \"{}\", \"kernel\": \"{}\", \"rustc\": \"{}\"",
+        quote(cpu),
+        quote(kernel),
+        quote(rustc)
+    )
 }
 
 fn workspace_root() -> std::path::PathBuf {
@@ -263,54 +386,25 @@ fn main() {
     let iterations = if quick { 1 } else { 3 };
 
     eprintln!(
-        "bench_report: measuring macro benches ({} iterations each{}) ...",
+        "bench_report: measuring macro benches ({} iterations each at most, unpinned rows {}) ...",
         iterations,
         match threads {
-            Some(threads) => format!(", sharded over {threads} threads"),
-            None => String::new(),
+            Some(threads) => format!("sharded over {threads} workers"),
+            None => "as run() dispatches them".to_string(),
         }
     );
-    let mut results = vec![
-        measure(
-            "event_sim/one_hour_256_nodes",
-            256,
-            iterations,
-            false,
-            threads,
-        ),
-        measure(
-            "event_sim/one_hour_256_nodes_lossy_churn",
-            256,
-            iterations,
-            true,
-            threads,
-        ),
-    ];
-    if !quick {
-        results.push(measure(
-            "event_sim/one_hour_4096_nodes",
-            4096,
-            1,
-            false,
-            threads,
-        ));
-        results.push(measure(
-            "event_sim/one_hour_16384_nodes",
-            16384,
-            1,
-            false,
-            threads,
-        ));
-    }
-    if huge {
-        results.push(measure(
-            "event_sim/one_hour_65536_nodes",
-            65536,
-            1,
-            false,
-            threads,
-        ));
-    }
+    let mut results: Vec<BenchResult> = SIM_BENCHES
+        .iter()
+        .filter(|bench| match bench.tier {
+            Tier::Quick => true,
+            Tier::Full => !quick,
+            Tier::Huge => huge,
+        })
+        .map(|bench| {
+            let iterations = if quick { 1 } else { bench.iterations };
+            measure(bench, iterations, bench.threads.or(threads))
+        })
+        .collect();
     // Query read-path batches run in quick mode too: the CI `--check
     // --quick` gate covers them, so a k-NN slowdown fails the smoke test.
     results.push(measure_queries("query/knn_10k_nodes", 10_000, iterations));
@@ -332,11 +426,24 @@ fn main() {
         let mut checked = 0;
         let mut failures = 0;
         for result in &results {
-            let Some(median) = recorded_median(&recorded, result.name) else {
+            let Some(median) = recorded_number(&recorded, result.name, "median_ns") else {
                 eprintln!("  {}: not in BENCH_sim.json, skipping", result.name);
                 continue;
             };
             checked += 1;
+            // The event count is a function of the workload alone: exact on
+            // any host, under any engine.
+            let recorded_events =
+                recorded_number(&recorded, result.name, "events").map(|events| events as u64);
+            if let (Some(fresh), Some(recorded)) = (result.events, recorded_events) {
+                if fresh != recorded {
+                    failures += 1;
+                    eprintln!(
+                        "bench_report: error[bench-events]: {}: popped {fresh} events vs recorded {recorded}; the count must match exactly",
+                        result.name
+                    );
+                }
+            }
             let ratio = result.median_ns / median;
             let delta = (ratio - 1.0) * 100.0;
             if ratio > 1.0 + threshold {
@@ -364,10 +471,11 @@ fn main() {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 1,\n");
+    json.push_str("{\n  \"schema\": 2,\n");
     json.push_str(
         "  \"description\": \"Macro simulator benchmarks (median wall-clock ns); regenerate with `cargo run -p nc-bench --release --bin bench_report`\",\n",
     );
+    json.push_str(&format!("  \"host\": {{ {} }},\n", host_block()));
     json.push_str("  \"benches\": {\n");
     for (index, result) in results.iter().enumerate() {
         let events = match result.events {

@@ -887,14 +887,14 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             {
                 continue;
             }
-            if self.register_member(entry.id.clone()) {
+            let (peer, new) = self.member_entry(entry.id.clone());
+            if new {
                 events.push(Event::NeighborDiscovered {
                     id: entry.id.clone(),
                 });
             }
             // Gossip seeds the neighbour table so the peer can itself be
             // gossiped onward, but never overwrites first-hand state.
-            let peer = self.peers.entry(entry.id.clone()).or_default();
             if peer.neighbor.is_none() {
                 peer.neighbor = Some(NeighborSnapshot {
                     coordinate: entry.coordinate.clone(),

@@ -49,6 +49,21 @@
 //! level (no std `HashMap`, no wall-clock reads, no hot-path panics), is
 //! written down in `DETERMINISM.md` at the workspace root.
 //!
+//! # Which engine runs
+//!
+//! [`Simulator::run`](sim::Simulator::run) has three engines that replay
+//! the same schedule and picks one from what it can observe — no option
+//! selects it. From 256 nodes up on a host with two or more cores it is
+//! the node-sharded plan/execute engine on `min(cores, nodes / 128)`
+//! workers: the schedule is planned serially in bounded epochs and each
+//! epoch's engine work fans out over the workers, node `i` on worker
+//! `i mod workers`. A smaller run with several named configurations gets
+//! one worker thread per configuration; a smaller run with one, the serial
+//! loop on the calling thread.
+//! [`with_threads`](sim::Simulator::with_threads) overrides the worker
+//! count, [`with_serial_execution`](sim::Simulator::with_serial_execution)
+//! forces the serial reference. The report is the same bytes in every case.
+//!
 //! # Example: a small two-configuration comparison
 //!
 //! ```

@@ -8,27 +8,50 @@
 //! filters, Vivaldi updates, response construction, metric folding — is
 //! expensive and perfectly node-local.
 //!
-//! This module splits the two into phases:
+//! This module splits the two and streams the one into the other in bounded
+//! **epochs**:
 //!
-//! 1. **Plan (serial).** Replay the exact event loop against the real
-//!    [`ScheduleState`], but with a lightweight per-node *mirror* of the only
-//!    engine state that feeds back into the schedule (pending probes, loss
-//!    streaks, the probe sequence counter). The replay emits a per-shard list
-//!    of engine operations in global event order, plus one [`ExchangeRec`]
-//!    per delivered probe.
+//! 1. **Plan (serial).** The [`Planner`] replays the exact event loop
+//!    against the real [`ScheduleState`], but with a lightweight per-node
+//!    *mirror* of the only engine state that feeds back into the schedule
+//!    (pending probes, loss streaks, the probe sequence counter). One call
+//!    pops at most one epoch's budget of events ([`EPOCH_EVENTS`]) and
+//!    turns them into one [`Batch`] of engine operations per shard, each in
+//!    global event order.
 //! 2. **Execute (parallel).** Worker `w` owns every node with
 //!    `index % threads == w` (across all named configurations) and runs its
-//!    operation list in order. The only cross-shard data flow is a probe
-//!    response travelling from the responder's shard to the prober's shard;
-//!    it moves through a slab of epoch-versioned [`SlotCell`]s with
-//!    acquire/release handshakes, so the steady state recycles response
-//!    buffers exactly like the serial path and never locks.
+//!    batch in order. The only cross-shard data flow is a probe response
+//!    travelling from the responder's shard to the prober's shard; it moves
+//!    through a slab of turn-versioned [`SlotCell`]s with acquire/release
+//!    handshakes, so the steady state recycles response buffers exactly
+//!    like the serial path and never locks.
+//!
+//! The two alternate until the queue is dry. Workers are dealt their nodes
+//! once, keep them for the whole run on one thread each, and are
+//! reassembled once; between epochs they sleep on a channel while the
+//! planner refills the batches they handed back. The batches are cleared
+//! and reused and the cell slab is as large as the most exchanges ever in
+//! flight at once, so the plan's memory is a few megabytes whatever the
+//! simulated duration.
+//!
+//! An exchange may straddle an epoch boundary — answered in one epoch,
+//! digested (or dropped) in a later one — and nothing but its cell carries
+//! it across. That is why **no operation may read anything the planner
+//! writes after emitting it**: by the time the planner learns that a reply
+//! in flight will be dropped at delivery (its prober crashed, a partition
+//! came up under it), the `Respond` that built the reply may already have
+//! run. So every operation carries its scalars inline, fixed at the moment
+//! it is pushed; `Respond` publishes exactly when the link model had not
+//! already lost the reply at send time; and a reply dropped at delivery gets
+//! an operation of its own, [`PlanOp::DropReply`], which takes the
+//! publication and releases the cell in the digest's stead.
 //!
 //! Because phase 1 performs byte-identical schedule decisions and phase 2
 //! performs byte-identical engine calls in a per-node order equal to the
 //! serial interleaving, the resulting [`crate::metrics::SimReport`] is
-//! byte-identical to serial execution — a contract enforced by the
-//! regression and property-test suites.
+//! byte-identical to serial execution for every thread count and every
+//! epoch budget — a contract enforced by the regression and property-test
+//! suites.
 //!
 //! The mirror is sufficient because the engine influences the schedule
 //! through exactly three facts (see `StableNode`): whether a timeout
@@ -41,6 +64,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, RwLock};
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::CoordinateIndex;
@@ -55,18 +79,63 @@ use crate::sim::{
     SimEvent, TICK_LANE, TIMEOUT_LANE,
 };
 
+/// Events the planner pops per epoch. Large enough that the two channel
+/// round trips per worker and epoch vanish (a 1,024-node hour is ≈ 45
+/// epochs), small enough that the batches (≤ 48 bytes per event) stay a few
+/// megabytes. Reports do not depend on it; the tests run budgets down to 1.
+pub(crate) const EPOCH_EVENTS: usize = 65_536;
+
+/// Fewest nodes that keep one worker busier than the handshakes cost it.
+/// Measured on a 2-core host (default executor against two workers,
+/// exchanges per second): 1,024 nodes +41 %, 512 +45 %, 256 +16 %, 128 ±0 %
+/// at +50 % CPU, 51 −47 %; with two configurations 256 +13 %, 128 −13 %.
+const NODES_PER_WORKER: usize = 128;
+
+/// How many workers [`Simulator::run`](crate::sim::Simulator::run) shards a
+/// run of `nodes` nodes across on a host with `cores` cores when the caller
+/// did not say: one per core, but no more than the mesh can keep busy. One
+/// means "do not shard".
+pub(crate) fn auto_workers(nodes: usize, cores: usize) -> usize {
+    cores.min(nodes / NODES_PER_WORKER).max(1)
+}
+
 /// One engine operation for one node, emitted by the planner in global
-/// event order. Node-addressed variants carry the global node index; probe
-/// exchanges are addressed through their [`ExchangeRec`].
+/// event order. Every field is fixed when the operation is pushed: workers
+/// may run it epochs later, and never see planner state.
 #[derive(Debug, Clone, Copy)]
 enum PlanOp {
     /// `probe_request_for(dst, now_ms)` on every configuration's `node`.
     Issue { node: u32, dst: u32, now_ms: u64 },
-    /// The responder's side of exchange `rec`: build the responses and
-    /// publish them to the prober's shard.
-    Respond { rec: u32 },
-    /// The prober's side of exchange `rec`: digest the published responses.
-    Digest { rec: u32, now: f64, measuring: bool },
+    /// The responder's side of an exchange: rebuild the request from
+    /// `(dst, seq, sent_at_ms)` — simulator probes carry no other payload —
+    /// answer it into cell `slot`, stamp the sampled RTT and the drawn lie
+    /// (an index into the batch's `lies`), and pass the cell on.
+    Respond {
+        dst: u32,
+        slot: u32,
+        /// 1-based use counter of `slot`; gates the cell handshake.
+        turn: u32,
+        lie: Option<u32>,
+        seq: u64,
+        sent_at_ms: u64,
+        rtt_ms: f64,
+        /// False when the link model lost the reply as it was sent: nobody
+        /// will come for it, so the responder releases the cell itself.
+        publish: bool,
+    },
+    /// The prober's side of an exchange: digest the published responses.
+    Digest {
+        src: u32,
+        slot: u32,
+        turn: u32,
+        measuring: bool,
+        now: f64,
+    },
+    /// A published reply that never reaches its prober (it crashed, or a
+    /// partition came up, while the reply was in flight): take the
+    /// publication and release the cell. Runs on the prober's shard — the
+    /// side that would have digested it.
+    DropReply { slot: u32, turn: u32 },
     /// `handle_timeout_into(seq)` on every configuration's `node`.
     Timeout { node: u32, seq: u64 },
     /// Take crash snapshots of every configuration's `node`.
@@ -88,37 +157,23 @@ enum PlanOp {
     },
 }
 
-/// One delivered probe exchange: everything both shards need to replay it
-/// without touching each other's engines. The request is reconstructed on
-/// the responder's shard from `(dst, seq, sent_at_ms)` — simulator probes
-/// carry no other payload.
-struct ExchangeRec {
-    src: u32,
-    dst: u32,
-    seq: u64,
-    sent_at_ms: u64,
-    rtt_ms: f64,
-    /// Index into the executor's [`SlotCell`] slab.
-    slot: u32,
-    /// 1-based use counter of `slot`; gates the publish/consume handshake.
-    epoch: u32,
-    /// False when the reply never reaches the prober (reverse loss, crash,
-    /// partition): the responder then consumes its own slot use.
-    has_digest: bool,
-    /// The coordinate lie drawn for this exchange (adversarial responder),
-    /// applied to every configuration's response at `Respond` time —
-    /// exactly where the serial loop applies it.
-    lie: Option<CoordinateLie>,
+/// One shard's share of one epoch: its operations in global event order
+/// and the coordinate lies they refer to (too wide to ride in every op).
+/// Cleared and refilled every epoch; the capacity stays.
+#[derive(Default)]
+struct Batch {
+    ops: Vec<PlanOp>,
+    lies: Vec<CoordinateLie>,
 }
 
-/// The planner's output: per-shard operation lists (each in global event
-/// order), the exchange records they reference, and the slot-slab size.
-struct Plan {
-    shard_ops: Vec<Vec<PlanOp>>,
-    recs: Vec<ExchangeRec>,
-    slot_count: usize,
-    scenario_actions: u64,
-    events_popped: u64,
+/// What the plan held in memory when the run ended — independent of the
+/// simulated duration, which the tests pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanFootprint {
+    /// Operations the batches can hold without reallocating, all shards.
+    pub(crate) op_capacity: usize,
+    /// Size of the response-cell slab: the most exchanges ever in flight.
+    pub(crate) cells: usize,
 }
 
 /// The per-node mirror of the engine state that feeds back into the shared
@@ -209,25 +264,34 @@ impl MirrorNode {
 }
 
 /// One slot of the cross-shard response slab. `data` holds one response per
-/// named configuration and is reused across exchanges (epochs), keeping the
+/// named configuration and is reused across exchanges (turns), keeping the
 /// steady-state parallel path as allocation-free as the serial one.
 ///
-/// Protocol: the responder of epoch `e` first waits for `consumed == e - 1`
+/// Protocol: the responder of turn `t` first waits for `consumed == t - 1`
 /// (the previous use is fully digested), writes the responses, then either
-/// stores `published = e` (a digest is coming) or `consumed = e` (the reply
-/// was lost in flight; it consumes its own use). The prober waits for
-/// `published == e`, reads, and stores `consumed = e`. Every wait is on an
-/// operation strictly earlier in the planner's global order, so the
-/// executor can never deadlock.
+/// stores `published = t` (someone will come for them) or `consumed = t`
+/// (the reply was lost as it was sent; it consumes its own use). The
+/// prober's shard waits for `published == t`, reads — or, for a reply
+/// dropped at delivery, does not — and stores `consumed = t`. Every wait is
+/// on an operation strictly earlier in the planner's global order, and
+/// every earlier epoch has been executed in full before a later one starts,
+/// so the executor can never deadlock. A cell may stay published across any
+/// number of epoch boundaries; the slab only ever grows between epochs,
+/// under the write lock, while no worker holds a reference into it.
 struct SlotCell {
     published: AtomicU32,
     consumed: AtomicU32,
     data: UnsafeCell<Vec<ProbeResponse<usize>>>,
 }
 
-// SAFETY: access to `data` is serialized by the published/consumed epoch
+// The handshake state lives in the cell itself, so the argument below
+// holds across epochs and across the slab's reallocation (a move of cells
+// nobody is touching, made while the planner has the slab to itself).
+//
+// SAFETY: access to `data` is serialized by the published/consumed turn
 // handshake — at any instant at most one worker holds the right to touch
-// the vector, and the Acquire/Release pairs order those accesses.
+// the vector, and the Acquire/Release pairs order those accesses. The
+// atomics are `Sync` by themselves.
 unsafe impl Sync for SlotCell {}
 
 impl SlotCell {
@@ -237,6 +301,13 @@ impl SlotCell {
             consumed: AtomicU32::new(0),
             data: UnsafeCell::new(Vec::new()),
         }
+    }
+}
+
+/// Spins until `counter` — a cell's `published` or `consumed` — reads `turn`.
+fn await_turn(counter: &AtomicU32, turn: u32) {
+    while counter.load(Ordering::Acquire) != turn {
+        std::thread::yield_now();
     }
 }
 
@@ -267,8 +338,8 @@ struct Worker {
 }
 
 impl Worker {
-    fn execute(&mut self, ops: &[PlanOp], recs: &[ExchangeRec], cells: &[SlotCell]) {
-        for op in ops {
+    fn execute(&mut self, batch: &Batch, cells: &[SlotCell]) {
+        for op in &batch.ops {
             match *op {
                 PlanOp::Issue { node, dst, now_ms } => {
                     let local = node as usize / self.threads;
@@ -277,17 +348,27 @@ impl Worker {
                         run.metrics[local].probes_sent += 1;
                     }
                 }
-                PlanOp::Respond { rec } => {
-                    let rec = &recs[rec as usize];
-                    let local = rec.dst as usize / self.threads;
-                    let cell = &cells[rec.slot as usize];
-                    while cell.consumed.load(Ordering::Acquire) != rec.epoch - 1 {
-                        std::thread::yield_now();
-                    }
-                    // SAFETY: the epoch handshake above grants this worker
-                    // exclusive access until it stores published/consumed.
+                PlanOp::Respond {
+                    dst,
+                    slot,
+                    turn,
+                    lie,
+                    seq,
+                    sent_at_ms,
+                    rtt_ms,
+                    publish,
+                } => {
+                    let local = dst as usize / self.threads;
+                    let cell = &cells[slot as usize];
+                    await_turn(&cell.consumed, turn - 1);
+                    // SAFETY: `consumed == turn - 1` means the previous use
+                    // of the cell — possibly epochs ago — is finished, and
+                    // the planner names this turn in no other `Respond`, so
+                    // this worker has exclusive access until it stores
+                    // published/consumed below.
                     let responses = unsafe { &mut *cell.data.get() };
-                    let request = ProbeRequest::new(rec.dst as usize, rec.seq, rec.sent_at_ms);
+                    let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
+                    let lie = lie.map(|index| &batch.lies[index as usize]);
                     for (index, run) in self.runs.iter_mut().enumerate() {
                         if responses.len() <= index {
                             let response = run.nodes[local].respond(&request);
@@ -295,31 +376,32 @@ impl Worker {
                         } else {
                             run.nodes[local].respond_into(&request, &mut responses[index]);
                         }
-                        responses[index].rtt_ms = rec.rtt_ms;
-                        if let Some(lie) = &rec.lie {
+                        responses[index].rtt_ms = rtt_ms;
+                        if let Some(lie) = lie {
                             apply_lie(&mut responses[index], lie);
                         }
                     }
-                    if rec.has_digest {
-                        cell.published.store(rec.epoch, Ordering::Release);
+                    if publish {
+                        cell.published.store(turn, Ordering::Release);
                     } else {
-                        cell.consumed.store(rec.epoch, Ordering::Release);
+                        cell.consumed.store(turn, Ordering::Release);
                     }
                 }
                 PlanOp::Digest {
-                    rec,
-                    now,
+                    src,
+                    slot,
+                    turn,
                     measuring,
+                    now,
                 } => {
-                    let rec = &recs[rec as usize];
-                    let local = rec.src as usize / self.threads;
-                    let cell = &cells[rec.slot as usize];
-                    while cell.published.load(Ordering::Acquire) != rec.epoch {
-                        std::thread::yield_now();
-                    }
-                    // SAFETY: published == epoch means the responder is done
-                    // writing; no one else touches the cell until we store
-                    // `consumed`.
+                    let local = src as usize / self.threads;
+                    let cell = &cells[slot as usize];
+                    await_turn(&cell.published, turn);
+                    // SAFETY: `published == turn` means the responder is
+                    // done writing (in this epoch or an earlier one); the
+                    // planner emits exactly one taker per published turn —
+                    // this digest — and no one else touches the cell until
+                    // we store `consumed`.
                     let responses = unsafe { &*cell.data.get() };
                     for (index, run) in self.runs.iter_mut().enumerate() {
                         self.events.clear();
@@ -336,9 +418,17 @@ impl Worker {
                             }
                         }
                         fold_events(node_metrics, now, measuring, &self.events);
-                        feed_query_index(run.index.as_mut(), rec.src as usize, &self.events);
+                        feed_query_index(run.index.as_mut(), src as usize, &self.events);
                     }
-                    cell.consumed.store(rec.epoch, Ordering::Release);
+                    cell.consumed.store(turn, Ordering::Release);
+                }
+                PlanOp::DropReply { slot, turn } => {
+                    // The responder may not have run yet: wait for the
+                    // publication exactly as a digest would, then pass the
+                    // cell on without reading it.
+                    let cell = &cells[slot as usize];
+                    await_turn(&cell.published, turn);
+                    cell.consumed.store(turn, Ordering::Release);
                 }
                 PlanOp::Timeout { node, seq } => {
                     let local = node as usize / self.threads;
@@ -405,121 +495,171 @@ impl Worker {
     }
 }
 
-/// Runs the simulation to completion with engine work sharded across
-/// `threads` workers, leaving `state` (metrics, engines, schedule, crash
-/// snapshots) byte-identical to what serial execution would have produced.
-pub(crate) fn run_sharded(env: &SimEnv, state: &mut EngineState, threads: usize) {
-    let max_losses = state.runs[0].config.max_consecutive_losses;
-    let plan = build_plan(env, &mut state.schedule, max_losses, threads);
-    state.events_popped = plan.events_popped;
-    execute_plan(env, state, &plan, threads);
+/// One probe exchange in flight, as the planner tracks it between the
+/// events that carry its index: what the later operations need of the
+/// send, and the use counter of the response cell with the same index.
+/// Planner-private — the operations copy what they need.
+#[derive(Debug, Clone, Copy, Default)]
+struct ExchangeSlot {
+    seq: u64,
+    sent_at_ms: u64,
+    /// Times a `Respond` has used this slot's cell; persists across reuse.
+    turn: u32,
 }
 
-/// Phase 1: the serial schedule replay. Mutates `schedule` exactly as the
-/// engine-driven loop would and returns the operation lists for phase 2.
-fn build_plan(
-    env: &SimEnv,
-    schedule: &mut ScheduleState,
+/// Phase 1, resumable: the serial schedule replay. Mutates `schedule`
+/// exactly as the engine-driven loop would and emits the operations for
+/// phase 2 one epoch at a time.
+struct Planner<'a> {
+    env: &'a SimEnv,
+    schedule: &'a mut ScheduleState,
     max_losses: Option<u32>,
     threads: usize,
-) -> Plan {
-    let n = env.topology.len();
-    let duration = env.sim_config.duration_s;
-    let mut queue: EventQueue<SimEvent> = EventQueue::new();
-    let mut mirrors: Vec<MirrorNode> = vec![MirrorNode::default(); n];
-    let mut mirror_snapshots: Vec<Option<MirrorNode>> = vec![None; n];
-    let mut shard_ops: Vec<Vec<PlanOp>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut recs: Vec<ExchangeRec> = Vec::new();
-    let mut free_slots: Vec<u32> = Vec::new();
-    let mut slot_epochs: Vec<u32> = Vec::new();
-    let mut scenario_actions = 0u64;
-    let mut track_sample = 0u32;
+    queue: EventQueue<SimEvent>,
+    mirrors: Vec<MirrorNode>,
+    mirror_snapshots: Vec<Option<MirrorNode>>,
+    /// In-flight exchanges, indexed by the `slot` field of the probe
+    /// events; `slots.len()` is also the size the cell slab must have.
+    slots: Vec<ExchangeSlot>,
+    free_slots: Vec<u32>,
+    scenario_actions: u64,
+    track_sample: u32,
+}
 
-    for &node in env.scenario.initially_down() {
-        schedule.alive[node] = false;
-    }
-    for (index, event) in env.scenario.events().iter().enumerate() {
-        if event.at_s < duration {
-            queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
+impl<'a> Planner<'a> {
+    fn new(
+        env: &'a SimEnv,
+        schedule: &'a mut ScheduleState,
+        max_losses: Option<u32>,
+        threads: usize,
+    ) -> Self {
+        let n = env.topology.len();
+        let duration = env.sim_config.duration_s;
+        let mut queue: EventQueue<SimEvent> = EventQueue::new();
+        for &node in env.scenario.initially_down() {
+            schedule.alive[node] = false;
         }
-    }
-    for src in 0..n {
-        if schedule.alive[src] {
-            schedule.probe_cycle_active[src] = true;
-            queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
+        for (index, event) in env.scenario.events().iter().enumerate() {
+            if event.at_s < duration {
+                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
+            }
         }
-    }
-    if !env.sim_config.track_nodes.is_empty() {
-        queue.schedule(0.0, SimEvent::TrackSample);
+        for src in 0..n {
+            if schedule.alive[src] {
+                schedule.probe_cycle_active[src] = true;
+                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
+            }
+        }
+        if !env.sim_config.track_nodes.is_empty() {
+            queue.schedule(0.0, SimEvent::TrackSample);
+        }
+        Planner {
+            env,
+            schedule,
+            max_losses,
+            threads,
+            queue,
+            mirrors: vec![MirrorNode::default(); n],
+            mirror_snapshots: vec![None; n],
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            scenario_actions: 0,
+            track_sample: 0,
+        }
     }
 
-    while let Some((now, event)) = queue.pop() {
-        if now >= duration {
-            break;
+    /// Plans the next epoch into `batches` (one per shard, cleared first):
+    /// at most `budget` popped events. Returns false once the run is over —
+    /// the queue is dry or the clock has reached the duration — and this
+    /// epoch is the last.
+    fn plan_epoch(&mut self, batches: &mut [Batch], budget: usize) -> bool {
+        for batch in batches.iter_mut() {
+            batch.ops.clear();
+            batch.lies.clear();
         }
+        for _ in 0..budget {
+            match self.queue.pop() {
+                Some((now, event)) if now < self.env.sim_config.duration_s => {
+                    self.on_event(batches, now, event);
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    fn emit(&self, batches: &mut [Batch], node: usize, op: PlanOp) {
+        // bounds: node % threads < threads == batches.len().
+        batches[node % self.threads].ops.push(op);
+    }
+
+    /// Claims an exchange slot for a probe that survived its forward leg.
+    fn acquire_slot(&mut self, seq: u64, sent_at_ms: u64) -> usize {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(ExchangeSlot::default());
+            (self.slots.len() - 1) as u32
+        }) as usize;
+        self.slots[slot].seq = seq;
+        self.slots[slot].sent_at_ms = sent_at_ms;
+        slot
+    }
+
+    fn on_event(&mut self, batches: &mut [Batch], now: f64, event: SimEvent) {
+        let env = self.env;
         match event {
             SimEvent::ProbeSend { src } => {
+                let schedule = &mut *self.schedule;
                 schedule
                     .active_partitions
                     .retain(|window| window.heal_at_s > now);
                 if !schedule.alive[src] {
                     schedule.probe_cycle_active[src] = false;
-                    continue;
+                    return;
                 }
                 let next_tick = now + env.sim_config.probe_interval_s;
-                if next_tick < duration {
-                    queue.schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
+                if next_tick < env.sim_config.duration_s {
+                    self.queue
+                        .schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
                 } else {
                     schedule.probe_cycle_active[src] = false;
                 }
                 let neighbor_count = schedule.neighbor_sets[src].len();
                 if neighbor_count == 0 {
-                    continue;
+                    return;
                 }
                 // bounds: the cursor is reduced modulo neighbor_count == len.
                 let dst = schedule.neighbor_sets[src][schedule.round_robin[src] % neighbor_count];
                 schedule.round_robin[src] = schedule.round_robin[src].wrapping_add(1);
                 if dst == src {
-                    continue;
+                    return;
                 }
                 let draw = schedule.sample_exchange(env, src, dst, now);
                 let now_ms = (now * 1_000.0) as u64;
-                let seq = mirrors[src].issue(dst);
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Issue {
-                    node: src as u32,
-                    dst: dst as u32,
-                    now_ms,
-                });
-                queue.schedule_timer(
+                let seq = self.mirrors[src].issue(dst);
+                self.emit(
+                    batches,
+                    src,
+                    PlanOp::Issue {
+                        node: src as u32,
+                        dst: dst as u32,
+                        now_ms,
+                    },
+                );
+                self.queue.schedule_timer(
                     TIMEOUT_LANE,
                     now + env.sim_config.probe_timeout_s,
                     SimEvent::ProbeTimeout { src, seq },
                 );
-                if draw.forward_lost || schedule.partitioned(src, dst, now) {
-                    continue;
+                if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
+                    return;
                 }
-                // The record is created only for probes that actually reach
-                // their target; the ProbeDeliver event carries its index in
-                // the `slot` field.
-                let rec_index = recs.len();
-                recs.push(ExchangeRec {
-                    src: src as u32,
-                    dst: dst as u32,
-                    seq,
-                    sent_at_ms: now_ms,
-                    rtt_ms: draw.rtt_ms,
-                    slot: u32::MAX,
-                    epoch: 0,
-                    has_digest: false,
-                    lie: None,
-                });
-                queue.schedule(
+                let slot = self.acquire_slot(seq, now_ms);
+                self.queue.schedule(
                     now + draw.forward_delay_s,
                     SimEvent::ProbeDeliver {
                         src,
                         dst,
-                        slot: rec_index,
+                        slot,
                         rtt_ms: draw.rtt_ms,
                         reverse_delay_s: draw.reverse_delay_s,
                         reverse_lost: draw.reverse_lost,
@@ -529,72 +669,81 @@ fn build_plan(
             SimEvent::ProbeDeliver {
                 src,
                 dst,
-                slot: rec_index,
+                slot,
+                rtt_ms,
                 reverse_delay_s,
                 reverse_lost,
-                ..
             } => {
-                if !schedule.alive[dst] || schedule.partitioned(src, dst, now) {
-                    continue;
+                if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
+                    self.free_slots.push(slot as u32);
+                    return;
                 }
                 // Adversary draw: same point of the schedule as the serial
                 // loop's `on_probe_deliver`, so the dedicated adversary RNG
                 // advances identically and serial/sharded runs stay
                 // byte-identical.
-                let adversary = schedule.sample_adversary(dst);
-                let reverse_delay_s = match &adversary {
-                    Some(draw) => reverse_delay_s + draw.extra_delay_ms / 1_000.0,
-                    None => reverse_delay_s,
+                let adversary = self.schedule.sample_adversary(dst);
+                let (rtt_ms, reverse_delay_s) = match &adversary {
+                    Some(draw) => (
+                        rtt_ms + draw.extra_delay_ms,
+                        reverse_delay_s + draw.extra_delay_ms / 1_000.0,
+                    ),
+                    None => (rtt_ms, reverse_delay_s),
                 };
-                let slot = free_slots.pop().unwrap_or_else(|| {
-                    slot_epochs.push(0);
-                    (slot_epochs.len() - 1) as u32
+                // bounds: dst % threads < threads == batches.len().
+                let batch = &mut batches[dst % self.threads];
+                let lie = adversary.and_then(|draw| draw.lie).map(|lie| {
+                    batch.lies.push(lie);
+                    (batch.lies.len() - 1) as u32
                 });
-                slot_epochs[slot as usize] += 1;
-                let rec = &mut recs[rec_index];
-                rec.slot = slot;
-                rec.epoch = slot_epochs[slot as usize];
-                if let Some(draw) = adversary {
-                    rec.rtt_ms += draw.extra_delay_ms;
-                    rec.lie = draw.lie;
-                }
-                // bounds: dst % threads < threads == shard_ops.len().
-                shard_ops[dst % threads].push(PlanOp::Respond {
-                    rec: rec_index as u32,
+                let exchange = &mut self.slots[slot];
+                exchange.turn += 1;
+                batch.ops.push(PlanOp::Respond {
+                    dst: dst as u32,
+                    slot: slot as u32,
+                    turn: exchange.turn,
+                    lie,
+                    seq: exchange.seq,
+                    sent_at_ms: exchange.sent_at_ms,
+                    rtt_ms,
+                    publish: !reverse_lost,
                 });
                 if reverse_lost {
-                    free_slots.push(slot);
-                    continue;
+                    self.free_slots.push(slot as u32);
+                    return;
                 }
-                queue.schedule(
+                self.queue.schedule(
                     now + reverse_delay_s,
-                    SimEvent::ResponseDeliver {
-                        src,
-                        dst,
-                        slot: rec_index,
-                    },
+                    SimEvent::ResponseDeliver { src, dst, slot },
                 );
             }
-            SimEvent::ResponseDeliver {
-                src,
-                dst,
-                slot: rec_index,
-            } => {
-                let slot = recs[rec_index].slot;
-                if !schedule.alive[src] || schedule.partitioned(src, dst, now) {
-                    free_slots.push(slot);
-                    continue;
+            SimEvent::ResponseDeliver { src, dst, slot } => {
+                let exchange = self.slots[slot];
+                self.free_slots.push(slot as u32);
+                if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
+                    self.emit(
+                        batches,
+                        src,
+                        PlanOp::DropReply {
+                            slot: slot as u32,
+                            turn: exchange.turn,
+                        },
+                    );
+                    return;
                 }
-                let measuring = now >= env.sim_config.measurement_start_s;
-                recs[rec_index].has_digest = true;
-                mirrors[src].response(dst, recs[rec_index].seq);
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Digest {
-                    rec: rec_index as u32,
-                    now,
-                    measuring,
-                });
-                free_slots.push(slot);
+                self.mirrors[src].response(dst, exchange.seq);
+                self.emit(
+                    batches,
+                    src,
+                    PlanOp::Digest {
+                        src: src as u32,
+                        slot: slot as u32,
+                        turn: exchange.turn,
+                        measuring: now >= env.sim_config.measurement_start_s,
+                        now,
+                    },
+                );
+                let schedule = &mut *self.schedule;
                 if env.sim_config.gossip && !schedule.neighbor_sets[dst].is_empty() {
                     let idx = schedule
                         .protocol_rng
@@ -606,107 +755,87 @@ fn build_plan(
                 }
             }
             SimEvent::ProbeTimeout { src, seq } => {
-                if !schedule.alive[src] {
-                    continue;
+                if !self.schedule.alive[src] {
+                    return;
                 }
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Timeout {
-                    node: src as u32,
-                    seq,
-                });
-                let (target, evicted) = mirrors[src].timeout(seq, max_losses);
+                self.emit(
+                    batches,
+                    src,
+                    PlanOp::Timeout {
+                        node: src as u32,
+                        seq,
+                    },
+                );
+                let (target, evicted) = self.mirrors[src].timeout(seq, self.max_losses);
                 if evicted {
                     if let Some(dst) = target {
-                        schedule.neighbor_remove(src, dst);
+                        self.schedule.neighbor_remove(src, dst);
                     }
                 }
             }
             SimEvent::TrackSample => {
                 for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
-                    // bounds: node % threads < threads == shard_ops.len().
-                    shard_ops[node % threads].push(PlanOp::Track {
-                        node: node as u32,
-                        sample: track_sample,
-                        order: order as u32,
-                        now,
-                    });
+                    self.emit(
+                        batches,
+                        node,
+                        PlanOp::Track {
+                            node: node as u32,
+                            sample: self.track_sample,
+                            order: order as u32,
+                            now,
+                        },
+                    );
                 }
-                track_sample += 1;
+                self.track_sample += 1;
                 let next = now + env.sim_config.track_interval_s;
-                if next < duration {
-                    queue.schedule(next, SimEvent::TrackSample);
+                if next < env.sim_config.duration_s {
+                    self.queue.schedule(next, SimEvent::TrackSample);
                 }
             }
             SimEvent::ScenarioAction { index } => {
-                scenario_actions += 1;
-                let action = env.scenario.events()[index].action.clone();
-                match action {
+                self.scenario_actions += 1;
+                match env.scenario.events()[index].action.clone() {
                     ScenarioAction::Join { nodes } => {
                         for node in nodes {
-                            plan_bring_up(
-                                env,
-                                schedule,
-                                &mut mirrors,
-                                &mut mirror_snapshots,
-                                &mut shard_ops,
-                                max_losses,
-                                threads,
-                                now,
-                                node,
-                                true,
-                                &mut queue,
-                            );
+                            self.bring_up(batches, now, node, true);
                         }
                     }
                     ScenarioAction::Leave { nodes } => {
                         for node in nodes {
-                            schedule.alive[node] = false;
-                            for other in 0..schedule.neighbor_sets.len() {
-                                schedule.neighbor_remove(other, node);
+                            self.schedule.alive[node] = false;
+                            for other in 0..self.schedule.neighbor_sets.len() {
+                                self.schedule.neighbor_remove(other, node);
                             }
                         }
                     }
                     ScenarioAction::Crash { nodes } => {
                         for node in nodes {
-                            if !schedule.alive[node] {
+                            if !self.schedule.alive[node] {
                                 continue;
                             }
-                            schedule.alive[node] = false;
-                            mirror_snapshots[node] = Some(mirrors[node].clone());
-                            // bounds: node % threads < threads == shard_ops.len().
-                            shard_ops[node % threads].push(PlanOp::Crash { node: node as u32 });
+                            self.schedule.alive[node] = false;
+                            self.mirror_snapshots[node] = Some(self.mirrors[node].clone());
+                            self.emit(batches, node, PlanOp::Crash { node: node as u32 });
                         }
                     }
                     ScenarioAction::Restart { nodes } => {
                         for node in nodes {
-                            plan_bring_up(
-                                env,
-                                schedule,
-                                &mut mirrors,
-                                &mut mirror_snapshots,
-                                &mut shard_ops,
-                                max_losses,
-                                threads,
-                                now,
-                                node,
-                                false,
-                                &mut queue,
-                            );
+                            self.bring_up(batches, now, node, false);
                         }
                     }
                     ScenarioAction::Partition { group, heal_at_s } => {
-                        plan_partition(env, schedule, &group, heal_at_s);
+                        self.start_partition(&group, heal_at_s);
                     }
                     ScenarioAction::PartitionRegions { regions, heal_at_s } => {
                         let group: Vec<usize> = regions
                             .iter()
                             .flat_map(|&region| env.topology.nodes_in_region(region))
                             .collect();
-                        plan_partition(env, schedule, &group, heal_at_s);
+                        self.start_partition(&group, heal_at_s);
                     }
                     ScenarioAction::SetAdversary { nodes, model } => {
                         for node in nodes {
-                            schedule.adversaries[node] = model.clone();
+                            self.schedule.adversaries[node] = model.clone();
                         }
                     }
                 }
@@ -714,104 +843,196 @@ fn build_plan(
         }
     }
 
-    Plan {
-        shard_ops,
-        recs,
-        slot_count: slot_epochs.len(),
-        scenario_actions,
-        events_popped: queue.popped(),
+    /// The planner's mirror of `EngineState::bring_up`: identical schedule
+    /// mutations (including the restart-expiry evictions), a `Restore` op
+    /// instead of the engine work.
+    fn bring_up(&mut self, batches: &mut [Batch], now: f64, node: usize, fresh: bool) {
+        if self.schedule.alive[node] {
+            return;
+        }
+        self.schedule.alive[node] = true;
+        let mut revived = if fresh {
+            MirrorNode::default()
+        } else {
+            self.mirror_snapshots[node].take().unwrap_or_default()
+        };
+        let evicted = revived.expire_all(self.max_losses);
+        self.mirrors[node] = revived;
+        self.emit(
+            batches,
+            node,
+            PlanOp::Restore {
+                node: node as u32,
+                fresh,
+                now,
+                now_ms: (now * 1_000.0) as u64,
+            },
+        );
+        let schedule = &mut *self.schedule;
+        for target in evicted {
+            schedule.neighbor_remove(node, target);
+        }
+        if fresh {
+            schedule.round_robin[node] = 0;
+            let n = self.env.topology.len();
+            let want = self.env.sim_config.initial_neighbors.min(
+                schedule
+                    .alive
+                    .iter()
+                    .filter(|&&up| up)
+                    .count()
+                    .saturating_sub(1),
+            );
+            let mut set = Vec::new();
+            let mut attempts = 0;
+            while set.len() < want && attempts < n * 16 {
+                attempts += 1;
+                let candidate = schedule.protocol_rng.gen_range(0..n);
+                if candidate != node && schedule.alive[candidate] && !set.contains(&candidate) {
+                    set.push(candidate);
+                }
+            }
+            for &seed in &set {
+                schedule.neighbor_add(seed, node);
+            }
+            schedule.neighbor_replace(node, set);
+        }
+        if !schedule.probe_cycle_active[node] {
+            schedule.probe_cycle_active[node] = true;
+            self.queue.schedule(now, SimEvent::ProbeSend { src: node });
+        }
+    }
+
+    fn start_partition(&mut self, group: &[usize], heal_at_s: f64) {
+        let mut members = vec![false; self.env.topology.len()];
+        for &node in group {
+            members[node] = true;
+        }
+        self.schedule
+            .active_partitions
+            .push(PartitionWindow { heal_at_s, members });
     }
 }
 
-/// The planner's mirror of `EngineState::bring_up`: identical schedule
-/// mutations (including the restart-expiry evictions), a `Restore` op
-/// instead of the engine work.
-#[allow(clippy::too_many_arguments)] // the planner's full mutable context; bundling it into a struct would just rename the borrows
-fn plan_bring_up(
+/// Runs the simulation to completion with engine work sharded across
+/// `threads` workers, planning `epoch_events` events at a time, and leaves
+/// `state` (metrics, engines, schedule, crash snapshots) byte-identical to
+/// what serial execution would have produced.
+pub(crate) fn run_sharded(
     env: &SimEnv,
-    schedule: &mut ScheduleState,
-    mirrors: &mut [MirrorNode],
-    mirror_snapshots: &mut [Option<MirrorNode>],
-    shard_ops: &mut [Vec<PlanOp>],
-    max_losses: Option<u32>,
+    state: &mut EngineState,
     threads: usize,
-    now: f64,
-    node: usize,
-    fresh: bool,
-    queue: &mut EventQueue<SimEvent>,
-) {
-    if schedule.alive[node] {
-        return;
-    }
-    schedule.alive[node] = true;
-    let now_ms = (now * 1_000.0) as u64;
-    let mut revived = if fresh {
-        MirrorNode::default()
-    } else {
-        mirror_snapshots[node].take().unwrap_or_default()
-    };
-    let evicted = revived.expire_all(max_losses);
-    mirrors[node] = revived;
-    // bounds: node % threads < threads == shard_ops.len().
-    shard_ops[node % threads].push(PlanOp::Restore {
-        node: node as u32,
-        fresh,
-        now,
-        now_ms,
-    });
-    for target in evicted {
-        schedule.neighbor_remove(node, target);
-    }
-    if fresh {
-        schedule.round_robin[node] = 0;
-        let n = env.topology.len();
-        let want = env.sim_config.initial_neighbors.min(
-            schedule
-                .alive
-                .iter()
-                .filter(|&&up| up)
-                .count()
-                .saturating_sub(1),
-        );
-        let mut set = Vec::new();
-        let mut attempts = 0;
-        while set.len() < want && attempts < n * 16 {
-            attempts += 1;
-            let candidate = schedule.protocol_rng.gen_range(0..n);
-            if candidate != node && schedule.alive[candidate] && !set.contains(&candidate) {
-                set.push(candidate);
+    epoch_events: usize,
+) -> PlanFootprint {
+    assert!(epoch_events > 0, "an epoch must make progress");
+    let max_losses = state.runs[0].config.max_consecutive_losses;
+    let workers = deal(env, state, threads);
+    let mut planner = Planner::new(env, &mut state.schedule, max_losses, threads);
+    // Room for an epoch in which every event lands on one shard, so the
+    // lists never reallocate (tracking, several ops per event, may grow
+    // them once).
+    let mut batches: Vec<Batch> = (0..threads)
+        .map(|_| Batch {
+            ops: Vec::with_capacity(epoch_events),
+            lies: Vec::new(),
+        })
+        .collect();
+    // Workers hold the read lock for the length of an epoch; the planner
+    // takes the write lock between epochs, when nobody does.
+    let cells: RwLock<Vec<SlotCell>> = RwLock::new(Vec::new());
+
+    // Shard 0 runs on the calling thread, between two rounds of planning:
+    // it has nothing else to do while an epoch executes, and the memory the
+    // planner frees (the link table's growth) is reused by that shard's
+    // engines instead of idling in an allocator arena no worker draws on.
+    let mut workers = workers.into_iter();
+    // nc-lint: allow(panic) — `deal` builds one worker per thread and
+    // `with_threads` rejects zero.
+    let mut local = workers.next().expect("at least one worker");
+    let remote: Vec<Worker> = std::thread::scope(|scope| {
+        let cells = &cells;
+        let mut links = Vec::with_capacity(threads - 1);
+        let mut handles = Vec::with_capacity(threads - 1);
+        for mut worker in workers {
+            let (work_tx, work_rx) = mpsc::channel::<Batch>();
+            let (done_tx, done_rx) = mpsc::channel::<Batch>();
+            links.push((work_tx, done_rx));
+            handles.push(scope.spawn(move || {
+                // Ends when the planner hangs up: after the last epoch, or
+                // while unwinding.
+                for batch in work_rx {
+                    {
+                        // nc-lint: allow(panic) — only a panic poisons the
+                        // lock, and that run is already lost.
+                        let cells = cells.read().expect("a worker or the planner panicked");
+                        worker.execute(&batch, &cells);
+                    }
+                    if done_tx.send(batch).is_err() {
+                        break;
+                    }
+                }
+                worker
+            }));
+        }
+        // A send or receive fails only when its worker has panicked; stop
+        // planning and let the join below re-raise that panic.
+        'epochs: loop {
+            let more = planner.plan_epoch(&mut batches, epoch_events);
+            cells
+                .write()
+                // nc-lint: allow(panic) — only a panic poisons the lock, and
+                // that run is already lost.
+                .expect("a worker panicked")
+                .resize_with(planner.slots.len(), SlotCell::new);
+            // bounds: batches[0] is the calling thread's; batches[1..] pair
+            // up with the spawned workers' links.
+            let (mine, theirs) = batches.split_at_mut(1);
+            for ((work_tx, _), batch) in links.iter().zip(theirs.iter_mut()) {
+                if work_tx.send(std::mem::take(batch)).is_err() {
+                    break 'epochs;
+                }
+            }
+            {
+                // nc-lint: allow(panic) — only a panic poisons the lock, and
+                // that run is already lost.
+                let cells = cells.read().expect("a worker panicked");
+                local.execute(&mine[0], &cells);
+            }
+            for ((_, done_rx), batch) in links.iter().zip(theirs.iter_mut()) {
+                match done_rx.recv() {
+                    Ok(executed) => *batch = executed,
+                    Err(_) => break 'epochs,
+                }
+            }
+            if !more {
+                break;
             }
         }
-        for &seed in &set {
-            schedule.neighbor_add(seed, node);
-        }
-        schedule.neighbor_replace(node, set);
-    }
-    if !schedule.probe_cycle_active[node] {
-        schedule.probe_cycle_active[node] = true;
-        queue.schedule(now, SimEvent::ProbeSend { src: node });
-    }
+        drop(links);
+        handles
+            .into_iter()
+            // nc-lint: allow(panic) — a panicking worker already poisoned
+            // the run; re-raising it here is the contract.
+            .map(|handle| handle.join().expect("sharded simulation worker panicked"))
+            .collect()
+    });
+    let finished: Vec<Worker> = std::iter::once(local).chain(remote).collect();
+
+    state.events_popped = planner.queue.popped();
+    let scenario_actions = planner.scenario_actions;
+    let footprint = PlanFootprint {
+        op_capacity: batches.iter().map(|batch| batch.ops.capacity()).sum(),
+        cells: planner.slots.len(),
+    };
+    reassemble(env, state, finished, scenario_actions);
+    footprint
 }
 
-fn plan_partition(env: &SimEnv, schedule: &mut ScheduleState, group: &[usize], heal_at_s: f64) {
-    let mut members = vec![false; env.topology.len()];
-    for &node in group {
-        members[node] = true;
-    }
-    schedule
-        .active_partitions
-        .push(PartitionWindow { heal_at_s, members });
-}
-
-/// Phase 2: split the engines across workers, run every shard's operation
-/// list in parallel, and reassemble `state` in the original order.
-fn execute_plan(env: &SimEnv, state: &mut EngineState, plan: &Plan, threads: usize) {
+/// Deals node `i` (engines, metrics, crash snapshots — every configuration)
+/// to worker `i % threads`; its local index there is `i / threads`.
+fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
     let n = env.topology.len();
     let run_count = state.runs.len();
-    let cells: Vec<SlotCell> = (0..plan.slot_count).map(|_| SlotCell::new()).collect();
-
-    // Deal node `i` (engines, metrics, crash snapshots — every
-    // configuration) to worker `i % threads`; local index is `i / threads`.
     let mut workers: Vec<Worker> = (0..threads)
         .map(|_| Worker {
             threads,
@@ -848,37 +1069,23 @@ fn execute_plan(env: &SimEnv, state: &mut EngineState, plan: &Plan, threads: usi
             slot.snapshots.push(snapshot);
         }
     }
+    workers
+}
 
-    let recs = &plan.recs;
-    let cells_ref = &cells;
-    let finished: Vec<Worker> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .zip(plan.shard_ops.iter())
-            .map(|(mut worker, ops)| {
-                scope.spawn(move || {
-                    worker.execute(ops, recs, cells_ref);
-                    worker
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // nc-lint: allow(panic) — a panicking worker already poisoned
-            // the run; re-raising it here is the contract.
-            .map(|handle| handle.join().expect("sharded simulation worker panicked"))
-            .collect()
-    });
-
-    // Reassemble in global node order, stitch tracked samples back into the
-    // serial emission order, and restore unclaimed crash snapshots.
+/// Puts `state` back together in global node order, stitches tracked
+/// samples back into the serial emission order, and restores unclaimed
+/// crash snapshots.
+fn reassemble(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scenario_actions: u64) {
+    let n = env.topology.len();
+    let threads = finished.len();
+    let run_count = state.runs.len();
     let mut per_worker: Vec<Vec<WorkerRun>> =
         finished.into_iter().map(|worker| worker.runs).collect();
     for run_index in (0..run_count).rev() {
         let mut shards: Vec<WorkerRun> = per_worker
             .iter_mut()
-            // nc-lint: allow(panic) — every worker was built with run_count
-            // runs a few lines up; parity is structural.
+            // nc-lint: allow(panic) — every worker was dealt run_count runs;
+            // parity is structural.
             .map(|runs| runs.pop().expect("one WorkerRun per configuration"))
             .collect();
         let run = &mut state.runs[run_index];
@@ -919,7 +1126,7 @@ fn execute_plan(env: &SimEnv, state: &mut EngineState, plan: &Plan, threads: usi
         run.metrics
             .tracked
             .extend(tracked.into_iter().map(|(_, _, sample)| sample));
-        run.metrics.scenario_ops += plan.scenario_actions;
+        run.metrics.scenario_ops += scenario_actions;
         // Fold the per-worker query-index slices back into the run's index.
         // Each worker digested a disjoint set of node ids, so the upserts
         // never collide and the merged contents equal a serial run's
@@ -929,6 +1136,260 @@ fn execute_plan(env: &SimEnv, state: &mut EngineState, plan: &Plan, threads: usi
                 for (id, coordinate) in part.iter() {
                     let _ = target.update(*id, coordinate);
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::adversary::AdversaryModel;
+    use crate::linkmodel::LinkModelConfig;
+    use crate::planetlab::PlanetLabConfig;
+    use crate::scenario::Scenario;
+    use crate::sim::{SimConfig, Simulator};
+
+    /// Runs `job` on a thread of its own and fails the test when it is not
+    /// back within a minute: a broken handshake spins forever, and a test
+    /// that fails in seconds beats a CI job that hangs.
+    fn under_watchdog<T: Send + 'static>(job: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(job());
+        });
+        result
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the sharded run deadlocked, or panicked on its own thread")
+    }
+
+    fn serial_json(simulator: Simulator) -> String {
+        serde::json::to_string(&simulator.with_serial_execution(true).run())
+    }
+
+    fn streamed_json(
+        mut simulator: Simulator,
+        threads: usize,
+        epoch_events: usize,
+    ) -> (String, PlanFootprint) {
+        let (report, footprint) = simulator.run_streamed(threads, epoch_events);
+        (serde::json::to_string(&report), footprint)
+    }
+
+    #[test]
+    fn auto_workers_is_one_per_core_capped_at_one_per_128_nodes() {
+        assert_eq!(auto_workers(255, 8), 1);
+        assert_eq!(auto_workers(256, 1), 1);
+        assert_eq!(auto_workers(256, 2), 2);
+        assert_eq!(auto_workers(1_024, 2), 2);
+        assert_eq!(auto_workers(1_024, 64), 8);
+        assert_eq!(auto_workers(0, 0), 1);
+    }
+
+    #[test]
+    fn an_op_stays_within_the_size_the_epoch_budget_was_chosen_for() {
+        assert!(std::mem::size_of::<PlanOp>() <= 48);
+    }
+
+    /// Two nodes that probe only each other, no loss, no gossip. Node 1
+    /// holds every reply back two seconds, so the reply to node 0's probe of
+    /// `t = 100` is in flight from ≈ 100.1 s (the `Respond`, which
+    /// publishes: the link lost nothing) until ≈ 102.1 s. `disruption`
+    /// strikes at 101 s, in between, and turns that delivery into a
+    /// `DropReply`; node 0 is back probing well before the end, so the
+    /// dropped exchange's slot must take a later `Respond`.
+    fn reply_in_flight(disruption: Scenario) -> Simulator {
+        let scenario = disruption.at(
+            0.0,
+            ScenarioAction::SetAdversary {
+                nodes: vec![1],
+                model: Some(AdversaryModel::DelayAttacker {
+                    extra_delay_ms: 2_000.0,
+                }),
+            },
+        );
+        Simulator::new(
+            PlanetLabConfig::small(2).with_seed(1),
+            SimConfig::new(300.0, 5.0)
+                .with_measurement_start(0.0)
+                .with_initial_neighbors(1)
+                .with_gossip(false),
+            vec![("mp".to_string(), NodeConfig::paper_defaults())],
+        )
+        .with_scenario(scenario)
+    }
+
+    /// With one event per epoch the boundary falls between the `Respond`
+    /// and the drop, whatever else happens; 7 puts it at arbitrary offsets.
+    /// A drop that forgot to release the cell deadlocks the slot's next
+    /// `Respond`; one that forgot to free the slot grows the slab past the
+    /// two exchanges this mesh can have in flight.
+    fn assert_dropped_reply_releases_its_slot(disruption: fn() -> Scenario) {
+        let serial = serial_json(reply_in_flight(disruption()));
+        for threads in 1..=3 {
+            for epoch_events in [1, 7] {
+                let (streamed, footprint) = under_watchdog(move || {
+                    streamed_json(reply_in_flight(disruption()), threads, epoch_events)
+                });
+                assert_eq!(
+                    streamed, serial,
+                    "{threads} threads, {epoch_events} events per epoch"
+                );
+                assert_eq!(footprint.cells, 2, "the dropped reply's slot is reused");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reply_in_flight_when_its_prober_crashes_releases_its_slot() {
+        assert_dropped_reply_releases_its_slot(|| Scenario::crash_restart(vec![0], 101.0, 130.0));
+    }
+
+    #[test]
+    fn a_reply_in_flight_when_a_partition_comes_up_releases_its_slot() {
+        assert_dropped_reply_releases_its_slot(|| {
+            Scenario::new().at(
+                101.0,
+                ScenarioAction::Partition {
+                    group: vec![0],
+                    heal_at_s: 150.0,
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn plan_memory_does_not_grow_with_the_duration() {
+        let footprint = |hours: f64| {
+            let simulator = Simulator::new(
+                PlanetLabConfig::small(16).with_seed(4),
+                SimConfig::new(hours * 3_600.0, 5.0).with_initial_neighbors(4),
+                vec![("mp".to_string(), NodeConfig::paper_defaults())],
+            );
+            streamed_json(simulator, 2, 256).1
+        };
+        let one_hour = footprint(1.0);
+        assert_eq!(one_hour.op_capacity, 2 * 256);
+        assert_eq!(footprint(4.0).op_capacity, one_hour.op_capacity);
+    }
+
+    const NODES: usize = 10;
+
+    /// Decodes one scripted disturbance from a random word (the vendored
+    /// proptest shim offers primitive strategies only): a crash + restart
+    /// pair, a graceful leave, a timed partition over an arbitrary subset,
+    /// or a spell of Byzantine behaviour — lies, or replies held back
+    /// within or beyond the 15 s probe timeout.
+    fn apply_op(scenario: Scenario, word: u64) -> Scenario {
+        let node = ((word >> 2) % NODES as u64) as usize;
+        let at_s = 50.0 + ((word >> 8) % 300) as f64;
+        let width_s = 30.0 + ((word >> 18) % 110) as f64;
+        match word % 4 {
+            0 => scenario
+                .at(at_s, ScenarioAction::Crash { nodes: vec![node] })
+                .at(
+                    at_s + width_s,
+                    ScenarioAction::Restart { nodes: vec![node] },
+                ),
+            1 => scenario.at(at_s, ScenarioAction::Leave { nodes: vec![node] }),
+            2 => {
+                let mask = ((word >> 28) & 0xFFFF) | 1;
+                let group: Vec<usize> = (0..NODES).filter(|&n| mask & (1 << n) != 0).collect();
+                scenario.at(
+                    at_s,
+                    ScenarioAction::Partition {
+                        group,
+                        heal_at_s: at_s + width_s,
+                    },
+                )
+            }
+            _ => {
+                let model = match (word >> 28) % 3 {
+                    0 => AdversaryModel::CoordinateLiar {
+                        displacement_ms: 2_000.0,
+                        inflate: 1.0,
+                        error_estimate: 0.01,
+                    },
+                    1 => AdversaryModel::DelayAttacker {
+                        extra_delay_ms: 700.0,
+                    },
+                    _ => AdversaryModel::JitterBomb {
+                        max_extra_delay_ms: 20_000.0,
+                    },
+                };
+                scenario
+                    .at(
+                        at_s,
+                        ScenarioAction::SetAdversary {
+                            nodes: vec![node],
+                            model: Some(model),
+                        },
+                    )
+                    .at(
+                        at_s + width_s,
+                        ScenarioAction::SetAdversary {
+                            nodes: vec![node],
+                            model: None,
+                        },
+                    )
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_report_matches_serial_for_every_epoch_budget(
+            seed in 0u64..10_000,
+            loss in 0.0f64..0.15,
+            gossip_word in 0u32..2,
+            evict_word in 0u32..8,
+            threads in 1usize..5,
+            op_words in proptest::collection::vec(0u64..u64::MAX, 0..6),
+        ) {
+            let evict = (evict_word >= 2).then(|| 2 + (evict_word - 2) % 5);
+            let build = move |op_words: &[u64]| {
+                let workload = PlanetLabConfig::small(NODES)
+                    .with_seed(seed)
+                    .with_link_config(LinkModelConfig::default().with_loss_probability(loss));
+                let sim_config = SimConfig::new(500.0, 5.0)
+                    .with_measurement_start(100.0)
+                    .with_initial_neighbors(3)
+                    .with_gossip(gossip_word == 1)
+                    .with_tracked_nodes(vec![0, NODES / 2], 50.0);
+                let mut config = NodeConfig::builder();
+                if let Some(max) = evict {
+                    config = config.max_consecutive_losses(max);
+                }
+                let scenario = op_words.iter().fold(Scenario::new(), |s, &w| apply_op(s, w));
+                Simulator::new(
+                    workload,
+                    sim_config,
+                    vec![
+                        ("mp".to_string(), config.build()),
+                        ("raw".to_string(), {
+                            let mut raw = NodeConfig::original_vivaldi();
+                            raw.max_consecutive_losses = evict;
+                            raw
+                        }),
+                    ],
+                )
+                .with_scenario(scenario)
+            };
+            let serial = serial_json(build(&op_words));
+            for epoch_events in [1usize, 7, 64, 4_096] {
+                let words = op_words.clone();
+                let (streamed, _) = under_watchdog(move || {
+                    streamed_json(build(&words), threads, epoch_events)
+                });
+                prop_assert_eq!(
+                    &streamed, &serial,
+                    "{} threads, {} events per epoch diverged from serial (seed {})",
+                    threads, epoch_events, seed
+                );
             }
         }
     }

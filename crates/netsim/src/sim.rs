@@ -61,6 +61,7 @@ use crate::linkmodel::{LinkModel, LinkModelConfig};
 use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport, TrackedCoordinate};
 use crate::planetlab::PlanetLabConfig;
 use crate::scenario::{Scenario, ScenarioAction};
+use crate::shard::{auto_workers, run_sharded, EPOCH_EVENTS};
 use crate::topology::Topology;
 
 /// An invalid [`SimConfig`], reported by [`SimConfig::validate`].
@@ -847,12 +848,16 @@ pub(crate) struct EngineState {
 /// workload, optionally under a churn [`Scenario`]. See the
 /// [crate-level documentation](crate) for an example.
 ///
-/// Multi-configuration runs execute the configurations **in parallel**, one
-/// OS thread per named configuration (`std::thread::scope`), whenever their
-/// eviction thresholds agree — the only knob through which a coordinate
-/// stack can influence the shared probe schedule. The resulting
-/// [`SimReport`] is byte-identical to a serial run (verified by the
-/// regression suite; see [`Simulator::with_serial_execution`]).
+/// [`Simulator::run`] picks its engine from the size of the mesh, the number
+/// of named configurations and the cores the host offers — the node-sharded
+/// plan/execute engine from 256 nodes up on two or more cores, one worker
+/// thread per configuration (`std::thread::scope`) for smaller
+/// multi-configuration runs, the serial loop otherwise. The parallel engines
+/// need the configurations' eviction thresholds to agree — the only knob
+/// through which a coordinate stack can influence the shared probe
+/// schedule. Every engine produces the byte-identical [`SimReport`]
+/// (verified by the regression suites; see
+/// [`Simulator::with_serial_execution`]).
 pub struct Simulator {
     env: SimEnv,
     state: EngineState,
@@ -1031,31 +1036,36 @@ impl Simulator {
         self
     }
 
-    /// Forces single-threaded execution even for multi-configuration runs.
+    /// Forces the serial reference engine: every event of every
+    /// configuration on the calling thread, whatever the mesh size, the host
+    /// and [`Simulator::with_threads`] say.
     ///
-    /// The parallel per-configuration path produces a byte-identical
-    /// [`SimReport`] (each configuration's schedule and observation stream
-    /// is independent, and the regression suite asserts equality); this
-    /// knob exists so tests and debugging sessions can compare the two
-    /// execution modes directly.
+    /// The parallel engines produce a byte-identical [`SimReport`] (the
+    /// schedule never depends on the coordinate stacks, and the regression
+    /// suites assert equality against this path); the knob exists so tests
+    /// and debugging sessions can compare execution modes directly.
     pub fn with_serial_execution(mut self, serial: bool) -> Self {
         self.force_serial = serial;
         self
     }
 
-    /// Shards this simulation's event processing across `threads` worker
-    /// threads (node-sharded: engine work for node `i` runs on worker
-    /// `i % threads`), producing a [`SimReport`] byte-identical to serial
-    /// execution.
+    /// Shards this simulation's engine work across exactly `threads`
+    /// workers (node-sharded: node `i` belongs to worker `i % threads`; the
+    /// calling thread is worker 0), overriding the rule by which
+    /// [`Simulator::run`] picks the worker count itself. The [`SimReport`]
+    /// is byte-identical to serial execution.
     ///
     /// The schedule itself (probe targets, link draws, losses, gossip,
     /// scenario effects) is always replayed serially — it is cheap and
-    /// inherently sequential through the protocol RNG — while the expensive
-    /// engine work (coordinate updates, filters, response digestion) fans
-    /// out. `threads = 1` still exercises the plan/execute split on a single
-    /// worker. Requires uniform eviction thresholds across configurations;
-    /// otherwise, and under [`Simulator::with_serial_execution`], the run
-    /// falls back to the engine-driven serial path.
+    /// inherently sequential through the protocol RNG — in bounded epochs
+    /// of a few ten thousand events; after each, the expensive engine work
+    /// (coordinate updates, filters, response digestion) of that epoch fans
+    /// out, so the plan's memory does not grow with the duration.
+    /// `threads = 1` alternates planning and execution on the calling
+    /// thread alone. Requires uniform eviction thresholds across
+    /// configurations; otherwise, and under
+    /// [`Simulator::with_serial_execution`], the run falls back to the
+    /// engine-driven serial path.
     ///
     /// # Panics
     ///
@@ -1109,70 +1119,118 @@ impl Simulator {
     /// Events the finished run popped from its event queue: the exact count
     /// of one replay of the schedule, the same under every executor (the
     /// per-configuration workers each replay it once, the sharded planner
-    /// replays it once for all shards). Zero before [`Simulator::run`].
+    /// replays it once for all shards, epoch by epoch). Zero before
+    /// [`Simulator::run`].
     pub fn events_popped(&self) -> u64 {
         self.state.events_popped
     }
 
     /// Runs the simulation to completion and returns the collected metrics.
     ///
-    /// A run with several named configurations whose eviction thresholds
-    /// agree executes one worker thread per configuration; otherwise (or
-    /// after [`Simulator::with_serial_execution`]) all configurations are
-    /// interleaved on the calling thread. Both paths produce the identical
-    /// report.
+    /// Which engine runs is decided from what the run and the host look
+    /// like; every one of them produces the identical report:
+    ///
+    /// * **Node-sharded plan/execute** (see [`Simulator::with_threads`])
+    ///   when the caller asked for it, or — unasked — from 256 nodes up on a
+    ///   host with at least two cores: `workers = min(cores, nodes / 128)`,
+    ///   sharded when `workers ≥ 2`, with `cores` taken from
+    ///   [`std::thread::available_parallelism`]. The 128-nodes-per-worker
+    ///   floor is measured (README, "Node-sharded execution"): below it the
+    ///   handshakes cost more than the second core gives.
+    /// * **One worker thread per named configuration** for a smaller run
+    ///   with several configurations.
+    /// * **The serial loop** on the calling thread for a smaller run with
+    ///   one configuration, whenever the configurations' eviction
+    ///   thresholds differ (the only knob through which a coordinate stack
+    ///   can influence the shared probe schedule), and after
+    ///   [`Simulator::with_serial_execution`].
+    ///
+    /// The report takes the metric accumulators with it: a second `run` on
+    /// the same simulator replays the schedule from `t = 0` over the engines
+    /// and neighbour sets the first one left, and reports only what it
+    /// collected itself.
     pub fn run(&mut self) -> SimReport {
         // The only way a coordinate stack can influence the shared probe
         // schedule is eviction. With matching thresholds every configuration
-        // evicts on the same timeout, so per-configuration workers replay
-        // the byte-identical schedule; with differing thresholds the serial
-        // path's unanimity rule is required.
+        // evicts on the same timeout, so the planner (or each
+        // per-configuration worker) replays the byte-identical schedule;
+        // with differing thresholds the serial path's unanimity rule is
+        // required.
         let uniform_eviction = self.state.runs.windows(2).all(|pair| {
             pair[0].config.max_consecutive_losses == pair[1].config.max_consecutive_losses
         });
-        if let Some(threads) = self
-            .threads
-            .filter(|_| uniform_eviction && !self.force_serial)
-        {
-            crate::shard::run_sharded(&self.env, &mut self.state, threads);
-        } else if self.state.runs.len() > 1 && uniform_eviction && !self.force_serial {
-            let env = &self.env;
-            let state = std::mem::replace(&mut self.state, EngineState::placeholder());
-            let workers = state.split_per_config();
-            let finished: Vec<EngineState> = std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|mut worker| {
-                        scope.spawn(move || {
-                            worker.run_to_completion(env);
-                            worker
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // nc-lint: allow(panic) — a panicking worker already
-                    // poisoned the run; re-raising it here is the contract.
-                    .map(|handle| handle.join().expect("simulation worker panicked"))
-                    .collect()
-            });
-            self.state = EngineState::merge(finished);
-        } else {
-            self.state.run_to_completion(&self.env);
+        let parallel = uniform_eviction && !self.force_serial;
+        let shards = self.threads.or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+            Some(auto_workers(self.env.topology.len(), cores)).filter(|&workers| workers >= 2)
+        });
+        match shards {
+            Some(threads) if parallel => {
+                run_sharded(&self.env, &mut self.state, threads, EPOCH_EVENTS);
+            }
+            _ if parallel && self.state.runs.len() > 1 => self.run_per_config(),
+            _ => self.state.run_to_completion(&self.env),
         }
+        self.take_report()
+    }
 
+    /// One worker thread per named configuration, each replaying the whole
+    /// schedule for its own coordinate stack.
+    fn run_per_config(&mut self) {
+        let env = &self.env;
+        let state = std::mem::replace(&mut self.state, EngineState::placeholder());
+        let workers = state.split_per_config();
+        let finished: Vec<EngineState> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|mut worker| {
+                    scope.spawn(move || {
+                        worker.run_to_completion(env);
+                        worker
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // nc-lint: allow(panic) — a panicking worker already
+                // poisoned the run; re-raising it here is the contract.
+                .map(|handle| handle.join().expect("simulation worker panicked"))
+                .collect()
+        });
+        self.state = EngineState::merge(finished);
+    }
+
+    /// Moves the metric accumulators into a report, leaving empty ones
+    /// behind — no second copy of every series at the moment memory peaks.
+    fn take_report(&mut self) -> SimReport {
+        let nodes = self.env.topology.len();
+        let measured_s = self.env.sim_config.measurement_duration_s();
         // Results merge in the stable configuration order (the report's
         // serialization sorts by name), so parallel and serial runs encode
         // identically.
         let mut configs = FxHashMap::default();
-        for run in &self.state.runs {
-            configs.insert(run.name.clone(), run.metrics.clone());
+        for run in &mut self.state.runs {
+            let metrics =
+                std::mem::replace(&mut run.metrics, ConfigMetrics::new(nodes, measured_s));
+            configs.insert(run.name.clone(), metrics);
         }
         SimReport::new(
             configs,
             self.env.sim_config.duration_s,
             self.env.sim_config.measurement_start_s,
         )
+    }
+
+    /// Runs the node-sharded engine with an explicit epoch budget, for the
+    /// tests that prove the budget never reaches the report.
+    #[cfg(test)]
+    pub(crate) fn run_streamed(
+        &mut self,
+        threads: usize,
+        epoch_events: usize,
+    ) -> (SimReport, crate::shard::PlanFootprint) {
+        let footprint = run_sharded(&self.env, &mut self.state, threads, epoch_events);
+        (self.take_report(), footprint)
     }
 }
 
@@ -2083,6 +2141,32 @@ mod tests {
                 .median_of_median_relative_error()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_second_run_reports_only_what_it_collected_itself() {
+        let mut simulator = Simulator::new(
+            PlanetLabConfig::small(12).with_seed(3),
+            SimConfig::new(400.0, 5.0)
+                .with_measurement_start(200.0)
+                .with_initial_neighbors(4)
+                .with_tracked_nodes(vec![0], 100.0),
+            vec![("mp".to_string(), NodeConfig::paper_defaults())],
+        );
+        let first = simulator.run();
+        let second = simulator.run();
+        let (first, second) = (first.config("mp").unwrap(), second.config("mp").unwrap());
+        // Same ticks, same tracking schedule: the second report holds one
+        // run's worth of each, not the first run's on top.
+        assert_eq!(first.total_probes_sent(), 12 * 80);
+        assert_eq!(second.total_probes_sent(), first.total_probes_sent());
+        assert_eq!(second.tracked.len(), first.tracked.len());
+        assert_eq!(second.nodes.len(), 12);
+        // The engines carried on where the first run left them.
+        assert!(
+            second.median_of_median_relative_error() <= first.median_of_median_relative_error(),
+            "the second run starts from the first one's coordinates"
+        );
     }
 
     #[test]

@@ -302,3 +302,37 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     let sharded = encode(&mut build(false, Some(2)));
     assert_eq!(sharded, serial);
 }
+
+#[test]
+fn the_default_engine_at_256_nodes_matches_serial_and_three_workers() {
+    // 256 nodes is where `run()` starts sharding on its own (two workers on
+    // a two-core host, the per-configuration engine on a one-core host):
+    // whatever it picked, the report and the event count must equal the
+    // serial reference and an explicit three-worker run byte for byte.
+    let build = || {
+        let workload = PlanetLabConfig::small(256).with_seed(17);
+        let sim_config = SimConfig::new(600.0, 5.0)
+            .with_measurement_start(300.0)
+            .with_protocol_seed(0x5EED);
+        Simulator::new(
+            workload,
+            sim_config,
+            vec![
+                ("mp".to_string(), NodeConfig::paper_defaults()),
+                ("raw".to_string(), NodeConfig::original_vivaldi()),
+            ],
+        )
+    };
+    let run = |mut simulator: Simulator| {
+        let report = encode(&mut simulator);
+        (report, simulator.events_popped())
+    };
+    let (serial, serial_events) = run(build().with_serial_execution(true));
+    let (default, default_events) = run(build());
+    let (three, three_events) = run(build().with_threads(3));
+    assert!(serial_events > 0);
+    assert_eq!(default_events, serial_events);
+    assert_eq!(three_events, serial_events);
+    assert!(default == serial, "default run() diverged from serial");
+    assert!(three == serial, "with_threads(3) diverged from serial");
+}
