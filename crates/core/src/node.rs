@@ -19,20 +19,16 @@ use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
 use crate::config::NodeConfig;
 
-/// What one pass through the internal observation pipeline produced.
+/// What the Vivaldi → application-heuristic half of the observation
+/// pipeline did with one filtered RTT.
 ///
 /// Engine-internal plumbing: [`StableNode::handle_response`] translates
-/// this into the typed [`Event`]s that drivers consume. The low-level
-/// `observe` entry point that used to return it publicly was retired in
-/// favour of the wire API.
+/// this into the typed [`Event`]s that drivers consume.
 #[derive(Debug, Clone, PartialEq)]
 struct ObservationOutcome {
-    /// The filtered latency estimate handed to Vivaldi, or `None` when the
-    /// filter suppressed the observation (warm-up, threshold discard, or an
-    /// invalid sample) and nothing further happened.
-    filtered_rtt_ms: Option<f64>,
     /// Relative error of the pre-update system coordinate against the
-    /// *filtered* observation (the per-node accuracy metric of §II-A).
+    /// *filtered* observation (the per-node accuracy metric of §II-A), or
+    /// `None` when Vivaldi rejected the observation and nothing moved.
     relative_error: Option<f64>,
     /// Relative error of the *application-level* coordinate against the
     /// filtered observation (the accuracy an application embedding `c_a`
@@ -46,18 +42,14 @@ struct ObservationOutcome {
     application_update: Option<ApplicationUpdate>,
 }
 
-/// A remote node as last seen by this node (engine-internal storage; the
-/// public projection is [`PeerView`]).
+/// A remote node as last seen by this node, first-hand or through gossip
+/// (engine-internal storage; the public projection is [`PeerView`]).
 #[derive(Debug, Clone, PartialEq)]
 struct NeighborSnapshot {
     /// The neighbour's coordinate when we last observed it.
     coordinate: Coordinate,
     /// The neighbour's error estimate when we last observed it.
     error_estimate: f64,
-    /// The most recent filtered latency estimate for the link (ms).
-    filtered_rtt_ms: Option<f64>,
-    /// Number of raw observations of this link.
-    observations: u64,
 }
 
 /// One peer as seen through a [`NodeView`]: the last-known coordinate
@@ -165,21 +157,26 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Everything the engine tracks about one peer, kept in a single map entry
-/// so the per-response hot path (streak reset, membership check, gossip
-/// seeding, filter update, neighbour refresh) touches one hash slot instead
-/// of four separate tables. At thousands of peers per node the engine's
-/// working set no longer fits in cache, and every extra table costs a
-/// dependent DRAM miss per digested response — consolidating the layout is
-/// what flattened the large-mesh per-event cost cliff.
+/// What the engine keeps for every id it has *heard of*: one entry of the
+/// peer table, whether the peer was ever measured or only gossiped about.
+///
+/// The entry holds what the per-response hot path needs of any known id —
+/// last coordinate and error estimate (gossip payloads are built from it),
+/// loss streak, rotation membership — so that path touches one hash slot.
+/// First-hand link state is *not* in here: a node in a large mesh hears of
+/// several times more peers than it measures, and the table's capacity is a
+/// power of two above even that, so whatever sits in the bucket is paid for
+/// two to five times per measured link. The latency filter therefore lives
+/// in the node's [`LinkStore`], reached through `link`; a gossip-only id
+/// carries no window because it has no observations to put in one.
 #[derive(Default)]
 struct PeerState {
     /// Last-known coordinate state, present once the peer has been observed
     /// first-hand or learned through gossip.
     neighbor: Option<NeighborSnapshot>,
-    /// Per-link latency filter, created lazily on the first first-hand
-    /// observation (gossip-only peers carry no filter).
-    filter: Option<PeerFilter>,
+    /// Handle of the peer's record in the [`LinkStore`], set when the first
+    /// reply from it is digested and released on eviction.
+    link: Option<u32>,
     /// Consecutive unanswered probes; drives eviction when
     /// [`NodeConfig::max_consecutive_losses`] is set. Zero when the last
     /// probe was answered.
@@ -188,16 +185,72 @@ struct PeerState {
     member: bool,
 }
 
-/// A per-link latency filter as stored in the peer table.
+/// First-hand link state, one record per peer this node has *measured*: a
+/// slab addressed by the `u32` handles the peer table hands out. A slab
+/// rather than a box per link because it grows geometrically — a node that
+/// measures two hundred peers allocates eight times, not two hundred — and
+/// keeps the records of one node together.
+///
+/// Nothing observable depends on where a record sits: snapshots and views
+/// walk the membership list and read records through the table, so slot
+/// reuse order never reaches a report.
+#[derive(Default)]
+struct LinkStore {
+    records: Vec<PeerFilter>,
+    /// Slots whose peer was evicted, reused before the slab grows. A freed
+    /// record stays in place until then; nothing reads it, because its only
+    /// handle died with the table entry.
+    free: Vec<u32>,
+}
+
+impl LinkStore {
+    /// Stores `record` and returns its handle.
+    fn insert(&mut self, record: PeerFilter) -> u32 {
+        match self.free.pop() {
+            Some(handle) => {
+                self.records[handle as usize] = record;
+                handle
+            }
+            None => {
+                self.records.push(record);
+                (self.records.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Gives the slot behind `handle` back for reuse.
+    fn release(&mut self, handle: u32) {
+        self.free.push(handle);
+    }
+
+    fn get(&self, handle: u32) -> &PeerFilter {
+        &self.records[handle as usize]
+    }
+
+    fn get_mut(&mut self, handle: u32) -> &mut PeerFilter {
+        &mut self.records[handle as usize]
+    }
+
+    /// Records currently owned by a table entry.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.records.len() - self.free.len()
+    }
+}
+
+/// The per-link record of the [`LinkStore`]: the link's latency filter.
 ///
 /// The moving-percentile family — the paper's recommended filter and the
-/// one every experiment configuration uses — is stored *inline* in the peer
-/// entry: no box, no vtable, and (for the paper's `h = 4`) no heap-backed
-/// window either, so digesting a response reads the filter straight out of
-/// the already-loaded peer entry instead of chasing two or three pointers
-/// into cold memory. Every other filter family keeps the boxed trait
-/// object. Behaviour is identical either way; this is purely a layout
-/// optimisation for the simulator's observation hot path.
+/// one every experiment configuration uses — is stored by value: no box, no
+/// vtable, and (for the paper's `h = 4`) no heap-backed window either, so
+/// digesting a response reaches the window with one dependent load from the
+/// peer entry. Every other filter family keeps the boxed trait object.
+/// Behaviour is identical either way; this is purely a layout optimisation
+/// for the simulator's observation hot path.
+///
+/// The link's filtered RTT and observation count, which views and snapshots
+/// report, are the filter's `current_estimate()` / `observations_seen()`
+/// read when asked for — they are not copied out per observation.
 enum PeerFilter {
     /// Moving-percentile (and its median special case), devirtualized.
     MovingPercentile(MovingPercentileFilter),
@@ -300,15 +353,34 @@ impl PeerFilter {
 /// persisted, migrated between processes, and resume the exact same
 /// trajectory. See the [crate-level documentation](crate) for a runnable
 /// example of the full loop.
+///
+/// # Memory
+///
+/// State is kept in two places with two growth laws. The *peer table* has
+/// one entry per id the node has heard of, through its own probes or
+/// through gossip: last coordinate and error estimate, loss streak,
+/// rotation membership. The *link store* has one record — the latency
+/// filter with its window of raw observations — per peer the node has
+/// actually measured, created when the first reply from that peer is
+/// digested and given back when the peer is evicted. A coordinate system
+/// earns its keep against a delay-matrix service by a node's state growing
+/// with the neighbours it measures rather than with the mesh; gossip makes
+/// the table grow with the mesh, so the table entry is kept small and the
+/// per-link state out of it. Where a record sits in the store is never
+/// observable: [`view`](StableNode::view) and
+/// [`snapshot`](StableNode::snapshot) report links in membership order.
 pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
     follow_system: bool,
-    /// Everything known about each peer — neighbour snapshot, latency
-    /// filter, loss streak, rotation membership — in one table, so the
-    /// observation hot path stays cache-friendly as the peer set grows.
+    /// One entry per id this node has heard of — last coordinate, loss
+    /// streak, rotation membership and the handle of its link record.
     peers: FxHashMap<Id, PeerState>,
+    /// First-hand state of the links this node has measured. The split
+    /// keeps a node's memory proportional to the neighbours it *measures*:
+    /// the table grows with everything gossip mentions, the windows do not.
+    links: LinkStore,
     nearest_neighbor: Option<(Id, f64)>,
     observations: u64,
     /// This node's own identity, when declared. Keeps the node from
@@ -380,6 +452,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             application,
             follow_system,
             peers: FxHashMap::default(),
+            links: LinkStore::default(),
             nearest_neighbor: None,
             observations: 0,
             identity: None,
@@ -447,12 +520,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .filter_map(|id| {
                 let peer = self.peers.get(id)?;
                 let snapshot = peer.neighbor.as_ref()?;
+                let link = self.link_of(peer);
                 Some(PeerView {
                     id: id.clone(),
                     coordinate: snapshot.coordinate.clone(),
                     error_estimate: snapshot.error_estimate,
-                    filtered_rtt_ms: snapshot.filtered_rtt_ms,
-                    observations: snapshot.observations,
+                    filtered_rtt_ms: link.and_then(PeerFilter::current_estimate),
+                    observations: link.map_or(0, PeerFilter::observations_seen),
                     loss_streak: peer.loss_streak,
                 })
             })
@@ -507,15 +581,28 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         self.require_correlation = true;
     }
 
+    /// The peer's link record; `None` for a peer known only through gossip.
+    fn link_of(&self, peer: &PeerState) -> Option<&PeerFilter> {
+        peer.link.map(|handle| self.links.get(handle))
+    }
+
     /// Re-derives the nearest neighbour from the full table (minimum
     /// filtered RTT over every observed link).
+    ///
+    /// The scan walks the *table*, not the link store, although only the
+    /// store's records carry an RTT: `min_by` keeps the first of several
+    /// equal minima, so the order of this walk decides ties, and with them
+    /// `NodeView`/`NodeSnapshot.nearest_neighbor` and the RELATIVE
+    /// heuristic's context. Table order is a function of the sequence of
+    /// ids inserted and removed — never of where the store put a record,
+    /// which changes with slot reuse.
     fn recompute_nearest_neighbor(&mut self) {
         self.nearest_neighbor = self
             .peers
             .iter()
             .filter_map(|(nid, peer)| {
-                let snapshot = peer.neighbor.as_ref()?;
-                snapshot.filtered_rtt_ms.map(|rtt| (nid.clone(), rtt))
+                let rtt = self.link_of(peer)?.current_estimate()?;
+                Some((nid.clone(), rtt))
             })
             .min_by(|a, b| a.1.total_cmp(&b.1));
     }
@@ -670,10 +757,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
     }
 
-    /// Removes a peer from every table: membership, neighbours, filters,
-    /// pending probes and loss streaks.
+    /// Removes a peer from every table: membership, neighbours, the link
+    /// store, pending probes and loss streaks.
     fn evict(&mut self, id: &Id) {
-        self.peers.remove(id);
+        if let Some(handle) = self.peers.remove(id).and_then(|peer| peer.link) {
+            self.links.release(handle);
+        }
         if let Some(position) = self.membership.iter().position(|member| member == id) {
             self.membership.remove(position);
             // Keep the round-robin cursor pointing at the same *next* peer:
@@ -818,10 +907,24 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             }
             None => {}
         }
-        // One probe of the peer table clears the streak and registers the
-        // responder (the self-response case returned above).
-        let (peer, discovered) = self.member_entry(response.responder.clone());
+        // One probe of the peer table does everything the responder's entry
+        // is needed for: it clears the streak, registers the responder (the
+        // self-response case returned above) and feeds the link's filter.
+        let (peer, discovered) = Self::member_entry(
+            &mut self.peers,
+            &mut self.membership,
+            response.responder.clone(),
+        );
         peer.loss_streak = 0;
+        // A coordinate from a different-dimensional space is discarded
+        // before it touches any state: stored, it would panic every later
+        // distance computation against it.
+        let filtered = if response.coordinate.dimensions() == self.config.vivaldi.dimensions() {
+            self.observations += 1;
+            Self::observe_link(&self.config, &mut self.links, peer, response)
+        } else {
+            None
+        };
         if discovered {
             events.push(Event::NeighborDiscovered {
                 id: response.responder.clone(),
@@ -833,43 +936,54 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             // gated flow lives in its own function. With the gate off
             // (`outlier_gate: None`, the default) the path below is the
             // engine's unmodified behaviour.
-            self.handle_gated_observation(response, events);
+            self.handle_gated_observation(response, filtered, events);
             return;
         }
         self.ingest_gossip(response, events);
-
-        let id = response.responder.clone();
-        let outcome = self.digest_observation(
-            id.clone(),
+        let Some(filtered_rtt_ms) = filtered else {
+            events.push(Event::ObservationFiltered {
+                id: response.responder.clone(),
+                raw_rtt_ms: response.rtt_ms,
+            });
+            return;
+        };
+        // After the gossip, whose insertions may have reordered the table
+        // the nearest-neighbour scan walks.
+        self.track_nearest_neighbor(&response.responder, filtered_rtt_ms);
+        let outcome = self.vivaldi_stage(
             response.coordinate.clone(),
             response.error_estimate,
-            response.rtt_ms,
+            filtered_rtt_ms,
         );
-        match outcome.filtered_rtt_ms {
-            None => events.push(Event::ObservationFiltered {
+        Self::push_outcome_events(response.responder.clone(), filtered_rtt_ms, outcome, events);
+    }
+
+    /// Reports what the update path did with a filtered observation.
+    fn push_outcome_events(
+        id: Id,
+        filtered_rtt_ms: f64,
+        outcome: ObservationOutcome,
+        events: &mut Vec<Event<Id>>,
+    ) {
+        match outcome.relative_error {
+            None => events.push(Event::ObservationRejected {
                 id,
-                raw_rtt_ms: response.rtt_ms,
+                filtered_rtt_ms,
             }),
-            Some(filtered_rtt_ms) => match outcome.relative_error {
-                None => events.push(Event::ObservationRejected {
+            Some(relative_error) => {
+                events.push(Event::SystemMoved {
                     id,
                     filtered_rtt_ms,
-                }),
-                Some(relative_error) => {
-                    events.push(Event::SystemMoved {
-                        id,
-                        filtered_rtt_ms,
-                        displacement_ms: outcome.system_displacement_ms,
-                        relative_error,
-                        application_relative_error: outcome
-                            .application_relative_error
-                            .unwrap_or(f64::NAN),
-                    });
-                    if let Some(update) = outcome.application_update {
-                        events.push(Event::ApplicationUpdated { update });
-                    }
+                    displacement_ms: outcome.system_displacement_ms,
+                    relative_error,
+                    application_relative_error: outcome
+                        .application_relative_error
+                        .unwrap_or(f64::NAN),
+                });
+                if let Some(update) = outcome.application_update {
+                    events.push(Event::ApplicationUpdated { update });
                 }
-            },
+            }
         }
     }
 
@@ -887,7 +1001,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             {
                 continue;
             }
-            let (peer, new) = self.member_entry(entry.id.clone());
+            let (peer, new) =
+                Self::member_entry(&mut self.peers, &mut self.membership, entry.id.clone());
             if new {
                 events.push(Event::NeighborDiscovered {
                     id: entry.id.clone(),
@@ -899,8 +1014,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 peer.neighbor = Some(NeighborSnapshot {
                     coordinate: entry.coordinate.clone(),
                     error_estimate: entry.error_estimate,
-                    filtered_rtt_ms: None,
-                    observations: 0,
                 });
             }
         }
@@ -920,19 +1033,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     fn handle_gated_observation(
         &mut self,
         response: &ProbeResponse<Id>,
+        filtered: Option<f64>,
         events: &mut Vec<Event<Id>>,
     ) {
         let id = response.responder.clone();
-        let filtered = if response.coordinate.dimensions() == self.config.vivaldi.dimensions() {
-            self.filter_stage(
-                &id,
-                &response.coordinate,
-                response.error_estimate,
-                response.rtt_ms,
-            )
-        } else {
-            None
-        };
         let Some(filtered_rtt_ms) = filtered else {
             // The filter withheld its estimate (warm-up, threshold cut):
             // nothing reached the update path, so nothing is gated. The
@@ -945,6 +1049,9 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             });
             return;
         };
+        // The link was measured whatever the gate decides about the claimed
+        // coordinate, so it competes for nearest neighbour either way.
+        self.track_nearest_neighbor(&id, filtered_rtt_ms);
         // Residual against the *pre-update* coordinate, mirroring how the
         // relative-error metric is measured.
         let predicted_ms = self.vivaldi.coordinate().distance(&response.coordinate);
@@ -968,26 +1075,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         self.ingest_gossip(response, events);
         let outcome =
             self.vivaldi_stage(response.coordinate.clone(), remote_error, filtered_rtt_ms);
-        match outcome.relative_error {
-            None => events.push(Event::ObservationRejected {
-                id,
-                filtered_rtt_ms,
-            }),
-            Some(relative_error) => {
-                events.push(Event::SystemMoved {
-                    id,
-                    filtered_rtt_ms,
-                    displacement_ms: outcome.system_displacement_ms,
-                    relative_error,
-                    application_relative_error: outcome
-                        .application_relative_error
-                        .unwrap_or(f64::NAN),
-                });
-                if let Some(update) = outcome.application_update {
-                    events.push(Event::ApplicationUpdated { update });
-                }
-            }
-        }
+        Self::push_outcome_events(id, filtered_rtt_ms, outcome, events);
     }
 
     /// Batch path: digests many responses in order and returns the
@@ -1025,13 +1113,14 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .filter_map(|id| {
                 let peer = self.peers.get(id)?;
                 let neighbor = peer.neighbor.as_ref()?;
+                let link = self.link_of(peer);
                 Some(LinkSnapshot {
                     id: id.clone(),
-                    filter: peer.filter.as_ref().map(|f| f.export_state()),
+                    filter: link.map(PeerFilter::export_state),
                     coordinate: neighbor.coordinate.clone(),
                     error_estimate: neighbor.error_estimate,
-                    filtered_rtt_ms: neighbor.filtered_rtt_ms,
-                    observations: neighbor.observations,
+                    filtered_rtt_ms: link.and_then(PeerFilter::current_estimate),
+                    observations: link.map_or(0, PeerFilter::observations_seen),
                 })
             })
             .collect();
@@ -1112,18 +1201,24 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .map_err(RestoreError::Heuristic)?;
         for link in &snapshot.links {
             let peer = node.peers.entry(link.id.clone()).or_default();
+            // The link's filtered RTT and observation count are not taken
+            // from the snapshot's copies: the imported filter state yields
+            // the same two numbers, and is what the link continues from.
             if let Some(filter_state) = &link.filter {
                 let mut filter = PeerFilter::build(&node.config);
                 filter
                     .import_state(filter_state)
                     .map_err(RestoreError::Filter)?;
-                peer.filter = Some(filter);
+                // A snapshot off the wire may name a link twice; the later
+                // entry wins, in the slot the earlier one took.
+                match peer.link {
+                    Some(handle) => *node.links.get_mut(handle) = filter,
+                    None => peer.link = Some(node.links.insert(filter)),
+                }
             }
             peer.neighbor = Some(NeighborSnapshot {
                 coordinate: link.coordinate.clone(),
                 error_estimate: link.error_estimate,
-                filtered_rtt_ms: link.filtered_rtt_ms,
-                observations: link.observations,
             });
         }
         node.nearest_neighbor = snapshot.nearest_neighbor.clone();
@@ -1153,100 +1248,34 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     // Observation pipeline (engine-internal)
     // -----------------------------------------------------------------
 
-    /// Digests one raw latency observation of peer `id` through the
-    /// filter → Vivaldi → application-heuristic pipeline.
-    ///
-    /// `remote_coordinate` and `remote_error_estimate` are the values the
-    /// peer attached to its probe reply (its system-level coordinate and
-    /// Vivaldi error estimate); `raw_rtt_ms` is the measured round-trip time.
-    ///
-    /// This was once the public `observe` entry point; it is now internal
-    /// plumbing underneath [`handle_response`](StableNode::handle_response).
-    /// Drivers speak the wire API (`next_probe` / `respond` /
-    /// `handle_response`), which also maintains correlation, gossip and
-    /// neighbour discovery and reports through typed [`Event`]s.
-    ///
-    /// An observation of the node's own declared identity, or one whose
-    /// coordinate lives in a different-dimensional space than this node's
-    /// configuration, is discarded without touching any state (the outcome
-    /// reports `filtered_rtt_ms: None`): both would otherwise corrupt the
-    /// neighbour table — the first makes the node its own neighbour, the
-    /// second panics every later distance computation against it.
-    fn digest_observation(
-        &mut self,
-        id: Id,
-        remote_coordinate: Coordinate,
-        remote_error_estimate: f64,
-        raw_rtt_ms: f64,
-    ) -> ObservationOutcome {
-        if self.identity.as_ref() == Some(&id)
-            || remote_coordinate.dimensions() != self.config.vivaldi.dimensions()
-        {
-            return ObservationOutcome {
-                filtered_rtt_ms: None,
-                relative_error: None,
-                application_relative_error: None,
-                system_displacement_ms: 0.0,
-                application_update: None,
-            };
-        }
-        let Some(filtered_rtt) =
-            self.filter_stage(&id, &remote_coordinate, remote_error_estimate, raw_rtt_ms)
-        else {
-            return ObservationOutcome {
-                filtered_rtt_ms: None,
-                relative_error: None,
-                application_relative_error: None,
-                system_displacement_ms: 0.0,
-                application_update: None,
-            };
-        };
-        self.vivaldi_stage(remote_coordinate, remote_error_estimate, filtered_rtt)
-    }
-
-    /// First half of the observation pipeline: accounting, membership, the
-    /// per-link latency filter and the neighbour snapshot. Returns the
-    /// filtered RTT when the filter released an estimate. The caller has
-    /// already ruled out self-observations and dimension mismatches.
-    fn filter_stage(
-        &mut self,
-        id: &Id,
-        remote_coordinate: &Coordinate,
-        remote_error_estimate: f64,
-        raw_rtt_ms: f64,
+    /// First half of the observation pipeline, on the responder's table
+    /// entry: feeds the link's latency filter — creating its record in the
+    /// store on the first reply — and refreshes the neighbour snapshot.
+    /// Returns the filtered RTT when the filter released an estimate. The
+    /// caller has already ruled out self-observations and dimension
+    /// mismatches.
+    fn observe_link(
+        config: &NodeConfig,
+        links: &mut LinkStore,
+        peer: &mut PeerState,
+        response: &ProbeResponse<Id>,
     ) -> Option<f64> {
-        self.observations += 1;
-        self.register_member(id.clone());
-
-        // One hash lookup covers the whole per-peer update: filter, neighbour
-        // snapshot and (implicitly, on the response path) the loss streak all
-        // live in the same `PeerState`.
-        let peer = self
-            .peers
-            .get_mut(id)
-            // nc-lint: allow(panic) — register_member two lines up inserted
-            // the entry; a miss here is unreachable.
-            .expect("register_member keeps every observed peer in the table");
-        let filter = peer
-            .filter
-            .get_or_insert_with(|| PeerFilter::build(&self.config));
-        let filtered = filter.observe(raw_rtt_ms);
-        let link_observations = filter.observations_seen();
-        let filtered_estimate = filter.current_estimate();
-
-        // Track the neighbour snapshot regardless of whether the filter let
+        let handle = *peer
+            .link
+            .get_or_insert_with(|| links.insert(PeerFilter::build(config)));
+        // Track the neighbour snapshot regardless of whether the filter lets
         // the sample through: the coordinate and error estimate are still
         // fresh information.
         peer.neighbor = Some(NeighborSnapshot {
-            coordinate: remote_coordinate.clone(),
-            error_estimate: remote_error_estimate,
-            filtered_rtt_ms: filtered_estimate,
-            observations: link_observations,
+            coordinate: response.coordinate.clone(),
+            error_estimate: response.error_estimate,
         });
+        links.get_mut(handle).observe(response.rtt_ms)
+    }
 
-        let filtered_rtt = filtered?;
-
-        // Maintain the approximate nearest neighbour (used by RELATIVE).
+    /// Maintains the approximate nearest neighbour (used by RELATIVE) after
+    /// link `id` released the estimate `filtered_rtt`.
+    fn track_nearest_neighbor(&mut self, id: &Id, filtered_rtt: f64) {
         match &self.nearest_neighbor {
             None => self.nearest_neighbor = Some((id.clone(), filtered_rtt)),
             Some((current_id, current_rtt)) => {
@@ -1255,12 +1284,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 } else if current_id == id {
                     // The incumbent's filtered RTT rose: it may no longer be
                     // the nearest, so re-evaluate against the whole table
-                    // (the updated entry for `id` is already in place).
+                    // (the link's filter already holds the new sample).
                     self.recompute_nearest_neighbor();
                 }
             }
         }
-        Some(filtered_rtt)
     }
 
     /// Second half of the observation pipeline: the Vivaldi spring update
@@ -1285,7 +1313,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         let outcome = self.vivaldi.observe(&observation);
         if outcome.rejected {
             return ObservationOutcome {
-                filtered_rtt_ms: Some(filtered_rtt),
                 relative_error: None,
                 application_relative_error: None,
                 system_displacement_ms: 0.0,
@@ -1327,7 +1354,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         };
 
         ObservationOutcome {
-            filtered_rtt_ms: Some(filtered_rtt),
             relative_error: Some(outcome.relative_error),
             application_relative_error: Some(app_error),
             system_displacement_ms: outcome.displacement_ms,
@@ -1342,18 +1368,24 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         if self.identity.as_ref() == Some(&id) {
             return false;
         }
-        self.member_entry(id).1
+        Self::member_entry(&mut self.peers, &mut self.membership, id).1
     }
 
     /// The peer's table entry (created when absent), entered into the probe
     /// rotation unless it is already a member or a known neighbour; the flag
-    /// is `true` when it just entered.
-    fn member_entry(&mut self, id: Id) -> (&mut PeerState, bool) {
-        let peer = self.peers.entry(id.clone()).or_default();
+    /// is `true` when it just entered. Takes the two fields rather than
+    /// `self` so a caller can keep the entry while it works on the link
+    /// store beside it.
+    fn member_entry<'a>(
+        peers: &'a mut FxHashMap<Id, PeerState>,
+        membership: &mut Vec<Id>,
+        id: Id,
+    ) -> (&'a mut PeerState, bool) {
+        let peer = peers.entry(id.clone()).or_default();
         let new = !(peer.member || peer.neighbor.is_some());
         if new {
             peer.member = true;
-            self.membership.push(id);
+            membership.push(id);
         }
         (peer, new)
     }
@@ -2317,6 +2349,188 @@ mod tests {
             .build();
         let err = Node::restore(config_ewma, &snapshot).unwrap_err();
         assert!(matches!(err, RestoreError::Filter(_)), "{err}");
+    }
+
+    // -----------------------------------------------------------------
+    // Peer table / link store split
+    // -----------------------------------------------------------------
+
+    /// Layout pin: a bucket of the peer table is the 8-byte id plus a
+    /// `PeerState` of 112 — `Option<NeighborSnapshot>` 96 (an 80-byte
+    /// coordinate, the error estimate, the tag), the link handle 8, loss
+    /// streak 4, the membership flag padded to 4 — so 120 bytes. The table
+    /// holds a bucket for every id a node ever heard of, rounded up to a
+    /// power of two: a field added here is paid for a million times in a
+    /// 1,024-node mesh.
+    #[test]
+    fn layout_pin_peer_table_bucket_within_128_bytes() {
+        let bucket = std::mem::size_of::<(usize, PeerState)>();
+        assert!(bucket <= 128, "peer-table bucket grew to {bucket} bytes");
+    }
+
+    /// Layout pin: a link record is the filter enum, whose larger arm is
+    /// the by-value `MovingPercentileFilter` (96 bytes, pinned in
+    /// `nc-filters`); the boxed arm's tag fits in its spare bits.
+    #[test]
+    fn layout_pin_link_record_within_128_bytes() {
+        let record = std::mem::size_of::<PeerFilter>();
+        assert!(record <= 128, "link record grew to {record} bytes");
+    }
+
+    #[test]
+    fn equal_filtered_rtts_are_broken_by_table_order_across_an_eviction() {
+        // Peers 1 and 2 sit at the same filtered RTT behind the incumbent 3.
+        // When 3 degrades, the scan of the table decides between them, and
+        // it must keep deciding the way the table is ordered — neither by
+        // who was measured first nor by where the link store put a record.
+        // The winners below were recorded before the store existed.
+        let at = |x: f64| Coordinate::new(vec![x, 0.0, 0.0]).unwrap();
+        for (first, second) in [(1, 2), (2, 1)] {
+            let config = NodeConfig::builder()
+                .filter(FilterConfig::Raw)
+                .max_consecutive_losses(1)
+                .build();
+            let mut node = Node::new(config);
+            feed(&mut node, 3, at(5.0), 0.5, 10.0);
+            feed(&mut node, first, at(10.0), 0.5, 20.0);
+            feed(&mut node, second, at(-10.0), 0.5, 20.0);
+            feed(&mut node, 4, at(15.0), 0.5, 30.0);
+            feed(&mut node, 3, at(5.0), 0.5, 50.0);
+            assert_eq!(node.view().nearest_neighbor, Some((2, 20.0)));
+
+            // Evict the unrelated peer 4; peer 40, tied with the other two,
+            // is measured into the slot it left. Re-observing the incumbent
+            // at an unchanged RTT rescans the table.
+            let doomed = node.probe_request_for(4, 0);
+            assert!(node
+                .handle_timeout(doomed.seq)
+                .contains(&Event::NeighborEvicted { id: 4 }));
+            feed(&mut node, 40, at(0.0), 0.5, 20.0);
+            feed(&mut node, 2, at(10.0), 0.5, 20.0);
+            assert_eq!(node.view().nearest_neighbor, Some((40, 20.0)));
+            assert_eq!(node.snapshot().nearest_neighbor, Some((40, 20.0)));
+        }
+    }
+
+    /// A correlated reply from `responder` that gossips about `gossiped`.
+    fn feed_with_gossip(node: &mut Node, responder: u32, gossiped: u32) -> Vec<Event<u32>> {
+        let request = node.probe_request_for(responder, 0);
+        let mut response = ProbeResponse::new(
+            responder,
+            &request,
+            Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap(),
+            0.5,
+        )
+        .with_gossip(GossipEntry {
+            id: gossiped,
+            coordinate: Coordinate::new(vec![1.0, 2.0, 3.0]).unwrap(),
+            error_estimate: 0.8,
+        });
+        response.rtt_ms = 40.0;
+        node.handle_response(&response)
+    }
+
+    #[test]
+    fn only_measured_peers_hold_link_records() {
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        for gossiped in 0..1_000 {
+            feed_with_gossip(&mut node, 5_000 + gossiped % 50, 10_000 + gossiped);
+        }
+        let view = node.view();
+        assert_eq!(view.membership.len(), 1_050);
+        assert_eq!(view.neighbors.len(), 1_050);
+        assert_eq!(node.links.live(), 50, "one record per measured peer");
+        let measured = view.neighbors.iter().filter(|peer| peer.observations > 0);
+        assert_eq!(measured.count(), 50);
+        assert!(view
+            .neighbors
+            .iter()
+            .filter(|peer| peer.id >= 10_000)
+            .all(|peer| peer.filtered_rtt_ms.is_none() && peer.observations == 0));
+    }
+
+    #[test]
+    fn evict_relearn_remeasure_cycles_do_not_grow_the_link_store() {
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let mut node = Node::new(config);
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+        for stable in 0..8 {
+            feed(&mut node, stable, remote.clone(), 0.5, 30.0);
+        }
+        let cycle = |node: &mut Node| {
+            // Peer 100 is learned by gossip, measured, lost and evicted.
+            feed_with_gossip(node, 0, 100);
+            feed(node, 100, remote.clone(), 0.5, 25.0);
+            assert_eq!(node.links.live(), 9);
+            let doomed = node.probe_request_for(100, 0);
+            let events = node.handle_timeout(doomed.seq);
+            assert!(events.contains(&Event::NeighborEvicted { id: 100 }));
+            assert_eq!(node.links.live(), 8);
+        };
+        cycle(&mut node);
+        let footprint = |node: &Node| {
+            (
+                node.links.records.len(),
+                node.links.records.capacity(),
+                node.links.free.capacity(),
+                node.peers.capacity(),
+            )
+        };
+        let after_first = footprint(&node);
+        for _ in 0..10_000 {
+            cycle(&mut node);
+        }
+        assert_eq!(footprint(&node), after_first);
+    }
+
+    #[test]
+    fn snapshot_round_trip_is_byte_identical_across_every_kind_of_peer() {
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let mut node = Node::new(config.clone());
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+        // Measured: 1, 2 (twice each, so the windows differ from one
+        // sample); gossip-only: 50, 51; 3 is measured, evicted, gossiped
+        // back and measured again into a recycled slot; 4 is evicted and
+        // stays gossip-only afterwards.
+        for (peer, rtt) in [
+            (1, 30.0),
+            (2, 45.0),
+            (3, 60.0),
+            (4, 70.0),
+            (1, 31.0),
+            (2, 44.0),
+        ] {
+            feed(&mut node, peer, remote.clone(), 0.5, rtt);
+        }
+        feed_with_gossip(&mut node, 1, 50);
+        feed_with_gossip(&mut node, 2, 51);
+        for evicted in [3, 4] {
+            let doomed = node.probe_request_for(evicted, 0);
+            node.handle_timeout(doomed.seq);
+        }
+        feed_with_gossip(&mut node, 1, 4);
+        feed_with_gossip(&mut node, 2, 3);
+        feed(&mut node, 3, remote.clone(), 0.5, 61.0);
+        // One probe outstanding, for good measure.
+        node.probe_request_for(50, 7);
+
+        let view = node.view();
+        let by_id = |id: u32| view.neighbors.iter().find(|peer| peer.id == id).unwrap();
+        assert_eq!(by_id(1).observations, 4);
+        assert_eq!(by_id(3).observations, 1, "the evicted window is gone");
+        assert_eq!(by_id(3).filtered_rtt_ms, Some(61.0));
+        assert_eq!((by_id(4).filtered_rtt_ms, by_id(4).observations), (None, 0));
+        assert_eq!(
+            (by_id(50).filtered_rtt_ms, by_id(50).observations),
+            (None, 0)
+        );
+
+        let encoded = node.snapshot().encode();
+        let decoded = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+        let restored = Node::restore(config, &decoded).unwrap();
+        assert_eq!(restored.snapshot().encode(), encoded);
+        assert_eq!(restored.view(), view);
+        assert_eq!(restored.links.live(), node.links.live());
     }
 
     // -----------------------------------------------------------------

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use stable_nc::{Event, NodeConfig, ProbeResponse, StableNode};
+use stable_nc::{Event, GossipEntry, NodeConfig, ProbeResponse, StableNode};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -98,6 +98,51 @@ fn steady_state_response_digest_performs_zero_allocations() {
         allocations, 0,
         "steady-state response digestion must not allocate"
     );
+}
+
+#[test]
+fn gossip_about_an_already_known_id_performs_zero_allocations() {
+    // Most gossip a node hears names a peer it already has an entry for —
+    // measured (7 gossips about 8 and 8 about 7) or gossip-only (9). Such
+    // an entry must be found and left alone: no table growth, no link
+    // record, no membership push.
+    let mut node: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
+    let remote = nc_vivaldi::Coordinate::new(vec![30.0, 40.0, 10.0]).unwrap();
+    let mut events: Vec<Event<usize>> = Vec::with_capacity(32);
+    let request = node.probe_request_for(7, 0);
+    let mut response = ProbeResponse::new(7, &request, remote.clone(), 0.4);
+    response.gossip.push(GossipEntry {
+        id: 9,
+        coordinate: remote,
+        error_estimate: 0.6,
+    });
+
+    let mut exchange = |node: &mut StableNode<usize>, step: u64| {
+        let (responder, gossiped) = [(7, 8), (8, 7), (7, 9)][step as usize % 3];
+        let request = node.probe_request_for(responder, step);
+        response.responder = responder;
+        response.seq = request.seq;
+        response.rtt_ms = 60.0 + (step % 9) as f64;
+        response.gossip[0].id = gossiped;
+        events.clear();
+        node.handle_response_into(&response, &mut events);
+        std::hint::black_box(&events);
+    };
+    for step in 0..512 {
+        exchange(&mut node, step);
+    }
+    let (allocations, _) = allocations_during(|| {
+        for step in 512..1_512 {
+            exchange(&mut node, step);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "gossip about a known id must not touch the allocator"
+    );
+    let view = node.view();
+    assert_eq!(view.membership, vec![7, 8, 9]);
+    assert_eq!(view.neighbors[2].observations, 0, "9 stays gossip-only");
 }
 
 #[test]

@@ -51,35 +51,35 @@ pub struct MovingPercentileFilter {
 }
 
 /// Window sizes up to this bound (the paper's `h = 4` comfortably included)
-/// store both buffers inline in the filter value itself.
+/// store the window inline in the filter value itself.
 const INLINE_HISTORY: usize = 8;
 
-/// Backing storage for the observation window and its sorted companion.
-///
-/// The sorted companion keeps the window's values incrementally ordered:
-/// each observation does one removal of the expiring sample and one ordered
-/// insertion of the new one instead of cloning and re-sorting the whole
-/// window. Identical multiset to the window, so the percentile is
-/// bit-identical to the clone-and-sort approach.
+/// Backing storage for the observation window.
 ///
 /// Small histories — every filter the paper evaluates — live in the
-/// `Inline` arm: plain arrays inside the filter value, so a per-link filter
-/// embedded in a node's peer table costs zero heap allocations and zero
-/// pointer chases per observation. That locality is worth real wall-clock
-/// time in large simulations, where millions of per-link filters dominate
-/// the working set. Larger windows spill to the `Heap` arm, which keeps the
-/// original pre-allocated buffers.
+/// `Inline` arm: one plain array inside the filter value, so a per-link
+/// filter costs no heap allocation and no pointer chase per observation.
+/// The ordered view a percentile needs is derived on read: at most eight
+/// values are copied to the stack and sorted under `total_cmp` — the same
+/// multiset in the same order as the heap arm's sorted companion, so every
+/// percentile is bit-identical to it. Keeping such a companion inline would
+/// double the window's 64 bytes in each of the millions of per-link filters
+/// a large simulation holds, to save a sort of `h = 4` values.
+///
+/// Larger windows spill to the `Heap` arm, where re-sorting per estimate
+/// would be real work: it keeps the sorted companion incrementally ordered,
+/// one removal of the expiring sample and one ordered insertion of the new
+/// one per observation.
 #[derive(Debug, Clone)]
 enum WindowStorage {
     Inline {
         /// The last `len` observations in arrival order, oldest first.
         window: [f64; INLINE_HISTORY],
-        /// The same `len` values ordered by `total_cmp`.
-        sorted: [f64; INLINE_HISTORY],
         len: u8,
     },
     Heap {
         window: VecDeque<f64>,
+        /// The same values ordered by `total_cmp`.
         sorted: Vec<f64>,
     },
 }
@@ -89,7 +89,6 @@ impl WindowStorage {
         if history_size <= INLINE_HISTORY {
             WindowStorage::Inline {
                 window: [0.0; INLINE_HISTORY],
-                sorted: [0.0; INLINE_HISTORY],
                 len: 0,
             }
         } else {
@@ -107,11 +106,17 @@ impl WindowStorage {
         }
     }
 
-    /// The window's values ordered by `total_cmp`.
-    fn sorted_values(&self) -> &[f64] {
+    /// The `percentile`-th percentile of the window, `None` while it is
+    /// empty.
+    fn estimate(&self, percentile: f64) -> Option<f64> {
         match self {
-            WindowStorage::Inline { sorted, len, .. } => &sorted[..*len as usize],
-            WindowStorage::Heap { sorted, .. } => sorted,
+            WindowStorage::Inline { window, len } => {
+                let mut ordered = *window;
+                let ordered = &mut ordered[..*len as usize];
+                ordered.sort_unstable_by(f64::total_cmp);
+                percentile_of_sorted(ordered, percentile).ok()
+            }
+            WindowStorage::Heap { sorted, .. } => percentile_of_sorted(sorted, percentile).ok(),
         }
     }
 
@@ -126,34 +131,20 @@ impl WindowStorage {
     }
 
     /// Appends `value`, first expiring the oldest sample when the window
-    /// already holds `history_size` entries. Both representations keep the
-    /// sorted companion totally ordered under `total_cmp` (consistent with
-    /// [`rebuild_sorted`](WindowStorage::rebuild_sorted)), so the expiring
-    /// sample is always found even when an imported snapshot carries values
-    /// `observe` itself would have rejected (e.g. `-0.0`).
+    /// already holds `history_size` entries. The heap arm keeps its sorted
+    /// companion totally ordered under `total_cmp` (consistent with
+    /// [`replace`](WindowStorage::replace)), so the expiring sample is
+    /// always found even when an imported snapshot carries values `observe`
+    /// itself would have rejected (e.g. `-0.0`).
     fn push(&mut self, value: f64, history_size: usize) {
         match self {
-            WindowStorage::Inline {
-                window,
-                sorted,
-                len,
-            } => {
+            WindowStorage::Inline { window, len } => {
                 let mut n = *len as usize;
                 if n == history_size {
-                    let expiring = window[0];
                     window.copy_within(1..n, 0);
-                    let at = sorted[..n]
-                        .iter()
-                        .position(|probe| probe.total_cmp(&expiring) == std::cmp::Ordering::Equal)
-                        .expect("expiring value is present in the sorted window");
-                    sorted.copy_within(at + 1..n, at);
                     n -= 1;
                 }
                 window[n] = value;
-                let at = sorted[..n]
-                    .partition_point(|probe| probe.total_cmp(&value) == std::cmp::Ordering::Less);
-                sorted.copy_within(at..n, at + 1);
-                sorted[at] = value;
                 *len = (n + 1) as u8;
             }
             WindowStorage::Heap { window, sorted } => {
@@ -174,18 +165,12 @@ impl WindowStorage {
         }
     }
 
-    /// Replaces the window contents with `values` (oldest first) and
-    /// rebuilds the sorted companion — the state-import path.
+    /// Replaces the window contents with `values` (oldest first) — the
+    /// state-import path.
     fn replace(&mut self, values: &[f64]) {
         match self {
-            WindowStorage::Inline {
-                window,
-                sorted,
-                len,
-            } => {
+            WindowStorage::Inline { window, len } => {
                 window[..values.len()].copy_from_slice(values);
-                sorted[..values.len()].copy_from_slice(values);
-                sorted[..values.len()].sort_by(|a, b| a.total_cmp(b));
                 *len = values.len() as u8;
             }
             WindowStorage::Heap { window, sorted } => {
@@ -201,7 +186,7 @@ impl WindowStorage {
     /// The window in arrival order, for state export.
     fn export_window(&self) -> Vec<f64> {
         match self {
-            WindowStorage::Inline { window, len, .. } => window[..*len as usize].to_vec(),
+            WindowStorage::Inline { window, len } => window[..*len as usize].to_vec(),
             WindowStorage::Heap { window, .. } => window.iter().copied().collect(),
         }
     }
@@ -249,14 +234,6 @@ impl MovingPercentileFilter {
     pub fn window_len(&self) -> usize {
         self.buf.len()
     }
-
-    fn estimate_from_window(&self) -> Option<f64> {
-        let sorted = self.buf.sorted_values();
-        if sorted.is_empty() {
-            return None;
-        }
-        percentile_of_sorted(sorted, self.percentile).ok()
-    }
 }
 
 impl LatencyFilter for MovingPercentileFilter {
@@ -266,11 +243,11 @@ impl LatencyFilter for MovingPercentileFilter {
         }
         self.buf.push(raw_rtt_ms, self.history_size);
         self.seen += 1;
-        self.estimate_from_window()
+        self.current_estimate()
     }
 
     fn current_estimate(&self) -> Option<f64> {
-        self.estimate_from_window()
+        self.buf.estimate(self.percentile)
     }
 
     fn observations_seen(&self) -> u64 {
@@ -488,7 +465,119 @@ mod tests {
         }
     }
 
+    /// Layout pin: `history_size` 8 + `percentile` 8 + `seen` 8 + the window
+    /// storage 72 (its larger arm is the inline one: `[f64; 8]` = 64, `len`
+    /// and the enum tag sharing one more word) = 96 bytes. A node's link
+    /// store holds one of these per measured link, a large simulation
+    /// hundreds of thousands, so a field added here is a conscious decision.
+    #[test]
+    fn layout_pin_filter_within_96_bytes() {
+        assert!(
+            std::mem::size_of::<MovingPercentileFilter>() <= 96,
+            "MovingPercentileFilter grew to {} bytes",
+            std::mem::size_of::<MovingPercentileFilter>()
+        );
+    }
+
+    /// The clone-and-sort filter the storage arms are held against: keeps
+    /// the last `history` accepted values and sorts a copy per estimate.
+    struct ReferenceFilter {
+        history: usize,
+        percentile: f64,
+        window: Vec<f64>,
+        seen: u64,
+    }
+
+    impl ReferenceFilter {
+        fn estimate(&self) -> Option<f64> {
+            let mut sorted = self.window.clone();
+            sorted.sort_by(f64::total_cmp);
+            percentile_of_sorted(&sorted, self.percentile).ok()
+        }
+
+        fn observe(&mut self, raw: f64) -> Option<f64> {
+            if !raw.is_finite() || raw <= 0.0 {
+                return None;
+            }
+            self.window.push(raw);
+            if self.window.len() > self.history {
+                self.window.remove(0);
+            }
+            self.seen += 1;
+            self.estimate()
+        }
+    }
+
+    /// Maps a random word onto the values that stress the ordering: a small
+    /// pool of exact duplicates, both zeros, sub-normals, 1e5-scale
+    /// outliers, and ordinary latencies.
+    fn awkward_value(word: u64) -> f64 {
+        let fraction = (word >> 8) as f64 / (1u64 << 56) as f64;
+        match word % 8 {
+            0 | 1 => [80.0, 80.0, 81.5, 79.25][(word >> 8) as usize % 4],
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::from_bits(1 + (word >> 8) % 4096),
+            5 => 1e5 * (1.0 + fraction),
+            _ => 0.1 + 500.0 * fraction,
+        }
+    }
+
+    fn bits(value: Option<f64>) -> Option<u64> {
+        value.map(f64::to_bits)
+    }
+
     proptest! {
+        #[test]
+        fn every_storage_arm_is_bit_identical_to_clone_and_sort(
+            seeded in proptest::collection::vec((0u64..u64::MAX).prop_map(awkward_value), 0..=9),
+            stream in proptest::collection::vec((0u64..u64::MAX).prop_map(awkward_value), 1..120),
+            p in 0.0f64..=100.0,
+            reimport_at in 0usize..120,
+        ) {
+            // Inline histories 1..=8 and the first heap-backed one.
+            for history in 1..=INLINE_HISTORY + 1 {
+                let mut filter = MovingPercentileFilter::new(history, p).unwrap();
+                // An imported window may carry what `observe` would reject
+                // (zeros of either sign), so the ordering sees them too.
+                let start = seeded.len().saturating_sub(history);
+                let mut reference = ReferenceFilter {
+                    history,
+                    percentile: p,
+                    window: seeded[start..].to_vec(),
+                    seen: seeded.len() as u64,
+                };
+                filter
+                    .import_state(&FilterState::MovingPercentile {
+                        window: seeded.clone(),
+                        seen: seeded.len() as u64,
+                    })
+                    .unwrap();
+                prop_assert_eq!(bits(filter.current_estimate()), bits(reference.estimate()));
+                for (step, &raw) in stream.iter().enumerate() {
+                    if step == reimport_at {
+                        let state = filter.export_state();
+                        filter = MovingPercentileFilter::new(history, p).unwrap();
+                        filter.import_state(&state).unwrap();
+                    }
+                    prop_assert_eq!(
+                        bits(filter.observe(raw)),
+                        bits(reference.observe(raw)),
+                        "history {} step {} raw {:e}", history, step, raw
+                    );
+                    prop_assert_eq!(bits(filter.current_estimate()), bits(reference.estimate()));
+                    prop_assert_eq!(filter.observations_seen(), reference.seen);
+                    prop_assert_eq!(
+                        filter.export_state(),
+                        FilterState::MovingPercentile {
+                            window: reference.window.clone(),
+                            seen: reference.seen,
+                        }
+                    );
+                }
+            }
+        }
+
         #[test]
         fn output_is_bounded_by_window_extremes(
             values in proptest::collection::vec(0.1f64..1e5, 1..100),

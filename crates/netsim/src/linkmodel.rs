@@ -17,6 +17,9 @@
 //!   shifts**, so the underlying network genuinely changes over time the way
 //!   Figure 7 shows.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -210,14 +213,14 @@ struct RouteShift {
     factor: f64,
 }
 
-/// The observation model of one (directed) link.
+/// The parts of a link's model most links do not have: route shifts (a
+/// few percent of links per simulated hour at the default rate), a
+/// forward/reverse asymmetry and random-walk levels (both off unless
+/// configured). Boxed as one unit so a link without any of them pays one
+/// null pointer, not two empty vectors and a zero.
 #[derive(Debug, Clone)]
-pub struct LinkModel {
-    base_rtt_ms: f64,
-    config: LinkModelConfig,
-    rng: StdRng,
-    drift_phase: f64,
-    drift_period_s: f64,
+struct LinkExtras {
+    /// Route changes in time order.
     shifts: Vec<RouteShift>,
     /// Fixed forward-path share of the RTT: the forward one-way delay is
     /// `rtt / 2 * (1 + asymmetry_factor)`. Zero for symmetric links.
@@ -229,6 +232,19 @@ pub struct LinkModel {
     walk_levels: Vec<f64>,
 }
 
+/// The observation model of one (directed) link.
+#[derive(Debug, Clone)]
+pub struct LinkModel {
+    base_rtt_ms: f64,
+    /// The workload's tuning, one allocation shared by all the links of a
+    /// simulation.
+    config: Arc<LinkModelConfig>,
+    rng: StdRng,
+    drift_phase: f64,
+    drift_period_s: f64,
+    extras: Option<Box<LinkExtras>>,
+}
+
 impl LinkModel {
     /// Creates the model for a link with the given base RTT. `duration_s` is
     /// the length of the run being simulated (route-change times are drawn
@@ -238,6 +254,39 @@ impl LinkModel {
     ///
     /// Panics when `base_rtt_ms` is not positive and finite.
     pub fn new(base_rtt_ms: f64, config: LinkModelConfig, duration_s: f64, seed: u64) -> Self {
+        // A driver that builds its own link table hands every link a copy
+        // of one configuration. Remembering the last one given on this
+        // thread lets all those links share it, so `new` allocates once per
+        // distinct configuration instead of once per link; which links
+        // share is invisible, the configuration being immutable.
+        thread_local! {
+            static LAST_CONFIG: RefCell<Option<Arc<LinkModelConfig>>> =
+                const { RefCell::new(None) };
+        }
+        let shared = LAST_CONFIG.with(|last| {
+            let mut last = last.borrow_mut();
+            match last.as_ref() {
+                Some(shared) if **shared == config => Arc::clone(shared),
+                _ => Arc::clone(last.insert(Arc::new(config))),
+            }
+        });
+        Self::with_shared_config(base_rtt_ms, shared, duration_s, seed)
+    }
+
+    /// [`LinkModel::new`] over a configuration the caller shares between
+    /// all its links instead of handing each a copy — what the simulator
+    /// does for the hundreds of thousands of links of a large mesh. Same
+    /// draws, same sample stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `base_rtt_ms` is not positive and finite.
+    pub(crate) fn with_shared_config(
+        base_rtt_ms: f64,
+        config: Arc<LinkModelConfig>,
+        duration_s: f64,
+        seed: u64,
+    ) -> Self {
         assert!(
             base_rtt_ms.is_finite() && base_rtt_ms > 0.0,
             "base RTT must be positive"
@@ -293,15 +342,20 @@ impl LinkModel {
         } else {
             Vec::new()
         };
+        let plain = shifts.is_empty() && asymmetry_factor == 0.0 && walk_levels.is_empty();
         LinkModel {
             base_rtt_ms,
             config,
             rng,
             drift_phase,
             drift_period_s,
-            shifts,
-            asymmetry_factor,
-            walk_levels,
+            extras: (!plain).then(|| {
+                Box::new(LinkExtras {
+                    shifts,
+                    asymmetry_factor,
+                    walk_levels,
+                })
+            }),
         }
     }
 
@@ -314,8 +368,12 @@ impl LinkModel {
     /// and any route shifts applied, but no jitter or outliers. This is the
     /// signal a perfect filter would recover.
     pub fn underlying_rtt_ms(&self, time_s: f64) -> f64 {
+        let (shifts, walk_levels): (&[RouteShift], &[f64]) = match &self.extras {
+            Some(extras) => (&extras.shifts, &extras.walk_levels),
+            None => (&[], &[]),
+        };
         let mut rtt = self.base_rtt_ms;
-        for shift in &self.shifts {
+        for shift in shifts {
             if time_s >= shift.at_s {
                 rtt *= shift.factor;
             }
@@ -324,14 +382,13 @@ impl LinkModel {
             + self.config.drift_amplitude
                 * (std::f64::consts::TAU * time_s / self.drift_period_s + self.drift_phase).sin();
         rtt *= drift;
-        if !self.walk_levels.is_empty() {
-            let last = self.walk_levels.len() - 1;
+        if !walk_levels.is_empty() {
+            let last = walk_levels.len() - 1;
             let position = (time_s.max(0.0) / self.config.drift_walk_step_s).min(last as f64);
             let index = (position.floor() as usize).min(last);
             let next = (index + 1).min(last);
             let fraction = position - index as f64;
-            let level = self.walk_levels[index]
-                + (self.walk_levels[next] - self.walk_levels[index]) * fraction;
+            let level = walk_levels[index] + (walk_levels[next] - walk_levels[index]) * fraction;
             rtt *= level;
         }
         rtt.max(self.config.min_rtt_ms)
@@ -355,7 +412,7 @@ impl LinkModel {
 
     /// Number of route shifts scheduled for this link.
     pub fn route_shift_count(&self) -> usize {
-        self.shifts.len()
+        self.extras.as_ref().map_or(0, |extras| extras.shifts.len())
     }
 
     /// Draws one per-direction loss decision: `true` when the packet is
@@ -371,7 +428,11 @@ impl LinkModel {
     /// delays in milliseconds, applying the link's fixed asymmetry factor.
     /// The two always sum to `rtt_ms`.
     pub fn one_way_split(&self, rtt_ms: f64) -> (f64, f64) {
-        let forward = (rtt_ms / 2.0) * (1.0 + self.asymmetry_factor);
+        let asymmetry_factor = self
+            .extras
+            .as_ref()
+            .map_or(0.0, |extras| extras.asymmetry_factor);
+        let forward = (rtt_ms / 2.0) * (1.0 + asymmetry_factor);
         (forward, rtt_ms - forward)
     }
 }
@@ -382,6 +443,62 @@ mod tests {
 
     fn model(base: f64, seed: u64) -> LinkModel {
         LinkModel::new(base, LinkModelConfig::default(), 4.0 * 3600.0, seed)
+    }
+
+    /// Layout pin: base RTT 8 + shared configuration 8 + generator 32 +
+    /// drift phase and period 16 + the boxed extras 8 = 72 bytes. A
+    /// 1,024-node hour builds two hundred thousand of these and a
+    /// 4,096-node hour sixteen times that, so whatever a field adds here is
+    /// multiplied by millions; rarely-present state goes into `LinkExtras`.
+    #[test]
+    fn layout_pin_link_model_within_80_bytes() {
+        let size = std::mem::size_of::<LinkModel>();
+        assert!(size <= 80, "LinkModel grew to {size} bytes");
+    }
+
+    #[test]
+    fn links_built_from_copies_of_one_configuration_share_it() {
+        let config = LinkModelConfig::default().with_loss_probability(0.01);
+        let first = LinkModel::new(40.0, config.clone(), 3600.0, 1);
+        let second = LinkModel::new(50.0, config.clone(), 3600.0, 2);
+        assert!(Arc::ptr_eq(&first.config, &second.config));
+        let other = LinkModel::new(50.0, LinkModelConfig::clean(), 3600.0, 3);
+        assert_eq!(*other.config, LinkModelConfig::clean());
+        let third = LinkModel::new(60.0, config.clone(), 3600.0, 4);
+        assert_eq!(*third.config, config);
+        assert_eq!(
+            *first.config, config,
+            "a later configuration never leaks in"
+        );
+    }
+
+    #[test]
+    fn owned_and_shared_configurations_draw_identical_streams() {
+        let plain = LinkModelConfig::default();
+        let hostile = LinkModelConfig {
+            route_changes_per_day: 24.0,
+            ..LinkModelConfig::default()
+        }
+        .with_loss_probability(0.05)
+        .with_drift_walk(0.08, 120.0)
+        .with_delay_asymmetry(0.3);
+        for config in [plain, hostile] {
+            let shared = Arc::new(config.clone());
+            for seed in 0..32 {
+                let base = 20.0 + seed as f64;
+                let mut owned = LinkModel::new(base, config.clone(), 3600.0, seed);
+                let mut sharing =
+                    LinkModel::with_shared_config(base, Arc::clone(&shared), 3600.0, seed);
+                assert_eq!(owned.route_shift_count(), sharing.route_shift_count());
+                for step in 0..200 {
+                    let time_s = step as f64 * 18.0;
+                    let (a, b) = (owned.sample(time_s), sharing.sample(time_s));
+                    assert_eq!(a.to_bits(), b.to_bits());
+                    assert_eq!(owned.sample_loss(), sharing.sample_loss());
+                    assert_eq!(owned.one_way_split(a), sharing.one_way_split(b));
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::{CoordinateIndex, QueryConfig};
@@ -689,12 +690,17 @@ pub(crate) struct SimEnv {
 /// the node-sharded executor replay the byte-identical schedule.
 #[derive(Clone)]
 pub(crate) struct ScheduleState {
-    /// Per-link models, keyed by the packed `(lo << 32) | hi` node pair.
+    /// Per-link models in creation order, dense: a link is 72 bytes and the
+    /// table holds hundreds of thousands, so they sit in a `Vec` (which
+    /// carries no empty buckets) and the hash map beside it only maps keys
+    /// to positions.
+    pub(crate) links: Vec<LinkModel>,
+    /// Position in `links` of the packed `(lo << 32) | hi` node pair.
     /// FxHash keeps the one map lookup per exchange a few shifts and
     /// multiplies instead of SipHash rounds.
-    pub(crate) links: FxHashMap<u64, LinkModel>,
-    /// The shared link-model tuning, hoisted out of the per-exchange path.
-    pub(crate) link_config: LinkModelConfig,
+    pub(crate) link_index: FxHashMap<u64, u32>,
+    /// The link-model tuning, one copy shared by every link.
+    pub(crate) link_config: Arc<LinkModelConfig>,
     pub(crate) neighbor_sets: Vec<Vec<usize>>,
     /// Per-node membership bitmaps mirroring `neighbor_sets`, so the
     /// per-gossip "already known?" check is one bit test instead of a scan
@@ -774,17 +780,17 @@ impl ScheduleState {
             .seed()
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(key);
-        let duration = env.sim_config.duration_s;
-        let link_config = &self.link_config;
-        let topology = &env.topology;
-        let link = self.links.entry(key).or_insert_with(|| {
-            LinkModel::new(
-                topology.base_rtt_ms(lo, hi),
-                link_config.clone(),
-                duration,
+        let links = &mut self.links;
+        let position = *self.link_index.entry(key).or_insert_with(|| {
+            links.push(LinkModel::with_shared_config(
+                env.topology.base_rtt_ms(lo, hi),
+                Arc::clone(&self.link_config),
+                env.sim_config.duration_s,
                 seed,
-            )
+            ));
+            (links.len() - 1) as u32
         });
+        let link = &mut links[position as usize];
         let rtt_ms = link.sample(time_s);
         let forward_lost = link.sample_loss();
         let reverse_lost = link.sample_loss();
@@ -993,8 +999,9 @@ impl Simulator {
             },
             state: EngineState {
                 schedule: ScheduleState {
-                    links: FxHashMap::default(),
-                    link_config,
+                    links: Vec::new(),
+                    link_index: FxHashMap::default(),
+                    link_config: Arc::new(link_config),
                     neighbor_sets,
                     neighbor_bits,
                     round_robin: vec![0; n],
@@ -1313,8 +1320,9 @@ impl EngineState {
     fn placeholder() -> Self {
         EngineState {
             schedule: ScheduleState {
-                links: FxHashMap::default(),
-                link_config: LinkModelConfig::default(),
+                links: Vec::new(),
+                link_index: FxHashMap::default(),
+                link_config: Arc::new(LinkModelConfig::default()),
                 neighbor_sets: Vec::new(),
                 neighbor_bits: Vec::new(),
                 round_robin: Vec::new(),
@@ -2434,5 +2442,81 @@ mod tests {
             vec![("mp".into(), NodeConfig::paper_defaults())],
         )
         .with_scenario(Scenario::crash_restart(vec![9], 10.0, 20.0));
+    }
+
+    /// A 64-node mesh on which every optional part of a [`LinkModel`] is
+    /// in play: links lose packets, change routes (one link in six within
+    /// the ten minutes), drift by random walk and split their delay
+    /// unevenly.
+    fn hostile_link_simulator() -> Simulator {
+        let links = LinkModelConfig {
+            route_changes_per_day: 24.0,
+            ..LinkModelConfig::default()
+        }
+        .with_loss_probability(0.05)
+        .with_drift_walk(0.08, 120.0)
+        .with_delay_asymmetry(0.3);
+        Simulator::new(
+            PlanetLabConfig::small(64)
+                .with_seed(11)
+                .with_link_config(links),
+            SimConfig::new(600.0, 5.0),
+            vec![("mp".into(), NodeConfig::paper_defaults())],
+        )
+    }
+
+    /// Ten simulated minutes of exchanges at one probe per node per tick,
+    /// targets drawn by a seeded generator so links are created and
+    /// revisited in an irregular order; FNV-1a over every draw's
+    /// `(rtt_ms, forward_lost, reverse_lost, forward_delay_s)`.
+    fn link_stream_digest(schedule: &mut ScheduleState, env: &SimEnv) -> u64 {
+        let mut targets = StdRng::seed_from_u64(0x11E5);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bits: u64| {
+            for byte in bits.to_le_bytes() {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for tick in 0..120 {
+            for src in 0..64usize {
+                let dst = (src + targets.gen_range(1..64usize)) % 64;
+                let draw = schedule.sample_exchange(env, src, dst, tick as f64 * 5.0);
+                fold(draw.rtt_ms.to_bits());
+                fold(draw.forward_lost as u64);
+                fold(draw.reverse_lost as u64);
+                fold(draw.forward_delay_s.to_bits());
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn link_draw_stream_is_pinned() {
+        // Recorded at 60fdc71, where every link owned its configuration and
+        // lived in the hash map itself: the table's layout, the shared
+        // configuration and the boxed extras must not move one draw.
+        let mut simulator = hostile_link_simulator();
+        let digest = link_stream_digest(&mut simulator.state.schedule, &simulator.env);
+        assert_eq!(digest, 0x3E68_1BCD_EE59_F894, "{digest:#018X}");
+    }
+
+    #[test]
+    fn cloned_schedule_states_continue_the_same_link_streams_independently() {
+        // The per-configuration executor clones the schedule state per
+        // worker: every clone must draw what the original would have, and
+        // drawing from one must not advance another.
+        let mut simulator = hostile_link_simulator();
+        let (original, env) = (&mut simulator.state.schedule, &simulator.env);
+        let warm = link_stream_digest(original, env);
+        let links = original.links.len();
+        assert!(links > 1_000, "{links} links");
+        let mut first = original.clone();
+        let mut second = original.clone();
+        let continued = link_stream_digest(&mut first, env);
+        assert_ne!(continued, warm, "the streams moved on");
+        assert_eq!(link_stream_digest(&mut second, env), continued);
+        assert_eq!(link_stream_digest(original, env), continued);
+        assert_eq!(original.links.len(), links, "every pair was already known");
     }
 }

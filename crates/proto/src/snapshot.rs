@@ -46,9 +46,12 @@ pub struct LinkSnapshot<Id> {
     pub coordinate: Coordinate,
     /// The neighbour's error estimate when last observed.
     pub error_estimate: f64,
-    /// The most recent filtered latency estimate for the link (ms).
+    /// The most recent filtered latency estimate for the link (ms): what
+    /// `filter` yields at capture time. Informational — a restoring engine
+    /// re-derives it from `filter`, which it continues the link from.
     pub filtered_rtt_ms: Option<f64>,
-    /// Number of raw observations of this link.
+    /// Number of raw observations of this link (likewise derived from
+    /// `filter`).
     pub observations: u64,
 }
 
