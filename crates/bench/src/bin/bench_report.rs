@@ -13,8 +13,8 @@
 //! ```
 //!
 //! The full run measures the 256-node hour and its lossy/churn variant
-//! (median of 3), a 64-node hour (the row on the serial side of
-//! `Simulator::run`'s dispatch rule), the 1,024- and 4,096-node hours —
+//! (median of 3), a 64-node hour (a mesh `Simulator::run` gives one worker
+//! on any host), the 1,024- and 4,096-node hours —
 //! each three times: as `run()` dispatches it, pinned to one worker and
 //! pinned to two (the sharding verdict, ROADMAP 1(d)) — and the 16,384-node
 //! hour (1 iteration each), plus the `nc-query` read path: batches of
@@ -23,8 +23,8 @@
 //! workloads and both query batches, and `--huge` adds a 65,536-node hour
 //! and a 1,000,000-node query batch. The JSON (schema 2) opens with a
 //! `host` block — core count, CPU model, kernel, `rustc -V` — because every
-//! wall-clock figure below it, and which engine the unpinned rows ran, is a
-//! property of that host; it then maps bench name → median nanoseconds,
+//! wall-clock figure below it, and how many workers the unpinned rows ran
+//! on, is a property of that host; it then maps bench name → median nanoseconds,
 //! node count and throughput — queries per second for the read path; for
 //! the simulator the exact number of events the run popped from its queue
 //! (`Simulator::events_popped`) and that count per second — and embeds the
@@ -33,15 +33,15 @@
 //! `--check` compares fresh results against the committed `BENCH_sim.json`
 //! instead of rewriting it. Every simulator row's `events` must equal the
 //! recorded count exactly — the count is a function of the workload alone,
-//! so the tolerance is 0 % on any host and under any engine — and any
+//! so the tolerance is 0 % on any host and at any worker count — and any
 //! measured bench more than the threshold slower than its recorded median
 //! (default 15 %, `--threshold <percent>`) fails the run with exit code 1.
 //! CI invokes `--check --quick` as a regression smoke test.
 //!
 //! Without `--threads N` (or the `NC_BENCH_THREADS` environment variable)
 //! the unpinned rows measure what `Simulator::run` does on this host; with
-//! it they run through the node-sharded executor on exactly `N` workers
-//! (`Simulator::with_threads`); the flag wins over the environment.
+//! it they run on exactly `N` workers (`Simulator::with_threads`); the flag
+//! wins over the environment.
 
 use std::time::Instant;
 
@@ -108,8 +108,8 @@ const fn sim_bench(
     }
 }
 
-/// 64 nodes sit on the serial side of `run()`'s dispatch rule on any host;
-/// 256 is the paper-sized mesh and the first it shards on its own; the
+/// 64 nodes get one worker from `run()` on any host; 256 is the paper-sized
+/// mesh and the first it shards on its own; the
 /// pinned 1,024- and 4,096-node rows are the sharding verdict — one worker
 /// against two, beside what `run()` picked.
 const SIM_BENCHES: &[SimBench] = &[

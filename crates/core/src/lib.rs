@@ -106,10 +106,12 @@
 
 pub mod config;
 pub mod fxhash;
+pub mod ledger;
 pub mod node;
 
 pub use config::{FilterConfig, HeuristicConfig, NodeConfig, NodeConfigBuilder, NodeConfigError};
 pub use fxhash::FxHashMap;
+pub use ledger::ProbeLedger;
 pub use node::{NodeView, PeerView, RestoreError, StableNode};
 
 // Re-export the building blocks so downstream users need only one dependency.

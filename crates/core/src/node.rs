@@ -18,6 +18,7 @@ use nc_proto::{
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
 use crate::config::NodeConfig;
+use crate::ledger::ProbeLedger;
 
 /// What the Vivaldi → application-heuristic half of the observation
 /// pipeline did with one filtered RTT.
@@ -162,7 +163,7 @@ impl std::error::Error for RestoreError {}
 ///
 /// The entry holds what the per-response hot path needs of any known id —
 /// last coordinate and error estimate (gossip payloads are built from it),
-/// loss streak, rotation membership — so that path touches one hash slot.
+/// rotation membership — so that path touches one hash slot.
 /// First-hand link state is *not* in here: a node in a large mesh hears of
 /// several times more peers than it measures, and the table's capacity is a
 /// power of two above even that, so whatever sits in the bucket is paid for
@@ -177,10 +178,6 @@ struct PeerState {
     /// Handle of the peer's record in the [`LinkStore`], set when the first
     /// reply from it is digested and released on eviction.
     link: Option<u32>,
-    /// Consecutive unanswered probes; drives eviction when
-    /// [`NodeConfig::max_consecutive_losses`] is set. Zero when the last
-    /// probe was answered.
-    loss_streak: u32,
     /// Whether the peer sits in the round-robin `membership` rotation.
     member: bool,
 }
@@ -358,8 +355,8 @@ impl PeerFilter {
 ///
 /// State is kept in two places with two growth laws. The *peer table* has
 /// one entry per id the node has heard of, through its own probes or
-/// through gossip: last coordinate and error estimate, loss streak,
-/// rotation membership. The *link store* has one record — the latency
+/// through gossip: last coordinate and error estimate, rotation
+/// membership. The *link store* has one record — the latency
 /// filter with its window of raw observations — per peer the node has
 /// actually measured, created when the first reply from that peer is
 /// digested and given back when the peer is evicted. A coordinate system
@@ -374,8 +371,8 @@ pub struct StableNode<Id: Eq + Hash + Clone> {
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
     follow_system: bool,
-    /// One entry per id this node has heard of — last coordinate, loss
-    /// streak, rotation membership and the handle of its link record.
+    /// One entry per id this node has heard of — last coordinate, rotation
+    /// membership and the handle of its link record.
     peers: FxHashMap<Id, PeerState>,
     /// First-hand state of the links this node has measured. The split
     /// keeps a node's memory proportional to the neighbours it *measures*:
@@ -389,15 +386,10 @@ pub struct StableNode<Id: Eq + Hash + Clone> {
     /// Known peers in discovery order: the round-robin probe schedule.
     membership: Vec<Id>,
     probe_cursor: usize,
-    probe_seq: u64,
     gossip_cursor: usize,
-    /// Probes sent but not yet answered or expired, oldest first.
-    pending: Vec<PendingProbe<Id>>,
-    /// When set, responses that correlate with no pending probe are always
-    /// rejected — even before the first probe is issued. Declared by
-    /// drivers exposed to untrusted traffic (the UDP transport); simulated
-    /// and hand-fed drivers inherit strictness from issuing probes.
-    require_correlation: bool,
+    /// Pending probes, sequence counter, loss streaks and the eviction rule:
+    /// everything this node feeds back into a probe schedule.
+    ledger: ProbeLedger<Id>,
     /// MAD-based outlier gate over observation residuals, built when the
     /// configuration enables it. The gate's window is runtime state that is
     /// deliberately *not* snapshotted: a restored node re-warms the gate
@@ -447,6 +439,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             ),
         };
         StableNode {
+            ledger: ProbeLedger::new(config.max_consecutive_losses),
             config,
             vivaldi,
             application,
@@ -458,10 +451,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             identity: None,
             membership: Vec::new(),
             probe_cursor: 0,
-            probe_seq: 0,
             gossip_cursor: 0,
-            pending: Vec::new(),
-            require_correlation: false,
             gate,
         }
     }
@@ -527,7 +517,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                     error_estimate: snapshot.error_estimate,
                     filtered_rtt_ms: link.and_then(PeerFilter::current_estimate),
                     observations: link.map_or(0, PeerFilter::observations_seen),
-                    loss_streak: peer.loss_streak,
+                    loss_streak: self.ledger.loss_streak(id),
                 })
             })
             .collect();
@@ -562,23 +552,9 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// identity was known are dropped.
     pub fn set_identity(&mut self, id: Id) {
         // Purging the self-entry is exactly an eviction of that peer.
+        self.ledger.forget(&id);
         self.evict(&id);
         self.identity = Some(id);
-    }
-
-    /// Declares that every response must correlate with an outstanding
-    /// probe, even before this node has issued its first one. Without this,
-    /// the uncorrelated-reply rejection only arms once a probe has been
-    /// issued through the engine (so drivers that hand-feed responses keep
-    /// working); a driver exposed to untrusted traffic — a listening UDP
-    /// node that has not probed yet — must opt in explicitly or a forged
-    /// response arriving before its first probe would be digested.
-    ///
-    /// Not part of the snapshot: the driver declares it again after
-    /// [`restore`](StableNode::restore), exactly like
-    /// [`set_identity`](StableNode::set_identity).
-    pub fn require_correlated_responses(&mut self) {
-        self.require_correlation = true;
     }
 
     /// The peer's link record; `None` for a peer known only through gossip.
@@ -646,13 +622,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// [`next_probe`](StableNode::next_probe).
     pub fn probe_request_for(&mut self, target: Id, now_ms: u64) -> ProbeRequest<Id> {
         self.register_member(target.clone());
-        let seq = self.probe_seq;
-        self.probe_seq = self.probe_seq.wrapping_add(1);
-        self.pending.push(PendingProbe {
-            target: target.clone(),
-            seq,
-            sent_at_ms: now_ms,
-        });
+        let seq = self.ledger.issue(target.clone(), now_ms);
         let request = ProbeRequest::new(target, seq, now_ms);
         match &self.identity {
             Some(me) => request.from_source(me.clone()),
@@ -666,13 +636,20 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// timers, as the discrete-event simulator does) or in bulk with
     /// [`expire_pending`](StableNode::expire_pending).
     pub fn pending_probes(&self) -> &[PendingProbe<Id>] {
-        &self.pending
+        self.ledger.pending()
+    }
+
+    /// The node's [`ProbeLedger`]. A driver that must predict this node's
+    /// scheduling decisions without running it keeps a ledger of its own and
+    /// compares the two.
+    pub fn ledger(&self) -> &ProbeLedger<Id> {
+        &self.ledger
     }
 
     /// Consecutive unanswered probes of `id` (zero when the last probe was
     /// answered or the peer has never been probed).
     pub fn loss_streak(&self, id: &Id) -> u32 {
-        self.peers.get(id).map(|peer| peer.loss_streak).unwrap_or(0)
+        self.ledger.loss_streak(id)
     }
 
     /// Declares the probe with sequence number `seq` lost: its reply never
@@ -700,22 +677,21 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// and reuse one buffer across calls so the steady-state timeout path
     /// performs no heap allocation.
     pub fn handle_timeout_into(&mut self, seq: u64, events: &mut Vec<Event<Id>>) {
-        let Some(position) = self.pending.iter().position(|probe| probe.seq == seq) else {
-            return;
-        };
-        let probe = self.pending.remove(position);
+        if let Some((lost, evicted)) = self.ledger.timeout(seq) {
+            self.report_loss(lost, evicted, events);
+        }
+    }
+
+    /// Reports a probe the ledger gave up on, and drops the peer from every
+    /// other table when the loss evicted it.
+    fn report_loss(&mut self, lost: PendingProbe<Id>, evicted: bool, events: &mut Vec<Event<Id>>) {
         events.push(Event::ProbeLost {
-            id: probe.target.clone(),
-            seq,
+            id: lost.target.clone(),
+            seq: lost.seq,
         });
-        let peer = self.peers.entry(probe.target.clone()).or_default();
-        peer.loss_streak = peer.loss_streak.saturating_add(1);
-        let streak = peer.loss_streak;
-        if let Some(max) = self.config.max_consecutive_losses {
-            if streak >= max {
-                self.evict(&probe.target);
-                events.push(Event::NeighborEvicted { id: probe.target });
-            }
+        if evicted {
+            self.evict(&lost.target);
+            events.push(Event::NeighborEvicted { id: lost.target });
         }
     }
 
@@ -740,25 +716,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         timeout_ms: u64,
         events: &mut Vec<Event<Id>>,
     ) {
-        // One probe is expired per scan: `handle_timeout_into` may evict a
-        // peer and with it *several* pending entries, so positions cannot be
-        // carried across iterations. Expiry is rare (the steady state scans
-        // once and finds nothing), so the rescan costs nothing in practice.
-        loop {
-            let Some(seq) = self
-                .pending
-                .iter()
-                .find(|probe| probe.sent_at_ms.saturating_add(timeout_ms) <= now_ms)
-                .map(|probe| probe.seq)
-            else {
-                return;
-            };
-            self.handle_timeout_into(seq, events);
+        while let Some((lost, evicted)) = self.ledger.expire(now_ms, timeout_ms) {
+            self.report_loss(lost, evicted, events);
         }
     }
 
-    /// Removes a peer from every table: membership, neighbours, the link
-    /// store, pending probes and loss streaks.
+    /// Removes a peer the ledger has forgotten from every other table:
+    /// membership, neighbours and the link store.
     fn evict(&mut self, id: &Id) {
         if let Some(handle) = self.peers.remove(id).and_then(|peer| peer.link) {
             self.links.release(handle);
@@ -773,7 +737,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 self.probe_cursor -= 1;
             }
         }
-        self.pending.retain(|probe| probe.target != *id);
         if self
             .nearest_neighbor
             .as_ref()
@@ -877,45 +840,31 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         if self.identity.as_ref() == Some(&response.responder) {
             return;
         }
-        // The reply settles the matching outstanding probe and proves the
-        // peer alive. A reply that matches *no* outstanding probe — one that
-        // arrives after its probe already timed out, a duplicated datagram,
-        // or an unsolicited/spoofed response — must not be digested: its
-        // observation was either already accounted as a loss or never
-        // requested, its RTT stamp is stale, and applying it would
-        // double-count the exchange and wrongly clear the loss streak. Such
-        // replies are reported as [`Event::ResponseIgnored`] and dropped
-        // whole (gossip included: an uncorrelated sender is not a trusted
-        // membership source). The check only arms once the node has issued a
-        // probe through the engine (`probe_request_for` / `next_probe`);
-        // drivers that feed hand-built responses without the pending-probe
-        // machinery keep the lenient legacy behaviour.
-        match self
-            .pending
-            .iter()
-            .position(|probe| probe.seq == response.seq && probe.target == response.responder)
-        {
-            Some(position) => {
-                self.pending.remove(position);
-            }
-            None if self.require_correlation || self.probe_seq > 0 => {
-                events.push(Event::ResponseIgnored {
-                    id: response.responder.clone(),
-                    seq: response.seq,
-                });
-                return;
-            }
-            None => {}
+        // The reply settles the matching outstanding probe, which proves the
+        // peer alive and clears its loss streak. A reply that matches *no*
+        // outstanding probe — one that arrives after its probe already timed
+        // out, a duplicated datagram, or an unsolicited/spoofed response —
+        // must not be digested: its observation was either already accounted
+        // as a loss or never requested, its RTT stamp is stale, and applying
+        // it would double-count the exchange and wrongly clear the loss
+        // streak. Such replies are reported as [`Event::ResponseIgnored`] and
+        // dropped whole (gossip included: an uncorrelated sender is not a
+        // trusted membership source).
+        if !self.ledger.settle(&response.responder, response.seq) {
+            events.push(Event::ResponseIgnored {
+                id: response.responder.clone(),
+                seq: response.seq,
+            });
+            return;
         }
         // One probe of the peer table does everything the responder's entry
-        // is needed for: it clears the streak, registers the responder (the
-        // self-response case returned above) and feeds the link's filter.
+        // is needed for: it registers the responder (the self-response case
+        // returned above) and feeds the link's filter.
         let (peer, discovered) = Self::member_entry(
             &mut self.peers,
             &mut self.membership,
             response.responder.clone(),
         );
-        peer.loss_streak = 0;
         // A coordinate from a different-dimensional space is discarded
         // before it touches any state: stored, it would panic every later
         // distance computation against it.
@@ -1078,25 +1027,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         Self::push_outcome_events(id, filtered_rtt_ms, outcome, events);
     }
 
-    /// Batch path: digests many responses in order and returns the
-    /// concatenated event stream. Useful for draining a backlog of
-    /// responses that were delivered together (a socket's receive queue, a
-    /// trace segment). Note that each response is still subject to the
-    /// correlation rules: a response whose probe already timed out or was
-    /// settled produces only [`Event::ResponseIgnored`], so replaying
-    /// *already-digested* responses is not a way to rebuild state.
-    pub fn handle_many<'a, I>(&mut self, responses: I) -> Vec<Event<Id>>
-    where
-        Id: 'a,
-        I: IntoIterator<Item = &'a ProbeResponse<Id>>,
-    {
-        let mut events = Vec::new();
-        for response in responses {
-            self.handle_response_into(response, &mut events);
-        }
-        events
-    }
-
     // -----------------------------------------------------------------
     // Snapshot / restore
     // -----------------------------------------------------------------
@@ -1124,20 +1054,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 })
             })
             .collect();
-        // Streaks in membership order so identical nodes serialize
-        // identically (the runtime table is an unordered map). Only live
-        // streaks are captured — a zero entry means the slate was wiped by
-        // an answered probe and carries no information.
-        let loss_streaks = self
-            .membership
-            .iter()
-            .filter_map(|id| {
-                self.peers
-                    .get(id)
-                    .filter(|peer| peer.loss_streak > 0)
-                    .map(|peer| (id.clone(), peer.loss_streak))
-            })
-            .collect();
         NodeSnapshot {
             version: PROTOCOL_VERSION,
             vivaldi: self.vivaldi.clone(),
@@ -1148,10 +1064,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             identity: self.identity.clone(),
             membership: self.membership.clone(),
             probe_cursor: self.probe_cursor,
-            probe_seq: self.probe_seq,
+            probe_seq: self.ledger.next_seq(),
             gossip_cursor: self.gossip_cursor,
-            pending: self.pending.clone(),
-            loss_streaks,
+            pending: self.ledger.pending().to_vec(),
+            // Streaks in membership order so identical nodes serialize
+            // identically (the ledger's table is an unordered map).
+            loss_streaks: self.ledger.loss_streaks_of(&self.membership),
         }
     }
 
@@ -1235,12 +1153,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             0 => 0,
             len => snapshot.probe_cursor % len,
         };
-        node.probe_seq = snapshot.probe_seq;
         node.gossip_cursor = snapshot.gossip_cursor;
-        node.pending = snapshot.pending.clone();
-        for (id, streak) in &snapshot.loss_streaks {
-            node.peers.entry(id.clone()).or_default().loss_streak = *streak;
-        }
+        node.ledger = ProbeLedger::import(node.config.max_consecutive_losses, snapshot);
         Ok(node)
     }
 
@@ -1782,34 +1696,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_many_equals_sequential_handling() {
-        let build = || {
-            let mut node = Node::new(NodeConfig::paper_defaults());
-            node.seed_neighbor(1);
-            node
-        };
-        let remote = Coordinate::new(vec![30.0, 0.0, 0.0]).unwrap();
-        let responses: Vec<ProbeResponse<u32>> = (0..20)
-            .map(|i| {
-                let request = ProbeRequest::new(1, i, i);
-                let mut response = ProbeResponse::new(1, &request, remote.clone(), 0.5);
-                response.rtt_ms = 60.0 + (i % 5) as f64;
-                response
-            })
-            .collect();
-
-        let mut batch_node = build();
-        let batch_events = batch_node.handle_many(&responses);
-        let mut seq_node = build();
-        let mut seq_events = Vec::new();
-        for response in &responses {
-            seq_events.extend(seq_node.handle_response(response));
-        }
-        assert_eq!(batch_events, seq_events);
-        assert_eq!(batch_node.system_coordinate(), seq_node.system_coordinate());
-    }
-
-    #[test]
     fn snapshot_restore_resumes_identical_trajectory() {
         let mut rng = StdRng::seed_from_u64(99);
         let config = NodeConfig::paper_defaults();
@@ -2174,13 +2060,11 @@ mod tests {
     }
 
     #[test]
-    fn required_correlation_protects_a_node_that_never_probed() {
+    fn a_node_that_never_probed_ignores_every_reply() {
         // A listening deployment node (no seeds, never probed anyone yet)
         // must not digest forged responses during the window before its
-        // first probe: drivers exposed to untrusted traffic declare
-        // strictness explicitly.
+        // first probe: a reply settles a pending probe or is ignored.
         let mut node = Node::new(NodeConfig::paper_defaults());
-        node.require_correlated_responses();
         let forged_request = ProbeRequest::new(9, 0, 0);
         let mut forged = ProbeResponse::new(9, &forged_request, Coordinate::origin(3), 0.5);
         forged.rtt_ms = 1.0;
@@ -2357,8 +2241,8 @@ mod tests {
 
     /// Layout pin: a bucket of the peer table is the 8-byte id plus a
     /// `PeerState` of 112 — `Option<NeighborSnapshot>` 96 (an 80-byte
-    /// coordinate, the error estimate, the tag), the link handle 8, loss
-    /// streak 4, the membership flag padded to 4 — so 120 bytes. The table
+    /// coordinate, the error estimate, the tag), the link handle 8, the
+    /// membership flag padded to 8 — so 120 bytes. The table
     /// holds a bucket for every id a node ever heard of, rounded up to a
     /// power of two: a field added here is paid for a million times in a
     /// 1,024-node mesh.

@@ -51,18 +51,16 @@
 //!
 //! # Which engine runs
 //!
-//! [`Simulator::run`](sim::Simulator::run) has three engines that replay
-//! the same schedule and picks one from what it can observe — no option
-//! selects it. From 256 nodes up on a host with two or more cores it is
-//! the node-sharded plan/execute engine on `min(cores, nodes / 128)`
-//! workers: the schedule is planned serially in bounded epochs and each
-//! epoch's engine work fans out over the workers, node `i` on worker
-//! `i mod workers`. A smaller run with several named configurations gets
-//! one worker thread per configuration; a smaller run with one, the serial
-//! loop on the calling thread.
-//! [`with_threads`](sim::Simulator::with_threads) overrides the worker
-//! count, [`with_serial_execution`](sim::Simulator::with_serial_execution)
-//! forces the serial reference. The report is the same bytes in every case.
+//! [`Simulator::run`](sim::Simulator::run) has one engine, plan/execute:
+//! the schedule is planned serially in bounded epochs against one
+//! [`ProbeLedger`](stable_nc::ProbeLedger) per node, and each epoch's engine
+//! work runs on `min(cores, nodes / 128)` workers, node `i` on worker
+//! `i mod workers` — at least one, which is the calling thread and spawns
+//! nothing. [`with_threads`](sim::Simulator::with_threads) overrides the
+//! worker count. The engine-driven loop behind
+//! [`with_serial_execution`](sim::Simulator::with_serial_execution) is the
+//! reference the regression suites compare the engine against, not a mode
+//! to run experiments in. The report is the same bytes in every case.
 //!
 //! # Example: a small two-configuration comparison
 //!

@@ -12,10 +12,11 @@
 //! **epochs**:
 //!
 //! 1. **Plan (serial).** The [`Planner`] replays the exact event loop
-//!    against the real [`ScheduleState`], but with a lightweight per-node
-//!    *mirror* of the only engine state that feeds back into the schedule
-//!    (pending probes, loss streaks, the probe sequence counter). One call
-//!    pops at most one epoch's budget of events ([`EPOCH_EVENTS`]) and
+//!    against the real [`ScheduleState`], with a [`ProbeLedger`] per node
+//!    standing in for the engines: the ledger is the only engine state that
+//!    feeds back into the schedule (pending probes, loss streaks, the
+//!    sequence counter), and it is the very type the engines embed. One
+//!    call pops at most one epoch's budget of events ([`EPOCH_EVENTS`]) and
 //!    turns them into one [`Batch`] of engine operations per shard, each in
 //!    global event order.
 //! 2. **Execute (parallel).** Worker `w` owns every node with
@@ -53,14 +54,17 @@
 //! epoch budget — a contract enforced by the regression and property-test
 //! suites.
 //!
-//! The mirror is sufficient because the engine influences the schedule
-//! through exactly three facts (see `StableNode`): whether a timeout
-//! correlates with a pending probe, whether a loss streak reaches the
-//! eviction threshold, and which sequence number a probe carries. All three
-//! are pure functions of the mirrored state. Uniform eviction thresholds
-//! across configurations are required (the same condition the
-//! per-configuration parallel path already imposes); `Simulator::run` falls
-//! back to the serial path otherwise.
+//! The ledgers are sufficient because an engine influences the schedule
+//! through exactly three facts: whether a timeout correlates with a pending
+//! probe, whether a loss streak reaches the eviction threshold, and which
+//! sequence number a probe carries. All three are answered by the engine's
+//! [`ProbeLedger`] — one definition, in `stable-nc` — and that ledger is a
+//! function of the calls made on it alone, so the planner's copies, seeded
+//! from the engines' when the nodes are dealt and fed the same calls, stay
+//! equal to them; [`reassemble`] asserts it after every run. Configurations
+//! with one eviction threshold keep equal ledgers, so the planner holds one
+//! set per *distinct* threshold ([`LedgerGroup`]) and applies the serial
+//! loop's unanimity rule across the sets.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -68,15 +72,14 @@ use std::sync::{mpsc, RwLock};
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::CoordinateIndex;
-use rand::Rng;
-use stable_nc::{FxHashMap, NodeConfig, StableNode};
+use stable_nc::{NodeConfig, ProbeLedger, StableNode};
 
 use crate::adversary::{apply_lie, CoordinateLie};
 use crate::metrics::{NodeMetrics, TrackedCoordinate};
 use crate::scenario::ScenarioAction;
 use crate::sim::{
-    feed_query_index, fold_events, EngineState, EventQueue, PartitionWindow, ScheduleState, SimEnv,
-    SimEvent, TICK_LANE, TIMEOUT_LANE,
+    feed_query_index, fold_events, EngineState, EventQueue, ScheduleState, SimEnv, SimEvent,
+    TICK_LANE, TIMEOUT_LANE,
 };
 
 /// Events the planner pops per epoch. Large enough that the two channel
@@ -176,91 +179,44 @@ pub(crate) struct PlanFootprint {
     pub(crate) cells: usize,
 }
 
-/// The per-node mirror of the engine state that feeds back into the shared
-/// schedule. Mirrors `StableNode`'s pending-probe table, loss streaks and
-/// probe sequence counter — nothing else, because nothing else the engine
-/// does can alter who gets probed when.
-#[derive(Debug, Default, Clone)]
-struct MirrorNode {
-    probe_seq: u64,
-    pending: Vec<MirrorPending>,
-    streaks: FxHashMap<usize, u32>,
+/// The planner's ledgers for the configurations that share one eviction
+/// threshold: those engines' ledgers are equal at every event, so one set
+/// stands for all of them.
+struct LedgerGroup {
+    /// The configurations (indices into `EngineState::runs`) it stands for.
+    runs: Vec<usize>,
+    threshold: Option<u32>,
+    /// One ledger per node.
+    nodes: Vec<ProbeLedger<usize>>,
+    /// The ledger each crashed node went down with, for its restart.
+    crashed: Vec<Option<ProbeLedger<usize>>>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MirrorPending {
-    seq: u64,
-    target: usize,
-}
-
-impl MirrorNode {
-    /// Mirrors `probe_request_for`: registers the pending probe and returns
-    /// the sequence number the engines will assign.
-    fn issue(&mut self, target: usize) -> u64 {
-        let seq = self.probe_seq;
-        self.probe_seq = self.probe_seq.wrapping_add(1);
-        self.pending.push(MirrorPending { seq, target });
-        seq
-    }
-
-    /// Mirrors the pending/streak effects of `handle_response_into`: a
-    /// correlated reply settles its pending entry and clears the streak; an
-    /// uncorrelated one is ignored (once the node has ever issued a probe)
-    /// and changes nothing.
-    fn response(&mut self, responder: usize, seq: u64) {
-        match self
-            .pending
-            .iter()
-            .position(|probe| probe.seq == seq && probe.target == responder)
-        {
-            Some(position) => {
-                self.pending.remove(position);
-            }
-            None if self.probe_seq > 0 => return,
-            None => {}
+/// Groups the configurations by eviction threshold, in order of first
+/// appearance, and seeds each group's ledgers from its first configuration's
+/// engines and crash snapshots — which a previous `run` may have left
+/// anywhere.
+fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
+    let mut groups: Vec<LedgerGroup> = Vec::new();
+    for (index, run) in state.runs.iter().enumerate() {
+        let threshold = run.config.max_consecutive_losses;
+        match groups.iter_mut().find(|group| group.threshold == threshold) {
+            Some(group) => group.runs.push(index),
+            None => groups.push(LedgerGroup {
+                runs: vec![index],
+                threshold,
+                nodes: run.nodes.iter().map(|node| node.ledger().clone()).collect(),
+                crashed: state.crash_snapshots[index]
+                    .iter()
+                    .map(|snapshot| {
+                        let snapshot = snapshot.as_ref()?;
+                        Some(ProbeLedger::import(threshold, snapshot))
+                    })
+                    .collect(),
+            }),
         }
-        self.streaks.remove(&responder);
     }
-
-    /// Mirrors `handle_timeout_into`: returns the lost probe's target (if
-    /// the timeout still correlates) and whether the loss streak evicted it.
-    /// Eviction also releases every other pending probe of the same target,
-    /// exactly as `StableNode::evict` does.
-    fn timeout(&mut self, seq: u64, max_losses: Option<u32>) -> (Option<usize>, bool) {
-        let Some(position) = self.pending.iter().position(|probe| probe.seq == seq) else {
-            return (None, false);
-        };
-        let target = self.pending.remove(position).target;
-        let streak = self.streaks.entry(target).or_insert(0);
-        *streak = streak.saturating_add(1);
-        let streak = *streak;
-        let mut evicted = false;
-        if let Some(max) = max_losses {
-            if streak >= max {
-                self.streaks.remove(&target);
-                self.pending.retain(|probe| probe.target != target);
-                evicted = true;
-            }
-        }
-        (Some(target), evicted)
-    }
-
-    /// Mirrors `expire_pending(now, 0)` at a restart: every outstanding
-    /// probe times out, oldest first; returns the targets evicted along the
-    /// way in event order.
-    fn expire_all(&mut self, max_losses: Option<u32>) -> Vec<usize> {
-        let mut evicted = Vec::new();
-        while let Some(first) = self.pending.first() {
-            let seq = first.seq;
-            let (target, did_evict) = self.timeout(seq, max_losses);
-            if did_evict {
-                if let Some(target) = target {
-                    evicted.push(target);
-                }
-            }
-        }
-        evicted
-    }
+    groups
 }
 
 /// One slot of the cross-shard response slab. `data` holds one response per
@@ -513,11 +469,9 @@ struct ExchangeSlot {
 struct Planner<'a> {
     env: &'a SimEnv,
     schedule: &'a mut ScheduleState,
-    max_losses: Option<u32>,
     threads: usize,
     queue: EventQueue<SimEvent>,
-    mirrors: Vec<MirrorNode>,
-    mirror_snapshots: Vec<Option<MirrorNode>>,
+    groups: Vec<LedgerGroup>,
     /// In-flight exchanges, indexed by the `slot` field of the probe
     /// events; `slots.len()` is also the size the cell slab must have.
     slots: Vec<ExchangeSlot>,
@@ -530,37 +484,15 @@ impl<'a> Planner<'a> {
     fn new(
         env: &'a SimEnv,
         schedule: &'a mut ScheduleState,
-        max_losses: Option<u32>,
+        groups: Vec<LedgerGroup>,
         threads: usize,
     ) -> Self {
-        let n = env.topology.len();
-        let duration = env.sim_config.duration_s;
-        let mut queue: EventQueue<SimEvent> = EventQueue::new();
-        for &node in env.scenario.initially_down() {
-            schedule.alive[node] = false;
-        }
-        for (index, event) in env.scenario.events().iter().enumerate() {
-            if event.at_s < duration {
-                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
-            }
-        }
-        for src in 0..n {
-            if schedule.alive[src] {
-                schedule.probe_cycle_active[src] = true;
-                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
-            }
-        }
-        if !env.sim_config.track_nodes.is_empty() {
-            queue.schedule(0.0, SimEvent::TrackSample);
-        }
         Planner {
             env,
+            queue: schedule.start(env),
             schedule,
-            max_losses,
             threads,
-            queue,
-            mirrors: vec![MirrorNode::default(); n],
-            mirror_snapshots: vec![None; n],
+            groups,
             slots: Vec::new(),
             free_slots: Vec::new(),
             scenario_actions: 0,
@@ -635,7 +567,12 @@ impl<'a> Planner<'a> {
                 }
                 let draw = schedule.sample_exchange(env, src, dst, now);
                 let now_ms = (now * 1_000.0) as u64;
-                let seq = self.mirrors[src].issue(dst);
+                // Every group numbers the probe alike: sequence numbers
+                // do not depend on the threshold.
+                let seq = self
+                    .groups
+                    .iter_mut()
+                    .fold(0, |_, group| group.nodes[src].issue(dst, now_ms));
                 self.emit(
                     batches,
                     src,
@@ -731,7 +668,9 @@ impl<'a> Planner<'a> {
                     );
                     return;
                 }
-                self.mirrors[src].response(dst, exchange.seq);
+                for group in &mut self.groups {
+                    group.nodes[src].settle(&dst, exchange.seq);
+                }
                 self.emit(
                     batches,
                     src,
@@ -743,16 +682,7 @@ impl<'a> Planner<'a> {
                         now,
                     },
                 );
-                let schedule = &mut *self.schedule;
-                if env.sim_config.gossip && !schedule.neighbor_sets[dst].is_empty() {
-                    let idx = schedule
-                        .protocol_rng
-                        .gen_range(0..schedule.neighbor_sets[dst].len());
-                    let learned = schedule.neighbor_sets[dst][idx];
-                    if learned != src {
-                        schedule.neighbor_add(src, learned);
-                    }
-                }
+                self.schedule.learn_gossip(env, src, dst);
             }
             SimEvent::ProbeTimeout { src, seq } => {
                 if !self.schedule.alive[src] {
@@ -766,8 +696,16 @@ impl<'a> Planner<'a> {
                         seq,
                     },
                 );
-                let (target, evicted) = self.mirrors[src].timeout(seq, self.max_losses);
-                if evicted {
+                // The shared rotation drops the peer only once *every*
+                // configuration has evicted it — the serial loop's rule.
+                let mut target = None;
+                let mut evicted_by_all = true;
+                for group in &mut self.groups {
+                    let lost = group.nodes[src].timeout(seq);
+                    evicted_by_all &= lost.as_ref().is_some_and(|(_, evicted)| *evicted);
+                    target = lost.map(|(probe, _)| probe.target).or(target);
+                }
+                if evicted_by_all {
                     if let Some(dst) = target {
                         self.schedule.neighbor_remove(src, dst);
                     }
@@ -794,70 +732,68 @@ impl<'a> Planner<'a> {
             }
             SimEvent::ScenarioAction { index } => {
                 self.scenario_actions += 1;
-                match env.scenario.events()[index].action.clone() {
-                    ScenarioAction::Join { nodes } => {
+                let action = env.scenario.events()[index].action.clone();
+                match self.schedule.apply(env, action) {
+                    Some(ScenarioAction::Join { nodes }) => {
                         for node in nodes {
                             self.bring_up(batches, now, node, true);
                         }
                     }
-                    ScenarioAction::Leave { nodes } => {
-                        for node in nodes {
-                            self.schedule.alive[node] = false;
-                            for other in 0..self.schedule.neighbor_sets.len() {
-                                self.schedule.neighbor_remove(other, node);
-                            }
-                        }
-                    }
-                    ScenarioAction::Crash { nodes } => {
+                    Some(ScenarioAction::Crash { nodes }) => {
                         for node in nodes {
                             if !self.schedule.alive[node] {
                                 continue;
                             }
                             self.schedule.alive[node] = false;
-                            self.mirror_snapshots[node] = Some(self.mirrors[node].clone());
+                            for group in &mut self.groups {
+                                group.crashed[node] = Some(group.nodes[node].clone());
+                            }
                             self.emit(batches, node, PlanOp::Crash { node: node as u32 });
                         }
                     }
-                    ScenarioAction::Restart { nodes } => {
+                    Some(ScenarioAction::Restart { nodes }) => {
                         for node in nodes {
                             self.bring_up(batches, now, node, false);
                         }
                     }
-                    ScenarioAction::Partition { group, heal_at_s } => {
-                        self.start_partition(&group, heal_at_s);
-                    }
-                    ScenarioAction::PartitionRegions { regions, heal_at_s } => {
-                        let group: Vec<usize> = regions
-                            .iter()
-                            .flat_map(|&region| env.topology.nodes_in_region(region))
-                            .collect();
-                        self.start_partition(&group, heal_at_s);
-                    }
-                    ScenarioAction::SetAdversary { nodes, model } => {
-                        for node in nodes {
-                            self.schedule.adversaries[node] = model.clone();
-                        }
-                    }
+                    _ => {}
                 }
             }
         }
     }
 
-    /// The planner's mirror of `EngineState::bring_up`: identical schedule
-    /// mutations (including the restart-expiry evictions), a `Restore` op
-    /// instead of the engine work.
+    /// The planner's side of `EngineState::bring_up`: identical schedule
+    /// mutations (including the restart-expiry evictions, under the same
+    /// unanimity rule), a `Restore` op instead of the engine work.
     fn bring_up(&mut self, batches: &mut [Batch], now: f64, node: usize, fresh: bool) {
         if self.schedule.alive[node] {
             return;
         }
         self.schedule.alive[node] = true;
-        let mut revived = if fresh {
-            MirrorNode::default()
-        } else {
-            self.mirror_snapshots[node].take().unwrap_or_default()
-        };
-        let evicted = revived.expire_all(self.max_losses);
-        self.mirrors[node] = revived;
+        let now_ms = (now * 1_000.0) as u64;
+        let mut evicted_by_all: Option<Vec<usize>> = None;
+        for group in &mut self.groups {
+            let crashed = if fresh {
+                None
+            } else {
+                group.crashed[node].take()
+            };
+            let mut revived = crashed.unwrap_or_else(|| ProbeLedger::new(group.threshold));
+            let mut evicted_here = Vec::new();
+            while let Some((lost, evicted)) = revived.expire(now_ms, 0) {
+                if evicted {
+                    evicted_here.push(lost.target);
+                }
+            }
+            group.nodes[node] = revived;
+            evicted_by_all = Some(match evicted_by_all {
+                None => evicted_here,
+                Some(previous) => previous
+                    .into_iter()
+                    .filter(|id| evicted_here.contains(id))
+                    .collect(),
+            });
+        }
         self.emit(
             batches,
             node,
@@ -865,52 +801,20 @@ impl<'a> Planner<'a> {
                 node: node as u32,
                 fresh,
                 now,
-                now_ms: (now * 1_000.0) as u64,
+                now_ms,
             },
         );
         let schedule = &mut *self.schedule;
-        for target in evicted {
+        for target in evicted_by_all.unwrap_or_default() {
             schedule.neighbor_remove(node, target);
         }
         if fresh {
-            schedule.round_robin[node] = 0;
-            let n = self.env.topology.len();
-            let want = self.env.sim_config.initial_neighbors.min(
-                schedule
-                    .alive
-                    .iter()
-                    .filter(|&&up| up)
-                    .count()
-                    .saturating_sub(1),
-            );
-            let mut set = Vec::new();
-            let mut attempts = 0;
-            while set.len() < want && attempts < n * 16 {
-                attempts += 1;
-                let candidate = schedule.protocol_rng.gen_range(0..n);
-                if candidate != node && schedule.alive[candidate] && !set.contains(&candidate) {
-                    set.push(candidate);
-                }
-            }
-            for &seed in &set {
-                schedule.neighbor_add(seed, node);
-            }
-            schedule.neighbor_replace(node, set);
+            schedule.bootstrap_joiner(self.env, node);
         }
         if !schedule.probe_cycle_active[node] {
             schedule.probe_cycle_active[node] = true;
             self.queue.schedule(now, SimEvent::ProbeSend { src: node });
         }
-    }
-
-    fn start_partition(&mut self, group: &[usize], heal_at_s: f64) {
-        let mut members = vec![false; self.env.topology.len()];
-        for &node in group {
-            members[node] = true;
-        }
-        self.schedule
-            .active_partitions
-            .push(PartitionWindow { heal_at_s, members });
     }
 }
 
@@ -925,9 +829,9 @@ pub(crate) fn run_sharded(
     epoch_events: usize,
 ) -> PlanFootprint {
     assert!(epoch_events > 0, "an epoch must make progress");
-    let max_losses = state.runs[0].config.max_consecutive_losses;
+    let groups = ledger_groups(state);
     let workers = deal(env, state, threads);
-    let mut planner = Planner::new(env, &mut state.schedule, max_losses, threads);
+    let mut planner = Planner::new(env, &mut state.schedule, groups, threads);
     // Room for an epoch in which every event lands on one shard, so the
     // lists never reallocate (tracking, several ops per event, may grow
     // them once).
@@ -1024,7 +928,8 @@ pub(crate) fn run_sharded(
         op_capacity: batches.iter().map(|batch| batch.ops.capacity()).sum(),
         cells: planner.slots.len(),
     };
-    reassemble(env, state, finished, scenario_actions);
+    let groups = planner.groups;
+    reassemble(env, state, finished, scenario_actions, &groups);
     footprint
 }
 
@@ -1073,9 +978,15 @@ fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
 }
 
 /// Puts `state` back together in global node order, stitches tracked
-/// samples back into the serial emission order, and restores unclaimed
-/// crash snapshots.
-fn reassemble(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scenario_actions: u64) {
+/// samples back into the serial emission order, restores unclaimed crash
+/// snapshots, and checks every engine's ledger against the planner's.
+fn reassemble(
+    env: &SimEnv,
+    state: &mut EngineState,
+    finished: Vec<Worker>,
+    scenario_actions: u64,
+    groups: &[LedgerGroup],
+) {
     let n = env.topology.len();
     let threads = finished.len();
     let run_count = state.runs.len();
@@ -1136,6 +1047,23 @@ fn reassemble(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scen
                 for (id, coordinate) in part.iter() {
                     let _ = target.update(*id, coordinate);
                 }
+            }
+        }
+    }
+    // The direct form of what the byte-comparison suites infer: the planner
+    // fed its ledgers what the engines fed theirs. Always on — it is one
+    // comparison per node and configuration per run.
+    for group in groups {
+        for &index in &group.runs {
+            let run = &state.runs[index];
+            for (node, (engine, planned)) in run.nodes.iter().zip(&group.nodes).enumerate() {
+                assert!(
+                    engine.ledger() == planned,
+                    "node {node} of configuration {:?}: the engine's probe ledger \
+                     diverged from the planner's\n engine: {:?}\nplanner: {planned:?}",
+                    run.name,
+                    engine.ledger(),
+                );
             }
         }
     }
@@ -1346,11 +1274,17 @@ mod tests {
             seed in 0u64..10_000,
             loss in 0.0f64..0.15,
             gossip_word in 0u32..2,
-            evict_word in 0u32..8,
+            evict_mp_word in 0u32..8,
+            evict_raw_word in 0u32..8,
             threads in 1usize..5,
             op_words in proptest::collection::vec(0u64..u64::MAX, 0..6),
         ) {
-            let evict = (evict_word >= 2).then(|| 2 + (evict_word - 2) % 5);
+            // One threshold per configuration — none at all two times in
+            // eight, 2..=6 otherwise — so equal and differing thresholds,
+            // and with them the unanimity rule, are drawn together with the
+            // restarts that expire pending probes.
+            let evict = |word: u32| (word >= 2).then(|| 2 + (word - 2) % 5);
+            let (evict_mp, evict_raw) = (evict(evict_mp_word), evict(evict_raw_word));
             let build = move |op_words: &[u64]| {
                 let workload = PlanetLabConfig::small(NODES)
                     .with_seed(seed)
@@ -1361,7 +1295,7 @@ mod tests {
                     .with_gossip(gossip_word == 1)
                     .with_tracked_nodes(vec![0, NODES / 2], 50.0);
                 let mut config = NodeConfig::builder();
-                if let Some(max) = evict {
+                if let Some(max) = evict_mp {
                     config = config.max_consecutive_losses(max);
                 }
                 let scenario = op_words.iter().fold(Scenario::new(), |s, &w| apply_op(s, w));
@@ -1372,7 +1306,7 @@ mod tests {
                         ("mp".to_string(), config.build()),
                         ("raw".to_string(), {
                             let mut raw = NodeConfig::original_vivaldi();
-                            raw.max_consecutive_losses = evict;
+                            raw.max_consecutive_losses = evict_raw;
                             raw
                         }),
                     ],

@@ -62,7 +62,7 @@ use crate::linkmodel::{LinkModel, LinkModelConfig};
 use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport, TrackedCoordinate};
 use crate::planetlab::PlanetLabConfig;
 use crate::scenario::{Scenario, ScenarioAction};
-use crate::shard::{auto_workers, run_sharded, EPOCH_EVENTS};
+use crate::shard::{auto_workers, run_sharded, PlanFootprint, EPOCH_EVENTS};
 use crate::topology::Topology;
 
 /// An invalid [`SimConfig`], reported by [`SimConfig::validate`].
@@ -643,7 +643,6 @@ pub(crate) enum SimEvent {
 
 /// One in-run network partition: packets crossing the boundary between
 /// `members` and everyone else are dropped until `heal_at_s`.
-#[derive(Clone)]
 pub(crate) struct PartitionWindow {
     pub(crate) heal_at_s: f64,
     pub(crate) members: Vec<bool>,
@@ -685,10 +684,9 @@ pub(crate) struct SimEnv {
 
 /// Protocol-level schedule state: who knows whom, liveness, link models and
 /// the protocol RNG. Probe targets, link draws, gossip picks and scenario
-/// effects are a pure function of this state plus the seeds — never of the
-/// coordinate stacks — which is what lets the per-configuration workers and
-/// the node-sharded executor replay the byte-identical schedule.
-#[derive(Clone)]
+/// effects are a pure function of this state, the seeds and the engines'
+/// probe ledgers — never of the coordinate stacks — which is what lets the
+/// plan/execute engine replay the byte-identical schedule ahead of them.
 pub(crate) struct ScheduleState {
     /// Per-link models in creation order, dense: a link is 72 bytes and the
     /// table holds hundreds of thousands, so they sit in a `Vec` (which
@@ -826,14 +824,119 @@ impl ScheduleState {
             .iter()
             .any(|window| time_s < window.heal_at_s && window.members[a] != window.members[b])
     }
+
+    /// Cuts `group` off from everyone else until `heal_at_s`.
+    fn start_partition(&mut self, group: &[usize], heal_at_s: f64) {
+        let mut members = vec![false; self.alive.len()];
+        for &node in group {
+            members[node] = true;
+        }
+        self.active_partitions
+            .push(PartitionWindow { heal_at_s, members });
+    }
+
+    /// Applies a scenario action that touches nothing but the schedule and
+    /// returns `None`; hands back the ones that involve the engines (joins,
+    /// crashes, restarts).
+    pub(crate) fn apply(&mut self, env: &SimEnv, action: ScenarioAction) -> Option<ScenarioAction> {
+        match action {
+            ScenarioAction::Leave { nodes } => {
+                for node in nodes {
+                    self.alive[node] = false;
+                    // A graceful leaver says goodbye: every live node drops
+                    // it from its probe rotation immediately.
+                    for other in 0..self.neighbor_sets.len() {
+                        self.neighbor_remove(other, node);
+                    }
+                }
+            }
+            ScenarioAction::Partition { group, heal_at_s } => {
+                self.start_partition(&group, heal_at_s);
+            }
+            ScenarioAction::PartitionRegions { regions, heal_at_s } => {
+                let group: Vec<usize> = regions
+                    .iter()
+                    .flat_map(|&region| env.topology.nodes_in_region(region))
+                    .collect();
+                self.start_partition(&group, heal_at_s);
+            }
+            ScenarioAction::SetAdversary { nodes, model } => {
+                for node in nodes {
+                    self.adversaries[node] = model.clone();
+                }
+            }
+            engines => return Some(engines),
+        }
+        None
+    }
+
+    /// The queue a run starts from: the scripted scenario actions, one probe
+    /// tick per live node at `t = 0`, and the first tracking sample.
+    pub(crate) fn start(&mut self, env: &SimEnv) -> EventQueue<SimEvent> {
+        let mut queue = EventQueue::new();
+        for &node in env.scenario.initially_down() {
+            self.alive[node] = false;
+        }
+        for (index, event) in env.scenario.events().iter().enumerate() {
+            if event.at_s < env.sim_config.duration_s {
+                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
+            }
+        }
+        for src in 0..env.topology.len() {
+            if self.alive[src] {
+                self.probe_cycle_active[src] = true;
+                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
+            }
+        }
+        if !env.sim_config.track_nodes.is_empty() {
+            queue.schedule(0.0, SimEvent::TrackSample);
+        }
+        queue
+    }
+
+    /// Gossip: the probed node `dst` hands back one address from its own
+    /// neighbour set and the prober `src` adds it. Identical across
+    /// configurations because it only affects the probe schedule.
+    pub(crate) fn learn_gossip(&mut self, env: &SimEnv, src: usize, dst: usize) {
+        if env.sim_config.gossip && !self.neighbor_sets[dst].is_empty() {
+            let idx = self
+                .protocol_rng
+                .gen_range(0..self.neighbor_sets[dst].len());
+            let learned = self.neighbor_sets[dst][idx];
+            if learned != src {
+                self.neighbor_add(src, learned);
+            }
+        }
+    }
+
+    /// A joiner bootstraps a fresh neighbour set of live peers, and
+    /// announces itself to them (the membership-file introduction of the
+    /// paper's deployments) so the mesh starts probing it back; gossip
+    /// spreads its address from there.
+    pub(crate) fn bootstrap_joiner(&mut self, env: &SimEnv, node: usize) {
+        self.round_robin[node] = 0;
+        let n = env.topology.len();
+        let live = self.alive.iter().filter(|&&up| up).count();
+        let want = env.sim_config.initial_neighbors.min(live.saturating_sub(1));
+        let mut set = Vec::new();
+        let mut attempts = 0;
+        while set.len() < want && attempts < n * 16 {
+            attempts += 1;
+            let candidate = self.protocol_rng.gen_range(0..n);
+            if candidate != node && self.alive[candidate] && !set.contains(&candidate) {
+                set.push(candidate);
+            }
+        }
+        for &seed in &set {
+            self.neighbor_add(seed, node);
+        }
+        self.neighbor_replace(node, set);
+    }
 }
 
 /// The mutable half of a simulation: the protocol-level [`ScheduleState`],
-/// the per-configuration node stacks, and the reusable exchange buffers. A
-/// multi-configuration run is parallelised by cloning the schedule state per
-/// configuration — every worker then replays the byte-identical schedule,
-/// because probe targets, link draws and gossip choices never depend on the
-/// coordinate stacks.
+/// the per-configuration node stacks, and the reference loop's reusable
+/// exchange buffers.
 pub(crate) struct EngineState {
     pub(crate) schedule: ScheduleState,
     pub(crate) runs: Vec<ConfigRun>,
@@ -854,20 +957,16 @@ pub(crate) struct EngineState {
 /// workload, optionally under a churn [`Scenario`]. See the
 /// [crate-level documentation](crate) for an example.
 ///
-/// [`Simulator::run`] picks its engine from the size of the mesh, the number
-/// of named configurations and the cores the host offers — the node-sharded
-/// plan/execute engine from 256 nodes up on two or more cores, one worker
-/// thread per configuration (`std::thread::scope`) for smaller
-/// multi-configuration runs, the serial loop otherwise. The parallel engines
-/// need the configurations' eviction thresholds to agree — the only knob
-/// through which a coordinate stack can influence the shared probe
-/// schedule. Every engine produces the byte-identical [`SimReport`]
-/// (verified by the regression suites; see
-/// [`Simulator::with_serial_execution`]).
+/// [`Simulator::run`] has one engine: the schedule is planned serially in
+/// bounded epochs and each epoch's engine work runs on
+/// `min(cores, nodes / 128)` workers, at least one — the calling thread,
+/// which then simply alternates planning and executing. The engine-driven
+/// loop behind [`Simulator::with_serial_execution`] is the reference the
+/// regression suites compare that engine against, byte for byte.
 pub struct Simulator {
     env: SimEnv,
     state: EngineState,
-    force_serial: bool,
+    reference: bool,
     threads: Option<usize>,
 }
 
@@ -1019,7 +1118,7 @@ impl Simulator {
                 events_scratch: Vec::new(),
                 events_popped: 0,
             },
-            force_serial: false,
+            reference: false,
             threads: None,
         }
     }
@@ -1043,36 +1142,23 @@ impl Simulator {
         self
     }
 
-    /// Forces the serial reference engine: every event of every
-    /// configuration on the calling thread, whatever the mesh size, the host
-    /// and [`Simulator::with_threads`] say.
-    ///
-    /// The parallel engines produce a byte-identical [`SimReport`] (the
-    /// schedule never depends on the coordinate stacks, and the regression
-    /// suites assert equality against this path); the knob exists so tests
-    /// and debugging sessions can compare execution modes directly.
+    /// Runs the reference implementation instead of the engine: one loop in
+    /// which the engines themselves drive the schedule, every event of every
+    /// configuration on the calling thread, whatever
+    /// [`Simulator::with_threads`] says. It exists for the regression suites,
+    /// which assert the engine's [`SimReport`] equal to this one's byte for
+    /// byte; it is not a mode to run experiments in (level with the engine's
+    /// one-worker run on small meshes, slower from about a hundred nodes up).
     pub fn with_serial_execution(mut self, serial: bool) -> Self {
-        self.force_serial = serial;
+        self.reference = serial;
         self
     }
 
-    /// Shards this simulation's engine work across exactly `threads`
-    /// workers (node-sharded: node `i` belongs to worker `i % threads`; the
-    /// calling thread is worker 0), overriding the rule by which
-    /// [`Simulator::run`] picks the worker count itself. The [`SimReport`]
-    /// is byte-identical to serial execution.
-    ///
-    /// The schedule itself (probe targets, link draws, losses, gossip,
-    /// scenario effects) is always replayed serially — it is cheap and
-    /// inherently sequential through the protocol RNG — in bounded epochs
-    /// of a few ten thousand events; after each, the expensive engine work
-    /// (coordinate updates, filters, response digestion) of that epoch fans
-    /// out, so the plan's memory does not grow with the duration.
-    /// `threads = 1` alternates planning and execution on the calling
-    /// thread alone. Requires uniform eviction thresholds across
-    /// configurations; otherwise, and under
-    /// [`Simulator::with_serial_execution`], the run falls back to the
-    /// engine-driven serial path.
+    /// Runs this simulation's engine work on exactly `threads` workers (node
+    /// `i` belongs to worker `i % threads`; the calling thread is worker 0,
+    /// and with `threads = 1` the only one), overriding the count
+    /// [`Simulator::run`] would pick. The [`SimReport`] does not depend on
+    /// it.
     ///
     /// # Panics
     ///
@@ -1124,87 +1210,54 @@ impl Simulator {
     }
 
     /// Events the finished run popped from its event queue: the exact count
-    /// of one replay of the schedule, the same under every executor (the
-    /// per-configuration workers each replay it once, the sharded planner
-    /// replays it once for all shards, epoch by epoch). Zero before
-    /// [`Simulator::run`].
+    /// of one replay of the schedule, whatever the worker count and under
+    /// the reference loop alike. Zero before [`Simulator::run`].
     pub fn events_popped(&self) -> u64 {
         self.state.events_popped
     }
 
     /// Runs the simulation to completion and returns the collected metrics.
     ///
-    /// Which engine runs is decided from what the run and the host look
-    /// like; every one of them produces the identical report:
-    ///
-    /// * **Node-sharded plan/execute** (see [`Simulator::with_threads`])
-    ///   when the caller asked for it, or — unasked — from 256 nodes up on a
-    ///   host with at least two cores: `workers = min(cores, nodes / 128)`,
-    ///   sharded when `workers ≥ 2`, with `cores` taken from
-    ///   [`std::thread::available_parallelism`]. The 128-nodes-per-worker
-    ///   floor is measured (README, "Node-sharded execution"): below it the
-    ///   handshakes cost more than the second core gives.
-    /// * **One worker thread per named configuration** for a smaller run
-    ///   with several configurations.
-    /// * **The serial loop** on the calling thread for a smaller run with
-    ///   one configuration, whenever the configurations' eviction
-    ///   thresholds differ (the only knob through which a coordinate stack
-    ///   can influence the shared probe schedule), and after
-    ///   [`Simulator::with_serial_execution`].
+    /// The schedule (probe targets, link draws, losses, gossip, scenario
+    /// effects) is replayed serially — it is cheap and inherently sequential
+    /// through the protocol RNG — in bounded epochs of a few ten thousand
+    /// events, against one [`ProbeLedger`](stable_nc::ProbeLedger) per node
+    /// in place of the engines; after each epoch its engine work
+    /// (coordinate updates, filters, response digestion) runs on the
+    /// workers, so the plan's memory does not grow with the duration. The
+    /// worker count is [`Simulator::with_threads`]' or, unasked,
+    /// `min(cores, nodes / 128)` and at least one, with `cores` taken from
+    /// [`std::thread::available_parallelism`]; the 128-nodes-per-worker
+    /// floor is measured (README, "Node-sharded execution"). One worker is
+    /// the calling thread — no thread is spawned for it. Neither the worker
+    /// count nor the epoch size reaches the report.
     ///
     /// The report takes the metric accumulators with it: a second `run` on
     /// the same simulator replays the schedule from `t = 0` over the engines
     /// and neighbour sets the first one left, and reports only what it
     /// collected itself.
     pub fn run(&mut self) -> SimReport {
-        // The only way a coordinate stack can influence the shared probe
-        // schedule is eviction. With matching thresholds every configuration
-        // evicts on the same timeout, so the planner (or each
-        // per-configuration worker) replays the byte-identical schedule;
-        // with differing thresholds the serial path's unanimity rule is
-        // required.
-        let uniform_eviction = self.state.runs.windows(2).all(|pair| {
-            pair[0].config.max_consecutive_losses == pair[1].config.max_consecutive_losses
-        });
-        let parallel = uniform_eviction && !self.force_serial;
-        let shards = self.threads.or_else(|| {
-            let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
-            Some(auto_workers(self.env.topology.len(), cores)).filter(|&workers| workers >= 2)
-        });
-        match shards {
-            Some(threads) if parallel => {
-                run_sharded(&self.env, &mut self.state, threads, EPOCH_EVENTS);
-            }
-            _ if parallel && self.state.runs.len() > 1 => self.run_per_config(),
-            _ => self.state.run_to_completion(&self.env),
-        }
+        self.execute();
         self.take_report()
     }
 
-    /// One worker thread per named configuration, each replaying the whole
-    /// schedule for its own coordinate stack.
-    fn run_per_config(&mut self) {
-        let env = &self.env;
-        let state = std::mem::replace(&mut self.state, EngineState::placeholder());
-        let workers = state.split_per_config();
-        let finished: Vec<EngineState> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .into_iter()
-                .map(|mut worker| {
-                    scope.spawn(move || {
-                        worker.run_to_completion(env);
-                        worker
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // nc-lint: allow(panic) — a panicking worker already
-                // poisoned the run; re-raising it here is the contract.
-                .map(|handle| handle.join().expect("simulation worker panicked"))
-                .collect()
+    /// Runs the schedule to completion; the plan's footprint unless the
+    /// reference loop ran.
+    fn execute(&mut self) -> Option<PlanFootprint> {
+        if self.reference {
+            self.state.run_to_completion(&self.env);
+            return None;
+        }
+        let workers = self.threads.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+            auto_workers(self.env.topology.len(), cores)
         });
-        self.state = EngineState::merge(finished);
+        Some(run_sharded(
+            &self.env,
+            &mut self.state,
+            workers,
+            EPOCH_EVENTS,
+        ))
     }
 
     /// Moves the metric accumulators into a report, leaving empty ones
@@ -1228,14 +1281,14 @@ impl Simulator {
         )
     }
 
-    /// Runs the node-sharded engine with an explicit epoch budget, for the
-    /// tests that prove the budget never reaches the report.
+    /// Runs the engine with an explicit epoch budget, for the tests that
+    /// prove the budget never reaches the report.
     #[cfg(test)]
     pub(crate) fn run_streamed(
         &mut self,
         threads: usize,
         epoch_events: usize,
-    ) -> (SimReport, crate::shard::PlanFootprint) {
+    ) -> (SimReport, PlanFootprint) {
         let footprint = run_sharded(&self.env, &mut self.state, threads, epoch_events);
         (self.take_report(), footprint)
     }
@@ -1243,10 +1296,9 @@ impl Simulator {
 
 /// Feeds a run's optional coordinate query index from one engine event
 /// stream: every `ApplicationUpdated` upserts the publishing node's new
-/// application coordinate. Both executors (the serial event loop and the
-/// node-sharded planner) call this from their response-digest step — the
-/// only place the engines publish coordinates — so the final index contents
-/// are identical across execution modes.
+/// application coordinate. The workers and the reference loop call this
+/// from their response-digest step — the only place the engines publish
+/// coordinates — so the final index contents are identical between them.
 pub(crate) fn feed_query_index(
     index: Option<&mut CoordinateIndex<usize>>,
     node: usize,
@@ -1315,71 +1367,6 @@ pub(crate) fn fold_events(
 }
 
 impl EngineState {
-    /// An empty state used only as the `mem::replace` placeholder while the
-    /// real state is split across worker threads.
-    fn placeholder() -> Self {
-        EngineState {
-            schedule: ScheduleState {
-                links: Vec::new(),
-                link_index: FxHashMap::default(),
-                link_config: Arc::new(LinkModelConfig::default()),
-                neighbor_sets: Vec::new(),
-                neighbor_bits: Vec::new(),
-                round_robin: Vec::new(),
-                protocol_rng: StdRng::seed_from_u64(0),
-                alive: Vec::new(),
-                probe_cycle_active: Vec::new(),
-                active_partitions: Vec::new(),
-                adversaries: Vec::new(),
-                adversary_rng: StdRng::seed_from_u64(0),
-            },
-            runs: Vec::new(),
-            crash_snapshots: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            events_scratch: Vec::new(),
-            events_popped: 0,
-        }
-    }
-
-    /// Splits a multi-configuration state into one single-configuration
-    /// worker per run. Schedule state (neighbour sets, RNG, liveness) is
-    /// cloned — it is a pure function of the seeds and the scenario, never
-    /// of the coordinate stacks — while the node stacks move.
-    fn split_per_config(self) -> Vec<EngineState> {
-        let EngineState {
-            schedule,
-            runs,
-            crash_snapshots,
-            ..
-        } = self;
-        runs.into_iter()
-            .zip(crash_snapshots)
-            .map(|(run, snapshots)| EngineState {
-                schedule: schedule.clone(),
-                runs: vec![run],
-                crash_snapshots: vec![snapshots],
-                slots: Vec::new(),
-                free_slots: Vec::new(),
-                events_scratch: Vec::new(),
-                events_popped: 0,
-            })
-            .collect()
-    }
-
-    /// Reassembles the post-run state from per-configuration workers: the
-    /// runs concatenate in their original order; the schedule state is taken
-    /// from the first worker (every worker ends with the identical
-    /// schedule).
-    fn merge(mut workers: Vec<EngineState>) -> EngineState {
-        let mut merged = workers.remove(0);
-        for worker in workers {
-            merged.runs.extend(worker.runs);
-            merged.crash_snapshots.extend(worker.crash_snapshots);
-        }
-        merged
-    }
-
     /// Pops a free exchange slot or grows the slab by one.
     fn acquire_slot(&mut self) -> usize {
         match self.free_slots.pop() {
@@ -1396,31 +1383,13 @@ impl EngineState {
         self.free_slots.push(index);
     }
 
-    /// Drives the event loop from `t = 0` to the configured duration.
+    /// The reference loop: drives the events from `t = 0` to the configured
+    /// duration with the engines deciding, as they go, what the schedule does
+    /// next. Called only behind [`Simulator::with_serial_execution`].
     fn run_to_completion(&mut self, env: &SimEnv) {
-        let duration = env.sim_config.duration_s;
-        let mut queue: EventQueue<SimEvent> = EventQueue::new();
-
-        for &node in env.scenario.initially_down() {
-            self.schedule.alive[node] = false;
-        }
-        for (index, event) in env.scenario.events().iter().enumerate() {
-            if event.at_s < duration {
-                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
-            }
-        }
-        for src in 0..env.topology.len() {
-            if self.schedule.alive[src] {
-                self.schedule.probe_cycle_active[src] = true;
-                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
-            }
-        }
-        if !env.sim_config.track_nodes.is_empty() {
-            queue.schedule(0.0, SimEvent::TrackSample);
-        }
-
+        let mut queue = self.schedule.start(env);
         while let Some((now, event)) = queue.pop() {
-            if now >= duration {
+            if now >= env.sim_config.duration_s {
                 break;
             }
             match event {
@@ -1633,20 +1602,7 @@ impl EngineState {
             }
         }
         self.release_slot(slot);
-
-        // Gossip: the probed node hands back one address from its own
-        // neighbour set; the prober adds it. Identical across
-        // configurations because it only affects the probe schedule.
-        if env.sim_config.gossip && !self.schedule.neighbor_sets[dst].is_empty() {
-            let idx = self
-                .schedule
-                .protocol_rng
-                .gen_range(0..self.schedule.neighbor_sets[dst].len());
-            let learned = self.schedule.neighbor_sets[dst][idx];
-            if learned != src {
-                self.schedule.neighbor_add(src, learned);
-            }
-        }
+        self.schedule.learn_gossip(env, src, dst);
     }
 
     fn on_probe_timeout(&mut self, src: usize, seq: u64) {
@@ -1717,23 +1673,13 @@ impl EngineState {
         for run in &mut self.runs {
             run.metrics.scenario_ops += 1;
         }
-        match action {
-            ScenarioAction::Join { nodes } => {
+        match self.schedule.apply(env, action) {
+            Some(ScenarioAction::Join { nodes }) => {
                 for node in nodes {
                     self.bring_up(env, now, node, true, queue);
                 }
             }
-            ScenarioAction::Leave { nodes } => {
-                for node in nodes {
-                    self.schedule.alive[node] = false;
-                    // A graceful leaver says goodbye: every live node drops
-                    // it from its probe rotation immediately.
-                    for other in 0..self.schedule.neighbor_sets.len() {
-                        self.schedule.neighbor_remove(other, node);
-                    }
-                }
-            }
-            ScenarioAction::Crash { nodes } => {
+            Some(ScenarioAction::Crash { nodes }) => {
                 for node in nodes {
                     if !self.schedule.alive[node] {
                         continue;
@@ -1745,37 +1691,13 @@ impl EngineState {
                     }
                 }
             }
-            ScenarioAction::Restart { nodes } => {
+            Some(ScenarioAction::Restart { nodes }) => {
                 for node in nodes {
                     self.bring_up(env, now, node, false, queue);
                 }
             }
-            ScenarioAction::Partition { group, heal_at_s } => {
-                self.start_partition(env, &group, heal_at_s);
-            }
-            ScenarioAction::PartitionRegions { regions, heal_at_s } => {
-                let group: Vec<usize> = regions
-                    .iter()
-                    .flat_map(|&region| env.topology.nodes_in_region(region))
-                    .collect();
-                self.start_partition(env, &group, heal_at_s);
-            }
-            ScenarioAction::SetAdversary { nodes, model } => {
-                for node in nodes {
-                    self.schedule.adversaries[node] = model.clone();
-                }
-            }
+            _ => {}
         }
-    }
-
-    fn start_partition(&mut self, env: &SimEnv, group: &[usize], heal_at_s: f64) {
-        let mut members = vec![false; env.topology.len()];
-        for &node in group {
-            members[node] = true;
-        }
-        self.schedule
-            .active_partitions
-            .push(PartitionWindow { heal_at_s, members });
     }
 
     /// Brings a down node back up: fresh engines on a join, crash-snapshot
@@ -1837,34 +1759,7 @@ impl EngineState {
             self.schedule.neighbor_remove(node, target);
         }
         if fresh {
-            // A joiner bootstraps a fresh neighbour set of live peers, and
-            // announces itself to them (the membership-file introduction of
-            // the paper's deployments) so the mesh starts probing it back;
-            // gossip spreads its address from there.
-            self.schedule.round_robin[node] = 0;
-            let n = env.topology.len();
-            let want = env.sim_config.initial_neighbors.min(
-                self.schedule
-                    .alive
-                    .iter()
-                    .filter(|&&up| up)
-                    .count()
-                    .saturating_sub(1),
-            );
-            let mut set = Vec::new();
-            let mut attempts = 0;
-            while set.len() < want && attempts < n * 16 {
-                attempts += 1;
-                let candidate = self.schedule.protocol_rng.gen_range(0..n);
-                if candidate != node && self.schedule.alive[candidate] && !set.contains(&candidate)
-                {
-                    set.push(candidate);
-                }
-            }
-            for &seed in &set {
-                self.schedule.neighbor_add(seed, node);
-            }
-            self.schedule.neighbor_replace(node, set);
+            self.schedule.bootstrap_joiner(env, node);
         }
         if !self.schedule.probe_cycle_active[node] {
             self.schedule.probe_cycle_active[node] = true;
@@ -2434,6 +2329,38 @@ mod tests {
     }
 
     #[test]
+    fn differing_eviction_thresholds_run_on_the_workers_asked_for() {
+        // Thresholds that differ across configurations used to send the run
+        // to the serial loop whatever `with_threads` said. The footprint is
+        // the plan's own account of how many shards it filled.
+        let configs = [3, 5].map(|max| {
+            let config = NodeConfig::builder().max_consecutive_losses(max).build();
+            (format!("evict{max}"), config)
+        });
+        let mut simulator = Simulator::new(
+            PlanetLabConfig::small(8).with_seed(9),
+            SimConfig::new(600.0, 5.0)
+                .with_measurement_start(0.0)
+                .with_initial_neighbors(3)
+                .with_gossip(false),
+            configs.to_vec(),
+        )
+        .with_scenario(Scenario::new().at(150.0, ScenarioAction::Crash { nodes: vec![4] }))
+        .with_threads(4);
+        let footprint = simulator.execute().expect("the engine, not the reference");
+        assert_eq!(footprint.op_capacity, 4 * EPOCH_EVENTS);
+        let report = simulator.take_report();
+        let evicted = |name| report.config(name).unwrap().total_neighbors_evicted();
+        assert!(evicted("evict5") > 0);
+        assert!(
+            evicted("evict3") > evicted("evict5"),
+            "the thresholds really differ: {} vs {}",
+            evicted("evict3"),
+            evicted("evict5")
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "scenario references node")]
     fn scenario_node_indices_are_validated() {
         let _ = Simulator::new(
@@ -2499,24 +2426,5 @@ mod tests {
         let mut simulator = hostile_link_simulator();
         let digest = link_stream_digest(&mut simulator.state.schedule, &simulator.env);
         assert_eq!(digest, 0x3E68_1BCD_EE59_F894, "{digest:#018X}");
-    }
-
-    #[test]
-    fn cloned_schedule_states_continue_the_same_link_streams_independently() {
-        // The per-configuration executor clones the schedule state per
-        // worker: every clone must draw what the original would have, and
-        // drawing from one must not advance another.
-        let mut simulator = hostile_link_simulator();
-        let (original, env) = (&mut simulator.state.schedule, &simulator.env);
-        let warm = link_stream_digest(original, env);
-        let links = original.links.len();
-        assert!(links > 1_000, "{links} links");
-        let mut first = original.clone();
-        let mut second = original.clone();
-        let continued = link_stream_digest(&mut first, env);
-        assert_ne!(continued, warm, "the streams moved on");
-        assert_eq!(link_stream_digest(&mut second, env), continued);
-        assert_eq!(link_stream_digest(original, env), continued);
-        assert_eq!(original.links.len(), links, "every pair was already known");
     }
 }

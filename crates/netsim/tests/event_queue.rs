@@ -10,8 +10,8 @@
 //!    no observation arrives, no coordinate ever moves, and the probe
 //!    schedule still runs to completion (lost probes never stall it);
 //! 3. a fixed run produces the report it produced yesterday: the executor
-//!    suites compare the three executors with each other, the pinned digest
-//!    below compares them with a constant.
+//!    suites compare the engine with the reference loop, the pinned digest
+//!    below compares both with a constant.
 
 use std::cmp::Ordering;
 
@@ -270,7 +270,7 @@ const PINNED_DIGEST: u64 = 0x535D_35F5_A7D1_2649;
 /// 64 nodes, 20 simulated minutes, 5 % loss, eviction after three straight
 /// losses, eight nodes crashed for two minutes and restored from their
 /// snapshots: timeouts, evictions, the restart re-arm and snapshot/restore
-/// all fire, on two configurations so the per-configuration executor runs.
+/// all fire, on two configurations side by side.
 fn pinned_run() -> Simulator {
     let workload = PlanetLabConfig::small(64)
         .with_seed(16)
@@ -301,9 +301,9 @@ fn pinned_run() -> Simulator {
 #[test]
 fn report_digest_is_pinned_for_every_executor() {
     let executors = [
-        ("serial", pinned_run().with_serial_execution(true)),
-        ("per-configuration", pinned_run()),
-        ("sharded over 2 threads", pinned_run().with_threads(2)),
+        ("reference", pinned_run().with_serial_execution(true)),
+        ("default", pinned_run()),
+        ("2 workers", pinned_run().with_threads(2)),
     ];
     let mut pops = Vec::new();
     for (name, mut simulator) in executors {
@@ -316,7 +316,7 @@ fn report_digest_is_pinned_for_every_executor() {
         assert_eq!(
             report_digest(&report),
             PINNED_DIGEST,
-            "{name} executor: report digest moved"
+            "{name}: report digest moved"
         );
         pops.push(simulator.events_popped());
     }

@@ -2,7 +2,7 @@
 //!
 //! The index is pure read-path state: enabling it must not change the
 //! simulation report by a byte, its contents must be identical across the
-//! serial, per-configuration-parallel and node-sharded executors, and its
+//! reference loop and the engine at several worker counts, and its
 //! k-nearest answers must agree with a brute-force oracle over its own
 //! contents.
 

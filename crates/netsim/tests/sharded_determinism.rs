@@ -1,9 +1,10 @@
-//! Regression suite for the node-sharded execution path
-//! (`Simulator::with_threads`): partitioning one simulation's engine work
-//! across worker threads must produce a `SimReport` that is
-//! **byte-identical** (serialized form) to the single-threaded run, across
-//! every scenario family — plain runs, lossy links, churn (joins, leaves,
-//! crashes with snapshot restarts), partitions, and coordinate tracking.
+//! Regression suite for the plan/execute engine: whatever the worker count
+//! (`Simulator::with_threads`, or the one `run()` picks), it must produce a
+//! `SimReport` that is **byte-identical** (serialized form) to the reference
+//! loop's (`with_serial_execution`), across every scenario family — plain
+//! runs, lossy links, churn (joins, leaves, crashes with snapshot restarts),
+//! partitions, coordinate tracking, several configurations side by side with
+//! equal and with differing eviction thresholds, and staged runs.
 
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
@@ -15,10 +16,16 @@ fn encode(simulator: &mut Simulator) -> String {
     serde::json::to_string(&simulator.run())
 }
 
-/// Byte-compares a serial run against sharded runs at several thread counts.
+/// Byte-compares the reference loop against the engine on the worker count
+/// `run()` picks by itself and on several explicit ones.
 fn assert_sharded_matches_serial(build: &dyn Fn() -> Simulator, label: &str) {
     let serial = encode(&mut build().with_serial_execution(true));
     assert!(!serial.is_empty());
+    assert_eq!(
+        encode(&mut build()),
+        serial,
+        "{label}: the default run diverged from serial"
+    );
     for threads in [1, 2, 3, 4] {
         let sharded = encode(&mut build().with_threads(threads));
         assert_eq!(
@@ -205,10 +212,71 @@ fn multi_config_sharded_run_matches_serial() {
 }
 
 #[test]
-fn differing_eviction_thresholds_fall_back_to_serial() {
-    // with_threads is a no-op when eviction thresholds differ across
-    // configurations — the coupled unanimity rule needs the serial path.
-    // The report must still match the explicit serial run.
+fn three_configurations_are_byte_identical_across_thread_counts() {
+    let build = || {
+        let workload = PlanetLabConfig::small(10).with_seed(3);
+        let sim_config = SimConfig::new(500.0, 5.0)
+            .with_measurement_start(100.0)
+            .with_initial_neighbors(3);
+        Simulator::new(
+            workload,
+            sim_config,
+            vec![
+                ("a-mp".to_string(), NodeConfig::paper_defaults()),
+                ("b-raw".to_string(), NodeConfig::original_vivaldi()),
+                (
+                    "c-mp-noheur".to_string(),
+                    NodeConfig::builder()
+                        .heuristic(stable_nc::HeuristicConfig::FollowSystem)
+                        .build(),
+                ),
+            ],
+        )
+    };
+    assert_sharded_matches_serial(&build, "three-configurations");
+}
+
+#[test]
+fn two_configurations_under_loss_and_churn_match_serial() {
+    // Loss, delay asymmetry, crash + snapshot restart and a partition all at
+    // once: every code path that consumes protocol randomness or link
+    // randomness must stay aligned between the engine and the reference.
+    let build = || {
+        let workload = PlanetLabConfig::small(12).with_seed(7).with_link_config(
+            LinkModelConfig::default()
+                .with_loss_probability(0.03)
+                .with_delay_asymmetry(0.2),
+        );
+        let sim_config = SimConfig::new(900.0, 5.0)
+            .with_measurement_start(0.0)
+            .with_initial_neighbors(4)
+            .with_tracked_nodes(vec![0, 5], 60.0);
+        let scenario = Scenario::crash_restart(vec![1, 2], 300.0, 450.0).at(
+            500.0,
+            ScenarioAction::Partition {
+                group: vec![0, 1, 2, 3],
+                heal_at_s: 650.0,
+            },
+        );
+        Simulator::new(
+            workload,
+            sim_config,
+            vec![
+                ("paper".to_string(), NodeConfig::paper_defaults()),
+                ("raw".to_string(), NodeConfig::original_vivaldi()),
+            ],
+        )
+        .with_scenario(scenario)
+    };
+    assert_sharded_matches_serial(&build, "two-configurations-loss-churn");
+}
+
+#[test]
+fn differing_eviction_thresholds_shard_across_four_workers() {
+    // Each configuration's ledger carries its own threshold; the planner
+    // keeps one set of ledgers per distinct threshold and drops a peer from
+    // the shared rotation only once every set has evicted it, as the serial
+    // loop does with the engines.
     let build = || {
         let workload = PlanetLabConfig::small(8).with_seed(9);
         let sim_config = SimConfig::new(600.0, 5.0)
@@ -258,7 +326,7 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     // eviction reaches the rotation, node 0's neighbor set is empty after
     // the restart and its loss count freezes at 4; with the bug it keeps
     // probing the already-evicted peer and racks up further losses.
-    let build = |serial: bool, threads: Option<usize>| {
+    let build = |thresholds: &[u32], serial: bool, threads: Option<usize>| {
         let workload = PlanetLabConfig::small(2).with_seed(1);
         let sim_config = SimConfig::new(600.0, 5.0)
             .with_measurement_start(0.0)
@@ -271,10 +339,13 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
         let mut simulator = Simulator::new(
             workload,
             sim_config,
-            vec![(
-                "mp".to_string(),
-                NodeConfig::builder().max_consecutive_losses(4).build(),
-            )],
+            thresholds
+                .iter()
+                .map(|&max| {
+                    let config = NodeConfig::builder().max_consecutive_losses(max).build();
+                    (format!("evict{max}"), config)
+                })
+                .collect(),
         )
         .with_scenario(scenario)
         .with_serial_execution(serial);
@@ -284,8 +355,8 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
         simulator
     };
 
-    let report = build(true, None).run();
-    let metrics = report.config("mp").unwrap();
+    let report = build(&[4], true, None).run();
+    let metrics = report.config("evict4").unwrap();
     let lost = metrics.nodes[0].probes_lost;
     // Three timeout losses before the crash plus the expiry loss at the
     // restart (eviction releases the other two in-flight probes without
@@ -297,16 +368,77 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     );
     assert_eq!(metrics.nodes[0].neighbors_evicted, 1);
 
-    // And the sharded planner mirrors the same eviction.
-    let serial = encode(&mut build(true, None));
-    let sharded = encode(&mut build(false, Some(2)));
-    assert_eq!(sharded, serial);
+    // And the planner's ledgers evict alike — also beside a configuration
+    // whose threshold the three expired probes just reach (6: both evict,
+    // the rotation drops the peer) or just miss (7: no unanimity, the
+    // rotation keeps it and the first configuration re-learns the peer).
+    for thresholds in [&[4][..], &[4, 6], &[4, 7]] {
+        let serial = encode(&mut build(thresholds, true, None));
+        let sharded = encode(&mut build(thresholds, false, Some(2)));
+        assert_eq!(sharded, serial, "thresholds {thresholds:?}");
+    }
+    let rotation_kept = build(&[4, 7], true, None).run();
+    assert!(
+        rotation_kept.config("evict4").unwrap().nodes[0].probes_lost > lost,
+        "without unanimity node 0 keeps probing the dead peer"
+    );
+}
+
+#[test]
+fn two_consecutive_runs_agree_across_engines() {
+    // A second `run()` replays the schedule over the engines the first one
+    // left — sequence counters, pending probes and loss streaks included.
+    // The planner has to start from those, not from zero: when it numbered
+    // the second run's probes from 0 again while the engines carried on,
+    // every reply of the second run was ignored as uncorrelated.
+    let build = || {
+        let workload = PlanetLabConfig::small(32)
+            .with_seed(19)
+            .with_link_config(LinkModelConfig::default().with_loss_probability(0.05));
+        let sim_config = SimConfig::new(600.0, 5.0)
+            .with_measurement_start(0.0)
+            .with_initial_neighbors(4);
+        // The crashed node stays down across the boundary: the second run
+        // restarts it from the snapshot the first one took.
+        let scenario = Scenario::new()
+            .at(580.0, ScenarioAction::Crash { nodes: vec![3] })
+            .at(100.0, ScenarioAction::Restart { nodes: vec![3] });
+        Simulator::new(
+            workload,
+            sim_config,
+            vec![(
+                "mp".to_string(),
+                NodeConfig::builder().max_consecutive_losses(3).build(),
+            )],
+        )
+        .with_scenario(scenario)
+    };
+    let staged = |mut simulator: Simulator| {
+        let first = simulator.run();
+        let second = simulator.run();
+        let totals = second.config("mp").unwrap();
+        (
+            serde::json::to_string(&first),
+            serde::json::to_string(&second),
+            totals.total_responses_received(),
+            totals.total_responses_ignored(),
+        )
+    };
+    let reference = staged(build().with_serial_execution(true));
+    assert!(reference.2 > 0, "the second run digests replies");
+    for threads in [1, 2, 3] {
+        let engine = staged(build().with_threads(threads));
+        assert_eq!(engine.2, reference.2, "{threads} workers: replies received");
+        assert_eq!(engine.3, reference.3, "{threads} workers: replies ignored");
+        assert!(engine.0 == reference.0, "{threads} workers: first run");
+        assert!(engine.1 == reference.1, "{threads} workers: second run");
+    }
 }
 
 #[test]
 fn the_default_engine_at_256_nodes_matches_serial_and_three_workers() {
     // 256 nodes is where `run()` starts sharding on its own (two workers on
-    // a two-core host, the per-configuration engine on a one-core host):
+    // a two-core host, the calling thread alone on a one-core host):
     // whatever it picked, the report and the event count must equal the
     // serial reference and an explicit three-worker run byte for byte.
     let build = || {

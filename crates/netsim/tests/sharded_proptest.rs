@@ -1,6 +1,7 @@
-//! Property test for the node-sharded executor (vendored proptest): across
-//! *randomized* loss rates, churn schedules and partition windows, a sharded
-//! run must serialize to exactly the same bytes as the serial run. The
+//! Property test for the plan/execute engine (vendored proptest): across
+//! *randomized* loss rates, churn schedules and partition windows, a run on
+//! 1, 2 or 4 workers must serialize to exactly the same bytes as the
+//! reference loop's. The
 //! hand-picked scenarios in `sharded_determinism.rs` pin the known corner
 //! cases; this suite searches the space between them (crashes racing
 //! in-flight probes, restarts expiring pending streaks, partitions slicing

@@ -93,10 +93,7 @@ pub enum Event<Id> {
     /// datagram, or an unsolicited/spoofed response. The engine dropped it
     /// without touching any filter, coordinate or loss-streak state: the
     /// observation it carries was either already accounted as a loss or
-    /// never requested, and its RTT stamp cannot be trusted. Only emitted
-    /// by nodes that issue probes through the engine (the pending-probe
-    /// machinery); drivers feeding hand-built responses without it keep the
-    /// lenient legacy behaviour.
+    /// never requested, and its RTT stamp cannot be trusted.
     ResponseIgnored {
         /// The peer the response claims to come from.
         id: Id,

@@ -178,10 +178,6 @@ impl NodeRuntime {
             _ => StableNode::new(config.node.clone()),
         };
         node.set_identity(advertised);
-        // A socket is untrusted input: even before this node's first probe
-        // (a seedless rendezvous node may listen indefinitely), a forged
-        // response must be rejected, not digested.
-        node.require_correlated_responses();
         // In-flight probes from a previous life can never be answered on
         // this one's clock; expire them before the first tick.
         let mut stale = Vec::new();

@@ -222,8 +222,9 @@ fn wire_messages_round_trip_across_crate_boundaries() {
     );
 
     let mut node: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
+    let mut peer: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
     let response = {
-        let mut response = node.respond(&ProbeRequest::new(0, 17, 9));
+        let mut response = peer.respond(&node.probe_request_for(0, 9));
         response.rtt_ms = 55.5;
         response
     };
@@ -428,27 +429,4 @@ fn identical_seeds_give_byte_identical_reports_even_under_churn() {
     let second = run();
     assert_eq!(first, second, "serialized reports diverged between runs");
     assert!(!first.is_empty());
-}
-
-#[test]
-fn batch_handling_matches_the_event_loop() {
-    let remote = Coordinate::new(vec![25.0, 5.0, 0.0]).unwrap();
-    let responses: Vec<ProbeResponse<u32>> = (0..50u64)
-        .map(|i| {
-            let request = ProbeRequest::new(1, i, i);
-            let mut response = ProbeResponse::new(1, &request, remote.clone(), 0.5);
-            response.rtt_ms = 45.0 + (i % 9) as f64;
-            response
-        })
-        .collect();
-
-    let mut one_by_one: StableNode<u32> = StableNode::new(NodeConfig::paper_defaults());
-    let mut batched: StableNode<u32> = StableNode::new(NodeConfig::paper_defaults());
-    let mut sequential_events = Vec::new();
-    for response in &responses {
-        sequential_events.extend(one_by_one.handle_response(response));
-    }
-    let batch_events = batched.handle_many(&responses);
-    assert_eq!(sequential_events, batch_events);
-    assert_eq!(one_by_one.system_coordinate(), batched.system_coordinate());
 }
