@@ -108,6 +108,7 @@ pub mod config;
 pub mod fxhash;
 pub mod ledger;
 pub mod node;
+mod peers;
 
 pub use config::{FilterConfig, HeuristicConfig, NodeConfig, NodeConfigBuilder, NodeConfigError};
 pub use fxhash::FxHashMap;

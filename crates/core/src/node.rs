@@ -10,7 +10,7 @@ use nc_change::{
 };
 
 use crate::fxhash::FxHashMap;
-use nc_filters::{FilterState, LatencyFilter, MovingPercentileFilter, StateMismatch};
+use nc_filters::StateMismatch;
 use nc_proto::{
     Event, GossipEntry, LinkSnapshot, NodeSnapshot, PendingProbe, ProbeRequest, ProbeResponse,
     PROTOCOL_VERSION,
@@ -19,6 +19,7 @@ use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
 use crate::config::NodeConfig;
 use crate::ledger::ProbeLedger;
+use crate::peers::{LinkStore, PeerFilter, PeerState, SnapshotStore};
 
 /// What the Vivaldi → application-heuristic half of the observation
 /// pipeline did with one filtered RTT.
@@ -41,16 +42,6 @@ struct ObservationOutcome {
     /// The application-level update published because of this observation,
     /// if the heuristic decided the change was significant.
     application_update: Option<ApplicationUpdate>,
-}
-
-/// A remote node as last seen by this node, first-hand or through gossip
-/// (engine-internal storage; the public projection is [`PeerView`]).
-#[derive(Debug, Clone, PartialEq)]
-struct NeighborSnapshot {
-    /// The neighbour's coordinate when we last observed it.
-    coordinate: Coordinate,
-    /// The neighbour's error estimate when we last observed it.
-    error_estimate: f64,
 }
 
 /// One peer as seen through a [`NodeView`]: the last-known coordinate
@@ -137,6 +128,10 @@ pub enum RestoreError {
     /// A link's filter state belongs to a different filter family than the
     /// configuration builds.
     Filter(StateMismatch),
+    /// A link's last-known error estimate is NaN or infinite. Restored, it
+    /// would ride out on this node's gossip, and every peer drops a response
+    /// carrying one as malformed.
+    ErrorEstimate,
 }
 
 impl std::fmt::Display for RestoreError {
@@ -152,179 +147,17 @@ impl std::fmt::Display for RestoreError {
             ),
             RestoreError::Heuristic(e) => write!(f, "{e}"),
             RestoreError::Filter(e) => write!(f, "{e}"),
+            RestoreError::ErrorEstimate => {
+                write!(
+                    f,
+                    "snapshot holds a link whose error estimate is not finite"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for RestoreError {}
-
-/// What the engine keeps for every id it has *heard of*: one entry of the
-/// peer table, whether the peer was ever measured or only gossiped about.
-///
-/// The entry holds what the per-response hot path needs of any known id —
-/// last coordinate and error estimate (gossip payloads are built from it),
-/// rotation membership — so that path touches one hash slot.
-/// First-hand link state is *not* in here: a node in a large mesh hears of
-/// several times more peers than it measures, and the table's capacity is a
-/// power of two above even that, so whatever sits in the bucket is paid for
-/// two to five times per measured link. The latency filter therefore lives
-/// in the node's [`LinkStore`], reached through `link`; a gossip-only id
-/// carries no window because it has no observations to put in one.
-#[derive(Default)]
-struct PeerState {
-    /// Last-known coordinate state, present once the peer has been observed
-    /// first-hand or learned through gossip.
-    neighbor: Option<NeighborSnapshot>,
-    /// Handle of the peer's record in the [`LinkStore`], set when the first
-    /// reply from it is digested and released on eviction.
-    link: Option<u32>,
-    /// Whether the peer sits in the round-robin `membership` rotation.
-    member: bool,
-}
-
-/// First-hand link state, one record per peer this node has *measured*: a
-/// slab addressed by the `u32` handles the peer table hands out. A slab
-/// rather than a box per link because it grows geometrically — a node that
-/// measures two hundred peers allocates eight times, not two hundred — and
-/// keeps the records of one node together.
-///
-/// Nothing observable depends on where a record sits: snapshots and views
-/// walk the membership list and read records through the table, so slot
-/// reuse order never reaches a report.
-#[derive(Default)]
-struct LinkStore {
-    records: Vec<PeerFilter>,
-    /// Slots whose peer was evicted, reused before the slab grows. A freed
-    /// record stays in place until then; nothing reads it, because its only
-    /// handle died with the table entry.
-    free: Vec<u32>,
-}
-
-impl LinkStore {
-    /// Stores `record` and returns its handle.
-    fn insert(&mut self, record: PeerFilter) -> u32 {
-        match self.free.pop() {
-            Some(handle) => {
-                self.records[handle as usize] = record;
-                handle
-            }
-            None => {
-                self.records.push(record);
-                (self.records.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Gives the slot behind `handle` back for reuse.
-    fn release(&mut self, handle: u32) {
-        self.free.push(handle);
-    }
-
-    fn get(&self, handle: u32) -> &PeerFilter {
-        &self.records[handle as usize]
-    }
-
-    fn get_mut(&mut self, handle: u32) -> &mut PeerFilter {
-        &mut self.records[handle as usize]
-    }
-
-    /// Records currently owned by a table entry.
-    #[cfg(test)]
-    fn live(&self) -> usize {
-        self.records.len() - self.free.len()
-    }
-}
-
-/// The per-link record of the [`LinkStore`]: the link's latency filter.
-///
-/// The moving-percentile family — the paper's recommended filter and the
-/// one every experiment configuration uses — is stored by value: no box, no
-/// vtable, and (for the paper's `h = 4`) no heap-backed window either, so
-/// digesting a response reaches the window with one dependent load from the
-/// peer entry. Every other filter family keeps the boxed trait object.
-/// Behaviour is identical either way; this is purely a layout optimisation
-/// for the simulator's observation hot path.
-///
-/// The link's filtered RTT and observation count, which views and snapshots
-/// report, are the filter's `current_estimate()` / `observations_seen()`
-/// read when asked for — they are not copied out per observation.
-enum PeerFilter {
-    /// Moving-percentile (and its median special case), devirtualized.
-    MovingPercentile(MovingPercentileFilter),
-    /// Any other configured filter family.
-    Boxed(Box<dyn LatencyFilter + Send>),
-}
-
-impl PeerFilter {
-    /// Builds the filter the configuration describes, choosing the inline
-    /// representation when it applies (no warm-up wrapper needed and a
-    /// moving-percentile family configured).
-    fn build(config: &NodeConfig) -> PeerFilter {
-        use crate::config::FilterConfig;
-        if config.warmup_samples <= 1 {
-            match config.filter {
-                FilterConfig::MovingPercentile {
-                    history,
-                    percentile,
-                } => {
-                    return PeerFilter::MovingPercentile(
-                        MovingPercentileFilter::new(history, percentile)
-                            // nc-lint: allow(panic) — same constructor the
-                            // boxed builder runs; invalid parameters fail at
-                            // node construction, before any hot-path call.
-                            .expect("invalid moving-percentile parameters"),
-                    );
-                }
-                FilterConfig::MovingMedian { history } => {
-                    // The median filter is definitionally MP at p = 50 (and
-                    // `MovingMedianFilter` is implemented as exactly that
-                    // wrapper), so the inline representation covers it too.
-                    return PeerFilter::MovingPercentile(
-                        // nc-lint: allow(panic) — see the percentile arm above.
-                        MovingPercentileFilter::new(history, 50.0).expect("invalid median history"),
-                    );
-                }
-                _ => {}
-            }
-        }
-        PeerFilter::Boxed(config.filter.build(config.warmup_samples))
-    }
-
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.observe(raw_rtt_ms),
-            PeerFilter::Boxed(filter) => filter.observe(raw_rtt_ms),
-        }
-    }
-
-    fn current_estimate(&self) -> Option<f64> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.current_estimate(),
-            PeerFilter::Boxed(filter) => filter.current_estimate(),
-        }
-    }
-
-    fn observations_seen(&self) -> u64 {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.observations_seen(),
-            PeerFilter::Boxed(filter) => filter.observations_seen(),
-        }
-    }
-
-    fn export_state(&self) -> FilterState {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.export_state(),
-            PeerFilter::Boxed(filter) => filter.export_state(),
-        }
-    }
-
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.import_state(state),
-            PeerFilter::Boxed(filter) => filter.import_state(state),
-        }
-    }
-}
 
 /// The paper's coordinate stack for one host, exposed as a sans-I/O engine.
 ///
@@ -353,27 +186,36 @@ impl PeerFilter {
 ///
 /// # Memory
 ///
-/// State is kept in two places with two growth laws. The *peer table* has
-/// one entry per id the node has heard of, through its own probes or
-/// through gossip: last coordinate and error estimate, rotation
-/// membership. The *link store* has one record — the latency
+/// State is kept in three places with three growth laws. The *peer table*
+/// has one entry per id the node has heard of, through its own probes,
+/// a seed list or gossip: rotation membership and two handles, 32 bytes a
+/// bucket. The *snapshot store* has one record per id the node holds a
+/// coordinate for — the peer's last-known coordinate, packed at the width
+/// of the configured space, its height and its error estimate
+/// (`8·(dims + 2)` bytes, what gossip payloads are built from) — written
+/// by the first gossip or reply that names the peer and refreshed in place
+/// by every later reply. The *link store* has one record — the latency
 /// filter with its window of raw observations — per peer the node has
 /// actually measured, created when the first reply from that peer is
-/// digested and given back when the peer is evicted. A coordinate system
+/// digested. An eviction gives both records back. A coordinate system
 /// earns its keep against a delay-matrix service by a node's state growing
 /// with the neighbours it measures rather than with the mesh; gossip makes
-/// the table grow with the mesh, so the table entry is kept small and the
-/// per-link state out of it. Where a record sits in the store is never
-/// observable: [`view`](StableNode::view) and
+/// the table grow with the mesh, and a hash table's capacity is a power of
+/// two above its population, so the bucket holds handles and everything
+/// with a size sits in a slab that grows by what is used. Where a record
+/// sits in a store is never observable: [`view`](StableNode::view) and
 /// [`snapshot`](StableNode::snapshot) report links in membership order.
 pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
     follow_system: bool,
-    /// One entry per id this node has heard of — last coordinate, rotation
-    /// membership and the handle of its link record.
+    /// One entry per id this node has heard of — rotation membership and
+    /// the handles of its snapshot and link records.
     peers: FxHashMap<Id, PeerState>,
+    /// Last-known coordinate and error estimate of every peer the node
+    /// holds one for, packed at the width of the configured space.
+    snapshots: SnapshotStore,
     /// First-hand state of the links this node has measured. The split
     /// keeps a node's memory proportional to the neighbours it *measures*:
     /// the table grows with everything gossip mentions, the windows do not.
@@ -410,7 +252,7 @@ impl<Id: Eq + Hash + Clone + std::fmt::Debug> std::fmt::Debug for StableNode<Id>
                 &self
                     .peers
                     .values()
-                    .filter(|peer| peer.neighbor.is_some())
+                    .filter(|peer| peer.snapshot.is_some())
                     .count(),
             )
             .field("observations", &self.observations)
@@ -440,6 +282,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         };
         StableNode {
             ledger: ProbeLedger::new(config.max_consecutive_losses),
+            snapshots: SnapshotStore::new(config.vivaldi.dimensions()),
             config,
             vivaldi,
             application,
@@ -509,12 +352,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .iter()
             .filter_map(|id| {
                 let peer = self.peers.get(id)?;
-                let snapshot = peer.neighbor.as_ref()?;
+                let (coordinate, error_estimate) = self.snapshots.get(peer.snapshot?);
                 let link = self.link_of(peer);
                 Some(PeerView {
                     id: id.clone(),
-                    coordinate: snapshot.coordinate.clone(),
-                    error_estimate: snapshot.error_estimate,
+                    coordinate,
+                    error_estimate,
                     filtered_rtt_ms: link.and_then(PeerFilter::current_estimate),
                     observations: link.map_or(0, PeerFilter::observations_seen),
                     loss_streak: self.ledger.loss_streak(id),
@@ -722,10 +565,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     }
 
     /// Removes a peer the ledger has forgotten from every other table:
-    /// membership, neighbours and the link store.
+    /// membership, neighbours and the two stores.
     fn evict(&mut self, id: &Id) {
-        if let Some(handle) = self.peers.remove(id).and_then(|peer| peer.link) {
-            self.links.release(handle);
+        if let Some(peer) = self.peers.remove(id) {
+            if let Some(handle) = peer.snapshot {
+                self.snapshots.release(handle);
+            }
+            if let Some(handle) = peer.link {
+                self.links.release(handle);
+            }
         }
         if let Some(position) = self.membership.iter().position(|member| member == id) {
             self.membership.remove(position);
@@ -793,15 +641,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             if request.source.as_ref() == Some(&candidate) {
                 continue;
             }
-            if let Some(snapshot) = self
-                .peers
-                .get(&candidate)
-                .and_then(|peer| peer.neighbor.as_ref())
-            {
+            if let Some(handle) = self.peers.get(&candidate).and_then(|peer| peer.snapshot) {
+                let (coordinate, error_estimate) = self.snapshots.get(handle);
                 response.gossip.push(GossipEntry {
                     id: candidate,
-                    coordinate: snapshot.coordinate.clone(),
-                    error_estimate: snapshot.error_estimate,
+                    coordinate,
+                    error_estimate,
                 });
                 break;
             }
@@ -870,7 +715,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // distance computation against it.
         let filtered = if response.coordinate.dimensions() == self.config.vivaldi.dimensions() {
             self.observations += 1;
-            Self::observe_link(&self.config, &mut self.links, peer, response)
+            Self::observe_link(
+                &self.config,
+                &mut self.snapshots,
+                &mut self.links,
+                peer,
+                response,
+            )
         } else {
             None
         };
@@ -959,11 +810,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             }
             // Gossip seeds the neighbour table so the peer can itself be
             // gossiped onward, but never overwrites first-hand state.
-            if peer.neighbor.is_none() {
-                peer.neighbor = Some(NeighborSnapshot {
-                    coordinate: entry.coordinate.clone(),
-                    error_estimate: entry.error_estimate,
-                });
+            if peer.snapshot.is_none() {
+                peer.snapshot = Some(
+                    self.snapshots
+                        .insert(&entry.coordinate, entry.error_estimate),
+                );
             }
         }
     }
@@ -1042,13 +893,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .iter()
             .filter_map(|id| {
                 let peer = self.peers.get(id)?;
-                let neighbor = peer.neighbor.as_ref()?;
+                let (coordinate, error_estimate) = self.snapshots.get(peer.snapshot?);
                 let link = self.link_of(peer);
                 Some(LinkSnapshot {
                     id: id.clone(),
                     filter: link.map(PeerFilter::export_state),
-                    coordinate: neighbor.coordinate.clone(),
-                    error_estimate: neighbor.error_estimate,
+                    coordinate,
+                    error_estimate,
                     filtered_rtt_ms: link.and_then(PeerFilter::current_estimate),
                     observations: link.map_or(0, PeerFilter::observations_seen),
                 })
@@ -1081,9 +932,9 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// # Errors
     ///
     /// Fails when the snapshot was taken under a different protocol
-    /// version, when the coordinate spaces disagree, or when the
-    /// configuration builds a different filter or heuristic family than the
-    /// snapshot's states belong to.
+    /// version, when the coordinate spaces disagree, when a link's error
+    /// estimate is not finite, or when the configuration builds a different
+    /// filter or heuristic family than the snapshot's states belong to.
     pub fn restore(config: NodeConfig, snapshot: &NodeSnapshot<Id>) -> Result<Self, RestoreError> {
         if snapshot.version != PROTOCOL_VERSION {
             return Err(RestoreError::Version {
@@ -1105,6 +956,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             if expected != found {
                 return Err(RestoreError::Dimensions { expected, found });
             }
+        }
+        if snapshot
+            .links
+            .iter()
+            .any(|link| !link.error_estimate.is_finite())
+        {
+            return Err(RestoreError::ErrorEstimate);
         }
         let mut node = Self::new(config);
         // Runtime state comes from the snapshot, tuning constants from the
@@ -1128,16 +986,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                     .import_state(filter_state)
                     .map_err(RestoreError::Filter)?;
                 // A snapshot off the wire may name a link twice; the later
-                // entry wins, in the slot the earlier one took.
+                // entry wins, in the slot the earlier one took (in both
+                // stores).
                 match peer.link {
                     Some(handle) => *node.links.get_mut(handle) = filter,
                     None => peer.link = Some(node.links.insert(filter)),
                 }
             }
-            peer.neighbor = Some(NeighborSnapshot {
-                coordinate: link.coordinate.clone(),
-                error_estimate: link.error_estimate,
-            });
+            node.snapshots
+                .put(&mut peer.snapshot, &link.coordinate, link.error_estimate);
         }
         node.nearest_neighbor = snapshot.nearest_neighbor.clone();
         node.observations = snapshot.observations;
@@ -1170,6 +1027,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// mismatches.
     fn observe_link(
         config: &NodeConfig,
+        snapshots: &mut SnapshotStore,
         links: &mut LinkStore,
         peer: &mut PeerState,
         response: &ProbeResponse<Id>,
@@ -1180,10 +1038,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // Track the neighbour snapshot regardless of whether the filter lets
         // the sample through: the coordinate and error estimate are still
         // fresh information.
-        peer.neighbor = Some(NeighborSnapshot {
-            coordinate: response.coordinate.clone(),
-            error_estimate: response.error_estimate,
-        });
+        snapshots.put(
+            &mut peer.snapshot,
+            &response.coordinate,
+            response.error_estimate,
+        );
         links.get_mut(handle).observe(response.rtt_ms)
     }
 
@@ -1257,8 +1116,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                         .nearest_neighbor
                         .as_ref()
                         .and_then(|(nid, _)| self.peers.get(nid))
-                        .and_then(|peer| peer.neighbor.as_ref())
-                        .map(|snapshot| snapshot.coordinate.clone()),
+                        .and_then(|peer| peer.snapshot)
+                        .map(|handle| self.snapshots.get(handle).0),
                 }
             } else {
                 UpdateContext::default()
@@ -1296,7 +1155,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         id: Id,
     ) -> (&'a mut PeerState, bool) {
         let peer = peers.entry(id.clone()).or_default();
-        let new = !(peer.member || peer.neighbor.is_some());
+        let new = !(peer.member || peer.snapshot.is_some());
         if new {
             peer.member = true;
             membership.push(id);
@@ -2236,20 +2095,18 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Peer table / link store split
+    // Peer table / snapshot store / link store split
     // -----------------------------------------------------------------
 
     /// Layout pin: a bucket of the peer table is the 8-byte id plus a
-    /// `PeerState` of 112 — `Option<NeighborSnapshot>` 96 (an 80-byte
-    /// coordinate, the error estimate, the tag), the link handle 8, the
-    /// membership flag padded to 8 — so 120 bytes. The table
-    /// holds a bucket for every id a node ever heard of, rounded up to a
-    /// power of two: a field added here is paid for a million times in a
-    /// 1,024-node mesh.
+    /// `PeerState` of 20 — the snapshot handle 8, the link handle 8, the
+    /// membership flag — padded to 32 bytes. The table holds a bucket for
+    /// every id a node ever heard of, rounded up to a power of two: a field
+    /// added here is paid for a million times in a 1,024-node mesh.
     #[test]
-    fn layout_pin_peer_table_bucket_within_128_bytes() {
+    fn layout_pin_peer_table_bucket_within_32_bytes() {
         let bucket = std::mem::size_of::<(usize, PeerState)>();
-        assert!(bucket <= 128, "peer-table bucket grew to {bucket} bytes");
+        assert!(bucket <= 32, "peer-table bucket grew to {bucket} bytes");
     }
 
     /// Layout pin: a link record is the filter enum, whose larger arm is
@@ -2334,6 +2191,74 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_store_holds_one_record_per_known_coordinate() {
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        for gossiped in 0..1_000 {
+            feed_with_gossip(&mut node, 5_000 + gossiped % 50, 10_000 + gossiped);
+        }
+        // Seeded only: in the rotation, but nobody has said where it is.
+        node.seed_neighbor(7);
+        let view = node.view();
+        assert_eq!(view.membership.len(), 1_051);
+        assert_eq!(view.neighbors.len(), 1_050, "7 has no coordinate to show");
+        assert_eq!(
+            node.snapshots.live(),
+            1_050,
+            "one record per measured or gossiped id, none for the seed"
+        );
+        assert!(node.peers[&7].snapshot.is_none());
+        // A reply overwrites the responder's record where it sits and a
+        // repeated gossip entry changes nothing.
+        feed_with_gossip(&mut node, 5_000, 10_000);
+        assert_eq!(node.snapshots.live(), 1_050);
+        // The seed's first reply gives it a record of its own.
+        feed(&mut node, 7, Coordinate::origin(3), 0.5, 30.0);
+        assert_eq!(node.snapshots.live(), 1_051);
+    }
+
+    #[test]
+    fn snapshot_store_keeps_one_record_for_a_link_a_snapshot_names_twice() {
+        let config = NodeConfig::paper_defaults();
+        let mut node = Node::new(config.clone());
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+        feed(&mut node, 1, remote.clone(), 0.5, 30.0);
+        feed_with_gossip(&mut node, 2, 50);
+        let mut snapshot = node.snapshot();
+        // Peer 1 (measured) and peer 50 (gossip-only) once more, moved.
+        let moved = Coordinate::with_height(vec![-4.0, 5.0, 6.0], 1.5).unwrap();
+        for original in [0, 2] {
+            let mut again = snapshot.links[original].clone();
+            again.coordinate = moved.clone();
+            again.error_estimate = 0.125;
+            snapshot.links.push(again);
+        }
+        let restored = Node::restore(config, &snapshot).unwrap();
+        assert_eq!(restored.snapshots.live(), 3, "peers 1, 2 and 50");
+        assert_eq!(restored.links.live(), 2, "peers 1 and 2");
+        for peer in restored.view().neighbors {
+            let expected = if peer.id == 2 { &remote } else { &moved };
+            assert_eq!(&peer.coordinate, expected, "the later entry wins");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_non_finite_link_error_estimate() {
+        // Such a snapshot cannot come off the binary decoder, but a
+        // JSON-decoded one can (`null` reads back as NaN) and a hand-built
+        // one trivially: stored, the value would ride out on this node's
+        // gossip and make every peer drop the whole response.
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        feed_with_gossip(&mut node, 1, 50);
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut snapshot = node.snapshot();
+            snapshot.links[1].error_estimate = poison;
+            let decoded = NodeSnapshot::<u32>::decode(&snapshot.encode()).unwrap();
+            let err = Node::restore(NodeConfig::paper_defaults(), &decoded).unwrap_err();
+            assert_eq!(err, RestoreError::ErrorEstimate, "{err}");
+        }
+    }
+
+    #[test]
     fn evict_relearn_remeasure_cycles_do_not_grow_the_link_store() {
         let config = NodeConfig::builder().max_consecutive_losses(1).build();
         let mut node = Node::new(config);
@@ -2345,18 +2270,17 @@ mod tests {
             // Peer 100 is learned by gossip, measured, lost and evicted.
             feed_with_gossip(node, 0, 100);
             feed(node, 100, remote.clone(), 0.5, 25.0);
-            assert_eq!(node.links.live(), 9);
+            assert_eq!((node.links.live(), node.snapshots.live()), (9, 9));
             let doomed = node.probe_request_for(100, 0);
             let events = node.handle_timeout(doomed.seq);
             assert!(events.contains(&Event::NeighborEvicted { id: 100 }));
-            assert_eq!(node.links.live(), 8);
+            assert_eq!((node.links.live(), node.snapshots.live()), (8, 8));
         };
         cycle(&mut node);
         let footprint = |node: &Node| {
             (
-                node.links.records.len(),
-                node.links.records.capacity(),
-                node.links.free.capacity(),
+                node.links.footprint(),
+                node.snapshots.footprint(),
                 node.peers.capacity(),
             )
         };

@@ -146,6 +146,48 @@ fn gossip_about_an_already_known_id_performs_zero_allocations() {
 }
 
 #[test]
+fn refreshing_a_measured_peers_snapshot_performs_zero_allocations() {
+    // Every reply carries a coordinate that has moved since the last one;
+    // the peer's record in the snapshot store is overwritten where it sits,
+    // and reading it back out for gossip builds the coordinate on the stack.
+    let mut node: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
+    let mut events: Vec<Event<usize>> = Vec::with_capacity(32);
+    let at = |step: u64| {
+        nc_vivaldi::Coordinate::with_height([30.0 + step as f64, 40.0, -10.0], 1.0 + step as f64)
+            .unwrap()
+    };
+    let request = node.probe_request_for(7, 0);
+    let mut response = ProbeResponse::new(7, &request, at(0), 0.4);
+    let mut gossip = node.respond(&request);
+
+    let mut exchange = |node: &mut StableNode<usize>, step: u64| {
+        let request = node.probe_request_for(7, step);
+        response.seq = request.seq;
+        response.rtt_ms = 60.0 + (step % 9) as f64;
+        response.coordinate = at(step);
+        response.error_estimate = 1.0 / (1.0 + step as f64);
+        events.clear();
+        node.handle_response_into(&response, &mut events);
+        node.respond_into(&request, &mut gossip);
+        std::hint::black_box(&events);
+    };
+    for step in 0..512 {
+        exchange(&mut node, step);
+    }
+    let (allocations, _) = allocations_during(|| {
+        for step in 512..1_512 {
+            exchange(&mut node, step);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "refreshing a measured peer's snapshot must not allocate"
+    );
+    assert_eq!(gossip.gossip[0].coordinate, at(1_511), "the last refresh");
+    assert_eq!(gossip.gossip[0].error_estimate, 1.0 / 1_512.0);
+}
+
+#[test]
 fn steady_state_vivaldi_update_performs_zero_allocations() {
     let mut state = nc_vivaldi::VivaldiState::new(nc_vivaldi::VivaldiConfig::paper_defaults());
     let remote = nc_vivaldi::Coordinate::new(vec![12.0, -9.0, 4.0]).unwrap();

@@ -74,6 +74,11 @@
 //! varint gossip_cursor · list(pending: id · varint seq · varint sent_at_ms)
 //! · list(streak: id · varint count).
 //!
+//! Decoding rejects a non-finite `error_estimate` — a response's, a gossip
+//! entry's, a snapshot link's — and a non-finite `rtt_ms` as
+//! [`WireError::Malformed`]: all of them are values a node stores and hands
+//! on.
+//!
 //! # Value blobs
 //!
 //! A value blob is the serde data model ([`serde::Value`]) in tagged binary
@@ -668,6 +673,11 @@ impl<Id: WireId> BinaryMessage for NodeSnapshot<Id> {
             };
             let coordinate = reader.read_coordinate()?;
             let error_estimate = reader.read_f64()?;
+            // What a restored node holds for a link it gossips onward, where
+            // the response decoder above refuses it.
+            if !error_estimate.is_finite() {
+                return Err(malformed("non-finite link error estimate"));
+            }
             let filtered_rtt_ms = if reader.read_option()? {
                 Some(reader.read_f64()?)
             } else {

@@ -259,6 +259,21 @@ fn non_finite_floats_cannot_enter_off_the_wire() {
     ));
 }
 
+#[test]
+fn a_snapshot_link_with_a_non_finite_error_estimate_is_malformed() {
+    // The encoder writes whatever it is handed; the decoder must refuse what
+    // the response decoder refuses, because a restored node gossips the
+    // link's error estimate onward verbatim.
+    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut snapshot = sample_snapshot();
+        snapshot.links[0].error_estimate = poison;
+        assert!(matches!(
+            NodeSnapshot::<String>::decode_binary(&snapshot.encode_binary()),
+            Err(WireError::Malformed(_))
+        ));
+    }
+}
+
 proptest! {
     #[test]
     fn requests_round_trip(
