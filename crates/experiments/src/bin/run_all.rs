@@ -1,237 +1,49 @@
-//! Runs every figure and table experiment and prints each rendered result,
-//! separated by headers. This regenerates the complete evaluation of the
-//! paper in one command.
+//! Runs the paper's evaluation — every row of `nc_experiments::EXPERIMENTS`,
+//! or only the ones named — and prints each rendered result under a header.
 //!
 //! The experiments are mutually independent (each builds its own simulator
 //! from its own seeds), so they execute **in parallel** on scoped threads;
-//! the rendered outputs are buffered and printed in figure order, so the
-//! report reads identically to a sequential run.
+//! the rendered outputs are buffered and printed in the order selected, so
+//! the report reads identically to a sequential run.
 //!
-//! Usage: `cargo run --release --bin run_all [quick|standard|paper]`
-
-use nc_experiments::{
-    fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13, fig14,
-    fig15, table1, Scale,
-};
-use nc_netsim::sim::SimConfig;
-
-fn banner(title: &str) {
-    println!("\n{}", "=".repeat(78));
-    println!("{title}");
-    println!("{}\n", "=".repeat(78));
-}
+//! Usage: `cargo run --release --bin run_all [quick|standard|paper] [name…]`
 
 fn main() {
-    let scale = nc_experiments::scale_from_args();
-    // Fail fast with a readable diagnostic (instead of a mid-run panic) if
-    // the scale's simulation schedule is not runnable. Built as a literal —
-    // the panicking constructors never run — so validate() is the single
-    // checkpoint.
-    let schedule = SimConfig {
-        duration_s: scale.duration_s(),
-        probe_interval_s: scale.probe_interval_s(),
-        measurement_start_s: scale.measurement_start_s(),
-        initial_neighbors: 8,
-        gossip: true,
-        track_nodes: Vec::new(),
-        track_interval_s: 60.0,
-        protocol_seed: 0xF00D,
-        probe_timeout_s: scale.probe_interval_s() * 3.0,
-        adversary: None,
-        query_index: false,
-    };
-    if let Err(error) = schedule.validate() {
-        eprintln!("invalid simulation schedule for scale '{scale}': {error}");
-        std::process::exit(2);
-    }
-    eprintln!("running the full evaluation at scale '{scale}' in parallel ...");
-    let quick = scale == Scale::Quick;
+    let (scale, selected) =
+        nc_experiments::parse_args(std::env::args().skip(1)).unwrap_or_else(|error| {
+            eprintln!("run_all: {error}");
+            std::process::exit(2);
+        });
+    let names: Vec<&str> = selected.iter().map(|(name, ..)| *name).collect();
+    eprintln!(
+        "running {} at scale '{scale}' in parallel ...",
+        names.join(", ")
+    );
 
-    // One closure per experiment, in report order. Each renders to a String
-    // on its own thread; nothing is printed until every title can appear in
-    // order.
-    type Job<'a> = (&'a str, Box<dyn FnOnce() -> String + Send + 'a>);
-    let jobs: Vec<Job> = vec![
-        (
-            "Figure 2",
-            Box::new(move || {
-                fig02::run(if quick {
-                    fig02::Fig02Config::quick()
-                } else {
-                    fig02::Fig02Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 3",
-            Box::new(move || {
-                fig03::run(if quick {
-                    fig03::Fig03Config::quick()
-                } else {
-                    fig03::Fig03Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 4",
-            Box::new(move || {
-                fig04::run(if quick {
-                    fig04::Fig04Config::quick()
-                } else {
-                    fig04::Fig04Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 5",
-            Box::new(move || {
-                fig05::run(if quick {
-                    fig05::Fig05Config::quick()
-                } else {
-                    fig05::Fig05Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Table I",
-            Box::new(move || {
-                table1::run(if quick {
-                    table1::Table1Config::quick()
-                } else {
-                    table1::Table1Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 6",
-            Box::new(move || fig06::run(fig06::Fig06Config::for_scale(scale)).render()),
-        ),
-        (
-            "Figure 7",
-            Box::new(move || {
-                fig07::run(if quick {
-                    fig07::Fig07Config::quick()
-                } else {
-                    fig07::Fig07Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 8",
-            Box::new(move || {
-                fig08::run(if quick {
-                    fig08::Fig08Config::quick()
-                } else {
-                    fig08::Fig08Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 9",
-            Box::new(move || {
-                fig09::run(if quick {
-                    fig09::Fig09Config::quick()
-                } else {
-                    fig09::Fig09Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 10",
-            Box::new(move || {
-                fig10::run(if quick {
-                    fig10::Fig10Config::quick()
-                } else {
-                    fig10::Fig10Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 11",
-            Box::new(move || {
-                fig11::run(if quick {
-                    fig11::Fig11Config::quick()
-                } else {
-                    fig11::Fig11Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 12",
-            Box::new(move || {
-                fig12::run(if quick {
-                    fig12::Fig12Config::quick()
-                } else {
-                    fig12::Fig12Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 13",
-            Box::new(move || {
-                fig13::run(if quick {
-                    fig13::Fig13Config::quick()
-                } else {
-                    fig13::Fig13Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 14",
-            Box::new(move || {
-                fig14::run(if quick {
-                    fig14::Fig14Config::quick()
-                } else {
-                    fig14::Fig14Config::standard()
-                })
-                .render()
-            }),
-        ),
-        (
-            "Figure 15",
-            Box::new(move || {
-                fig15::run(if quick {
-                    fig15::Fig15Config::quick()
-                } else {
-                    fig15::Fig15Config::standard()
-                })
-                .render()
-            }),
-        ),
-    ];
-
-    let rendered: Vec<(&str, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(title, job)| (title, scope.spawn(job)))
+    // Nothing is printed until every section can appear in order.
+    let rendered: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = selected
+            .iter()
+            .map(|&(name, title, run)| (name, title, scope.spawn(move || run(scale))))
             .collect();
         handles
             .into_iter()
-            .map(|(title, handle)| {
-                (
-                    title,
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| panic!("experiment '{title}' panicked")),
-                )
+            .map(|(name, title, handle)| {
+                let (preset, output) = handle
+                    .join()
+                    .unwrap_or_else(|_| panic!("experiment '{name}' panicked"));
+                (name, title, preset, output)
             })
             .collect()
     });
 
-    for (title, output) in rendered {
-        banner(title);
+    for (name, title, preset, output) in rendered {
+        if preset != scale {
+            eprintln!("{name} has no '{scale}' preset: ran '{preset}'");
+        }
+        println!("\n{}", "=".repeat(78));
+        println!("{title}");
+        println!("{}\n", "=".repeat(78));
         println!("{output}");
     }
 }

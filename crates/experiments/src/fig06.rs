@@ -11,8 +11,6 @@
 use nc_netsim::cluster::ClusterModel;
 use nc_vivaldi::{RemoteObservation, VivaldiConfig, VivaldiState};
 
-use crate::workloads::Scale;
-
 /// Configuration of the Figure 6 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig06Config {
@@ -41,14 +39,6 @@ impl Fig06Config {
             duration_s: 600,
             margin_ms: 3.0,
             seed: 42,
-        }
-    }
-
-    /// Alias so every experiment exposes the same preset trio.
-    pub fn for_scale(scale: Scale) -> Self {
-        match scale {
-            Scale::Quick => Self::quick(),
-            Scale::Standard | Scale::Paper => Self::standard(),
         }
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`Scale::Quick`] — seconds; used by the test suite to check the
 //!   qualitative shape of each result.
-//! * [`Scale::Standard`] — a few minutes of wall-clock time; the default for
-//!   the experiment binaries and the numbers recorded in `EXPERIMENTS.md`.
+//! * [`Scale::Standard`] — a few minutes of wall-clock time; `run_all`'s
+//!   default.
 //! * [`Scale::Paper`] — the paper's own dimensions (269/270 nodes, four
 //!   hours of simulated time at the deployment's five-second probing
 //!   interval). Expect a long run.

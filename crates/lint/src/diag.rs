@@ -1,16 +1,14 @@
 //! Diagnostics and their two renderings (human text and machine JSON).
 //!
-//! The text format is the workspace's shared CI diagnostic contract, kept
-//! in lockstep with `bench_report --check` so one log-scraping pattern
-//! covers every gate:
+//! The text format is the workspace's CI diagnostic contract, so one
+//! log-scraping pattern covers every check tool:
 //!
 //! ```text
 //! <tool>: error[<rule>]: <subject>: <message>
 //! <tool> --check: FAIL (<n> diagnostics)   # or: OK (<n> ... checked)
 //! ```
 //!
-//! For `nc-lint` the subject is `path:line:col`; for `bench_report` it is
-//! the bench name. Scrape with `^\w[\w-]*: error\[[a-z-]+\]: `.
+//! For `nc-lint` the subject is `path:line:col`. Scrape with `^\w[\w-]*: error\[[a-z-]+\]: `.
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]

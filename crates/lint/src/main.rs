@@ -9,14 +9,13 @@
 //! ```
 //!
 //! Exit status is the contract: 0 means no diagnostics, 1 means findings
-//! were printed (shared format with `bench_report --check` — see
-//! `nc_lint::diag`), 2 means usage error.
+//! were printed (format: see `nc_lint::diag`), 2 means usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn workspace_root() -> PathBuf {
-    // Two levels above this crate's manifest, like bench_report.
+    // Two levels above this crate's manifest.
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)

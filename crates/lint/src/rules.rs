@@ -25,8 +25,8 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read real clocks and ambient randomness: the UDP
-/// deployment layer and the wall-clock benchmark harness.
-const WALLCLOCK_CRATES: &[&str] = &["transport", "bench"];
+/// deployment layer.
+const WALLCLOCK_CRATES: &[&str] = &["transport"];
 
 /// Engine hot-path modules held to the no-panic rule.
 const HOT_PATH_FILES: &[&str] = &[
@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "det-wallclock",
-        description: "no Instant::now / SystemTime / thread_rng / rand::random outside crates/transport and crates/bench — simulation time and seeded RNG only",
+        description: "no Instant::now / SystemTime / thread_rng / rand::random outside crates/transport — simulation time and seeded RNG only",
     },
     RuleInfo {
         id: "panic",
@@ -387,7 +387,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
                     token,
                     format!(
                         "{why}; simulation code must use event time and seeded RNG streams \
-                         (allowed only in crates/transport and crates/bench)"
+                         (allowed only in crates/transport)"
                     ),
                 );
             }

@@ -10,7 +10,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p nc-bench --example cliff [-- nodes...] [--threads N] [--duration S]
+//! cargo run --release -p nc-netsim --example cliff [-- nodes...] [--threads N] [--duration S]
 //! ```
 //!
 //! Defaults to `256 1024 4096`. `--threads N` runs the node-sharded

@@ -553,29 +553,19 @@ fn read_response<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeResponse<Id
     let sent_at_ms = reader.read_varint()?;
     let coordinate = reader.read_coordinate()?;
     let error_estimate = reader.read_f64()?;
-    if !error_estimate.is_finite() {
-        return Err(malformed("non-finite error estimate"));
-    }
     let count = reader.read_count(1)?;
     let mut gossip = Vec::with_capacity(count);
     for _ in 0..count {
         let id = Id::decode_id(reader)?;
         let coordinate = reader.read_coordinate()?;
         let error_estimate = reader.read_f64()?;
-        if !error_estimate.is_finite() {
-            return Err(malformed("non-finite gossip error estimate"));
-        }
         gossip.push(GossipEntry {
             id,
             coordinate,
             error_estimate,
         });
     }
-    let rtt_ms = reader.read_f64()?;
-    if !rtt_ms.is_finite() {
-        return Err(malformed("non-finite rtt"));
-    }
-    Ok(ProbeResponse {
+    let response = ProbeResponse {
         version: PROTOCOL_VERSION,
         responder,
         seq,
@@ -583,8 +573,10 @@ fn read_response<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeResponse<Id
         coordinate,
         error_estimate,
         gossip,
-        rtt_ms,
-    })
+        rtt_ms: reader.read_f64()?,
+    };
+    response.require_finite()?;
+    Ok(response)
 }
 
 impl<Id: WireId> BinaryMessage for ProbeResponse<Id> {

@@ -79,17 +79,23 @@ pub trait WireMessage: Serialize {
     where
         Self: Deserialize + Sized,
     {
-        let message: Self =
-            serde::json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))?;
-        let found = message.wire_version();
-        if found != PROTOCOL_VERSION {
-            return Err(WireError::VersionMismatch {
-                expected: PROTOCOL_VERSION,
-                found,
-            });
-        }
-        Ok(message)
+        decode_versioned(text)
     }
+}
+
+/// The body of [`WireMessage::decode`], apart so an implementation that
+/// overrides it to validate further still shares the parse and version check.
+fn decode_versioned<M: WireMessage + Deserialize>(text: &str) -> Result<M, WireError> {
+    let message: M =
+        serde::json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))?;
+    let found = message.wire_version();
+    if found != PROTOCOL_VERSION {
+        return Err(WireError::VersionMismatch {
+            expected: PROTOCOL_VERSION,
+            found,
+        });
+    }
+    Ok(message)
 }
 
 /// A probe sent to one peer. `Id` names peers (an address, an index into a
@@ -208,9 +214,39 @@ impl<Id> ProbeResponse<Id> {
     }
 }
 
+impl<Id> ProbeResponse<Id> {
+    /// The check both decoders end with: the responder's error estimate,
+    /// every gossiped one and `rtt_ms` are values the receiving node stores
+    /// and gossips onward, so a non-finite one (JSON spells NaN `null`) is
+    /// refused here rather than spread.
+    pub(crate) fn require_finite(&self) -> Result<(), WireError> {
+        let finite = |value: f64, what: &str| {
+            if value.is_finite() {
+                Ok(())
+            } else {
+                Err(WireError::Malformed(format!("non-finite {what}")))
+            }
+        };
+        finite(self.error_estimate, "error estimate")?;
+        for entry in &self.gossip {
+            finite(entry.error_estimate, "gossip error estimate")?;
+        }
+        finite(self.rtt_ms, "rtt")
+    }
+}
+
 impl<Id: Serialize> WireMessage for ProbeResponse<Id> {
     fn wire_version(&self) -> u16 {
         self.version
+    }
+
+    fn decode(text: &str) -> Result<Self, WireError>
+    where
+        Self: Deserialize + Sized,
+    {
+        let response: Self = decode_versioned(text)?;
+        response.require_finite()?;
+        Ok(response)
     }
 }
 

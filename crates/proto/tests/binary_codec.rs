@@ -12,7 +12,7 @@ use std::net::SocketAddr;
 use nc_proto::binary::{KIND_REQUEST, KIND_RESPONSE, MAGIC};
 use nc_proto::{
     BinaryMessage, GossipEntry, NodeSnapshot, Packet, ProbeRequest, ProbeResponse, WireError,
-    PROTOCOL_VERSION,
+    WireMessage, PROTOCOL_VERSION,
 };
 use nc_vivaldi::Coordinate;
 use proptest::prelude::*;
@@ -269,6 +269,42 @@ fn a_snapshot_link_with_a_non_finite_error_estimate_is_malformed() {
         snapshot.links[0].error_estimate = poison;
         assert!(matches!(
             NodeSnapshot::<String>::decode_binary(&snapshot.encode_binary()),
+            Err(WireError::Malformed(_))
+        ));
+    }
+}
+
+#[test]
+fn a_json_response_with_a_null_error_estimate_is_malformed() {
+    // JSON has no NaN: the encoder writes `null` and the decoder reads one
+    // back as NaN, so the JSON decoder must refuse what the binary one does.
+    let request: ProbeRequest<u64> = ProbeRequest::new(7, 0, 0);
+    let clean =
+        ProbeResponse::new(7u64, &request, Coordinate::origin(3), 0.4).with_gossip(GossipEntry {
+            id: 9,
+            coordinate: Coordinate::origin(3),
+            error_estimate: 0.9,
+        });
+    assert_eq!(
+        ProbeResponse::<u64>::decode(&clean.encode()),
+        Ok(clean.clone())
+    );
+    let poisons: [fn(&mut ProbeResponse<u64>); 3] = [
+        |response| response.error_estimate = f64::NAN,
+        |response| response.gossip[0].error_estimate = f64::NAN,
+        |response| response.rtt_ms = f64::NAN,
+    ];
+    for poison in poisons {
+        let mut response = clean.clone();
+        poison(&mut response);
+        let text = response.encode();
+        assert!(text.contains("null"), "{text}");
+        assert!(matches!(
+            ProbeResponse::<u64>::decode(&text),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            ProbeResponse::<u64>::decode_binary(&response.encode_binary()),
             Err(WireError::Malformed(_))
         ));
     }
