@@ -716,18 +716,6 @@ impl UpdateHeuristic for CentroidHeuristic {
     }
 }
 
-/// Builds a boxed heuristic of the given kind with its paper-default
-/// parameters.
-pub fn make_heuristic(kind: HeuristicKind) -> Box<dyn UpdateHeuristic + Send> {
-    match kind {
-        HeuristicKind::System => Box::new(SystemHeuristic::paper_defaults()),
-        HeuristicKind::Application => Box::new(ApplicationHeuristic::paper_defaults()),
-        HeuristicKind::Relative => Box::new(RelativeHeuristic::paper_defaults()),
-        HeuristicKind::Energy => Box::new(EnergyHeuristic::paper_defaults()),
-        HeuristicKind::ApplicationCentroid => Box::new(CentroidHeuristic::paper_defaults()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,21 +1139,6 @@ mod tests {
                 h.on_system_update(&c(x, 0.0), &app, &UpdateContext::default()),
                 UpdateDecision::Keep
             );
-        }
-    }
-
-    #[test]
-    fn make_heuristic_builds_every_kind() {
-        for kind in [
-            HeuristicKind::System,
-            HeuristicKind::Application,
-            HeuristicKind::Relative,
-            HeuristicKind::Energy,
-            HeuristicKind::ApplicationCentroid,
-        ] {
-            let h = make_heuristic(kind);
-            assert_eq!(h.kind(), kind);
-            assert!(!kind.to_string().is_empty());
         }
     }
 

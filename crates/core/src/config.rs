@@ -4,10 +4,6 @@ use nc_change::{
     ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, HeuristicKind, RelativeHeuristic,
     SystemHeuristic, UpdateHeuristic,
 };
-use nc_filters::{
-    EwmaFilter, LatencyFilter, MovingMedianFilter, MovingPercentileFilter, RawFilter,
-    ThresholdFilter, WarmupFilter,
-};
 use nc_vivaldi::{OutlierGateConfig, VivaldiConfig};
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +31,9 @@ pub enum NodeConfigError {
     /// An eviction limit of zero consecutive losses (a peer would be
     /// evicted before its first probe could even be answered).
     ZeroLossLimit,
+    /// An outlier gate that [`OutlierGateConfig::validate`] refuses, with
+    /// that check's description of the first problem.
+    OutlierGate(String),
 }
 
 impl std::fmt::Display for NodeConfigError {
@@ -64,6 +63,7 @@ impl std::fmt::Display for NodeConfigError {
             NodeConfigError::ZeroLossLimit => {
                 write!(f, "max consecutive losses must be at least 1")
             }
+            NodeConfigError::OutlierGate(problem) => write!(f, "{problem}"),
         }
     }
 }
@@ -110,17 +110,6 @@ impl FilterConfig {
         }
     }
 
-    /// The filter family, for reporting.
-    pub fn kind(&self) -> nc_filters::FilterKind {
-        match self {
-            FilterConfig::Raw => nc_filters::FilterKind::Raw,
-            FilterConfig::MovingPercentile { .. } => nc_filters::FilterKind::MovingPercentile,
-            FilterConfig::MovingMedian { .. } => nc_filters::FilterKind::MovingMedian,
-            FilterConfig::Ewma { .. } => nc_filters::FilterKind::Ewma,
-            FilterConfig::Threshold { .. } => nc_filters::FilterKind::Threshold,
-        }
-    }
-
     /// Checks the filter parameters and returns the config unchanged when
     /// they are buildable.
     ///
@@ -160,69 +149,6 @@ impl FilterConfig {
             }
         }
         Ok(self)
-    }
-
-    /// Builds one filter instance for a newly discovered link.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds invalid parameters — exactly the
-    /// ones [`FilterConfig::validate`] reports as typed errors.
-    /// Configurations built through the public constructors are always
-    /// valid.
-    pub(crate) fn build(&self, warmup_samples: u64) -> Box<dyn LatencyFilter + Send> {
-        let inner: Box<dyn LatencyFilter + Send> = match self {
-            FilterConfig::Raw => Box::new(RawFilter::new()),
-            FilterConfig::MovingPercentile {
-                history,
-                percentile,
-            } => Box::new(
-                MovingPercentileFilter::new(*history, *percentile)
-                    .expect("invalid moving-percentile parameters"),
-            ),
-            FilterConfig::MovingMedian { history } => {
-                Box::new(MovingMedianFilter::new(*history).expect("invalid median history"))
-            }
-            FilterConfig::Ewma { alpha } => {
-                Box::new(EwmaFilter::new(*alpha).expect("invalid EWMA alpha"))
-            }
-            FilterConfig::Threshold { cutoff_ms } => {
-                Box::new(ThresholdFilter::new(*cutoff_ms).expect("invalid threshold cutoff"))
-            }
-        };
-        if warmup_samples > 1 {
-            Box::new(WarmupFilter::new(BoxedFilter(inner), warmup_samples))
-        } else {
-            inner
-        }
-    }
-}
-
-/// Adapter so a boxed filter can be wrapped by [`WarmupFilter`], which is
-/// generic over its inner filter.
-struct BoxedFilter(Box<dyn LatencyFilter + Send>);
-
-impl LatencyFilter for BoxedFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        self.0.observe(raw_rtt_ms)
-    }
-    fn current_estimate(&self) -> Option<f64> {
-        self.0.current_estimate()
-    }
-    fn observations_seen(&self) -> u64 {
-        self.0.observations_seen()
-    }
-    fn reset(&mut self) {
-        self.0.reset()
-    }
-    fn export_state(&self) -> nc_filters::FilterState {
-        self.0.export_state()
-    }
-    fn import_state(
-        &mut self,
-        state: &nc_filters::FilterState,
-    ) -> Result<(), nc_filters::StateMismatch> {
-        self.0.import_state(state)
     }
 }
 
@@ -437,12 +363,25 @@ impl NodeConfig {
     /// # Errors
     ///
     /// Returns the first [`NodeConfigError`] found in the filter, the
-    /// heuristic, or the eviction limit.
+    /// heuristic, the eviction limit or the outlier gate.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stable_nc::{NodeConfig, NodeConfigError, OutlierGateConfig};
+    ///
+    /// let gate = OutlierGateConfig { window: 1, ..OutlierGateConfig::default() };
+    /// let config = NodeConfig::builder().outlier_gate(gate).build();
+    /// assert!(matches!(config.validate(), Err(NodeConfigError::OutlierGate(_))));
+    /// ```
     pub fn validate(self) -> Result<Self, NodeConfigError> {
         self.filter.clone().validate()?;
         self.heuristic.clone().validate()?;
         if self.max_consecutive_losses == Some(0) {
             return Err(NodeConfigError::ZeroLossLimit);
+        }
+        if let Some(gate) = &self.outlier_gate {
+            gate.validate().map_err(NodeConfigError::OutlierGate)?;
         }
         Ok(self)
     }
@@ -566,7 +505,7 @@ mod tests {
             .warmup_samples(2)
             .vivaldi(VivaldiConfig::paper_defaults().with_dimensions(2))
             .build();
-        assert_eq!(c.filter.kind(), nc_filters::FilterKind::Ewma);
+        assert_eq!(c.filter, FilterConfig::Ewma { alpha: 0.1 });
         assert_eq!(c.heuristic.kind(), Some(HeuristicKind::Application));
         assert_eq!(c.warmup_samples, 2);
         assert_eq!(c.vivaldi.dimensions(), 2);
@@ -643,26 +582,69 @@ mod tests {
     }
 
     #[test]
+    fn try_build_reports_an_outlier_gate_its_own_check_refuses() {
+        // Accepted, this configuration panicked inside `StableNode::new`.
+        let gate = OutlierGateConfig {
+            window: 1,
+            ..OutlierGateConfig::default()
+        };
+        let problem = gate.validate().unwrap_err();
+        let err = NodeConfig::builder()
+            .outlier_gate(gate)
+            .try_build()
+            .unwrap_err();
+        assert_eq!(err, NodeConfigError::OutlierGate(problem));
+        assert!(err.to_string().contains("window"), "{err}");
+        assert!(NodeConfig::builder()
+            .outlier_gate(OutlierGateConfig::default())
+            .try_build()
+            .is_ok());
+    }
+
+    #[test]
     fn filter_config_builds_working_filters() {
-        for config in [
-            FilterConfig::Raw,
-            FilterConfig::paper_mp(),
-            FilterConfig::MovingMedian { history: 4 },
-            FilterConfig::Ewma { alpha: 0.2 },
-            FilterConfig::Threshold { cutoff_ms: 500.0 },
+        use crate::peers::PeerFilter;
+        for (config, family) in [
+            (FilterConfig::Raw, "raw"),
+            (FilterConfig::paper_mp(), "moving-percentile"),
+            (
+                FilterConfig::MovingMedian { history: 4 },
+                "moving-percentile",
+            ),
+            (FilterConfig::Ewma { alpha: 0.2 }, "ewma"),
+            (FilterConfig::Threshold { cutoff_ms: 500.0 }, "threshold"),
         ] {
-            let mut f = config.build(0);
-            f.observe(42.0);
+            let mut f = PeerFilter::new(&config);
+            assert_eq!(f.observe(42.0), Some(42.0), "{config:?}");
             assert_eq!(f.observations_seen(), 1, "{config:?}");
+            assert_eq!(f.export_state().family(), family);
         }
+        // The median is the p = 50 member of the moving-percentile family.
+        let mut median = PeerFilter::new(&FilterConfig::MovingMedian { history: 4 });
+        for raw in [10.0, 40.0, 20.0] {
+            median.observe(raw);
+        }
+        assert_eq!(median.current_estimate(), Some(20.0));
     }
 
     #[test]
     fn warmup_wrapping_delays_output() {
-        let mut f = FilterConfig::paper_mp().build(3);
-        assert_eq!(f.observe(100.0), None);
-        assert_eq!(f.observe(100.0), None);
-        assert!(f.observe(100.0).is_some());
+        use crate::{Event, ProbeResponse, StableNode};
+        use nc_vivaldi::Coordinate;
+        let config = NodeConfig::builder().warmup_samples(3).build();
+        let mut node = StableNode::<u32>::new(config);
+        let mut events = Vec::new();
+        for (round, withheld) in [(0, true), (1, true), (2, false)] {
+            let request = node.probe_request_for(1, round);
+            let mut response = ProbeResponse::new(1, &request, Coordinate::origin(3), 0.5);
+            response.rtt_ms = 100.0;
+            events.clear();
+            node.handle_response_into(&response, &mut events);
+            let filtered = events
+                .iter()
+                .any(|event| matches!(event, Event::ObservationFiltered { .. }));
+            assert_eq!(filtered, withheld, "sample {round}: {events:?}");
+        }
     }
 
     #[test]

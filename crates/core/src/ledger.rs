@@ -339,6 +339,7 @@ mod tests {
             node.set_identity(ME);
             let mut ledger = Ledger::new(threshold);
             let mut sent: Vec<ProbeRequest<u32>> = Vec::new();
+            let mut events = Vec::new();
             let mut now_ms = 0u64;
             for word in words {
                 let peer = 1 + ((word >> 8) % PEERS as u64) as u32;
@@ -380,7 +381,8 @@ mod tests {
                                 error_estimate: 0.5,
                             });
                         response.rtt_ms = if (word >> 52) % 16 == 0 { 90_000.0 } else { 50.0 };
-                        let events = node.handle_response(&response);
+                        events.clear();
+                        node.handle_response_into(&response, &mut events);
                         if responder != ME {
                             let settled = ledger.settle(&responder, request.seq);
                             let ignored = events
@@ -393,16 +395,16 @@ mod tests {
                         // Forged: a sequence number nobody was given.
                         let request = ProbeRequest::new(peer, word, now_ms);
                         let response = ProbeResponse::new(peer, &request, Coordinate::origin(3), 0.5);
-                        node.handle_response(&response);
+                        node.handle_response_into(&response, &mut events);
                         prop_assert!(!ledger.settle(&peer, word));
                     }
                     7 if !sent.is_empty() => {
                         let seq = sent[pick % sent.len()].seq;
-                        let events = node.handle_timeout(seq);
+                        events.clear();
+                        node.handle_timeout_into(seq, &mut events);
                         prop_assert_eq!(events.is_empty(), ledger.timeout(seq).is_none());
                     }
                     8 => {
-                        let mut events = Vec::new();
                         node.expire_pending_into(now_ms, 120, &mut events);
                         while ledger.expire(now_ms, 120).is_some() {}
                     }

@@ -25,9 +25,11 @@
 //!
 //! A node is driven entirely through the wire messages of [`nc_proto`]: it
 //! schedules probes with [`StableNode::next_probe`], answers incoming
-//! probes with [`StableNode::respond`], and digests measured responses with
-//! [`StableNode::handle_response`], which reports what happened as typed
-//! [`Event`]s. The engine never touches a socket or a clock — the same code
+//! probes with [`StableNode::respond_into`], and digests measured responses
+//! with [`StableNode::handle_response_into`], which reports what happened as
+//! typed [`Event`]s. Each wire event has one call, and it writes into a
+//! buffer the driver owns and reuses — a response message, an event vector
+//! — so the steady-state exchange never allocates. The engine never touches a socket or a clock — the same code
 //! runs under the discrete-event simulator, a UDP daemon, or a trace
 //! replayer, which is what makes the stack testable and deployable at once.
 //! Read-only introspection goes through [`StableNode::view`], which captures
@@ -38,10 +40,16 @@
 //! # Quickstart: the request/response loop
 //!
 //! ```
-//! use stable_nc::{Event, NodeConfig, StableNode};
+//! use stable_nc::{Coordinate, Event, NodeConfig, ProbeRequest, ProbeResponse, StableNode};
 //!
 //! let mut a: StableNode<&'static str> = StableNode::new(NodeConfig::paper_defaults());
 //! let mut b: StableNode<&'static str> = StableNode::new(NodeConfig::paper_defaults());
+//!
+//! // The driver's buffers: one response message and one event vector,
+//! // rewritten by every exchange.
+//! let placeholder = ProbeRequest::new("b", 0, 0);
+//! let mut response = ProbeResponse::new("b", &placeholder, Coordinate::origin(3), 1.0);
+//! let mut events = Vec::new();
 //!
 //! // Two nodes measuring each other at ~80 ms with occasional huge outliers.
 //! let mut app_updates = 0;
@@ -51,19 +59,21 @@
 //!     // a probes b: build the request, let b answer it, stamp the
 //!     // measured round trip in, digest the events.
 //!     let request = a.probe_request_for("b", round);
-//!     let mut response = b.respond(&request);
+//!     b.respond_into(&request, &mut response);
 //!     response.rtt_ms = rtt;
-//!     for event in a.handle_response(&response) {
-//!         if matches!(event, Event::ApplicationUpdated { .. }) {
-//!             app_updates += 1;
-//!         }
-//!     }
+//!     events.clear();
+//!     a.handle_response_into(&response, &mut events);
+//!     app_updates += events
+//!         .iter()
+//!         .filter(|event| matches!(event, Event::ApplicationUpdated { .. }))
+//!         .count();
 //!
 //!     // ... and b probes a.
 //!     let request = b.probe_request_for("a", round);
-//!     let mut response = a.respond(&request);
+//!     a.respond_into(&request, &mut response);
 //!     response.rtt_ms = rtt;
-//!     b.handle_response(&response);
+//!     events.clear();
+//!     b.handle_response_into(&response, &mut events);
 //! }
 //!
 //! let estimate = a.estimate_rtt_ms(b.system_coordinate());
@@ -87,11 +97,12 @@
 //!
 //! let mut node: StableNode<u32> = StableNode::new(NodeConfig::paper_defaults());
 //! let remote = stable_nc::Coordinate::new(vec![20.0, 30.0, 0.0]).unwrap();
+//! let mut events = Vec::new();
 //! for i in 0..64u64 {
 //!     let request = node.probe_request_for(1, i);
 //!     let mut response = ProbeResponse::new(1, &request, remote.clone(), 0.5);
 //!     response.rtt_ms = 42.0 + (i % 3) as f64;
-//!     node.handle_response(&response);
+//!     node.handle_response_into(&response, &mut events);
 //! }
 //!
 //! let persisted = node.snapshot().encode(); // JSON, version-tagged
@@ -117,7 +128,6 @@ pub use node::{NodeView, PeerView, RestoreError, StableNode};
 
 // Re-export the building blocks so downstream users need only one dependency.
 pub use nc_change::{ApplicationUpdate, HeuristicKind};
-pub use nc_filters::FilterKind;
 pub use nc_proto::{
     Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, WireMessage,
     PROTOCOL_VERSION,

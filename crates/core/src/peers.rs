@@ -2,10 +2,13 @@
 //! table's entry and the two slabs its handles point into. Engine-internal —
 //! nothing here is reachable from outside the crate.
 
-use nc_filters::{FilterState, LatencyFilter, MovingPercentileFilter, StateMismatch};
+use nc_filters::{
+    EwmaFilter, FilterState, LatencyFilter, MovingPercentileFilter, RawFilter, StateMismatch,
+    ThresholdFilter,
+};
 use nc_vivaldi::Coordinate;
 
-use crate::config::NodeConfig;
+use crate::config::FilterConfig;
 
 /// What the engine keeps for every id it has *heard of*: one entry of the
 /// peer table, whether the peer was ever measured or only gossiped about.
@@ -148,19 +151,35 @@ impl SnapshotStore {
 /// measures two hundred peers allocates eight times, not two hundred — and
 /// keeps the records of one node together.
 ///
+/// The store is also the one place a link's estimate leaves through, so it
+/// applies the §VI warm-up fix: [`observe`](LinkStore::observe) and
+/// [`estimate`](LinkStore::estimate) withhold a link's estimate until its
+/// filter has seen `warmup_samples` valid observations. `0` and `1` switch
+/// the check off, since a filter has no estimate before its first sample.
+///
 /// Nothing observable depends on where a record sits: snapshots and views
 /// walk the membership list and read records through the table, so slot
 /// reuse order never reaches a report.
-#[derive(Default)]
 pub(crate) struct LinkStore {
     records: Vec<PeerFilter>,
     /// Slots whose peer was evicted, reused before the slab grows. A freed
     /// record stays in place until then; nothing reads it, because its only
     /// handle died with the table entry.
     free: Vec<u32>,
+    /// Valid observations a link must deliver before its estimate is used.
+    warmup_samples: u64,
 }
 
 impl LinkStore {
+    /// An empty store whose links warm up over `warmup_samples` samples.
+    pub(crate) fn new(warmup_samples: u64) -> Self {
+        LinkStore {
+            records: Vec::new(),
+            free: Vec::new(),
+            warmup_samples,
+        }
+    }
+
     /// Stores `record` and returns its handle.
     pub(crate) fn insert(&mut self, record: PeerFilter) -> u32 {
         match self.free.pop() {
@@ -180,12 +199,32 @@ impl LinkStore {
         self.free.push(handle);
     }
 
+    /// The record behind `handle`, for its state and its observation count;
+    /// its estimate is read through [`estimate`](LinkStore::estimate).
     pub(crate) fn get(&self, handle: u32) -> &PeerFilter {
         &self.records[handle as usize]
     }
 
     pub(crate) fn get_mut(&mut self, handle: u32) -> &mut PeerFilter {
         &mut self.records[handle as usize]
+    }
+
+    /// Feeds one raw RTT to the link's filter and returns the estimate it
+    /// releases, once the link is warm.
+    pub(crate) fn observe(&mut self, handle: u32, raw_rtt_ms: f64) -> Option<f64> {
+        let filter = &mut self.records[handle as usize];
+        let estimate = filter.observe(raw_rtt_ms)?;
+        (filter.observations_seen() >= self.warmup_samples).then_some(estimate)
+    }
+
+    /// The link's current estimate, once the link is warm.
+    pub(crate) fn estimate(&self, handle: u32) -> Option<f64> {
+        let filter = self.get(handle);
+        if filter.observations_seen() >= self.warmup_samples {
+            filter.current_estimate()
+        } else {
+            None
+        }
     }
 
     /// Records currently owned by a table entry.
@@ -206,94 +245,81 @@ impl LinkStore {
     }
 }
 
-/// The per-link record of the [`LinkStore`]: the link's latency filter.
-///
-/// The moving-percentile family — the paper's recommended filter and the
-/// one every experiment configuration uses — is stored by value: no box, no
-/// vtable, and (for the paper's `h = 4`) no heap-backed window either, so
-/// digesting a response reaches the window with one dependent load from the
-/// peer entry. Every other filter family keeps the boxed trait object.
-/// Behaviour is identical either way; this is purely a layout optimisation
-/// for the simulator's observation hot path.
+/// The per-link record of the [`LinkStore`]: the link's latency filter, one
+/// arm per family the configuration can name, each stored by value — no
+/// box, no vtable, and (for the moving-percentile family at the paper's
+/// `h = 4`) no heap-backed window either, so digesting a response reaches
+/// the window with one dependent load from the peer entry.
 ///
 /// The link's filtered RTT and observation count, which views and snapshots
 /// report, are the filter's `current_estimate()` / `observations_seen()`
 /// read when asked for — they are not copied out per observation.
 pub(crate) enum PeerFilter {
-    /// Moving-percentile (and its median special case), devirtualized.
+    Raw(RawFilter),
+    /// The moving-percentile family, the moving median included (p = 50).
     MovingPercentile(MovingPercentileFilter),
-    /// Any other configured filter family.
-    Boxed(Box<dyn LatencyFilter + Send>),
+    Ewma(EwmaFilter),
+    Threshold(ThresholdFilter),
+}
+
+/// Runs `$body` with `$filter` bound to the arm's filter, whichever it is.
+macro_rules! each_arm {
+    ($record:expr, $filter:ident => $body:expr) => {
+        match $record {
+            PeerFilter::Raw($filter) => $body,
+            PeerFilter::MovingPercentile($filter) => $body,
+            PeerFilter::Ewma($filter) => $body,
+            PeerFilter::Threshold($filter) => $body,
+        }
+    };
 }
 
 impl PeerFilter {
-    /// Builds the filter the configuration describes, choosing the inline
-    /// representation when it applies (no warm-up wrapper needed and a
-    /// moving-percentile family configured).
-    pub(crate) fn build(config: &NodeConfig) -> PeerFilter {
-        use crate::config::FilterConfig;
-        if config.warmup_samples <= 1 {
-            match config.filter {
-                FilterConfig::MovingPercentile {
-                    history,
-                    percentile,
-                } => {
-                    return PeerFilter::MovingPercentile(
-                        MovingPercentileFilter::new(history, percentile)
-                            // nc-lint: allow(panic) — same constructor the
-                            // boxed builder runs; invalid parameters fail at
-                            // node construction, before any hot-path call.
-                            .expect("invalid moving-percentile parameters"),
-                    );
-                }
-                FilterConfig::MovingMedian { history } => {
-                    // The median filter is definitionally MP at p = 50 (and
-                    // `MovingMedianFilter` is implemented as exactly that
-                    // wrapper), so the inline representation covers it too.
-                    return PeerFilter::MovingPercentile(
-                        // nc-lint: allow(panic) — see the percentile arm above.
-                        MovingPercentileFilter::new(history, 50.0).expect("invalid median history"),
-                    );
-                }
-                _ => {}
+    /// Builds the filter `config` describes for a newly measured link.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the parameters [`FilterConfig::validate`] reports as typed
+    /// errors, which `NodeConfigBuilder::try_build` surfaces before a node
+    /// exists.
+    pub(crate) fn new(config: &FilterConfig) -> PeerFilter {
+        let built = match *config {
+            FilterConfig::Raw => Ok(PeerFilter::Raw(RawFilter::new())),
+            FilterConfig::MovingPercentile {
+                history,
+                percentile,
+            } => MovingPercentileFilter::new(history, percentile).map(PeerFilter::MovingPercentile),
+            FilterConfig::MovingMedian { history } => {
+                MovingPercentileFilter::new(history, 50.0).map(PeerFilter::MovingPercentile)
             }
-        }
-        PeerFilter::Boxed(config.filter.build(config.warmup_samples))
+            FilterConfig::Ewma { alpha } => EwmaFilter::new(alpha).map(PeerFilter::Ewma),
+            FilterConfig::Threshold { cutoff_ms } => {
+                ThresholdFilter::new(cutoff_ms).map(PeerFilter::Threshold)
+            }
+        };
+        // nc-lint: allow(panic) — the constructors refuse exactly what
+        // `FilterConfig::validate` reports as a typed error.
+        built.expect("filter parameters `FilterConfig::validate` refuses")
     }
 
     pub(crate) fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.observe(raw_rtt_ms),
-            PeerFilter::Boxed(filter) => filter.observe(raw_rtt_ms),
-        }
+        each_arm!(self, filter => filter.observe(raw_rtt_ms))
     }
 
     pub(crate) fn current_estimate(&self) -> Option<f64> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.current_estimate(),
-            PeerFilter::Boxed(filter) => filter.current_estimate(),
-        }
+        each_arm!(self, filter => filter.current_estimate())
     }
 
     pub(crate) fn observations_seen(&self) -> u64 {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.observations_seen(),
-            PeerFilter::Boxed(filter) => filter.observations_seen(),
-        }
+        each_arm!(self, filter => filter.observations_seen())
     }
 
     pub(crate) fn export_state(&self) -> FilterState {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.export_state(),
-            PeerFilter::Boxed(filter) => filter.export_state(),
-        }
+        each_arm!(self, filter => filter.export_state())
     }
 
     pub(crate) fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        match self {
-            PeerFilter::MovingPercentile(filter) => filter.import_state(state),
-            PeerFilter::Boxed(filter) => filter.import_state(state),
-        }
+        each_arm!(self, filter => filter.import_state(state))
     }
 }
 

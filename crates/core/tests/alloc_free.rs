@@ -158,7 +158,8 @@ fn refreshing_a_measured_peers_snapshot_performs_zero_allocations() {
     };
     let request = node.probe_request_for(7, 0);
     let mut response = ProbeResponse::new(7, &request, at(0), 0.4);
-    let mut gossip = node.respond(&request);
+    let mut gossip = response.clone();
+    node.respond_into(&request, &mut gossip);
 
     let mut exchange = |node: &mut StableNode<usize>, step: u64| {
         let request = node.probe_request_for(7, step);
@@ -314,7 +315,8 @@ fn steady_state_wire_exchange_performs_zero_allocations() {
 
     // Prime one exchange to build the reusable response message.
     let request = prober.probe_request_for(1, 0);
-    let mut response: ProbeResponse<usize> = responder.respond(&request);
+    let mut response = ProbeResponse::new(1, &request, responder.system_coordinate().clone(), 0.5);
+    responder.respond_into(&request, &mut response);
     response.rtt_ms = 60.0;
     prober.handle_response_into(&response, &mut events);
 

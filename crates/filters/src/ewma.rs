@@ -9,7 +9,7 @@
 //! experiments compare against.
 
 use crate::moving_percentile::InvalidFilterParameter;
-use crate::{FilterState, LatencyFilter, StateMismatch};
+use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
 
 /// Exponentially-weighted moving average of raw observations.
 ///
@@ -55,7 +55,7 @@ impl EwmaFilter {
 
 impl LatencyFilter for EwmaFilter {
     fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        if !raw_rtt_ms.is_finite() || raw_rtt_ms <= 0.0 {
+        if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.seen += 1;
@@ -75,11 +75,6 @@ impl LatencyFilter for EwmaFilter {
         self.seen
     }
 
-    fn reset(&mut self) {
-        self.value = None;
-        self.seen = 0;
-    }
-
     fn export_state(&self) -> FilterState {
         FilterState::Ewma {
             value: self.value,
@@ -90,11 +85,12 @@ impl LatencyFilter for EwmaFilter {
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::Ewma { value, seen } => {
+                state.check_samples()?;
                 self.value = *value;
                 self.seen = *seen;
                 Ok(())
             }
-            other => Err(StateMismatch {
+            other => Err(StateMismatch::Family {
                 expected: "ewma",
                 found: other.family(),
             }),
@@ -158,14 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn ignores_invalid_input_and_reset_clears() {
+    fn ignores_invalid_input() {
         let mut f = EwmaFilter::new(0.5).unwrap();
         assert_eq!(f.observe(f64::INFINITY), None);
         assert_eq!(f.observe(-2.0), None);
-        f.observe(10.0);
-        f.reset();
         assert_eq!(f.current_estimate(), None);
         assert_eq!(f.observations_seen(), 0);
+        assert_eq!(f.observe(10.0), Some(10.0));
     }
 
     proptest! {

@@ -10,21 +10,19 @@
 //! * [`MovingPercentileFilter`] — the paper's recommended non-linear low-pass
 //!   filter: keep the last `h` observations per link and output their `p`-th
 //!   percentile (`h = 4`, `p = 25` performed best, §IV).
-//! * [`MovingMedianFilter`] — the classic special case `p = 50`.
 //! * [`EwmaFilter`] — exponentially-weighted moving average baseline
 //!   (Table I shows it is *worse* than no filter at all for this workload).
 //! * [`ThresholdFilter`] — discard observations above a fixed cut-off, the
 //!   stateless baseline the paper tried first (§IV-B "Thresholds").
 //! * [`RawFilter`] — identity pass-through (the "No Filter" configuration).
-//! * [`WarmupFilter`] — wrapper that withholds output until a minimum number
-//!   of samples has been seen, the fix the paper proposes (§VI) for the
-//!   pathological case where the very first observation on a link is an
-//!   extreme outlier.
 //!
 //! All filters implement [`LatencyFilter`]: they consume one raw observation
 //! at a time and produce the filtered latency estimate that should be handed
 //! to the coordinate algorithm (or `None` when no estimate should be emitted
-//! yet).
+//! yet). The paper's §VI warm-up fix — withhold a link's estimate until it
+//! has delivered a minimum number of samples — is a check on
+//! [`LatencyFilter::observations_seen`] made by the engine that keeps the
+//! filters, not a filter of its own.
 //!
 //! # Example
 //!
@@ -47,13 +45,18 @@ pub mod ewma;
 pub mod moving_percentile;
 pub mod raw;
 pub mod threshold;
-pub mod warmup;
 
 pub use ewma::EwmaFilter;
-pub use moving_percentile::{MovingMedianFilter, MovingPercentileFilter};
+pub use moving_percentile::MovingPercentileFilter;
 pub use raw::RawFilter;
 pub use threshold::ThresholdFilter;
-pub use warmup::WarmupFilter;
+
+/// Whether `rtt_ms` is a sample a filter accepts: finite and positive.
+/// Anything else is refused by [`LatencyFilter::observe`] and, inside
+/// imported state, by [`LatencyFilter::import_state`].
+pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
+    rtt_ms.is_finite() && rtt_ms > 0.0
+}
 
 /// The serializable runtime state of a per-link filter.
 ///
@@ -72,7 +75,7 @@ pub enum FilterState {
         /// Number of valid observations consumed.
         seen: u64,
     },
-    /// State of a [`MovingPercentileFilter`] or [`MovingMedianFilter`].
+    /// State of a [`MovingPercentileFilter`].
     MovingPercentile {
         /// The sliding observation window, oldest first.
         window: Vec<f64>,
@@ -107,25 +110,78 @@ impl FilterState {
             FilterState::Threshold { .. } => "threshold",
         }
     }
+
+    /// Checks that every sample the state holds is one
+    /// [`LatencyFilter::observe`] would have accepted. A state off the wire
+    /// can carry anything; restored, a negative or NaN sample would come
+    /// back out as the link's estimate.
+    pub(crate) fn check_samples(&self) -> Result<(), StateMismatch> {
+        let samples: &[f64] = match self {
+            FilterState::Raw { last, .. } => last.as_slice(),
+            FilterState::MovingPercentile { window, .. } => window,
+            FilterState::Ewma { value, .. } => value.as_slice(),
+            FilterState::Threshold { last_passed, .. } => last_passed.as_slice(),
+        };
+        match samples.iter().find(|&&sample| !is_valid_sample(sample)) {
+            Some(&value) => Err(StateMismatch::Sample {
+                family: self.family(),
+                value,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
-/// Error returned when a filter is asked to adopt state exported by a filter
-/// of a different family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateMismatch {
-    /// The family of the filter doing the importing.
-    pub expected: &'static str,
-    /// The family the state was exported from.
-    pub found: &'static str,
+/// Error returned when a filter refuses to adopt exported state.
+///
+/// # Examples
+///
+/// ```
+/// use nc_filters::{FilterState, LatencyFilter, MovingPercentileFilter, RawFilter, StateMismatch};
+///
+/// let mut filter = MovingPercentileFilter::paper_defaults();
+/// let foreign = RawFilter::new().export_state();
+/// assert!(matches!(
+///     filter.import_state(&foreign),
+///     Err(StateMismatch::Family { found: "raw", .. })
+/// ));
+/// // Restored, this window would report a filtered RTT of -50 ms.
+/// let hostile = FilterState::MovingPercentile { window: vec![-50.0], seen: 1 };
+/// assert!(matches!(
+///     filter.import_state(&hostile),
+///     Err(StateMismatch::Sample { value, .. }) if value == -50.0
+/// ));
+/// assert_eq!(filter.observations_seen(), 0, "the filter is left unchanged");
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub enum StateMismatch {
+    /// The state was exported by a filter of a different family.
+    Family {
+        /// The family of the filter doing the importing.
+        expected: &'static str,
+        /// The family the state was exported from.
+        found: &'static str,
+    },
+    /// The state holds a sample `observe` refuses: NaN, infinite, zero or
+    /// negative.
+    Sample {
+        /// The family of the state.
+        family: &'static str,
+        /// The first such sample.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for StateMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot restore a {} filter from {} state",
-            self.expected, self.found
-        )
+        match self {
+            StateMismatch::Family { expected, found } => {
+                write!(f, "cannot restore a {expected} filter from {found} state")
+            }
+            StateMismatch::Sample { family, value } => {
+                write!(f, "{family} filter state holds the invalid sample {value}")
+            }
+        }
     }
 }
 
@@ -155,10 +211,6 @@ pub trait LatencyFilter {
     /// excluding invalid ones).
     fn observations_seen(&self) -> u64;
 
-    /// Resets the filter to its initial state (used when a link is considered
-    /// dead and later reappears).
-    fn reset(&mut self);
-
     /// Exports the filter's runtime state for persistence.
     fn export_state(&self) -> FilterState;
 
@@ -169,125 +221,127 @@ pub trait LatencyFilter {
     /// # Errors
     ///
     /// Returns [`StateMismatch`] when `state` was exported by a different
-    /// filter family; the filter is left unchanged in that case.
+    /// filter family or holds a sample [`observe`](LatencyFilter::observe)
+    /// would refuse; the filter is left unchanged in that case.
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch>;
-}
-
-/// Identifies a filter family for configuration and reporting purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum FilterKind {
-    /// Raw pass-through (the paper's "No Filter").
-    Raw,
-    /// Moving-percentile filter with the paper's default parameters.
-    MovingPercentile,
-    /// Moving-median filter.
-    MovingMedian,
-    /// EWMA filter.
-    Ewma,
-    /// Fixed-threshold filter.
-    Threshold,
-}
-
-impl std::fmt::Display for FilterKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            FilterKind::Raw => "raw",
-            FilterKind::MovingPercentile => "moving-percentile",
-            FilterKind::MovingMedian => "moving-median",
-            FilterKind::Ewma => "ewma",
-            FilterKind::Threshold => "threshold",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// Constructs a boxed filter of the given kind with its paper-default
-/// parameters. Convenient for experiment sweeps that select filters by name.
-pub fn make_filter(kind: FilterKind) -> Box<dyn LatencyFilter + Send> {
-    match kind {
-        FilterKind::Raw => Box::new(RawFilter::new()),
-        FilterKind::MovingPercentile => Box::new(MovingPercentileFilter::paper_defaults()),
-        FilterKind::MovingMedian => Box::new(MovingMedianFilter::new(4).expect("4 > 0")),
-        FilterKind::Ewma => Box::new(EwmaFilter::new(0.1).expect("alpha in range")),
-        FilterKind::Threshold => Box::new(ThresholdFilter::new(1000.0).expect("positive cutoff")),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn make_filter_produces_working_filters() {
-        for kind in [
-            FilterKind::Raw,
-            FilterKind::MovingPercentile,
-            FilterKind::MovingMedian,
-            FilterKind::Ewma,
-            FilterKind::Threshold,
-        ] {
-            let mut f = make_filter(kind);
-            let out = f.observe(50.0);
-            assert!(
-                out.is_some()
-                    || kind == FilterKind::MovingPercentile
-                    || kind == FilterKind::MovingMedian,
-                "{kind} swallowed a valid observation unexpectedly"
-            );
-            assert_eq!(f.observations_seen(), 1);
+    /// Feeds a stream with an outlier to a filter from `fresh`, restores its
+    /// state into a second one and checks that both continue identically.
+    fn round_trips<F: LatencyFilter>(fresh: impl Fn() -> F) {
+        let mut original = fresh();
+        for raw in [80.0, 90.0, 4_000.0, 85.0, 82.0] {
+            original.observe(raw);
         }
-    }
-
-    #[test]
-    fn filter_kind_display_is_nonempty() {
+        let state = original.export_state();
+        let mut restored = fresh();
+        restored.import_state(&state).expect("same family restores");
+        let family = state.family();
         assert_eq!(
-            FilterKind::MovingPercentile.to_string(),
-            "moving-percentile"
+            restored.current_estimate(),
+            original.current_estimate(),
+            "{family}"
         );
-        assert_eq!(FilterKind::Raw.to_string(), "raw");
+        assert_eq!(restored.observations_seen(), original.observations_seen());
+        assert_eq!(restored.observe(88.0), original.observe(88.0), "{family}");
+        assert_eq!(restored.export_state(), original.export_state(), "{family}");
     }
 
     #[test]
     fn filters_are_object_safe_and_send() {
-        fn assert_send<T: Send>(_: &T) {}
-        let f = make_filter(FilterKind::Raw);
-        assert_send(&f);
+        fn assert_send<T: Send>() {}
+        assert_send::<RawFilter>();
+        assert_send::<MovingPercentileFilter>();
+        assert_send::<EwmaFilter>();
+        assert_send::<ThresholdFilter>();
+        let f: &dyn LatencyFilter = &RawFilter::new();
+        assert_eq!(f.observations_seen(), 0);
     }
 
     #[test]
     fn state_round_trips_through_a_fresh_filter() {
-        for kind in [
-            FilterKind::Raw,
-            FilterKind::MovingPercentile,
-            FilterKind::MovingMedian,
-            FilterKind::Ewma,
-            FilterKind::Threshold,
-        ] {
-            let mut original = make_filter(kind);
-            for raw in [80.0, 90.0, 4_000.0, 85.0, 82.0] {
-                original.observe(raw);
-            }
-            let state = original.export_state();
-            let mut restored = make_filter(kind);
-            restored.import_state(&state).expect("same family restores");
-            assert_eq!(
-                restored.current_estimate(),
-                original.current_estimate(),
-                "{kind}"
-            );
-            assert_eq!(restored.observations_seen(), original.observations_seen());
-            // Both continue identically.
-            assert_eq!(restored.observe(88.0), original.observe(88.0), "{kind}");
-        }
+        round_trips(RawFilter::new);
+        round_trips(MovingPercentileFilter::paper_defaults);
+        round_trips(|| MovingPercentileFilter::new(4, 50.0).unwrap());
+        round_trips(|| EwmaFilter::new(0.1).unwrap());
+        round_trips(|| ThresholdFilter::new(1_000.0).unwrap());
     }
 
     #[test]
     fn importing_foreign_state_is_rejected() {
-        let mut ewma = make_filter(FilterKind::Ewma);
-        let raw_state = make_filter(FilterKind::Raw).export_state();
+        let mut ewma = EwmaFilter::new(0.1).unwrap();
+        let raw_state = RawFilter::new().export_state();
         let err = ewma.import_state(&raw_state).unwrap_err();
-        assert_eq!(err.expected, "ewma");
-        assert_eq!(err.found, "raw");
+        assert_eq!(
+            err,
+            StateMismatch::Family {
+                expected: "ewma",
+                found: "raw"
+            }
+        );
         assert!(!err.to_string().is_empty());
+    }
+
+    /// Imports `state` into `filter` and checks that it is refused for
+    /// holding `value` and that the filter did not change.
+    fn refuses<F: LatencyFilter>(mut filter: F, state: FilterState, value: f64) {
+        filter.observe(40.0);
+        let before = filter.export_state();
+        let err = filter.import_state(&state).unwrap_err();
+        match err {
+            StateMismatch::Sample {
+                family,
+                value: found,
+            } => {
+                assert_eq!(family, state.family());
+                assert_eq!(found.to_bits(), value.to_bits(), "{state:?}");
+            }
+            other => panic!("{state:?} refused as {other}"),
+        }
+        assert_eq!(filter.export_state(), before, "{state:?}");
+    }
+
+    #[test]
+    fn importing_a_sample_observe_refuses_is_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -50.0] {
+            let some = Some(bad);
+            refuses(
+                RawFilter::new(),
+                FilterState::Raw {
+                    last: some,
+                    seen: 1,
+                },
+                bad,
+            );
+            refuses(
+                MovingPercentileFilter::paper_defaults(),
+                FilterState::MovingPercentile {
+                    window: vec![80.0, bad, 81.0],
+                    seen: 3,
+                },
+                bad,
+            );
+            refuses(
+                EwmaFilter::new(0.1).unwrap(),
+                FilterState::Ewma {
+                    value: some,
+                    seen: 1,
+                },
+                bad,
+            );
+            refuses(
+                ThresholdFilter::new(1_000.0).unwrap(),
+                FilterState::Threshold {
+                    last_passed: some,
+                    seen: 1,
+                    discarded: 0,
+                },
+                bad,
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use nc_stats::percentile::percentile_of_sorted;
 
-use crate::{FilterState, LatencyFilter, StateMismatch};
+use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
 
 /// Error constructing a filter with invalid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,22 +120,11 @@ impl WindowStorage {
         }
     }
 
-    fn clear(&mut self) {
-        match self {
-            WindowStorage::Inline { len, .. } => *len = 0,
-            WindowStorage::Heap { window, sorted } => {
-                window.clear();
-                sorted.clear();
-            }
-        }
-    }
-
     /// Appends `value`, first expiring the oldest sample when the window
     /// already holds `history_size` entries. The heap arm keeps its sorted
-    /// companion totally ordered under `total_cmp` (consistent with
-    /// [`replace`](WindowStorage::replace)), so the expiring sample is
-    /// always found even when an imported snapshot carries values `observe`
-    /// itself would have rejected (e.g. `-0.0`).
+    /// companion totally ordered under `total_cmp`, the order
+    /// [`replace`](WindowStorage::replace) sorts by, so the expiring sample
+    /// is always found.
     fn push(&mut self, value: f64, history_size: usize) {
         match self {
             WindowStorage::Inline { window, len } => {
@@ -238,7 +227,7 @@ impl MovingPercentileFilter {
 
 impl LatencyFilter for MovingPercentileFilter {
     fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        if !raw_rtt_ms.is_finite() || raw_rtt_ms <= 0.0 {
+        if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.buf.push(raw_rtt_ms, self.history_size);
@@ -254,11 +243,6 @@ impl LatencyFilter for MovingPercentileFilter {
         self.seen
     }
 
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.seen = 0;
-    }
-
     fn export_state(&self) -> FilterState {
         FilterState::MovingPercentile {
             window: self.buf.export_window(),
@@ -269,6 +253,7 @@ impl LatencyFilter for MovingPercentileFilter {
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::MovingPercentile { window, seen } => {
+                state.check_samples()?;
                 // Keep only the newest `history_size` entries so a state
                 // exported under a larger history still restores sanely.
                 let start = window.len().saturating_sub(self.history_size);
@@ -276,64 +261,11 @@ impl LatencyFilter for MovingPercentileFilter {
                 self.seen = *seen;
                 Ok(())
             }
-            other => Err(StateMismatch {
+            other => Err(StateMismatch::Family {
                 expected: "moving-percentile",
                 found: other.family(),
             }),
         }
-    }
-}
-
-/// Moving-median filter: the `p = 50` special case of the moving-percentile
-/// filter, provided as its own type because the median variant is what the
-/// filtering literature the paper cites usually discusses.
-#[derive(Debug, Clone)]
-pub struct MovingMedianFilter {
-    inner: MovingPercentileFilter,
-}
-
-impl MovingMedianFilter {
-    /// Creates a moving-median filter over the last `history_size`
-    /// observations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidFilterParameter`] when `history_size == 0`.
-    pub fn new(history_size: usize) -> Result<Self, InvalidFilterParameter> {
-        Ok(MovingMedianFilter {
-            inner: MovingPercentileFilter::new(history_size, 50.0)?,
-        })
-    }
-
-    /// The configured history size.
-    pub fn history_size(&self) -> usize {
-        self.inner.history_size()
-    }
-}
-
-impl LatencyFilter for MovingMedianFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        self.inner.observe(raw_rtt_ms)
-    }
-
-    fn current_estimate(&self) -> Option<f64> {
-        self.inner.current_estimate()
-    }
-
-    fn observations_seen(&self) -> u64 {
-        self.inner.observations_seen()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset()
-    }
-
-    fn export_state(&self) -> FilterState {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        self.inner.import_state(state)
     }
 }
 
@@ -348,7 +280,6 @@ mod tests {
         assert!(MovingPercentileFilter::new(4, -1.0).is_err());
         assert!(MovingPercentileFilter::new(4, 101.0).is_err());
         assert!(MovingPercentileFilter::new(4, f64::NAN).is_err());
-        assert!(MovingMedianFilter::new(0).is_err());
     }
 
     #[test]
@@ -420,41 +351,45 @@ mod tests {
 
     #[test]
     fn median_filter_matches_percentile_50() {
-        let mut median = MovingMedianFilter::new(5).unwrap();
-        let mut p50 = MovingPercentileFilter::new(5, 50.0).unwrap();
-        for raw in [10.0, 200.0, 15.0, 12.0, 900.0, 11.0] {
-            assert_eq!(median.observe(raw), p50.observe(raw));
+        // The moving median is the p = 50 filter: the middle of an odd
+        // window, the mean of the two middle values of an even one.
+        let mut median = MovingPercentileFilter::new(5, 50.0).unwrap();
+        let expected = [10.0, 105.0, 15.0, 13.5, 15.0, 15.0];
+        for (raw, expected) in [10.0, 200.0, 15.0, 12.0, 900.0, 11.0]
+            .into_iter()
+            .zip(expected)
+        {
+            assert_eq!(median.observe(raw), Some(expected), "after {raw}");
         }
-        assert_eq!(median.history_size(), 5);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut f = MovingPercentileFilter::paper_defaults();
-        f.observe(10.0);
-        f.observe(20.0);
-        f.reset();
-        assert_eq!(f.observations_seen(), 0);
-        assert_eq!(f.current_estimate(), None);
-        assert_eq!(f.window_len(), 0);
     }
 
     #[test]
     fn imported_window_with_mixed_zeros_survives_expiry() {
         // A snapshot off the wire may carry values `observe` itself would
-        // have rejected, such as -0.0. The sorted companion buffer must stay
-        // totally ordered so the expiring sample is always found (this
-        // panicked when insertion used partial_cmp but removal total_cmp).
-        let mut f = MovingPercentileFilter::new(3, 50.0).unwrap();
-        f.import_state(&FilterState::MovingPercentile {
-            window: vec![0.0, 0.0, -0.0],
-            seen: 3,
-        })
-        .unwrap();
-        // Two valid observations expire the zeros without panicking.
-        assert!(f.observe(5.0).is_some());
-        assert!(f.observe(6.0).is_some());
-        assert_eq!(f.window_len(), 3);
+        // have rejected, such as -0.0. Imported, they would come back out
+        // as estimates (and once panicked expiry when insertion used
+        // partial_cmp but removal total_cmp), so the import is refused and
+        // the filter carries on from its own window.
+        for history in [3, INLINE_HISTORY + 1] {
+            let mut f = MovingPercentileFilter::new(history, 50.0).unwrap();
+            f.observe(4.0);
+            let err = f
+                .import_state(&FilterState::MovingPercentile {
+                    window: vec![0.0, 0.0, -0.0],
+                    seen: 3,
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                StateMismatch::Sample {
+                    family: "moving-percentile",
+                    value: 0.0
+                }
+            );
+            assert_eq!(f.window_len(), 1);
+            assert_eq!(f.observe(5.0), Some(4.5));
+            assert_eq!(f.observe(6.0), Some(5.0));
+        }
     }
 
     #[test]
@@ -535,11 +470,12 @@ mod tests {
             p in 0.0f64..=100.0,
             reimport_at in 0usize..120,
         ) {
+            // An imported window holds only what `observe` accepts (the
+            // import refuses the zeros); the stream still offers them.
+            let seeded: Vec<f64> = seeded.into_iter().filter(|&v| v > 0.0).collect();
             // Inline histories 1..=8 and the first heap-backed one.
             for history in 1..=INLINE_HISTORY + 1 {
                 let mut filter = MovingPercentileFilter::new(history, p).unwrap();
-                // An imported window may carry what `observe` would reject
-                // (zeros of either sign), so the ordering sees them too.
                 let start = seeded.len().saturating_sub(history);
                 let mut reference = ReferenceFilter {
                     history,

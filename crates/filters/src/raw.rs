@@ -1,6 +1,6 @@
 //! Identity pass-through — the "No Filter" configuration.
 
-use crate::{FilterState, LatencyFilter, StateMismatch};
+use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
 
 /// Passes every valid observation straight through. This is the
 /// configuration the paper calls "No Filter" / "Raw": the original Vivaldi
@@ -29,7 +29,7 @@ impl RawFilter {
 
 impl LatencyFilter for RawFilter {
     fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        if !raw_rtt_ms.is_finite() || raw_rtt_ms <= 0.0 {
+        if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.seen += 1;
@@ -45,11 +45,6 @@ impl LatencyFilter for RawFilter {
         self.seen
     }
 
-    fn reset(&mut self) {
-        self.last = None;
-        self.seen = 0;
-    }
-
     fn export_state(&self) -> FilterState {
         FilterState::Raw {
             last: self.last,
@@ -60,11 +55,12 @@ impl LatencyFilter for RawFilter {
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::Raw { last, seen } => {
+                state.check_samples()?;
                 self.last = *last;
                 self.seen = *seen;
                 Ok(())
             }
-            other => Err(StateMismatch {
+            other => Err(StateMismatch::Family {
                 expected: "raw",
                 found: other.family(),
             }),
@@ -93,15 +89,6 @@ mod tests {
         assert_eq!(f.observe(f64::NAN), None);
         assert_eq!(f.observe(0.0), None);
         assert_eq!(f.observe(-1.0), None);
-        assert_eq!(f.observations_seen(), 0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut f = RawFilter::new();
-        f.observe(5.0);
-        f.reset();
-        assert_eq!(f.current_estimate(), None);
         assert_eq!(f.observations_seen(), 0);
     }
 

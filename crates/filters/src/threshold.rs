@@ -8,7 +8,7 @@
 //! outliers are 500 ms.
 
 use crate::moving_percentile::InvalidFilterParameter;
-use crate::{FilterState, LatencyFilter, StateMismatch};
+use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
 
 /// Pass-through filter that drops observations above a fixed cut-off.
 ///
@@ -61,7 +61,7 @@ impl ThresholdFilter {
 
 impl LatencyFilter for ThresholdFilter {
     fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        if !raw_rtt_ms.is_finite() || raw_rtt_ms <= 0.0 {
+        if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.seen += 1;
@@ -81,12 +81,6 @@ impl LatencyFilter for ThresholdFilter {
         self.seen
     }
 
-    fn reset(&mut self) {
-        self.last_passed = None;
-        self.seen = 0;
-        self.discarded = 0;
-    }
-
     fn export_state(&self) -> FilterState {
         FilterState::Threshold {
             last_passed: self.last_passed,
@@ -102,12 +96,13 @@ impl LatencyFilter for ThresholdFilter {
                 seen,
                 discarded,
             } => {
+                state.check_samples()?;
                 self.last_passed = *last_passed;
                 self.seen = *seen;
                 self.discarded = *discarded;
                 Ok(())
             }
-            other => Err(StateMismatch {
+            other => Err(StateMismatch::Family {
                 expected: "threshold",
                 found: other.family(),
             }),
@@ -145,17 +140,6 @@ mod tests {
         let mut f = ThresholdFilter::new(1000.0).unwrap();
         assert_eq!(f.observe(20.0), Some(20.0));
         assert_eq!(f.observe(500.0), Some(500.0));
-    }
-
-    #[test]
-    fn reset_clears_counts() {
-        let mut f = ThresholdFilter::new(50.0).unwrap();
-        f.observe(10.0);
-        f.observe(100.0);
-        f.reset();
-        assert_eq!(f.observations_seen(), 0);
-        assert_eq!(f.discarded(), 0);
-        assert_eq!(f.current_estimate(), None);
     }
 
     proptest! {

@@ -43,7 +43,7 @@
 //! # Determinism
 //!
 //! Given the same seed and configuration, a simulation produces a
-//! byte-identical [`SimReport`](metrics::SimReport) at any thread count —
+//! byte-identical [`SimReport`] at any thread count —
 //! the property every regression suite and golden file in the repo leans
 //! on. The contract, and the `nc-lint` rules that enforce it at the source
 //! level (no std `HashMap`, no wall-clock reads, no hot-path panics), is
@@ -86,7 +86,7 @@
 //! A quarter of the mesh crashes mid-run and restarts from the snapshots
 //! taken at the instant of the crash; 2 % of packets are dropped
 //! throughout. Lost probes are reported per node in the
-//! [`SimReport`](metrics::SimReport):
+//! [`SimReport`]:
 //!
 //! ```
 //! use nc_netsim::linkmodel::LinkModelConfig;

@@ -326,12 +326,16 @@ impl Worker {
                     let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
                     let lie = lie.map(|index| &batch.lies[index as usize]);
                     for (index, run) in self.runs.iter_mut().enumerate() {
+                        let responder = &mut run.nodes[local];
                         if responses.len() <= index {
-                            let response = run.nodes[local].respond(&request);
-                            responses.push(response);
-                        } else {
-                            run.nodes[local].respond_into(&request, &mut responses[index]);
+                            responses.push(ProbeResponse::new(
+                                dst as usize,
+                                &request,
+                                responder.system_coordinate().clone(),
+                                responder.error_estimate(),
+                            ));
                         }
+                        responder.respond_into(&request, &mut responses[index]);
                         responses[index].rtt_ms = rtt_ms;
                         if let Some(lie) = lie {
                             apply_lie(&mut responses[index], lie);
@@ -421,8 +425,9 @@ impl Worker {
                                 .expect("a crash snapshot restores under its own configuration"),
                             None => StableNode::new(run.config.clone()),
                         };
-                        let events = revived.expire_pending(now_ms, 0);
-                        fold_events(&mut run.metrics[local], now, false, &events);
+                        self.events.clear();
+                        revived.expire_pending_into(now_ms, 0, &mut self.events);
+                        fold_events(&mut run.metrics[local], now, false, &self.events);
                         run.nodes[local] = revived;
                     }
                 }

@@ -13,7 +13,7 @@
 //!
 //! # The event model
 //!
-//! Time advances through a [`EventQueue`] of scheduled [`SimEvent`]s rather
+//! Time advances through a [`EventQueue`] of scheduled `SimEvent`s rather
 //! than fixed steps, so probes are genuinely *in flight*: a probe sent at
 //! `t` reaches its target half an RTT later (split asymmetrically when the
 //! link model says so), the reply takes the other half back, and only then
@@ -39,12 +39,12 @@
 //!
 //! The simulator is a *driver* of the sans-I/O engine: every probe runs the
 //! full wire exchange — [`StableNode::probe_request_for`] →
-//! [`StableNode::respond`] → stamp the sampled RTT into the
-//! [`ProbeResponse`](nc_proto::ProbeResponse) →
-//! [`StableNode::handle_response`] — and the metrics are folded from the
-//! returned [`Event`] stream, exactly as a deployed daemon would consume
-//! them. Timeouts run through [`StableNode::handle_timeout`], the same API a
-//! daemon's timer wheel would call.
+//! [`StableNode::respond_into`] → stamp the sampled RTT into the
+//! [`ProbeResponse`] → [`StableNode::handle_response_into`] — and the
+//! metrics are folded from the reported [`Event`] stream, exactly as a
+//! deployed daemon would consume them. Timeouts run through
+//! [`StableNode::handle_timeout_into`], the same API a daemon's timer wheel
+//! would call.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -212,10 +212,10 @@ pub struct SimConfig {
     /// and dead peers.
     pub probe_timeout_s: f64,
     /// Optional Byzantine assignment: a seeded random fraction of the
-    /// population runs an [`AdversaryModel`](crate::adversary::AdversaryModel)
-    /// from the start. `None` (the default) and a fraction of `0.0` are
-    /// byte-identical to an adversary-free run — the adversary layer draws
-    /// from its own RNG and only for nodes that actually misbehave.
+    /// population runs an [`AdversaryModel`] from the start. `None` (the
+    /// default) and a fraction of `0.0` are byte-identical to an
+    /// adversary-free run — the adversary layer draws from its own RNG and
+    /// only for nodes that actually misbehave.
     pub adversary: Option<AdversaryConfig>,
     /// Maintains a per-configuration [`nc_query::CoordinateIndex`] fed from
     /// the engines' application-coordinate updates, queryable after the run
@@ -946,7 +946,8 @@ pub(crate) struct EngineState {
     slots: Vec<ExchangeSlot>,
     free_slots: Vec<usize>,
     /// Reusable engine-event buffer, cleared before every
-    /// `handle_response_into` / `handle_timeout_into` call.
+    /// `handle_response_into` / `handle_timeout_into` /
+    /// `expire_pending_into` call.
     events_scratch: Vec<Event<usize>>,
     /// Events one replay of the schedule popped from its [`EventQueue`]
     /// (see [`Simulator::events_popped`]).
@@ -1538,15 +1539,17 @@ impl EngineState {
                 // First uses of a slot grow the response vector; afterwards
                 // the existing message (and its gossip buffer) is rewritten
                 // in place.
+                let request = &slot_buffers.requests[index];
+                let responder = &mut run.nodes[dst];
                 if slot_buffers.responses.len() <= index {
-                    let response = run.nodes[dst].respond(&slot_buffers.requests[index]);
-                    slot_buffers.responses.push(response);
-                } else {
-                    run.nodes[dst].respond_into(
-                        &slot_buffers.requests[index],
-                        &mut slot_buffers.responses[index],
-                    );
+                    slot_buffers.responses.push(ProbeResponse::new(
+                        dst,
+                        request,
+                        responder.system_coordinate().clone(),
+                        responder.error_estimate(),
+                    ));
                 }
+                responder.respond_into(request, &mut slot_buffers.responses[index]);
                 slot_buffers.responses[index].rtt_ms = rtt_ms;
                 if let Some(lie) = &lie {
                     apply_lie(&mut slot_buffers.responses[index], lie);
@@ -1737,8 +1740,10 @@ impl EngineState {
                     .expect("a crash snapshot restores under its own configuration"),
                 None => StableNode::new(run.config.clone()),
             };
-            let events = revived.expire_pending(now_ms, 0);
-            let evicted_here: Vec<usize> = events
+            self.events_scratch.clear();
+            revived.expire_pending_into(now_ms, 0, &mut self.events_scratch);
+            let evicted_here: Vec<usize> = self
+                .events_scratch
                 .iter()
                 .filter_map(|event| match event {
                     Event::NeighborEvicted { id } => Some(*id),
@@ -1752,7 +1757,12 @@ impl EngineState {
                     .filter(|id| evicted_here.contains(id))
                     .collect(),
             });
-            fold_events(&mut run.metrics.nodes[node], now, false, &events);
+            fold_events(
+                &mut run.metrics.nodes[node],
+                now,
+                false,
+                &self.events_scratch,
+            );
             run.nodes[node] = revived;
         }
         for target in evicted_by_all.unwrap_or_default() {

@@ -38,10 +38,9 @@
 //!
 //! # Coordinates
 //!
-//! A coordinate is one byte of dimensionality `d` (1 ≤ `d` ≤
-//! [`MAX_DIMS`](nc_vivaldi::MAX_DIMS)), then `d` components as f64, then the
-//! height as f64. Decoding re-validates the [`Coordinate`] invariants, so
-//! NaN/∞ cannot enter off the wire.
+//! A coordinate is one byte of dimensionality `d` (1 ≤ `d` ≤ [`MAX_DIMS`]),
+//! then `d` components as f64, then the height as f64. Decoding re-validates
+//! the [`Coordinate`] invariants, so NaN/∞ cannot enter off the wire.
 //!
 //! # Peer identifiers
 //!

@@ -958,11 +958,12 @@ mod tests {
         use stable_nc::{NodeConfig, ProbeResponse, StableNode};
         let mut node: StableNode<u32> = StableNode::new(NodeConfig::paper_defaults());
         let remote = coord(20.0, 30.0, 0.0);
+        let mut events = Vec::new();
         for i in 0..64u64 {
             let request = node.probe_request_for(7, i);
             let mut response = ProbeResponse::new(7, &request, remote.clone(), 0.5);
             response.rtt_ms = 40.0;
-            node.handle_response(&response);
+            node.handle_response_into(&response, &mut events);
         }
         let mut idx = index(32);
         let touched = idx.absorb_view(Some(&0), &node.view()).unwrap();

@@ -51,11 +51,12 @@ mod tests {
         let peer: SocketAddr = "127.0.0.1:4000".parse().unwrap();
         node.set_identity("127.0.0.1:3999".parse().unwrap());
         let remote = nc_vivaldi::Coordinate::new(vec![10.0, 20.0, 0.0]).unwrap();
+        let mut events = Vec::new();
         for step in 0..32u64 {
             let request = node.probe_request_for(peer, step);
             let mut response = nc_proto::ProbeResponse::new(peer, &request, remote.clone(), 0.5);
             response.rtt_ms = 45.0 + (step % 3) as f64;
-            node.handle_response(&response);
+            node.handle_response_into(&response, &mut events);
         }
 
         let snapshot = node.snapshot();

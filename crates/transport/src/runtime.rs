@@ -3,9 +3,10 @@
 //! Two threads run the protocol loop the engine documentation describes:
 //!
 //! * the **socket thread** receives datagrams, answers incoming
-//!   [`ProbeRequest`](nc_proto::ProbeRequest)s from the engine, and stamps
-//!   incoming responses with the measured round trip (the [`Instant`] the
-//!   probe left, kept per outstanding probe) before handing them to
+//!   [`ProbeRequest`]s from the engine with [`StableNode::respond_into`]
+//!   (into one response it reuses), and stamps incoming responses with the
+//!   measured round trip (the [`Instant`] the probe left, kept per
+//!   outstanding probe) before handing them to
 //!   [`StableNode::handle_response_into`];
 //! * the **tick thread** walks a [`TimerWheel`] that fires the recurring
 //!   deadlines — send the next round-robin probe, sweep the pending table
@@ -30,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nc_proto::{BinaryMessage, Event, NodeSnapshot, Packet};
+use nc_proto::{BinaryMessage, Event, NodeSnapshot, Packet, ProbeRequest, ProbeResponse};
 use nc_query::{CoordinateIndex, QueryConfig, QueryHandle, QueryPublisher};
 use nc_vivaldi::Coordinate;
 use stable_nc::{NodeConfig, StableNode};
@@ -337,6 +338,11 @@ fn publish_query_snapshot(shared: &Shared) {
 fn socket_loop(shared: &Shared, socket: &UdpSocket) {
     let mut buffer = [0u8; 64 * 1024];
     let mut events: Vec<Event<SocketAddr>> = Vec::new();
+    // Every probe is answered into this one response, which `respond_into`
+    // overwrites field by field.
+    let placeholder = ProbeRequest::new(shared.advertised, 0, 0);
+    let origin = Coordinate::origin(shared.config.node.vivaldi.dimensions());
+    let mut reply = ProbeResponse::new(shared.advertised, &placeholder, origin, 1.0);
     while !shared.shutdown.load(Ordering::Relaxed) {
         let (length, source) = match socket.recv_from(&mut buffer) {
             Ok(received) => received,
@@ -351,7 +357,8 @@ fn socket_loop(shared: &Shared, socket: &UdpSocket) {
             Ok(Packet::Request(request)) => {
                 let bytes = {
                     let mut engine = shared.engine.lock().expect("engine lock");
-                    engine.node.respond(&request).encode_binary()
+                    engine.node.respond_into(&request, &mut reply);
+                    reply.encode_binary()
                 };
                 let _ = socket.send_to(&bytes, source);
                 shared

@@ -3,16 +3,19 @@
 //! and demonstrate snapshot/restore mid-run.
 //!
 //! Every observation travels the way it would in a deployment: the prober
-//! builds a `ProbeRequest`, the probed node answers it with `respond`, the
-//! "network" (here: the trace generator) supplies the measured RTT, and the
-//! prober digests the stamped `ProbeResponse` into a stream of typed
-//! `Event`s.
+//! builds a `ProbeRequest`, the probed node answers it with `respond_into`,
+//! the "network" (here: the trace generator) supplies the measured RTT, and
+//! the prober digests the stamped `ProbeResponse` into a stream of typed
+//! `Event`s. Like a daemon, the driver owns one response and one event
+//! buffer and reuses them for every exchange.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::trace::{TraceConfig, TraceGenerator};
-use stable_network_coordinates::{Event, NodeConfig, StableNode, WireMessage};
+use stable_network_coordinates::{
+    Coordinate, Event, NodeConfig, ProbeRequest, ProbeResponse, StableNode, WireMessage,
+};
 
 fn main() {
     // A 16-node synthetic wide-area network (heavy-tailed observations and
@@ -33,22 +36,31 @@ fn main() {
     let mut app_updates_node0 = 0u64;
     let mut probes_lost = 0u64;
     let mut snapshot_blob: Option<String> = None;
+    let mut response =
+        ProbeResponse::new(0, &ProbeRequest::new(0, 0, 0), Coordinate::origin(3), 1.0);
+    let mut events = Vec::new();
     for (index, record) in generator.generate().into_iter().enumerate() {
         let now_ms = (record.time_s * 1_000.0) as u64;
         let request = nodes[record.src].probe_request_for(record.dst, now_ms);
         if index % 33 == 17 {
             // Dropped probe: expire everything older than a 10 s timeout,
             // exactly as a daemon's timer tick would.
-            probes_lost += nodes[record.src]
-                .expire_pending(now_ms.saturating_add(10_000), 10_000)
+            events.clear();
+            nodes[record.src].expire_pending_into(
+                now_ms.saturating_add(10_000),
+                10_000,
+                &mut events,
+            );
+            probes_lost += events
                 .iter()
                 .filter(|e| matches!(e, Event::ProbeLost { .. }))
                 .count() as u64;
             continue;
         }
-        let mut response = nodes[record.dst].respond(&request);
+        nodes[record.dst].respond_into(&request, &mut response);
         response.rtt_ms = record.rtt_ms; // the driver measures the round trip
-        let events = nodes[record.src].handle_response(&response);
+        events.clear();
+        nodes[record.src].handle_response_into(&response, &mut events);
         if record.src == 0 {
             app_updates_node0 += events
                 .iter()

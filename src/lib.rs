@@ -33,16 +33,20 @@
 //! sockets or clocks are baked in:
 //!
 //! ```
-//! use stable_network_coordinates::{NodeConfig, StableNode};
+//! use stable_network_coordinates::{Coordinate, NodeConfig, ProbeResponse, StableNode};
 //!
 //! let mut a: StableNode<&str> = StableNode::new(NodeConfig::paper_defaults());
 //! let mut b: StableNode<&str> = StableNode::new(NodeConfig::paper_defaults());
 //!
-//! // One full probe exchange: a → b and back, timed by the driver.
+//! // One full probe exchange: a → b and back, timed by the driver. The
+//! // response and the event buffer belong to the driver, which reuses them
+//! // for every later exchange.
 //! let request = a.probe_request_for("peer-b", 0);
-//! let mut response = b.respond(&request);
+//! let mut response = ProbeResponse::new("peer-b", &request, Coordinate::origin(3), 1.0);
+//! let mut events = Vec::new();
+//! b.respond_into(&request, &mut response);
 //! response.rtt_ms = 42.0; // measured by the transport
-//! let events = a.handle_response(&response);
+//! a.handle_response_into(&response, &mut events);
 //! assert!(!events.is_empty());
 //! println!("estimated RTT: {:.1} ms", a.estimate_rtt_ms(b.system_coordinate()));
 //! ```

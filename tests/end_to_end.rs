@@ -22,13 +22,34 @@ fn quick_schedule() -> SimConfig {
         .with_initial_neighbors(6)
 }
 
+/// `node`'s answer to `request`, filled into a fresh response.
+fn answer<Id: Clone + Eq + std::hash::Hash>(
+    node: &mut StableNode<Id>,
+    request: &ProbeRequest<Id>,
+) -> ProbeResponse<Id> {
+    let mut response =
+        ProbeResponse::new(request.target.clone(), request, Coordinate::origin(3), 1.0);
+    node.respond_into(request, &mut response);
+    response
+}
+
+/// The events `node` reports for digesting `response`.
+fn digest<Id: Clone + Eq + std::hash::Hash>(
+    node: &mut StableNode<Id>,
+    response: &ProbeResponse<Id>,
+) -> Vec<Event<Id>> {
+    let mut events = Vec::new();
+    node.handle_response_into(response, &mut events);
+    events
+}
+
 /// Drives one trace record through the full wire exchange.
 fn exchange(nodes: &mut [StableNode<usize>], record: &TraceRecord) -> Vec<Event<usize>> {
     let now_ms = (record.time_s * 1_000.0) as u64;
     let request = nodes[record.src].probe_request_for(record.dst, now_ms);
-    let mut response = nodes[record.dst].respond(&request);
+    let mut response = answer(&mut nodes[record.dst], &request);
     response.rtt_ms = record.rtt_ms;
-    nodes[record.src].handle_response(&response)
+    digest(&mut nodes[record.src], &response)
 }
 
 #[test]
@@ -164,7 +185,7 @@ fn every_filter_and_heuristic_combination_runs() {
                 let request = node.probe_request_for(1, i);
                 let mut response = ProbeResponse::new(1, &request, remote.clone(), 0.4);
                 response.rtt_ms = rtt;
-                node.handle_response(&response);
+                digest(&mut node, &response);
             }
             assert!(
                 node.view().observations == 200,
@@ -195,7 +216,7 @@ fn warmup_protects_against_first_sample_outliers_end_to_end() {
             let request = node.probe_request_for(7, 0);
             let mut response = ProbeResponse::new(7, &request, remote.clone(), 0.4);
             response.rtt_ms = rtt;
-            node.handle_response(&response);
+            digest(node, &response);
         };
         send(&mut node, 30_000.0);
         for _ in 0..20 {
@@ -224,7 +245,7 @@ fn wire_messages_round_trip_across_crate_boundaries() {
     let mut node: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
     let mut peer: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
     let response = {
-        let mut response = peer.respond(&node.probe_request_for(0, 9));
+        let mut response = answer(&mut peer, &node.probe_request_for(0, 9));
         response.rtt_ms = 55.5;
         response
     };
@@ -233,7 +254,7 @@ fn wire_messages_round_trip_across_crate_boundaries() {
         response
     );
 
-    node.handle_response(&response);
+    digest(&mut node, &response);
     let snapshot = node.snapshot();
     assert_eq!(
         NodeSnapshot::<usize>::decode(&snapshot.encode()).unwrap(),
@@ -293,10 +314,10 @@ fn node_snapshotted_mid_run_replays_to_identical_coordinates() {
                 request_live, request_restored,
                 "probe schedules in lockstep"
             );
-            let mut response = nodes[record.dst].respond(&request_live);
+            let mut response = answer(&mut nodes[record.dst], &request_live);
             response.rtt_ms = record.rtt_ms;
-            let events_live = nodes[0].handle_response(&response);
-            let events_restored = restored.handle_response(&response);
+            let events_live = digest(&mut nodes[0], &response);
+            let events_restored = digest(&mut restored, &response);
             assert_eq!(events_live, events_restored);
         } else {
             exchange(&mut nodes, record);
