@@ -4,7 +4,7 @@ use nc_change::{
     ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, HeuristicKind, RelativeHeuristic,
     SystemHeuristic, UpdateHeuristic,
 };
-use nc_vivaldi::{OutlierGateConfig, VivaldiConfig};
+use nc_vivaldi::{GateConfigError, OutlierGateConfig, VivaldiConfig};
 use serde::{Deserialize, Serialize};
 
 /// Typed error from validating a [`NodeConfig`] (or one of its parts).
@@ -32,8 +32,8 @@ pub enum NodeConfigError {
     /// evicted before its first probe could even be answered).
     ZeroLossLimit,
     /// An outlier gate that [`OutlierGateConfig::validate`] refuses, with
-    /// that check's description of the first problem.
-    OutlierGate(String),
+    /// the field it names.
+    OutlierGate(GateConfigError),
 }
 
 impl std::fmt::Display for NodeConfigError {
@@ -63,7 +63,7 @@ impl std::fmt::Display for NodeConfigError {
             NodeConfigError::ZeroLossLimit => {
                 write!(f, "max consecutive losses must be at least 1")
             }
-            NodeConfigError::OutlierGate(problem) => write!(f, "{problem}"),
+            NodeConfigError::OutlierGate(error) => write!(f, "{error}"),
         }
     }
 }
@@ -368,11 +368,14 @@ impl NodeConfig {
     /// # Examples
     ///
     /// ```
-    /// use stable_nc::{NodeConfig, NodeConfigError, OutlierGateConfig};
+    /// use stable_nc::{GateConfigError, NodeConfig, NodeConfigError, OutlierGateConfig};
     ///
     /// let gate = OutlierGateConfig { window: 1, ..OutlierGateConfig::default() };
     /// let config = NodeConfig::builder().outlier_gate(gate).build();
-    /// assert!(matches!(config.validate(), Err(NodeConfigError::OutlierGate(_))));
+    /// assert_eq!(
+    ///     config.validate(),
+    ///     Err(NodeConfigError::OutlierGate(GateConfigError::WindowTooSmall(1)))
+    /// );
     /// ```
     pub fn validate(self) -> Result<Self, NodeConfigError> {
         self.filter.clone().validate()?;
@@ -588,12 +591,14 @@ mod tests {
             window: 1,
             ..OutlierGateConfig::default()
         };
-        let problem = gate.validate().unwrap_err();
         let err = NodeConfig::builder()
             .outlier_gate(gate)
             .try_build()
             .unwrap_err();
-        assert_eq!(err, NodeConfigError::OutlierGate(problem));
+        assert_eq!(
+            err,
+            NodeConfigError::OutlierGate(GateConfigError::WindowTooSmall(1))
+        );
         assert!(err.to_string().contains("window"), "{err}");
         assert!(NodeConfig::builder()
             .outlier_gate(OutlierGateConfig::default())

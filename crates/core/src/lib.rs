@@ -132,4 +132,4 @@ pub use nc_proto::{
     Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, WireMessage,
     PROTOCOL_VERSION,
 };
-pub use nc_vivaldi::{Coordinate, OutlierGateConfig, VivaldiConfig};
+pub use nc_vivaldi::{Coordinate, GateConfigError, OutlierGateConfig, VivaldiConfig};

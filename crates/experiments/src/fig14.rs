@@ -69,35 +69,36 @@ impl Fig14Result {
         for (caption, select) in [
             (
                 "median relative error per interval",
-                (|s: &ConfigTimeSeries| s.error_over_time.clone())
-                    as fn(&ConfigTimeSeries) -> Vec<(f64, f64)>,
+                (|s: &ConfigTimeSeries| s.error_over_time.as_slice())
+                    as fn(&ConfigTimeSeries) -> &[(f64, f64)],
             ),
             (
                 "mean instability per interval (ms/s)",
-                |s: &ConfigTimeSeries| s.instability_over_time.clone(),
+                |s: &ConfigTimeSeries| s.instability_over_time.as_slice(),
             ),
         ] {
             out.push_str(&format!("{caption}:\n"));
             let mut headers = vec!["time (h)".to_string()];
             headers.extend(self.series.iter().map(|s| s.name.clone()));
             let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-            let bin_count = self
+            // One row per bin start any series reports: a series that skips
+            // a bin shows a gap in that row instead of shifting up.
+            let mut starts: Vec<f64> = self
                 .series
                 .iter()
-                .map(|s| select(s).len())
-                .max()
-                .unwrap_or(0);
+                .flat_map(|s| select(s).iter().map(|&(start, _)| start))
+                .collect();
+            starts.sort_by(f64::total_cmp);
+            starts.dedup();
             let mut rows = Vec::new();
-            for bin in 0..bin_count {
+            for start in starts {
                 let mut row = Vec::new();
-                let time = self
-                    .series
-                    .first()
-                    .and_then(|s| select(s).get(bin).map(|(t, _)| *t))
-                    .unwrap_or(0.0);
-                row.push(format!("{:.2}", time / 3600.0));
+                row.push(format!("{:.2}", start / 3600.0));
                 for s in &self.series {
-                    let value = select(s).get(bin).map(|(_, v)| *v).unwrap_or(f64::NAN);
+                    let value = select(s)
+                        .iter()
+                        .find(|&&(t, _)| t == start)
+                        .map_or(f64::NAN, |&(_, v)| v);
                     row.push(if value.is_finite() {
                         format!("{value:.3}")
                     } else {
@@ -113,16 +114,14 @@ impl Fig14Result {
     }
 }
 
-fn series_for(
-    name: &str,
-    metrics: &ConfigMetrics,
-    duration_s: f64,
-    bin_width_s: f64,
-) -> ConfigTimeSeries {
+fn series_for(name: &str, metrics: &ConfigMetrics, bin_width_s: f64) -> ConfigTimeSeries {
     let node_count = metrics.nodes.len().max(1) as f64;
     let mut error_binner = TimeBinner::new(0.0, bin_width_s).expect("positive width");
     let mut displacement_binner = TimeBinner::new(0.0, bin_width_s).expect("positive width");
-    for node in &metrics.nodes {
+    let series = metrics
+        .series()
+        .expect("the Figure 14 run records its time series");
+    for node in series.nodes() {
         for &(time, error) in &node.application_errors {
             error_binner.record(time, error);
         }
@@ -130,7 +129,6 @@ fn series_for(
             displacement_binner.record(time, displacement);
         }
     }
-    let _ = duration_s;
     let error_over_time = error_binner
         .bins(BinStatistic::Median)
         .into_iter()
@@ -160,14 +158,13 @@ pub fn run(config: Fig14Config) -> Fig14Result {
     let sim_config =
         nc_netsim::sim::SimConfig::new(config.scale.duration_s(), config.scale.probe_interval_s())
             .with_measurement_start(0.0)
-            .with_initial_neighbors(8.min(config.scale.node_count() - 1));
+            .with_initial_neighbors(8.min(config.scale.node_count() - 1))
+            .with_time_series();
     let report = nc_netsim::sim::Simulator::new(workload, sim_config, deployment_configs()).run();
 
     let series = report
         .iter()
-        .map(|(name, metrics)| {
-            series_for(name, metrics, config.scale.duration_s(), config.bin_width_s)
-        })
+        .map(|(name, metrics)| series_for(name, metrics, config.bin_width_s))
         .collect();
     Fig14Result { series }
 }
@@ -215,6 +212,36 @@ mod tests {
             tail_mean(&enhanced.instability_over_time) < tail_mean(&original.instability_over_time),
             "enhanced stack should be steadier in the second half"
         );
+    }
+
+    #[test]
+    fn render_keys_rows_by_bin_start() {
+        // `b` has no error sample in its second bin (an empty median bin is
+        // dropped), and both instability panels start at zero movement.
+        let result = Fig14Result {
+            series: vec![
+                ConfigTimeSeries {
+                    name: "a".to_string(),
+                    error_over_time: vec![(0.0, 0.1), (360.0, 0.2), (720.0, 0.3)],
+                    instability_over_time: vec![(0.0, 0.0), (360.0, 1.0), (720.0, 2.0)],
+                },
+                ConfigTimeSeries {
+                    name: "b".to_string(),
+                    error_over_time: vec![(0.0, 0.4), (720.0, 0.6)],
+                    instability_over_time: vec![(0.0, 0.0), (360.0, 3.0), (720.0, 4.0)],
+                },
+            ],
+        };
+        let text = result.render();
+        let row = |prefix: &str| -> Vec<String> {
+            text.lines()
+                .filter(|line| line.trim_start().starts_with(prefix))
+                .map(|line| line.split_whitespace().collect::<Vec<_>>().join(" "))
+                .collect()
+        };
+        assert_eq!(row("0.00"), vec!["0.00 0.100 0.400", "0.00 0.000 0.000"]);
+        assert_eq!(row("0.10"), vec!["0.10 0.200 -", "0.10 1.000 3.000"]);
+        assert_eq!(row("0.20"), vec!["0.20 0.300 0.600", "0.20 2.000 4.000"]);
     }
 
     #[test]

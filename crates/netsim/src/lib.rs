@@ -127,7 +127,7 @@ pub mod trace;
 pub use adversary::{AdversaryConfig, AdversaryModel};
 pub use cluster::ClusterModel;
 pub use linkmodel::{LinkModel, LinkModelConfig};
-pub use metrics::{ConfigMetrics, NodeMetrics, SimReport};
+pub use metrics::{ConfigMetrics, ConfigSeries, NodeMetrics, NodeSeries, SimReport};
 pub use planetlab::PlanetLabConfig;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
 pub use sim::{ConfigError, EventQueue, SimConfig, Simulator};

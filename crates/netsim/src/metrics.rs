@@ -14,19 +14,42 @@ use serde::{Deserialize, Serialize};
 use stable_nc::FxHashMap;
 
 /// Per-node metric accumulators.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// The fold keeps what its readers need: the relative errors and coordinate
+/// changes whose percentiles the accessors report, as plain values in event
+/// order, and running sums for the displacement totals. Timestamps are kept
+/// only when the run asked for them
+/// ([`SimConfig::with_time_series`](crate::sim::SimConfig::with_time_series)),
+/// in a separate [`NodeSeries`].
+///
+/// # Memory
+///
+/// A measured observation costs at most 24 B: 8 for its system-level
+/// relative error, 8 for its application-level one, and 8 for its
+/// displacement when the coordinate moved. A published application update
+/// stores nothing: it adds to a running sum and a count. With the time
+/// series on, every one of those samples is also kept as a 16 B
+/// `(time_s, value)` pair. The struct itself is 160 B
+/// (`layout_pin_node_metrics`).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeMetrics {
-    /// `(time_s, relative_error)` of every accepted observation, measured
-    /// against the system-level coordinate before its update.
-    pub system_errors: Vec<(f64, f64)>,
-    /// `(time_s, relative_error)` measured against the application-level
-    /// coordinate.
-    pub application_errors: Vec<(f64, f64)>,
-    /// `(time_s, displacement_ms)` of every system-level coordinate movement.
-    pub system_displacements: Vec<(f64, f64)>,
-    /// `(time_s, displacement_ms)` of every published application-level
-    /// update.
-    pub application_displacements: Vec<(f64, f64)>,
+    /// Relative error of every accepted observation, measured against the
+    /// system-level coordinate before its update.
+    system_errors: Vec<f64>,
+    /// Relative error of every accepted observation, measured against the
+    /// application-level coordinate.
+    application_errors: Vec<f64>,
+    /// Every nonzero system-level coordinate movement, in milliseconds.
+    system_displacements: Vec<f64>,
+    /// Sum of `system_displacements`, folded in event order from −0.0.
+    system_displacement_ms: f64,
+    /// Sum of every published application-level displacement, folded in
+    /// event order from −0.0.
+    application_displacement_ms: f64,
+    /// Number of published application-level updates.
+    application_updates: u64,
+    /// The same samples with their timestamps, when the run records them.
+    series: Option<Box<NodeSeries>>,
     /// Number of raw observations seen during the measurement window.
     pub observations: u64,
     /// Number of probes this node sent that expired without a reply
@@ -58,46 +81,127 @@ pub struct NodeMetrics {
     pub observations_rejected: u64,
 }
 
+impl Default for NodeMetrics {
+    fn default() -> Self {
+        NodeMetrics {
+            system_errors: Vec::new(),
+            application_errors: Vec::new(),
+            system_displacements: Vec::new(),
+            // −0.0 is the identity of `Iterator::<f64>::sum`: a node that
+            // never moves reports the −0.0 the sum of no samples is.
+            system_displacement_ms: -0.0,
+            application_displacement_ms: -0.0,
+            application_updates: 0,
+            series: None,
+            observations: 0,
+            probes_lost: 0,
+            responses_ignored: 0,
+            probes_sent: 0,
+            responses_received: 0,
+            neighbors_evicted: 0,
+            observations_rejected: 0,
+        }
+    }
+}
+
 impl NodeMetrics {
+    /// Empty accumulators that also keep every sample's timestamp.
+    pub(crate) fn with_time_series() -> Self {
+        NodeMetrics {
+            series: Some(Box::default()),
+            ..NodeMetrics::default()
+        }
+    }
+
+    /// Records one system-level coordinate update at `time_s`: both
+    /// relative errors, and the displacement when the coordinate moved.
+    pub(crate) fn record_system_move(
+        &mut self,
+        time_s: f64,
+        relative_error: f64,
+        application_relative_error: f64,
+        displacement_ms: f64,
+    ) {
+        self.system_errors.push(relative_error);
+        self.application_errors.push(application_relative_error);
+        let moved = displacement_ms > 0.0;
+        if moved {
+            self.system_displacements.push(displacement_ms);
+            self.system_displacement_ms += displacement_ms;
+        }
+        if let Some(series) = &mut self.series {
+            series.system_errors.push((time_s, relative_error));
+            series
+                .application_errors
+                .push((time_s, application_relative_error));
+            if moved {
+                series.system_displacements.push((time_s, displacement_ms));
+            }
+        }
+    }
+
+    /// Records one published application-level update at `time_s`.
+    pub(crate) fn record_application_update(&mut self, time_s: f64, displacement_ms: f64) {
+        self.application_displacement_ms += displacement_ms;
+        self.application_updates += 1;
+        if let Some(series) = &mut self.series {
+            series
+                .application_displacements
+                .push((time_s, displacement_ms));
+        }
+    }
+
+    /// The node's system-level relative errors, in event order.
+    pub fn system_errors(&self) -> &[f64] {
+        &self.system_errors
+    }
+
+    /// The node's nonzero system-level coordinate movements (ms), in event
+    /// order.
+    pub fn system_displacements(&self) -> &[f64] {
+        &self.system_displacements
+    }
+
+    /// The timestamped samples, or `None` unless the run was configured
+    /// with [`SimConfig::with_time_series`](crate::sim::SimConfig::with_time_series).
+    pub fn series(&self) -> Option<&NodeSeries> {
+        self.series.as_deref()
+    }
+
     /// Median of the node's system-level relative errors.
     pub fn median_relative_error(&self) -> Result<f64, StatsError> {
-        let errors: Vec<f64> = self.system_errors.iter().map(|(_, e)| *e).collect();
-        percentile(&errors, 50.0)
+        percentile(&self.system_errors, 50.0)
     }
 
     /// 95th percentile of the node's system-level relative errors.
     pub fn p95_relative_error(&self) -> Result<f64, StatsError> {
-        let errors: Vec<f64> = self.system_errors.iter().map(|(_, e)| *e).collect();
-        percentile(&errors, 95.0)
+        percentile(&self.system_errors, 95.0)
     }
 
     /// Median of the node's application-level relative errors.
     pub fn application_median_relative_error(&self) -> Result<f64, StatsError> {
-        let errors: Vec<f64> = self.application_errors.iter().map(|(_, e)| *e).collect();
-        percentile(&errors, 50.0)
+        percentile(&self.application_errors, 50.0)
     }
 
     /// 95th percentile of the node's application-level relative errors.
     pub fn application_p95_relative_error(&self) -> Result<f64, StatsError> {
-        let errors: Vec<f64> = self.application_errors.iter().map(|(_, e)| *e).collect();
-        percentile(&errors, 95.0)
+        percentile(&self.application_errors, 95.0)
     }
 
     /// 95th percentile of the node's per-observation coordinate change
     /// (Figure 5, third panel).
     pub fn p95_coordinate_change(&self) -> Result<f64, StatsError> {
-        let moves: Vec<f64> = self.system_displacements.iter().map(|(_, d)| *d).collect();
-        percentile(&moves, 95.0)
+        percentile(&self.system_displacements, 95.0)
     }
 
     /// Total system-level coordinate movement during the measurement window.
     pub fn total_system_displacement_ms(&self) -> f64 {
-        self.system_displacements.iter().map(|(_, d)| d).sum()
+        self.system_displacement_ms
     }
 
     /// Total application-level coordinate movement during the window.
     pub fn total_application_displacement_ms(&self) -> f64 {
-        self.application_displacements.iter().map(|(_, d)| d).sum()
+        self.application_displacement_ms
     }
 
     /// System-level instability: coordinate movement per second (ms/s).
@@ -120,18 +224,62 @@ impl NodeMetrics {
 
     /// Number of application-level updates during the window.
     pub fn application_update_count(&self) -> usize {
-        self.application_displacements.len()
+        self.application_updates as usize
+    }
+}
+
+/// Timestamped samples of one node: the [`NodeMetrics`] samples, each with
+/// the simulated time (seconds) of the event that produced it. Recorded only
+/// under [`SimConfig::with_time_series`](crate::sim::SimConfig::with_time_series),
+/// for readers that bin or window by time (Figure 14, the churn tests).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct NodeSeries {
+    /// `(time_s, relative_error)` against the system-level coordinate.
+    pub system_errors: Vec<(f64, f64)>,
+    /// `(time_s, relative_error)` against the application-level coordinate.
+    pub application_errors: Vec<(f64, f64)>,
+    /// `(time_s, displacement_ms)` of every system-level coordinate movement.
+    pub system_displacements: Vec<(f64, f64)>,
+    /// `(time_s, displacement_ms)` of every published application-level
+    /// update.
+    pub application_displacements: Vec<(f64, f64)>,
+}
+
+impl NodeSeries {
+    /// The system-level relative errors sampled in `[from_s, to_s)`.
+    pub fn system_errors_between(&self, from_s: f64, to_s: f64) -> impl Iterator<Item = f64> + '_ {
+        self.system_errors
+            .iter()
+            .filter(move |(t, _)| *t >= from_s && *t < to_s)
+            .map(|(_, e)| *e)
+    }
+}
+
+/// The time series of every node of one configuration, in node order
+/// (see [`ConfigMetrics::series`]).
+#[derive(Debug, Clone)]
+pub struct ConfigSeries<'a> {
+    nodes: Vec<&'a NodeSeries>,
+}
+
+impl<'a> ConfigSeries<'a> {
+    /// Per-node series, indexed by node id.
+    pub fn nodes(&self) -> &[&'a NodeSeries] {
+        &self.nodes
     }
 
-    /// Median of the system-level relative errors sampled in `[from_s,
-    /// to_s)` — the windowed accuracy used to compare a mesh before and
-    /// after a churn event.
-    pub fn median_relative_error_between(&self, from_s: f64, to_s: f64) -> Result<f64, StatsError> {
+    /// Median of every system-level relative error sampled in `[from_s,
+    /// to_s)`, pooled across nodes. This is the number the churn acceptance
+    /// criterion compares pre-crash against end-of-run.
+    pub fn pooled_median_relative_error_between(
+        &self,
+        from_s: f64,
+        to_s: f64,
+    ) -> Result<f64, StatsError> {
         let errors: Vec<f64> = self
-            .system_errors
+            .nodes
             .iter()
-            .filter(|(t, _)| *t >= from_s && *t < to_s)
-            .map(|(_, e)| *e)
+            .flat_map(|n| n.system_errors_between(from_s, to_s))
             .collect();
         percentile(&errors, 50.0)
     }
@@ -174,6 +322,30 @@ impl ConfigMetrics {
             tracked: Vec::new(),
             scenario_ops: 0,
         }
+    }
+
+    /// Empty accumulators for `node_count` nodes that also keep every
+    /// sample's timestamp.
+    pub(crate) fn with_time_series(node_count: usize, measurement_duration_s: f64) -> Self {
+        ConfigMetrics {
+            nodes: (0..node_count)
+                .map(|_| NodeMetrics::with_time_series())
+                .collect(),
+            measurement_duration_s,
+            tracked: Vec::new(),
+            scenario_ops: 0,
+        }
+    }
+
+    /// Every node's time series, or `None` unless the run was configured
+    /// with [`SimConfig::with_time_series`](crate::sim::SimConfig::with_time_series).
+    pub fn series(&self) -> Option<ConfigSeries<'_>> {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(NodeMetrics::series)
+            .collect::<Option<Vec<_>>>()?;
+        Some(ConfigSeries { nodes })
     }
 
     /// Per-node median relative error (system level), skipping nodes without
@@ -341,30 +513,12 @@ impl ConfigMetrics {
         self.nodes.iter().map(|n| n.observations_rejected).sum()
     }
 
-    /// Median of every system-level relative error sampled in `[from_s,
-    /// to_s)`, pooled across nodes. This is the number the churn acceptance
-    /// criterion compares pre-crash against end-of-run.
-    pub fn pooled_median_relative_error_between(
-        &self,
-        from_s: f64,
-        to_s: f64,
-    ) -> Result<f64, StatsError> {
-        let errors: Vec<f64> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.system_errors.iter())
-            .filter(|(t, _)| *t >= from_s && *t < to_s)
-            .map(|(_, e)| *e)
-            .collect();
-        percentile(&errors, 50.0)
-    }
-
     /// Summary of every system-level relative error sample pooled across
     /// nodes (handy for quick sanity checks).
     pub fn pooled_error_summary(&self) -> StreamingSummary {
         self.nodes
             .iter()
-            .flat_map(|n| n.system_errors.iter().map(|(_, e)| *e))
+            .flat_map(|n| n.system_errors.iter().copied())
             .collect()
     }
 }
@@ -418,32 +572,21 @@ impl SimReport {
 mod tests {
     use super::*;
 
-    fn node_with(errors: &[f64], displacements: &[f64]) -> NodeMetrics {
-        NodeMetrics {
-            system_errors: errors
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| (i as f64, e))
-                .collect(),
-            application_errors: errors
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| (i as f64, e / 2.0))
-                .collect(),
-            system_displacements: displacements
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| (i as f64, d))
-                .collect(),
-            application_displacements: vec![(0.0, 1.0)],
-            observations: errors.len() as u64,
-            probes_lost: 0,
-            responses_ignored: 0,
-            probes_sent: 0,
-            responses_received: 0,
-            neighbors_evicted: 0,
-            observations_rejected: 0,
+    /// Sample `i` is stamped at time `i` seconds; displacement `i` (when
+    /// given) rides on error sample `i`.
+    fn node_from(mut node: NodeMetrics, errors: &[f64], displacements: &[f64]) -> NodeMetrics {
+        assert!(displacements.len() <= errors.len());
+        for (i, &e) in errors.iter().enumerate() {
+            let moved = displacements.get(i).copied().unwrap_or(0.0);
+            node.record_system_move(i as f64, e, e / 2.0, moved);
         }
+        node.record_application_update(0.0, 1.0);
+        node.observations = errors.len() as u64;
+        node
+    }
+
+    fn node_with(errors: &[f64], displacements: &[f64]) -> NodeMetrics {
+        node_from(NodeMetrics::default(), errors, displacements)
     }
 
     #[test]
@@ -463,6 +606,26 @@ mod tests {
         assert!(n.median_relative_error().is_err());
         assert_eq!(n.instability(10.0), 0.0);
         assert_eq!(n.application_update_count(), 0);
+    }
+
+    #[test]
+    fn a_node_that_never_moves_reports_negative_zero_instability() {
+        // The running sums start at the identity of `Iterator::<f64>::sum`,
+        // so a node without a single displacement reports exactly what
+        // summing its (empty) sample list always reported: −0.0.
+        let negative_zero = (-0.0f64).to_bits();
+        let still = node_with(&[0.1, 0.2], &[]);
+        for n in [NodeMetrics::default(), still] {
+            assert_eq!(n.total_system_displacement_ms().to_bits(), negative_zero);
+            assert_eq!(n.instability(10.0).to_bits(), negative_zero);
+            let summed = n.system_displacements().iter().sum::<f64>() / 10.0;
+            assert_eq!(n.instability(10.0).to_bits(), summed.to_bits());
+        }
+        let silent = NodeMetrics::default();
+        assert_eq!(
+            silent.application_instability(10.0).to_bits(),
+            negative_zero
+        );
     }
 
     #[test]
@@ -511,16 +674,87 @@ mod tests {
 
     #[test]
     fn windowed_medians_filter_by_time() {
-        // node_with stamps sample i at time i seconds.
-        let n = node_with(&[0.1, 0.2, 0.3, 0.4, 0.5], &[1.0]);
-        assert_eq!(n.median_relative_error_between(0.0, 2.5).unwrap(), 0.2);
-        assert_eq!(n.median_relative_error_between(3.0, 100.0).unwrap(), 0.45);
-        assert!(n.median_relative_error_between(50.0, 60.0).is_err());
-
-        let mut cm = ConfigMetrics::new(2, 10.0);
-        cm.nodes[0] = node_with(&[0.1, 0.2], &[1.0]);
-        cm.nodes[1] = node_with(&[0.3, 0.4], &[1.0]);
-        let pooled = cm.pooled_median_relative_error_between(0.0, 10.0).unwrap();
+        let mut cm = ConfigMetrics::with_time_series(2, 10.0);
+        for (node, errors) in cm.nodes.iter_mut().zip([[0.1, 0.2], [0.3, 0.4]]) {
+            *node = node_from(std::mem::take(node), &errors, &[1.0]);
+        }
+        let series = cm.series().expect("recorded");
+        assert_eq!(series.nodes().len(), 2);
+        let pooled = series
+            .pooled_median_relative_error_between(0.0, 10.0)
+            .unwrap();
         assert!((pooled - 0.25).abs() < 1e-9);
+        // Node i's sample j sits at j seconds: [1, 10) holds 0.2 and 0.4.
+        let late = series
+            .pooled_median_relative_error_between(1.0, 10.0)
+            .unwrap();
+        assert!((late - 0.3).abs() < 1e-9);
+        assert!(series
+            .pooled_median_relative_error_between(50.0, 60.0)
+            .is_err());
+        let window: Vec<f64> = series.nodes()[0].system_errors_between(0.0, 1.0).collect();
+        assert_eq!(window, vec![0.1]);
+
+        // Without the option nothing was stamped, and the type says so.
+        let mut plain = ConfigMetrics::new(2, 10.0);
+        plain.nodes[0] = node_with(&[0.1, 0.2], &[1.0]);
+        assert!(plain.series().is_none());
+        assert!(plain.nodes[0].series().is_none());
+    }
+
+    #[test]
+    fn the_series_repeats_the_values_with_their_times() {
+        let n = node_from(
+            NodeMetrics::with_time_series(),
+            &[0.1, 0.2, 0.3],
+            &[4.0, 0.0, 2.0],
+        );
+        let series = n.series().expect("recorded");
+        let values = |pairs: &[(f64, f64)]| pairs.iter().map(|(_, v)| *v).collect::<Vec<f64>>();
+        assert_eq!(values(&series.system_errors), n.system_errors());
+        assert_eq!(values(&series.application_errors), n.application_errors);
+        assert_eq!(
+            values(&series.system_displacements),
+            n.system_displacements()
+        );
+        assert_eq!(series.system_displacements, vec![(0.0, 4.0), (2.0, 2.0)]);
+        assert_eq!(series.application_displacements, vec![(0.0, 1.0)]);
+    }
+
+    #[test]
+    fn layout_pin_node_metrics() {
+        use crate::planetlab::PlanetLabConfig;
+        use crate::sim::{SimConfig, Simulator};
+        use stable_nc::NodeConfig;
+        use std::mem::{size_of, size_of_val};
+
+        // Three value vectors, two running sums, an update count, the boxed
+        // series handle and seven counters.
+        assert_eq!(size_of::<NodeMetrics>(), 160);
+
+        let report = Simulator::new(
+            PlanetLabConfig::small(12).with_seed(3),
+            SimConfig::new(400.0, 5.0)
+                .with_measurement_start(200.0)
+                .with_initial_neighbors(4),
+            vec![("mp".into(), NodeConfig::paper_defaults())],
+        )
+        .run();
+        let metrics = report.config("mp").unwrap();
+        assert!(metrics.series().is_none());
+        let mut samples = 0;
+        for n in &metrics.nodes {
+            assert!(n.series().is_none(), "no timestamp is kept by default");
+            let values = [
+                &n.system_errors,
+                &n.application_errors,
+                &n.system_displacements,
+            ];
+            let count: usize = values.iter().map(|v| v.len()).sum();
+            let stored: usize = values.iter().map(|v| size_of_val(v.as_slice())).sum();
+            assert_eq!(stored, 8 * count);
+            samples += count;
+        }
+        assert!(samples > 1_000, "the run measured {samples} samples");
     }
 }

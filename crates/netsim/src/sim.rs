@@ -223,6 +223,9 @@ pub struct SimConfig {
     /// read-path state and never influences the probe schedule or the
     /// [`SimReport`], so enabling it cannot change simulation results.
     pub query_index: bool,
+    /// Keeps the simulated time of every metric sample beside its value
+    /// (see [`SimConfig::with_time_series`]). Off by default.
+    pub time_series: bool,
 }
 
 impl SimConfig {
@@ -248,6 +251,7 @@ impl SimConfig {
             probe_timeout_s: probe_interval_s * 3.0,
             adversary: None,
             query_index: false,
+            time_series: false,
         }
         .validate()
         .unwrap_or_else(|error| panic!("invalid simulation schedule: {error}"))
@@ -367,9 +371,37 @@ impl SimConfig {
         self
     }
 
+    /// Keeps every metric sample's timestamp, readable after the run
+    /// through [`NodeMetrics::series`] and [`ConfigMetrics::series`] — for
+    /// readers that bin or window by time, such as Figure 14 and the churn
+    /// tests. The report's accessors read only the values and return the
+    /// same bits either way.
+    ///
+    /// # Memory
+    ///
+    /// Off, a measured observation costs the fold at most 24 B (two
+    /// relative errors and a displacement, 8 B each) and an application
+    /// update only adds to a running sum. On, every one of those samples is
+    /// also kept as a 16 B `(time_s, value)` pair beside its value — up to
+    /// 72 B per measured observation, plus 16 B per application update.
+    pub fn with_time_series(mut self) -> Self {
+        self.time_series = true;
+        self
+    }
+
     /// Length of the measurement window.
     pub fn measurement_duration_s(&self) -> f64 {
         self.duration_s - self.measurement_start_s
+    }
+
+    /// Empty metric accumulators for `nodes` nodes, stamped or not as asked.
+    fn empty_metrics(&self, nodes: usize) -> ConfigMetrics {
+        let measured_s = self.measurement_duration_s();
+        if self.time_series {
+            ConfigMetrics::with_time_series(nodes, measured_s)
+        } else {
+            ConfigMetrics::new(nodes, measured_s)
+        }
     }
 }
 
@@ -1034,7 +1066,6 @@ impl Simulator {
             neighbor_sets.push(set);
         }
 
-        let measurement_duration = sim_config.measurement_duration_s();
         let run_count = configs.len();
         let query_index = sim_config.query_index;
         let runs = configs
@@ -1042,7 +1073,7 @@ impl Simulator {
             .map(|(name, config)| ConfigRun {
                 name,
                 nodes: (0..n).map(|_| StableNode::new(config.clone())).collect(),
-                metrics: ConfigMetrics::new(n, measurement_duration),
+                metrics: sim_config.empty_metrics(n),
                 index: query_index.then(|| {
                     CoordinateIndex::new(QueryConfig {
                         dimensions: config.vivaldi.dimensions(),
@@ -1265,14 +1296,13 @@ impl Simulator {
     /// behind — no second copy of every series at the moment memory peaks.
     fn take_report(&mut self) -> SimReport {
         let nodes = self.env.topology.len();
-        let measured_s = self.env.sim_config.measurement_duration_s();
         // Results merge in the stable configuration order (the report's
         // serialization sorts by name), so parallel and serial runs encode
         // identically.
         let mut configs = FxHashMap::default();
         for run in &mut self.state.runs {
             let metrics =
-                std::mem::replace(&mut run.metrics, ConfigMetrics::new(nodes, measured_s));
+                std::mem::replace(&mut run.metrics, self.env.sim_config.empty_metrics(nodes));
             configs.insert(run.name.clone(), metrics);
         }
         SimReport::new(
@@ -1334,21 +1364,14 @@ pub(crate) fn fold_events(
                 relative_error,
                 application_relative_error,
                 ..
-            } if measuring => {
-                metrics.system_errors.push((time_s, *relative_error));
-                metrics
-                    .application_errors
-                    .push((time_s, *application_relative_error));
-                if *displacement_ms > 0.0 {
-                    metrics
-                        .system_displacements
-                        .push((time_s, *displacement_ms));
-                }
-            }
+            } if measuring => metrics.record_system_move(
+                time_s,
+                *relative_error,
+                *application_relative_error,
+                *displacement_ms,
+            ),
             Event::ApplicationUpdated { update } if measuring => {
-                metrics
-                    .application_displacements
-                    .push((time_s, update.displacement_ms));
+                metrics.record_application_update(time_s, update.displacement_ms);
             }
             Event::ProbeLost { .. } => {
                 metrics.probes_lost += 1;
@@ -1959,7 +1982,7 @@ mod tests {
         let with_samples = metrics
             .nodes
             .iter()
-            .filter(|n| !n.system_errors.is_empty())
+            .filter(|n| !n.system_errors().is_empty())
             .count();
         assert!(
             with_samples >= 10,
@@ -2132,8 +2155,10 @@ mod tests {
         let metrics = report.config("mp").unwrap();
         assert!(metrics.total_probes_lost() > 0);
         for node in &metrics.nodes {
-            assert!(node.system_errors.is_empty(), "no observation can arrive");
+            assert!(node.system_errors().is_empty(), "no observation can arrive");
             assert_eq!(node.observations, 0);
+            // Nothing moved, so the running sum is still its −0.0 identity.
+            assert_eq!(node.instability(190.0).to_bits(), (-0.0f64).to_bits());
         }
     }
 
@@ -2142,7 +2167,8 @@ mod tests {
         let workload = PlanetLabConfig::small(10).with_seed(6);
         let sim_config = SimConfig::new(1_200.0, 5.0)
             .with_measurement_start(0.0)
-            .with_initial_neighbors(4);
+            .with_initial_neighbors(4)
+            .with_time_series();
         let crashed = vec![0, 1];
         let scenario = Scenario::crash_restart(crashed.clone(), 600.0, 700.0);
         let report = Simulator::new(
@@ -2155,6 +2181,8 @@ mod tests {
         let metrics = report.config("mp").unwrap();
         for &node in &crashed {
             let times: Vec<f64> = metrics.nodes[node]
+                .series()
+                .expect("recorded")
                 .system_errors
                 .iter()
                 .map(|(t, _)| *t)
@@ -2181,7 +2209,8 @@ mod tests {
         let workload = PlanetLabConfig::small(8).with_seed(2);
         let sim_config = SimConfig::new(600.0, 5.0)
             .with_measurement_start(0.0)
-            .with_initial_neighbors(3);
+            .with_initial_neighbors(3)
+            .with_time_series();
         let scenario = Scenario::new().at(300.0, ScenarioAction::Leave { nodes: vec![5] });
         let mut sim = Simulator::new(
             workload,
@@ -2193,6 +2222,8 @@ mod tests {
         let metrics = report.config("mp").unwrap();
         assert!(
             metrics.nodes[5]
+                .series()
+                .expect("recorded")
                 .system_errors
                 .iter()
                 .all(|(t, _)| *t <= 300.5),
@@ -2213,7 +2244,8 @@ mod tests {
         let workload = PlanetLabConfig::small(12).with_seed(5);
         let sim_config = SimConfig::new(900.0, 5.0)
             .with_measurement_start(0.0)
-            .with_initial_neighbors(4);
+            .with_initial_neighbors(4)
+            .with_time_series();
         let crowd = vec![9, 10, 11];
         let scenario = Scenario::flash_crowd(crowd.clone(), 300.0);
         let report = Simulator::new(
@@ -2226,6 +2258,8 @@ mod tests {
         let metrics = report.config("mp").unwrap();
         for &node in &crowd {
             let times: Vec<f64> = metrics.nodes[node]
+                .series()
+                .expect("recorded")
                 .system_errors
                 .iter()
                 .map(|(t, _)| *t)
@@ -2247,7 +2281,8 @@ mod tests {
         let workload = PlanetLabConfig::small(8).with_seed(12);
         let sim_config = SimConfig::new(700.0, 5.0)
             .with_measurement_start(0.0)
-            .with_initial_neighbors(4);
+            .with_initial_neighbors(4)
+            .with_time_series();
         let scenario = Scenario::new().at(
             200.0,
             ScenarioAction::Partition {
@@ -2269,7 +2304,8 @@ mod tests {
         );
         // After the heal, observations keep accruing for everyone.
         for node in &metrics.nodes {
-            assert!(node.system_errors.iter().any(|(t, _)| *t > 450.0));
+            let series = node.series().expect("recorded");
+            assert!(series.system_errors.iter().any(|(t, _)| *t > 450.0));
         }
     }
 

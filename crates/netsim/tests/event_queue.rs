@@ -11,7 +11,8 @@
 //!    schedule still runs to completion (lost probes never stall it);
 //! 3. a fixed run produces the report it produced yesterday: the executor
 //!    suites compare the engine with the reference loop, the pinned digest
-//!    below compares both with a constant.
+//!    below compares both with a constant — with and without the time
+//!    series, which only keep timestamps beside the values the report reads.
 
 use std::cmp::Ordering;
 
@@ -22,7 +23,8 @@ use nc_netsim::metrics::{ConfigMetrics, SimReport};
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::Scenario;
 use nc_netsim::sim::{EventQueue, SimConfig, Simulator, TIMER_LANES};
-use stable_nc::NodeConfig;
+use nc_stats::{percentile, StatsError};
+use stable_nc::{NodeConfig, OutlierGateConfig};
 
 /// The queue's contract, written out: earliest time first (`total_cmp`),
 /// insertion order among equal times.
@@ -163,10 +165,10 @@ proptest! {
         );
         for (node, node_metrics) in metrics.nodes.iter().enumerate() {
             prop_assert!(
-                node_metrics.system_errors.is_empty(),
+                node_metrics.system_errors().is_empty(),
                 "node {} observed through a 100% lossy mesh (seed {})", node, seed
             );
-            prop_assert!(node_metrics.system_displacements.is_empty());
+            prop_assert!(node_metrics.system_displacements().is_empty());
             prop_assert_eq!(node_metrics.observations, 0);
         }
     }
@@ -276,12 +278,19 @@ const PINNED_EVENTS: u64 = 58_115;
 /// snapshots: timeouts, evictions, the restart re-arm and snapshot/restore
 /// all fire, on two configurations side by side.
 fn pinned_run() -> Simulator {
+    pinned_run_on(pinned_schedule())
+}
+
+fn pinned_schedule() -> SimConfig {
+    SimConfig::new(1_200.0, 5.0)
+        .with_measurement_start(300.0)
+        .with_initial_neighbors(8)
+}
+
+fn pinned_run_on(sim_config: SimConfig) -> Simulator {
     let workload = PlanetLabConfig::small(64)
         .with_seed(16)
         .with_link_config(LinkModelConfig::default().with_loss_probability(0.05));
-    let sim_config = SimConfig::new(1_200.0, 5.0)
-        .with_measurement_start(300.0)
-        .with_initial_neighbors(8);
     Simulator::new(
         workload,
         sim_config,
@@ -326,5 +335,116 @@ fn report_digest_is_pinned_for_every_executor() {
             PINNED_EVENTS,
             "{name}: every executor replays the same schedule, event for event"
         );
+    }
+}
+
+/// The bits of a percentile, or `None` for an empty sample.
+fn bits(value: Result<f64, StatsError>) -> Option<u64> {
+    value.ok().map(f64::to_bits)
+}
+
+/// Re-derives every per-node statistic from the recorded time series the
+/// way the accessors once computed them from timestamped samples, and
+/// checks it against the compact accessors bit for bit.
+fn assert_series_reproduce_the_accessors(name: &str, metrics: &ConfigMetrics) {
+    let series = metrics.series().expect("the run recorded its time series");
+    assert_eq!(series.nodes().len(), metrics.nodes.len());
+    let values = |pairs: &[(f64, f64)]| pairs.iter().map(|&(_, v)| v).collect::<Vec<f64>>();
+    for (node, (compact, stamped)) in metrics.nodes.iter().zip(series.nodes()).enumerate() {
+        let errors = values(&stamped.system_errors);
+        let application_errors = values(&stamped.application_errors);
+        let moves = values(&stamped.system_displacements);
+        let application_moves = values(&stamped.application_displacements);
+        let context = format!("{name}, node {node}");
+        assert_eq!(errors, compact.system_errors(), "{context}");
+        assert_eq!(
+            bits(percentile(&errors, 50.0)),
+            bits(compact.median_relative_error()),
+            "{context}"
+        );
+        assert_eq!(
+            bits(percentile(&errors, 95.0)),
+            bits(compact.p95_relative_error()),
+            "{context}"
+        );
+        assert_eq!(
+            bits(percentile(&application_errors, 50.0)),
+            bits(compact.application_median_relative_error()),
+            "{context}"
+        );
+        assert_eq!(
+            bits(percentile(&application_errors, 95.0)),
+            bits(compact.application_p95_relative_error()),
+            "{context}"
+        );
+        assert_eq!(
+            bits(percentile(&moves, 95.0)),
+            bits(compact.p95_coordinate_change()),
+            "{context}"
+        );
+        assert_eq!(
+            moves.iter().sum::<f64>().to_bits(),
+            compact.total_system_displacement_ms().to_bits(),
+            "{context}"
+        );
+        assert_eq!(
+            application_moves.iter().sum::<f64>().to_bits(),
+            compact.total_application_displacement_ms().to_bits(),
+            "{context}"
+        );
+        assert_eq!(application_moves.len(), compact.application_update_count());
+    }
+}
+
+#[test]
+fn time_series_on_and_off_give_identical_reports() {
+    // The pinned run, stamped: the same digest and the same schedule.
+    let mut stamped = pinned_run_on(pinned_schedule().with_time_series());
+    let report = stamped.run();
+    assert_eq!(
+        report_digest(&report),
+        PINNED_DIGEST,
+        "time series moved the digest"
+    );
+    assert_eq!(stamped.events_popped(), PINNED_EVENTS);
+    for (name, metrics) in report.iter() {
+        assert_series_reproduce_the_accessors(name, metrics);
+    }
+    assert!(
+        pinned_run().run().config("mp").unwrap().series().is_none(),
+        "the default run keeps no timestamps"
+    );
+
+    // A second crash/restart shape on two workers: a quarter of the mesh
+    // down for 150 s, the MAD gate and eviction on, raw Vivaldi beside it.
+    let run = |sim_config: SimConfig| {
+        Simulator::new(
+            PlanetLabConfig::small(48)
+                .with_seed(5)
+                .with_link_config(LinkModelConfig::default().with_loss_probability(0.03)),
+            sim_config,
+            vec![
+                (
+                    "gated".to_string(),
+                    NodeConfig::builder()
+                        .outlier_gate(OutlierGateConfig::default())
+                        .max_consecutive_losses(3)
+                        .build(),
+                ),
+                ("raw".to_string(), NodeConfig::original_vivaldi()),
+            ],
+        )
+        .with_scenario(Scenario::crash_restart((0..12).collect(), 300.0, 450.0))
+        .with_threads(2)
+        .run()
+    };
+    let schedule = SimConfig::new(900.0, 5.0)
+        .with_measurement_start(200.0)
+        .with_initial_neighbors(6);
+    let plain = run(schedule.clone());
+    let stamped = run(schedule.with_time_series());
+    assert_eq!(report_digest(&plain), report_digest(&stamped));
+    for (name, metrics) in stamped.iter() {
+        assert_series_reproduce_the_accessors(name, metrics);
     }
 }

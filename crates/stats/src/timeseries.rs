@@ -123,7 +123,10 @@ impl TimeBinner {
                     }
                     BinStatistic::Median => percentile(values, 50.0).ok(),
                     BinStatistic::Percentile(p) => percentile(values, f64::from(p)).ok(),
-                    BinStatistic::Sum => Some(values.iter().sum()),
+                    // Folded from +0.0: `Iterator::<f64>::sum` starts at
+                    // −0.0, which an empty bin would report and a table
+                    // print as `-0.000`.
+                    BinStatistic::Sum => Some(values.iter().fold(0.0, |total, v| total + v)),
                     BinStatistic::Count => Some(values.len() as f64),
                 };
                 TimeBin {
@@ -192,6 +195,16 @@ mod tests {
         assert_eq!(sums[0].value, Some(5.0));
         let counts = b.bins(BinStatistic::Count);
         assert_eq!(counts[0].value, Some(2.0));
+    }
+
+    #[test]
+    fn an_empty_bin_sums_to_positive_zero() {
+        let mut b = TimeBinner::new(0.0, 10.0).unwrap();
+        b.record(25.0, 1.0);
+        let sums = b.bins(BinStatistic::Sum);
+        assert_eq!(sums[0].count, 0);
+        assert_eq!(sums[0].value.map(f64::to_bits), Some(0.0f64.to_bits()));
+        assert_eq!(sums[2].value, Some(1.0));
     }
 
     #[test]

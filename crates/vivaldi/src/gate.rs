@@ -86,34 +86,65 @@ impl Default for OutlierGateConfig {
     }
 }
 
+/// The field an [`OutlierGateConfig`] gets wrong, reported by
+/// [`OutlierGateConfig::validate`] with the offending value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GateConfigError {
+    /// `window` holds fewer than two residuals.
+    WindowTooSmall(usize),
+    /// `mad_threshold` is not finite and positive.
+    MadThresholdNotPositive(f64),
+    /// `mad_floor_ms` is not finite and non-negative.
+    MadFloorOutOfRange(f64),
+    /// `min_remote_error` lies outside `[0, 1]` (or is not finite).
+    MinRemoteErrorOutOfRange(f64),
+}
+
+impl std::fmt::Display for GateConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GateConfigError::WindowTooSmall(window) => {
+                write!(f, "outlier gate window must be at least 2, got {window}")
+            }
+            GateConfigError::MadThresholdNotPositive(threshold) => write!(
+                f,
+                "outlier gate MAD threshold must be finite and positive, got {threshold}"
+            ),
+            GateConfigError::MadFloorOutOfRange(floor) => write!(
+                f,
+                "outlier gate MAD floor must be finite and non-negative, got {floor}"
+            ),
+            GateConfigError::MinRemoteErrorOutOfRange(error) => write!(
+                f,
+                "outlier gate remote-error floor must lie in [0, 1], got {error}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GateConfigError {}
+
 impl OutlierGateConfig {
     /// Checks the configuration for nonsense values.
     ///
-    /// Returns a human-readable description of the first problem found, or
-    /// `Ok(())` when the configuration is usable.
-    pub fn validate(&self) -> Result<(), String> {
+    /// # Errors
+    ///
+    /// Returns the [`GateConfigError`] of the first field found wrong: a
+    /// window below two, a non-positive MAD threshold, a negative or
+    /// non-finite MAD floor, or a remote-error floor outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), GateConfigError> {
         if self.window < 2 {
-            return Err(format!(
-                "outlier gate window must be at least 2, got {}",
-                self.window
-            ));
+            return Err(GateConfigError::WindowTooSmall(self.window));
         }
         if !self.mad_threshold.is_finite() || self.mad_threshold <= 0.0 {
-            return Err(format!(
-                "outlier gate MAD threshold must be finite and positive, got {}",
-                self.mad_threshold
-            ));
+            return Err(GateConfigError::MadThresholdNotPositive(self.mad_threshold));
         }
         if !self.mad_floor_ms.is_finite() || self.mad_floor_ms < 0.0 {
-            return Err(format!(
-                "outlier gate MAD floor must be finite and non-negative, got {}",
-                self.mad_floor_ms
-            ));
+            return Err(GateConfigError::MadFloorOutOfRange(self.mad_floor_ms));
         }
         if !self.min_remote_error.is_finite() || !(0.0..=1.0).contains(&self.min_remote_error) {
-            return Err(format!(
-                "outlier gate remote-error floor must lie in [0, 1], got {}",
-                self.min_remote_error
+            return Err(GateConfigError::MinRemoteErrorOutOfRange(
+                self.min_remote_error,
             ));
         }
         Ok(())
@@ -320,23 +351,31 @@ mod tests {
             window: 1,
             ..OutlierGateConfig::default()
         };
-        assert!(config.validate().is_err());
+        assert_eq!(config.validate(), Err(GateConfigError::WindowTooSmall(1)));
         let config = OutlierGateConfig {
             mad_threshold: 0.0,
             ..OutlierGateConfig::default()
         };
-        assert!(config.validate().is_err());
+        assert_eq!(
+            config.validate(),
+            Err(GateConfigError::MadThresholdNotPositive(0.0))
+        );
         let config = OutlierGateConfig {
             mad_floor_ms: f64::NAN,
             ..OutlierGateConfig::default()
         };
-        assert!(config.validate().is_err());
+        assert!(matches!(
+            config.validate(),
+            Err(GateConfigError::MadFloorOutOfRange(floor)) if floor.is_nan()
+        ));
         let config = OutlierGateConfig {
             min_remote_error: 1.5,
             ..OutlierGateConfig::default()
         };
-        assert!(config.validate().is_err());
-        assert!(OutlierGateConfig::default().validate().is_ok());
+        let error = config.validate().unwrap_err();
+        assert_eq!(error, GateConfigError::MinRemoteErrorOutOfRange(1.5));
+        assert!(error.to_string().contains("remote-error floor"), "{error}");
+        assert_eq!(OutlierGateConfig::default().validate(), Ok(()));
     }
 
     #[test]

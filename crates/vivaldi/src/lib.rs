@@ -54,5 +54,5 @@ pub mod state;
 pub use config::VivaldiConfig;
 pub use coordinate::{Coordinate, MAX_DIMS};
 pub use error::{relative_error, CoordinateError};
-pub use gate::{OutlierGate, OutlierGateConfig};
+pub use gate::{GateConfigError, OutlierGate, OutlierGateConfig};
 pub use state::{RemoteObservation, UpdateOutcome, VivaldiState};

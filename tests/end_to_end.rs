@@ -344,7 +344,8 @@ fn quarter_of_the_mesh_crash_restarts_and_reconverges() {
     let workload = PlanetLabConfig::small(16).with_seed(99);
     let sim_config = SimConfig::new(3_000.0, 5.0)
         .with_measurement_start(0.0)
-        .with_initial_neighbors(6);
+        .with_initial_neighbors(6)
+        .with_time_series();
     let crashed: Vec<usize> = vec![0, 1, 2, 3]; // 4 of 16 = 25%
     let scenario = Scenario::crash_restart(crashed.clone(), 1_800.0, 2_100.0);
     let report = Simulator::new(
@@ -355,11 +356,12 @@ fn quarter_of_the_mesh_crash_restarts_and_reconverges() {
     .with_scenario(scenario)
     .run();
     let metrics = report.config("paper").expect("configuration ran");
+    let series = metrics.series().expect("the run recorded its time series");
 
-    let pre_crash = metrics
+    let pre_crash = series
         .pooled_median_relative_error_between(1_500.0, 1_800.0)
         .expect("pre-crash samples exist");
-    let end_of_run = metrics
+    let end_of_run = series
         .pooled_median_relative_error_between(2_700.0, 3_000.0)
         .expect("post-restart samples exist");
     assert!(
@@ -370,7 +372,7 @@ fn quarter_of_the_mesh_crash_restarts_and_reconverges() {
 
     // The restarted nodes really went down and really came back.
     for &node in &crashed {
-        let times: Vec<f64> = metrics.nodes[node]
+        let times: Vec<f64> = series.nodes()[node]
             .system_errors
             .iter()
             .map(|(t, _)| *t)
