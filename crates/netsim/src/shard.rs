@@ -1050,7 +1050,7 @@ fn reassemble(
         if let Some(target) = run.index.as_mut() {
             for part in &index_parts {
                 for (id, coordinate) in part.iter() {
-                    let _ = target.update(*id, coordinate);
+                    let _ = target.update(*id, &coordinate);
                 }
             }
         }

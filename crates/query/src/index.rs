@@ -36,6 +36,23 @@
 //! occupancy skew (every insert landing in one key range) the layout
 //! therefore rebalances itself: no shard ever exceeds capacity, and binary
 //! search over shard bounds keeps updates logarithmic.
+//!
+//! # Layout
+//!
+//! Each tracked coordinate is stored once, in its shard, packed at the
+//! width of the space. A shard is three parallel columns sorted by
+//! `(key, id)`: the Morton keys, the ids, and `dims + 1` `f64`s per entry
+//! (the active components, then the height). That is
+//! `16 + size_of::<Id>() + 8·(dims + 1)` bytes per entry, 56 for `u64` ids
+//! in 3-D. The position map holds only each node's key, which is all an
+//! update or removal needs to find the entry. A k-NN scan tests the dense
+//! key column and reads the values of in-box entries only. The best-k set
+//! carries each candidate's `(shard, offset)` cursor, so an answer's
+//! coordinate is read straight from its shard. Coordinates leave the index
+//! rebuilt through [`Coordinate::with_height`], bit for bit what was
+//! stored, and a packed entry is ranked by
+//! [`Coordinate::distance_to_parts`], the same arithmetic as
+//! [`Coordinate::distance`].
 
 use nc_vivaldi::Coordinate;
 use stable_nc::{FxHashMap, NodeView};
@@ -68,22 +85,124 @@ pub struct ClusterSummary {
     pub centroid: Coordinate,
 }
 
-/// A node's stored state: its Morton key and exact coordinate.
+/// One shard: the entries of one key range as three parallel columns,
+/// sorted by `(key, id)`. Entry `i` is `keys[i]`, `ids[i]` and the record
+/// of `stride = dims + 1` values starting at `values[i * stride]`. The
+/// stride is the index's, passed in rather than kept per shard.
 #[derive(Debug, Clone)]
-struct Stored {
-    key: u128,
-    coordinate: Coordinate,
+struct Shard<Id> {
+    keys: Vec<u128>,
+    ids: Vec<Id>,
+    /// Per entry: the active components, then the height.
+    values: Vec<f64>,
 }
 
-/// One shard entry: a node's key, id and an inline copy of its exact
-/// coordinate, so range scans rank candidates from the memory they are
-/// already streaming instead of taking one random `positions` lookup per
-/// candidate.
-#[derive(Debug, Clone)]
-struct Entry<Id> {
-    key: u128,
-    id: Id,
-    coordinate: Coordinate,
+/// An entry's position: `(shard, offset)`.
+type Cursor = (usize, usize);
+
+impl<Id: Ord> Shard<Id> {
+    fn new() -> Self {
+        Shard {
+            keys: Vec::new(),
+            ids: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `Ok(offset)` of the `(key, id)` entry, or `Err(offset)` where it
+    /// would be inserted: the run of equal keys first, then the ids inside
+    /// it.
+    fn find(&self, key: u128, id: &Id) -> Result<usize, usize> {
+        let start = self.keys.partition_point(|k| *k < key);
+        let run = self
+            .keys
+            .get(start..)
+            .map_or(0, |rest| rest.partition_point(|k| *k == key));
+        match self.ids.get(start..start + run) {
+            Some(ids) => ids
+                .binary_search(id)
+                .map(|i| start + i)
+                .map_err(|i| start + i),
+            None => Err(start),
+        }
+    }
+
+    /// The packed record of the entry at `offset`.
+    fn record(&self, offset: usize, stride: usize) -> Option<&[f64]> {
+        self.values.get(offset * stride..(offset + 1) * stride)
+    }
+
+    /// The exact distance from `target` to the entry at `offset`, and the
+    /// entry's id.
+    fn rank(&self, offset: usize, stride: usize, target: &Coordinate) -> Option<(f64, &Id)> {
+        let (height, components) = self.record(offset, stride)?.split_last()?;
+        let id = self.ids.get(offset)?;
+        Some((target.distance_to_parts(components, *height), id))
+    }
+
+    /// Overwrites the record of the entry at `offset` with `coordinate`.
+    fn write(&mut self, offset: usize, stride: usize, coordinate: &Coordinate) {
+        let record = self
+            .values
+            .get_mut(offset * stride..(offset + 1) * stride)
+            .and_then(|record| record.split_last_mut());
+        if let Some((height, components)) = record {
+            // The index checks every coordinate's width at the boundary,
+            // so the lengths always match.
+            components.copy_from_slice(coordinate.components());
+            *height = coordinate.height();
+        }
+    }
+
+    /// Inserts an entry at `offset` of all three columns.
+    fn insert(&mut self, offset: usize, stride: usize, key: u128, id: Id, coordinate: &Coordinate) {
+        self.keys.insert(offset, key);
+        self.ids.insert(offset, id);
+        let at = offset * stride;
+        let record = coordinate
+            .components()
+            .iter()
+            .copied()
+            .chain([coordinate.height()]);
+        self.values.splice(at..at, record);
+    }
+
+    /// Removes the entry at `offset` from all three columns.
+    fn remove(&mut self, offset: usize, stride: usize) {
+        self.keys.remove(offset);
+        self.ids.remove(offset);
+        let at = offset * stride;
+        self.values.drain(at..at + stride);
+    }
+
+    /// Moves the entries from `at` on into a new shard.
+    fn split_off(&mut self, at: usize, stride: usize) -> Self {
+        Shard {
+            keys: self.keys.split_off(at),
+            ids: self.ids.split_off(at),
+            values: self.values.split_off(at * stride),
+        }
+    }
+
+    /// Moves every entry of `tail`, whose keys all follow this shard's, to
+    /// the end of this shard.
+    fn append(&mut self, tail: &mut Self) {
+        self.keys.append(&mut tail.keys);
+        self.ids.append(&mut tail.ids);
+        self.values.append(&mut tail.values);
+    }
+}
+
+/// The coordinate a packed record holds, rebuilt bit for bit (−0.0
+/// included). `None` only for a record no valid coordinate produced,
+/// which the boundary checks rule out.
+fn rebuild(record: &[f64]) -> Option<Coordinate> {
+    let (height, components) = record.split_last()?;
+    Coordinate::with_height(components, *height).ok()
 }
 
 /// Out-of-box entries to step over linearly before paying for a BIGMIN
@@ -117,12 +236,11 @@ struct QueryBox {
 #[derive(Debug, Clone)]
 pub struct CoordinateIndex<Id> {
     config: QueryConfig,
-    /// Exact coordinate and key per node — the authoritative copy that
-    /// point updates consult; the shards carry a second, inline copy for
-    /// scan locality.
-    positions: FxHashMap<Id, Stored>,
+    /// Morton key per node: what an update or removal needs to find the
+    /// node's entry. The coordinate itself is kept only in the shards.
+    positions: FxHashMap<Id, u128>,
     /// Sorted-by-`(key, id)` shards partitioning the key order.
-    shards: Vec<Vec<Entry<Id>>>,
+    shards: Vec<Shard<Id>>,
     /// The last entry of each shard, kept parallel to `shards`: locating a
     /// key binary-searches this contiguous array instead of chasing one
     /// heap pointer per probed shard.
@@ -190,6 +308,11 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         (self.splits, self.merges)
     }
 
+    /// `f64`s per packed record: the components, then the height.
+    fn stride(&self) -> usize {
+        self.config.dimensions + 1
+    }
+
     /// Checks a coordinate against the index dimensionality and finiteness.
     fn check(&self, coordinate: &Coordinate) -> Result<(), QueryError> {
         if coordinate.dimensions() != self.config.dimensions {
@@ -233,7 +356,7 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
 
     /// Inserts or moves a node. Returns `true` when the node was new.
     ///
-    /// A re-insertion whose quantized cell is unchanged only refreshes the
+    /// A re-insertion whose quantized cell is unchanged only rewrites the
     /// stored exact coordinate; the shard layout is untouched.
     ///
     /// # Errors
@@ -245,28 +368,18 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         let key = self.key_for(coordinate);
         match self.positions.get_mut(&id) {
             Some(stored) => {
-                let old_key = stored.key;
-                stored.key = key;
-                stored.coordinate = coordinate.clone();
+                let old_key = std::mem::replace(stored, key);
                 if old_key == key {
-                    // Same quantized cell: the shard layout is untouched,
-                    // but the inline copy must track the exact coordinate.
                     self.refresh_entry(key, &id, coordinate);
                 } else {
                     self.remove_entry(old_key, &id);
-                    self.insert_entry(key, id, coordinate.clone());
+                    self.insert_entry(key, id, coordinate);
                 }
                 Ok(false)
             }
             None => {
-                self.positions.insert(
-                    id.clone(),
-                    Stored {
-                        key,
-                        coordinate: coordinate.clone(),
-                    },
-                );
-                self.insert_entry(key, id, coordinate.clone());
+                self.positions.insert(id.clone(), key);
+                self.insert_entry(key, id, coordinate);
                 Ok(true)
             }
         }
@@ -275,8 +388,8 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     /// Removes a node. Returns `true` when it was tracked.
     pub fn remove(&mut self, id: &Id) -> bool {
         match self.positions.remove(id) {
-            Some(stored) => {
-                self.remove_entry(stored.key, id);
+            Some(key) => {
+                self.remove_entry(key, id);
                 true
             }
             None => false,
@@ -341,10 +454,10 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         let mut forward = start;
         let mut taken = 0usize;
         while taken < span {
-            let Some(entry) = self.entry_at(forward) else {
+            let Some((distance, id)) = self.rank_at(forward, target) else {
                 break;
             };
-            seed.offer(target.distance(&entry.coordinate), &entry.id);
+            seed.offer(distance, id, forward);
             forward = self.advance(forward);
             taken += 1;
         }
@@ -355,8 +468,8 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
                 break;
             };
             backward = previous;
-            if let Some(entry) = self.entry_at(backward) {
-                seed.offer(target.distance(&entry.coordinate), &entry.id);
+            if let Some((distance, id)) = self.rank_at(backward, target) {
+                seed.offer(distance, id, backward);
             }
             taken += 1;
         }
@@ -372,18 +485,20 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         // as the scan finds closer candidates.
         let mut bound = bound;
         let dims = self.config.dimensions;
+        let stride = self.stride();
         let masks = dimension_masks(dims as u32);
         let mut qbox = self.query_box(target, bound, &masks);
 
         // Scan the box's key range, stepping over short out-of-box gaps
         // entry by entry and BIGMIN-jumping the long ones, re-ranking every
-        // in-box entry by exact distance.
-        let mut best = RankedSet::new(k);
+        // in-box entry by exact distance. The scan re-ranks from scratch in
+        // the seed's buffer.
+        let mut best = seed;
+        best.clear();
         let (mut si, mut ei) = self.locate_key(qbox.zmin);
         let mut outside_streak = 0usize;
         'shards: while let Some(shard) = self.shards.get(si) {
-            while let Some(entry) = shard.get(ei) {
-                let key = entry.key;
+            while let Some(&key) = shard.keys.get(ei) {
                 if key > qbox.zmax {
                     break 'shards;
                 }
@@ -397,7 +512,9 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
                     });
                 if in_box {
                     outside_streak = 0;
-                    best.offer(target.distance(&entry.coordinate), &entry.id);
+                    if let Some((distance, id)) = shard.rank(ei, stride, target) {
+                        best.offer(distance, id, (si, ei));
+                    }
                     // The k-th best so far is itself a valid radius:
                     // tighten the box when it improves meaningfully, so
                     // the remaining scan range keeps contracting around
@@ -426,9 +543,9 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
                             // Most jumps land in the current shard: bisect
                             // its remaining slice before paying for the
                             // full fence search.
-                            match shard.get(ei..) {
-                                Some(rest) if rest.last().is_some_and(|last| next <= last.key) => {
-                                    ei += rest.partition_point(|e| e.key < next);
+                            match shard.keys.get(ei..) {
+                                Some(rest) if rest.last().is_some_and(|last| next <= *last) => {
+                                    ei += rest.partition_point(|k| *k < next);
                                 }
                                 _ => {
                                     (si, ei) = self.locate_key(next);
@@ -500,7 +617,7 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     /// Summation runs in key order, so the result is a pure function of the
     /// index contents.
     pub fn centroid(&self) -> Option<Coordinate> {
-        Coordinate::centroid_iter(self.shards.iter().flatten().map(|e| &e.coordinate))
+        Coordinate::centroid_iter(self.iter().map(|(_, coordinate)| coordinate))
     }
 
     /// Groups the tracked nodes by the top `prefix_bits` of their Morton
@@ -519,69 +636,83 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
             });
         }
         let shift = total - prefix_bits;
+        let prefix_of = |key: u128| if shift >= 128 { 0 } else { key >> shift };
         let mut clusters: Vec<ClusterSummary> = Vec::new();
-        let mut members: Vec<&Coordinate> = Vec::new();
-        let mut current: Option<u128> = None;
-        let flush = |clusters: &mut Vec<ClusterSummary>,
-                     prefix: Option<u128>,
-                     members: &mut Vec<&Coordinate>| {
-            if let (Some(prefix), Some(centroid)) =
-                (prefix, Coordinate::centroid_iter(members.iter().copied()))
-            {
+        let mut entries = self.entries().peekable();
+        while let Some((key, _, first)) = entries.next() {
+            // A cluster is a run of equal prefixes in key order: average it
+            // as it streams past, one rebuilt coordinate at a time.
+            let prefix = prefix_of(key);
+            let mut count = 1usize;
+            let members = std::iter::once(first).chain(std::iter::from_fn(|| {
+                let (_, _, coordinate) = entries.next_if(|(key, ..)| prefix_of(*key) == prefix)?;
+                count += 1;
+                Some(coordinate)
+            }));
+            if let Some(centroid) = Coordinate::centroid_iter(members) {
                 clusters.push(ClusterSummary {
                     prefix,
-                    count: members.len(),
+                    count,
                     centroid,
                 });
             }
-            members.clear();
-        };
-        for entry in self.shards.iter().flatten() {
-            let prefix = if shift >= 128 { 0 } else { entry.key >> shift };
-            if current != Some(prefix) {
-                flush(&mut clusters, current, &mut members);
-                current = Some(prefix);
-            }
-            members.push(&entry.coordinate);
         }
-        flush(&mut clusters, current, &mut members);
         Ok(clusters)
     }
 
     /// The tracked coordinate of one node, `None` when it is not indexed.
-    pub fn coordinate_of(&self, id: &Id) -> Option<&Coordinate> {
-        self.positions.get(id).map(|stored| &stored.coordinate)
+    pub fn coordinate_of(&self, id: &Id) -> Option<Coordinate> {
+        let key = *self.positions.get(id)?;
+        self.coordinate_at(self.cursor_of(key, id)?)
     }
 
     /// Iterates `(id, coordinate)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Id, &Coordinate)> {
-        self.shards.iter().flatten().map(|e| (&e.id, &e.coordinate))
+    pub fn iter(&self) -> impl Iterator<Item = (&Id, Coordinate)> {
+        self.entries().map(|(_, id, coordinate)| (id, coordinate))
+    }
+
+    /// Iterates `(key, id, coordinate)` in key order.
+    fn entries(&self) -> impl Iterator<Item = (u128, &Id, Coordinate)> {
+        let stride = self.stride();
+        self.shards.iter().flat_map(move |shard| {
+            shard
+                .keys
+                .iter()
+                .zip(&shard.ids)
+                .zip(shard.values.chunks_exact(stride))
+                .filter_map(|((key, id), record)| Some((*key, id, rebuild(record)?)))
+        })
     }
 
     /// Ranks every tracked node by exact distance — the brute-force path
     /// used for small indexes and as the defensive fallback.
     fn rank_all(&self, target: &Coordinate, k: usize) -> Vec<QueryMatch<Id>> {
+        let stride = self.stride();
         let mut best = RankedSet::new(k);
-        for shard in &self.shards {
-            for entry in shard {
-                best.offer(target.distance(&entry.coordinate), &entry.id);
+        for (si, shard) in self.shards.iter().enumerate() {
+            for ei in 0..shard.len() {
+                if let Some((distance, id)) = shard.rank(ei, stride, target) {
+                    best.offer(distance, id, (si, ei));
+                }
             }
         }
         self.resolve(best)
     }
 
-    /// Materialises a ranked set into query matches with coordinates.
+    /// Materialises a ranked set into query matches, reading each
+    /// coordinate back through the candidate's cursor.
     fn resolve(&self, best: RankedSet<Id>) -> Vec<QueryMatch<Id>> {
-        best.into_sorted()
-            .into_iter()
-            .filter_map(|(distance_ms, id)| {
-                self.positions.get(&id).map(|stored| QueryMatch {
+        let mut matches = Vec::with_capacity(best.entries.len());
+        for (distance_ms, id, cursor) in best.entries {
+            if let Some(coordinate) = self.coordinate_at(cursor) {
+                matches.push(QueryMatch {
                     id,
                     distance_ms,
-                    coordinate: stored.coordinate.clone(),
-                })
-            })
-            .collect()
+                    coordinate,
+                });
+            }
+        }
+        matches
     }
 
     // ------------------------------------------------------------------
@@ -591,22 +722,36 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     /// Position of the first entry whose key is `>= key`, as a
     /// `(shard, offset)` cursor; `(shard_count, 0)` when every entry is
     /// smaller.
-    fn locate_key(&self, key: u128) -> (usize, usize) {
+    fn locate_key(&self, key: u128) -> Cursor {
         let si = self.fences.partition_point(|(k, _)| *k < key);
         match self.shards.get(si) {
-            Some(shard) => (si, shard.partition_point(|e| e.key < key)),
+            Some(shard) => (si, shard.keys.partition_point(|k| *k < key)),
             None => (si, 0),
         }
     }
 
-    /// The entry under a cursor, if any.
-    fn entry_at(&self, cursor: (usize, usize)) -> Option<&Entry<Id>> {
-        self.shards.get(cursor.0)?.get(cursor.1)
+    /// The cursor of the `(key, id)` entry, if it is stored.
+    fn cursor_of(&self, key: u128, id: &Id) -> Option<Cursor> {
+        let si = self.shard_for(key, id);
+        Some((si, self.shards.get(si)?.find(key, id).ok()?))
+    }
+
+    /// The exact distance from `target` to the entry under a cursor, and
+    /// the entry's id.
+    fn rank_at(&self, cursor: Cursor, target: &Coordinate) -> Option<(f64, &Id)> {
+        self.shards
+            .get(cursor.0)?
+            .rank(cursor.1, self.stride(), target)
+    }
+
+    /// The coordinate of the entry under a cursor.
+    fn coordinate_at(&self, cursor: Cursor) -> Option<Coordinate> {
+        rebuild(self.shards.get(cursor.0)?.record(cursor.1, self.stride())?)
     }
 
     /// The cursor one entry forward in key order.
-    fn advance(&self, cursor: (usize, usize)) -> (usize, usize) {
-        let len = self.shards.get(cursor.0).map(Vec::len).unwrap_or(0);
+    fn advance(&self, cursor: Cursor) -> Cursor {
+        let len = self.shards.get(cursor.0).map_or(0, Shard::len);
         if cursor.1 + 1 < len {
             (cursor.0, cursor.1 + 1)
         } else {
@@ -615,7 +760,7 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     }
 
     /// The cursor one entry backward in key order, or `None` at the start.
-    fn retreat(&self, cursor: (usize, usize)) -> Option<(usize, usize)> {
+    fn retreat(&self, cursor: Cursor) -> Option<Cursor> {
         if cursor.1 > 0 {
             return Some((cursor.0, cursor.1 - 1));
         }
@@ -623,12 +768,35 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         while si > 0 {
             si -= 1;
             if let Some(shard) = self.shards.get(si) {
-                if !shard.is_empty() {
-                    return Some((si, shard.len() - 1));
+                if let Some(last) = shard.len().checked_sub(1) {
+                    return Some((si, last));
                 }
             }
         }
         None
+    }
+
+    /// What the index has allocated: shard column bytes in use, shard
+    /// column bytes of capacity, position-map capacity, and shard-list
+    /// plus fence capacity.
+    #[cfg(test)]
+    fn footprint(&self) -> [usize; 4] {
+        use std::mem::size_of;
+        let (mut used, mut reserved) = (0, 0);
+        for shard in &self.shards {
+            used += shard.keys.len() * size_of::<u128>()
+                + shard.ids.len() * size_of::<Id>()
+                + shard.values.len() * size_of::<f64>();
+            reserved += shard.keys.capacity() * size_of::<u128>()
+                + shard.ids.capacity() * size_of::<Id>()
+                + shard.values.capacity() * size_of::<f64>();
+        }
+        [
+            used,
+            reserved,
+            self.positions.capacity(),
+            self.shards.capacity() + self.fences.capacity(),
+        ]
     }
 
     /// Index of the shard an `(key, id)` entry belongs to (for insertion:
@@ -644,38 +812,34 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     /// entry. A no-op for out-of-range or empty shards (callers remove
     /// those outright).
     fn refresh_fence(&mut self, si: usize) {
-        if let (Some(fence), Some(last)) = (
-            self.fences.get_mut(si),
-            self.shards.get(si).and_then(|shard| shard.last()),
-        ) {
-            fence.0 = last.key;
-            fence.1.clone_from(&last.id);
-        }
-    }
-
-    /// Rewrites the inline coordinate of an existing `(key, id)` entry —
-    /// the same-cell update fast path, which leaves the layout untouched.
-    fn refresh_entry(&mut self, key: u128, id: &Id, coordinate: &Coordinate) {
-        let si = self.shard_for(key, id);
-        let Some(shard) = self.shards.get_mut(si) else {
-            return;
-        };
-        if let Ok(pos) = shard.binary_search_by(|e| e.key.cmp(&key).then_with(|| e.id.cmp(id))) {
-            if let Some(entry) = shard.get_mut(pos) {
-                entry.coordinate.clone_from(coordinate);
+        if let (Some(fence), Some(shard)) = (self.fences.get_mut(si), self.shards.get(si)) {
+            if let (Some(key), Some(id)) = (shard.keys.last(), shard.ids.last()) {
+                fence.0 = *key;
+                fence.1.clone_from(id);
             }
         }
     }
 
+    /// Rewrites the packed coordinate of an existing `(key, id)` entry —
+    /// the same-cell update fast path, which leaves the layout untouched.
+    fn refresh_entry(&mut self, key: u128, id: &Id, coordinate: &Coordinate) {
+        let stride = self.stride();
+        let Some((si, ei)) = self.cursor_of(key, id) else {
+            return;
+        };
+        if let Some(shard) = self.shards.get_mut(si) {
+            shard.write(ei, stride, coordinate);
+        }
+    }
+
     /// Inserts an entry, splitting the receiving shard when it overflows.
-    fn insert_entry(&mut self, key: u128, id: Id, coordinate: Coordinate) {
+    fn insert_entry(&mut self, key: u128, id: Id, coordinate: &Coordinate) {
+        let stride = self.stride();
         if self.shards.is_empty() {
-            self.fences.push((key, id.clone()));
-            self.shards.push(vec![Entry {
-                key,
-                id,
-                coordinate,
-            }]);
+            let mut shard = Shard::new();
+            shard.insert(0, stride, key, id.clone(), coordinate);
+            self.fences.push((key, id));
+            self.shards.push(shard);
             return;
         }
         let si = self.shard_for(key, &id);
@@ -683,17 +847,10 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         let Some(shard) = self.shards.get_mut(si) else {
             return;
         };
-        let pos = shard.partition_point(|e| e.key.cmp(&key).then_with(|| e.id.cmp(&id)).is_lt());
-        shard.insert(
-            pos,
-            Entry {
-                key,
-                id,
-                coordinate,
-            },
-        );
+        let (Ok(pos) | Err(pos)) = shard.find(key, &id);
+        shard.insert(pos, stride, key, id, coordinate);
         if shard.len() > capacity {
-            let tail = shard.split_off(shard.len() / 2);
+            let tail = shard.split_off(shard.len() / 2, stride);
             self.shards.insert(si + 1, tail);
             self.splits += 1;
             // The old fence (the pre-split last entry) now closes the tail
@@ -708,14 +865,14 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     /// Removes an entry, merging the shrunken shard into a neighbour when
     /// both fit in one.
     fn remove_entry(&mut self, key: u128, id: &Id) {
-        let si = self.shard_for(key, id);
+        let stride = self.stride();
+        let Some((si, pos)) = self.cursor_of(key, id) else {
+            return;
+        };
         let Some(shard) = self.shards.get_mut(si) else {
             return;
         };
-        let Ok(pos) = shard.binary_search_by(|e| e.key.cmp(&key).then_with(|| e.id.cmp(id))) else {
-            return;
-        };
-        shard.remove(pos);
+        shard.remove(pos, stride);
         let len = shard.len();
         if len == 0 {
             self.shards.remove(si);
@@ -734,11 +891,11 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         // becomes the surviving shard's.
         if si > 0 {
             // bounds: si > 0 and si < shards.len(), so si - 1 is a shard.
-            if let Some(left_len) = self.shards.get(si - 1).map(Vec::len) {
+            if let Some(left_len) = self.shards.get(si - 1).map(Shard::len) {
                 if left_len + len <= capacity {
-                    let tail = self.shards.remove(si);
+                    let mut tail = self.shards.remove(si);
                     if let Some(left) = self.shards.get_mut(si - 1) {
-                        left.extend(tail);
+                        left.append(&mut tail);
                         self.merges += 1;
                     }
                     if self.fences.len() > si {
@@ -751,11 +908,11 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
                 }
             }
         }
-        if let Some(right_len) = self.shards.get(si + 1).map(Vec::len) {
+        if let Some(right_len) = self.shards.get(si + 1).map(Shard::len) {
             if right_len + len <= capacity {
-                let right = self.shards.remove(si + 1);
+                let mut right = self.shards.remove(si + 1);
                 if let Some(shard) = self.shards.get_mut(si) {
-                    shard.extend(right);
+                    shard.append(&mut right);
                     self.merges += 1;
                 }
                 if self.fences.len() > si + 1 {
@@ -770,11 +927,13 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
 }
 
 /// A bounded best-k set ordered by `(distance, id)`: the exact-distance
-/// re-ranking buffer. Insertion keeps the vector sorted; `offer` is `O(k)`
-/// in the worst case and `O(log k)` when the candidate does not qualify.
+/// re-ranking buffer. Each candidate carries the cursor of its entry, so
+/// the answer's coordinates are read back without a `positions` lookup.
+/// Insertion keeps the vector sorted; `offer` is `O(k)` in the worst case
+/// and `O(log k)` when the candidate does not qualify.
 struct RankedSet<Id> {
     k: usize,
-    entries: Vec<(f64, Id)>,
+    entries: Vec<(f64, Id, Cursor)>,
 }
 
 impl<Id: Clone + Ord> RankedSet<Id> {
@@ -785,19 +944,24 @@ impl<Id: Clone + Ord> RankedSet<Id> {
         }
     }
 
+    /// Empties the set, keeping its buffer.
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// The current k-th best distance — only a valid pruning bound once k
     /// candidates are held, so `None` before that.
     fn worst(&self) -> Option<f64> {
         if self.entries.len() >= self.k {
-            self.entries.last().map(|(d, _)| *d)
+            self.entries.last().map(|(d, ..)| *d)
         } else {
             None
         }
     }
 
-    fn offer(&mut self, distance: f64, id: &Id) {
+    fn offer(&mut self, distance: f64, id: &Id, cursor: Cursor) {
         if self.entries.len() >= self.k {
-            if let Some((worst, worst_id)) = self.entries.last() {
+            if let Some((worst, worst_id, _)) = self.entries.last() {
                 let candidate_wins = distance
                     .total_cmp(worst)
                     .then_with(|| id.cmp(worst_id))
@@ -809,15 +973,11 @@ impl<Id: Clone + Ord> RankedSet<Id> {
         }
         let pos = self
             .entries
-            .partition_point(|(d, i)| d.total_cmp(&distance).then_with(|| i.cmp(id)).is_lt());
-        self.entries.insert(pos, (distance, id.clone()));
+            .partition_point(|(d, i, _)| d.total_cmp(&distance).then_with(|| i.cmp(id)).is_lt());
+        self.entries.insert(pos, (distance, id.clone(), cursor));
         if self.entries.len() > self.k {
             self.entries.pop();
         }
-    }
-
-    fn into_sorted(self) -> Vec<(f64, Id)> {
-        self.entries
     }
 }
 
@@ -974,6 +1134,77 @@ mod tests {
             7,
             "the neighbour's indexed coordinate is the one it advertised"
         );
+    }
+
+    /// Layout pin: a tracked node costs one shard entry of exactly its key,
+    /// its id and `dims + 1` packed `f64`s (before capacity slack), and one
+    /// position-map bucket of id and key.
+    #[test]
+    fn layout_pin_index_entry() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<(u64, u128)>(), 32, "position bucket, u64 ids");
+        for dims in 1..=MAX_DIMENSIONS {
+            let mut idx: CoordinateIndex<u64> = CoordinateIndex::new(QueryConfig {
+                dimensions: dims,
+                ..QueryConfig::default()
+            })
+            .unwrap();
+            let nodes = 2_000u64;
+            for id in 0..nodes {
+                let components: Vec<f64> = (0..dims as u64)
+                    .map(|d| ((id * 37 + d * 101) % 1_000) as f64 - 500.0)
+                    .collect();
+                idx.update(id, &Coordinate::new(components).unwrap())
+                    .unwrap();
+            }
+            let per_entry = 16 + size_of::<u64>() + 8 * (dims + 1);
+            assert_eq!(
+                idx.footprint()[0],
+                nodes as usize * per_entry,
+                "dims={dims}"
+            );
+            if dims == 3 {
+                assert_eq!(per_entry, 56);
+            }
+        }
+    }
+
+    /// 10,000 cycles of insert, same-cell refresh, cross-cell move and
+    /// remove, with splits and merges in every cycle, leave the index's
+    /// allocations where the first cycle left them.
+    #[test]
+    fn update_move_remove_cycles_do_not_grow_the_index() {
+        let mut idx = index(8);
+        for id in 0..40u32 {
+            idx.update(id, &coord(id as f64 * 20.0 - 400.0, 0.0, 0.0))
+                .unwrap();
+        }
+        let cycle = |idx: &mut CoordinateIndex<u32>| {
+            let (splits, merges) = idx.rebalances();
+            for id in 100..124u32 {
+                idx.update(id, &coord(600.0 + id as f64 * 0.5, 600.0, 0.0))
+                    .unwrap();
+            }
+            for id in 100..124u32 {
+                // Same cell (a 0.03 ms grid), then across the space.
+                idx.update(id, &coord(600.0 + id as f64 * 0.5, 600.001, 0.0))
+                    .unwrap();
+                idx.update(id, &coord(-600.0 - id as f64 * 0.5, 0.0, 600.0))
+                    .unwrap();
+            }
+            for id in 100..124u32 {
+                assert!(idx.remove(&id));
+            }
+            assert_eq!(idx.len(), 40);
+            let (splits_now, merges_now) = idx.rebalances();
+            assert!(splits_now > splits && merges_now > merges);
+        };
+        cycle(&mut idx);
+        let after_first = idx.footprint();
+        for _ in 0..10_000 {
+            cycle(&mut idx);
+        }
+        assert_eq!(idx.footprint(), after_first);
     }
 
     #[test]

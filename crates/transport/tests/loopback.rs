@@ -298,8 +298,7 @@ fn query_snapshots_serve_nearest_replica_without_the_engine_lock() {
     let peer = harness.public_addr(1);
     let peer_coordinate = snapshot
         .coordinate_of(&peer)
-        .expect("probed peer is indexed")
-        .clone();
+        .expect("probed peer is indexed");
     let hit = snapshot
         .nearest(&peer_coordinate)
         .expect("valid query")

@@ -20,6 +20,8 @@
 //! `Vec<f64>`-backed representation: only the active components travel on
 //! the wire.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoordinateError;
@@ -203,19 +205,33 @@ impl Coordinate {
     /// Panics when the two coordinates have different dimensionality; mixing
     /// spaces is always a programming error.
     pub fn distance(&self, other: &Coordinate) -> f64 {
+        self.distance_to_parts(other.components(), other.height)
+    }
+
+    /// [`distance`](Coordinate::distance) to a coordinate given as its
+    /// parts, for stores that keep coordinates packed rather than as
+    /// `Coordinate`s. The one definition of the distance: `distance`
+    /// delegates here, so both give the same bits for the same point.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `components` does not have this coordinate's
+    /// dimensionality.
+    #[inline]
+    pub fn distance_to_parts(&self, components: &[f64], height: f64) -> f64 {
         assert_eq!(
             self.dimensions(),
-            other.dimensions(),
+            components.len(),
             "coordinates must share a dimensionality"
         );
         let euclid: f64 = self
             .components()
             .iter()
-            .zip(other.components().iter())
+            .zip(components.iter())
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt();
-        euclid + self.height + other.height
+        euclid + self.height + height
     }
 
     /// Euclidean magnitude of the vector part plus the height. The magnitude
@@ -339,22 +355,26 @@ impl Coordinate {
         Self::centroid_iter(coords.iter())
     }
 
-    /// Centroid over any iterator of coordinates, in iteration order. The
-    /// summation order matches [`centroid`](Coordinate::centroid), so ring
-    /// buffers can be averaged without first collecting them into a `Vec`.
+    /// Centroid over any iterator of coordinates, borrowed or owned, in
+    /// iteration order. The summation order matches
+    /// [`centroid`](Coordinate::centroid), so ring buffers can be averaged
+    /// without first collecting them into a `Vec`, and coordinates rebuilt
+    /// one at a time from a packed store without keeping them.
     ///
     /// Returns `None` for an empty iterator.
-    pub fn centroid_iter<'a, I>(coords: I) -> Option<Coordinate>
+    pub fn centroid_iter<I>(coords: I) -> Option<Coordinate>
     where
-        I: IntoIterator<Item = &'a Coordinate>,
+        I: IntoIterator,
+        I::Item: Borrow<Coordinate>,
     {
         let mut iter = coords.into_iter();
         let first = iter.next()?;
-        let dims = first.dimensions();
+        let dims = first.borrow().dimensions();
         let mut acc = [0.0; MAX_DIMS];
         let mut height = 0.0;
         let mut count = 0usize;
         for c in std::iter::once(first).chain(iter) {
+            let c = c.borrow();
             assert_eq!(c.dimensions(), dims, "centroid over mixed dimensionalities");
             for (a, b) in acc[..dims].iter_mut().zip(c.components().iter()) {
                 *a += b;
@@ -607,7 +627,45 @@ mod tests {
             .prop_map(|v| Coordinate::new(v).expect("finite components"))
     }
 
+    /// A coordinate of `dims` lanes drawn from `lanes`, with about one lane
+    /// in eight a negative zero; `height_word` picks a zero, negative-zero
+    /// or positive height.
+    fn drawn(dims: usize, lanes: &[f64], height_word: u8) -> Coordinate {
+        let components: Vec<f64> = lanes
+            .iter()
+            .take(dims)
+            .map(|&x| if x.abs() < 125.0 { -0.0 } else { x })
+            .collect();
+        let height = match height_word % 3 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => f64::from(height_word) / 7.0,
+        };
+        Coordinate::with_height(components, height).expect("valid")
+    }
+
     proptest! {
+        /// `distance_to_parts` is `distance`, and both are the documented
+        /// sum — squares in lane order, the square root, then the two
+        /// heights — to the bit.
+        #[test]
+        fn distance_to_parts_is_distance_bit_for_bit(
+            dims in 1usize..=MAX_DIMS,
+            lanes in proptest::collection::vec(-1000.0f64..1000.0, 2 * MAX_DIMS),
+            heights in proptest::collection::vec(0u8..255, 2usize),
+        ) {
+            let a = drawn(dims, &lanes, heights[0]);
+            let b = drawn(dims, &lanes[MAX_DIMS..], heights[1]);
+            let mut squares = 0.0;
+            for (x, y) in a.components().iter().zip(b.components()) {
+                squares += (x - y) * (x - y);
+            }
+            let expected = squares.sqrt() + a.height() + b.height();
+            let by_parts = a.distance_to_parts(b.components(), b.height());
+            prop_assert_eq!(by_parts.to_bits(), expected.to_bits());
+            prop_assert_eq!(a.distance(&b).to_bits(), by_parts.to_bits());
+        }
+
         #[test]
         fn distance_is_symmetric(a in coord_strategy(3), b in coord_strategy(3)) {
             prop_assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-9);
