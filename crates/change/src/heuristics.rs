@@ -106,45 +106,13 @@ impl UpdateDecision {
     }
 }
 
-/// Identifies one of the five heuristics (used by experiment sweeps and
-/// reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum HeuristicKind {
-    /// Threshold on the last system-level step.
-    System,
-    /// Threshold on the drift between application and system coordinate.
-    Application,
-    /// Window-based, scaled by the distance to the nearest neighbour.
-    Relative,
-    /// Window-based, energy-distance two-sample test.
-    Energy,
-    /// APPLICATION trigger with a window-centroid target (§V-G ablation).
-    ApplicationCentroid,
-}
-
-impl std::fmt::Display for HeuristicKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            HeuristicKind::System => "SYSTEM",
-            HeuristicKind::Application => "APPLICATION",
-            HeuristicKind::Relative => "RELATIVE",
-            HeuristicKind::Energy => "ENERGY",
-            HeuristicKind::ApplicationCentroid => "APPLICATION/CENTROID",
-        };
-        write!(f, "{name}")
-    }
-}
-
 /// A strategy deciding when the application-level coordinate should change.
 ///
-/// Implementations are driven by
-/// [`ApplicationCoordinate`](crate::ApplicationCoordinate); they receive every
-/// system-level coordinate `c_s` together with the currently published
-/// application-level coordinate `c_a`.
+/// Each of the five heuristics implements it, and is driven through its arm
+/// of [`Heuristic`]: it receives every system-level coordinate `c_s`
+/// together with the currently published application-level coordinate
+/// `c_a`.
 pub trait UpdateHeuristic: Send {
-    /// Which heuristic family this is.
-    fn kind(&self) -> HeuristicKind;
-
     /// Considers one new system-level coordinate and decides whether to
     /// publish a new application-level coordinate.
     fn on_system_update(
@@ -198,24 +166,9 @@ impl SystemHeuristic {
             previous_system: None,
         }
     }
-
-    /// The τ = 16 ms setting at which the paper finds SYSTEM competitive with
-    /// the window heuristics (Figure 10).
-    pub fn paper_defaults() -> Self {
-        Self::new(16.0)
-    }
-
-    /// The configured threshold.
-    pub fn threshold_ms(&self) -> f64 {
-        self.threshold_ms
-    }
 }
 
 impl UpdateHeuristic for SystemHeuristic {
-    fn kind(&self) -> HeuristicKind {
-        HeuristicKind::System
-    }
-
     fn on_system_update(
         &mut self,
         system: &Coordinate,
@@ -279,23 +232,9 @@ impl ApplicationHeuristic {
         );
         ApplicationHeuristic { threshold_ms }
     }
-
-    /// The τ = 16 ms setting of Figure 10.
-    pub fn paper_defaults() -> Self {
-        Self::new(16.0)
-    }
-
-    /// The configured threshold.
-    pub fn threshold_ms(&self) -> f64 {
-        self.threshold_ms
-    }
 }
 
 impl UpdateHeuristic for ApplicationHeuristic {
-    fn kind(&self) -> HeuristicKind {
-        HeuristicKind::Application
-    }
-
     fn on_system_update(
         &mut self,
         system: &Coordinate,
@@ -314,13 +253,19 @@ impl UpdateHeuristic for ApplicationHeuristic {
     }
 
     fn import_state(&mut self, state: &HeuristicState) -> Result<(), HeuristicStateMismatch> {
-        match state {
-            HeuristicState::Stateless => Ok(()),
-            other => Err(HeuristicStateMismatch {
-                expected: "stateless",
-                found: other.family(),
-            }),
-        }
+        import_stateless(state)
+    }
+}
+
+/// Adopts `state` on behalf of a heuristic that keeps none: only the
+/// stateless family matches.
+fn import_stateless(state: &HeuristicState) -> Result<(), HeuristicStateMismatch> {
+    match state {
+        HeuristicState::Stateless => Ok(()),
+        other => Err(HeuristicStateMismatch {
+            expected: "stateless",
+            found: other.family(),
+        }),
     }
 }
 
@@ -373,23 +318,9 @@ impl RelativeHeuristic {
     pub fn paper_defaults() -> Self {
         Self::new(0.3, 32)
     }
-
-    /// The configured relative threshold ε_r.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The configured window size.
-    pub fn window_size(&self) -> usize {
-        self.windows.window_size()
-    }
 }
 
 impl UpdateHeuristic for RelativeHeuristic {
-    fn kind(&self) -> HeuristicKind {
-        HeuristicKind::Relative
-    }
-
     fn on_system_update(
         &mut self,
         system: &Coordinate,
@@ -508,16 +439,6 @@ impl EnergyHeuristic {
         Self::new(8.0, 32)
     }
 
-    /// The configured energy threshold τ.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The configured window size.
-    pub fn window_size(&self) -> usize {
-        self.windows.window_size()
-    }
-
     /// Energy distance between the two current windows, or `None` when the
     /// windows are not yet full. Always computed from scratch: the reference
     /// the per-update statistic is tested against, and a diagnostic.
@@ -574,10 +495,6 @@ impl EnergyHeuristic {
 }
 
 impl UpdateHeuristic for EnergyHeuristic {
-    fn kind(&self) -> HeuristicKind {
-        HeuristicKind::Energy
-    }
-
     fn on_system_update(
         &mut self,
         system: &Coordinate,
@@ -653,29 +570,9 @@ impl CentroidHeuristic {
             window_size,
         }
     }
-
-    /// Window of 32 coordinates (matching the windowed heuristics) and the
-    /// τ = 16 ms threshold of Figure 12's sweet spot.
-    pub fn paper_defaults() -> Self {
-        Self::new(16.0, 32)
-    }
-
-    /// The configured threshold.
-    pub fn threshold_ms(&self) -> f64 {
-        self.threshold_ms
-    }
-
-    /// The configured window size.
-    pub fn window_size(&self) -> usize {
-        self.window_size
-    }
 }
 
 impl UpdateHeuristic for CentroidHeuristic {
-    fn kind(&self) -> HeuristicKind {
-        HeuristicKind::ApplicationCentroid
-    }
-
     fn on_system_update(
         &mut self,
         system: &Coordinate,
@@ -713,6 +610,92 @@ impl UpdateHeuristic for CentroidHeuristic {
                 found: other.family(),
             }),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The closed set
+// ---------------------------------------------------------------------------
+
+/// The update policy an [`ApplicationCoordinate`](crate::ApplicationCoordinate)
+/// runs: one of the five heuristics, stored by value, or none at all.
+#[derive(Debug, Clone)]
+pub enum Heuristic {
+    /// No heuristic: the application-level coordinate *is* the system-level
+    /// one and moves with every Vivaldi step — the "constant update" mode of
+    /// §V, whose instability the heuristics are measured against.
+    FollowSystem,
+    /// SYSTEM: threshold on the last system-level step.
+    System(SystemHeuristic),
+    /// APPLICATION: threshold on the drift from the published coordinate.
+    Application(ApplicationHeuristic),
+    /// RELATIVE: window centroids scaled by the distance to the nearest
+    /// neighbour.
+    Relative(RelativeHeuristic),
+    /// ENERGY: energy distance between the two windows.
+    Energy(EnergyHeuristic),
+    /// APPLICATION/CENTROID, the §V-G ablation.
+    Centroid(CentroidHeuristic),
+}
+
+/// Runs `$body` with `$heuristic` bound to the arm's heuristic, whichever it
+/// is; [`Heuristic::FollowSystem`] holds none and runs `$follow` instead.
+macro_rules! each_arm {
+    ($self:expr, FollowSystem => $follow:expr, $heuristic:ident => $body:expr) => {
+        match $self {
+            Heuristic::FollowSystem => $follow,
+            Heuristic::System($heuristic) => $body,
+            Heuristic::Application($heuristic) => $body,
+            Heuristic::Relative($heuristic) => $body,
+            Heuristic::Energy($heuristic) => $body,
+            Heuristic::Centroid($heuristic) => $body,
+        }
+    };
+}
+
+impl Heuristic {
+    /// Considers `system`, which Vivaldi just reached by a step of
+    /// `step_ms`, while `application` is published. Returns the coordinate
+    /// to publish and how far the published coordinate moves, or `None` to
+    /// keep it.
+    pub(crate) fn decide(
+        &mut self,
+        system: &Coordinate,
+        step_ms: f64,
+        application: &Coordinate,
+        ctx: &UpdateContext,
+    ) -> Option<(Coordinate, f64)> {
+        let decision = each_arm!(self,
+            // `application` is the coordinate Vivaldi stepped from, so it
+            // moves exactly as far as the step. The distance between the two
+            // positions counts both heights and would not give the step back.
+            FollowSystem => return (step_ms > 0.0).then(|| (system.clone(), step_ms)),
+            heuristic => heuristic.on_system_update(system, application, ctx)
+        );
+        match decision {
+            UpdateDecision::Keep => None,
+            UpdateDecision::Publish(target) => {
+                let displacement_ms = application.distance(&target);
+                Some((target, displacement_ms))
+            }
+        }
+    }
+
+    pub(crate) fn export_state(&self) -> HeuristicState {
+        each_arm!(self,
+            FollowSystem => HeuristicState::Stateless,
+            heuristic => heuristic.export_state()
+        )
+    }
+
+    pub(crate) fn import_state(
+        &mut self,
+        state: &HeuristicState,
+    ) -> Result<(), HeuristicStateMismatch> {
+        each_arm!(self,
+            FollowSystem => import_stateless(state),
+            heuristic => heuristic.import_state(state)
+        )
     }
 }
 
@@ -1145,11 +1128,11 @@ mod tests {
     #[test]
     fn paper_defaults_match_section_vi() {
         let e = EnergyHeuristic::paper_defaults();
-        assert_eq!(e.threshold(), 8.0);
-        assert_eq!(e.window_size(), 32);
+        assert_eq!(e.threshold, 8.0);
+        assert_eq!(e.windows.window_size(), 32);
         let r = RelativeHeuristic::paper_defaults();
-        assert_eq!(r.threshold(), 0.3);
-        assert_eq!(r.window_size(), 32);
+        assert_eq!(r.threshold, 0.3);
+        assert_eq!(r.windows.window_size(), 32);
     }
 
     #[test]

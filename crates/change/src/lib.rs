@@ -22,24 +22,27 @@
 //!   distance to the nearest neighbour), [`EnergyHeuristic`] (energy distance
 //!   between the windows) and [`CentroidHeuristic`]
 //!   (APPLICATION/CENTROID, the §V-G ablation).
+//! * [`Heuristic`] — the closed set of them, one arm each, plus
+//!   [`Heuristic::FollowSystem`], which publishes every system-level step.
 //! * [`ApplicationCoordinate`] — the manager that owns the published
-//!   application-level coordinate, feeds system-level updates to a heuristic
-//!   and reports when (and to what) the published coordinate changed.
+//!   application-level coordinate, feeds system-level updates to its
+//!   [`Heuristic`] and reports when (and to what) the published coordinate
+//!   changed.
 //!
 //! # Example
 //!
 //! ```
-//! use nc_change::{ApplicationCoordinate, EnergyHeuristic, UpdateContext};
+//! use nc_change::{ApplicationCoordinate, EnergyHeuristic, Heuristic, UpdateContext};
 //! use nc_vivaldi::Coordinate;
 //!
-//! let heuristic = EnergyHeuristic::paper_defaults();
-//! let mut app = ApplicationCoordinate::new(Coordinate::origin(3), Box::new(heuristic));
+//! let heuristic = Heuristic::Energy(EnergyHeuristic::paper_defaults());
+//! let mut app = ApplicationCoordinate::new(Coordinate::origin(3), heuristic);
 //!
 //! // Small jitter around a fixed point: the application coordinate holds still.
 //! for i in 0..100 {
 //!     let wiggle = (i % 5) as f64 * 0.1;
 //!     let system = Coordinate::new(vec![10.0 + wiggle, 20.0, 30.0]).unwrap();
-//!     app.on_system_update(&system, &UpdateContext::default());
+//!     app.on_system_update(&system, 0.1, &UpdateContext::default());
 //! }
 //! assert!(app.update_count() <= 1, "jitter should not reach the application");
 //! ```
@@ -52,7 +55,7 @@ pub mod manager;
 pub mod window;
 
 pub use heuristics::{
-    ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, HeuristicKind, HeuristicState,
+    ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, Heuristic, HeuristicState,
     HeuristicStateMismatch, RelativeHeuristic, SystemHeuristic, UpdateContext, UpdateDecision,
     UpdateHeuristic,
 };

@@ -2,17 +2,15 @@
 //!
 //! [`ApplicationCoordinate`] owns the coordinate an application actually
 //! sees. It receives every system-level coordinate the Vivaldi state machine
-//! produces, consults its [`UpdateHeuristic`] and, when the heuristic decides
-//! the change is significant, publishes a new application-level coordinate
-//! and reports the update so callers can account for application-level
+//! produces, consults its [`Heuristic`] and, when the heuristic decides the
+//! change is significant, publishes a new application-level coordinate and
+//! reports the update so callers can account for application-level
 //! stability and update frequency (the metrics of Figures 9–13).
 
 use nc_vivaldi::Coordinate;
 use serde::{Deserialize, Serialize};
 
-use crate::heuristics::{
-    HeuristicState, HeuristicStateMismatch, UpdateContext, UpdateDecision, UpdateHeuristic,
-};
+use crate::heuristics::{Heuristic, HeuristicState, HeuristicStateMismatch, UpdateContext};
 
 /// The serializable runtime state of an [`ApplicationCoordinate`]: the
 /// published coordinate, the accounting counters and the heuristic's own
@@ -39,59 +37,52 @@ pub struct ApplicationUpdate {
     pub previous: Coordinate,
     /// The newly published coordinate.
     pub current: Coordinate,
-    /// Distance between the two (milliseconds) — the contribution of this
-    /// update to application-level instability.
+    /// How far the published coordinate moved (milliseconds) — the
+    /// contribution of this update to application-level instability.
     pub displacement_ms: f64,
 }
 
-/// Owns the application-level coordinate `c_a` and decides, via a pluggable
-/// heuristic, when to move it.
+/// Owns the application-level coordinate `c_a` and decides, via its
+/// [`Heuristic`], when to move it.
 ///
 /// # Examples
 ///
 /// ```
-/// use nc_change::{ApplicationCoordinate, ApplicationHeuristic, UpdateContext};
+/// use nc_change::{ApplicationCoordinate, ApplicationHeuristic, Heuristic, UpdateContext};
 /// use nc_vivaldi::Coordinate;
 ///
 /// let mut app = ApplicationCoordinate::new(
 ///     Coordinate::origin(2),
-///     Box::new(ApplicationHeuristic::new(5.0)),
+///     Heuristic::Application(ApplicationHeuristic::new(5.0)),
 /// );
-/// // A 20 ms drift exceeds the 5 ms threshold and is published.
+/// // Vivaldi stepped 20 ms away: the drift exceeds the 5 ms threshold and
+/// // is published.
 /// let update = app.on_system_update(
 ///     &Coordinate::new(vec![20.0, 0.0]).unwrap(),
+///     20.0,
 ///     &UpdateContext::default(),
 /// );
 /// assert!(update.is_some());
 /// assert_eq!(app.update_count(), 1);
 /// ```
+#[derive(Debug)]
 pub struct ApplicationCoordinate {
     coordinate: Coordinate,
-    heuristic: Box<dyn UpdateHeuristic + Send>,
+    /// Boxed, one allocation per manager: stored inline, the largest arm
+    /// would widen every engine that embeds a manager by its full size.
+    heuristic: Box<Heuristic>,
     update_count: u64,
     system_updates_seen: u64,
     total_displacement_ms: f64,
 }
 
-impl std::fmt::Debug for ApplicationCoordinate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ApplicationCoordinate")
-            .field("coordinate", &self.coordinate)
-            .field("heuristic", &self.heuristic.kind())
-            .field("update_count", &self.update_count)
-            .field("system_updates_seen", &self.system_updates_seen)
-            .field("total_displacement_ms", &self.total_displacement_ms)
-            .finish()
-    }
-}
-
 impl ApplicationCoordinate {
     /// Creates a manager publishing `initial` until the heuristic first
     /// triggers.
-    pub fn new(initial: Coordinate, heuristic: Box<dyn UpdateHeuristic + Send>) -> Self {
+    pub fn new(initial: Coordinate, heuristic: Heuristic) -> Self {
         ApplicationCoordinate {
             coordinate: initial,
-            heuristic,
+            heuristic: Box::new(heuristic),
             update_count: 0,
             system_updates_seen: 0,
             total_displacement_ms: 0.0,
@@ -101,6 +92,11 @@ impl ApplicationCoordinate {
     /// The currently published application-level coordinate.
     pub fn coordinate(&self) -> &Coordinate {
         &self.coordinate
+    }
+
+    /// The heuristic deciding when the published coordinate moves.
+    pub fn heuristic(&self) -> &Heuristic {
+        &self.heuristic
     }
 
     /// Number of application-level updates published so far.
@@ -119,38 +115,28 @@ impl ApplicationCoordinate {
         self.total_displacement_ms
     }
 
-    /// The heuristic in use (for reporting).
-    pub fn heuristic_kind(&self) -> crate::heuristics::HeuristicKind {
-        self.heuristic.kind()
-    }
-
-    /// Considers one system-level coordinate. Returns the published update
-    /// when the heuristic decided to move the application-level coordinate,
-    /// or `None` when it held still.
+    /// Considers one system-level coordinate, which Vivaldi reached by a
+    /// step of `step_ms` (read by [`Heuristic::FollowSystem`] alone).
+    /// Returns the published update when the heuristic decided to move the
+    /// application-level coordinate, or `None` when it held still.
     pub fn on_system_update(
         &mut self,
         system: &Coordinate,
+        step_ms: f64,
         ctx: &UpdateContext,
     ) -> Option<ApplicationUpdate> {
         self.system_updates_seen += 1;
-        match self
-            .heuristic
-            .on_system_update(system, &self.coordinate, ctx)
-        {
-            UpdateDecision::Keep => None,
-            UpdateDecision::Publish(target) => {
-                let previous = self.coordinate.clone();
-                let displacement_ms = previous.distance(&target);
-                self.coordinate = target.clone();
-                self.update_count += 1;
-                self.total_displacement_ms += displacement_ms;
-                Some(ApplicationUpdate {
-                    previous,
-                    current: target,
-                    displacement_ms,
-                })
-            }
-        }
+        let (current, displacement_ms) =
+            self.heuristic
+                .decide(system, step_ms, &self.coordinate, ctx)?;
+        let previous = std::mem::replace(&mut self.coordinate, current.clone());
+        self.update_count += 1;
+        self.total_displacement_ms += displacement_ms;
+        Some(ApplicationUpdate {
+            previous,
+            current,
+            displacement_ms,
+        })
     }
 
     /// Exports the manager's runtime state (published coordinate, counters,
@@ -182,22 +168,6 @@ impl ApplicationCoordinate {
         self.total_displacement_ms = state.total_displacement_ms;
         Ok(())
     }
-
-    /// Forces the published coordinate to `target` without consulting the
-    /// heuristic (used at bootstrap when a node first learns a plausible
-    /// coordinate, and by applications that want to resynchronise).
-    pub fn force_publish(&mut self, target: Coordinate) -> ApplicationUpdate {
-        let previous = self.coordinate.clone();
-        let displacement_ms = previous.distance(&target);
-        self.coordinate = target.clone();
-        self.update_count += 1;
-        self.total_displacement_ms += displacement_ms;
-        ApplicationUpdate {
-            previous,
-            current: target,
-            displacement_ms,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,12 +179,15 @@ mod tests {
         Coordinate::new(vec![x, y]).unwrap()
     }
 
+    fn drift(threshold_ms: f64) -> Heuristic {
+        Heuristic::Application(ApplicationHeuristic::new(threshold_ms))
+    }
+
     #[test]
     fn keeps_initial_coordinate_until_triggered() {
-        let mut app =
-            ApplicationCoordinate::new(c(0.0, 0.0), Box::new(ApplicationHeuristic::new(100.0)));
+        let mut app = ApplicationCoordinate::new(c(0.0, 0.0), drift(100.0));
         for i in 0..50 {
-            let update = app.on_system_update(&c(i as f64, 0.0), &UpdateContext::default());
+            let update = app.on_system_update(&c(i as f64, 0.0), 1.0, &UpdateContext::default());
             assert!(update.is_none());
         }
         assert_eq!(app.coordinate(), &c(0.0, 0.0));
@@ -224,10 +197,9 @@ mod tests {
 
     #[test]
     fn publishes_and_accounts_displacement() {
-        let mut app =
-            ApplicationCoordinate::new(c(0.0, 0.0), Box::new(ApplicationHeuristic::new(5.0)));
+        let mut app = ApplicationCoordinate::new(c(0.0, 0.0), drift(5.0));
         let update = app
-            .on_system_update(&c(12.0, 0.0), &UpdateContext::default())
+            .on_system_update(&c(12.0, 0.0), 12.0, &UpdateContext::default())
             .expect("drift beyond threshold publishes");
         assert_eq!(update.previous, c(0.0, 0.0));
         assert_eq!(update.current, c(12.0, 0.0));
@@ -238,13 +210,24 @@ mod tests {
     }
 
     #[test]
-    fn force_publish_bypasses_heuristic() {
-        let mut app =
-            ApplicationCoordinate::new(c(0.0, 0.0), Box::new(ApplicationHeuristic::new(1e6)));
-        let update = app.force_publish(c(3.0, 4.0));
-        assert_eq!(update.displacement_ms, 5.0);
-        assert_eq!(app.coordinate(), &c(3.0, 4.0));
-        assert_eq!(app.update_count(), 1);
+    fn following_the_system_publishes_every_step_at_its_length() {
+        // With a height the distance between two positions counts both
+        // heights; the displacement published is the step Vivaldi reports.
+        let at = |x: f64| Coordinate::with_height(vec![x, 0.0], 2.0).unwrap();
+        let mut app = ApplicationCoordinate::new(at(0.0), Heuristic::FollowSystem);
+        let update = app
+            .on_system_update(&at(3.0), 3.0, &UpdateContext::default())
+            .expect("a step is published");
+        assert_eq!((update.previous, update.displacement_ms), (at(0.0), 3.0));
+        assert_eq!(at(0.0).distance(&at(3.0)), 7.0);
+        // No step, no update.
+        assert!(app
+            .on_system_update(&at(3.0), 0.0, &UpdateContext::default())
+            .is_none());
+        assert_eq!(app.coordinate(), &at(3.0));
+        assert_eq!((app.update_count(), app.system_updates_seen()), (1, 2));
+        assert_eq!(app.total_displacement_ms(), 3.0);
+        assert_eq!(app.export_state().heuristic, HeuristicState::Stateless);
     }
 
     #[test]
@@ -252,16 +235,19 @@ mod tests {
         // The whole point of the machinery: the sum of application-level
         // displacements is much smaller than the system-level movement when
         // the system coordinate oscillates.
-        let mut app =
-            ApplicationCoordinate::new(c(0.0, 0.0), Box::new(EnergyHeuristic::new(8.0, 8)));
+        let mut app = ApplicationCoordinate::new(
+            c(0.0, 0.0),
+            Heuristic::Energy(EnergyHeuristic::new(8.0, 8)),
+        );
         let mut system_displacement = 0.0;
         let mut previous = c(0.0, 0.0);
         for i in 0..500 {
             let wiggle = if i % 2 == 0 { 1.0 } else { -1.0 };
             let system = c(50.0 + wiggle, 20.0);
-            system_displacement += previous.distance(&system);
+            let step = previous.distance(&system);
+            system_displacement += step;
             previous = system.clone();
-            app.on_system_update(&system, &UpdateContext::default());
+            app.on_system_update(&system, step, &UpdateContext::default());
         }
         assert!(system_displacement > 500.0);
         assert!(
@@ -274,15 +260,10 @@ mod tests {
 
     #[test]
     fn debug_representation_is_nonempty() {
-        let app = ApplicationCoordinate::new(c(0.0, 0.0), Box::new(SystemHeuristic::new(1.0)));
+        let app =
+            ApplicationCoordinate::new(c(0.0, 0.0), Heuristic::System(SystemHeuristic::new(1.0)));
         let s = format!("{app:?}");
         assert!(s.contains("ApplicationCoordinate"));
         assert!(s.contains("System"));
-    }
-
-    #[test]
-    fn heuristic_kind_is_reported() {
-        let app = ApplicationCoordinate::new(c(0.0, 0.0), Box::new(EnergyHeuristic::new(8.0, 32)));
-        assert_eq!(app.heuristic_kind(), crate::HeuristicKind::Energy);
     }
 }

@@ -1,8 +1,8 @@
 //! Configuration of a [`crate::StableNode`].
 
 use nc_change::{
-    ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, HeuristicKind, RelativeHeuristic,
-    SystemHeuristic, UpdateHeuristic,
+    ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, Heuristic, RelativeHeuristic,
+    SystemHeuristic,
 };
 use nc_vivaldi::{GateConfigError, OutlierGateConfig, VivaldiConfig};
 use serde::{Deserialize, Serialize};
@@ -211,18 +211,6 @@ impl HeuristicConfig {
         }
     }
 
-    /// The heuristic family, or `None` for [`HeuristicConfig::FollowSystem`].
-    pub fn kind(&self) -> Option<HeuristicKind> {
-        match self {
-            HeuristicConfig::FollowSystem => None,
-            HeuristicConfig::System { .. } => Some(HeuristicKind::System),
-            HeuristicConfig::Application { .. } => Some(HeuristicKind::Application),
-            HeuristicConfig::Relative { .. } => Some(HeuristicKind::Relative),
-            HeuristicConfig::Energy { .. } => Some(HeuristicKind::Energy),
-            HeuristicConfig::ApplicationCentroid { .. } => Some(HeuristicKind::ApplicationCentroid),
-        }
-    }
-
     /// Checks the heuristic parameters and returns the config unchanged
     /// when they are buildable.
     ///
@@ -262,32 +250,32 @@ impl HeuristicConfig {
         Ok(self)
     }
 
-    /// Builds the heuristic, or `None` for the follow-system configuration.
+    /// Builds the heuristic.
     ///
     /// # Panics
     ///
     /// Panics on invalid parameters — exactly the ones
     /// [`HeuristicConfig::validate`] reports as typed errors; configurations
     /// from the provided constructors are always valid.
-    pub(crate) fn build(&self) -> Option<Box<dyn UpdateHeuristic + Send>> {
-        match self {
-            HeuristicConfig::FollowSystem => None,
+    pub(crate) fn build(&self) -> Heuristic {
+        match *self {
+            HeuristicConfig::FollowSystem => Heuristic::FollowSystem,
             HeuristicConfig::System { threshold_ms } => {
-                Some(Box::new(SystemHeuristic::new(*threshold_ms)))
+                Heuristic::System(SystemHeuristic::new(threshold_ms))
             }
             HeuristicConfig::Application { threshold_ms } => {
-                Some(Box::new(ApplicationHeuristic::new(*threshold_ms)))
+                Heuristic::Application(ApplicationHeuristic::new(threshold_ms))
             }
             HeuristicConfig::Relative { threshold, window } => {
-                Some(Box::new(RelativeHeuristic::new(*threshold, *window)))
+                Heuristic::Relative(RelativeHeuristic::new(threshold, window))
             }
             HeuristicConfig::Energy { threshold, window } => {
-                Some(Box::new(EnergyHeuristic::new(*threshold, *window)))
+                Heuristic::Energy(EnergyHeuristic::new(threshold, window))
             }
             HeuristicConfig::ApplicationCentroid {
                 threshold_ms,
                 window,
-            } => Some(Box::new(CentroidHeuristic::new(*threshold_ms, *window))),
+            } => Heuristic::Centroid(CentroidHeuristic::new(threshold_ms, window)),
         }
     }
 }
@@ -497,7 +485,6 @@ mod tests {
         let c = NodeConfig::original_vivaldi();
         assert_eq!(c.filter, FilterConfig::Raw);
         assert_eq!(c.heuristic, HeuristicConfig::FollowSystem);
-        assert!(c.heuristic.kind().is_none());
     }
 
     #[test]
@@ -509,7 +496,10 @@ mod tests {
             .vivaldi(VivaldiConfig::paper_defaults().with_dimensions(2))
             .build();
         assert_eq!(c.filter, FilterConfig::Ewma { alpha: 0.1 });
-        assert_eq!(c.heuristic.kind(), Some(HeuristicKind::Application));
+        assert_eq!(
+            c.heuristic,
+            HeuristicConfig::Application { threshold_ms: 16.0 }
+        );
         assert_eq!(c.warmup_samples, 2);
         assert_eq!(c.vivaldi.dimensions(), 2);
     }
@@ -654,22 +644,42 @@ mod tests {
 
     #[test]
     fn heuristic_config_builds_every_kind() {
-        let configs = [
-            HeuristicConfig::System { threshold_ms: 16.0 },
-            HeuristicConfig::Application { threshold_ms: 16.0 },
-            HeuristicConfig::paper_relative(),
-            HeuristicConfig::paper_energy(),
-            HeuristicConfig::ApplicationCentroid {
-                threshold_ms: 16.0,
-                window: 32,
-            },
-        ];
-        for config in configs {
-            let built = config
-                .build()
-                .expect("non-follow configs build a heuristic");
-            assert_eq!(Some(built.kind()), config.kind());
+        use nc_change::ApplicationCoordinate;
+        use nc_vivaldi::Coordinate;
+        let arm = |built: &Heuristic| match built {
+            Heuristic::FollowSystem => "FollowSystem",
+            Heuristic::System(_) => "System",
+            Heuristic::Application(_) => "Application",
+            Heuristic::Relative(_) => "Relative",
+            Heuristic::Energy(_) => "Energy",
+            Heuristic::Centroid(_) => "Centroid",
+        };
+        for (config, expected, family) in [
+            (HeuristicConfig::FollowSystem, "FollowSystem", "stateless"),
+            (
+                HeuristicConfig::System { threshold_ms: 16.0 },
+                "System",
+                "system",
+            ),
+            (
+                HeuristicConfig::Application { threshold_ms: 16.0 },
+                "Application",
+                "stateless",
+            ),
+            (HeuristicConfig::paper_relative(), "Relative", "windowed"),
+            (HeuristicConfig::paper_energy(), "Energy", "windowed"),
+            (
+                HeuristicConfig::ApplicationCentroid {
+                    threshold_ms: 16.0,
+                    window: 32,
+                },
+                "Centroid",
+                "centroid",
+            ),
+        ] {
+            let app = ApplicationCoordinate::new(Coordinate::origin(3), config.build());
+            assert_eq!(arm(app.heuristic()), expected, "{config:?}");
+            assert_eq!(app.export_state().heuristic.family(), family, "{config:?}");
         }
-        assert!(HeuristicConfig::FollowSystem.build().is_none());
     }
 }

@@ -127,7 +127,7 @@ pub use ledger::ProbeLedger;
 pub use node::{NodeView, PeerView, RestoreError, StableNode};
 
 // Re-export the building blocks so downstream users need only one dependency.
-pub use nc_change::{ApplicationUpdate, HeuristicKind};
+pub use nc_change::ApplicationUpdate;
 pub use nc_proto::{
     Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, WireMessage,
     PROTOCOL_VERSION,

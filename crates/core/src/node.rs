@@ -5,9 +5,7 @@
 
 use std::hash::Hash;
 
-use nc_change::{
-    ApplicationCoordinate, ApplicationUpdate, HeuristicKind, HeuristicStateMismatch, UpdateContext,
-};
+use nc_change::{ApplicationCoordinate, Heuristic, HeuristicStateMismatch, UpdateContext};
 
 use crate::fxhash::FxHashMap;
 use nc_filters::StateMismatch;
@@ -20,29 +18,6 @@ use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 use crate::config::{FilterConfig, NodeConfig};
 use crate::ledger::ProbeLedger;
 use crate::peers::{LinkStore, PeerFilter, PeerState, SnapshotStore};
-
-/// What the Vivaldi → application-heuristic half of the observation
-/// pipeline did with one filtered RTT.
-///
-/// Engine-internal plumbing: [`StableNode::handle_response_into`] translates
-/// this into the typed [`Event`]s that drivers consume.
-#[derive(Debug, Clone, PartialEq)]
-struct ObservationOutcome {
-    /// Relative error of the pre-update system coordinate against the
-    /// *filtered* observation (the per-node accuracy metric of §II-A), or
-    /// `None` when Vivaldi rejected the observation and nothing moved.
-    relative_error: Option<f64>,
-    /// Relative error of the *application-level* coordinate against the
-    /// filtered observation (the accuracy an application embedding `c_a`
-    /// experiences, §V-B).
-    application_relative_error: Option<f64>,
-    /// System-level coordinate displacement caused by this observation
-    /// (milliseconds).
-    system_displacement_ms: f64,
-    /// The application-level update published because of this observation,
-    /// if the heuristic decided the change was significant.
-    application_update: Option<ApplicationUpdate>,
-}
 
 /// One peer as seen through a [`NodeView`]: the last-known coordinate
 /// state of the link plus its per-peer health metrics.
@@ -210,7 +185,6 @@ pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
-    follow_system: bool,
     /// One entry per id this node has heard of — rotation membership and
     /// the handles of its snapshot and link records.
     peers: FxHashMap<Id, PeerState>,
@@ -269,26 +243,14 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         let links = LinkStore::new(config.warmup_samples);
         let gate = config.outlier_gate.clone().map(OutlierGate::new);
         let vivaldi = VivaldiState::new(config.vivaldi.clone());
-        let initial = vivaldi.coordinate().clone();
-        let (application, follow_system) = match config.heuristic.build() {
-            Some(heuristic) => (ApplicationCoordinate::new(initial, heuristic), false),
-            None => (
-                // A heuristic is still needed as a placeholder; FollowSystem
-                // bypasses it entirely in `observe`.
-                ApplicationCoordinate::new(
-                    initial,
-                    Box::new(nc_change::ApplicationHeuristic::new(f64::MAX / 4.0)),
-                ),
-                true,
-            ),
-        };
+        let application =
+            ApplicationCoordinate::new(vivaldi.coordinate().clone(), config.heuristic.build());
         StableNode {
             ledger: ProbeLedger::new(config.max_consecutive_losses),
             snapshots: SnapshotStore::new(config.vivaldi.dimensions()),
             config,
             vivaldi,
             application,
-            follow_system,
             peers: FxHashMap::default(),
             links,
             nearest_neighbor: None,
@@ -314,11 +276,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// The application-level coordinate `c_a` (moves only on significant
     /// change).
     pub fn application_coordinate(&self) -> &Coordinate {
-        if self.follow_system {
-            self.vivaldi.coordinate()
-        } else {
-            self.application.coordinate()
-        }
+        self.application.coordinate()
     }
 
     /// The node's Vivaldi error estimate `w_i` (lower is better).
@@ -367,17 +325,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .collect();
         NodeView {
             system: self.vivaldi.coordinate().clone(),
-            application: self.application_coordinate().clone(),
+            application: self.application.coordinate().clone(),
             error_estimate: self.vivaldi.error_estimate(),
             confidence: self.vivaldi.confidence(),
             observations: self.observations,
             application_updates: self.application.update_count(),
             system_displacement_ms: self.vivaldi.total_displacement_ms(),
-            application_displacement_ms: if self.follow_system {
-                self.vivaldi.total_displacement_ms()
-            } else {
-                self.application.total_displacement_ms()
-            },
+            application_displacement_ms: self.application.total_displacement_ms(),
             membership: self.membership.clone(),
             nearest_neighbor: self.nearest_neighbor.clone(),
             neighbors,
@@ -629,8 +583,9 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     }
 
     /// Digests one probe response: registers the responder and any gossiped
-    /// peers, runs the observation through the filter → Vivaldi →
-    /// application-update pipeline, and appends the typed events describing
+    /// peers, runs the observation through the filter → outlier gate (when
+    /// configured) → Vivaldi → application-update pipeline, and appends the
+    /// typed events describing
     /// what happened to `events`. The response's `rtt_ms` must already carry
     /// the driver-measured round trip. `events` is appended to, never
     /// cleared: hot-loop drivers clear and reuse one buffer across calls, so
@@ -690,66 +645,54 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         } else {
             None
         };
+        let id = &response.responder;
         if discovered {
-            events.push(Event::NeighborDiscovered {
-                id: response.responder.clone(),
-            });
+            events.push(Event::NeighborDiscovered { id: id.clone() });
         }
-        if self.gate.is_some() {
-            // The outlier gate changes the shape of the digest — a rejected
-            // observation must drop its piggybacked gossip too — so the
-            // gated flow lives in its own function. With the gate off
-            // (`outlier_gate: None`, the default) the path below is the
-            // engine's unmodified behaviour.
-            self.handle_gated_observation(response, filtered, events);
-            return;
-        }
-        self.ingest_gossip(response, events);
         let Some(filtered_rtt_ms) = filtered else {
+            // The filter withheld its estimate (warm-up, threshold cut) or
+            // the coordinate was discarded: nothing reached the update
+            // path, so nothing is gated. The gossip is kept — dropping it
+            // on every warm-up sample would stall discovery before the
+            // gate has anything to judge.
+            self.ingest_gossip(response, events);
             events.push(Event::ObservationFiltered {
-                id: response.responder.clone(),
+                id: id.clone(),
                 raw_rtt_ms: response.rtt_ms,
             });
             return;
         };
+        let mut remote_error = response.error_estimate;
+        if let Some(gate) = &mut self.gate {
+            // The gate's plausibility check: the filtered RTT against the
+            // distance this node's *pre-update* coordinate predicts to the
+            // peer's claimed one, as the relative-error metric is measured.
+            let residual_ms =
+                filtered_rtt_ms - self.vivaldi.coordinate().distance(&response.coordinate);
+            if !gate.admits(residual_ms) {
+                // The link was measured whatever the gate thinks of the
+                // claimed coordinate, so it competes for nearest neighbour.
+                // The rest of the reply is dropped whole, like an
+                // uncorrelated one: its gossip is a Byzantine peer's choice
+                // of membership poison and must not outlive its observation.
+                self.track_nearest_neighbor(id, filtered_rtt_ms);
+                events.push(Event::ObservationRejected {
+                    id: id.clone(),
+                    filtered_rtt_ms,
+                });
+                return;
+            }
+            gate.record(residual_ms);
+            // A liar advertising near-zero error would take close to the
+            // maximum sample weight w_s = e_i / (e_i + e_j); flooring the
+            // claimed confidence bounds how hard any single peer can pull.
+            remote_error = remote_error.max(gate.config().min_remote_error);
+        }
+        self.ingest_gossip(response, events);
         // After the gossip, whose insertions may have reordered the table
         // the nearest-neighbour scan walks.
-        self.track_nearest_neighbor(&response.responder, filtered_rtt_ms);
-        let outcome = self.vivaldi_stage(
-            response.coordinate.clone(),
-            response.error_estimate,
-            filtered_rtt_ms,
-        );
-        Self::push_outcome_events(response.responder.clone(), filtered_rtt_ms, outcome, events);
-    }
-
-    /// Reports what the update path did with a filtered observation.
-    fn push_outcome_events(
-        id: Id,
-        filtered_rtt_ms: f64,
-        outcome: ObservationOutcome,
-        events: &mut Vec<Event<Id>>,
-    ) {
-        match outcome.relative_error {
-            None => events.push(Event::ObservationRejected {
-                id,
-                filtered_rtt_ms,
-            }),
-            Some(relative_error) => {
-                events.push(Event::SystemMoved {
-                    id,
-                    filtered_rtt_ms,
-                    displacement_ms: outcome.system_displacement_ms,
-                    relative_error,
-                    application_relative_error: outcome
-                        .application_relative_error
-                        .unwrap_or(f64::NAN),
-                });
-                if let Some(update) = outcome.application_update {
-                    events.push(Event::ApplicationUpdated { update });
-                }
-            }
-        }
+        self.track_nearest_neighbor(id, filtered_rtt_ms);
+        self.vivaldi_stage(response, remote_error, filtered_rtt_ms, events);
     }
 
     /// Registers the peers a response gossips along: new ones enter the
@@ -782,65 +725,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 );
             }
         }
-    }
-
-    /// The observation digest with the MAD outlier gate armed.
-    ///
-    /// Same pipeline as the ungated path — filter, then Vivaldi, then the
-    /// application heuristic — with the gate's plausibility check wedged
-    /// between the first two stages: the filtered RTT is compared against
-    /// the distance this node's own coordinate predicts to the peer's
-    /// *claimed* coordinate, and an observation whose residual falls far
-    /// outside the recent (robust) residual distribution is rejected before
-    /// it can move the spring. A rejected reply is dropped whole, exactly
-    /// like an uncorrelated one: its gossip is a Byzantine peer's choice of
-    /// membership poison, so it must not outlive the observation it rode on.
-    fn handle_gated_observation(
-        &mut self,
-        response: &ProbeResponse<Id>,
-        filtered: Option<f64>,
-        events: &mut Vec<Event<Id>>,
-    ) {
-        let id = response.responder.clone();
-        let Some(filtered_rtt_ms) = filtered else {
-            // The filter withheld its estimate (warm-up, threshold cut):
-            // nothing reached the update path, so nothing is gated. The
-            // gossip is kept — dropping it on every warm-up sample would
-            // stall discovery before the gate has anything to judge.
-            self.ingest_gossip(response, events);
-            events.push(Event::ObservationFiltered {
-                id,
-                raw_rtt_ms: response.rtt_ms,
-            });
-            return;
-        };
-        // The link was measured whatever the gate decides about the claimed
-        // coordinate, so it competes for nearest neighbour either way.
-        self.track_nearest_neighbor(&id, filtered_rtt_ms);
-        // Residual against the *pre-update* coordinate, mirroring how the
-        // relative-error metric is measured.
-        let predicted_ms = self.vivaldi.coordinate().distance(&response.coordinate);
-        let residual_ms = filtered_rtt_ms - predicted_ms;
-        // nc-lint: allow(panic) — handle_response_into dispatches here only
-        // when the gate is configured; the Option is re-read purely to
-        // scope the mutable borrow.
-        let gate = self.gate.as_mut().expect("gated path requires the gate");
-        if !gate.admits(residual_ms) {
-            events.push(Event::ObservationRejected {
-                id,
-                filtered_rtt_ms,
-            });
-            return;
-        }
-        gate.record(residual_ms);
-        // A liar advertising near-zero error would take close to the
-        // maximum sample weight w_s = e_i / (e_i + e_j); flooring the
-        // claimed confidence bounds how hard any single peer can pull.
-        let remote_error = response.error_estimate.max(gate.config().min_remote_error);
-        self.ingest_gossip(response, events);
-        let outcome =
-            self.vivaldi_stage(response.coordinate.clone(), remote_error, filtered_rtt_ms);
-        Self::push_outcome_events(id, filtered_rtt_ms, outcome, events);
     }
 
     // -----------------------------------------------------------------
@@ -938,8 +822,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // restored nodes silently keep the old constants.
         node.vivaldi = snapshot.vivaldi.clone();
         node.vivaldi.replace_config(node.config.vivaldi.clone());
+        let mut application = snapshot.application.clone();
+        if matches!(node.application.heuristic(), Heuristic::FollowSystem) {
+            // Without a heuristic the published coordinate is the system
+            // one. Snapshots written before `FollowSystem` published through
+            // the manager hold the origin there instead.
+            application.coordinate = node.vivaldi.coordinate().clone();
+        }
         node.application
-            .import_state(&snapshot.application)
+            .import_state(&application)
             .map_err(RestoreError::Heuristic)?;
         for link in &snapshot.links {
             let peer = node.peers.entry(link.id.clone()).or_default();
@@ -1030,73 +921,65 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
     }
 
-    /// Second half of the observation pipeline: the Vivaldi spring update
-    /// and the application-level heuristic, fed a filtered RTT that already
-    /// cleared the filter (and, on the gated path, the outlier gate).
+    /// Last stage of the observation pipeline: the Vivaldi spring update and
+    /// the application-level heuristic, fed a filtered RTT that cleared the
+    /// filter and the gate. Reports [`Event::ObservationRejected`] when
+    /// Vivaldi refuses the RTT, [`Event::SystemMoved`] otherwise, followed
+    /// by [`Event::ApplicationUpdated`] when the heuristic publishes.
     fn vivaldi_stage(
         &mut self,
-        remote_coordinate: Coordinate,
+        response: &ProbeResponse<Id>,
         remote_error_estimate: f64,
-        filtered_rtt: f64,
-    ) -> ObservationOutcome {
+        filtered_rtt_ms: f64,
+        events: &mut Vec<Event<Id>>,
+    ) {
+        let id = &response.responder;
         // Application-level accuracy is measured against the observation
         // *before* any update, like the system-level error.
-        let app_error = nc_vivaldi::relative_error(
-            self.application_coordinate().distance(&remote_coordinate),
-            filtered_rtt,
+        let application_relative_error = nc_vivaldi::relative_error(
+            self.application.coordinate().distance(&response.coordinate),
+            filtered_rtt_ms,
         );
-
-        let observation =
-            RemoteObservation::new(remote_coordinate, remote_error_estimate, filtered_rtt);
-        let previous_system = self.vivaldi.coordinate().clone();
+        let observation = RemoteObservation::new(
+            response.coordinate.clone(),
+            remote_error_estimate,
+            filtered_rtt_ms,
+        );
         let outcome = self.vivaldi.observe(&observation);
         if outcome.rejected {
-            return ObservationOutcome {
-                relative_error: None,
-                application_relative_error: None,
-                system_displacement_ms: 0.0,
-                application_update: None,
-            };
+            events.push(Event::ObservationRejected {
+                id: id.clone(),
+                filtered_rtt_ms,
+            });
+            return;
         }
-
-        let application_update = if self.follow_system {
-            // The application coordinate *is* the system coordinate, so every
-            // system-level movement is also an application-level change (this
-            // is the "constant update" mode of §V; its instability is what
-            // the heuristics are measured against).
-            if outcome.displacement_ms > 0.0 {
-                Some(ApplicationUpdate {
-                    previous: previous_system,
-                    current: self.vivaldi.coordinate().clone(),
-                    displacement_ms: outcome.displacement_ms,
-                })
-            } else {
-                None
+        events.push(Event::SystemMoved {
+            id: id.clone(),
+            filtered_rtt_ms,
+            displacement_ms: outcome.displacement_ms,
+            relative_error: outcome.relative_error,
+            application_relative_error,
+        });
+        // Only RELATIVE reads the context; everyone else is spared the
+        // lookup into the (cold) peer table and the coordinate clone.
+        let ctx = if matches!(self.application.heuristic(), Heuristic::Relative(_)) {
+            UpdateContext {
+                nearest_neighbor: self
+                    .nearest_neighbor
+                    .as_ref()
+                    .and_then(|(nid, _)| self.peers.get(nid))
+                    .and_then(|peer| peer.snapshot)
+                    .map(|handle| self.snapshots.get(handle).0),
             }
         } else {
-            // Only RELATIVE reads the context; everyone else is spared the
-            // lookup into the (cold) peer table and the coordinate clone.
-            let ctx = if self.config.heuristic.kind() == Some(HeuristicKind::Relative) {
-                UpdateContext {
-                    nearest_neighbor: self
-                        .nearest_neighbor
-                        .as_ref()
-                        .and_then(|(nid, _)| self.peers.get(nid))
-                        .and_then(|peer| peer.snapshot)
-                        .map(|handle| self.snapshots.get(handle).0),
-                }
-            } else {
-                UpdateContext::default()
-            };
-            self.application
-                .on_system_update(self.vivaldi.coordinate(), &ctx)
+            UpdateContext::default()
         };
-
-        ObservationOutcome {
-            relative_error: Some(outcome.relative_error),
-            application_relative_error: Some(app_error),
-            system_displacement_ms: outcome.displacement_ms,
-            application_update,
+        if let Some(update) = self.application.on_system_update(
+            self.vivaldi.coordinate(),
+            outcome.displacement_ms,
+            &ctx,
+        ) {
+            events.push(Event::ApplicationUpdated { update });
         }
     }
 
@@ -1152,6 +1035,7 @@ mod tests {
     use crate::config::HeuristicConfig;
     use nc_filters::FilterState;
     use nc_proto::WireMessage;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1329,7 +1213,7 @@ mod tests {
     }
 
     #[test]
-    fn follow_system_keeps_app_equal_to_system() {
+    fn following_the_system_keeps_app_equal_to_system() {
         let config = NodeConfig::builder()
             .heuristic(HeuristicConfig::FollowSystem)
             .build();
@@ -2756,5 +2640,217 @@ mod tests {
                 .any(|e| matches!(e, Event::SystemMoved { .. })),
             "{events:?}"
         );
+    }
+
+    // -----------------------------------------------------------------
+    // One digest, one heuristic
+    // -----------------------------------------------------------------
+
+    /// Layout pin: a node is at most 888 bytes. The heuristic sits behind a
+    /// box: stored inline, its largest arm made a node 1,048 bytes, and
+    /// `sim-compare`'s peak RSS (512 nodes) rose from 69.3 to 72.4 MiB —
+    /// far more than the 80 KB the extra bytes account for.
+    #[test]
+    fn layout_pin_stable_node() {
+        let node = std::mem::size_of::<StableNode<usize>>();
+        assert!(node <= 888, "StableNode grew to {node} bytes");
+    }
+
+    /// One configuration of every heuristic arm, tuned so that each
+    /// publishes within a few dozen observations.
+    fn every_heuristic() -> [HeuristicConfig; 6] {
+        [
+            HeuristicConfig::FollowSystem,
+            HeuristicConfig::System { threshold_ms: 1.0 },
+            HeuristicConfig::Application { threshold_ms: 2.0 },
+            HeuristicConfig::Relative {
+                threshold: 0.05,
+                window: 4,
+            },
+            HeuristicConfig::Energy {
+                threshold: 0.5,
+                window: 4,
+            },
+            HeuristicConfig::ApplicationCentroid {
+                threshold_ms: 2.0,
+                window: 4,
+            },
+        ]
+    }
+
+    /// Feeds `steps` replies from three peers whose links slow down halfway
+    /// through, returning every event.
+    fn drive(node: &mut Node, seed: u64, steps: usize) -> Vec<Event<u32>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut events = Vec::new();
+        for step in 0..steps {
+            let peer = 1 + (step % 3) as u32;
+            let remote = Coordinate::new(vec![20.0 * peer as f64, 5.0, 0.0]).unwrap();
+            let base = if step < steps / 2 { 40.0 } else { 90.0 };
+            let rtt = base * peer as f64 + rng.gen_range(-4.0..4.0);
+            events.extend(feed(node, peer, remote, 0.4, rtt));
+        }
+        events
+    }
+
+    /// Every lane of `coordinate`, height included, as bits.
+    fn coordinate_bits(coordinate: &Coordinate) -> Vec<u64> {
+        coordinate
+            .components()
+            .iter()
+            .chain([&coordinate.height()])
+            .map(|lane| lane.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn every_heuristic_reports_its_own_updates() {
+        for heuristic in every_heuristic() {
+            let config = NodeConfig::builder().heuristic(heuristic.clone()).build();
+            let mut node = Node::new(config);
+            let displacements: Vec<f64> = drive(&mut node, 3, 200)
+                .iter()
+                .filter_map(|event| match event {
+                    Event::ApplicationUpdated { update } => Some(update.displacement_ms),
+                    _ => None,
+                })
+                .collect();
+            assert!(!displacements.is_empty(), "{heuristic:?} never published");
+            let view = node.view();
+            assert_eq!(
+                view.application_updates,
+                displacements.len() as u64,
+                "{heuristic:?}"
+            );
+            let total = displacements.iter().fold(0.0, |sum, step| sum + step);
+            assert_eq!(
+                view.application_displacement_ms.to_bits(),
+                total.to_bits(),
+                "{heuristic:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn following_the_system_restores_a_snapshot_that_published_the_origin() {
+        let config = NodeConfig::builder()
+            .heuristic(HeuristicConfig::FollowSystem)
+            .build();
+        let mut node = Node::new(config.clone());
+        drive(&mut node, 4, 60);
+        // What a node whose manager never ran writes: the origin published
+        // and nothing counted.
+        let mut snapshot = node.snapshot();
+        snapshot.application = nc_change::ApplicationState {
+            coordinate: Coordinate::origin(3),
+            update_count: 0,
+            system_updates_seen: 0,
+            total_displacement_ms: 0.0,
+            heuristic: nc_change::HeuristicState::Stateless,
+        };
+        let decoded = NodeSnapshot::<u32>::decode(&snapshot.encode()).unwrap();
+        let mut restored = Node::restore(config, &decoded).unwrap();
+        assert_ne!(restored.system_coordinate(), &Coordinate::origin(3));
+        assert_eq!(
+            coordinate_bits(restored.application_coordinate()),
+            coordinate_bits(restored.system_coordinate())
+        );
+        drive(&mut restored, 5, 30);
+        assert_eq!(
+            coordinate_bits(restored.application_coordinate()),
+            coordinate_bits(restored.system_coordinate())
+        );
+    }
+
+    #[test]
+    fn every_heuristic_round_trips_through_a_snapshot() {
+        for heuristic in every_heuristic() {
+            let config = NodeConfig::builder().heuristic(heuristic.clone()).build();
+            let mut original = Node::new(config.clone());
+            drive(&mut original, 5, 120);
+            let encoded = original.snapshot().encode();
+            let decoded = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+            let mut restored = Node::restore(config, &decoded).unwrap();
+            assert_eq!(restored.snapshot().encode(), encoded, "{heuristic:?}");
+            assert_eq!(restored.view(), original.view(), "{heuristic:?}");
+            assert_eq!(
+                drive(&mut restored, 6, 80),
+                drive(&mut original, 6, 80),
+                "{heuristic:?}"
+            );
+            assert_eq!(restored.snapshot().encode(), original.snapshot().encode());
+        }
+    }
+
+    proptest! {
+        /// A gate that admits every finite residual and floors no error
+        /// estimate is invisible: a gated node and an ungated one fed the
+        /// same exchanges report the same events and write the same
+        /// snapshot bytes. The exchanges carry gossip, tie on filtered RTT
+        /// (so the nearest-neighbour scan's order shows), warm links up,
+        /// send coordinates of the wrong dimension and forge replies.
+        #[test]
+        fn an_admit_everything_gate_is_invisible(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..160),
+            warmup in 2u64..=3,
+            mp in 0u8..2,
+        ) {
+            let filter = if mp == 0 { FilterConfig::Raw } else { FilterConfig::paper_mp() };
+            let builder = || {
+                NodeConfig::builder()
+                    .filter(filter.clone())
+                    .heuristic(HeuristicConfig::Relative { threshold: 0.05, window: 4 })
+                    .warmup_samples(warmup)
+            };
+            let mut plain = Node::new(builder().build());
+            let mut gated = Node::new(
+                builder()
+                    .outlier_gate(nc_vivaldi::OutlierGateConfig {
+                        mad_threshold: f64::MAX,
+                        min_remote_error: 0.0,
+                        ..nc_vivaldi::OutlierGateConfig::default()
+                    })
+                    .build(),
+            );
+            let at = |id: u32| {
+                Coordinate::new(vec![(id % 7) as f64 * 9.0, (id % 3) as f64 * 5.0, 0.0]).unwrap()
+            };
+            for (now, word) in (0u64..).zip(&words) {
+                // Six peers, and two ids the others gossip about.
+                let peer = [1, 2, 3, 4, 5, 6, 100, 101][(word >> 8) as usize % 8];
+                let rtt = [10.0, 20.0, 20.0, 35.0, 60.0][(word >> 16) as usize % 5];
+                let error = 0.1 + ((word >> 24) % 9) as f64 / 10.0;
+                let coordinate = match word % 8 {
+                    1 => Coordinate::new(vec![peer as f64, 1.0]).unwrap(),
+                    _ => at(peer),
+                };
+                let gossip = (word >> 32) % 3 == 0;
+                let gossiped = 100 + ((word >> 40) % 4) as u32;
+                let respond = |node: &mut Node| {
+                    let request = match word % 8 {
+                        0 => ProbeRequest::new(peer, 1 << 40, now),
+                        _ => node.probe_request_for(peer, now),
+                    };
+                    let mut response = ProbeResponse::new(peer, &request, coordinate.clone(), error);
+                    response.rtt_ms = rtt;
+                    if gossip {
+                        response.gossip.push(GossipEntry {
+                            id: gossiped,
+                            coordinate: at(gossiped),
+                            error_estimate: 0.5,
+                        });
+                    }
+                    response
+                };
+                let (plain_response, gated_response) = (respond(&mut plain), respond(&mut gated));
+                prop_assert_eq!(
+                    digest(&mut plain, &plain_response),
+                    digest(&mut gated, &gated_response),
+                    "step {}",
+                    now
+                );
+            }
+            prop_assert_eq!(plain.snapshot().encode(), gated.snapshot().encode());
+        }
     }
 }
