@@ -322,7 +322,7 @@ mod tests {
             words in proptest::collection::vec(0u64..u64::MAX, 1..150),
         ) {
             use crate::{NodeConfig, StableNode};
-            use nc_proto::{GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireMessage};
+            use nc_proto::{BinaryMessage, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse};
             use nc_vivaldi::{Coordinate, OutlierGateConfig};
 
             const ME: u32 = 0;
@@ -409,8 +409,8 @@ mod tests {
                         while ledger.expire(now_ms, 120).is_some() {}
                     }
                     9 => {
-                        let encoded = node.snapshot().encode();
-                        let snapshot = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+                        let encoded = node.snapshot().encode_binary();
+                        let snapshot = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
                         node = StableNode::restore(config.clone(), &snapshot).unwrap();
                     }
                     _ => {}

@@ -87,12 +87,13 @@
 //!
 //! [`StableNode::snapshot`] captures the complete runtime state — Vivaldi
 //! state, per-link filter windows, heuristic windows, neighbour table and
-//! probe schedule — as a serializable [`NodeSnapshot`];
+//! probe schedule — as a [`NodeSnapshot`], persisted through
+//! `nc_proto::BinaryMessage`;
 //! [`StableNode::restore`] revives it under the same configuration and the
 //! node continues the exact same trajectory:
 //!
 //! ```
-//! use nc_proto::WireMessage;
+//! use nc_proto::BinaryMessage;
 //! use stable_nc::{NodeConfig, ProbeResponse, StableNode};
 //!
 //! let mut node: StableNode<u32> = StableNode::new(NodeConfig::paper_defaults());
@@ -105,8 +106,9 @@
 //!     node.handle_response_into(&response, &mut events);
 //! }
 //!
-//! let persisted = node.snapshot().encode(); // JSON, version-tagged
-//! let snapshot = stable_nc::NodeSnapshot::<u32>::decode(&persisted).unwrap();
+//! // The binary snapshot frame; its header carries the protocol version.
+//! let persisted: Vec<u8> = node.snapshot().encode_binary();
+//! let snapshot = stable_nc::NodeSnapshot::<u32>::decode_binary(&persisted).unwrap();
 //! let restored = StableNode::restore(NodeConfig::paper_defaults(), &snapshot).unwrap();
 //! assert_eq!(restored.system_coordinate(), node.system_coordinate());
 //! assert_eq!(restored.view(), node.view());
@@ -129,7 +131,6 @@ pub use node::{NodeView, PeerView, RestoreError, StableNode};
 // Re-export the building blocks so downstream users need only one dependency.
 pub use nc_change::ApplicationUpdate;
 pub use nc_proto::{
-    Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, WireMessage,
-    PROTOCOL_VERSION,
+    Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, PROTOCOL_VERSION,
 };
 pub use nc_vivaldi::{Coordinate, GateConfigError, OutlierGateConfig, VivaldiConfig};

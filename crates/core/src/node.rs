@@ -11,7 +11,6 @@ use crate::fxhash::FxHashMap;
 use nc_filters::StateMismatch;
 use nc_proto::{
     Event, GossipEntry, LinkSnapshot, NodeSnapshot, PendingProbe, ProbeRequest, ProbeResponse,
-    PROTOCOL_VERSION,
 };
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
@@ -85,11 +84,6 @@ pub struct NodeView<Id> {
 /// Error restoring a [`StableNode`] from a [`NodeSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestoreError {
-    /// The snapshot was taken under a different protocol version.
-    Version {
-        /// The version found in the snapshot.
-        found: u16,
-    },
     /// The snapshot's coordinate space does not match the configuration.
     Dimensions {
         /// Dimensionality the configuration expects.
@@ -107,15 +101,17 @@ pub enum RestoreError {
     /// would ride out on this node's gossip, and every peer drops a response
     /// carrying one as malformed.
     ErrorEstimate,
+    /// The nearest neighbour names no link with a filter state in the
+    /// snapshot, or carries an RTT that is not finite and non-negative.
+    /// Restored, a neighbour without a link is never re-measured and a NaN
+    /// RTT is never beaten (`x < NaN` is false), so either would hold the
+    /// title — and RELATIVE's context — for the node's lifetime.
+    NearestNeighbor,
 }
 
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestoreError::Version { found } => write!(
-                f,
-                "snapshot protocol version {found} does not match {PROTOCOL_VERSION}"
-            ),
             RestoreError::Dimensions { expected, found } => write!(
                 f,
                 "snapshot coordinate space has {found} dimensions, configuration expects {expected}"
@@ -128,6 +124,10 @@ impl std::fmt::Display for RestoreError {
                     "snapshot holds a link whose error estimate is not finite"
                 )
             }
+            RestoreError::NearestNeighbor => write!(
+                f,
+                "snapshot's nearest neighbour is not a measured link with a finite, non-negative RTT"
+            ),
         }
     }
 }
@@ -290,12 +290,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         self.vivaldi.estimated_rtt_ms(remote)
     }
 
-    /// Predicted round-trip latency using the application-level coordinate —
-    /// what an application embedding `c_a` would compute.
-    pub fn application_estimate_rtt_ms(&self, remote: &Coordinate) -> f64 {
-        self.application_coordinate().distance(remote)
-    }
-
     /// Captures the node's complete externally observable state as one
     /// read-only [`NodeView`]: coordinates, error and confidence, lifetime
     /// counters, the membership schedule and the neighbour table with
@@ -336,11 +330,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             nearest_neighbor: self.nearest_neighbor.clone(),
             neighbors,
         }
-    }
-
-    /// This node's declared identity, if any.
-    pub fn identity(&self) -> Option<&Id> {
-        self.identity.as_ref()
     }
 
     /// Declares this node's own identity so gossip of its own address
@@ -430,26 +419,16 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
     }
 
-    /// Probes sent but not yet answered or expired, oldest first. The driver
-    /// is responsible for expiring entries — either per probe with
+    /// The node's [`ProbeLedger`]: its pending probes, oldest first, and
+    /// per-peer loss streaks. The driver is responsible for expiring pending
+    /// entries — either per probe with
     /// [`handle_timeout_into`](StableNode::handle_timeout_into) (when it
     /// tracks its own timers, as the discrete-event simulator does) or in
     /// bulk with [`expire_pending_into`](StableNode::expire_pending_into).
-    pub fn pending_probes(&self) -> &[PendingProbe<Id>] {
-        self.ledger.pending()
-    }
-
-    /// The node's [`ProbeLedger`]. A driver that must predict this node's
-    /// scheduling decisions without running it keeps a ledger of its own and
-    /// compares the two.
+    /// A driver that must predict this node's scheduling decisions without
+    /// running it keeps a ledger of its own and compares the two.
     pub fn ledger(&self) -> &ProbeLedger<Id> {
         &self.ledger
-    }
-
-    /// Consecutive unanswered probes of `id` (zero when the last probe was
-    /// answered or the peer has never been probed).
-    pub fn loss_streak(&self, id: &Id) -> u32 {
-        self.ledger.loss_streak(id)
     }
 
     /// Declares the probe with sequence number `seq` lost: its reply never
@@ -553,7 +532,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         if let Some(source) = &request.source {
             self.register_member(source.clone());
         }
-        response.version = PROTOCOL_VERSION;
         response.responder = request.target.clone();
         response.seq = request.seq;
         response.sent_at_ms = request.sent_at_ms;
@@ -754,7 +732,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             })
             .collect();
         NodeSnapshot {
-            version: PROTOCOL_VERSION,
             vivaldi: self.vivaldi.clone(),
             application: self.application.export_state(),
             links,
@@ -779,18 +756,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     ///
     /// # Errors
     ///
-    /// Fails when the snapshot was taken under a different protocol
-    /// version, when the coordinate spaces disagree, when a link's error
-    /// estimate is not finite, when the configuration builds a different
-    /// filter or heuristic family than the snapshot's states belong to, or
-    /// when a link's filter state holds a sample the filter would have
-    /// refused to observe.
+    /// Fails when the coordinate spaces disagree, when a link's error
+    /// estimate is not finite, when the nearest neighbour is not a measured
+    /// link of the snapshot or its RTT is not a finite non-negative number,
+    /// when the configuration builds a different filter or heuristic family
+    /// than the snapshot's states belong to, or when a link's filter state
+    /// holds a sample the filter would have refused to observe. (The
+    /// protocol version is the binary frame's business: a snapshot read
+    /// from bytes was checked when it was decoded.)
     pub fn restore(config: NodeConfig, snapshot: &NodeSnapshot<Id>) -> Result<Self, RestoreError> {
-        if snapshot.version != PROTOCOL_VERSION {
-            return Err(RestoreError::Version {
-                found: snapshot.version,
-            });
-        }
         let expected = config.vivaldi.dimensions();
         // Every coordinate in the snapshot must live in the configured
         // space: the Vivaldi coordinate, the published application
@@ -813,6 +787,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             .any(|link| !link.error_estimate.is_finite())
         {
             return Err(RestoreError::ErrorEstimate);
+        }
+        // An honest node's nearest neighbour is always a measured link with
+        // a filtered RTT: `evict` recomputes it when its link goes.
+        if let Some((nearest, rtt)) = &snapshot.nearest_neighbor {
+            let measured = snapshot
+                .links
+                .iter()
+                .any(|link| link.id == *nearest && link.filter.is_some());
+            if !(measured && rtt.is_finite() && *rtt >= 0.0) {
+                return Err(RestoreError::NearestNeighbor);
+            }
         }
         let mut node = Self::new(config);
         // Runtime state comes from the snapshot, tuning constants from the
@@ -1034,7 +1019,7 @@ mod tests {
     use super::*;
     use crate::config::HeuristicConfig;
     use nc_filters::FilterState;
-    use nc_proto::WireMessage;
+    use nc_proto::BinaryMessage;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1456,8 +1441,8 @@ mod tests {
         }
 
         // Snapshot, serialize to the wire form, restore.
-        let encoded = original.snapshot().encode();
-        let snapshot = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+        let encoded = original.snapshot().encode_binary();
+        let snapshot = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
         let mut restored = Node::restore(config, &snapshot).unwrap();
         assert_eq!(restored.system_coordinate(), original.system_coordinate());
         assert_eq!(
@@ -1633,7 +1618,7 @@ mod tests {
         node.seed_neighbor(1);
         node.seed_neighbor(2);
         let request = node.next_probe(0).unwrap();
-        assert_eq!(node.pending_probes().len(), 1);
+        assert_eq!(node.ledger().pending().len(), 1);
         let events = time_out(&mut node, request.seq);
         assert_eq!(
             events,
@@ -1642,7 +1627,7 @@ mod tests {
                 seq: request.seq
             }]
         );
-        assert!(node.pending_probes().is_empty());
+        assert!(node.ledger().pending().is_empty());
         // The schedule moved on to the next peer; nothing is stuck waiting.
         assert_eq!(node.next_probe(1).unwrap().target, 2);
         // A second timeout for the same seq is a no-op (reply raced the timer).
@@ -1661,8 +1646,8 @@ mod tests {
             "only the 1 s probe is 5 s stale: {events:?}"
         );
         assert!(matches!(events[0], Event::ProbeLost { id: 1, .. }));
-        assert_eq!(node.pending_probes().len(), 1);
-        assert_eq!(node.pending_probes()[0].target, 2);
+        assert_eq!(node.ledger().pending().len(), 1);
+        assert_eq!(node.ledger().pending()[0].target, 2);
     }
 
     #[test]
@@ -1672,13 +1657,13 @@ mod tests {
         // One probe lost, then one answered: the streak must reset.
         let lost = node.probe_request_for(1, 0);
         time_out(&mut node, lost.seq);
-        assert_eq!(node.loss_streak(&1), 1);
+        assert_eq!(node.ledger().loss_streak(&1), 1);
         let request = node.probe_request_for(1, 1);
         let mut response = ProbeResponse::new(1, &request, remote, 0.5);
         response.rtt_ms = 40.0;
         digest(&mut node, &response);
-        assert_eq!(node.loss_streak(&1), 0);
-        assert!(node.pending_probes().is_empty());
+        assert_eq!(node.ledger().loss_streak(&1), 0);
+        assert!(node.ledger().pending().is_empty());
     }
 
     #[test]
@@ -1705,7 +1690,7 @@ mod tests {
         assert!(!view.membership.contains(&7));
         assert!(!view.neighbors.iter().any(|peer| peer.id == 7));
         assert_eq!(view.nearest_neighbor, None);
-        assert_eq!(node.loss_streak(&7), 0);
+        assert_eq!(node.ledger().loss_streak(&7), 0);
         // The rest of the schedule is untouched.
         assert_eq!(node.next_probe(0).unwrap().target, 8);
     }
@@ -1720,7 +1705,7 @@ mod tests {
         let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         let request = node.probe_request_for(1, 0);
         time_out(&mut node, request.seq);
-        assert_eq!(node.loss_streak(&1), 1);
+        assert_eq!(node.ledger().loss_streak(&1), 1);
 
         let mut late = ProbeResponse::new(1, &request, remote, 0.5);
         late.rtt_ms = 40.0;
@@ -1739,7 +1724,7 @@ mod tests {
             "the stale coordinate was not stored"
         );
         assert_eq!(
-            node.loss_streak(&1),
+            node.ledger().loss_streak(&1),
             1,
             "an ignored reply must not clear the loss streak"
         );
@@ -1831,7 +1816,11 @@ mod tests {
                 seq: request.seq
             }]
         );
-        assert_eq!(node.pending_probes().len(), 1, "the real probe still waits");
+        assert_eq!(
+            node.ledger().pending().len(),
+            1,
+            "the real probe still waits"
+        );
     }
 
     #[test]
@@ -1907,17 +1896,17 @@ mod tests {
         let lost = node.probe_request_for(1, 0);
         time_out(&mut node, lost.seq);
         let in_flight = node.probe_request_for(2, 10);
-        let encoded = node.snapshot().encode();
-        let snapshot = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+        let encoded = node.snapshot().encode_binary();
+        let snapshot = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
         let mut restored = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap();
-        assert_eq!(restored.pending_probes(), node.pending_probes());
-        assert_eq!(restored.loss_streak(&1), 1);
+        assert_eq!(restored.ledger().pending(), node.ledger().pending());
+        assert_eq!(restored.ledger().loss_streak(&1), 1);
         // The restored node settles the in-flight probe exactly like the
         // original would.
         let events_o = time_out(&mut node, in_flight.seq);
         let events_r = time_out(&mut restored, in_flight.seq);
         assert_eq!(events_o, events_r);
-        assert!(restored.pending_probes().is_empty());
+        assert!(restored.ledger().pending().is_empty());
     }
 
     #[test]
@@ -1945,14 +1934,6 @@ mod tests {
         let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         feed(&mut node, 1, remote, 0.5, 40.0);
         let snapshot = node.snapshot();
-
-        // Wrong protocol version.
-        let mut versioned = snapshot.clone();
-        versioned.version = PROTOCOL_VERSION + 1;
-        assert!(matches!(
-            Node::restore(NodeConfig::paper_defaults(), &versioned),
-            Err(RestoreError::Version { .. })
-        ));
 
         // Wrong dimensionality.
         let config_2d = NodeConfig::builder()
@@ -2123,18 +2104,43 @@ mod tests {
     #[test]
     fn restore_rejects_a_non_finite_link_error_estimate() {
         // Such a snapshot cannot come off the binary decoder, but a
-        // JSON-decoded one can (`null` reads back as NaN) and a hand-built
-        // one trivially: stored, the value would ride out on this node's
-        // gossip and make every peer drop the whole response.
+        // hand-built one can: stored, the value would ride out on this
+        // node's gossip and make every peer drop the whole response.
         let mut node = Node::new(NodeConfig::paper_defaults());
         feed_with_gossip(&mut node, 1, 50);
         for poison in [f64::NAN, f64::INFINITY] {
             let mut snapshot = node.snapshot();
             snapshot.links[1].error_estimate = poison;
-            let decoded = NodeSnapshot::<u32>::decode(&snapshot.encode()).unwrap();
-            let err = Node::restore(NodeConfig::paper_defaults(), &decoded).unwrap_err();
+            let err = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap_err();
             assert_eq!(err, RestoreError::ErrorEstimate, "{err}");
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_nearest_neighbor_that_is_not_a_measured_link() {
+        // Restored verbatim, a nearest neighbour without a link is never
+        // re-measured and one at NaN is never beaten (`x < NaN` is false):
+        // it would hold the title, and RELATIVE's context would be gone,
+        // for the node's lifetime.
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        feed_with_gossip(&mut node, 1, 50);
+        let honest = node.snapshot();
+        assert_eq!(honest.nearest_neighbor, Some((1, 40.0)));
+        // No such peer; a gossip-only peer; the measured peer at a
+        // non-finite or negative RTT.
+        for ghost in [
+            (999, 20.0),
+            (50, 20.0),
+            (1, f64::NAN),
+            (1, f64::INFINITY),
+            (1, -1.0),
+        ] {
+            let mut snapshot = honest.clone();
+            snapshot.nearest_neighbor = Some(ghost);
+            let err = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap_err();
+            assert_eq!(err, RestoreError::NearestNeighbor, "{ghost:?}");
+        }
+        assert!(Node::restore(NodeConfig::paper_defaults(), &honest).is_ok());
     }
 
     /// A configuration of `filter` with a warm-up of `warmup` samples and
@@ -2278,10 +2284,10 @@ mod tests {
                     let peer = if step == 39 { 3 } else { 1 + step % 2 };
                     feed(&mut original, peer, remote(peer), 0.4, rtt());
                 }
-                let encoded = original.snapshot().encode();
-                let decoded = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+                let encoded = original.snapshot().encode_binary();
+                let decoded = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
                 let mut restored = Node::restore(config, &decoded).unwrap();
-                assert_eq!(restored.snapshot().encode(), encoded, "{filter:?}");
+                assert_eq!(restored.snapshot().encode_binary(), encoded, "{filter:?}");
                 assert_eq!(restored.view(), original.view(), "{filter:?}");
                 for step in 0..40u32 {
                     let (peer, sample) = (1 + step % 3, rtt());
@@ -2289,7 +2295,10 @@ mod tests {
                     let replayed = feed(&mut restored, peer, remote(peer), 0.4, sample);
                     assert_eq!(replayed, events, "{filter:?} warm-up {warmup} step {step}");
                 }
-                assert_eq!(restored.snapshot().encode(), original.snapshot().encode());
+                assert_eq!(
+                    restored.snapshot().encode_binary(),
+                    original.snapshot().encode_binary()
+                );
             }
         }
     }
@@ -2460,10 +2469,10 @@ mod tests {
             (None, 0)
         );
 
-        let encoded = node.snapshot().encode();
-        let decoded = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+        let encoded = node.snapshot().encode_binary();
+        let decoded = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
         let restored = Node::restore(config, &decoded).unwrap();
-        assert_eq!(restored.snapshot().encode(), encoded);
+        assert_eq!(restored.snapshot().encode_binary(), encoded);
         assert_eq!(restored.view(), view);
         assert_eq!(restored.links.live(), node.links.live());
     }
@@ -2748,7 +2757,7 @@ mod tests {
             total_displacement_ms: 0.0,
             heuristic: nc_change::HeuristicState::Stateless,
         };
-        let decoded = NodeSnapshot::<u32>::decode(&snapshot.encode()).unwrap();
+        let decoded = NodeSnapshot::<u32>::decode_binary(&snapshot.encode_binary()).unwrap();
         let mut restored = Node::restore(config, &decoded).unwrap();
         assert_ne!(restored.system_coordinate(), &Coordinate::origin(3));
         assert_eq!(
@@ -2768,17 +2777,24 @@ mod tests {
             let config = NodeConfig::builder().heuristic(heuristic.clone()).build();
             let mut original = Node::new(config.clone());
             drive(&mut original, 5, 120);
-            let encoded = original.snapshot().encode();
-            let decoded = NodeSnapshot::<u32>::decode(&encoded).unwrap();
+            let encoded = original.snapshot().encode_binary();
+            let decoded = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
             let mut restored = Node::restore(config, &decoded).unwrap();
-            assert_eq!(restored.snapshot().encode(), encoded, "{heuristic:?}");
+            assert_eq!(
+                restored.snapshot().encode_binary(),
+                encoded,
+                "{heuristic:?}"
+            );
             assert_eq!(restored.view(), original.view(), "{heuristic:?}");
             assert_eq!(
                 drive(&mut restored, 6, 80),
                 drive(&mut original, 6, 80),
                 "{heuristic:?}"
             );
-            assert_eq!(restored.snapshot().encode(), original.snapshot().encode());
+            assert_eq!(
+                restored.snapshot().encode_binary(),
+                original.snapshot().encode_binary()
+            );
         }
     }
 
@@ -2850,7 +2866,7 @@ mod tests {
                     now
                 );
             }
-            prop_assert_eq!(plain.snapshot().encode(), gated.snapshot().encode());
+            prop_assert_eq!(plain.snapshot().encode_binary(), gated.snapshot().encode_binary());
         }
     }
 }

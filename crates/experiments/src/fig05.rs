@@ -53,16 +53,6 @@ pub struct Fig05Result {
 }
 
 impl Fig05Result {
-    /// CDF of per-node median relative error for both configurations.
-    pub fn median_error_cdfs(&self) -> (Ecdf, Ecdf) {
-        (
-            self.mp.median_relative_error_cdf().expect("mp has samples"),
-            self.raw
-                .median_relative_error_cdf()
-                .expect("raw has samples"),
-        )
-    }
-
     /// Renders every panel of the figure as text.
     pub fn render(&self) -> String {
         /// Extracts one panel's per-node series from a configuration's metrics.

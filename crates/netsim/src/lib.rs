@@ -3,8 +3,7 @@
 //! The paper's evaluation is driven by a three-day trace of application-level
 //! UDP pings between 269 PlanetLab nodes (43 million samples) plus a
 //! four-hour live deployment. Neither artifact is available, so this crate
-//! synthesizes the closest equivalent (see `DESIGN.md` §3 for the
-//! substitution argument):
+//! synthesizes the closest equivalent:
 //!
 //! * [`topology`] — places nodes in geographic regions and derives realistic
 //!   base round-trip times between them.

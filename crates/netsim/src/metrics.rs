@@ -461,22 +461,10 @@ impl ConfigMetrics {
         Ecdf::new(self.median_relative_errors())
     }
 
-    /// Empirical CDF of per-node 95th-percentile relative error (Figure 13
-    /// top).
-    pub fn p95_relative_error_cdf(&self) -> Result<Ecdf, StatsError> {
-        Ecdf::new(self.p95_relative_errors())
-    }
-
     /// Empirical CDF of per-node instability (Figure 5 bottom / Figure 13
     /// bottom).
     pub fn instability_cdf(&self) -> Result<Ecdf, StatsError> {
         Ecdf::new(self.per_node_instability())
-    }
-
-    /// Empirical CDF of per-node application-level instability (Figure 11
-    /// bottom).
-    pub fn application_instability_cdf(&self) -> Result<Ecdf, StatsError> {
-        Ecdf::new(self.per_node_application_instability())
     }
 
     /// Total probes lost across all nodes over the whole run (timeouts from

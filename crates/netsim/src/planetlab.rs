@@ -3,9 +3,7 @@
 //! This module replaces the paper's measurement artifacts — the three-day
 //! all-pairs ping trace over 269 PlanetLab nodes and the four-hour live
 //! deployment over 270 nodes — with a parameterised synthetic equivalent
-//! built from [`crate::topology`] and [`crate::linkmodel`]. `DESIGN.md` §3
-//! documents why the substitution preserves the behaviours the paper's
-//! findings depend on.
+//! built from [`crate::topology`] and [`crate::linkmodel`].
 
 use serde::{Deserialize, Serialize};
 

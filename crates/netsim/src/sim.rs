@@ -346,12 +346,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the probe timeout.
-    pub fn with_probe_timeout(mut self, timeout_s: f64) -> Self {
-        self.probe_timeout_s = timeout_s;
-        self
-    }
-
     /// Makes a seeded random `fraction` of the population run `model`
     /// (see [`AdversaryConfig`] for the seed default).
     pub fn with_adversaries(mut self, fraction: f64, model: AdversaryModel) -> Self {

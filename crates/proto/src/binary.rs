@@ -1,12 +1,11 @@
-//! Compact, versioned **binary** wire codec for the probe protocol and for
-//! node snapshots.
+//! The wire codec: the only encoding of the probe protocol's messages and
+//! of node snapshots.
 //!
-//! The JSON form of [`WireMessage`](crate::WireMessage) is convenient for
-//! logs and tests, but it has no canonical byte layout — field order, float
-//! formatting and whitespace are all serializer details. A deployable UDP
-//! transport needs a byte format that is stable enough to pin with golden
-//! fixtures and small enough to fit comfortably in a single datagram. This
-//! module defines that format.
+//! A deployable UDP transport needs a byte format that is stable enough to
+//! pin with golden fixtures and small enough to fit comfortably in a single
+//! datagram; a snapshot file needs one that a later build reads back
+//! exactly. This module defines that format, and its frame header is the
+//! only place the protocol version is written or checked.
 //!
 //! # Framing
 //!
@@ -19,9 +18,9 @@
 //! | 4      | 1    | message kind: `0x01` request, `0x02` response, `0x03` snapshot |
 //!
 //! Decoding rejects a wrong magic or kind as [`WireError::Malformed`] and a
-//! different version as [`WireError::VersionMismatch`] — exactly the JSON
-//! path's contract. Trailing bytes after a complete payload are rejected
-//! too, so a datagram carries exactly one message.
+//! different version as [`WireError::VersionMismatch`]. Trailing bytes
+//! after a complete payload are rejected too, so a datagram carries exactly
+//! one message.
 //!
 //! # Primitives
 //!
@@ -81,8 +80,8 @@
 //! # Value blobs
 //!
 //! A value blob is the serde data model ([`serde::Value`]) in tagged binary
-//! form — the binary twin of the JSON encoding, reusing each type's existing
-//! `Serialize`/`Deserialize` implementation:
+//! form, reusing each nested state's `Serialize`/`Deserialize`
+//! implementation:
 //!
 //! | tag    | value | payload                                   |
 //! |--------|-------|-------------------------------------------|
@@ -473,8 +472,8 @@ fn finish<T>(reader: Reader<'_>, message: T) -> Result<T, WireError> {
     }
 }
 
-/// The binary twin of [`WireMessage`](crate::WireMessage): a canonical,
-/// compact byte encoding with the same version-checking contract.
+/// A message's canonical, compact byte encoding, framed under the
+/// [`PROTOCOL_VERSION`] header.
 pub trait BinaryMessage: Sized {
     /// Encodes the message to its framed binary form.
     fn encode_binary(&self) -> Vec<u8>;
@@ -505,7 +504,6 @@ fn read_request<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeRequest<Id>,
         None
     };
     Ok(ProbeRequest {
-        version: PROTOCOL_VERSION,
         target,
         source,
         seq: reader.read_varint()?,
@@ -565,7 +563,6 @@ fn read_response<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeResponse<Id
         });
     }
     let response = ProbeResponse {
-        version: PROTOCOL_VERSION,
         responder,
         seq,
         sent_at_ms,
@@ -728,7 +725,6 @@ impl<Id: WireId> BinaryMessage for NodeSnapshot<Id> {
             loss_streaks.push((id, streak));
         }
         let snapshot = NodeSnapshot {
-            version: PROTOCOL_VERSION,
             vivaldi,
             application,
             links,

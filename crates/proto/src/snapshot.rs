@@ -1,4 +1,4 @@
-//! Serializable node state for persist/restore.
+//! Node state for persist/restore.
 //!
 //! A [`NodeSnapshot`] captures everything a node's engine accumulates at run
 //! time: the Vivaldi state (coordinate, error estimate, counters), the
@@ -9,13 +9,14 @@
 //! heuristic family, Vivaldi constants) is deployment configuration and is
 //! supplied separately when the node is rebuilt, which keeps a snapshot
 //! valid across configuration-compatible binary upgrades.
+//!
+//! A snapshot's bytes are the binary codec's snapshot frame
+//! ([`crate::BinaryMessage`], layout in [`crate::binary`]), whose header
+//! carries the protocol version it was written under.
 
 use nc_change::ApplicationState;
 use nc_filters::FilterState;
 use nc_vivaldi::{Coordinate, VivaldiState};
-use serde::{Deserialize, Serialize};
-
-use crate::wire::WireMessage;
 
 /// One probe that has been sent but not yet answered or expired.
 ///
@@ -24,7 +25,7 @@ use crate::wire::WireMessage;
 /// request's sequence number) or when the driver declares the probe timed
 /// out. Snapshots carry the table so a restored node neither forgets about
 /// in-flight probes nor double-counts their eventual loss.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingProbe<Id> {
     /// The peer the probe was addressed to.
     pub target: Id,
@@ -35,7 +36,7 @@ pub struct PendingProbe<Id> {
 }
 
 /// Everything a node remembers about one link/neighbour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSnapshot<Id> {
     /// The neighbour's identifier.
     pub id: Id,
@@ -59,12 +60,10 @@ pub struct LinkSnapshot<Id> {
 /// configuration.
 ///
 /// Produced by the engine's `snapshot()` and consumed by `restore()`; see
-/// the `stable-nc` crate. Serializes through [`WireMessage`] like the probe
-/// messages, with the same protocol-version check on decode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the `stable-nc` crate. Persisted through [`crate::BinaryMessage`], like
+/// the probe messages.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot<Id> {
-    /// Protocol version the snapshot was taken under.
-    pub version: u16,
     /// Complete Vivaldi state: system coordinate, error estimate, counters
     /// and the tie-break RNG state (so a restored node continues the exact
     /// same trajectory).
@@ -96,12 +95,6 @@ pub struct NodeSnapshot<Id> {
     pub loss_streaks: Vec<(Id, u32)>,
 }
 
-impl<Id: Serialize> WireMessage for NodeSnapshot<Id> {
-    fn wire_version(&self) -> u16 {
-        self.version
-    }
-}
-
 impl<Id> NodeSnapshot<Id> {
     /// Number of known neighbours in the snapshot.
     pub fn neighbor_count(&self) -> usize {
@@ -116,70 +109,5 @@ impl<Id> NodeSnapshot<Id> {
     /// The application-level coordinate at snapshot time.
     pub fn application_coordinate(&self) -> &Coordinate {
         &self.application.coordinate
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::wire::{WireError, PROTOCOL_VERSION};
-    use nc_change::HeuristicState;
-    use nc_vivaldi::VivaldiConfig;
-
-    fn sample_snapshot() -> NodeSnapshot<String> {
-        NodeSnapshot {
-            version: PROTOCOL_VERSION,
-            vivaldi: VivaldiState::new(VivaldiConfig::paper_defaults()),
-            application: ApplicationState {
-                coordinate: Coordinate::new(vec![1.0, 2.0, 3.0]).unwrap(),
-                update_count: 4,
-                system_updates_seen: 100,
-                total_displacement_ms: 17.5,
-                heuristic: HeuristicState::Stateless,
-            },
-            links: vec![LinkSnapshot {
-                id: "peer-a".into(),
-                filter: Some(FilterState::MovingPercentile {
-                    window: vec![80.0, 81.5],
-                    seen: 2,
-                }),
-                coordinate: Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap(),
-                error_estimate: 0.5,
-                filtered_rtt_ms: Some(80.0),
-                observations: 2,
-            }],
-            nearest_neighbor: Some(("peer-a".into(), 80.0)),
-            observations: 2,
-            identity: Some("self".into()),
-            membership: vec!["peer-a".into(), "peer-b".into()],
-            probe_cursor: 1,
-            probe_seq: 3,
-            gossip_cursor: 0,
-            pending: vec![PendingProbe {
-                target: "peer-b".into(),
-                seq: 2,
-                sent_at_ms: 900,
-            }],
-            loss_streaks: vec![("peer-b".into(), 1)],
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_the_wire_form() {
-        let snapshot = sample_snapshot();
-        let decoded = NodeSnapshot::<String>::decode(&snapshot.encode()).unwrap();
-        assert_eq!(decoded, snapshot);
-        assert_eq!(decoded.neighbor_count(), 1);
-        assert_eq!(decoded.application_coordinate().components()[0], 1.0);
-    }
-
-    #[test]
-    fn snapshot_version_mismatch_is_rejected() {
-        let mut snapshot = sample_snapshot();
-        snapshot.version = PROTOCOL_VERSION + 3;
-        let err = NodeSnapshot::<String>::decode(&snapshot.encode()).unwrap_err();
-        assert!(
-            matches!(err, WireError::VersionMismatch { found, .. } if found == PROTOCOL_VERSION + 3)
-        );
     }
 }

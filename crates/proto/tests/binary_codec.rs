@@ -9,10 +9,10 @@
 
 use std::net::SocketAddr;
 
-use nc_proto::binary::{KIND_REQUEST, KIND_RESPONSE, MAGIC};
+use nc_proto::binary::{KIND_REQUEST, KIND_RESPONSE, KIND_SNAPSHOT, MAGIC};
 use nc_proto::{
     BinaryMessage, GossipEntry, NodeSnapshot, Packet, ProbeRequest, ProbeResponse, WireError,
-    WireMessage, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use nc_vivaldi::Coordinate;
 use proptest::prelude::*;
@@ -75,32 +75,49 @@ fn response_golden_bytes() {
 
 #[test]
 fn header_is_shared_and_versioned() {
-    let request: ProbeRequest<u64> = ProbeRequest::new(1, 2, 3);
-    let mut bytes = request.encode_binary();
-    assert_eq!(&bytes[..2], &MAGIC);
-    assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), PROTOCOL_VERSION);
-    assert_eq!(bytes[4], KIND_REQUEST);
+    type Decode = fn(&[u8]) -> Result<(), WireError>;
+    let request: ProbeRequest<String> = ProbeRequest::new("b".into(), 2, 3);
+    let response = ProbeResponse::new("b".to_string(), &request, Coordinate::origin(3), 0.5);
+    // Each kind's frame beside its own decoder.
+    let kinds: [(u8, Vec<u8>, Decode); 3] = [
+        (KIND_REQUEST, request.encode_binary(), |bytes| {
+            ProbeRequest::<String>::decode_binary(bytes).map(drop)
+        }),
+        (KIND_RESPONSE, response.encode_binary(), |bytes| {
+            ProbeResponse::<String>::decode_binary(bytes).map(drop)
+        }),
+        (KIND_SNAPSHOT, sample_snapshot().encode_binary(), |bytes| {
+            NodeSnapshot::<String>::decode_binary(bytes).map(drop)
+        }),
+    ];
+    for (kind, bytes, decode) in &kinds {
+        assert_eq!(&bytes[..2], &MAGIC);
+        assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), PROTOCOL_VERSION);
+        assert_eq!(bytes[4], *kind);
+        assert_eq!(decode(bytes), Ok(()), "kind {kind}");
 
-    // A bumped version is a VersionMismatch, not garbage decoding.
-    bytes[2] = bytes[2].wrapping_add(1);
-    assert_eq!(
-        ProbeRequest::<u64>::decode_binary(&bytes),
-        Err(WireError::VersionMismatch {
-            expected: PROTOCOL_VERSION,
-            found: PROTOCOL_VERSION + 1,
-        })
-    );
+        // A bumped version is a VersionMismatch, not garbage decoding.
+        let mut bumped = bytes.clone();
+        bumped[2..4].copy_from_slice(&(PROTOCOL_VERSION + 1).to_le_bytes());
+        assert_eq!(
+            decode(&bumped),
+            Err(WireError::VersionMismatch {
+                expected: PROTOCOL_VERSION,
+                found: PROTOCOL_VERSION + 1,
+            }),
+            "kind {kind}"
+        );
 
-    // The wrong kind for the requested type is Malformed.
-    let response_bytes = {
-        let response = ProbeResponse::new(1u64, &request, Coordinate::origin(3), 0.5);
-        response.encode_binary()
-    };
-    assert!(matches!(
-        ProbeRequest::<u64>::decode_binary(&response_bytes),
-        Err(WireError::Malformed(_))
-    ));
-    assert_eq!(response_bytes[4], KIND_RESPONSE);
+        // Every other kind's decoder refuses the frame as Malformed.
+        for (other, _, decode_other) in &kinds {
+            if other != kind {
+                assert!(
+                    matches!(decode_other(bytes), Err(WireError::Malformed(_))),
+                    "kind {kind} decoded as kind {other}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -144,7 +161,6 @@ fn sample_snapshot() -> NodeSnapshot<String> {
     use nc_vivaldi::{VivaldiConfig, VivaldiState};
 
     NodeSnapshot {
-        version: PROTOCOL_VERSION,
         vivaldi: VivaldiState::new(VivaldiConfig::paper_defaults()),
         application: ApplicationState {
             coordinate: Coordinate::new(vec![1.0, 2.0, 3.0]).unwrap(),
@@ -184,9 +200,11 @@ fn sample_snapshot() -> NodeSnapshot<String> {
 fn snapshot_round_trips_through_the_binary_form() {
     let snapshot = sample_snapshot();
     let bytes = snapshot.encode_binary();
-    assert_eq!(bytes[4], nc_proto::binary::KIND_SNAPSHOT);
+    assert_eq!(bytes[4], KIND_SNAPSHOT);
     let decoded = NodeSnapshot::<String>::decode_binary(&bytes).unwrap();
     assert_eq!(decoded, snapshot);
+    assert_eq!(decoded.neighbor_count(), 1);
+    assert_eq!(decoded.application_coordinate().components()[0], 1.0);
     // Encoding is canonical: re-encoding the decoded snapshot is
     // byte-identical.
     assert_eq!(decoded.encode_binary(), bytes);
@@ -275,9 +293,9 @@ fn a_snapshot_link_with_a_non_finite_error_estimate_is_malformed() {
 }
 
 #[test]
-fn a_json_response_with_a_null_error_estimate_is_malformed() {
-    // JSON has no NaN: the encoder writes `null` and the decoder reads one
-    // back as NaN, so the JSON decoder must refuse what the binary one does.
+fn a_response_with_a_nan_error_estimate_or_rtt_is_malformed() {
+    // The encoder writes whatever it is handed; the decoder refuses every
+    // non-finite value a node would store and gossip onward.
     let request: ProbeRequest<u64> = ProbeRequest::new(7, 0, 0);
     let clean =
         ProbeResponse::new(7u64, &request, Coordinate::origin(3), 0.4).with_gossip(GossipEntry {
@@ -286,7 +304,7 @@ fn a_json_response_with_a_null_error_estimate_is_malformed() {
             error_estimate: 0.9,
         });
     assert_eq!(
-        ProbeResponse::<u64>::decode(&clean.encode()),
+        ProbeResponse::<u64>::decode_binary(&clean.encode_binary()),
         Ok(clean.clone())
     );
     let poisons: [fn(&mut ProbeResponse<u64>); 3] = [
@@ -297,12 +315,6 @@ fn a_json_response_with_a_null_error_estimate_is_malformed() {
     for poison in poisons {
         let mut response = clean.clone();
         poison(&mut response);
-        let text = response.encode();
-        assert!(text.contains("null"), "{text}");
-        assert!(matches!(
-            ProbeResponse::<u64>::decode(&text),
-            Err(WireError::Malformed(_))
-        ));
         assert!(matches!(
             ProbeResponse::<u64>::decode_binary(&response.encode_binary()),
             Err(WireError::Malformed(_))

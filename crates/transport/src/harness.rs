@@ -120,12 +120,6 @@ impl HarnessBuilder {
         self
     }
 
-    /// Sets only the `from → to` direction.
-    pub fn link_directed(mut self, from: usize, to: usize, spec: LinkSpec) -> Self {
-        self.links.insert((from, to), spec);
-        self
-    }
-
     /// Seeds the harness's loss/jitter/duplication draws.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;

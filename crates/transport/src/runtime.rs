@@ -262,11 +262,6 @@ impl NodeRuntime {
         )
     }
 
-    /// Number of peers currently in the probe schedule.
-    pub fn membership_len(&self) -> usize {
-        self.view().membership.len()
-    }
-
     /// A read-only snapshot of the engine's externally observable state.
     pub fn view(&self) -> stable_nc::NodeView<SocketAddr> {
         let engine = self.shared.engine.lock().expect("engine lock");

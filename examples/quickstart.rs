@@ -13,8 +13,9 @@
 
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::trace::{TraceConfig, TraceGenerator};
+use stable_network_coordinates::nc_proto::BinaryMessage;
 use stable_network_coordinates::{
-    Coordinate, Event, NodeConfig, ProbeRequest, ProbeResponse, StableNode, WireMessage,
+    Coordinate, Event, NodeConfig, ProbeRequest, ProbeResponse, StableNode,
 };
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
     // ProbeLost event instead of stalling the round-robin schedule.
     let mut app_updates_node0 = 0u64;
     let mut probes_lost = 0u64;
-    let mut snapshot_blob: Option<String> = None;
+    let mut snapshot_blob: Option<Vec<u8>> = None;
     let mut response =
         ProbeResponse::new(0, &ProbeRequest::new(0, 0, 0), Coordinate::origin(3), 1.0);
     let mut events = Vec::new();
@@ -71,7 +72,7 @@ fn main() {
         // Halfway through the run, persist node 0 exactly as a daemon would
         // before a restart.
         if snapshot_blob.is_none() && record.time_s >= 900.0 {
-            snapshot_blob = Some(nodes[0].snapshot().encode());
+            snapshot_blob = Some(nodes[0].snapshot().encode_binary());
         }
     }
 
@@ -104,12 +105,12 @@ fn main() {
     // carries the exact coordinate, filter windows and probe schedule the
     // original had at persist time.
     let blob = snapshot_blob.expect("run is longer than the snapshot point");
-    let snapshot = stable_network_coordinates::NodeSnapshot::<usize>::decode(&blob)
+    let snapshot = stable_network_coordinates::NodeSnapshot::<usize>::decode_binary(&blob)
         .expect("snapshot decodes under the same protocol version");
     let restored = StableNode::restore(NodeConfig::paper_defaults(), &snapshot)
         .expect("same configuration restores");
     println!(
-        "\nsnapshot taken at t=900s: {} bytes of JSON, {} neighbours, revived at {}",
+        "\nsnapshot taken at t=900s: {} bytes, {} neighbours, revived at {}",
         blob.len(),
         snapshot.neighbor_count(),
         restored.system_coordinate()

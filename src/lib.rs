@@ -6,9 +6,10 @@
 //! * [`stable_nc`] — the paper's contribution: the [`StableNode`] coordinate
 //!   stack (moving-percentile filtering → Vivaldi → application-level update
 //!   heuristics) exposed as a sans-I/O engine, plus its configuration types.
-//! * [`nc_proto`] — the protocol boundary: versioned [`ProbeRequest`] /
-//!   [`ProbeResponse`] wire messages, the typed [`Event`] stream, and
-//!   [`NodeSnapshot`] for persist/restore.
+//! * [`nc_proto`] — the protocol boundary: the [`ProbeRequest`] /
+//!   [`ProbeResponse`] wire messages, the typed [`Event`] stream,
+//!   [`NodeSnapshot`] for persist/restore, and the one binary codec they
+//!   all travel and persist in.
 //! * [`nc_vivaldi`], [`nc_filters`], [`nc_change`], [`nc_stats`] — the
 //!   individual building blocks, usable on their own.
 //! * [`nc_netsim`] — the synthetic PlanetLab-style workload and simulator
@@ -24,8 +25,8 @@
 //! * [`nc_experiments`] — the harness that regenerates every table and
 //!   figure of the paper.
 //!
-//! See the repository `README.md` for a tour and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction details.
+//! See the repository `README.md` for a tour, and
+//! [`nc_experiments::EXPERIMENTS`] for the reproduced figures and tables.
 //!
 //! # Quickstart
 //!
@@ -69,8 +70,7 @@ pub use nc_query::{CoordinateIndex, QueryConfig, QueryHandle, QueryMatch};
 pub use stable_nc::{
     ApplicationUpdate, Coordinate, Event, FilterConfig, GossipEntry, HeuristicConfig, NodeConfig,
     NodeConfigBuilder, NodeConfigError, NodeSnapshot, NodeView, OutlierGateConfig, PeerView,
-    ProbeRequest, ProbeResponse, StableNode, VivaldiConfig, WireError, WireMessage,
-    PROTOCOL_VERSION,
+    ProbeRequest, ProbeResponse, StableNode, VivaldiConfig, WireError, PROTOCOL_VERSION,
 };
 
 #[cfg(test)]
@@ -107,9 +107,11 @@ mod tests {
 
     #[test]
     fn facade_exposes_the_wire_layer() {
-        let request: ProbeRequest<u8> = ProbeRequest::new(1, 0, 0);
-        assert_eq!(request.version, PROTOCOL_VERSION);
-        let decoded = ProbeRequest::<u8>::decode(&request.encode()).unwrap();
+        use nc_proto::BinaryMessage;
+        let request: ProbeRequest<u32> = ProbeRequest::new(1, 0, 0);
+        let bytes = request.encode_binary();
+        assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), PROTOCOL_VERSION);
+        let decoded = ProbeRequest::<u32>::decode_binary(&bytes).unwrap();
         assert_eq!(decoded, request);
     }
 }

@@ -7,9 +7,10 @@ use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::Scenario;
 use nc_netsim::sim::{SimConfig, Simulator};
 use nc_netsim::trace::{TraceConfig, TraceGenerator, TraceRecord};
+use stable_network_coordinates::nc_proto::BinaryMessage;
 use stable_network_coordinates::{
     Coordinate, Event, FilterConfig, HeuristicConfig, NodeConfig, NodeSnapshot, ProbeRequest,
-    ProbeResponse, StableNode, WireError, WireMessage, PROTOCOL_VERSION,
+    ProbeResponse, StableNode, WireError, PROTOCOL_VERSION,
 };
 
 fn quick_workload() -> PlanetLabConfig {
@@ -234,11 +235,11 @@ fn warmup_protects_against_first_sample_outliers_end_to_end() {
 
 #[test]
 fn wire_messages_round_trip_across_crate_boundaries() {
-    // Serde round trips at the integration level: request, response and
+    // Binary round trips at the integration level: request, response and
     // snapshot all survive encode → decode bit-exactly.
     let request: ProbeRequest<usize> = ProbeRequest::new(3, 17, 123_456);
     assert_eq!(
-        ProbeRequest::<usize>::decode(&request.encode()).unwrap(),
+        ProbeRequest::<usize>::decode_binary(&request.encode_binary()).unwrap(),
         request
     );
 
@@ -250,32 +251,37 @@ fn wire_messages_round_trip_across_crate_boundaries() {
         response
     };
     assert_eq!(
-        ProbeResponse::<usize>::decode(&response.encode()).unwrap(),
+        ProbeResponse::<usize>::decode_binary(&response.encode_binary()).unwrap(),
         response
     );
 
     digest(&mut node, &response);
     let snapshot = node.snapshot();
     assert_eq!(
-        NodeSnapshot::<usize>::decode(&snapshot.encode()).unwrap(),
+        NodeSnapshot::<usize>::decode_binary(&snapshot.encode_binary()).unwrap(),
         snapshot
     );
 }
 
 #[test]
 fn wire_version_mismatches_are_rejected_not_misread() {
-    let mut request: ProbeRequest<usize> = ProbeRequest::new(1, 1, 1);
-    request.version = PROTOCOL_VERSION + 1;
+    /// `bytes` with the frame header's version field set to `version`.
+    fn framed_as(mut bytes: Vec<u8>, version: u16) -> Vec<u8> {
+        bytes[2..4].copy_from_slice(&version.to_le_bytes());
+        bytes
+    }
+
+    let request: ProbeRequest<usize> = ProbeRequest::new(1, 1, 1);
+    let bumped = framed_as(request.encode_binary(), PROTOCOL_VERSION + 1);
     assert!(matches!(
-        ProbeRequest::<usize>::decode(&request.encode()),
+        ProbeRequest::<usize>::decode_binary(&bumped),
         Err(WireError::VersionMismatch { found, .. }) if found == PROTOCOL_VERSION + 1
     ));
 
     let node: StableNode<usize> = StableNode::new(NodeConfig::paper_defaults());
-    let mut snapshot = node.snapshot();
-    snapshot.version = PROTOCOL_VERSION + 2;
+    let bumped = framed_as(node.snapshot().encode_binary(), PROTOCOL_VERSION + 2);
     assert!(matches!(
-        NodeSnapshot::<usize>::decode(&snapshot.encode()),
+        NodeSnapshot::<usize>::decode_binary(&bumped),
         Err(WireError::VersionMismatch { found, .. }) if found == PROTOCOL_VERSION + 2
     ));
 }
@@ -297,9 +303,9 @@ fn node_snapshotted_mid_run_replays_to_identical_coordinates() {
         exchange(&mut nodes, record);
     }
 
-    // Persist node 0 through the serialized wire form.
-    let blob = nodes[0].snapshot().encode();
-    let snapshot = NodeSnapshot::<usize>::decode(&blob).expect("snapshot decodes");
+    // Persist node 0 through the binary snapshot frame.
+    let blob = nodes[0].snapshot().encode_binary();
+    let snapshot = NodeSnapshot::<usize>::decode_binary(&blob).expect("snapshot decodes");
     let mut restored =
         StableNode::restore(NodeConfig::paper_defaults(), &snapshot).expect("same config restores");
 
