@@ -3,6 +3,7 @@
 //! [`ProbeRequest`] / [`ProbeResponse`] wire messages and observed through a
 //! typed [`Event`] stream.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use nc_change::{ApplicationCoordinate, Heuristic, HeuristicStateMismatch, UpdateContext};
@@ -164,8 +165,8 @@ impl std::error::Error for RestoreError {}
 ///
 /// State is kept in three places with three growth laws. The *peer table*
 /// has one entry per id the node has heard of, through its own probes,
-/// a seed list or gossip: rotation membership and two handles, 32 bytes a
-/// bucket. The *snapshot store* has one record per id the node holds a
+/// a seed list or gossip: two 4-byte handles, 16 bytes a bucket with a
+/// `usize` id. The *snapshot store* has one record per id the node holds a
 /// coordinate for — the peer's last-known coordinate, packed at the width
 /// of the configured space, its height and its error estimate
 /// (`8·(dims + 2)` bytes, what gossip payloads are built from) — written
@@ -178,15 +179,17 @@ impl std::error::Error for RestoreError {}
 /// with the neighbours it measures rather than with the mesh; gossip makes
 /// the table grow with the mesh, and a hash table's capacity is a power of
 /// two above its population, so the bucket holds handles and everything
-/// with a size sits in a slab that grows by what is used. Where a record
-/// sits in a store is never observable: [`view`](StableNode::view) and
+/// with a size sits in a store that grows by what is used: pages of 64
+/// records, of which only the last grows, so a store holds at most one
+/// page it does not use. Where a record sits in a store is never
+/// observable: [`view`](StableNode::view) and
 /// [`snapshot`](StableNode::snapshot) report links in membership order.
 pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
-    /// One entry per id this node has heard of — rotation membership and
-    /// the handles of its snapshot and link records.
+    /// One entry per id this node has heard of: the handles of its snapshot
+    /// and link records.
     peers: FxHashMap<Id, PeerState>,
     /// Last-known coordinate and error estimate of every peer the node
     /// holds one for, packed at the width of the configured space.
@@ -842,8 +845,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         node.observations = snapshot.observations;
         node.identity = snapshot.identity.clone();
         node.membership = snapshot.membership.clone();
+        // Every member gets an entry, because an id is discovered exactly
+        // when the table has none.
         for id in &node.membership {
-            node.peers.entry(id.clone()).or_default().member = true;
+            node.peers.entry(id.clone()).or_default();
         }
         // Snapshots written before the rotation became churn-stable carry a
         // free-running counter; reducing it modulo the schedule length lands
@@ -978,23 +983,24 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         Self::member_entry(&mut self.peers, &mut self.membership, id).1
     }
 
-    /// The peer's table entry (created when absent), entered into the probe
-    /// rotation unless it is already a member or a known neighbour; the flag
-    /// is `true` when it just entered. Takes the two fields rather than
-    /// `self` so a caller can keep the entry while it works on the link
-    /// store beside it.
+    /// The peer's table entry; when the table had none, one is created and
+    /// the peer enters the probe rotation, and the flag is `true`. An entry
+    /// outside the rotation — a link a restored snapshot holds but its
+    /// membership does not name — stays outside it. Takes the two fields
+    /// rather than `self` so a caller can keep the entry while it works on
+    /// the link store beside it.
     fn member_entry<'a>(
         peers: &'a mut FxHashMap<Id, PeerState>,
         membership: &mut Vec<Id>,
         id: Id,
     ) -> (&'a mut PeerState, bool) {
-        let peer = peers.entry(id.clone()).or_default();
-        let new = !(peer.member || peer.snapshot.is_some());
-        if new {
-            peer.member = true;
-            membership.push(id);
+        match peers.entry(id) {
+            Entry::Occupied(entry) => (entry.into_mut(), false),
+            Entry::Vacant(entry) => {
+                membership.push(entry.key().clone());
+                (entry.insert(PeerState::default()), true)
+            }
         }
-        (peer, new)
     }
 }
 
@@ -1018,6 +1024,7 @@ fn heuristic_state_coordinates(
 mod tests {
     use super::*;
     use crate::config::HeuristicConfig;
+    use crate::peers::Handle;
     use nc_filters::FilterState;
     use nc_proto::BinaryMessage;
     use proptest::prelude::*;
@@ -1960,14 +1967,96 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// Layout pin: a bucket of the peer table is the 8-byte id plus a
-    /// `PeerState` of 20 — the snapshot handle 8, the link handle 8, the
-    /// membership flag — padded to 32 bytes. The table holds a bucket for
-    /// every id a node ever heard of, rounded up to a power of two: a field
-    /// added here is paid for a million times in a 1,024-node mesh.
+    /// `PeerState` of two 4-byte handles, whose `None` is the record
+    /// number's zero. The table holds a bucket for every id a node ever
+    /// heard of, rounded up to a power of two: a field added here is paid
+    /// for a million times in a 1,024-node mesh.
     #[test]
-    fn layout_pin_peer_table_bucket_within_32_bytes() {
+    fn layout_pin_peer_table_bucket_within_16_bytes() {
         let bucket = std::mem::size_of::<(usize, PeerState)>();
-        assert!(bucket <= 32, "peer-table bucket grew to {bucket} bytes");
+        assert!(bucket <= 16, "peer-table bucket grew to {bucket} bytes");
+        assert_eq!(std::mem::size_of::<Option<Handle>>(), 4);
+    }
+
+    /// Bytes a node's peer table and its two stores have allocated, in that
+    /// order: the table's buckets with one control byte each (a power of two
+    /// of them, seven eighths usable, or all but one in a table of fewer
+    /// than eight), then each store's records, page directory and free list.
+    fn engine_bytes(node: &Node) -> [usize; 3] {
+        use std::mem::size_of;
+        let buckets = match node.peers.capacity() {
+            0 => 0,
+            capacity @ 1..=7 => capacity + 1,
+            capacity => capacity / 7 * 8,
+        };
+        let table = buckets * (size_of::<(u32, PeerState)>() + 1);
+        let store = |[_, allocated, pages, free]: [usize; 4], record: usize| {
+            allocated * record + pages * size_of::<Vec<u8>>() + free * size_of::<Handle>()
+        };
+        [
+            table,
+            store(node.snapshots.footprint(), size_of::<f64>()),
+            store(node.links.footprint(), size_of::<PeerFilter>()),
+        ]
+    }
+
+    /// Memory anchor: a 64-node gossip mesh, each node seeded with one
+    /// neighbour, runs 100 probe rounds through the engine API on a fixed
+    /// RTT map; every 29th exchange is lost and evicts its target. Table and
+    /// store capacities are a function of that history alone, so the bytes
+    /// they hold are pinned exactly. A change to a bucket, a record or a
+    /// growth rule moves this number and re-pins it on purpose.
+    #[test]
+    fn memory_anchor_gossip_mesh_engine_bytes() {
+        const NODES: u32 = 64;
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let mut nodes: Vec<Node> = (0..NODES)
+            .map(|id| {
+                let mut node = Node::new(config.clone());
+                node.set_identity(id);
+                node.seed_neighbor((id + 1) % NODES);
+                node
+            })
+            .collect();
+        let rtt = |a: u32, b: u32| {
+            let at = |id: u32| [f64::from(id % 8) * 12.0, f64::from(id / 8) * 9.0];
+            let ([ax, ay], [bx, by]) = (at(a), at(b));
+            5.0 + (ax - bx).hypot(ay - by)
+        };
+        let placeholder = ProbeRequest::new(0, 0, 0);
+        let mut response = ProbeResponse::new(0, &placeholder, Coordinate::origin(3), 1.0);
+        let mut events = Vec::new();
+        let mut exchanges = 0u32;
+        for round in 0..100u64 {
+            for prober in 0..NODES as usize {
+                let request = nodes[prober].next_probe(round * 1_000).unwrap();
+                exchanges += 1;
+                if exchanges.is_multiple_of(29) {
+                    nodes[prober].handle_timeout_into(request.seq, &mut events);
+                    continue;
+                }
+                let target = request.target;
+                nodes[target as usize].respond_into(&request, &mut response);
+                response.rtt_ms = rtt(prober as u32, target);
+                nodes[prober].handle_response_into(&response, &mut events);
+            }
+        }
+        let evicted = events
+            .iter()
+            .filter(|event| matches!(event, Event::NeighborEvicted { .. }))
+            .count();
+        assert_eq!(evicted, 220);
+        let known: usize = nodes.iter().map(|node| node.peers.len()).sum();
+        let measured: usize = nodes.iter().map(|node| node.links.live()).sum();
+        assert_eq!((known, measured), (1_965, 1_893));
+        let bytes = nodes.iter().map(engine_bytes).fold([0; 3], |sum, node| {
+            [sum[0] + node[0], sum[1] + node[1], sum[2] + node[2]]
+        });
+        assert_eq!(
+            bytes,
+            [41_184, 116_480, 260_592],
+            "table, snapshot store, link store"
+        );
     }
 
     /// Layout pin: a link record is the filter enum, whose largest arm is
@@ -2029,6 +2118,49 @@ mod tests {
         });
         response.rtt_ms = 40.0;
         digest(node, &response)
+    }
+
+    #[test]
+    fn an_id_is_discovered_only_when_the_table_has_no_entry_for_it() {
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let discovered =
+            |events: &[Event<u32>], id: u32| events.contains(&Event::NeighborDiscovered { id });
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+
+        // A restored snapshot whose links 1 (measured) and 50 (gossip-only)
+        // are not in its rotation: a reply from 1 or gossip about 50 leaves
+        // both out of it.
+        let mut node = Node::new(config.clone());
+        feed(&mut node, 1, remote.clone(), 0.5, 30.0);
+        feed_with_gossip(&mut node, 2, 50);
+        let mut snapshot = node.snapshot();
+        snapshot.membership.retain(|&id| id == 2);
+        let mut restored = Node::restore(config.clone(), &snapshot).unwrap();
+        let events = feed_with_gossip(&mut restored, 2, 50);
+        assert!(!discovered(&events, 50), "{events:?}");
+        let events = feed(&mut restored, 1, remote.clone(), 0.5, 30.0);
+        assert!(!discovered(&events, 1), "{events:?}");
+        assert_eq!(restored.view().membership, vec![2]);
+
+        // A seeded-only peer seeded again, gossiped about or heard from is
+        // not added a second time.
+        let mut node = Node::new(config);
+        assert!(node.seed_neighbor(7));
+        assert!(!node.seed_neighbor(7));
+        let events = feed_with_gossip(&mut node, 2, 7);
+        assert!(!discovered(&events, 7), "{events:?}");
+        node.seed_neighbor(3);
+        let events = feed(&mut node, 7, remote, 0.5, 30.0);
+        assert!(!discovered(&events, 7), "{events:?}");
+        assert_eq!(node.view().membership, vec![7, 2, 3]);
+
+        // Evicted and gossiped again, it is discovered again, at the end of
+        // the rotation.
+        let doomed = node.probe_request_for(7, 0);
+        assert!(time_out(&mut node, doomed.seq).contains(&Event::NeighborEvicted { id: 7 }));
+        let events = feed_with_gossip(&mut node, 2, 7);
+        assert!(discovered(&events, 7), "{events:?}");
+        assert_eq!(node.view().membership, vec![2, 3, 7]);
     }
 
     #[test]

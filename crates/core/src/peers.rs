@@ -1,6 +1,8 @@
 //! What a [`StableNode`](crate::StableNode) keeps per remote peer: the peer
-//! table's entry and the two slabs its handles point into. Engine-internal —
-//! nothing here is reachable from outside the crate.
+//! table's entry and the two paged stores its handles point into.
+//! Engine-internal — nothing here is reachable from outside the crate.
+
+use std::num::NonZeroU32;
 
 use nc_filters::{
     EwmaFilter, FilterState, LatencyFilter, MovingPercentileFilter, RawFilter, StateMismatch,
@@ -13,53 +15,153 @@ use crate::config::FilterConfig;
 /// What the engine keeps for every id it has *heard of*: one entry of the
 /// peer table, whether the peer was ever measured or only gossiped about.
 ///
-/// The entry holds two handles and a flag, nothing else. A node in a large
-/// mesh hears of several times more peers than it measures, and the table's
-/// capacity is a power of two above even that, so whatever sits in the
-/// bucket is paid for two to five times per measured link — and most of a
-/// `Coordinate`'s 80 inline bytes are lanes a 3-D space never uses. The
-/// last-known coordinate therefore lives in the node's [`SnapshotStore`],
-/// packed at the width of the space, and the latency filter in its
-/// [`LinkStore`]; a seeded-only id holds neither, a gossip-only id holds no
-/// window because it has no observations to put in one.
+/// The entry holds two handles, nothing else — 8 bytes, 16 with a `usize`
+/// key. A node in a large mesh hears of several times more peers than it
+/// measures, and the table's capacity is a power of two above even that,
+/// so whatever sits in the bucket is paid for two to five times per
+/// measured link. The last-known coordinate therefore lives in the node's
+/// [`SnapshotStore`], packed at the width of the space, and the latency
+/// filter in its [`LinkStore`]; a seeded-only id holds neither, a
+/// gossip-only id holds no window because it has no observations to put in
+/// one.
+///
+/// Rotation membership needs no flag: every entry is either in the node's
+/// `membership` or holds a snapshot (`restore` gives each link entry one
+/// and enters each membership id, and an eviction removes the whole entry),
+/// so an id is newly discovered exactly when the table has no entry for it.
 #[derive(Default)]
 pub(crate) struct PeerState {
     /// Handle of the peer's last-known coordinate and error estimate in the
     /// [`SnapshotStore`], set once the peer has been observed first-hand or
     /// learned through gossip and released on eviction.
-    pub(crate) snapshot: Option<u32>,
+    pub(crate) snapshot: Option<Handle>,
     /// Handle of the peer's record in the [`LinkStore`], set when the first
     /// reply from it is digested and released on eviction.
-    pub(crate) link: Option<u32>,
-    /// Whether the peer sits in the round-robin `membership` rotation.
-    pub(crate) member: bool,
+    pub(crate) link: Option<Handle>,
+}
+
+/// The record number a store handed out, plus one, so that
+/// `Option<Handle>` takes the 4 bytes of the number itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Handle(NonZeroU32);
+
+impl Handle {
+    fn new(record: usize) -> Handle {
+        let number = u32::try_from(record + 1).ok().and_then(NonZeroU32::new);
+        // nc-lint: allow(panic) — a store would need 2^32 records, 400 GiB
+        // of link records, before a number stopped fitting.
+        Handle(number.expect("a store holds fewer than 2^32 - 1 records"))
+    }
+
+    fn record(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
+/// Records per page of a [`Pages`] store.
+const PAGE: usize = 64;
+
+/// Fixed-width records of `stride` elements each, kept in pages of
+/// [`PAGE`] records. Every page but the last is full, and a full page
+/// never moves or reallocates; only the last page grows, doubling like a
+/// `Vec` from one record up to a page. A store therefore holds at most one
+/// page it does not use however many records it has, and one holding three
+/// records allocates for four, where a single `Vec` holds up to twice its
+/// records once it is large.
+struct Pages<T> {
+    pages: Vec<Vec<T>>,
+    /// Elements per record.
+    stride: usize,
+}
+
+impl<T> Pages<T> {
+    fn new(stride: usize) -> Self {
+        Pages {
+            pages: Vec::new(),
+            stride,
+        }
+    }
+
+    /// Records stored.
+    fn len(&self) -> usize {
+        self.pages.last().map_or(0, |last| {
+            (self.pages.len() - 1) * PAGE + last.len() / self.stride
+        })
+    }
+
+    /// Appends one record; it is record number `len()` before the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `record` yields exactly `stride` elements.
+    fn push(&mut self, record: impl IntoIterator<Item = T>) {
+        let page = PAGE * self.stride;
+        if self.pages.last().is_none_or(|last| last.len() == page) {
+            // One directory entry per page: a node with one page would
+            // otherwise pay for the three more a `Vec` reserves at first.
+            self.pages.reserve_exact(1);
+            self.pages.push(Vec::new());
+        }
+        let last = self.pages.len() - 1;
+        let open = &mut self.pages[last];
+        if open.len() == open.capacity() {
+            let grown = (2 * open.capacity()).clamp(self.stride, page);
+            open.reserve_exact(grown - open.len());
+        }
+        let start = open.len();
+        open.extend(record);
+        assert_eq!(open.len() - start, self.stride, "record width");
+    }
+
+    /// The `stride` elements of `record`.
+    fn get(&self, record: usize) -> &[T] {
+        let start = record % PAGE * self.stride;
+        // bounds: `record` is below `len()`, so its page exists and holds
+        // the record's `stride` elements from `start` on.
+        &self.pages[record / PAGE][start..start + self.stride]
+    }
+
+    fn get_mut(&mut self, record: usize) -> &mut [T] {
+        let start = record % PAGE * self.stride;
+        // bounds: as in `get`.
+        &mut self.pages[record / PAGE][start..start + self.stride]
+    }
+
+    /// Elements stored, elements allocated, and the page directory's
+    /// capacity.
+    #[cfg(test)]
+    fn footprint(&self) -> [usize; 3] {
+        [
+            self.pages.iter().map(Vec::len).sum(),
+            self.pages.iter().map(Vec::capacity).sum(),
+            self.pages.capacity(),
+        ]
+    }
 }
 
 /// Last-known coordinate state, one record per id the node holds a
-/// coordinate for (measured or gossiped): a slab of `f64`s addressed by the
-/// `u32` handles the peer table hands out. A record is `dims` components,
-/// the height and the error estimate — `8·(dims + 2)` bytes, 40 in the
-/// paper's 3-D space against the 88 an inline `Coordinate` plus estimate
-/// take — where `dims` is the configured dimensionality, which every stored
-/// coordinate has to match anyway.
+/// coordinate for (measured or gossiped), addressed by the handles the
+/// peer table hands out. A record is `dims` components, the height and the
+/// error estimate — `8·(dims + 2)` bytes, 40 in the paper's 3-D space
+/// against the 88 an inline `Coordinate` plus estimate take — where `dims`
+/// is the configured dimensionality, which every stored coordinate has to
+/// match anyway.
 ///
-/// Same idiom and same guarantee as the [`LinkStore`]: freed slots are
-/// reused before the slab grows, and nothing observable depends on where a
+/// Same idiom and same guarantee as the [`LinkStore`]: freed records are
+/// reused before the store grows, and nothing observable depends on where a
 /// record sits.
 pub(crate) struct SnapshotStore {
-    /// `f64`s per record: `dims + 2`.
-    stride: usize,
-    data: Vec<f64>,
-    /// Slots whose peer was evicted, reused before the slab grows.
-    free: Vec<u32>,
+    /// Records of `dims + 2` `f64`s.
+    records: Pages<f64>,
+    /// Records whose peer was evicted, reused before the store grows.
+    free: Vec<Handle>,
 }
 
 impl SnapshotStore {
     /// An empty store for coordinates of `dims` dimensions.
     pub(crate) fn new(dims: usize) -> Self {
         SnapshotStore {
-            stride: dims + 2,
-            data: Vec::new(),
+            records: Pages::new(dims + 2),
             free: Vec::new(),
         }
     }
@@ -70,12 +172,13 @@ impl SnapshotStore {
     ///
     /// Panics when `coordinate` is not of the store's dimensionality; the
     /// engine discards such coordinates before they reach any state.
-    pub(crate) fn insert(&mut self, coordinate: &Coordinate, error_estimate: f64) -> u32 {
+    pub(crate) fn insert(&mut self, coordinate: &Coordinate, error_estimate: f64) -> Handle {
         let handle = match self.free.pop() {
             Some(handle) => handle,
             None => {
-                let handle = (self.data.len() / self.stride) as u32;
-                self.data.resize(self.data.len() + self.stride, 0.0);
+                let handle = Handle::new(self.records.len());
+                self.records
+                    .push(std::iter::repeat_n(0.0, self.records.stride));
                 handle
             }
         };
@@ -84,12 +187,9 @@ impl SnapshotStore {
     }
 
     /// Replaces the record behind `handle` in place.
-    fn overwrite(&mut self, handle: u32, coordinate: &Coordinate, error_estimate: f64) {
-        let dims = self.stride - 2;
-        let start = handle as usize * self.stride;
-        // bounds: a handle is a record number this store handed out, so
-        // start + stride <= data.len().
-        let record = &mut self.data[start..start + self.stride];
+    fn overwrite(&mut self, handle: Handle, coordinate: &Coordinate, error_estimate: f64) {
+        let record = self.records.get_mut(handle.record());
+        let dims = record.len() - 2;
         // `copy_from_slice` is the width check: it panics on a coordinate
         // that does not have exactly `dims` components.
         record[..dims].copy_from_slice(coordinate.components());
@@ -103,29 +203,26 @@ impl SnapshotStore {
     /// # Panics
     ///
     /// As [`insert`](SnapshotStore::insert).
-    pub(crate) fn put(&mut self, slot: &mut Option<u32>, coordinate: &Coordinate, error: f64) {
+    pub(crate) fn put(&mut self, slot: &mut Option<Handle>, coordinate: &Coordinate, error: f64) {
         match *slot {
             Some(handle) => self.overwrite(handle, coordinate, error),
             None => *slot = Some(self.insert(coordinate, error)),
         }
     }
 
-    /// Gives the slot behind `handle` back for reuse.
-    pub(crate) fn release(&mut self, handle: u32) {
+    /// Gives the record behind `handle` back for reuse.
+    pub(crate) fn release(&mut self, handle: Handle) {
         self.free.push(handle);
     }
 
     /// The coordinate and error estimate behind `handle`, bit for bit what
     /// was stored.
-    pub(crate) fn get(&self, handle: u32) -> (Coordinate, f64) {
-        let dims = self.stride - 2;
-        let start = handle as usize * self.stride;
-        // bounds: a handle is a record number this store handed out, so
-        // start + stride <= data.len().
-        let record = &self.data[start..start + self.stride];
+    pub(crate) fn get(&self, handle: Handle) -> (Coordinate, f64) {
+        let record = self.records.get(handle.record());
+        let dims = record.len() - 2;
         let coordinate = Coordinate::with_height(&record[..dims], record[dims])
             // nc-lint: allow(panic) — every record was copied out of a valid
-            // `Coordinate` of this width; a failure here is a corrupted slab.
+            // `Coordinate` of this width; a failure here is a corrupted store.
             .expect("snapshot store holds only valid coordinates");
         // bounds: dims + 1 == stride - 1, the record's last lane.
         (coordinate, record[dims + 1])
@@ -134,22 +231,23 @@ impl SnapshotStore {
     /// Records currently owned by a table entry.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        self.data.len() / self.stride - self.free.len()
+        self.records.len() - self.free.len()
     }
 
-    /// What the store has allocated: `f64`s in use, slab capacity,
-    /// free-list capacity.
+    /// What the store has allocated: `f64`s in use, `f64`s allocated, page
+    /// directory capacity, free-list capacity.
     #[cfg(test)]
-    pub(crate) fn footprint(&self) -> [usize; 3] {
-        [self.data.len(), self.data.capacity(), self.free.capacity()]
+    pub(crate) fn footprint(&self) -> [usize; 4] {
+        let [used, allocated, pages] = self.records.footprint();
+        [used, allocated, pages, self.free.capacity()]
     }
 }
 
-/// First-hand link state, one record per peer this node has *measured*: a
-/// slab addressed by the `u32` handles the peer table hands out. A slab
-/// rather than a box per link because it grows geometrically — a node that
-/// measures two hundred peers allocates eight times, not two hundred — and
-/// keeps the records of one node together.
+/// First-hand link state, one record per peer this node has *measured*,
+/// addressed by the handles the peer table hands out. Paged rather than a
+/// box per link because each page grows geometrically — a node that
+/// measures two hundred peers allocates some thirty times, not two hundred
+/// — and keeps the records of one node together.
 ///
 /// The store is also the one place a link's estimate leaves through, so it
 /// applies the §VI warm-up fix: [`observe`](LinkStore::observe) and
@@ -161,11 +259,12 @@ impl SnapshotStore {
 /// walk the membership list and read records through the table, so slot
 /// reuse order never reaches a report.
 pub(crate) struct LinkStore {
-    records: Vec<PeerFilter>,
-    /// Slots whose peer was evicted, reused before the slab grows. A freed
-    /// record stays in place until then; nothing reads it, because its only
-    /// handle died with the table entry.
-    free: Vec<u32>,
+    /// Records of one `PeerFilter` each.
+    records: Pages<PeerFilter>,
+    /// Records whose peer was evicted, reused before the store grows. A
+    /// freed record stays in place until then; nothing reads it, because
+    /// its only handle died with the table entry.
+    free: Vec<Handle>,
     /// Valid observations a link must deliver before its estimate is used.
     warmup_samples: u64,
 }
@@ -174,51 +273,53 @@ impl LinkStore {
     /// An empty store whose links warm up over `warmup_samples` samples.
     pub(crate) fn new(warmup_samples: u64) -> Self {
         LinkStore {
-            records: Vec::new(),
+            records: Pages::new(1),
             free: Vec::new(),
             warmup_samples,
         }
     }
 
     /// Stores `record` and returns its handle.
-    pub(crate) fn insert(&mut self, record: PeerFilter) -> u32 {
+    pub(crate) fn insert(&mut self, record: PeerFilter) -> Handle {
         match self.free.pop() {
             Some(handle) => {
-                self.records[handle as usize] = record;
+                *self.get_mut(handle) = record;
                 handle
             }
             None => {
-                self.records.push(record);
-                (self.records.len() - 1) as u32
+                let handle = Handle::new(self.records.len());
+                self.records.push([record]);
+                handle
             }
         }
     }
 
-    /// Gives the slot behind `handle` back for reuse.
-    pub(crate) fn release(&mut self, handle: u32) {
+    /// Gives the record behind `handle` back for reuse.
+    pub(crate) fn release(&mut self, handle: Handle) {
         self.free.push(handle);
     }
 
     /// The record behind `handle`, for its state and its observation count;
     /// its estimate is read through [`estimate`](LinkStore::estimate).
-    pub(crate) fn get(&self, handle: u32) -> &PeerFilter {
-        &self.records[handle as usize]
+    pub(crate) fn get(&self, handle: Handle) -> &PeerFilter {
+        &self.records.get(handle.record())[0]
     }
 
-    pub(crate) fn get_mut(&mut self, handle: u32) -> &mut PeerFilter {
-        &mut self.records[handle as usize]
+    pub(crate) fn get_mut(&mut self, handle: Handle) -> &mut PeerFilter {
+        &mut self.records.get_mut(handle.record())[0]
     }
 
     /// Feeds one raw RTT to the link's filter and returns the estimate it
     /// releases, once the link is warm.
-    pub(crate) fn observe(&mut self, handle: u32, raw_rtt_ms: f64) -> Option<f64> {
-        let filter = &mut self.records[handle as usize];
+    pub(crate) fn observe(&mut self, handle: Handle, raw_rtt_ms: f64) -> Option<f64> {
+        let warmup_samples = self.warmup_samples;
+        let filter = self.get_mut(handle);
         let estimate = filter.observe(raw_rtt_ms)?;
-        (filter.observations_seen() >= self.warmup_samples).then_some(estimate)
+        (filter.observations_seen() >= warmup_samples).then_some(estimate)
     }
 
     /// The link's current estimate, once the link is warm.
-    pub(crate) fn estimate(&self, handle: u32) -> Option<f64> {
+    pub(crate) fn estimate(&self, handle: Handle) -> Option<f64> {
         let filter = self.get(handle);
         if filter.observations_seen() >= self.warmup_samples {
             filter.current_estimate()
@@ -233,15 +334,12 @@ impl LinkStore {
         self.records.len() - self.free.len()
     }
 
-    /// What the store has allocated: records in use, slab capacity,
-    /// free-list capacity.
+    /// What the store has allocated: records in use, records allocated,
+    /// page directory capacity, free-list capacity.
     #[cfg(test)]
-    pub(crate) fn footprint(&self) -> [usize; 3] {
-        [
-            self.records.len(),
-            self.records.capacity(),
-            self.free.capacity(),
-        ]
+    pub(crate) fn footprint(&self) -> [usize; 4] {
+        let [used, allocated, pages] = self.records.footprint();
+        [used, allocated, pages, self.free.capacity()]
     }
 }
 
@@ -366,11 +464,81 @@ mod tests {
         }
     }
 
+    /// Layout pin: each store allocates at most one page — 64 records —
+    /// beyond the records it holds, and below a page no more than the
+    /// single `Vec` it replaced: a `Vec<PeerFilter>` pushed a record at a
+    /// time, a `Vec<f64>` resized a record at a time. Evicting and
+    /// reinserting records reuses them and allocates none.
+    #[test]
+    fn layout_pin_store_slack_within_one_page() {
+        let (dims, page) = (3, 64);
+        let stride = dims + 2;
+        let coordinate = Coordinate::origin(dims);
+        let filter = || PeerFilter::new(&FilterConfig::paper_mp());
+        for count in [1, 3, 63, 64, 65, 590, 1_000] {
+            let (mut links, mut snapshots) = (LinkStore::new(0), SnapshotStore::new(dims));
+            let (mut link_vec, mut snapshot_vec) = (Vec::new(), Vec::<f64>::new());
+            let mut handles = Vec::new();
+            for _ in 0..count {
+                handles.push((links.insert(filter()), snapshots.insert(&coordinate, 0.5)));
+                link_vec.push(filter());
+                snapshot_vec.resize(snapshot_vec.len() + stride, 0.0);
+            }
+            let check = |links: &LinkStore, snapshots: &SnapshotStore| {
+                let [used, allocated, ..] = links.footprint();
+                assert_eq!(used, count);
+                assert!(
+                    allocated <= used + page,
+                    "{count} links: {allocated} allocated"
+                );
+                if count < page {
+                    assert!(
+                        allocated <= link_vec.capacity(),
+                        "{count} links: {allocated}"
+                    );
+                }
+                let [used, allocated, ..] = snapshots.footprint();
+                assert_eq!(used, count * stride);
+                assert!(
+                    allocated <= used + page * stride,
+                    "{count} snapshots: {allocated} f64s allocated"
+                );
+                if count < page {
+                    assert!(allocated <= snapshot_vec.capacity(), "{count} snapshots");
+                }
+            };
+            check(&links, &snapshots);
+            let allocated = (
+                links.footprint()[..2].to_vec(),
+                snapshots.footprint()[..2].to_vec(),
+            );
+            for _ in 0..10 {
+                for (link, snapshot) in handles.iter_mut().step_by(2) {
+                    links.release(*link);
+                    snapshots.release(*snapshot);
+                }
+                for (link, snapshot) in handles.iter_mut().step_by(2) {
+                    *link = links.insert(filter());
+                    *snapshot = snapshots.insert(&coordinate, 0.5);
+                }
+            }
+            check(&links, &snapshots);
+            assert_eq!(
+                (
+                    links.footprint()[..2].to_vec(),
+                    snapshots.footprint()[..2].to_vec()
+                ),
+                allocated
+            );
+        }
+    }
+
     proptest! {
         /// No simulator workload leaves 3-D with zero heights, so this is
         /// the cover the general stride has: against a model indexed by
-        /// handle, every live record reads back bit for bit after every
-        /// operation and a handle is never handed out while it is live.
+        /// record number, across page boundaries, every live record reads
+        /// back bit for bit after every operation and a handle is never
+        /// handed out while it is live.
         #[test]
         fn snapshot_store_matches_a_model_at_every_width(
             dims in 1usize..=8,
@@ -383,7 +551,7 @@ mod tests {
                 let record = record_from(word, dims);
                 match (word % 4, live.is_empty()) {
                     (0 | 1, _) | (_, true) => {
-                        let handle = store.insert(&record.0, record.1) as usize;
+                        let handle = store.insert(&record.0, record.1).record();
                         if handle == model.len() {
                             prop_assert!(model.iter().all(Option::is_some), "grew past a free slot");
                             model.push(None);
@@ -393,14 +561,14 @@ mod tests {
                     }
                     (2, false) => {
                         let handle = live[(word >> 8) as usize % live.len()];
-                        let mut slot = Some(handle as u32);
+                        let mut slot = Some(Handle::new(handle));
                         store.put(&mut slot, &record.0, record.1);
-                        prop_assert_eq!(slot, Some(handle as u32));
+                        prop_assert_eq!(slot, Some(Handle::new(handle)));
                         model[handle] = Some(record);
                     }
                     (_, false) => {
                         let handle = live[(word >> 8) as usize % live.len()];
-                        store.release(handle as u32);
+                        store.release(Handle::new(handle));
                         model[handle] = None;
                     }
                 }
@@ -409,7 +577,7 @@ mod tests {
                 prop_assert_eq!(store.footprint()[0], model.len() * (dims + 2));
                 for (handle, expected) in model.iter().enumerate() {
                     if let Some(expected) = expected {
-                        prop_assert_eq!(bits(&store.get(handle as u32)), bits(expected));
+                        prop_assert_eq!(bits(&store.get(Handle::new(handle))), bits(expected));
                     }
                 }
             }

@@ -348,6 +348,9 @@ fn socket_loop(shared: &Shared, socket: &UdpSocket) {
             }
             Err(_) => continue,
         };
+        // The arrival stamp of a reply, taken before anything else runs so
+        // that decoding is not billed to the round trip it measures.
+        let received_at = Instant::now();
         match Packet::decode(&buffer[..length]) {
             Ok(Packet::Request(request)) => {
                 let bytes = {
@@ -362,7 +365,6 @@ fn socket_loop(shared: &Shared, socket: &UdpSocket) {
                     .fetch_add(1, Ordering::Relaxed);
             }
             Ok(Packet::Response(mut response)) => {
-                let received_at = Instant::now();
                 shared
                     .stats
                     .responses_received
