@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn filter_config_builds_working_filters() {
-        use crate::peers::PeerFilter;
+        use crate::peers::LinkStore;
         for (config, family) in [
             (FilterConfig::Raw, "raw"),
             (FilterConfig::paper_mp(), "moving-percentile"),
@@ -609,17 +609,19 @@ mod tests {
             (FilterConfig::Ewma { alpha: 0.2 }, "ewma"),
             (FilterConfig::Threshold { cutoff_ms: 500.0 }, "threshold"),
         ] {
-            let mut f = PeerFilter::new(&config);
-            assert_eq!(f.observe(42.0), Some(42.0), "{config:?}");
-            assert_eq!(f.observations_seen(), 1, "{config:?}");
-            assert_eq!(f.export_state().family(), family);
+            let mut links = LinkStore::new(&config, 0);
+            let link = links.insert();
+            assert_eq!(links.observe(link, 42.0), Some(42.0), "{config:?}");
+            assert_eq!(links.observations_seen(link), 1, "{config:?}");
+            assert_eq!(links.export_state(link).family(), family);
         }
         // The median is the p = 50 member of the moving-percentile family.
-        let mut median = PeerFilter::new(&FilterConfig::MovingMedian { history: 4 });
+        let mut links = LinkStore::new(&FilterConfig::MovingMedian { history: 4 }, 0);
+        let median = links.insert();
         for raw in [10.0, 40.0, 20.0] {
-            median.observe(raw);
+            links.observe(median, raw);
         }
-        assert_eq!(median.current_estimate(), Some(20.0));
+        assert_eq!(links.estimate(median), Some(20.0));
     }
 
     #[test]

@@ -15,9 +15,9 @@ use nc_proto::{
 };
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
-use crate::config::{FilterConfig, NodeConfig};
+use crate::config::NodeConfig;
 use crate::ledger::ProbeLedger;
-use crate::peers::{LinkStore, PeerFilter, PeerState, SnapshotStore};
+use crate::peers::{LinkStore, PeerState, SnapshotStore};
 
 /// One peer as seen through a [`NodeView`]: the last-known coordinate
 /// state of the link plus its per-peer health metrics.
@@ -108,6 +108,13 @@ pub enum RestoreError {
     /// RTT is never beaten (`x < NaN` is false), so either would hold the
     /// title — and RELATIVE's context — for the node's lifetime.
     NearestNeighbor,
+    /// The membership list names a peer twice, or names the node's own
+    /// identity — both of which the node refuses to enter into its probe
+    /// rotation itself. Restored, a repeated peer is probed twice a cycle
+    /// and outlives its eviction, which removes one occurrence; the node's
+    /// own id is probed every cycle, and each such probe is counted lost,
+    /// because a node drops replies from itself.
+    Membership,
 }
 
 impl std::fmt::Display for RestoreError {
@@ -128,6 +135,10 @@ impl std::fmt::Display for RestoreError {
             RestoreError::NearestNeighbor => write!(
                 f,
                 "snapshot's nearest neighbour is not a measured link with a finite, non-negative RTT"
+            ),
+            RestoreError::Membership => write!(
+                f,
+                "snapshot's membership names a peer twice or names the node itself"
             ),
         }
     }
@@ -171,18 +182,20 @@ impl std::error::Error for RestoreError {}
 /// of the configured space, its height and its error estimate
 /// (`8·(dims + 2)` bytes, what gossip payloads are built from) — written
 /// by the first gossip or reply that names the peer and refreshed in place
-/// by every later reply. The *link store* has one record — the latency
-/// filter with its window of raw observations — per peer the node has
-/// actually measured, created when the first reply from that peer is
-/// digested. An eviction gives both records back. A coordinate system
-/// earns its keep against a delay-matrix service by a node's state growing
-/// with the neighbours it measures rather than with the mesh; gossip makes
-/// the table grow with the mesh, and a hash table's capacity is a power of
-/// two above its population, so the bucket holds handles and everything
-/// with a size sits in a store that grows by what is used: pages of 64
-/// records, of which only the last grows, so a store holds at most one
-/// page it does not use. Where a record sits in a store is never
-/// observable: [`view`](StableNode::view) and
+/// by every later reply. The *link store* has one record per peer the node
+/// has actually measured, created when the first reply from that peer is
+/// digested: the link's filter state at the width of the configured filter
+/// family — 48 bytes for the paper's moving-percentile window of four raw
+/// observations, 24 for a raw filter — with the family's parameters held
+/// once per node, not per link. An eviction gives both records back. A
+/// coordinate system earns its keep against a delay-matrix service by a
+/// node's state growing with the neighbours it measures rather than with
+/// the mesh; gossip makes the table grow with the mesh, and a hash table's
+/// capacity is a power of two above its population, so the bucket holds
+/// handles and everything with a size sits in a store that grows by what
+/// is used: pages of 64 records, of which only the last grows, so a store
+/// holds at most one page it does not use. Where a record sits in a store
+/// is never observable: [`view`](StableNode::view) and
 /// [`snapshot`](StableNode::snapshot) report links in membership order.
 pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
@@ -243,7 +256,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// origin with no confidence, exactly like a freshly booted Vivaldi
     /// participant.
     pub fn new(config: NodeConfig) -> Self {
-        let links = LinkStore::new(config.warmup_samples);
+        let links = LinkStore::new(&config.filter, config.warmup_samples);
         let gate = config.outlier_gate.clone().map(OutlierGate::new);
         let vivaldi = VivaldiState::new(config.vivaldi.clone());
         let application =
@@ -351,7 +364,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// known only through gossip.
     fn observations_of(&self, peer: &PeerState) -> u64 {
         peer.link
-            .map_or(0, |link| self.links.get(link).observations_seen())
+            .map_or(0, |link| self.links.observations_seen(link))
     }
 
     /// Re-derives the nearest neighbour from the full table (minimum
@@ -616,13 +629,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // distance computation against it.
         let filtered = if response.coordinate.dimensions() == self.config.vivaldi.dimensions() {
             self.observations += 1;
-            Self::observe_link(
-                &self.config.filter,
-                &mut self.snapshots,
-                &mut self.links,
-                peer,
-                response,
-            )
+            Self::observe_link(&mut self.snapshots, &mut self.links, peer, response)
         } else {
             None
         };
@@ -726,7 +733,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 let (coordinate, error_estimate) = self.snapshots.get(peer.snapshot?);
                 Some(LinkSnapshot {
                     id: id.clone(),
-                    filter: peer.link.map(|link| self.links.get(link).export_state()),
+                    filter: peer.link.map(|link| self.links.export_state(link)),
                     coordinate,
                     error_estimate,
                     filtered_rtt_ms: peer.link.and_then(|link| self.links.estimate(link)),
@@ -762,6 +769,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// Fails when the coordinate spaces disagree, when a link's error
     /// estimate is not finite, when the nearest neighbour is not a measured
     /// link of the snapshot or its RTT is not a finite non-negative number,
+    /// when the membership names a peer twice or names the node itself,
     /// when the configuration builds a different filter or heuristic family
     /// than the snapshot's states belong to, or when a link's filter state
     /// holds a sample the filter would have refused to observe. (The
@@ -802,6 +810,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                 return Err(RestoreError::NearestNeighbor);
             }
         }
+        // The rotation a node builds holds each peer once and never the
+        // node itself (`register_member`); one off the wire must too.
+        let mut members = FxHashMap::default();
+        members.reserve(snapshot.membership.len());
+        if snapshot
+            .membership
+            .iter()
+            .any(|id| snapshot.identity.as_ref() == Some(id) || members.insert(id, ()).is_some())
+        {
+            return Err(RestoreError::Membership);
+        }
         let mut node = Self::new(config);
         // Runtime state comes from the snapshot, tuning constants from the
         // *supplied* configuration: a snapshot embeds the VivaldiConfig it
@@ -826,17 +845,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             // from the snapshot's copies: the imported filter state yields
             // the same two numbers, and is what the link continues from.
             if let Some(filter_state) = &link.filter {
-                let mut filter = PeerFilter::new(&node.config.filter);
-                filter
-                    .import_state(filter_state)
-                    .map_err(RestoreError::Filter)?;
                 // A snapshot off the wire may name a link twice; the later
                 // entry wins, in the slot the earlier one took (in both
                 // stores).
-                match peer.link {
-                    Some(handle) => *node.links.get_mut(handle) = filter,
-                    None => peer.link = Some(node.links.insert(filter)),
-                }
+                node.links
+                    .import(&mut peer.link, filter_state)
+                    .map_err(RestoreError::Filter)?;
             }
             node.snapshots
                 .put(&mut peer.snapshot, &link.coordinate, link.error_estimate);
@@ -873,15 +887,12 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// link is past its warm-up. The caller has already ruled out
     /// self-observations and dimension mismatches.
     fn observe_link(
-        filter: &FilterConfig,
         snapshots: &mut SnapshotStore,
         links: &mut LinkStore,
         peer: &mut PeerState,
         response: &ProbeResponse<Id>,
     ) -> Option<f64> {
-        let handle = *peer
-            .link
-            .get_or_insert_with(|| links.insert(PeerFilter::new(filter)));
+        let handle = *peer.link.get_or_insert_with(|| links.insert());
         // Track the neighbour snapshot regardless of whether the filter lets
         // the sample through: the coordinate and error estimate are still
         // fresh information.
@@ -1023,7 +1034,7 @@ fn heuristic_state_coordinates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HeuristicConfig;
+    use crate::config::{FilterConfig, HeuristicConfig};
     use crate::peers::Handle;
     use nc_filters::FilterState;
     use nc_proto::BinaryMessage;
@@ -1981,7 +1992,8 @@ mod tests {
     /// Bytes a node's peer table and its two stores have allocated, in that
     /// order: the table's buckets with one control byte each (a power of two
     /// of them, seven eighths usable, or all but one in a table of fewer
-    /// than eight), then each store's records, page directory and free list.
+    /// than eight), then each store's records (at the width the store
+    /// reports), page directory and free list.
     fn engine_bytes(node: &Node) -> [usize; 3] {
         use std::mem::size_of;
         let buckets = match node.peers.capacity() {
@@ -1996,7 +2008,7 @@ mod tests {
         [
             table,
             store(node.snapshots.footprint(), size_of::<f64>()),
-            store(node.links.footprint(), size_of::<PeerFilter>()),
+            store(node.links.footprint(), node.links.record_bytes()),
         ]
     }
 
@@ -2054,19 +2066,34 @@ mod tests {
         });
         assert_eq!(
             bytes,
-            [41_184, 116_480, 260_592],
+            [41_184, 116_480, 131_568],
             "table, snapshot store, link store"
         );
     }
 
-    /// Layout pin: a link record is the filter enum, whose largest arm is
-    /// the by-value `MovingPercentileFilter` (96 bytes, pinned in
-    /// `nc-filters`); the other arms are smaller and the enum's tag fits in
-    /// a niche of that arm, so the record is 96 bytes whatever the family.
+    /// Layout pin: a link record is the configured family's per-link state
+    /// and nothing else — no family tag, and no `h` or `p`, which the store
+    /// holds once. A moving-percentile window of up to four samples is
+    /// 48 bytes (pinned in `nc-filters` too), a raw filter 24 (last sample
+    /// and count), an EWMA 32 (its α besides) and a threshold filter 40
+    /// (its cut-off and discard count besides).
     #[test]
-    fn layout_pin_link_record_within_128_bytes() {
-        let record = std::mem::size_of::<PeerFilter>();
-        assert!(record <= 96, "link record grew to {record} bytes");
+    fn layout_pin_link_record_at_family_width() {
+        let bytes = |filter: FilterConfig| LinkStore::new(&filter, 0).record_bytes();
+        for history in 1..=4 {
+            let record = bytes(FilterConfig::MovingPercentile {
+                history,
+                percentile: 25.0,
+            });
+            assert!(
+                record <= 48,
+                "h = {history}: link record grew to {record} bytes"
+            );
+            assert_eq!(bytes(FilterConfig::MovingMedian { history }), record);
+        }
+        assert_eq!(bytes(FilterConfig::Raw), 24);
+        assert_eq!(bytes(FilterConfig::Ewma { alpha: 0.2 }), 32);
+        assert_eq!(bytes(FilterConfig::Threshold { cutoff_ms: 1_000.0 }), 40);
     }
 
     #[test]
@@ -2275,6 +2302,42 @@ mod tests {
         assert!(Node::restore(NodeConfig::paper_defaults(), &honest).is_ok());
     }
 
+    #[test]
+    fn restore_rejects_a_membership_that_repeats_a_peer_or_names_the_node() {
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let mut node = Node::new(config.clone());
+        node.set_identity(0);
+        feed(
+            &mut node,
+            1,
+            Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap(),
+            0.5,
+            30.0,
+        );
+        feed_with_gossip(&mut node, 2, 50);
+        let honest = node.snapshot();
+        assert_eq!(honest.membership, vec![1, 2, 50]);
+        // Restored, a repeated 1 survived its eviction (which removed the
+        // first copy) with no table entry, so gossip about it entered it a
+        // second time: probed twice a cycle, for good. The node's own id
+        // was probed every cycle, each probe a loss.
+        for forged in [vec![1, 2, 50, 1], vec![1, 0, 2, 50]] {
+            let mut snapshot = honest.clone();
+            snapshot.membership = forged;
+            let err = Node::restore(config.clone(), &snapshot).unwrap_err();
+            assert_eq!(err, RestoreError::Membership, "{:?}", snapshot.membership);
+            assert!(err.to_string().contains("membership"), "{err}");
+        }
+        // The honest rotation holds 1 once, through an eviction and the
+        // gossip that brings it back.
+        let mut restored = Node::restore(config, &honest).unwrap();
+        let doomed = restored.probe_request_for(1, 0);
+        assert!(time_out(&mut restored, doomed.seq).contains(&Event::NeighborEvicted { id: 1 }));
+        assert_eq!(restored.view().membership, vec![2, 50]);
+        feed_with_gossip(&mut restored, 2, 1);
+        assert_eq!(restored.view().membership, vec![2, 50, 1]);
+    }
+
     /// A configuration of `filter` with a warm-up of `warmup` samples and
     /// eviction after one loss.
     fn filtered(filter: FilterConfig, warmup: u64) -> NodeConfig {
@@ -2437,7 +2500,11 @@ mod tests {
 
     #[test]
     fn restoring_a_link_under_another_filter_family_is_rejected() {
-        let family = |filter: &FilterConfig| PeerFilter::new(filter).export_state().family();
+        let family = |filter: &FilterConfig| {
+            let mut store = LinkStore::new(filter, 0);
+            let link = store.insert();
+            store.export_state(link).family()
+        };
         let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         for filter in every_family() {
             let mut node = Node::new(filtered(filter.clone(), 0));

@@ -5,8 +5,8 @@
 use std::num::NonZeroU32;
 
 use nc_filters::{
-    EwmaFilter, FilterState, LatencyFilter, MovingPercentileFilter, RawFilter, StateMismatch,
-    ThresholdFilter,
+    EwmaFilter, FilterState, LatencyFilter, MovingPercentileFilter, MovingPercentileWindow,
+    RawFilter, StateMismatch, ThresholdFilter,
 };
 use nc_vivaldi::Coordinate;
 
@@ -20,10 +20,10 @@ use crate::config::FilterConfig;
 /// measures, and the table's capacity is a power of two above even that,
 /// so whatever sits in the bucket is paid for two to five times per
 /// measured link. The last-known coordinate therefore lives in the node's
-/// [`SnapshotStore`], packed at the width of the space, and the latency
-/// filter in its [`LinkStore`]; a seeded-only id holds neither, a
-/// gossip-only id holds no window because it has no observations to put in
-/// one.
+/// [`SnapshotStore`], packed at the width of the space, and the link's
+/// filter state in its [`LinkStore`], at the width of the node's filter
+/// family; a seeded-only id holds neither, a gossip-only id holds no filter
+/// state because it has no observations to put in one.
 ///
 /// Rotation membership needs no flag: every entry is either in the node's
 /// `membership` or holds a snapshot (`restore` gives each link entry one
@@ -61,6 +61,29 @@ impl Handle {
 /// Records per page of a [`Pages`] store.
 const PAGE: usize = 64;
 
+/// Elements per record of a [`Pages`] store.
+trait Stride: Copy {
+    fn elements(self) -> usize;
+}
+
+/// A width chosen at run time: the snapshot store's `dims + 2` `f64`s.
+impl Stride for usize {
+    fn elements(self) -> usize {
+        self
+    }
+}
+
+/// One element per record, known when the store is compiled, so a store
+/// of typed records spends no bytes on its width.
+#[derive(Clone, Copy)]
+struct Single;
+
+impl Stride for Single {
+    fn elements(self) -> usize {
+        1
+    }
+}
+
 /// Fixed-width records of `stride` elements each, kept in pages of
 /// [`PAGE`] records. Every page but the last is full, and a full page
 /// never moves or reallocates; only the last page grows, doubling like a
@@ -68,14 +91,14 @@ const PAGE: usize = 64;
 /// page it does not use however many records it has, and one holding three
 /// records allocates for four, where a single `Vec` holds up to twice its
 /// records once it is large.
-struct Pages<T> {
+struct Pages<T, S: Stride> {
     pages: Vec<Vec<T>>,
     /// Elements per record.
-    stride: usize,
+    stride: S,
 }
 
-impl<T> Pages<T> {
-    fn new(stride: usize) -> Self {
+impl<T, S: Stride> Pages<T, S> {
+    fn new(stride: S) -> Self {
         Pages {
             pages: Vec::new(),
             stride,
@@ -85,7 +108,7 @@ impl<T> Pages<T> {
     /// Records stored.
     fn len(&self) -> usize {
         self.pages.last().map_or(0, |last| {
-            (self.pages.len() - 1) * PAGE + last.len() / self.stride
+            (self.pages.len() - 1) * PAGE + last.len() / self.stride.elements()
         })
     }
 
@@ -95,7 +118,8 @@ impl<T> Pages<T> {
     ///
     /// Panics unless `record` yields exactly `stride` elements.
     fn push(&mut self, record: impl IntoIterator<Item = T>) {
-        let page = PAGE * self.stride;
+        let stride = self.stride.elements();
+        let page = PAGE * stride;
         if self.pages.last().is_none_or(|last| last.len() == page) {
             // One directory entry per page: a node with one page would
             // otherwise pay for the three more a `Vec` reserves at first.
@@ -105,26 +129,28 @@ impl<T> Pages<T> {
         let last = self.pages.len() - 1;
         let open = &mut self.pages[last];
         if open.len() == open.capacity() {
-            let grown = (2 * open.capacity()).clamp(self.stride, page);
+            let grown = (2 * open.capacity()).clamp(stride, page);
             open.reserve_exact(grown - open.len());
         }
         let start = open.len();
         open.extend(record);
-        assert_eq!(open.len() - start, self.stride, "record width");
+        assert_eq!(open.len() - start, stride, "record width");
     }
 
     /// The `stride` elements of `record`.
     fn get(&self, record: usize) -> &[T] {
-        let start = record % PAGE * self.stride;
+        let stride = self.stride.elements();
+        let start = record % PAGE * stride;
         // bounds: `record` is below `len()`, so its page exists and holds
         // the record's `stride` elements from `start` on.
-        &self.pages[record / PAGE][start..start + self.stride]
+        &self.pages[record / PAGE][start..start + stride]
     }
 
     fn get_mut(&mut self, record: usize) -> &mut [T] {
-        let start = record % PAGE * self.stride;
+        let stride = self.stride.elements();
+        let start = record % PAGE * stride;
         // bounds: as in `get`.
-        &mut self.pages[record / PAGE][start..start + self.stride]
+        &mut self.pages[record / PAGE][start..start + stride]
     }
 
     /// Elements stored, elements allocated, and the page directory's
@@ -136,6 +162,17 @@ impl<T> Pages<T> {
             self.pages.iter().map(Vec::capacity).sum(),
             self.pages.capacity(),
         ]
+    }
+}
+
+impl<T> Pages<T, Single> {
+    /// The record behind `handle`.
+    fn record(&self, handle: Handle) -> &T {
+        &self.get(handle.record())[0]
+    }
+
+    fn record_mut(&mut self, handle: Handle) -> &mut T {
+        &mut self.get_mut(handle.record())[0]
     }
 }
 
@@ -152,7 +189,7 @@ impl<T> Pages<T> {
 /// record sits.
 pub(crate) struct SnapshotStore {
     /// Records of `dims + 2` `f64`s.
-    records: Pages<f64>,
+    records: Pages<f64, usize>,
     /// Records whose peer was evicted, reused before the store grows.
     free: Vec<Handle>,
 }
@@ -249,6 +286,16 @@ impl SnapshotStore {
 /// measures two hundred peers allocates some thirty times, not two hundred
 /// — and keeps the records of one node together.
 ///
+/// A node runs one filter family with one set of parameters
+/// (`NodeConfig::filter`), so the store is built for that family: a record
+/// is the family's per-link state at the family's own width — a
+/// moving-percentile window of up to four samples in 48 bytes, a raw filter
+/// in 24, an EWMA in 32, a threshold filter in 40 — and the moving
+/// percentile's `h` and `p` are held once, beside the pages, not in every
+/// record. The link's filtered RTT and observation count, which views and
+/// snapshots report, are read from the record when asked for — they are
+/// not copied out per observation.
+///
 /// The store is also the one place a link's estimate leaves through, so it
 /// applies the §VI warm-up fix: [`observe`](LinkStore::observe) and
 /// [`estimate`](LinkStore::estimate) withhold a link's estimate until its
@@ -259,8 +306,8 @@ impl SnapshotStore {
 /// walk the membership list and read records through the table, so slot
 /// reuse order never reaches a report.
 pub(crate) struct LinkStore {
-    /// Records of one `PeerFilter` each.
-    records: Pages<PeerFilter>,
+    /// The configured family's parameters and records.
+    records: Records,
     /// Records whose peer was evicted, reused before the store grows. A
     /// freed record stays in place until then; nothing reads it, because
     /// its only handle died with the table entry.
@@ -269,21 +316,166 @@ pub(crate) struct LinkStore {
     warmup_samples: u64,
 }
 
+/// The records of the one filter family a node runs: one arm per family
+/// the configuration can name, each holding that family's parameters and
+/// pages of its per-link state, by value — no box, no vtable, and (for the
+/// moving-percentile family up to `h = 4`) no heap-backed window either.
+enum Records {
+    Raw(Family<RawFilter>),
+    /// The moving-percentile family, the moving median included (p = 50).
+    MovingPercentile(Family<MovingPercentileWindow>),
+    Ewma(Family<EwmaFilter>),
+    Threshold(Family<ThresholdFilter>),
+}
+
+/// Runs `$body` with `$family` bound to the store's [`Family`], whichever
+/// it is.
+macro_rules! each_arm {
+    ($records:expr, $family:ident => $body:expr) => {
+        match $records {
+            Records::Raw($family) => $body,
+            Records::MovingPercentile($family) => $body,
+            Records::Ewma($family) => $body,
+            Records::Threshold($family) => $body,
+        }
+    };
+}
+
 impl LinkStore {
-    /// An empty store whose links warm up over `warmup_samples` samples.
-    pub(crate) fn new(warmup_samples: u64) -> Self {
+    /// An empty store for links filtered as `filter` describes, whose links
+    /// warm up over `warmup_samples` samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the parameters [`FilterConfig::validate`] reports as typed
+    /// errors, which `NodeConfigBuilder::try_build` surfaces before a node
+    /// exists.
+    pub(crate) fn new(filter: &FilterConfig, warmup_samples: u64) -> Self {
+        let moving_percentile = |history, percentile| {
+            MovingPercentileFilter::new(history, percentile)
+                .map(|_| Records::MovingPercentile(Family::new((history, percentile))))
+        };
+        let records = match *filter {
+            FilterConfig::Raw => Ok(Records::Raw(Family::new(()))),
+            FilterConfig::MovingPercentile {
+                history,
+                percentile,
+            } => moving_percentile(history, percentile),
+            FilterConfig::MovingMedian { history } => moving_percentile(history, 50.0),
+            FilterConfig::Ewma { alpha } => {
+                EwmaFilter::new(alpha).map(|_| Records::Ewma(Family::new(alpha)))
+            }
+            FilterConfig::Threshold { cutoff_ms } => {
+                ThresholdFilter::new(cutoff_ms).map(|_| Records::Threshold(Family::new(cutoff_ms)))
+            }
+        };
         LinkStore {
-            records: Pages::new(1),
+            // nc-lint: allow(panic) — the constructors refuse exactly what
+            // `FilterConfig::validate` reports as a typed error.
+            records: records.expect("filter parameters `FilterConfig::validate` refuses"),
             free: Vec::new(),
             warmup_samples,
         }
     }
 
-    /// Stores `record` and returns its handle.
-    pub(crate) fn insert(&mut self, record: PeerFilter) -> Handle {
-        match self.free.pop() {
+    /// Stores a newly measured link, with no observation yet, and returns
+    /// its handle.
+    pub(crate) fn insert(&mut self) -> Handle {
+        each_arm!(&mut self.records, family => {
+            let record = family.fresh();
+            family.insert(&mut self.free, record)
+        })
+    }
+
+    /// Puts a link whose filter state is `state` where `slot` names, or
+    /// stores it and names it there.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`StateMismatch`] the family's filter refuses `state`
+    /// with; nothing is stored then.
+    pub(crate) fn import(
+        &mut self,
+        slot: &mut Option<Handle>,
+        state: &FilterState,
+    ) -> Result<(), StateMismatch> {
+        each_arm!(&mut self.records, family => family.import(&mut self.free, slot, state))
+    }
+
+    /// Gives the record behind `handle` back for reuse.
+    pub(crate) fn release(&mut self, handle: Handle) {
+        self.free.push(handle);
+    }
+
+    /// Feeds one raw RTT to the link's filter and returns the estimate it
+    /// releases, once the link is warm.
+    pub(crate) fn observe(&mut self, handle: Handle, raw_rtt_ms: f64) -> Option<f64> {
+        let warmup_samples = self.warmup_samples;
+        each_arm!(&mut self.records, family => family.observe(handle, raw_rtt_ms, warmup_samples))
+    }
+
+    /// The link's current estimate, once the link is warm.
+    pub(crate) fn estimate(&self, handle: Handle) -> Option<f64> {
+        each_arm!(&self.records, family => family.estimate(handle, self.warmup_samples))
+    }
+
+    /// Valid observations the link's filter has consumed.
+    pub(crate) fn observations_seen(&self, handle: Handle) -> u64 {
+        each_arm!(&self.records, family => family.records.record(handle).seen())
+    }
+
+    /// The link's filter state, in the family's export format.
+    pub(crate) fn export_state(&self, handle: Handle) -> FilterState {
+        each_arm!(&self.records, family => family.records.record(handle).export())
+    }
+
+    /// Records currently owned by a table entry.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        each_arm!(&self.records, family => family.records.len()) - self.free.len()
+    }
+
+    /// What the store has allocated: records in use, records allocated,
+    /// page directory capacity, free-list capacity.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> [usize; 4] {
+        let [used, allocated, pages] =
+            each_arm!(&self.records, family => family.records.footprint());
+        [used, allocated, pages, self.free.capacity()]
+    }
+
+    /// Bytes one record of the configured family takes.
+    #[cfg(test)]
+    pub(crate) fn record_bytes(&self) -> usize {
+        each_arm!(&self.records, family => family.record_bytes())
+    }
+}
+
+/// One filter family's parameters and its link records.
+struct Family<F: LinkFilter> {
+    params: F::Params,
+    records: Pages<F, Single>,
+}
+
+impl<F: LinkFilter> Family<F> {
+    fn new(params: F::Params) -> Self {
+        Family {
+            params,
+            records: Pages::new(Single),
+        }
+    }
+
+    /// The state of a link with no observation yet.
+    fn fresh(&self) -> F {
+        F::fresh(&self.params)
+    }
+
+    /// Stores `record`, in a freed slot before the pages grow, and returns
+    /// its handle.
+    fn insert(&mut self, free: &mut Vec<Handle>, record: F) -> Handle {
+        match free.pop() {
             Some(handle) => {
-                *self.get_mut(handle) = record;
+                *self.records.record_mut(handle) = record;
                 handle
             }
             None => {
@@ -294,132 +486,137 @@ impl LinkStore {
         }
     }
 
-    /// Gives the record behind `handle` back for reuse.
-    pub(crate) fn release(&mut self, handle: Handle) {
-        self.free.push(handle);
+    /// As [`LinkStore::import`].
+    fn import(
+        &mut self,
+        free: &mut Vec<Handle>,
+        slot: &mut Option<Handle>,
+        state: &FilterState,
+    ) -> Result<(), StateMismatch> {
+        let mut record = self.fresh();
+        record.import(&self.params, state)?;
+        match *slot {
+            Some(handle) => *self.records.record_mut(handle) = record,
+            None => *slot = Some(self.insert(free, record)),
+        }
+        Ok(())
     }
 
-    /// The record behind `handle`, for its state and its observation count;
-    /// its estimate is read through [`estimate`](LinkStore::estimate).
-    pub(crate) fn get(&self, handle: Handle) -> &PeerFilter {
-        &self.records.get(handle.record())[0]
+    /// As [`LinkStore::observe`], for links warm after `warmup_samples`.
+    fn observe(&mut self, handle: Handle, raw_rtt_ms: f64, warmup_samples: u64) -> Option<f64> {
+        let record = self.records.record_mut(handle);
+        let estimate = record.observe(&self.params, raw_rtt_ms)?;
+        (record.seen() >= warmup_samples).then_some(estimate)
     }
 
-    pub(crate) fn get_mut(&mut self, handle: Handle) -> &mut PeerFilter {
-        &mut self.records.get_mut(handle.record())[0]
-    }
-
-    /// Feeds one raw RTT to the link's filter and returns the estimate it
-    /// releases, once the link is warm.
-    pub(crate) fn observe(&mut self, handle: Handle, raw_rtt_ms: f64) -> Option<f64> {
-        let warmup_samples = self.warmup_samples;
-        let filter = self.get_mut(handle);
-        let estimate = filter.observe(raw_rtt_ms)?;
-        (filter.observations_seen() >= warmup_samples).then_some(estimate)
-    }
-
-    /// The link's current estimate, once the link is warm.
-    pub(crate) fn estimate(&self, handle: Handle) -> Option<f64> {
-        let filter = self.get(handle);
-        if filter.observations_seen() >= self.warmup_samples {
-            filter.current_estimate()
+    /// As [`LinkStore::estimate`], for links warm after `warmup_samples`.
+    fn estimate(&self, handle: Handle, warmup_samples: u64) -> Option<f64> {
+        let record = self.records.record(handle);
+        if record.seen() >= warmup_samples {
+            record.estimate(&self.params)
         } else {
             None
         }
     }
 
-    /// Records currently owned by a table entry.
     #[cfg(test)]
-    pub(crate) fn live(&self) -> usize {
-        self.records.len() - self.free.len()
-    }
-
-    /// What the store has allocated: records in use, records allocated,
-    /// page directory capacity, free-list capacity.
-    #[cfg(test)]
-    pub(crate) fn footprint(&self) -> [usize; 4] {
-        let [used, allocated, pages] = self.records.footprint();
-        [used, allocated, pages, self.free.capacity()]
+    fn record_bytes(&self) -> usize {
+        std::mem::size_of::<F>()
     }
 }
 
-/// The per-link record of the [`LinkStore`]: the link's latency filter, one
-/// arm per family the configuration can name, each stored by value — no
-/// box, no vtable, and (for the moving-percentile family at the paper's
-/// `h = 4`) no heap-backed window either, so digesting a response reaches
-/// the window with one dependent load from the peer entry.
-///
-/// The link's filtered RTT and observation count, which views and snapshots
-/// report, are the filter's `current_estimate()` / `observations_seen()`
-/// read when asked for — they are not copied out per observation.
-pub(crate) enum PeerFilter {
-    Raw(RawFilter),
-    /// The moving-percentile family, the moving median included (p = 50).
-    MovingPercentile(MovingPercentileFilter),
-    Ewma(EwmaFilter),
-    Threshold(ThresholdFilter),
+/// A filter family as the [`LinkStore`] holds it: `Self` is one link's
+/// state and `Params` what every link of a node shares, passed in to each
+/// call. The calls mean what [`LatencyFilter`]'s do.
+trait LinkFilter: Sized {
+    type Params;
+    fn fresh(params: &Self::Params) -> Self;
+    fn observe(&mut self, params: &Self::Params, raw_rtt_ms: f64) -> Option<f64>;
+    fn estimate(&self, params: &Self::Params) -> Option<f64>;
+    fn seen(&self) -> u64;
+    fn export(&self) -> FilterState;
+    fn import(&mut self, params: &Self::Params, state: &FilterState) -> Result<(), StateMismatch>;
 }
 
-/// Runs `$body` with `$filter` bound to the arm's filter, whichever it is.
-macro_rules! each_arm {
-    ($record:expr, $filter:ident => $body:expr) => {
-        match $record {
-            PeerFilter::Raw($filter) => $body,
-            PeerFilter::MovingPercentile($filter) => $body,
-            PeerFilter::Ewma($filter) => $body,
-            PeerFilter::Threshold($filter) => $body,
+/// The record is the window alone; `h` and `p` are the store's.
+impl LinkFilter for MovingPercentileWindow {
+    type Params = (usize, f64);
+
+    fn fresh(&(history, _): &(usize, f64)) -> Self {
+        MovingPercentileWindow::new(history)
+    }
+
+    fn observe(&mut self, &(history, percentile): &(usize, f64), raw_rtt_ms: f64) -> Option<f64> {
+        MovingPercentileWindow::observe(self, raw_rtt_ms, history, percentile)
+    }
+
+    fn estimate(&self, &(_, percentile): &(usize, f64)) -> Option<f64> {
+        MovingPercentileWindow::estimate(self, percentile)
+    }
+
+    fn seen(&self) -> u64 {
+        self.observations_seen()
+    }
+
+    fn export(&self) -> FilterState {
+        self.export_state()
+    }
+
+    fn import(
+        &mut self,
+        &(history, _): &(usize, f64),
+        state: &FilterState,
+    ) -> Result<(), StateMismatch> {
+        self.import_state(state, history)
+    }
+}
+
+/// Implements [`LinkFilter`] for a family whose record is the standalone
+/// filter itself, its one parameter (if any) inside; the store keeps that
+/// parameter once more, for `$fresh` to build a newly measured link's
+/// filter from. (A whole filter kept as the prototype instead would widen
+/// the store, and with it every node, by a threshold filter's 40 bytes.)
+macro_rules! whole_filter {
+    ($filter:ty, $params:ty, $fresh:expr) => {
+        impl LinkFilter for $filter {
+            type Params = $params;
+
+            fn fresh(params: &$params) -> Self {
+                $fresh(params)
+            }
+
+            fn observe(&mut self, _: &$params, raw_rtt_ms: f64) -> Option<f64> {
+                LatencyFilter::observe(self, raw_rtt_ms)
+            }
+
+            fn estimate(&self, _: &$params) -> Option<f64> {
+                self.current_estimate()
+            }
+
+            fn seen(&self) -> u64 {
+                self.observations_seen()
+            }
+
+            fn export(&self) -> FilterState {
+                self.export_state()
+            }
+
+            fn import(&mut self, _: &$params, state: &FilterState) -> Result<(), StateMismatch> {
+                self.import_state(state)
+            }
         }
     };
 }
 
-impl PeerFilter {
-    /// Builds the filter `config` describes for a newly measured link.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the parameters [`FilterConfig::validate`] reports as typed
-    /// errors, which `NodeConfigBuilder::try_build` surfaces before a node
-    /// exists.
-    pub(crate) fn new(config: &FilterConfig) -> PeerFilter {
-        let built = match *config {
-            FilterConfig::Raw => Ok(PeerFilter::Raw(RawFilter::new())),
-            FilterConfig::MovingPercentile {
-                history,
-                percentile,
-            } => MovingPercentileFilter::new(history, percentile).map(PeerFilter::MovingPercentile),
-            FilterConfig::MovingMedian { history } => {
-                MovingPercentileFilter::new(history, 50.0).map(PeerFilter::MovingPercentile)
-            }
-            FilterConfig::Ewma { alpha } => EwmaFilter::new(alpha).map(PeerFilter::Ewma),
-            FilterConfig::Threshold { cutoff_ms } => {
-                ThresholdFilter::new(cutoff_ms).map(PeerFilter::Threshold)
-            }
-        };
-        // nc-lint: allow(panic) — the constructors refuse exactly what
-        // `FilterConfig::validate` reports as a typed error.
-        built.expect("filter parameters `FilterConfig::validate` refuses")
-    }
-
-    pub(crate) fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        each_arm!(self, filter => filter.observe(raw_rtt_ms))
-    }
-
-    pub(crate) fn current_estimate(&self) -> Option<f64> {
-        each_arm!(self, filter => filter.current_estimate())
-    }
-
-    pub(crate) fn observations_seen(&self) -> u64 {
-        each_arm!(self, filter => filter.observations_seen())
-    }
-
-    pub(crate) fn export_state(&self) -> FilterState {
-        each_arm!(self, filter => filter.export_state())
-    }
-
-    pub(crate) fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        each_arm!(self, filter => filter.import_state(state))
-    }
-}
+whole_filter!(RawFilter, (), |_: &()| RawFilter::new());
+whole_filter!(EwmaFilter, f64, |alpha: &f64| {
+    // nc-lint: allow(panic) — `LinkStore::new` built a filter of this α.
+    EwmaFilter::new(*alpha).expect("a validated α")
+});
+whole_filter!(ThresholdFilter, f64, |cutoff_ms: &f64| {
+    // nc-lint: allow(panic) — `LinkStore::new` built a filter of this cut-off.
+    ThresholdFilter::new(*cutoff_ms).expect("a validated cut-off")
+});
 
 #[cfg(test)]
 mod tests {
@@ -466,22 +663,22 @@ mod tests {
 
     /// Layout pin: each store allocates at most one page — 64 records —
     /// beyond the records it holds, and below a page no more than the
-    /// single `Vec` it replaced: a `Vec<PeerFilter>` pushed a record at a
-    /// time, a `Vec<f64>` resized a record at a time. Evicting and
+    /// single `Vec` it replaced: a `Vec` of link records pushed a record at
+    /// a time, a `Vec<f64>` resized a record at a time. Evicting and
     /// reinserting records reuses them and allocates none.
     #[test]
     fn layout_pin_store_slack_within_one_page() {
         let (dims, page) = (3, 64);
         let stride = dims + 2;
         let coordinate = Coordinate::origin(dims);
-        let filter = || PeerFilter::new(&FilterConfig::paper_mp());
         for count in [1, 3, 63, 64, 65, 590, 1_000] {
-            let (mut links, mut snapshots) = (LinkStore::new(0), SnapshotStore::new(dims));
+            let mut links = LinkStore::new(&FilterConfig::paper_mp(), 0);
+            let mut snapshots = SnapshotStore::new(dims);
             let (mut link_vec, mut snapshot_vec) = (Vec::new(), Vec::<f64>::new());
             let mut handles = Vec::new();
             for _ in 0..count {
-                handles.push((links.insert(filter()), snapshots.insert(&coordinate, 0.5)));
-                link_vec.push(filter());
+                handles.push((links.insert(), snapshots.insert(&coordinate, 0.5)));
+                link_vec.push(MovingPercentileWindow::new(4));
                 snapshot_vec.resize(snapshot_vec.len() + stride, 0.0);
             }
             let check = |links: &LinkStore, snapshots: &SnapshotStore| {
@@ -518,7 +715,7 @@ mod tests {
                     snapshots.release(*snapshot);
                 }
                 for (link, snapshot) in handles.iter_mut().step_by(2) {
-                    *link = links.insert(filter());
+                    *link = links.insert();
                     *snapshot = snapshots.insert(&coordinate, 0.5);
                 }
             }
@@ -533,7 +730,116 @@ mod tests {
         }
     }
 
+    /// Maps a random word onto the samples that stress a filter: a small
+    /// pool of exact duplicates, both zeros (which every filter refuses),
+    /// sub-normals, 1e5-scale outliers and ordinary latencies.
+    fn awkward_value(word: u64) -> f64 {
+        let fraction = (word >> 8) as f64 / (1u64 << 56) as f64;
+        match word % 8 {
+            0 | 1 => [80.0, 80.0, 81.5, 79.25][(word >> 8) as usize % 4],
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::from_bits(1 + (word >> 8) % 4096),
+            5 => 1e5 * (1.0 + fraction),
+            _ => 0.1 + 500.0 * fraction,
+        }
+    }
+
+    /// The standalone filter a node configured with `config` measures a
+    /// link with.
+    fn standalone(config: &FilterConfig) -> Box<dyn LatencyFilter> {
+        match *config {
+            FilterConfig::Raw => Box::new(RawFilter::new()),
+            FilterConfig::MovingPercentile {
+                history,
+                percentile,
+            } => Box::new(MovingPercentileFilter::new(history, percentile).unwrap()),
+            FilterConfig::MovingMedian { history } => {
+                Box::new(MovingPercentileFilter::new(history, 50.0).unwrap())
+            }
+            FilterConfig::Ewma { alpha } => Box::new(EwmaFilter::new(alpha).unwrap()),
+            FilterConfig::Threshold { cutoff_ms } => {
+                Box::new(ThresholdFilter::new(cutoff_ms).unwrap())
+            }
+        }
+    }
+
+    fn estimate_bits(estimate: Option<f64>) -> Option<u64> {
+        estimate.map(f64::to_bits)
+    }
+
     proptest! {
+        /// The link store holds each family's per-link state its own way;
+        /// fed the same samples, every link of it must be, bit for bit, the
+        /// standalone filter of its family behind the warm-up rule: the
+        /// same released estimate, current estimate, observation count and
+        /// exported state at every step, across an export and re-import in
+        /// mid-stream. Two links share each store, one fed the stream
+        /// backwards, so a record that strays into its neighbour shows.
+        #[test]
+        fn link_store_matches_the_standalone_filter_of_every_family(
+            stream in proptest::collection::vec((0u64..u64::MAX).prop_map(awkward_value), 1..120),
+            percentile in 0.0f64..=100.0,
+            alpha in 0.01f64..=1.0,
+            cutoff_ms in 50.0f64..2e5,
+            warmup in 0u64..6,
+            reimport_at in 0usize..120,
+        ) {
+            let mut configs = vec![
+                FilterConfig::Raw,
+                FilterConfig::Ewma { alpha },
+                FilterConfig::Threshold { cutoff_ms },
+            ];
+            // Every inline window width and the first heap-backed one, at
+            // the drawn percentile, the paper's and the median.
+            for history in 1..=5 {
+                configs.push(FilterConfig::MovingPercentile { history, percentile });
+                configs.push(FilterConfig::MovingPercentile { history, percentile: 25.0 });
+                configs.push(FilterConfig::MovingMedian { history });
+            }
+            for config in configs {
+                let mut store = LinkStore::new(&config, warmup);
+                let mut links = [store.insert(), store.insert()];
+                let mut filters = [standalone(&config), standalone(&config)];
+                let warm = |filter: &dyn LatencyFilter, estimate: Option<f64>| {
+                    estimate.filter(|_| filter.observations_seen() >= warmup)
+                };
+                for step in 0..stream.len() {
+                    let samples = [stream[step], stream[stream.len() - 1 - step]];
+                    for (index, (filter, raw)) in filters.iter_mut().zip(samples).enumerate() {
+                        let link = &mut links[index];
+                        if step == reimport_at {
+                            // The first link moves to a new record, the
+                            // second is imported over its own, as a
+                            // restore does with a link named twice.
+                            let state = store.export_state(*link);
+                            let mut slot = Some(*link);
+                            if index == 0 {
+                                store.release(*link);
+                                slot = None;
+                            }
+                            store.import(&mut slot, &state).unwrap();
+                            *link = slot.unwrap();
+                            *filter = standalone(&config);
+                            filter.import_state(&state).unwrap();
+                        }
+                        let released = filter.observe(raw);
+                        prop_assert_eq!(
+                            estimate_bits(store.observe(*link, raw)),
+                            estimate_bits(warm(filter.as_ref(), released)),
+                            "{:?} step {} raw {:e}", config, step, raw
+                        );
+                        prop_assert_eq!(
+                            estimate_bits(store.estimate(*link)),
+                            estimate_bits(warm(filter.as_ref(), filter.current_estimate()))
+                        );
+                        prop_assert_eq!(store.observations_seen(*link), filter.observations_seen());
+                        prop_assert_eq!(store.export_state(*link), filter.export_state());
+                    }
+                }
+            }
+        }
+
         /// No simulator workload leaves 3-D with zero heights, so this is
         /// the cover the general stride has: against a model indexed by
         /// record number, across page boundaries, every live record reads

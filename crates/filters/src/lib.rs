@@ -9,7 +9,9 @@
 //!
 //! * [`MovingPercentileFilter`] — the paper's recommended non-linear low-pass
 //!   filter: keep the last `h` observations per link and output their `p`-th
-//!   percentile (`h = 4`, `p = 25` performed best, §IV).
+//!   percentile (`h = 4`, `p = 25` performed best, §IV). Its per-link state
+//!   alone, without the parameters, is a [`MovingPercentileWindow`], for a
+//!   holder that keeps many links of one configuration.
 //! * [`EwmaFilter`] — exponentially-weighted moving average baseline
 //!   (Table I shows it is *worse* than no filter at all for this workload).
 //! * [`ThresholdFilter`] — discard observations above a fixed cut-off, the
@@ -47,7 +49,7 @@ pub mod raw;
 pub mod threshold;
 
 pub use ewma::EwmaFilter;
-pub use moving_percentile::MovingPercentileFilter;
+pub use moving_percentile::{MovingPercentileFilter, MovingPercentileWindow};
 pub use raw::RawFilter;
 pub use threshold::ThresholdFilter;
 

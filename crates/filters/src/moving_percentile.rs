@@ -30,6 +30,11 @@ impl std::error::Error for InvalidFilterParameter {}
 
 /// Moving-percentile filter over a per-link observation window.
 ///
+/// The filter is its two parameters beside one [`MovingPercentileWindow`],
+/// and every call passes them to the window. A holder of many links with
+/// the same parameters — a node's link store — keeps bare windows instead
+/// and the parameters once.
+///
 /// # Examples
 ///
 /// ```
@@ -46,30 +51,55 @@ impl std::error::Error for InvalidFilterParameter {}
 pub struct MovingPercentileFilter {
     history_size: usize,
     percentile: f64,
-    buf: WindowStorage,
+    window: MovingPercentileWindow,
+}
+
+/// Window sizes up to this bound — the paper's `h = 4` — store the window
+/// inline in the window value itself.
+const INLINE_HISTORY: usize = 4;
+
+/// The per-link state of a moving-percentile filter: the last `h` valid
+/// samples and the count of valid samples seen, without the parameters.
+///
+/// `h` and `p` are the holder's to keep and to pass to every call:
+/// [`MovingPercentileFilter`] keeps them beside one window, a node's link
+/// store once for all its links. A window must always be passed the
+/// history size it was built with, and a percentile in `0.0..=100.0`
+/// ([`MovingPercentileFilter::new`] checks both parameters).
+///
+/// # Examples
+///
+/// ```
+/// use nc_filters::{LatencyFilter, MovingPercentileFilter, MovingPercentileWindow};
+///
+/// let (history, percentile) = (4, 25.0);
+/// let mut window = MovingPercentileWindow::new(history);
+/// let mut filter = MovingPercentileFilter::new(history, percentile).unwrap();
+/// for raw in [100.0, 102.0, 5_000.0, 101.0] {
+///     assert_eq!(window.observe(raw, history, percentile), filter.observe(raw));
+/// }
+/// assert_eq!(window.export_state(), filter.export_state());
+/// ```
+#[derive(Debug, Clone)]
+pub struct MovingPercentileWindow {
+    samples: WindowStorage,
     seen: u64,
 }
 
-/// Window sizes up to this bound (the paper's `h = 4` comfortably included)
-/// store the window inline in the filter value itself.
-const INLINE_HISTORY: usize = 8;
-
 /// Backing storage for the observation window.
 ///
-/// Small histories — every filter the paper evaluates — live in the
-/// `Inline` arm: one plain array inside the filter value, so a per-link
-/// filter costs no heap allocation and no pointer chase per observation.
-/// The ordered view a percentile needs is derived on read: at most eight
-/// values are copied to the stack and sorted under `total_cmp` — the same
-/// multiset in the same order as the heap arm's sorted companion, so every
-/// percentile is bit-identical to it. Keeping such a companion inline would
-/// double the window's 64 bytes in each of the millions of per-link filters
-/// a large simulation holds, to save a sort of `h = 4` values.
+/// Histories of up to four samples — the paper's `h = 4` among them — live
+/// in the `Inline` arm: one plain array inside the window value, so a link
+/// costs no heap allocation and no pointer chase per observation, and a
+/// window takes 48 bytes. The ordered view a percentile needs is derived
+/// on read: at most four values are copied to the stack and sorted under
+/// `total_cmp` — the same multiset in the same order as the heap arm's
+/// sorted companion, so every percentile is bit-identical to it.
 ///
-/// Larger windows spill to the `Heap` arm, where re-sorting per estimate
-/// would be real work: it keeps the sorted companion incrementally ordered,
-/// one removal of the expiring sample and one ordered insertion of the new
-/// one per observation.
+/// Larger windows spill to one boxed `Heap` window, where re-sorting per
+/// estimate would be real work: it keeps the sorted companion
+/// incrementally ordered, one removal of the expiring sample and one
+/// ordered insertion of the new one per observation.
 #[derive(Debug, Clone)]
 enum WindowStorage {
     Inline {
@@ -77,11 +107,16 @@ enum WindowStorage {
         window: [f64; INLINE_HISTORY],
         len: u8,
     },
-    Heap {
-        window: VecDeque<f64>,
-        /// The same values ordered by `total_cmp`.
-        sorted: Vec<f64>,
-    },
+    Heap(Box<SortedWindow>),
+}
+
+/// A window of more than [`INLINE_HISTORY`] samples.
+#[derive(Debug, Clone)]
+struct SortedWindow {
+    /// The observations in arrival order, oldest first.
+    window: VecDeque<f64>,
+    /// The same values ordered by `total_cmp`.
+    sorted: Vec<f64>,
 }
 
 impl WindowStorage {
@@ -92,17 +127,17 @@ impl WindowStorage {
                 len: 0,
             }
         } else {
-            WindowStorage::Heap {
+            WindowStorage::Heap(Box::new(SortedWindow {
                 window: VecDeque::with_capacity(history_size),
                 sorted: Vec::with_capacity(history_size),
-            }
+            }))
         }
     }
 
     fn len(&self) -> usize {
         match self {
             WindowStorage::Inline { len, .. } => *len as usize,
-            WindowStorage::Heap { window, .. } => window.len(),
+            WindowStorage::Heap(heap) => heap.window.len(),
         }
     }
 
@@ -116,7 +151,7 @@ impl WindowStorage {
                 ordered.sort_unstable_by(f64::total_cmp);
                 percentile_of_sorted(ordered, percentile).ok()
             }
-            WindowStorage::Heap { sorted, .. } => percentile_of_sorted(sorted, percentile).ok(),
+            WindowStorage::Heap(heap) => percentile_of_sorted(&heap.sorted, percentile).ok(),
         }
     }
 
@@ -136,7 +171,8 @@ impl WindowStorage {
                 window[n] = value;
                 *len = (n + 1) as u8;
             }
-            WindowStorage::Heap { window, sorted } => {
+            WindowStorage::Heap(heap) => {
+                let SortedWindow { window, sorted } = &mut **heap;
                 if window.len() == history_size {
                     let expiring = window
                         .pop_front()
@@ -162,7 +198,8 @@ impl WindowStorage {
                 window[..values.len()].copy_from_slice(values);
                 *len = values.len() as u8;
             }
-            WindowStorage::Heap { window, sorted } => {
+            WindowStorage::Heap(heap) => {
+                let SortedWindow { window, sorted } = &mut **heap;
                 window.clear();
                 window.extend(values.iter().copied());
                 sorted.clear();
@@ -176,7 +213,96 @@ impl WindowStorage {
     fn export_window(&self) -> Vec<f64> {
         match self {
             WindowStorage::Inline { window, len } => window[..*len as usize].to_vec(),
-            WindowStorage::Heap { window, .. } => window.iter().copied().collect(),
+            WindowStorage::Heap(heap) => heap.window.iter().copied().collect(),
+        }
+    }
+}
+
+impl MovingPercentileWindow {
+    /// An empty window for a history of `history_size ≥ 1` samples.
+    pub fn new(history_size: usize) -> Self {
+        MovingPercentileWindow {
+            samples: WindowStorage::with_capacity(history_size),
+            seen: 0,
+        }
+    }
+
+    /// Number of observations currently held (≤ `h`).
+    pub fn len(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Whether the window holds no observation yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of valid observations consumed, as
+    /// [`LatencyFilter::observations_seen`].
+    pub fn observations_seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// Feeds one raw observation to a window of `history_size` samples and
+    /// returns its `percentile`-th percentile, as
+    /// [`LatencyFilter::observe`]: an invalid sample changes nothing and
+    /// yields `None`.
+    pub fn observe(
+        &mut self,
+        raw_rtt_ms: f64,
+        history_size: usize,
+        percentile: f64,
+    ) -> Option<f64> {
+        if !is_valid_sample(raw_rtt_ms) {
+            return None;
+        }
+        self.samples.push(raw_rtt_ms, history_size);
+        self.seen += 1;
+        self.estimate(percentile)
+    }
+
+    /// The `percentile`-th percentile of the window, `None` while it is
+    /// empty, as [`LatencyFilter::current_estimate`].
+    pub fn estimate(&self, percentile: f64) -> Option<f64> {
+        self.samples.estimate(percentile)
+    }
+
+    /// The window's runtime state, as [`LatencyFilter::export_state`].
+    pub fn export_state(&self) -> FilterState {
+        FilterState::MovingPercentile {
+            window: self.samples.export_window(),
+            seen: self.seen,
+        }
+    }
+
+    /// Adopts exported state into a window of `history_size` samples, as
+    /// [`LatencyFilter::import_state`]: of a longer exported window only
+    /// the newest `history_size` samples are kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateMismatch`] when `state` belongs to another family or
+    /// holds a sample [`observe`](MovingPercentileWindow::observe) would
+    /// refuse; the window is left unchanged in that case.
+    pub fn import_state(
+        &mut self,
+        state: &FilterState,
+        history_size: usize,
+    ) -> Result<(), StateMismatch> {
+        match state {
+            FilterState::MovingPercentile { window, seen } => {
+                state.check_samples()?;
+                // Keep only the newest `history_size` entries so a state
+                // exported under a larger history still restores sanely.
+                let start = window.len().saturating_sub(history_size);
+                self.samples.replace(&window[start..]);
+                self.seen = *seen;
+                Ok(())
+            }
+            other => Err(StateMismatch::Family {
+                expected: "moving-percentile",
+                found: other.family(),
+            }),
         }
     }
 }
@@ -198,8 +324,7 @@ impl MovingPercentileFilter {
         Ok(MovingPercentileFilter {
             history_size,
             percentile,
-            buf: WindowStorage::with_capacity(history_size),
-            seen: 0,
+            window: MovingPercentileWindow::new(history_size),
         })
     }
 
@@ -221,51 +346,30 @@ impl MovingPercentileFilter {
 
     /// Number of observations currently held in the window (≤ `h`).
     pub fn window_len(&self) -> usize {
-        self.buf.len()
+        self.window.len()
     }
 }
 
 impl LatencyFilter for MovingPercentileFilter {
     fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        if !is_valid_sample(raw_rtt_ms) {
-            return None;
-        }
-        self.buf.push(raw_rtt_ms, self.history_size);
-        self.seen += 1;
-        self.current_estimate()
+        self.window
+            .observe(raw_rtt_ms, self.history_size, self.percentile)
     }
 
     fn current_estimate(&self) -> Option<f64> {
-        self.buf.estimate(self.percentile)
+        self.window.estimate(self.percentile)
     }
 
     fn observations_seen(&self) -> u64 {
-        self.seen
+        self.window.observations_seen()
     }
 
     fn export_state(&self) -> FilterState {
-        FilterState::MovingPercentile {
-            window: self.buf.export_window(),
-            seen: self.seen,
-        }
+        self.window.export_state()
     }
 
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        match state {
-            FilterState::MovingPercentile { window, seen } => {
-                state.check_samples()?;
-                // Keep only the newest `history_size` entries so a state
-                // exported under a larger history still restores sanely.
-                let start = window.len().saturating_sub(self.history_size);
-                self.buf.replace(&window[start..]);
-                self.seen = *seen;
-                Ok(())
-            }
-            other => Err(StateMismatch::Family {
-                expected: "moving-percentile",
-                found: other.family(),
-            }),
-        }
+        self.window.import_state(state, self.history_size)
     }
 }
 
@@ -400,15 +504,21 @@ mod tests {
         }
     }
 
-    /// Layout pin: `history_size` 8 + `percentile` 8 + `seen` 8 + the window
-    /// storage 72 (its larger arm is the inline one: `[f64; 8]` = 64, `len`
-    /// and the enum tag sharing one more word) = 96 bytes. A node's link
-    /// store holds one of these per measured link, a large simulation
-    /// hundreds of thousands, so a field added here is a conscious decision.
+    /// Layout pin: `history_size` 8 + `percentile` 8 + the window 48 (its
+    /// storage's larger arm is the inline one: `[f64; 4]` = 32, `len` and
+    /// the enum tag sharing one more word; then `seen` 8) = 64 bytes. A
+    /// node's link store holds a bare window per measured link, a large
+    /// simulation hundreds of thousands, so a field added to either is a
+    /// conscious decision.
     #[test]
-    fn layout_pin_filter_within_96_bytes() {
+    fn layout_pin_filter_within_64_bytes() {
+        let window = std::mem::size_of::<MovingPercentileWindow>();
         assert!(
-            std::mem::size_of::<MovingPercentileFilter>() <= 96,
+            window <= 48,
+            "MovingPercentileWindow grew to {window} bytes"
+        );
+        assert!(
+            std::mem::size_of::<MovingPercentileFilter>() <= 64,
             "MovingPercentileFilter grew to {} bytes",
             std::mem::size_of::<MovingPercentileFilter>()
         );
@@ -473,7 +583,7 @@ mod tests {
             // An imported window holds only what `observe` accepts (the
             // import refuses the zeros); the stream still offers them.
             let seeded: Vec<f64> = seeded.into_iter().filter(|&v| v > 0.0).collect();
-            // Inline histories 1..=8 and the first heap-backed one.
+            // Every inline history and the first heap-backed one.
             for history in 1..=INLINE_HISTORY + 1 {
                 let mut filter = MovingPercentileFilter::new(history, p).unwrap();
                 let start = seeded.len().saturating_sub(history);
