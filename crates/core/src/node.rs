@@ -3,7 +3,6 @@
 //! [`ProbeRequest`] / [`ProbeResponse`] wire messages and observed through a
 //! typed [`Event`] stream.
 
-use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use nc_change::{ApplicationCoordinate, Heuristic, HeuristicStateMismatch, UpdateContext};
@@ -17,7 +16,7 @@ use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
 use crate::config::NodeConfig;
 use crate::ledger::ProbeLedger;
-use crate::peers::{LinkStore, PeerState, SnapshotStore};
+use crate::peers::{LinkStore, PeerState, PeerTable, SnapshotStore};
 
 /// One peer as seen through a [`NodeView`]: the last-known coordinate
 /// state of the link plus its per-peer health metrics.
@@ -175,35 +174,37 @@ impl std::error::Error for RestoreError {}
 /// # Memory
 ///
 /// State is kept in three places with three growth laws. The *peer table*
-/// has one entry per id the node has heard of, through its own probes,
-/// a seed list or gossip: two 4-byte handles, 16 bytes a bucket with a
-/// `usize` id. The *snapshot store* has one record per id the node holds a
-/// coordinate for — the peer's last-known coordinate, packed at the width
-/// of the configured space, its height and its error estimate
-/// (`8·(dims + 2)` bytes, what gossip payloads are built from) — written
-/// by the first gossip or reply that names the peer and refreshed in place
-/// by every later reply. The *link store* has one record per peer the node
-/// has actually measured, created when the first reply from that peer is
-/// digested: the link's filter state at the width of the configured filter
-/// family — 48 bytes for the paper's moving-percentile window of four raw
-/// observations, 24 for a raw filter — with the family's parameters held
-/// once per node, not per link. An eviction gives both records back. A
-/// coordinate system earns its keep against a delay-matrix service by a
-/// node's state growing with the neighbours it measures rather than with
-/// the mesh; gossip makes the table grow with the mesh, and a hash table's
-/// capacity is a power of two above its population, so the bucket holds
-/// handles and everything with a size sits in a store that grows by what
-/// is used: pages of 64 records, of which only the last grows, so a store
-/// holds at most one page it does not use. Where a record sits in a store
-/// is never observable: [`view`](StableNode::view) and
-/// [`snapshot`](StableNode::snapshot) report links in membership order.
+/// has one entry per id the node has heard of, through its own probes, a
+/// seed list or gossip: the id and two 4-byte handles, 16 bytes with a
+/// `usize` id, held once — the table's entries in discovery order *are* the
+/// probe rotation — plus a 4-byte index slot. The *snapshot store* has one
+/// record per id the node holds a coordinate for — the peer's last-known
+/// coordinate, packed at the width of the configured space, its height and
+/// its error estimate (`8·(dims + 2)` bytes, what gossip payloads are built
+/// from) — written by the first gossip or reply that names the peer and
+/// refreshed in place by every later reply. The *link store* has one record
+/// per peer the node has actually measured, created when the first reply
+/// from that peer is digested: the link's filter state at the width of the
+/// configured filter family — 48 bytes for the paper's moving-percentile
+/// window of four raw observations, 24 for a raw filter — with the family's
+/// parameters held once per node, not per link. An eviction gives both
+/// records back. A coordinate system earns its keep against a delay-matrix
+/// service by a node's state growing with the neighbours it measures rather
+/// than with the mesh; gossip makes the table grow with the mesh, so an
+/// entry holds handles, and only the key-less index is kept at a power of
+/// two above the population. Entries and records sit in pages that grow by
+/// what is used: pages of 64, of which only the last grows, so the table and
+/// each store hold at most one page they do not use. Where a record sits in
+/// a store is never observable: [`view`](StableNode::view) and
+/// [`snapshot`](StableNode::snapshot) report links in table order.
 pub struct StableNode<Id: Eq + Hash + Clone> {
     config: NodeConfig,
     vivaldi: VivaldiState,
     application: ApplicationCoordinate,
-    /// One entry per id this node has heard of: the handles of its snapshot
-    /// and link records.
-    peers: FxHashMap<Id, PeerState>,
+    /// One entry per id this node has heard of, holding the handles of its
+    /// snapshot and link records; the table's first entries, in discovery
+    /// order, are the round-robin probe schedule.
+    peers: PeerTable<Id>,
     /// Last-known coordinate and error estimate of every peer the node
     /// holds one for, packed at the width of the configured space.
     snapshots: SnapshotStore,
@@ -216,8 +217,6 @@ pub struct StableNode<Id: Eq + Hash + Clone> {
     /// This node's own identity, when declared. Keeps the node from
     /// scheduling probes of itself when peers gossip its address around.
     identity: Option<Id>,
-    /// Known peers in discovery order: the round-robin probe schedule.
-    membership: Vec<Id>,
     probe_cursor: usize,
     gossip_cursor: usize,
     /// Pending probes, sequence counter, loss streaks and the eviction rule:
@@ -242,8 +241,8 @@ impl<Id: Eq + Hash + Clone + std::fmt::Debug> std::fmt::Debug for StableNode<Id>
                 "neighbors",
                 &self
                     .peers
-                    .values()
-                    .filter(|peer| peer.snapshot.is_some())
+                    .iter()
+                    .filter(|(_, peer)| peer.snapshot.is_some())
                     .count(),
             )
             .field("observations", &self.observations)
@@ -267,12 +266,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             config,
             vivaldi,
             application,
-            peers: FxHashMap::default(),
+            peers: PeerTable::new(),
             links,
             nearest_neighbor: None,
             observations: 0,
             identity: None,
-            membership: Vec::new(),
             probe_cursor: 0,
             gossip_cursor: 0,
             gate,
@@ -315,13 +313,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// collection, stats lines, feeding a query index) — the per-response
     /// hot path never calls it.
     pub fn view(&self) -> NodeView<Id> {
-        // Membership (discovery) order makes the view a pure function of
-        // the node's history; peers live in an unordered map.
         let neighbors = self
-            .membership
-            .iter()
-            .filter_map(|id| {
-                let peer = self.peers.get(id)?;
+            .peers
+            .rotation()
+            .filter_map(|(id, peer)| {
                 let (coordinate, error_estimate) = self.snapshots.get(peer.snapshot?);
                 Some(PeerView {
                     id: id.clone(),
@@ -342,7 +337,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             application_updates: self.application.update_count(),
             system_displacement_ms: self.vivaldi.total_displacement_ms(),
             application_displacement_ms: self.application.total_displacement_ms(),
-            membership: self.membership.clone(),
+            membership: self.peers.rotation().map(|(id, _)| id.clone()).collect(),
             nearest_neighbor: self.nearest_neighbor.clone(),
             neighbors,
         }
@@ -374,9 +369,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// store's records carry an RTT: `min_by` keeps the first of several
     /// equal minima, so the order of this walk decides ties, and with them
     /// `NodeView`/`NodeSnapshot.nearest_neighbor` and the RELATIVE
-    /// heuristic's context. Table order is a function of the sequence of
-    /// ids inserted and removed — never of where the store put a record,
-    /// which changes with slot reuse.
+    /// heuristic's context. Table order is the rotation, then the links
+    /// outside it — a function of the sequence of ids inserted and removed,
+    /// never of where the store put a record, which changes with slot
+    /// reuse — so the earliest-discovered of equal links wins.
     fn recompute_nearest_neighbor(&mut self) {
         self.nearest_neighbor = self
             .peers
@@ -396,7 +392,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// (bootstrap membership, e.g. from a membership file). Returns `true`
     /// when the peer was not known before.
     pub fn seed_neighbor(&mut self, id: Id) -> bool {
-        self.register_member(id)
+        self.register_member(&id)
     }
 
     /// Schedules the next probe: round-robin over every known peer.
@@ -406,17 +402,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// Returns `None` while the node knows no peers (seed some with
     /// [`seed_neighbor`](StableNode::seed_neighbor) or feed it gossip).
     pub fn next_probe(&mut self, now_ms: u64) -> Option<ProbeRequest<Id>> {
-        if self.membership.is_empty() {
+        if self.peers.rotation_len() == 0 {
             return None;
         }
         // The cursor is an in-range index into the schedule, not a
         // free-running counter: an eviction shifts it back in step (see
         // `evict`), so membership churn mid-cycle neither skips nor repeats
         // the surviving peers.
-        if self.probe_cursor >= self.membership.len() {
+        if self.probe_cursor >= self.peers.rotation_len() {
             self.probe_cursor = 0;
         }
-        let target = self.membership[self.probe_cursor].clone();
+        let target = self.peers.at(self.probe_cursor).0.clone();
         self.probe_cursor += 1;
         Some(self.probe_request_for(target, now_ms))
     }
@@ -426,7 +422,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// simulator, trace replay) use this instead of
     /// [`next_probe`](StableNode::next_probe).
     pub fn probe_request_for(&mut self, target: Id, now_ms: u64) -> ProbeRequest<Id> {
-        self.register_member(target.clone());
+        self.register_member(&target);
         let seq = self.ledger.issue(target.clone(), now_ms);
         let request = ProbeRequest::new(target, seq, now_ms);
         match &self.identity {
@@ -501,22 +497,20 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     }
 
     /// Removes a peer the ledger has forgotten from every other table:
-    /// membership, neighbours and the two stores.
+    /// the peer table (and with it the rotation) and the two stores.
     fn evict(&mut self, id: &Id) {
-        if let Some(peer) = self.peers.remove(id) {
+        if let Some((position, peer)) = self.peers.remove(id) {
             if let Some(handle) = peer.snapshot {
                 self.snapshots.release(handle);
             }
             if let Some(handle) = peer.link {
                 self.links.release(handle);
             }
-        }
-        if let Some(position) = self.membership.iter().position(|member| member == id) {
-            self.membership.remove(position);
             // Keep the round-robin cursor pointing at the same *next* peer:
             // removing an entry the cursor has already passed would
             // otherwise make the rotation skip the peer now occupying the
-            // vacated slot.
+            // vacated slot. (The cursor never points past the rotation, so
+            // an entry outside it is never behind the cursor.)
             if position < self.probe_cursor {
                 self.probe_cursor -= 1;
             }
@@ -546,7 +540,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // A probe that names its sender teaches the responder a live peer —
         // the paper's deployments bootstrap membership exactly this way.
         if let Some(source) = &request.source {
-            self.register_member(source.clone());
+            self.register_member(source);
         }
         response.responder = request.target.clone();
         response.seq = request.seq;
@@ -555,19 +549,19 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         response.error_estimate = self.vivaldi.error_estimate();
         response.gossip.clear();
         response.rtt_ms = 0.0;
-        let len = self.membership.len();
+        let len = self.peers.rotation_len();
         for _ in 0..len {
             let idx = self.gossip_cursor % len;
             self.gossip_cursor = self.gossip_cursor.wrapping_add(1);
-            let candidate = self.membership[idx].clone();
+            let (candidate, peer) = self.peers.at(idx);
             // Never gossip the prober's own address back to it.
-            if request.source.as_ref() == Some(&candidate) {
+            if request.source.as_ref() == Some(candidate) {
                 continue;
             }
-            if let Some(handle) = self.peers.get(&candidate).and_then(|peer| peer.snapshot) {
+            if let Some(handle) = peer.snapshot {
                 let (coordinate, error_estimate) = self.snapshots.get(handle);
                 response.gossip.push(GossipEntry {
-                    id: candidate,
+                    id: candidate.clone(),
                     coordinate,
                     error_estimate,
                 });
@@ -619,11 +613,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // One probe of the peer table does everything the responder's entry
         // is needed for: it registers the responder (the self-response case
         // returned above) and feeds the link's filter.
-        let (peer, discovered) = Self::member_entry(
-            &mut self.peers,
-            &mut self.membership,
-            response.responder.clone(),
-        );
+        let (peer, discovered) = self.peers.member(&response.responder);
         // A coordinate from a different-dimensional space is discarded
         // before it touches any state: stored, it would panic every later
         // distance computation against it.
@@ -677,8 +667,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             remote_error = remote_error.max(gate.config().min_remote_error);
         }
         self.ingest_gossip(response, events);
-        // After the gossip, whose insertions may have reordered the table
-        // the nearest-neighbour scan walks.
         self.track_nearest_neighbor(id, filtered_rtt_ms);
         self.vivaldi_stage(response, remote_error, filtered_rtt_ms, events);
     }
@@ -697,8 +685,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             {
                 continue;
             }
-            let (peer, new) =
-                Self::member_entry(&mut self.peers, &mut self.membership, entry.id.clone());
+            let (peer, new) = self.peers.member(&entry.id);
             if new {
                 events.push(Event::NeighborDiscovered {
                     id: entry.id.clone(),
@@ -724,12 +711,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// neighbour table and the probe-scheduling cursors. The configuration
     /// is *not* embedded — supply it again to
     /// [`restore`](StableNode::restore).
+    ///
+    /// Links and loss streaks are listed in table order: the rotation, then
+    /// the links a restored snapshot held outside its membership, so that
+    /// a restored node's snapshot restores to the same node.
     pub fn snapshot(&self) -> NodeSnapshot<Id> {
         let links = self
-            .membership
+            .peers
             .iter()
-            .filter_map(|id| {
-                let peer = self.peers.get(id)?;
+            .filter_map(|(id, peer)| {
                 let (coordinate, error_estimate) = self.snapshots.get(peer.snapshot?);
                 Some(LinkSnapshot {
                     id: id.clone(),
@@ -748,14 +738,16 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             nearest_neighbor: self.nearest_neighbor.clone(),
             observations: self.observations,
             identity: self.identity.clone(),
-            membership: self.membership.clone(),
+            membership: self.peers.rotation().map(|(id, _)| id.clone()).collect(),
             probe_cursor: self.probe_cursor,
             probe_seq: self.ledger.next_seq(),
             gossip_cursor: self.gossip_cursor,
             pending: self.ledger.pending().to_vec(),
-            // Streaks in membership order so identical nodes serialize
+            // Streaks in table order so identical nodes serialize
             // identically (the ledger's table is an unordered map).
-            loss_streaks: self.ledger.loss_streaks_of(&self.membership),
+            loss_streaks: self
+                .ledger
+                .loss_streaks_of(self.peers.iter().map(|(id, _)| id)),
         }
     }
 
@@ -839,8 +831,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         node.application
             .import_state(&application)
             .map_err(RestoreError::Heuristic)?;
+        // The membership is the rotation, in its order; a link it does not
+        // name gets an entry after it, which keeps the id out of the
+        // rotation, because an id is discovered exactly when the table has
+        // no entry for it.
+        for id in &snapshot.membership {
+            node.peers.member(id);
+        }
         for link in &snapshot.links {
-            let peer = node.peers.entry(link.id.clone()).or_default();
+            let peer = node.peers.outside_rotation(&link.id);
             // The link's filtered RTT and observation count are not taken
             // from the snapshot's copies: the imported filter state yields
             // the same two numbers, and is what the link continues from.
@@ -858,16 +857,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         node.nearest_neighbor = snapshot.nearest_neighbor.clone();
         node.observations = snapshot.observations;
         node.identity = snapshot.identity.clone();
-        node.membership = snapshot.membership.clone();
-        // Every member gets an entry, because an id is discovered exactly
-        // when the table has none.
-        for id in &node.membership {
-            node.peers.entry(id.clone()).or_default();
-        }
         // Snapshots written before the rotation became churn-stable carry a
         // free-running counter; reducing it modulo the schedule length lands
         // on the same next peer either way.
-        node.probe_cursor = match node.membership.len() {
+        node.probe_cursor = match node.peers.rotation_len() {
             0 => 0,
             len => snapshot.probe_cursor % len,
         };
@@ -987,31 +980,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// Registers a peer in the probe schedule; returns `true` when new.
     /// The node's own identity is never registered — a node must not probe
     /// itself, however its address comes back around through gossip.
-    fn register_member(&mut self, id: Id) -> bool {
-        if self.identity.as_ref() == Some(&id) {
+    fn register_member(&mut self, id: &Id) -> bool {
+        if self.identity.as_ref() == Some(id) {
             return false;
         }
-        Self::member_entry(&mut self.peers, &mut self.membership, id).1
-    }
-
-    /// The peer's table entry; when the table had none, one is created and
-    /// the peer enters the probe rotation, and the flag is `true`. An entry
-    /// outside the rotation — a link a restored snapshot holds but its
-    /// membership does not name — stays outside it. Takes the two fields
-    /// rather than `self` so a caller can keep the entry while it works on
-    /// the link store beside it.
-    fn member_entry<'a>(
-        peers: &'a mut FxHashMap<Id, PeerState>,
-        membership: &mut Vec<Id>,
-        id: Id,
-    ) -> (&'a mut PeerState, bool) {
-        match peers.entry(id) {
-            Entry::Occupied(entry) => (entry.into_mut(), false),
-            Entry::Vacant(entry) => {
-                membership.push(entry.key().clone());
-                (entry.insert(PeerState::default()), true)
-            }
-        }
+        self.peers.member(id).1
     }
 }
 
@@ -1977,31 +1950,31 @@ mod tests {
     // Peer table / snapshot store / link store split
     // -----------------------------------------------------------------
 
-    /// Layout pin: a bucket of the peer table is the 8-byte id plus a
+    /// Layout pin: an entry of the peer table is the 8-byte id plus a
     /// `PeerState` of two 4-byte handles, whose `None` is the record
-    /// number's zero. The table holds a bucket for every id a node ever
-    /// heard of, rounded up to a power of two: a field added here is paid
-    /// for a million times in a 1,024-node mesh.
+    /// number's zero, and its index slot is a 4-byte position. The table
+    /// holds an entry for every id a node ever heard of, and a slot for it
+    /// at a power of two above that: a field added to either is paid for
+    /// some six hundred thousand times in a 1,024-node mesh.
     #[test]
-    fn layout_pin_peer_table_bucket_within_16_bytes() {
-        let bucket = std::mem::size_of::<(usize, PeerState)>();
-        assert!(bucket <= 16, "peer-table bucket grew to {bucket} bytes");
+    fn layout_pin_peer_table_entry_within_16_bytes_and_index_slot_4() {
+        let entry = std::mem::size_of::<(usize, PeerState)>();
+        assert!(entry <= 16, "peer-table entry grew to {entry} bytes");
+        assert_eq!(PeerTable::<usize>::slot_bytes(), 4);
         assert_eq!(std::mem::size_of::<Option<Handle>>(), 4);
     }
 
     /// Bytes a node's peer table and its two stores have allocated, in that
-    /// order: the table's buckets with one control byte each (a power of two
-    /// of them, seven eighths usable, or all but one in a table of fewer
-    /// than eight), then each store's records (at the width the store
-    /// reports), page directory and free list.
+    /// order: the table's entry pages, page directory and index, then each
+    /// store's records (at the width the store reports), page directory and
+    /// free list.
     fn engine_bytes(node: &Node) -> [usize; 3] {
         use std::mem::size_of;
-        let buckets = match node.peers.capacity() {
-            0 => 0,
-            capacity @ 1..=7 => capacity + 1,
-            capacity => capacity / 7 * 8,
-        };
-        let table = buckets * (size_of::<(u32, PeerState)>() + 1);
+        let [_, entries, pages, slots] = node.peers.footprint();
+        let directory = pages * size_of::<Vec<u8>>();
+        let table = entries * size_of::<(u32, PeerState)>()
+            + directory
+            + slots * PeerTable::<u32>::slot_bytes();
         let store = |[_, allocated, pages, free]: [usize; 4], record: usize| {
             allocated * record + pages * size_of::<Vec<u8>>() + free * size_of::<Handle>()
         };
@@ -2016,8 +1989,9 @@ mod tests {
     /// neighbour, runs 100 probe rounds through the engine API on a fixed
     /// RTT map; every 29th exchange is lost and evicts its target. Table and
     /// store capacities are a function of that history alone, so the bytes
-    /// they hold are pinned exactly. A change to a bucket, a record or a
-    /// growth rule moves this number and re-pins it on purpose.
+    /// they hold are pinned exactly. A change to a table entry, an index
+    /// slot, a record or a growth rule moves this number and re-pins it on
+    /// purpose.
     #[test]
     fn memory_anchor_gossip_mesh_engine_bytes() {
         const NODES: u32 = 64;
@@ -2066,7 +2040,7 @@ mod tests {
         });
         assert_eq!(
             bytes,
-            [41_184, 116_480, 131_568],
+            [51_072, 116_480, 131_568],
             "table, snapshot store, link store"
         );
     }
@@ -2097,12 +2071,11 @@ mod tests {
     }
 
     #[test]
-    fn equal_filtered_rtts_are_broken_by_table_order_across_an_eviction() {
+    fn equal_filtered_rtts_are_broken_by_rotation_order_across_an_eviction() {
         // Peers 1 and 2 sit at the same filtered RTT behind the incumbent 3.
         // When 3 degrades, the scan of the table decides between them, and
-        // it must keep deciding the way the table is ordered — neither by
-        // who was measured first nor by where the link store put a record.
-        // The winners below were recorded before the store existed.
+        // it must decide by rotation order — the one discovered first wins
+        // — not by where the link store put a record.
         let at = |x: f64| Coordinate::new(vec![x, 0.0, 0.0]).unwrap();
         for (first, second) in [(1, 2), (2, 1)] {
             let config = NodeConfig::builder()
@@ -2111,21 +2084,22 @@ mod tests {
                 .build();
             let mut node = Node::new(config);
             feed(&mut node, 3, at(5.0), 0.5, 10.0);
+            feed(&mut node, 4, at(15.0), 0.5, 30.0);
             feed(&mut node, first, at(10.0), 0.5, 20.0);
             feed(&mut node, second, at(-10.0), 0.5, 20.0);
-            feed(&mut node, 4, at(15.0), 0.5, 30.0);
             feed(&mut node, 3, at(5.0), 0.5, 50.0);
-            assert_eq!(node.view().nearest_neighbor, Some((2, 20.0)));
+            assert_eq!(node.view().nearest_neighbor, Some((first, 20.0)));
 
-            // Evict the unrelated peer 4; peer 40, tied with the other two,
-            // is measured into the slot it left. Re-observing the incumbent
-            // at an unchanged RTT rescans the table.
+            // Evict peer 4, measured before the tied pair; peer 40, tied
+            // with them, is measured into the link record 4 left, ahead of
+            // theirs in the store but last in the rotation. Re-observing the
+            // incumbent at an unchanged RTT rescans the table.
             let doomed = node.probe_request_for(4, 0);
             assert!(time_out(&mut node, doomed.seq).contains(&Event::NeighborEvicted { id: 4 }));
             feed(&mut node, 40, at(0.0), 0.5, 20.0);
-            feed(&mut node, 2, at(10.0), 0.5, 20.0);
-            assert_eq!(node.view().nearest_neighbor, Some((40, 20.0)));
-            assert_eq!(node.snapshot().nearest_neighbor, Some((40, 20.0)));
+            feed(&mut node, first, at(10.0), 0.5, 20.0);
+            assert_eq!(node.view().nearest_neighbor, Some((first, 20.0)));
+            assert_eq!(node.snapshot().nearest_neighbor, Some((first, 20.0)));
         }
     }
 
@@ -2191,6 +2165,45 @@ mod tests {
     }
 
     #[test]
+    fn a_restored_node_snapshots_the_links_outside_its_rotation() {
+        // Links 1 (measured, the nearest neighbour, one probe lost) and 50
+        // (gossip-only) sit outside a restored node's rotation. Its own
+        // snapshot must carry them, their filter states and 1's loss
+        // streak, or it names a nearest neighbour it holds no link for and
+        // `restore` refuses it.
+        let config = NodeConfig::builder().max_consecutive_losses(3).build();
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+        let mut node = Node::new(config.clone());
+        feed(&mut node, 1, remote.clone(), 0.5, 30.0);
+        feed_with_gossip(&mut node, 2, 50);
+        let lost = node.probe_request_for(1, 0);
+        time_out(&mut node, lost.seq);
+        let mut trimmed = node.snapshot();
+        trimmed.membership.retain(|&id| id == 2);
+        let mut first = Node::restore(config.clone(), &trimmed).unwrap();
+
+        let snapshot = first.snapshot();
+        let mut second = Node::restore(config, &snapshot).unwrap();
+        assert_eq!(second.snapshot().encode_binary(), snapshot.encode_binary());
+        let links: Vec<u32> = snapshot.links.iter().map(|link| link.id).collect();
+        assert_eq!(links, vec![2, 1, 50], "the rotation, then the rest");
+        assert_eq!(snapshot.membership, vec![2]);
+        assert_eq!(snapshot.nearest_neighbor, Some((1, 30.0)));
+        assert_eq!(snapshot.loss_streaks, vec![(1, 1)]);
+        let one = &snapshot.links[1];
+        assert_eq!((one.observations, one.filtered_rtt_ms), (1, Some(30.0)));
+
+        // A reply from 1 continues its link on both nodes alike: no
+        // discovery, and the same filter output.
+        let events = feed(&mut first, 1, remote.clone(), 0.5, 34.0);
+        assert_eq!(feed(&mut second, 1, remote, 0.5, 34.0), events);
+        assert!(
+            !events.contains(&Event::NeighborDiscovered { id: 1 }),
+            "{events:?}"
+        );
+    }
+
+    #[test]
     fn only_measured_peers_hold_link_records() {
         let mut node = Node::new(NodeConfig::paper_defaults());
         for gossiped in 0..1_000 {
@@ -2225,7 +2238,7 @@ mod tests {
             1_050,
             "one record per measured or gossiped id, none for the seed"
         );
-        assert!(node.peers[&7].snapshot.is_none());
+        assert!(node.peers.get(&7).unwrap().snapshot.is_none());
         // A reply overwrites the responder's record where it sits and a
         // repeated gossip entry changes nothing.
         feed_with_gossip(&mut node, 5_000, 10_000);
@@ -2616,7 +2629,7 @@ mod tests {
             (
                 node.links.footprint(),
                 node.snapshots.footprint(),
-                node.peers.capacity(),
+                node.peers.footprint(),
             )
         };
         let after_first = footprint(&node);

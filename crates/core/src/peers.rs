@@ -1,7 +1,9 @@
 //! What a [`StableNode`](crate::StableNode) keeps per remote peer: the peer
-//! table's entry and the two paged stores its handles point into.
-//! Engine-internal — nothing here is reachable from outside the crate.
+//! table, whose entries are the probe rotation, and the two paged stores its
+//! entries' handles point into. Engine-internal — nothing here is reachable
+//! from outside the crate.
 
+use std::hash::{Hash, Hasher};
 use std::num::NonZeroU32;
 
 use nc_filters::{
@@ -11,24 +13,23 @@ use nc_filters::{
 use nc_vivaldi::Coordinate;
 
 use crate::config::FilterConfig;
+use crate::fxhash::FxHasher;
 
-/// What the engine keeps for every id it has *heard of*: one entry of the
-/// peer table, whether the peer was ever measured or only gossiped about.
+/// What the engine keeps for every id it has *heard of*, beside the id in
+/// its [`PeerTable`] entry, whether the peer was ever measured or only
+/// gossiped about.
 ///
-/// The entry holds two handles, nothing else — 8 bytes, 16 with a `usize`
-/// key. A node in a large mesh hears of several times more peers than it
-/// measures, and the table's capacity is a power of two above even that,
-/// so whatever sits in the bucket is paid for two to five times per
-/// measured link. The last-known coordinate therefore lives in the node's
-/// [`SnapshotStore`], packed at the width of the space, and the link's
-/// filter state in its [`LinkStore`], at the width of the node's filter
-/// family; a seeded-only id holds neither, a gossip-only id holds no filter
-/// state because it has no observations to put in one.
+/// The state is two handles, nothing else — 8 bytes, a 16-byte entry with a
+/// `usize` id. A node in a large mesh hears of several times more peers than
+/// it measures, so whatever sits in the entry is paid for two to three times
+/// per measured link. The last-known coordinate therefore lives in the
+/// node's [`SnapshotStore`], packed at the width of the space, and the
+/// link's filter state in its [`LinkStore`], at the width of the node's
+/// filter family; a seeded-only id holds neither, a gossip-only id holds no
+/// filter state because it has no observations to put in one.
 ///
-/// Rotation membership needs no flag: every entry is either in the node's
-/// `membership` or holds a snapshot (`restore` gives each link entry one
-/// and enters each membership id, and an eviction removes the whole entry),
-/// so an id is newly discovered exactly when the table has no entry for it.
+/// Rotation membership needs no flag: the entry's position in the table
+/// says it (see [`PeerTable`]).
 #[derive(Default)]
 pub(crate) struct PeerState {
     /// Handle of the peer's last-known coordinate and error estimate in the
@@ -173,6 +174,247 @@ impl<T> Pages<T, Single> {
 
     fn record_mut(&mut self, handle: Handle) -> &mut T {
         &mut self.get_mut(handle.record())[0]
+    }
+
+    /// The records in order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.pages.iter().flatten()
+    }
+
+    /// Puts `value` at `record`, moving every later record up by one.
+    fn insert(&mut self, record: usize, value: T) {
+        let mut carry = value;
+        for later in record..self.len() {
+            carry = std::mem::replace(&mut self.get_mut(later)[0], carry);
+        }
+        self.push([carry]);
+    }
+
+    /// Takes the record at `record` out, moving every later record down by
+    /// one. A page left empty is freed, so every page stays non-empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `record` is below `len()`.
+    fn remove(&mut self, record: usize) -> T {
+        assert!(record < self.len(), "record {record} out of range");
+        let last = self.pages.len() - 1;
+        // nc-lint: allow(panic) — pages are never empty, so the last holds
+        // the last record.
+        let mut carry = self.pages[last].pop().expect("pages are non-empty");
+        if self.pages[last].is_empty() {
+            self.pages.pop();
+        }
+        for earlier in (record..self.len()).rev() {
+            carry = std::mem::replace(&mut self.get_mut(earlier)[0], carry);
+        }
+        carry
+    }
+}
+
+/// Every id a node has heard of, each held once, in one entry beside its
+/// [`PeerState`] — the round-robin probe rotation and the lookup table in
+/// one.
+///
+/// Entries sit in [`Pages`] in table order: the first `rotation` are the
+/// probe rotation, in discovery order, and after them come the links a
+/// restored snapshot held but whose ids its membership did not name, in
+/// snapshot order. Those stay outside the rotation for good, and an id is
+/// newly discovered exactly when the table has no entry for it.
+///
+/// Lookup goes through a key-less index: a `Vec<u32>` of entry positions
+/// plus one (0 = empty), probed linearly from the id's FxHash. Its length is
+/// a power of two kept at most 7/8 full, so 4 bytes a slot is all the table
+/// pays at power-of-two capacity; the ids themselves sit in the pages, which
+/// hold at most one page of entries unused. A `HashMap<Id, u32>` would pay
+/// for a second copy of every id in its buckets.
+///
+/// A removal moves the later entries down and rebuilds the index, O(n) as
+/// any removal from an ordered rotation is; so does a discovery while
+/// entries sit outside the rotation, which only a restored node has.
+/// Evictions are rare (a few thousand in a 1,024-node hostile hour). Table
+/// order is a function of the ids inserted and removed alone.
+pub(crate) struct PeerTable<Id> {
+    entries: Pages<(Id, PeerState), Single>,
+    /// Entries `0..rotation` are the probe rotation.
+    rotation: usize,
+    /// Entry positions plus one, 0 for an empty slot; empty or a power of
+    /// two long.
+    index: Vec<Slot>,
+}
+
+/// One slot of a [`PeerTable`]'s index.
+type Slot = u32;
+
+/// Index length of a table's first entry.
+const MIN_INDEX: usize = 8;
+
+impl<Id: Eq + Hash + Clone> PeerTable<Id> {
+    pub(crate) fn new() -> Self {
+        PeerTable {
+            entries: Pages::new(Single),
+            rotation: 0,
+            index: Vec::new(),
+        }
+    }
+
+    /// Entries held, in and outside the rotation.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Entries in the probe rotation.
+    pub(crate) fn rotation_len(&self) -> usize {
+        self.rotation
+    }
+
+    /// The id and state of the entry at `position`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `position` is below [`len`](PeerTable::len).
+    pub(crate) fn at(&self, position: usize) -> (&Id, &PeerState) {
+        let (id, peer) = &self.entries.get(position)[0];
+        (id, peer)
+    }
+
+    /// Every entry in table order: the rotation, then the rest.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Id, &PeerState)> {
+        self.entries.iter().map(|(id, peer)| (id, peer))
+    }
+
+    /// The rotation's entries in rotation order.
+    pub(crate) fn rotation(&self) -> impl Iterator<Item = (&Id, &PeerState)> {
+        self.iter().take(self.rotation)
+    }
+
+    /// The position of `id`'s entry.
+    fn position(&self, id: &Id) -> Option<usize> {
+        self.find(id).ok().map(|slot| self.index[slot] as usize - 1)
+    }
+
+    pub(crate) fn get(&self, id: &Id) -> Option<&PeerState> {
+        self.position(id).map(|position| self.at(position).1)
+    }
+
+    /// `id`'s entry; when the table had none, one is created at the end of
+    /// the rotation and the flag is `true`. An entry outside the rotation
+    /// stays outside it.
+    pub(crate) fn member(&mut self, id: &Id) -> (&mut PeerState, bool) {
+        self.get_or_insert(id, true)
+    }
+
+    /// `id`'s entry; when the table had none, one is created outside the
+    /// rotation, at the end of the table.
+    pub(crate) fn outside_rotation(&mut self, id: &Id) -> &mut PeerState {
+        self.get_or_insert(id, false).0
+    }
+
+    /// Removes `id`'s entry and returns the position it held and its state.
+    pub(crate) fn remove(&mut self, id: &Id) -> Option<(usize, PeerState)> {
+        let position = self.position(id)?;
+        let (_, peer) = self.entries.remove(position);
+        if position < self.rotation {
+            self.rotation -= 1;
+        }
+        self.rebuild_index(self.index.len());
+        Some((position, peer))
+    }
+
+    fn get_or_insert(&mut self, id: &Id, in_rotation: bool) -> (&mut PeerState, bool) {
+        let (position, new) = match self.find(id) {
+            Ok(slot) => (self.index[slot] as usize - 1, false),
+            Err(empty) => (self.insert(id.clone(), in_rotation, empty), true),
+        };
+        (&mut self.entries.get_mut(position)[0].1, new)
+    }
+
+    /// Stores a new entry for `id`, whose probe ended at the slot `empty`,
+    /// and returns its position.
+    fn insert(&mut self, id: Id, in_rotation: bool, empty: usize) -> usize {
+        let len = self.len();
+        // nc-lint: allow(panic) — a table would need 2^32 entries, 64 GiB
+        // of them, before a position stopped fitting a slot.
+        let number = Slot::try_from(len + 1).expect("a table holds fewer than 2^32 - 1 entries");
+        let grown = if 8 * (len + 1) > 7 * self.index.len() {
+            (2 * self.index.len()).max(MIN_INDEX)
+        } else {
+            self.index.len()
+        };
+        let position = if in_rotation { self.rotation } else { len };
+        self.entries.insert(position, (id, PeerState::default()));
+        if in_rotation {
+            self.rotation += 1;
+        }
+        if position == len && grown == self.index.len() {
+            // Appended, and no other entry moved: the slot the probe ended
+            // at takes it.
+            self.index[empty] = number;
+        } else {
+            self.rebuild_index(grown);
+        }
+        position
+    }
+
+    /// The slot holding `id`'s position, or the empty slot its probe ends
+    /// at. With no index yet, `Err(0)`.
+    fn find(&self, id: &Id) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(id);
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                number if self.at(number as usize - 1).0 == id => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The first slot `id`'s probe looks at: the top bits of its FxHash,
+    /// where the multiply leaves the most of every input bit.
+    fn home(&self, id: &Id) -> usize {
+        let mut hasher = FxHasher::default();
+        id.hash(&mut hasher);
+        let bits = self.index.len().trailing_zeros();
+        (hasher.finish() >> (64 - bits)) as usize
+    }
+
+    /// Builds a new index of `len` slots, a power of two, from the entries.
+    fn rebuild_index(&mut self, len: usize) {
+        self.index = vec![0; len];
+        let mask = len - 1;
+        for position in 0..self.len() {
+            let mut slot = self.home(self.at(position).0);
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            // A position below `len()` fits: `insert` checked `len() + 1`.
+            self.index[slot] = (position + 1) as Slot;
+        }
+    }
+
+    /// What the table has allocated: entries held, entries allocated, page
+    /// directory capacity, index slots allocated.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> [usize; 4] {
+        let [used, allocated, pages] = self.entries.footprint();
+        [used, allocated, pages, self.index.capacity()]
+    }
+
+    /// Bytes one index slot takes.
+    #[cfg(test)]
+    pub(crate) fn slot_bytes() -> usize {
+        std::mem::size_of::<Slot>()
+    }
+
+    /// Index slots allocated and slots in use.
+    #[cfg(test)]
+    fn index_load(&self) -> (usize, usize) {
+        let used = self.index.iter().filter(|&&slot| slot != 0).count();
+        (self.index.len(), used)
     }
 }
 
@@ -621,6 +863,7 @@ whole_filter!(ThresholdFilter, f64, |cutoff_ms: &f64| {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashMap;
     use proptest::prelude::*;
 
     /// A coordinate, height and error estimate drawn from one word; every
@@ -886,6 +1129,100 @@ mod tests {
                         prop_assert_eq!(bits(&store.get(Handle::new(handle))), bits(expected));
                     }
                 }
+            }
+        }
+
+        /// The peer table against the two structures it replaces — a
+        /// rotation `Vec` and a hash map of states — plus the list of
+        /// entries outside the rotation: after every insert (into the
+        /// rotation or outside it), removal (at the head, in the middle, at
+        /// the end, or of an absent id) and lookup, across index growth and
+        /// page boundaries, every id sits at the position the model gives
+        /// it with the state the model holds, both walks match, and the
+        /// index is a power of two long and at most seven eighths full.
+        #[test]
+        fn peer_table_matches_a_rotation_a_tail_and_a_map(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..600),
+        ) {
+            let mut table = PeerTable::new();
+            let (mut rotation, mut tail) = (Vec::<u64>::new(), Vec::<u64>::new());
+            let mut states: FxHashMap<u64, PeerState> = FxHashMap::default();
+            for (step, word) in words.into_iter().enumerate() {
+                // A small id space, so inserts hit known ids too, and now
+                // and then a wide one.
+                let id = if word % 16 == 0 { word >> 4 } else { (word >> 4) % 400 };
+                let mark = Some(Handle::new(step));
+                let model_position = |rotation: &[u64], tail: &[u64], id: u64| {
+                    let in_tail = || tail.iter().position(|&t| t == id).map(|p| rotation.len() + p);
+                    rotation.iter().position(|&r| r == id).or_else(in_tail)
+                };
+                match word % 10 {
+                    0..=4 => {
+                        let (peer, new) = table.member(&id);
+                        prop_assert_eq!(new, !states.contains_key(&id));
+                        if new {
+                            rotation.push(id);
+                        }
+                        peer.snapshot = mark;
+                        states.entry(id).or_default().snapshot = mark;
+                    }
+                    5 => {
+                        if !states.contains_key(&id) {
+                            tail.push(id);
+                        }
+                        table.outside_rotation(&id).link = mark;
+                        states.entry(id).or_default().link = mark;
+                    }
+                    6 | 7 if !states.is_empty() => {
+                        // An id by its place in the table: head, middle or
+                        // end alike.
+                        let position = (word >> 8) as usize % states.len();
+                        let id = if position < rotation.len() {
+                            rotation.remove(position)
+                        } else {
+                            tail.remove(position - rotation.len())
+                        };
+                        let expected = states.remove(&id).unwrap();
+                        let (at, removed) = table.remove(&id).unwrap();
+                        prop_assert_eq!(at, position);
+                        prop_assert_eq!(
+                            (removed.snapshot, removed.link),
+                            (expected.snapshot, expected.link)
+                        );
+                    }
+                    8 => {
+                        prop_assert_eq!(table.remove(&id).is_some(), states.contains_key(&id));
+                        if let Some(position) = model_position(&rotation, &tail, id) {
+                            if position < rotation.len() {
+                                rotation.remove(position);
+                            } else {
+                                tail.remove(position - rotation.len());
+                            }
+                            states.remove(&id);
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(table.position(&id), model_position(&rotation, &tail, id));
+                    }
+                }
+                prop_assert_eq!(table.len(), states.len());
+                prop_assert_eq!(table.rotation_len(), rotation.len());
+                let walk: Vec<u64> = table.iter().map(|(&id, _)| id).collect();
+                let expected: Vec<u64> = rotation.iter().chain(&tail).copied().collect();
+                prop_assert_eq!(&walk, &expected);
+                let in_rotation: Vec<u64> = table.rotation().map(|(&id, _)| id).collect();
+                prop_assert_eq!(&in_rotation, &rotation);
+                for (position, id) in expected.iter().enumerate() {
+                    prop_assert_eq!(table.position(id), Some(position));
+                    let (peer, model) = (table.get(id).unwrap(), &states[id]);
+                    prop_assert_eq!((peer.snapshot, peer.link), (model.snapshot, model.link));
+                    prop_assert_eq!(table.at(position).0, id);
+                }
+                prop_assert_eq!(table.position(&(u64::MAX - step as u64)), None);
+                let (slots, used) = table.index_load();
+                prop_assert!(slots == 0 || slots.is_power_of_two(), "{} slots", slots);
+                prop_assert_eq!(used, table.len());
+                prop_assert!(8 * used <= 7 * slots, "{} of {} slots used", used, slots);
             }
         }
     }
