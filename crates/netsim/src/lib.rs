@@ -56,10 +56,12 @@
 //! work runs on `min(cores, nodes / 128)` workers, node `i` on worker
 //! `i mod workers` — at least one, which is the calling thread and spawns
 //! nothing. [`with_threads`](sim::Simulator::with_threads) overrides the
-//! worker count. The engine-driven loop behind
+//! worker count. The loop behind
 //! [`with_serial_execution`](sim::Simulator::with_serial_execution) is the
 //! reference the regression suites compare the engine against, not a mode
-//! to run experiments in. The report is the same bytes in every case.
+//! to run experiments in: it runs the same engine operations on one
+//! worker, but takes its schedule from the engines' own outcomes instead of
+//! the planner's ledgers. The report is the same bytes in every case.
 //!
 //! # Example: a small two-configuration comparison
 //!

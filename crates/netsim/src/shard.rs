@@ -21,11 +21,12 @@
 //!    global event order.
 //! 2. **Execute (parallel).** Worker `w` owns every node with
 //!    `index % threads == w` (across all named configurations) and runs its
-//!    batch in order. The only cross-shard data flow is a probe response
-//!    travelling from the responder's shard to the prober's shard; it moves
-//!    through a slab of turn-versioned [`SlotCell`]s with acquire/release
-//!    handshakes, so the steady state recycles response buffers exactly
-//!    like the serial path and never locks.
+//!    batch in order through [`Worker::apply`]. The only cross-shard data
+//!    flow is a probe response travelling from the responder's shard to the
+//!    prober's shard; it moves through a slab of turn-versioned
+//!    [`SlotCell`]s with acquire/release handshakes, whose response buffers
+//!    are rewritten in place turn after turn, so the steady state neither
+//!    allocates nor locks.
 //!
 //! The two alternate until the queue is dry. Workers are dealt their nodes
 //! once, keep them for the whole run on one thread each, and are
@@ -47,12 +48,15 @@
 //! an operation of its own, [`PlanOp::DropReply`], which takes the
 //! publication and releases the cell in the digest's stead.
 //!
+//! [`Worker::apply`] is the simulator's only engine executor. The reference
+//! loop deals every node to one worker and applies the same [`PlanOp`]s as
+//! it emits them; it keeps only the schedule to itself, deciding from what
+//! the engines decided ([`Decided`]) where the planner reads its ledgers.
 //! Because phase 1 performs byte-identical schedule decisions and phase 2
-//! performs byte-identical engine calls in a per-node order equal to the
-//! serial interleaving, the resulting [`crate::metrics::SimReport`] is
-//! byte-identical to serial execution for every thread count and every
-//! epoch budget — a contract enforced by the regression and property-test
-//! suites.
+//! applies the same operations in the same per-node order, the
+//! [`crate::metrics::SimReport`] is byte-identical to the reference's for
+//! every thread count and every epoch budget — a contract enforced by the
+//! regression and property-test suites.
 //!
 //! The ledgers are sufficient because an engine influences the schedule
 //! through exactly three facts: whether a timeout correlates with a pending
@@ -63,7 +67,7 @@
 //! from the engines' when the nodes are dealt and fed the same calls, stay
 //! equal to them; [`reassemble`] asserts it after every run. Configurations
 //! with one eviction threshold keep equal ledgers, so the planner holds one
-//! set per *distinct* threshold ([`LedgerGroup`]) and applies the serial
+//! set per *distinct* threshold ([`LedgerGroup`]) and applies the reference
 //! loop's unanimity rule across the sets.
 
 use std::cell::UnsafeCell;
@@ -102,17 +106,18 @@ pub(crate) fn auto_workers(nodes: usize, cores: usize) -> usize {
     cores.min(nodes / NODES_PER_WORKER).max(1)
 }
 
-/// One engine operation for one node, emitted by the planner in global
-/// event order. Every field is fixed when the operation is pushed: workers
-/// may run it epochs later, and never see planner state.
+/// One engine operation for one node, emitted by the planner (or the
+/// reference loop) in global event order. Every field is fixed when the
+/// operation is pushed: workers may run it epochs later, and never see
+/// planner state.
 #[derive(Debug, Clone, Copy)]
-enum PlanOp {
+pub(crate) enum PlanOp {
     /// `probe_request_for(dst, now_ms)` on every configuration's `node`.
     Issue { node: u32, dst: u32, now_ms: u64 },
     /// The responder's side of an exchange: rebuild the request from
     /// `(dst, seq, sent_at_ms)` — simulator probes carry no other payload —
     /// answer it into cell `slot`, stamp the sampled RTT and the drawn lie
-    /// (an index into the batch's `lies`), and pass the cell on.
+    /// (an index into the lies passed beside the op), and pass the cell on.
     Respond {
         dst: u32,
         slot: u32,
@@ -160,6 +165,44 @@ enum PlanOp {
     },
 }
 
+/// What the engines decided while one op ran: the facts an engine feeds
+/// back into the schedule. The reference loop schedules from them; the
+/// planner reads the same facts off its ledgers and the sharded path drops
+/// these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decided<'a> {
+    /// `Issue`: the sequence number every configuration gave the probe.
+    pub(crate) seq: u64,
+    /// `Timeout` and `Restore`: the peers that every configuration evicted,
+    /// in the first configuration's order.
+    pub(crate) evicted: &'a [usize],
+}
+
+/// Folds the number one more configuration — or ledger group — gave a probe
+/// of `node` into the number agreed so far. One response cell carries one
+/// `seq` for every configuration, so they must all agree.
+fn agree_on_seq(node: usize, agreed: Option<u64>, seq: u64) -> Option<u64> {
+    assert!(
+        agreed.is_none_or(|agreed| agreed == seq),
+        "node {node}: the configurations numbered one probe {agreed:?} and {seq}"
+    );
+    Some(seq)
+}
+
+/// Narrows `evicted` to the peers that one more configuration's `events`
+/// evicted as well; the first configuration's events seed it.
+fn evicted_by_every(evicted: &mut Vec<usize>, first: bool, events: &[Event<usize>]) {
+    let evicted_here = events.iter().filter_map(|event| match event {
+        Event::NeighborEvicted { id } => Some(*id),
+        _ => None,
+    });
+    if first {
+        evicted.extend(evicted_here);
+    } else {
+        evicted.retain(|id| evicted_here.clone().any(|here| here == *id));
+    }
+}
+
 /// One shard's share of one epoch: its operations in global event order
 /// and the coordinate lies they refer to (too wide to ride in every op).
 /// Cleared and refilled every epoch; the capacity stays.
@@ -182,7 +225,7 @@ pub(crate) struct PlanFootprint {
 /// The planner's ledgers for the configurations that share one eviction
 /// threshold: those engines' ledgers are equal at every event, so one set
 /// stands for all of them.
-struct LedgerGroup {
+pub(crate) struct LedgerGroup {
     /// The configurations (indices into `EngineState::runs`) it stands for.
     runs: Vec<usize>,
     threshold: Option<u32>,
@@ -219,9 +262,9 @@ fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
     groups
 }
 
-/// One slot of the cross-shard response slab. `data` holds one response per
-/// named configuration and is reused across exchanges (turns), keeping the
-/// steady-state parallel path as allocation-free as the serial one.
+/// One slot of the response slab. `data` holds one response per named
+/// configuration and is reused across exchanges (turns), so the steady-state
+/// exchange path allocates nothing.
 ///
 /// Protocol: the responder of turn `t` first waits for `consumed == t - 1`
 /// (the previous use is fully digested), writes the responses, then either
@@ -231,10 +274,12 @@ fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
 /// dropped at delivery, does not — and stores `consumed = t`. Every wait is
 /// on an operation strictly earlier in the planner's global order, and
 /// every earlier epoch has been executed in full before a later one starts,
-/// so the executor can never deadlock. A cell may stay published across any
-/// number of epoch boundaries; the slab only ever grows between epochs,
-/// under the write lock, while no worker holds a reference into it.
-struct SlotCell {
+/// so the executor can never deadlock; the reference loop runs every op as
+/// it emits it, so its waits are always already met. A cell may stay
+/// published across any number of epoch boundaries; the slab only ever
+/// grows between epochs, under the write lock, while no worker holds a
+/// reference into it.
+pub(crate) struct SlotCell {
     published: AtomicU32,
     consumed: AtomicU32,
     data: UnsafeCell<Vec<ProbeResponse<usize>>>,
@@ -251,7 +296,7 @@ struct SlotCell {
 unsafe impl Sync for SlotCell {}
 
 impl SlotCell {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlotCell {
             published: AtomicU32::new(0),
             consumed: AtomicU32::new(0),
@@ -264,6 +309,73 @@ impl SlotCell {
 fn await_turn(counter: &AtomicU32, turn: u32) {
     while counter.load(Ordering::Acquire) != turn {
         std::thread::yield_now();
+    }
+}
+
+/// One probe exchange in flight, between the events that carry its index:
+/// what the later operations need of the send, and the use counter of the
+/// response cell with the same index.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ExchangeSlot {
+    pub(crate) seq: u64,
+    pub(crate) sent_at_ms: u64,
+    /// Times a `Respond` has used this slot's cell; persists across reuse.
+    pub(crate) turn: u32,
+}
+
+/// The exchanges in flight, indexed by the `slot` field of the probe events
+/// and recycled through a free list; [`len`](InFlight::len) is the size the
+/// response-cell slab must have.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    slots: Vec<ExchangeSlot>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    /// Claims a slot for a probe that survived its forward leg.
+    pub(crate) fn acquire(&mut self, seq: u64, sent_at_ms: u64) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(ExchangeSlot::default());
+            (self.slots.len() - 1) as u32
+        }) as usize;
+        self.slots[slot].seq = seq;
+        self.slots[slot].sent_at_ms = sent_at_ms;
+        slot
+    }
+
+    /// The `Respond` that answers the probe in `slot` from `dst`: the slot's
+    /// cell takes its next turn.
+    pub(crate) fn respond(
+        &mut self,
+        slot: usize,
+        dst: usize,
+        lie: Option<u32>,
+        rtt_ms: f64,
+        publish: bool,
+    ) -> PlanOp {
+        let exchange = &mut self.slots[slot];
+        exchange.turn += 1;
+        PlanOp::Respond {
+            dst: dst as u32,
+            slot: slot as u32,
+            turn: exchange.turn,
+            lie,
+            seq: exchange.seq,
+            sent_at_ms: exchange.sent_at_ms,
+            rtt_ms,
+            publish,
+        }
+    }
+
+    /// Returns `slot` to the free list and the exchange it held.
+    pub(crate) fn release(&mut self, slot: usize) -> ExchangeSlot {
+        self.free.push(slot as u32);
+        self.slots[slot]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -285,202 +397,226 @@ struct WorkerRun {
     index: Option<CoordinateIndex<usize>>,
 }
 
-/// One worker thread's state: its shard of every configuration plus a
-/// reusable engine-event buffer.
-struct Worker {
+/// The simulator's engine executor: its shard of every configuration plus
+/// a reusable engine-event buffer. Every engine call a simulation makes is
+/// made by [`Worker::apply`].
+pub(crate) struct Worker {
     threads: usize,
     runs: Vec<WorkerRun>,
     events: Vec<Event<usize>>,
+    /// What [`Decided::evicted`] lends out, refilled by every op.
+    evicted: Vec<usize>,
 }
 
 impl Worker {
     fn execute(&mut self, batch: &Batch, cells: &[SlotCell]) {
-        for op in &batch.ops {
-            match *op {
-                PlanOp::Issue { node, dst, now_ms } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        let _ = run.nodes[local].probe_request_for(dst as usize, now_ms);
-                        run.metrics[local].probes_sent += 1;
-                    }
+        for &op in &batch.ops {
+            self.apply(op, &batch.lies, cells);
+        }
+    }
+
+    /// Runs `op` on every configuration of its node and returns what the
+    /// engines decided. `lies` is what a `Respond`'s `lie` indexes into;
+    /// `cells` is the response slab, at least as long as the highest slot
+    /// an op names. The cell handshake holds when the ops' slots and turns
+    /// come from one [`InFlight`] and each node's ops run in the order they
+    /// were emitted — by the planner's epochs, or by the reference loop on
+    /// one thread.
+    // Inlined into `execute`'s loop over a batch, the sharded hot path.
+    #[inline]
+    pub(crate) fn apply(
+        &mut self,
+        op: PlanOp,
+        lies: &[CoordinateLie],
+        cells: &[SlotCell],
+    ) -> Decided<'_> {
+        let mut seq = 0;
+        self.evicted.clear();
+        match op {
+            PlanOp::Issue { node, dst, now_ms } => {
+                let local = node as usize / self.threads;
+                let mut agreed = None;
+                for run in &mut self.runs {
+                    let issued = run.nodes[local].probe_request_for(dst as usize, now_ms).seq;
+                    run.metrics[local].probes_sent += 1;
+                    agreed = agree_on_seq(node as usize, agreed, issued);
                 }
-                PlanOp::Respond {
-                    dst,
-                    slot,
-                    turn,
-                    lie,
-                    seq,
-                    sent_at_ms,
-                    rtt_ms,
-                    publish,
-                } => {
-                    let local = dst as usize / self.threads;
-                    let cell = &cells[slot as usize];
-                    await_turn(&cell.consumed, turn - 1);
-                    // SAFETY: `consumed == turn - 1` means the previous use
-                    // of the cell — possibly epochs ago — is finished, and
-                    // the planner names this turn in no other `Respond`, so
-                    // this worker has exclusive access until it stores
-                    // published/consumed below.
-                    let responses = unsafe { &mut *cell.data.get() };
-                    let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
-                    let lie = lie.map(|index| &batch.lies[index as usize]);
-                    for (index, run) in self.runs.iter_mut().enumerate() {
-                        let responder = &mut run.nodes[local];
-                        if responses.len() <= index {
-                            responses.push(ProbeResponse::new(
-                                dst as usize,
-                                &request,
-                                responder.system_coordinate().clone(),
-                                responder.error_estimate(),
-                            ));
-                        }
-                        responder.respond_into(&request, &mut responses[index]);
-                        responses[index].rtt_ms = rtt_ms;
-                        if let Some(lie) = lie {
-                            apply_lie(&mut responses[index], lie);
-                        }
-                    }
-                    if publish {
-                        cell.published.store(turn, Ordering::Release);
-                    } else {
-                        cell.consumed.store(turn, Ordering::Release);
-                    }
-                }
-                PlanOp::Digest {
-                    src,
-                    slot,
-                    turn,
-                    measuring,
-                    now,
-                } => {
-                    let local = src as usize / self.threads;
-                    let cell = &cells[slot as usize];
-                    await_turn(&cell.published, turn);
-                    // SAFETY: `published == turn` means the responder is
-                    // done writing (in this epoch or an earlier one); the
-                    // planner emits exactly one taker per published turn —
-                    // this digest — and no one else touches the cell until
-                    // we store `consumed`.
-                    let responses = unsafe { &*cell.data.get() };
-                    for (index, run) in self.runs.iter_mut().enumerate() {
-                        self.events.clear();
-                        run.nodes[local].handle_response_into(&responses[index], &mut self.events);
-                        let ignored = self
-                            .events
-                            .iter()
-                            .any(|event| matches!(event, Event::ResponseIgnored { .. }));
-                        let node_metrics = &mut run.metrics[local];
-                        if !ignored {
-                            node_metrics.responses_received += 1;
-                            if measuring {
-                                node_metrics.observations += 1;
-                            }
-                        }
-                        fold_events(node_metrics, now, measuring, &self.events);
-                        feed_query_index(run.index.as_mut(), src as usize, &self.events);
-                    }
-                    cell.consumed.store(turn, Ordering::Release);
-                }
-                PlanOp::DropReply { slot, turn } => {
-                    // The responder may not have run yet: wait for the
-                    // publication exactly as a digest would, then pass the
-                    // cell on without reading it.
-                    let cell = &cells[slot as usize];
-                    await_turn(&cell.published, turn);
-                    cell.consumed.store(turn, Ordering::Release);
-                }
-                PlanOp::Timeout { node, seq } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        self.events.clear();
-                        run.nodes[local].handle_timeout_into(seq, &mut self.events);
-                        fold_events(&mut run.metrics[local], 0.0, false, &self.events);
-                    }
-                }
-                PlanOp::Crash { node } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        run.snapshots[local] = Some(run.nodes[local].snapshot());
-                    }
-                }
-                PlanOp::Restore {
-                    node,
-                    fresh,
-                    now,
-                    now_ms,
-                } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        let snapshot = if fresh {
-                            None
-                        } else {
-                            run.snapshots[local].take()
-                        };
-                        let mut revived = match snapshot {
-                            Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
-                                // nc-lint: allow(panic) — restoring a snapshot
-                                // this run took under the same config cannot
-                                // fail; a failure is a sim bug.
-                                .expect("a crash snapshot restores under its own configuration"),
-                            None => StableNode::new(run.config.clone()),
-                        };
-                        self.events.clear();
-                        revived.expire_pending_into(now_ms, 0, &mut self.events);
-                        fold_events(&mut run.metrics[local], now, false, &self.events);
-                        run.nodes[local] = revived;
-                    }
-                }
-                PlanOp::Track {
-                    node,
-                    sample,
-                    order,
-                    now,
-                } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        run.tracked.push((
-                            sample,
-                            order,
-                            TrackedCoordinate {
-                                time_s: now,
-                                node: node as usize,
-                                system: run.nodes[local].system_coordinate().clone(),
-                                application: run.nodes[local].application_coordinate().clone(),
-                            },
+                seq = agreed.unwrap_or_default();
+            }
+            PlanOp::Respond {
+                dst,
+                slot,
+                turn,
+                lie,
+                seq,
+                sent_at_ms,
+                rtt_ms,
+                publish,
+            } => {
+                let local = dst as usize / self.threads;
+                let cell = &cells[slot as usize];
+                await_turn(&cell.consumed, turn - 1);
+                // SAFETY: `consumed == turn - 1` means the previous use
+                // of the cell — possibly epochs ago — is finished, and
+                // `InFlight::respond` names this turn in no other
+                // `Respond`, so this worker has exclusive access until it
+                // stores published/consumed below.
+                let responses = unsafe { &mut *cell.data.get() };
+                let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
+                let lie = lie.map(|index| &lies[index as usize]);
+                for (index, run) in self.runs.iter_mut().enumerate() {
+                    let responder = &mut run.nodes[local];
+                    // First uses of a cell grow its vector; afterwards the
+                    // existing message (and its gossip buffer) is rewritten
+                    // in place.
+                    if responses.len() <= index {
+                        responses.push(ProbeResponse::new(
+                            dst as usize,
+                            &request,
+                            responder.system_coordinate().clone(),
+                            responder.error_estimate(),
                         ));
                     }
+                    responder.respond_into(&request, &mut responses[index]);
+                    responses[index].rtt_ms = rtt_ms;
+                    if let Some(lie) = lie {
+                        apply_lie(&mut responses[index], lie);
+                    }
+                }
+                if publish {
+                    cell.published.store(turn, Ordering::Release);
+                } else {
+                    cell.consumed.store(turn, Ordering::Release);
                 }
             }
+            PlanOp::Digest {
+                src,
+                slot,
+                turn,
+                measuring,
+                now,
+            } => {
+                let local = src as usize / self.threads;
+                let cell = &cells[slot as usize];
+                await_turn(&cell.published, turn);
+                // SAFETY: `published == turn` means the responder is done
+                // writing (in this epoch or an earlier one); the emitting
+                // loop releases each slot once, so it emits one taker per
+                // published turn — this digest — and no one else touches
+                // the cell until we store `consumed`.
+                let responses = unsafe { &*cell.data.get() };
+                for (index, run) in self.runs.iter_mut().enumerate() {
+                    self.events.clear();
+                    run.nodes[local].handle_response_into(&responses[index], &mut self.events);
+                    // A reply the engine refused to correlate (it raced its
+                    // own timeout, or the peer was evicted meanwhile) is not
+                    // an observation — it was already accounted as a loss.
+                    let ignored = self
+                        .events
+                        .iter()
+                        .any(|event| matches!(event, Event::ResponseIgnored { .. }));
+                    let node_metrics = &mut run.metrics[local];
+                    if !ignored {
+                        node_metrics.responses_received += 1;
+                        if measuring {
+                            node_metrics.observations += 1;
+                        }
+                    }
+                    fold_events(node_metrics, now, measuring, &self.events);
+                    feed_query_index(run.index.as_mut(), src as usize, &self.events);
+                }
+                cell.consumed.store(turn, Ordering::Release);
+            }
+            PlanOp::DropReply { slot, turn } => {
+                // The responder may not have run yet: wait for the
+                // publication exactly as a digest would, then pass the
+                // cell on without reading it.
+                let cell = &cells[slot as usize];
+                await_turn(&cell.published, turn);
+                cell.consumed.store(turn, Ordering::Release);
+            }
+            PlanOp::Timeout { node, seq } => {
+                let local = node as usize / self.threads;
+                for (index, run) in self.runs.iter_mut().enumerate() {
+                    self.events.clear();
+                    run.nodes[local].handle_timeout_into(seq, &mut self.events);
+                    evicted_by_every(&mut self.evicted, index == 0, &self.events);
+                    fold_events(&mut run.metrics[local], 0.0, false, &self.events);
+                }
+            }
+            PlanOp::Crash { node } => {
+                let local = node as usize / self.threads;
+                for run in &mut self.runs {
+                    run.snapshots[local] = Some(run.nodes[local].snapshot());
+                }
+            }
+            PlanOp::Restore {
+                node,
+                fresh,
+                now,
+                now_ms,
+            } => {
+                let local = node as usize / self.threads;
+                for (index, run) in self.runs.iter_mut().enumerate() {
+                    let snapshot = if fresh {
+                        None
+                    } else {
+                        run.snapshots[local].take()
+                    };
+                    let mut revived = match snapshot {
+                        Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
+                            // nc-lint: allow(panic) — restoring a snapshot
+                            // this run took under the same config cannot
+                            // fail; a failure is a sim bug.
+                            .expect("a crash snapshot restores under its own configuration"),
+                        None => StableNode::new(run.config.clone()),
+                    };
+                    // A rebooted daemon stops waiting for pre-crash replies.
+                    self.events.clear();
+                    revived.expire_pending_into(now_ms, 0, &mut self.events);
+                    evicted_by_every(&mut self.evicted, index == 0, &self.events);
+                    fold_events(&mut run.metrics[local], now, false, &self.events);
+                    run.nodes[local] = revived;
+                }
+            }
+            PlanOp::Track {
+                node,
+                sample,
+                order,
+                now,
+            } => {
+                let local = node as usize / self.threads;
+                for run in &mut self.runs {
+                    run.tracked.push((
+                        sample,
+                        order,
+                        TrackedCoordinate {
+                            time_s: now,
+                            node: node as usize,
+                            system: run.nodes[local].system_coordinate().clone(),
+                            application: run.nodes[local].application_coordinate().clone(),
+                        },
+                    ));
+                }
+            }
+        }
+        Decided {
+            seq,
+            evicted: &self.evicted,
         }
     }
 }
 
-/// One probe exchange in flight, as the planner tracks it between the
-/// events that carry its index: what the later operations need of the
-/// send, and the use counter of the response cell with the same index.
-/// Planner-private — the operations copy what they need.
-#[derive(Debug, Clone, Copy, Default)]
-struct ExchangeSlot {
-    seq: u64,
-    sent_at_ms: u64,
-    /// Times a `Respond` has used this slot's cell; persists across reuse.
-    turn: u32,
-}
-
 /// Phase 1, resumable: the serial schedule replay. Mutates `schedule`
-/// exactly as the engine-driven loop would and emits the operations for
-/// phase 2 one epoch at a time.
+/// exactly as the reference loop would and emits the operations for phase 2
+/// one epoch at a time.
 struct Planner<'a> {
     env: &'a SimEnv,
     schedule: &'a mut ScheduleState,
     threads: usize,
     queue: EventQueue<SimEvent>,
     groups: Vec<LedgerGroup>,
-    /// In-flight exchanges, indexed by the `slot` field of the probe
-    /// events; `slots.len()` is also the size the cell slab must have.
-    slots: Vec<ExchangeSlot>,
-    free_slots: Vec<u32>,
+    in_flight: InFlight,
     scenario_actions: u64,
     track_sample: u32,
 }
@@ -498,8 +634,7 @@ impl<'a> Planner<'a> {
             schedule,
             threads,
             groups,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
+            in_flight: InFlight::default(),
             scenario_actions: 0,
             track_sample: 0,
         }
@@ -528,17 +663,6 @@ impl<'a> Planner<'a> {
     fn emit(&self, batches: &mut [Batch], node: usize, op: PlanOp) {
         // bounds: node % threads < threads == batches.len().
         batches[node % self.threads].ops.push(op);
-    }
-
-    /// Claims an exchange slot for a probe that survived its forward leg.
-    fn acquire_slot(&mut self, seq: u64, sent_at_ms: u64) -> usize {
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.slots.push(ExchangeSlot::default());
-            (self.slots.len() - 1) as u32
-        }) as usize;
-        self.slots[slot].seq = seq;
-        self.slots[slot].sent_at_ms = sent_at_ms;
-        slot
     }
 
     fn on_event(&mut self, batches: &mut [Batch], now: f64, event: SimEvent) {
@@ -577,7 +701,10 @@ impl<'a> Planner<'a> {
                 let seq = self
                     .groups
                     .iter_mut()
-                    .fold(0, |_, group| group.nodes[src].issue(dst, now_ms));
+                    .fold(None, |agreed, group| {
+                        agree_on_seq(src, agreed, group.nodes[src].issue(dst, now_ms))
+                    })
+                    .unwrap_or_default();
                 self.emit(
                     batches,
                     src,
@@ -595,7 +722,7 @@ impl<'a> Planner<'a> {
                 if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
                     return;
                 }
-                let slot = self.acquire_slot(seq, now_ms);
+                let slot = self.in_flight.acquire(seq, now_ms);
                 self.queue.schedule(
                     now + draw.forward_delay_s,
                     SimEvent::ProbeDeliver {
@@ -617,13 +744,12 @@ impl<'a> Planner<'a> {
                 reverse_lost,
             } => {
                 if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
-                    self.free_slots.push(slot as u32);
+                    self.in_flight.release(slot);
                     return;
                 }
-                // Adversary draw: same point of the schedule as the serial
-                // loop's `on_probe_deliver`, so the dedicated adversary RNG
-                // advances identically and serial/sharded runs stay
-                // byte-identical.
+                // Adversary draw: same point of the schedule as the reference
+                // loop's, so the dedicated adversary RNG advances identically
+                // and reference/sharded runs stay byte-identical.
                 let adversary = self.schedule.sample_adversary(dst);
                 let (rtt_ms, reverse_delay_s) = match &adversary {
                     Some(draw) => (
@@ -638,20 +764,12 @@ impl<'a> Planner<'a> {
                     batch.lies.push(lie);
                     (batch.lies.len() - 1) as u32
                 });
-                let exchange = &mut self.slots[slot];
-                exchange.turn += 1;
-                batch.ops.push(PlanOp::Respond {
-                    dst: dst as u32,
-                    slot: slot as u32,
-                    turn: exchange.turn,
-                    lie,
-                    seq: exchange.seq,
-                    sent_at_ms: exchange.sent_at_ms,
-                    rtt_ms,
-                    publish: !reverse_lost,
-                });
+                batch.ops.push(
+                    self.in_flight
+                        .respond(slot, dst, lie, rtt_ms, !reverse_lost),
+                );
                 if reverse_lost {
-                    self.free_slots.push(slot as u32);
+                    self.in_flight.release(slot);
                     return;
                 }
                 self.queue.schedule(
@@ -660,8 +778,7 @@ impl<'a> Planner<'a> {
                 );
             }
             SimEvent::ResponseDeliver { src, dst, slot } => {
-                let exchange = self.slots[slot];
-                self.free_slots.push(slot as u32);
+                let exchange = self.in_flight.release(slot);
                 if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
                     self.emit(
                         batches,
@@ -702,7 +819,7 @@ impl<'a> Planner<'a> {
                     },
                 );
                 // The shared rotation drops the peer only once *every*
-                // configuration has evicted it — the serial loop's rule.
+                // configuration has evicted it — the reference loop's rule.
                 let mut target = None;
                 let mut evicted_by_all = true;
                 for group in &mut self.groups {
@@ -826,7 +943,7 @@ impl<'a> Planner<'a> {
 /// Runs the simulation to completion with engine work sharded across
 /// `threads` workers, planning `epoch_events` events at a time, and leaves
 /// `state` (metrics, engines, schedule, crash snapshots) byte-identical to
-/// what serial execution would have produced.
+/// what the reference loop would have produced.
 pub(crate) fn run_sharded(
     env: &SimEnv,
     state: &mut EngineState,
@@ -892,7 +1009,7 @@ pub(crate) fn run_sharded(
                 // nc-lint: allow(panic) — only a panic poisons the lock, and
                 // that run is already lost.
                 .expect("a worker panicked")
-                .resize_with(planner.slots.len(), SlotCell::new);
+                .resize_with(planner.in_flight.len(), SlotCell::new);
             // bounds: batches[0] is the calling thread's; batches[1..] pair
             // up with the spawned workers' links.
             let (mine, theirs) = batches.split_at_mut(1);
@@ -931,7 +1048,7 @@ pub(crate) fn run_sharded(
     let scenario_actions = planner.scenario_actions;
     let footprint = PlanFootprint {
         op_capacity: batches.iter().map(|batch| batch.ops.capacity()).sum(),
-        cells: planner.slots.len(),
+        cells: planner.in_flight.len(),
     };
     let groups = planner.groups;
     reassemble(env, state, finished, scenario_actions, &groups);
@@ -940,7 +1057,7 @@ pub(crate) fn run_sharded(
 
 /// Deals node `i` (engines, metrics, crash snapshots — every configuration)
 /// to worker `i % threads`; its local index there is `i / threads`.
-fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
+pub(crate) fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
     let n = env.topology.len();
     let run_count = state.runs.len();
     let mut workers: Vec<Worker> = (0..threads)
@@ -948,6 +1065,7 @@ fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
             threads,
             runs: Vec::with_capacity(run_count),
             events: Vec::new(),
+            evicted: Vec::new(),
         })
         .collect();
     for (run_index, run) in state.runs.iter_mut().enumerate() {
@@ -985,7 +1103,7 @@ fn deal(env: &SimEnv, state: &mut EngineState, threads: usize) -> Vec<Worker> {
 /// Puts `state` back together in global node order, stitches tracked
 /// samples back into the serial emission order, restores unclaimed crash
 /// snapshots, and checks every engine's ledger against the planner's.
-fn reassemble(
+pub(crate) fn reassemble(
     env: &SimEnv,
     state: &mut EngineState,
     finished: Vec<Worker>,
@@ -1045,7 +1163,7 @@ fn reassemble(
         run.metrics.scenario_ops += scenario_actions;
         // Fold the per-worker query-index slices back into the run's index.
         // Each worker digested a disjoint set of node ids, so the upserts
-        // never collide and the merged contents equal a serial run's
+        // never collide and the merged contents equal a one-worker run's
         // (rebalance counters are layout diagnostics and may differ).
         if let Some(target) = run.index.as_mut() {
             for part in &index_parts {

@@ -40,29 +40,38 @@
 //! The simulator is a *driver* of the sans-I/O engine: every probe runs the
 //! full wire exchange — [`StableNode::probe_request_for`] →
 //! [`StableNode::respond_into`] → stamp the sampled RTT into the
-//! [`ProbeResponse`] → [`StableNode::handle_response_into`] — and the
-//! metrics are folded from the reported [`Event`] stream, exactly as a
-//! deployed daemon would consume them. Timeouts run through
-//! [`StableNode::handle_timeout_into`], the same API a daemon's timer wheel
-//! would call.
+//! [`ProbeResponse`](nc_proto::ProbeResponse) →
+//! [`StableNode::handle_response_into`] — and the metrics are folded from
+//! the reported [`Event`] stream, exactly as a deployed daemon would consume
+//! them. Timeouts run through [`StableNode::handle_timeout_into`], the same
+//! API a daemon's timer wheel would call. Every one of those calls is made
+//! in one place, `shard::Worker::apply`, which runs one engine operation on
+//! every configuration of one node. Both loops drive it: the planner of
+//! [`Simulator::run`] in epochs, and the reference loop behind
+//! [`Simulator::with_serial_execution`] one operation at a time. The
+//! reference shares those operation bodies, and nothing else: it takes its
+//! schedule from what the engines decided, where the planner reads ledgers.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
+use nc_proto::{Event, NodeSnapshot};
 use nc_query::{CoordinateIndex, QueryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stable_nc::{FxHashMap, NodeConfig, StableNode};
 
-use crate::adversary::{apply_lie, AdversaryConfig, AdversaryDraw, AdversaryModel};
+use crate::adversary::{AdversaryConfig, AdversaryDraw, AdversaryModel, CoordinateLie};
 use crate::linkmodel::{LinkModel, LinkModelConfig};
-use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport, TrackedCoordinate};
+use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport};
 use crate::planetlab::PlanetLabConfig;
 use crate::scenario::{Scenario, ScenarioAction};
-use crate::shard::{auto_workers, run_sharded, PlanFootprint, EPOCH_EVENTS};
+use crate::shard::{
+    auto_workers, deal, reassemble, run_sharded, Decided, InFlight, PlanFootprint, PlanOp,
+    SlotCell, Worker, EPOCH_EVENTS,
+};
 use crate::topology::Topology;
 
 /// An invalid [`SimConfig`], reported by [`SimConfig::validate`].
@@ -634,8 +643,8 @@ impl<T> EventQueue<T> {
 
 /// What the simulator does when the clock reaches an event.
 ///
-/// Per-probe wire payloads live in an index-addressed slab of reusable
-/// buffers ([`ExchangeSlot`]); events carry only the slab index plus plain
+/// Per-probe responses live in an index-addressed slab of reusable cells
+/// (`shard::SlotCell`); events carry only the slab index plus plain
 /// scalars, so scheduling and delivering a probe moves a few machine words
 /// through the queue instead of cloning coordinates and messages per event.
 #[derive(Debug, Clone, Copy)]
@@ -645,7 +654,7 @@ pub(crate) enum SimEvent {
     /// up.
     ProbeSend { src: usize },
     /// A probe reaches its target, which answers it (the reply may then be
-    /// lost on the way back). The per-configuration requests live in the
+    /// lost on the way back). What the reply needs of the send lives in the
     /// exchange slot.
     ProbeDeliver {
         src: usize,
@@ -655,8 +664,8 @@ pub(crate) enum SimEvent {
         reverse_delay_s: f64,
         reverse_lost: bool,
     },
-    /// A reply reaches the prober, which digests the observation held in the
-    /// exchange slot.
+    /// A reply reaches the prober, which digests the responses held in the
+    /// slot's cell.
     ResponseDeliver { src: usize, dst: usize, slot: usize },
     /// The prober's timer for one probe fires; a no-op when the reply
     /// arrived first.
@@ -685,17 +694,6 @@ pub(crate) struct ConfigRun {
     /// [`SimConfig::query_index`] is set. Fed from `ApplicationUpdated`
     /// events only — it never influences the schedule or the report.
     pub(crate) index: Option<CoordinateIndex<usize>>,
-}
-
-/// Reusable per-exchange wire buffers: one request and one response per
-/// named configuration. Slots are recycled through a free list and the
-/// vectors (including each response's gossip payload) keep their capacity
-/// across reuses, so the steady-state exchange path performs no heap
-/// allocation.
-#[derive(Default)]
-struct ExchangeSlot {
-    requests: Vec<ProbeRequest<usize>>,
-    responses: Vec<ProbeResponse<usize>>,
 }
 
 /// Everything that stays immutable while a simulation runs: the workload,
@@ -837,7 +835,7 @@ impl ScheduleState {
 
     /// Draws the adversarial action for a reply about to be sent by `node`,
     /// or `None` when the node is honest. Called at probe-delivery time —
-    /// the same point of the schedule in the serial loop and the sharded
+    /// the same point of the schedule in the reference loop and the sharded
     /// planner — and consumes randomness only for actual adversaries.
     pub(crate) fn sample_adversary(&mut self, node: usize) -> Option<AdversaryDraw> {
         let model = self.adversaries[node].as_ref()?;
@@ -961,20 +959,14 @@ impl ScheduleState {
 }
 
 /// The mutable half of a simulation: the protocol-level [`ScheduleState`],
-/// the per-configuration node stacks, and the reference loop's reusable
-/// exchange buffers.
+/// the per-configuration node stacks and their crash snapshots. Either loop
+/// deals the stacks out to its workers for a run and puts them back after.
 pub(crate) struct EngineState {
     pub(crate) schedule: ScheduleState,
     pub(crate) runs: Vec<ConfigRun>,
     /// Per-run, per-node snapshot taken at the instant of a crash, consumed
     /// by a later restart.
     pub(crate) crash_snapshots: Vec<Vec<Option<NodeSnapshot<usize>>>>,
-    slots: Vec<ExchangeSlot>,
-    free_slots: Vec<usize>,
-    /// Reusable engine-event buffer, cleared before every
-    /// `handle_response_into` / `handle_timeout_into` /
-    /// `expire_pending_into` call.
-    events_scratch: Vec<Event<usize>>,
     /// Events one replay of the schedule popped from its [`EventQueue`]
     /// (see [`Simulator::events_popped`]).
     pub(crate) events_popped: u64,
@@ -987,9 +979,9 @@ pub(crate) struct EngineState {
 /// [`Simulator::run`] has one engine: the schedule is planned serially in
 /// bounded epochs and each epoch's engine work runs on
 /// `min(cores, nodes / 128)` workers, at least one — the calling thread,
-/// which then simply alternates planning and executing. The engine-driven
-/// loop behind [`Simulator::with_serial_execution`] is the reference the
-/// regression suites compare that engine against, byte for byte.
+/// which then simply alternates planning and executing. The loop behind
+/// [`Simulator::with_serial_execution`] is the reference the regression
+/// suites compare that engine against, byte for byte.
 pub struct Simulator {
     env: SimEnv,
     state: EngineState,
@@ -1139,9 +1131,6 @@ impl Simulator {
                 },
                 runs,
                 crash_snapshots: vec![vec![None; n]; run_count],
-                slots: Vec::new(),
-                free_slots: Vec::new(),
-                events_scratch: Vec::new(),
                 events_popped: 0,
             },
             reference: false,
@@ -1168,13 +1157,14 @@ impl Simulator {
         self
     }
 
-    /// Runs the reference implementation instead of the engine: one loop in
-    /// which the engines themselves drive the schedule, every event of every
-    /// configuration on the calling thread, whatever
-    /// [`Simulator::with_threads`] says. It exists for the regression suites,
-    /// which assert the engine's [`SimReport`] equal to this one's byte for
-    /// byte; it is not a mode to run experiments in (level with the engine's
-    /// one-worker run on small meshes, slower from about a hundred nodes up).
+    /// Runs the reference loop instead of the planner: every node on one
+    /// worker on the calling thread, whatever [`Simulator::with_threads`]
+    /// says, each engine operation applied the moment the loop emits it.
+    /// The reference executes operations with the same code as the sharded
+    /// run, but decides the schedule on its own, from what the engines
+    /// decided — never from the planner's ledgers. It exists for the
+    /// regression suites, which assert the planner's [`SimReport`] equal to
+    /// this one's byte for byte; it is not a mode to run experiments in.
     pub fn with_serial_execution(mut self, serial: bool) -> Self {
         self.reference = serial;
         self
@@ -1254,9 +1244,9 @@ impl Simulator {
     /// worker count is [`Simulator::with_threads`]' or, unasked,
     /// `min(cores, nodes / 128)` and at least one, with `cores` taken from
     /// [`std::thread::available_parallelism`]; the 128-nodes-per-worker
-    /// floor is measured (README, "Node-sharded execution"). One worker is
-    /// the calling thread — no thread is spawned for it. Neither the worker
-    /// count nor the epoch size reaches the report.
+    /// floor is measured (README, "How many workers `run()` uses"). One
+    /// worker is the calling thread — no thread is spawned for it. Neither
+    /// the worker count nor the epoch size reaches the report.
     ///
     /// The report takes the metric accumulators with it: a second `run` on
     /// the same simulator replays the schedule from `t = 0` over the engines
@@ -1271,7 +1261,7 @@ impl Simulator {
     /// reference loop ran.
     fn execute(&mut self) -> Option<PlanFootprint> {
         if self.reference {
-            self.state.run_to_completion(&self.env);
+            run_reference(&self.env, &mut self.state);
             return None;
         }
         let workers = self.threads.unwrap_or_else(|| {
@@ -1321,9 +1311,9 @@ impl Simulator {
 
 /// Feeds a run's optional coordinate query index from one engine event
 /// stream: every `ApplicationUpdated` upserts the publishing node's new
-/// application coordinate. The workers and the reference loop call this
-/// from their response-digest step — the only place the engines publish
-/// coordinates — so the final index contents are identical between them.
+/// application coordinate. The executor calls this from its response
+/// digest — the only place the engines publish coordinates — so the final
+/// index contents are the same whichever loop ran.
 pub(crate) fn feed_query_index(
     index: Option<&mut CoordinateIndex<usize>>,
     node: usize,
@@ -1384,339 +1374,253 @@ pub(crate) fn fold_events(
     }
 }
 
-impl EngineState {
-    /// Pops a free exchange slot or grows the slab by one.
-    fn acquire_slot(&mut self) -> usize {
-        match self.free_slots.pop() {
-            Some(index) => index,
-            None => {
-                self.slots.push(ExchangeSlot::default());
-                self.slots.len() - 1
-            }
+/// The reference loop behind [`Simulator::with_serial_execution`], while it
+/// runs: the schedule, every node on one [`Worker`], and the exchanges in
+/// flight with their response cells. It emits the sharded path's engine ops
+/// and applies each one the moment it is emitted; every schedule decision
+/// it takes from what the engines decided, never from a ledger of its own.
+struct Reference<'a> {
+    env: &'a SimEnv,
+    schedule: &'a mut ScheduleState,
+    queue: EventQueue<SimEvent>,
+    worker: Worker,
+    in_flight: InFlight,
+    cells: Vec<SlotCell>,
+    /// The lie of the reply being answered: what a `Respond`'s `lie: Some(0)`
+    /// names.
+    lie: Option<CoordinateLie>,
+    scenario_actions: u64,
+    track_sample: u32,
+}
+
+/// Runs the reference loop from `t = 0` to the configured duration, every
+/// node dealt to one worker on the calling thread.
+fn run_reference(env: &SimEnv, state: &mut EngineState) {
+    // nc-lint: allow(panic) — `deal` builds one worker per thread.
+    let worker = deal(env, state, 1).pop().expect("one worker");
+    let mut reference = Reference {
+        env,
+        queue: state.schedule.start(env),
+        schedule: &mut state.schedule,
+        worker,
+        in_flight: InFlight::default(),
+        cells: Vec::new(),
+        lie: None,
+        scenario_actions: 0,
+        track_sample: 0,
+    };
+    while let Some((now, event)) = reference.queue.pop() {
+        if now >= env.sim_config.duration_s {
+            break;
         }
+        reference.on_event(now, event);
+    }
+    let Reference {
+        queue,
+        worker,
+        scenario_actions,
+        ..
+    } = reference;
+    state.events_popped = queue.popped();
+    reassemble(env, state, vec![worker], scenario_actions, &[]);
+}
+
+impl Reference<'_> {
+    fn apply(&mut self, op: PlanOp) -> Decided<'_> {
+        self.worker.apply(op, self.lie.as_slice(), &self.cells)
     }
 
-    /// Returns a slot (and its buffers' capacity) to the free list.
-    fn release_slot(&mut self, index: usize) {
-        self.free_slots.push(index);
-    }
-
-    /// The reference loop: drives the events from `t = 0` to the configured
-    /// duration with the engines deciding, as they go, what the schedule does
-    /// next. Called only behind [`Simulator::with_serial_execution`].
-    fn run_to_completion(&mut self, env: &SimEnv) {
-        let mut queue = self.schedule.start(env);
-        while let Some((now, event)) = queue.pop() {
-            if now >= env.sim_config.duration_s {
-                break;
-            }
-            match event {
-                SimEvent::ProbeSend { src } => self.on_probe_send(env, now, src, &mut queue),
-                SimEvent::ProbeDeliver {
-                    src,
-                    dst,
-                    slot,
-                    rtt_ms,
-                    reverse_delay_s,
-                    reverse_lost,
-                } => self.on_probe_deliver(
-                    now,
-                    src,
-                    dst,
-                    slot,
-                    rtt_ms,
-                    reverse_delay_s,
-                    reverse_lost,
-                    &mut queue,
-                ),
-                SimEvent::ResponseDeliver { src, dst, slot } => {
-                    self.on_response_deliver(env, now, src, dst, slot)
+    fn on_event(&mut self, now: f64, event: SimEvent) {
+        let env = self.env;
+        match event {
+            SimEvent::ProbeSend { src } => {
+                // Healed partitions are dead weight for every later crossing
+                // check; prune them as the clock passes their heal time.
+                self.schedule
+                    .active_partitions
+                    .retain(|window| window.heal_at_s > now);
+                if !self.schedule.alive[src] {
+                    // The cycle dies with the node; a restart schedules a new one.
+                    self.schedule.probe_cycle_active[src] = false;
+                    return;
                 }
-                SimEvent::ProbeTimeout { src, seq } => self.on_probe_timeout(src, seq),
-                SimEvent::TrackSample => self.on_track_sample(env, now, &mut queue),
-                SimEvent::ScenarioAction { index } => self.on_scenario(env, now, index, &mut queue),
+                let next_tick = now + env.sim_config.probe_interval_s;
+                if next_tick < env.sim_config.duration_s {
+                    self.queue
+                        .schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
+                } else {
+                    self.schedule.probe_cycle_active[src] = false;
+                }
+                let neighbor_count = self.schedule.neighbor_sets[src].len();
+                if neighbor_count == 0 {
+                    return;
+                }
+                let cursor = self.schedule.round_robin[src];
+                // bounds: the cursor is reduced modulo neighbor_count == the set's len.
+                let dst = self.schedule.neighbor_sets[src][cursor % neighbor_count];
+                self.schedule.round_robin[src] = cursor.wrapping_add(1);
+                if dst == src {
+                    return;
+                }
+                // One raw observation shared by every configuration.
+                let draw = self.schedule.sample_exchange(env, src, dst, now);
+                let now_ms = (now * 1_000.0) as u64;
+                let issue = PlanOp::Issue {
+                    node: src as u32,
+                    dst: dst as u32,
+                    now_ms,
+                };
+                let seq = self.apply(issue).seq;
+                // The timer is armed regardless of the probe's fate — exactly
+                // what a deployed prober would do.
+                self.queue.schedule_timer(
+                    TIMEOUT_LANE,
+                    now + env.sim_config.probe_timeout_s,
+                    SimEvent::ProbeTimeout { src, seq },
+                );
+                if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
+                    return;
+                }
+                let slot = self.in_flight.acquire(seq, now_ms);
+                if slot == self.cells.len() {
+                    self.cells.push(SlotCell::new());
+                }
+                self.queue.schedule(
+                    now + draw.forward_delay_s,
+                    SimEvent::ProbeDeliver {
+                        src,
+                        dst,
+                        slot,
+                        rtt_ms: draw.rtt_ms,
+                        reverse_delay_s: draw.reverse_delay_s,
+                        reverse_lost: draw.reverse_lost,
+                    },
+                );
             }
-        }
-        self.events_popped = queue.popped();
-    }
-
-    fn on_probe_send(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        src: usize,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        // Healed partitions are dead weight for every later crossing check;
-        // prune them as the clock passes their heal time.
-        self.schedule
-            .active_partitions
-            .retain(|window| window.heal_at_s > now);
-        if !self.schedule.alive[src] {
-            // The cycle dies with the node; a restart schedules a new one.
-            self.schedule.probe_cycle_active[src] = false;
-            return;
-        }
-        let next_tick = now + env.sim_config.probe_interval_s;
-        if next_tick < env.sim_config.duration_s {
-            queue.schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
-        } else {
-            self.schedule.probe_cycle_active[src] = false;
-        }
-
-        let neighbor_count = self.schedule.neighbor_sets[src].len();
-        if neighbor_count == 0 {
-            return;
-        }
-        // bounds: the cursor is reduced modulo neighbor_count == the set's len.
-        let dst = self.schedule.neighbor_sets[src][self.schedule.round_robin[src] % neighbor_count];
-        self.schedule.round_robin[src] = self.schedule.round_robin[src].wrapping_add(1);
-        if dst == src {
-            return;
-        }
-
-        // One raw observation shared by every configuration; the requests go
-        // into a reused exchange slot, not a fresh allocation.
-        let draw = self.schedule.sample_exchange(env, src, dst, now);
-        let now_ms = (now * 1_000.0) as u64;
-        let slot = self.acquire_slot();
-        let seq = {
-            let slot_buffers = &mut self.slots[slot];
-            slot_buffers.requests.clear();
-            for run in self.runs.iter_mut() {
-                slot_buffers
-                    .requests
-                    .push(run.nodes[src].probe_request_for(dst, now_ms));
-                run.metrics.nodes[src].probes_sent += 1;
-            }
-            slot_buffers.requests[0].seq
-        };
-
-        // The timer is armed regardless of the probe's fate — exactly what a
-        // deployed prober would do.
-        queue.schedule_timer(
-            TIMEOUT_LANE,
-            now + env.sim_config.probe_timeout_s,
-            SimEvent::ProbeTimeout { src, seq },
-        );
-
-        if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        queue.schedule(
-            now + draw.forward_delay_s,
             SimEvent::ProbeDeliver {
                 src,
                 dst,
                 slot,
-                rtt_ms: draw.rtt_ms,
-                reverse_delay_s: draw.reverse_delay_s,
-                reverse_lost: draw.reverse_lost,
-            },
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // one event's full wire context; a struct would be unpacked on the next line
-    fn on_probe_deliver(
-        &mut self,
-        now: f64,
-        src: usize,
-        dst: usize,
-        slot: usize,
-        rtt_ms: f64,
-        reverse_delay_s: f64,
-        reverse_lost: bool,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        // A crash between send and delivery silently eats the probe; the
-        // prober's timeout reports the loss.
-        if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        // An adversarial responder corrupts the reply here, in the shared
-        // schedule: delay attacks stretch both the observed RTT and the
-        // reply's in-flight time (a held-back reply really is late and can
-        // cross the prober's timeout), coordinate lies are drawn once and
-        // applied identically to every configuration's response below. The
-        // sharded planner draws at the exact same point of the schedule.
-        let adversary = self.schedule.sample_adversary(dst);
-        let (rtt_ms, reverse_delay_s) = match &adversary {
-            Some(draw) => (
-                rtt_ms + draw.extra_delay_ms,
-                reverse_delay_s + draw.extra_delay_ms / 1_000.0,
-            ),
-            None => (rtt_ms, reverse_delay_s),
-        };
-        let lie = adversary.and_then(|draw| draw.lie);
-        {
-            let slot_buffers = &mut self.slots[slot];
-            for (index, run) in self.runs.iter_mut().enumerate() {
-                // First uses of a slot grow the response vector; afterwards
-                // the existing message (and its gossip buffer) is rewritten
-                // in place.
-                let request = &slot_buffers.requests[index];
-                let responder = &mut run.nodes[dst];
-                if slot_buffers.responses.len() <= index {
-                    slot_buffers.responses.push(ProbeResponse::new(
-                        dst,
-                        request,
-                        responder.system_coordinate().clone(),
-                        responder.error_estimate(),
-                    ));
+                rtt_ms,
+                reverse_delay_s,
+                reverse_lost,
+            } => {
+                // A crash between send and delivery silently eats the probe;
+                // the prober's timeout reports the loss.
+                if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
+                    self.in_flight.release(slot);
+                    return;
                 }
-                responder.respond_into(request, &mut slot_buffers.responses[index]);
-                slot_buffers.responses[index].rtt_ms = rtt_ms;
-                if let Some(lie) = &lie {
-                    apply_lie(&mut slot_buffers.responses[index], lie);
+                // An adversarial responder corrupts the reply here, in the
+                // shared schedule: delay attacks stretch both the observed
+                // RTT and the reply's in-flight time (a held-back reply
+                // really is late and can cross the prober's timeout),
+                // coordinate lies are drawn once and applied identically to
+                // every configuration's response. The sharded planner draws
+                // at the exact same point of the schedule.
+                let adversary = self.schedule.sample_adversary(dst);
+                let (rtt_ms, reverse_delay_s) = match &adversary {
+                    Some(draw) => (
+                        rtt_ms + draw.extra_delay_ms,
+                        reverse_delay_s + draw.extra_delay_ms / 1_000.0,
+                    ),
+                    None => (rtt_ms, reverse_delay_s),
+                };
+                self.lie = adversary.and_then(|draw| draw.lie);
+                let lie = self.lie.is_some().then_some(0);
+                let respond = self
+                    .in_flight
+                    .respond(slot, dst, lie, rtt_ms, !reverse_lost);
+                self.apply(respond);
+                if reverse_lost {
+                    self.in_flight.release(slot);
+                    return;
                 }
+                self.queue.schedule(
+                    now + reverse_delay_s,
+                    SimEvent::ResponseDeliver { src, dst, slot },
+                );
             }
-        }
-        if reverse_lost {
-            self.release_slot(slot);
-            return;
-        }
-        queue.schedule(
-            now + reverse_delay_s,
-            SimEvent::ResponseDeliver { src, dst, slot },
-        );
-    }
-
-    fn on_response_deliver(&mut self, env: &SimEnv, now: f64, src: usize, dst: usize, slot: usize) {
-        // A reply reaching a node that crashed meanwhile is dropped; the
-        // pending entry survives in its crash snapshot and is expired as
-        // lost if the node restarts. A reply crossing a partition that
-        // activated while it was in flight is dropped too — every packet
-        // across the boundary, in both directions, is lost until the heal.
-        if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        let measuring = now >= env.sim_config.measurement_start_s;
-        {
-            let EngineState {
-                runs,
-                slots,
-                events_scratch,
-                ..
-            } = self;
-            for (run, response) in runs.iter_mut().zip(slots[slot].responses.iter()) {
-                events_scratch.clear();
-                run.nodes[src].handle_response_into(response, events_scratch);
-                // A reply the engine refused to correlate (it raced its own
-                // timeout, or the peer was evicted meanwhile) is not an
-                // observation — it was already accounted as a loss.
-                let ignored = events_scratch
-                    .iter()
-                    .any(|event| matches!(event, Event::ResponseIgnored { .. }));
-                let node_metrics = &mut run.metrics.nodes[src];
-                if !ignored {
-                    node_metrics.responses_received += 1;
-                    if measuring {
-                        node_metrics.observations += 1;
-                    }
+            SimEvent::ResponseDeliver { src, dst, slot } => {
+                let (slot, turn) = (slot as u32, self.in_flight.release(slot).turn);
+                // A reply reaching a node that crashed meanwhile is dropped;
+                // the pending entry survives in its crash snapshot and is
+                // expired as lost if the node restarts. A reply crossing a
+                // partition that activated while it was in flight is dropped
+                // too — every packet across the boundary, in both
+                // directions, is lost until the heal.
+                if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
+                    self.apply(PlanOp::DropReply { slot, turn });
+                    return;
                 }
-                fold_events(node_metrics, now, measuring, events_scratch);
-                feed_query_index(run.index.as_mut(), src, events_scratch);
-            }
-        }
-        self.release_slot(slot);
-        self.schedule.learn_gossip(env, src, dst);
-    }
-
-    fn on_probe_timeout(&mut self, src: usize, seq: u64) {
-        if !self.schedule.alive[src] {
-            return;
-        }
-        // When a configuration's engine evicts the unresponsive peer
-        // (`NodeConfig::max_consecutive_losses`), the shared probe rotation
-        // honours it — but only once *every* configuration has evicted, so
-        // the schedule stays identical across side-by-side stacks. With
-        // matching eviction thresholds (the usual case) they all fire on
-        // the same timeout.
-        let mut target = None;
-        let mut evicted_by_all = true;
-        {
-            let EngineState {
-                runs,
-                events_scratch,
-                ..
-            } = self;
-            for run in runs.iter_mut() {
-                events_scratch.clear();
-                run.nodes[src].handle_timeout_into(seq, events_scratch);
-                let mut evicted_here = false;
-                for event in events_scratch.iter() {
-                    match event {
-                        Event::ProbeLost { id, .. } => target = Some(*id),
-                        Event::NeighborEvicted { .. } => evicted_here = true,
-                        _ => {}
-                    }
-                }
-                fold_events(&mut run.metrics.nodes[src], 0.0, false, events_scratch);
-                evicted_by_all &= evicted_here;
-            }
-        }
-        if evicted_by_all {
-            if let Some(dst) = target {
-                self.schedule.neighbor_remove(src, dst);
-            }
-        }
-    }
-
-    fn on_track_sample(&mut self, env: &SimEnv, now: f64, queue: &mut EventQueue<SimEvent>) {
-        for run in &mut self.runs {
-            for &node in &env.sim_config.track_nodes {
-                run.metrics.tracked.push(TrackedCoordinate {
-                    time_s: now,
-                    node,
-                    system: run.nodes[node].system_coordinate().clone(),
-                    application: run.nodes[node].application_coordinate().clone(),
+                self.apply(PlanOp::Digest {
+                    src: src as u32,
+                    slot,
+                    turn,
+                    measuring: now >= env.sim_config.measurement_start_s,
+                    now,
                 });
+                self.schedule.learn_gossip(env, src, dst);
             }
-        }
-        let next = now + env.sim_config.track_interval_s;
-        if next < env.sim_config.duration_s {
-            queue.schedule(next, SimEvent::TrackSample);
-        }
-    }
-
-    fn on_scenario(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        index: usize,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        let action = env.scenario.events()[index].action.clone();
-        for run in &mut self.runs {
-            run.metrics.scenario_ops += 1;
-        }
-        match self.schedule.apply(env, action) {
-            Some(ScenarioAction::Join { nodes }) => {
-                for node in nodes {
-                    self.bring_up(env, now, node, true, queue);
+            SimEvent::ProbeTimeout { src, seq } => {
+                if !self.schedule.alive[src] {
+                    return;
+                }
+                // When a configuration's engine evicts the unresponsive peer
+                // (`NodeConfig::max_consecutive_losses`), the shared probe
+                // rotation honours it — but only once *every* configuration
+                // has evicted, so the schedule stays identical across
+                // side-by-side stacks. With matching eviction thresholds
+                // (the usual case) they all fire on the same timeout.
+                let timeout = PlanOp::Timeout {
+                    node: src as u32,
+                    seq,
+                };
+                let decided = self.worker.apply(timeout, &[], &self.cells);
+                for &dst in decided.evicted {
+                    self.schedule.neighbor_remove(src, dst);
                 }
             }
-            Some(ScenarioAction::Crash { nodes }) => {
-                for node in nodes {
-                    if !self.schedule.alive[node] {
-                        continue;
+            SimEvent::TrackSample => {
+                for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
+                    self.apply(PlanOp::Track {
+                        node: node as u32,
+                        sample: self.track_sample,
+                        order: order as u32,
+                        now,
+                    });
+                }
+                self.track_sample += 1;
+                let next = now + env.sim_config.track_interval_s;
+                if next < env.sim_config.duration_s {
+                    self.queue.schedule(next, SimEvent::TrackSample);
+                }
+            }
+            SimEvent::ScenarioAction { index } => {
+                self.scenario_actions += 1;
+                let action = env.scenario.events()[index].action.clone();
+                match self.schedule.apply(env, action) {
+                    Some(ScenarioAction::Join { nodes }) => {
+                        for node in nodes {
+                            self.bring_up(now, node, true);
+                        }
                     }
-                    self.schedule.alive[node] = false;
-                    for run_index in 0..self.runs.len() {
-                        let snapshot = self.runs[run_index].nodes[node].snapshot();
-                        self.crash_snapshots[run_index][node] = Some(snapshot);
+                    Some(ScenarioAction::Crash { nodes }) => {
+                        for node in nodes {
+                            if self.schedule.alive[node] {
+                                self.schedule.alive[node] = false;
+                                self.apply(PlanOp::Crash { node: node as u32 });
+                            }
+                        }
                     }
+                    Some(ScenarioAction::Restart { nodes }) => {
+                        for node in nodes {
+                            self.bring_up(now, node, false);
+                        }
+                    }
+                    _ => {}
                 }
             }
-            Some(ScenarioAction::Restart { nodes }) => {
-                for node in nodes {
-                    self.bring_up(env, now, node, false, queue);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -1724,73 +1628,32 @@ impl EngineState {
     /// restores on a restart. Either way its probe cycle resumes
     /// immediately and any probes outstanding at the crash are expired as
     /// lost (a rebooted daemon stops waiting for pre-crash replies).
-    fn bring_up(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        node: usize,
-        fresh: bool,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
+    fn bring_up(&mut self, now: f64, node: usize, fresh: bool) {
         if self.schedule.alive[node] {
             return;
         }
         self.schedule.alive[node] = true;
-        let now_ms = (now * 1_000.0) as u64;
         // Expiring the probes that were outstanding at the crash can push a
         // loss streak over the eviction threshold. Those evictions must reach
         // the shared probe rotation under the same unanimity rule as timeout
         // evictions — otherwise the revived node keeps probing a peer every
         // engine already evicted, and its losses diverge from a deployment.
-        let mut evicted_by_all: Option<Vec<usize>> = None;
-        for run_index in 0..self.runs.len() {
-            let snapshot = if fresh {
-                None
-            } else {
-                self.crash_snapshots[run_index][node].take()
-            };
-            let run = &mut self.runs[run_index];
-            let mut revived = match snapshot {
-                Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
-                    // nc-lint: allow(panic) — restoring a snapshot this run
-                    // took under the same config cannot fail; it is a sim bug.
-                    .expect("a crash snapshot restores under its own configuration"),
-                None => StableNode::new(run.config.clone()),
-            };
-            self.events_scratch.clear();
-            revived.expire_pending_into(now_ms, 0, &mut self.events_scratch);
-            let evicted_here: Vec<usize> = self
-                .events_scratch
-                .iter()
-                .filter_map(|event| match event {
-                    Event::NeighborEvicted { id } => Some(*id),
-                    _ => None,
-                })
-                .collect();
-            evicted_by_all = Some(match evicted_by_all {
-                None => evicted_here,
-                Some(previous) => previous
-                    .into_iter()
-                    .filter(|id| evicted_here.contains(id))
-                    .collect(),
-            });
-            fold_events(
-                &mut run.metrics.nodes[node],
-                now,
-                false,
-                &self.events_scratch,
-            );
-            run.nodes[node] = revived;
-        }
-        for target in evicted_by_all.unwrap_or_default() {
+        let restore = PlanOp::Restore {
+            node: node as u32,
+            fresh,
+            now,
+            now_ms: (now * 1_000.0) as u64,
+        };
+        let decided = self.worker.apply(restore, &[], &self.cells);
+        for &target in decided.evicted {
             self.schedule.neighbor_remove(node, target);
         }
         if fresh {
-            self.schedule.bootstrap_joiner(env, node);
+            self.schedule.bootstrap_joiner(self.env, node);
         }
         if !self.schedule.probe_cycle_active[node] {
             self.schedule.probe_cycle_active[node] = true;
-            queue.schedule(now, SimEvent::ProbeSend { src: node });
+            self.queue.schedule(now, SimEvent::ProbeSend { src: node });
         }
     }
 }

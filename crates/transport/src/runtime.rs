@@ -121,6 +121,21 @@ impl AtomicStats {
             malformed_datagrams: self.malformed_datagrams.load(Ordering::Relaxed),
         }
     }
+
+    /// Counts the losses and evictions among the events of one expiry.
+    fn count_expired(&self, events: &[Event<SocketAddr>]) {
+        for event in events {
+            match event {
+                Event::ProbeLost { .. } => {
+                    self.probes_lost.fetch_add(1, Ordering::Relaxed);
+                }
+                Event::NeighborEvicted { .. } => {
+                    self.neighbors_evicted.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// The engine plus the per-probe departure instants used for RTT stamping.
@@ -180,9 +195,12 @@ impl NodeRuntime {
         };
         node.set_identity(advertised);
         // In-flight probes from a previous life can never be answered on
-        // this one's clock; expire them before the first tick.
+        // this one's clock; expire them before the first tick, and count
+        // them as lost like any other expiry.
         let mut stale = Vec::new();
         node.expire_pending_into(u64::MAX, 0, &mut stale);
+        let stats = AtomicStats::default();
+        stats.count_expired(&stale);
         for seed in &config.seeds {
             if *seed != advertised {
                 node.seed_neighbor(*seed);
@@ -198,7 +216,7 @@ impl NodeRuntime {
                 node,
                 departures: HashMap::new(),
             }),
-            stats: AtomicStats::default(),
+            stats,
             shutdown: AtomicBool::new(false),
             clock: MonoClock::new(),
             config,
@@ -504,20 +522,7 @@ fn tick_loop(shared: &Shared, socket: &UdpSocket) {
                             }
                         }
                     }
-                    for event in &events {
-                        match event {
-                            Event::ProbeLost { .. } => {
-                                shared.stats.probes_lost.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Event::NeighborEvicted { .. } => {
-                                shared
-                                    .stats
-                                    .neighbors_evicted
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            _ => {}
-                        }
-                    }
+                    shared.stats.count_expired(&events);
                     // Peer coordinates refresh with every digested reply;
                     // republishing on the expire cadence keeps query
                     // snapshots current without an extra timer.

@@ -12,9 +12,9 @@ use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use nc_transport::{DelayHarness, LinkSpec, NodeRuntime, RuntimeConfig};
+use nc_transport::{save_snapshot, DelayHarness, LinkSpec, NodeRuntime, RuntimeConfig};
 use nc_vivaldi::Coordinate;
-use stable_nc::NodeConfig;
+use stable_nc::{NodeConfig, StableNode};
 
 fn bind_real_sockets(count: usize) -> (Vec<UdpSocket>, Vec<SocketAddr>) {
     let sockets: Vec<UdpSocket> = (0..count)
@@ -360,4 +360,44 @@ fn duplicated_replies_are_applied_once_and_ignored_after() {
     );
     a.shutdown().expect("shutdown a");
     b.shutdown().expect("shutdown b");
+}
+
+#[test]
+fn a_restored_daemon_counts_the_snapshots_pending_probes_as_lost() {
+    // A snapshot taken with probes in flight: their replies can never reach
+    // the next life, so the restored daemon expires them at start-up and
+    // must count them like any other loss — before its own first timeout
+    // (a minute away) could fire.
+    const PENDING: usize = 3;
+    let (peers, peer_addrs) = bind_real_sockets(PENDING);
+    let mut node: StableNode<SocketAddr> = StableNode::new(NodeConfig::paper_defaults());
+    for (now_ms, peer) in peer_addrs.iter().enumerate() {
+        node.seed_neighbor(*peer);
+        let _ = node.probe_request_for(*peer, now_ms as u64);
+    }
+    let snapshot = node.snapshot();
+    assert_eq!(snapshot.pending.len(), PENDING);
+    let dir = temp_dir("pending");
+    let path = dir.join("node.snap");
+    save_snapshot(&path, &snapshot).expect("save snapshot");
+
+    let runtime = NodeRuntime::bind(
+        "127.0.0.1:0".parse().expect("address"),
+        RuntimeConfig {
+            node: NodeConfig::paper_defaults(),
+            seeds: Vec::new(),
+            advertised_addr: None,
+            probe_interval_ms: 60_000,
+            probe_timeout_ms: 60_000,
+            stats_interval_ms: 0,
+            snapshot_path: Some(path),
+        },
+    )
+    .expect("start on the snapshot");
+    let stats = runtime.stats();
+    assert_eq!(stats.probes_lost, PENDING as u64, "{stats:?}");
+    assert_eq!(stats.neighbors_evicted, 0, "{stats:?}");
+    runtime.shutdown().expect("shutdown");
+    drop(peers);
+    std::fs::remove_dir_all(&dir).ok();
 }
