@@ -20,6 +20,7 @@ use nc_stats::{cross_sum_by, energy_distance_by, energy_from_sums, slide_delta_b
 use nc_vivaldi::Coordinate;
 use serde::{Deserialize, Serialize};
 
+use crate::config::HeuristicConfig;
 use crate::window::{DetectorState, TwoWindowDetector};
 
 /// The serializable runtime state of an [`UpdateHeuristic`].
@@ -155,12 +156,10 @@ impl SystemHeuristic {
     ///
     /// # Panics
     ///
-    /// Panics when the threshold is not a positive finite number.
+    /// Panics with [`HeuristicConfig::validate`]'s message when the
+    /// threshold is not a positive finite number.
     pub fn new(threshold_ms: f64) -> Self {
-        assert!(
-            threshold_ms.is_finite() && threshold_ms > 0.0,
-            "threshold must be positive"
-        );
+        HeuristicConfig::System { threshold_ms }.expect_valid();
         SystemHeuristic {
             threshold_ms,
             previous_system: None,
@@ -224,12 +223,10 @@ impl ApplicationHeuristic {
     ///
     /// # Panics
     ///
-    /// Panics when the threshold is not a positive finite number.
+    /// Panics with [`HeuristicConfig::validate`]'s message when the
+    /// threshold is not a positive finite number.
     pub fn new(threshold_ms: f64) -> Self {
-        assert!(
-            threshold_ms.is_finite() && threshold_ms > 0.0,
-            "threshold must be positive"
-        );
+        HeuristicConfig::Application { threshold_ms }.expect_valid();
         ApplicationHeuristic { threshold_ms }
     }
 }
@@ -299,16 +296,18 @@ impl RelativeHeuristic {
     ///
     /// # Panics
     ///
-    /// Panics when the threshold is not a positive finite number or the
-    /// window size is smaller than 2.
+    /// Panics with [`HeuristicConfig::validate`]'s message when the
+    /// threshold is not a positive finite number or the window size is
+    /// smaller than 2.
     pub fn new(threshold: f64, window_size: usize) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "threshold must be positive"
-        );
+        HeuristicConfig::Relative {
+            threshold,
+            window: window_size,
+        }
+        .expect_valid();
         RelativeHeuristic {
             threshold,
-            windows: TwoWindowDetector::new(window_size).expect("window size must be >= 2"),
+            windows: TwoWindowDetector::sized(window_size),
             start_centroid: None,
         }
     }
@@ -419,16 +418,18 @@ impl EnergyHeuristic {
     ///
     /// # Panics
     ///
-    /// Panics when the threshold is not a positive finite number or the
-    /// window size is smaller than 2.
+    /// Panics with [`HeuristicConfig::validate`]'s message when the
+    /// threshold is not a positive finite number or the window size is
+    /// smaller than 2.
     pub fn new(threshold: f64, window_size: usize) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "threshold must be positive"
-        );
+        HeuristicConfig::Energy {
+            threshold,
+            window: window_size,
+        }
+        .expect_valid();
         EnergyHeuristic {
             threshold,
-            windows: TwoWindowDetector::new(window_size).expect("window size must be >= 2"),
+            windows: TwoWindowDetector::sized(window_size),
             sums: None,
         }
     }
@@ -556,14 +557,15 @@ impl CentroidHeuristic {
     ///
     /// # Panics
     ///
-    /// Panics when the threshold is not a positive finite number or the
-    /// window size is zero.
+    /// Panics with [`HeuristicConfig::validate`]'s message when the
+    /// threshold is not a positive finite number or the window size is
+    /// zero.
     pub fn new(threshold_ms: f64, window_size: usize) -> Self {
-        assert!(
-            threshold_ms.is_finite() && threshold_ms > 0.0,
-            "threshold must be positive"
-        );
-        assert!(window_size > 0, "window size must be positive");
+        HeuristicConfig::ApplicationCentroid {
+            threshold_ms,
+            window: window_size,
+        }
+        .expect_valid();
         CentroidHeuristic {
             threshold_ms,
             window: std::collections::VecDeque::with_capacity(window_size),

@@ -28,6 +28,10 @@
 //!   application-level coordinate, feeds system-level updates to its
 //!   [`Heuristic`] and reports when (and to what) the published coordinate
 //!   changed.
+//! * [`HeuristicConfig`] — names one heuristic with its parameters; its
+//!   [`validate`](HeuristicConfig::validate) is the one place those
+//!   parameters are checked, and every constructor above refuses what it
+//!   refuses.
 //!
 //! # Example
 //!
@@ -50,10 +54,12 @@
 // Lint policy (missing_docs, broken doc links, clippy set) is centralized
 // in the workspace manifest: [workspace.lints] + `lints.workspace = true`.
 
+pub mod config;
 pub mod heuristics;
 pub mod manager;
 pub mod window;
 
+pub use config::{HeuristicConfig, HeuristicConfigError};
 pub use heuristics::{
     ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, Heuristic, HeuristicState,
     HeuristicStateMismatch, RelativeHeuristic, SystemHeuristic, UpdateContext, UpdateDecision,

@@ -19,6 +19,8 @@ use std::collections::VecDeque;
 use nc_vivaldi::Coordinate;
 use serde::{Deserialize, Serialize};
 
+use crate::config::{check_detector_window, HeuristicConfigError};
+
 /// The serializable runtime state of a [`TwoWindowDetector`]: the window
 /// contents and counters, without the configured window size (which is
 /// supplied when the detector is rebuilt).
@@ -63,18 +65,6 @@ pub struct TwoWindowDetector {
     change_points: u64,
 }
 
-/// Error constructing a detector with an invalid window size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidWindowSize;
-
-impl std::fmt::Display for InvalidWindowSize {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "window size must be at least 2")
-    }
-}
-
-impl std::error::Error for InvalidWindowSize {}
-
 impl TwoWindowDetector {
     /// Creates a detector whose windows hold `window_size` coordinates each.
     /// The paper sweeps window sizes from 4 to 4096 and settles on 32 for
@@ -82,20 +72,26 @@ impl TwoWindowDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidWindowSize`] when `window_size < 2` (a meaningful
-    /// two-sample comparison needs at least two points per window).
-    pub fn new(window_size: usize) -> Result<Self, InvalidWindowSize> {
-        if window_size < 2 {
-            return Err(InvalidWindowSize);
-        }
-        Ok(TwoWindowDetector {
+    /// Returns [`HeuristicConfigError::WindowTooSmall`] when
+    /// `window_size < 2` (a meaningful two-sample comparison needs at least
+    /// two points per window): the rule
+    /// [`HeuristicConfig::validate`](crate::HeuristicConfig::validate)
+    /// applies to RELATIVE and ENERGY windows.
+    pub fn new(window_size: usize) -> Result<Self, HeuristicConfigError> {
+        check_detector_window(window_size)?;
+        Ok(Self::sized(window_size))
+    }
+
+    /// An empty detector for a window size already checked.
+    pub(crate) fn sized(window_size: usize) -> Self {
+        TwoWindowDetector {
             window_size,
             start: Vec::with_capacity(window_size),
             current: VecDeque::with_capacity(window_size),
             pushes_since_reset: 0,
             total_pushes: 0,
             change_points: 0,
-        })
+        }
     }
 
     /// The configured per-window size `k`.

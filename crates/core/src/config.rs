@@ -1,281 +1,57 @@
 //! Configuration of a [`crate::StableNode`].
+//!
+//! Every config type in the workspace checks itself the same way: one
+//! `validate(&self) -> Result<(), E>`, with one error enum per crate that
+//! carries the offending value, and each rule written in the crate whose
+//! type needs it — [`VivaldiConfig`] and [`OutlierGateConfig`] in
+//! `nc-vivaldi`, [`FilterConfig`] in `nc-filters`, [`HeuristicConfig`] in
+//! `nc-change`. [`NodeConfig::validate`] wraps their errors and adds the one
+//! rule of its own, the eviction limit. Constructors that cannot fail panic
+//! with `validate`'s message; the ones that can return its error.
 
-use nc_change::{
-    ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, Heuristic, RelativeHeuristic,
-    SystemHeuristic,
-};
-use nc_vivaldi::{GateConfigError, OutlierGateConfig, VivaldiConfig};
+use nc_change::{HeuristicConfig, HeuristicConfigError};
+use nc_filters::{FilterConfig, FilterConfigError};
+use nc_vivaldi::{OutlierGateConfig, VivaldiConfig, VivaldiConfigError};
 use serde::{Deserialize, Serialize};
 
-/// Typed error from validating a [`NodeConfig`] (or one of its parts).
-///
-/// This is the shared validation idiom of the workspace's config surfaces:
-/// `NodeConfig::validate`, `SimConfig::validate` (`nc-netsim`),
-/// `LinkModelConfig::validate` and `QueryConfig::validate` (`nc-query`) all
-/// return a typed error instead of panicking, so drivers can surface bad
-/// deployment input without unwinding.
+/// Typed error from [`NodeConfig::validate`]: the lower crate's error for
+/// the part it refuses, or the node's own eviction rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeConfigError {
-    /// A moving-percentile or moving-median history of zero samples.
-    EmptyFilterHistory,
-    /// A percentile outside the `[0, 100]` range (or not finite).
-    PercentileOutOfRange(f64),
-    /// An EWMA smoothing factor outside `(0, 1]` (or not finite).
-    AlphaOutOfRange(f64),
-    /// A non-positive or non-finite threshold cut-off (ms).
-    NonPositiveCutoff(f64),
-    /// A non-positive or non-finite heuristic threshold.
-    NonPositiveThreshold(f64),
-    /// A windowed heuristic with fewer than two samples per window.
-    WindowTooSmall(usize),
+    /// The Vivaldi constants or the outlier gate, as
+    /// [`VivaldiConfig::validate`] or [`OutlierGateConfig::validate`]
+    /// refuses them.
+    Vivaldi(VivaldiConfigError),
+    /// The per-link filter, as [`FilterConfig::validate`] refuses it.
+    Filter(FilterConfigError),
+    /// The application heuristic, as [`HeuristicConfig::validate`] refuses
+    /// it.
+    Heuristic(HeuristicConfigError),
     /// An eviction limit of zero consecutive losses (a peer would be
     /// evicted before its first probe could even be answered).
     ZeroLossLimit,
-    /// An outlier gate that [`OutlierGateConfig::validate`] refuses, with
-    /// the field it names.
-    OutlierGate(GateConfigError),
 }
 
 impl std::fmt::Display for NodeConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NodeConfigError::EmptyFilterHistory => {
-                write!(f, "filter history must hold at least one sample")
-            }
-            NodeConfigError::PercentileOutOfRange(p) => {
-                write!(f, "percentile must be in [0, 100], got {p}")
-            }
-            NodeConfigError::AlphaOutOfRange(a) => {
-                write!(f, "EWMA alpha must be in (0, 1], got {a}")
-            }
-            NodeConfigError::NonPositiveCutoff(c) => {
-                write!(f, "threshold cutoff must be positive and finite, got {c}")
-            }
-            NodeConfigError::NonPositiveThreshold(t) => {
-                write!(
-                    f,
-                    "heuristic threshold must be positive and finite, got {t}"
-                )
-            }
-            NodeConfigError::WindowTooSmall(w) => {
-                write!(f, "heuristic windows need at least 2 samples, got {w}")
-            }
+            NodeConfigError::Vivaldi(error) => write!(f, "{error}"),
+            NodeConfigError::Filter(error) => write!(f, "{error}"),
+            NodeConfigError::Heuristic(error) => write!(f, "{error}"),
             NodeConfigError::ZeroLossLimit => {
                 write!(f, "max consecutive losses must be at least 1")
             }
-            NodeConfigError::OutlierGate(error) => write!(f, "{error}"),
         }
     }
 }
 
-impl std::error::Error for NodeConfigError {}
-
-/// Which per-link filter a node applies to raw latency observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FilterConfig {
-    /// No filtering: raw observations go straight into Vivaldi (the paper's
-    /// "No Filter" baseline).
-    Raw,
-    /// Moving-percentile filter with history `h` and percentile `p`
-    /// (`h = 4`, `p = 25` in the paper).
-    MovingPercentile {
-        /// Number of recent observations kept per link.
-        history: usize,
-        /// Percentile (0–100) of the window returned as the estimate.
-        percentile: f64,
-    },
-    /// Moving-median filter with history `h`.
-    MovingMedian {
-        /// Number of recent observations kept per link.
-        history: usize,
-    },
-    /// Exponentially-weighted moving average with smoothing factor `alpha`.
-    Ewma {
-        /// Weight of the newest observation, in `(0, 1]`.
-        alpha: f64,
-    },
-    /// Fixed threshold: observations above `cutoff_ms` are discarded.
-    Threshold {
-        /// Discard cut-off in milliseconds.
-        cutoff_ms: f64,
-    },
-}
-
-impl FilterConfig {
-    /// The paper's recommended filter: MP with `h = 4`, `p = 25`.
-    pub fn paper_mp() -> Self {
-        FilterConfig::MovingPercentile {
-            history: 4,
-            percentile: 25.0,
-        }
-    }
-
-    /// Checks the filter parameters and returns the config unchanged when
-    /// they are buildable.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`NodeConfigError`] found: a zero history, a
-    /// percentile outside `[0, 100]`, an alpha outside `(0, 1]`, or a
-    /// non-positive threshold cut-off.
-    pub fn validate(self) -> Result<Self, NodeConfigError> {
-        match &self {
-            FilterConfig::Raw => {}
-            FilterConfig::MovingPercentile {
-                history,
-                percentile,
-            } => {
-                if *history == 0 {
-                    return Err(NodeConfigError::EmptyFilterHistory);
-                }
-                if !percentile.is_finite() || !(0.0..=100.0).contains(percentile) {
-                    return Err(NodeConfigError::PercentileOutOfRange(*percentile));
-                }
-            }
-            FilterConfig::MovingMedian { history } => {
-                if *history == 0 {
-                    return Err(NodeConfigError::EmptyFilterHistory);
-                }
-            }
-            FilterConfig::Ewma { alpha } => {
-                if !alpha.is_finite() || *alpha <= 0.0 || *alpha > 1.0 {
-                    return Err(NodeConfigError::AlphaOutOfRange(*alpha));
-                }
-            }
-            FilterConfig::Threshold { cutoff_ms } => {
-                if !cutoff_ms.is_finite() || *cutoff_ms <= 0.0 {
-                    return Err(NodeConfigError::NonPositiveCutoff(*cutoff_ms));
-                }
-            }
-        }
-        Ok(self)
-    }
-}
-
-/// Which application-update heuristic a node runs on top of its system-level
-/// coordinate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum HeuristicConfig {
-    /// Publish every system-level update unchanged — the application sees the
-    /// raw (filtered) coordinate stream. This is the "Raw MP Filter"
-    /// configuration of Figures 11 and 13.
-    FollowSystem,
-    /// SYSTEM heuristic with step threshold `τ` (ms).
-    System {
-        /// Step threshold in milliseconds.
-        threshold_ms: f64,
-    },
-    /// APPLICATION heuristic with drift threshold `τ` (ms).
-    Application {
-        /// Drift threshold in milliseconds.
-        threshold_ms: f64,
-    },
-    /// RELATIVE heuristic with relative threshold `ε_r` and window size.
-    Relative {
-        /// Relative movement threshold.
-        threshold: f64,
-        /// Per-window size.
-        window: usize,
-    },
-    /// ENERGY heuristic with energy threshold `τ` and window size.
-    Energy {
-        /// Energy-distance threshold.
-        threshold: f64,
-        /// Per-window size.
-        window: usize,
-    },
-    /// APPLICATION/CENTROID ablation with drift threshold `τ` (ms) and
-    /// window size.
-    ApplicationCentroid {
-        /// Drift threshold in milliseconds.
-        threshold_ms: f64,
-        /// Sliding window size for the centroid target.
-        window: usize,
-    },
-}
-
-impl HeuristicConfig {
-    /// The deployment configuration of §VI: ENERGY with window 32, τ = 8.
-    pub fn paper_energy() -> Self {
-        HeuristicConfig::Energy {
-            threshold: 8.0,
-            window: 32,
-        }
-    }
-
-    /// The RELATIVE configuration of §V-D: ε_r = 0.3, window 32.
-    pub fn paper_relative() -> Self {
-        HeuristicConfig::Relative {
-            threshold: 0.3,
-            window: 32,
-        }
-    }
-
-    /// Checks the heuristic parameters and returns the config unchanged
-    /// when they are buildable.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`NodeConfigError`] found: a non-positive
-    /// threshold, or a window smaller than two samples.
-    pub fn validate(self) -> Result<Self, NodeConfigError> {
-        let check_threshold = |t: f64| {
-            if !t.is_finite() || t <= 0.0 {
-                Err(NodeConfigError::NonPositiveThreshold(t))
-            } else {
-                Ok(())
-            }
-        };
-        match &self {
-            HeuristicConfig::FollowSystem => {}
-            HeuristicConfig::System { threshold_ms }
-            | HeuristicConfig::Application { threshold_ms } => check_threshold(*threshold_ms)?,
-            HeuristicConfig::Relative { threshold, window }
-            | HeuristicConfig::Energy { threshold, window } => {
-                check_threshold(*threshold)?;
-                if *window < 2 {
-                    return Err(NodeConfigError::WindowTooSmall(*window));
-                }
-            }
-            HeuristicConfig::ApplicationCentroid {
-                threshold_ms,
-                window,
-            } => {
-                check_threshold(*threshold_ms)?;
-                if *window < 2 {
-                    return Err(NodeConfigError::WindowTooSmall(*window));
-                }
-            }
-        }
-        Ok(self)
-    }
-
-    /// Builds the heuristic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid parameters — exactly the ones
-    /// [`HeuristicConfig::validate`] reports as typed errors; configurations
-    /// from the provided constructors are always valid.
-    pub(crate) fn build(&self) -> Heuristic {
-        match *self {
-            HeuristicConfig::FollowSystem => Heuristic::FollowSystem,
-            HeuristicConfig::System { threshold_ms } => {
-                Heuristic::System(SystemHeuristic::new(threshold_ms))
-            }
-            HeuristicConfig::Application { threshold_ms } => {
-                Heuristic::Application(ApplicationHeuristic::new(threshold_ms))
-            }
-            HeuristicConfig::Relative { threshold, window } => {
-                Heuristic::Relative(RelativeHeuristic::new(threshold, window))
-            }
-            HeuristicConfig::Energy { threshold, window } => {
-                Heuristic::Energy(EnergyHeuristic::new(threshold, window))
-            }
-            HeuristicConfig::ApplicationCentroid {
-                threshold_ms,
-                window,
-            } => Heuristic::Centroid(CentroidHeuristic::new(threshold_ms, window)),
+impl std::error::Error for NodeConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            NodeConfigError::Vivaldi(error) => Some(error),
+            NodeConfigError::Filter(error) => Some(error),
+            NodeConfigError::Heuristic(error) => Some(error),
+            NodeConfigError::ZeroLossLimit => None,
         }
     }
 }
@@ -345,36 +121,38 @@ impl NodeConfig {
         }
     }
 
-    /// Checks every invariant of the configuration and returns it unchanged
-    /// when a [`crate::StableNode`] can be built from it.
+    /// Checks every part of the configuration: the Vivaldi constants, the
+    /// filter, the heuristic, the eviction limit and the outlier gate.
     ///
     /// # Errors
     ///
-    /// Returns the first [`NodeConfigError`] found in the filter, the
-    /// heuristic, the eviction limit or the outlier gate.
+    /// Returns the first [`NodeConfigError`] found, in that order.
     ///
     /// # Examples
     ///
     /// ```
-    /// use stable_nc::{GateConfigError, NodeConfig, NodeConfigError, OutlierGateConfig};
+    /// use stable_nc::{NodeConfig, NodeConfigError, OutlierGateConfig, VivaldiConfigError};
     ///
     /// let gate = OutlierGateConfig { window: 1, ..OutlierGateConfig::default() };
     /// let config = NodeConfig::builder().outlier_gate(gate).build();
     /// assert_eq!(
     ///     config.validate(),
-    ///     Err(NodeConfigError::OutlierGate(GateConfigError::WindowTooSmall(1)))
+    ///     Err(NodeConfigError::Vivaldi(VivaldiConfigError::WindowTooSmall(1)))
     /// );
     /// ```
-    pub fn validate(self) -> Result<Self, NodeConfigError> {
-        self.filter.clone().validate()?;
-        self.heuristic.clone().validate()?;
+    pub fn validate(&self) -> Result<(), NodeConfigError> {
+        self.vivaldi.validate().map_err(NodeConfigError::Vivaldi)?;
+        self.filter.validate().map_err(NodeConfigError::Filter)?;
+        self.heuristic
+            .validate()
+            .map_err(NodeConfigError::Heuristic)?;
         if self.max_consecutive_losses == Some(0) {
             return Err(NodeConfigError::ZeroLossLimit);
         }
         if let Some(gate) = &self.outlier_gate {
-            gate.validate().map_err(NodeConfigError::OutlierGate)?;
+            gate.validate().map_err(NodeConfigError::Vivaldi)?;
         }
-        Ok(self)
+        Ok(())
     }
 }
 
@@ -384,7 +162,8 @@ impl Default for NodeConfig {
     }
 }
 
-/// Builder for [`NodeConfig`].
+/// Builder for [`NodeConfig`]. Its setters store what they are given;
+/// [`NodeConfig::validate`] checks the result.
 ///
 /// # Examples
 ///
@@ -430,9 +209,8 @@ impl NodeConfigBuilder {
 
     /// Enables eviction of peers whose last `losses` probes all expired
     /// unanswered. A limit of zero is stored as given and reported by
-    /// [`NodeConfig::validate`] / [`NodeConfigBuilder::try_build`] as
-    /// [`NodeConfigError::ZeroLossLimit`] (setters never panic and never
-    /// silently correct their input).
+    /// [`NodeConfig::validate`] as [`NodeConfigError::ZeroLossLimit`]
+    /// (setters never panic and never silently correct their input).
     pub fn max_consecutive_losses(mut self, losses: u32) -> Self {
         self.config.max_consecutive_losses = Some(losses);
         self
@@ -445,23 +223,10 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Finishes the builder, checking every invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`NodeConfigError`] that
-    /// [`NodeConfig::validate`] finds.
-    pub fn try_build(self) -> Result<NodeConfig, NodeConfigError> {
-        self.config.validate()
-    }
-
-    /// Finishes the builder without validation.
-    ///
-    /// Deprecation note: prefer [`try_build`](NodeConfigBuilder::try_build),
-    /// which applies [`NodeConfig::validate`] and reports bad parameters as
-    /// a typed [`NodeConfigError`] instead of deferring the failure to a
-    /// panic inside [`crate::StableNode::new`]. `build` is kept for the
-    /// common case of hard-coded, known-good configurations.
+    /// Finishes the builder. Nothing is checked here: call
+    /// [`NodeConfig::validate`] on the result, or let the entry point that
+    /// takes it ([`crate::StableNode::new`], [`crate::StableNode::restore`])
+    /// check it.
     pub fn build(self) -> NodeConfig {
         self.config
     }
@@ -470,6 +235,7 @@ impl NodeConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nc_change::Heuristic;
 
     #[test]
     fn paper_defaults_compose_the_deployment_stack() {
@@ -526,48 +292,65 @@ mod tests {
                 .max_consecutive_losses(3)
                 .build(),
         ] {
-            assert!(config.clone().validate().is_ok(), "{config:?}");
+            assert!(config.validate().is_ok(), "{config:?}");
         }
     }
 
     #[test]
-    fn try_build_reports_typed_errors_instead_of_panicking() {
+    fn validate_reports_typed_errors_instead_of_panicking() {
         let err = NodeConfig::builder()
             .filter(FilterConfig::MovingPercentile {
                 history: 0,
                 percentile: 25.0,
             })
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
-        assert_eq!(err, NodeConfigError::EmptyFilterHistory);
+        assert_eq!(
+            err,
+            NodeConfigError::Filter(FilterConfigError::EmptyHistory(0))
+        );
 
         let err = NodeConfig::builder()
             .filter(FilterConfig::Ewma { alpha: 1.5 })
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
-        assert_eq!(err, NodeConfigError::AlphaOutOfRange(1.5));
+        assert_eq!(
+            err,
+            NodeConfigError::Filter(FilterConfigError::AlphaOutOfRange(1.5))
+        );
 
         let err = NodeConfig::builder()
             .heuristic(HeuristicConfig::Energy {
                 threshold: -1.0,
                 window: 32,
             })
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
-        assert_eq!(err, NodeConfigError::NonPositiveThreshold(-1.0));
+        assert_eq!(
+            err,
+            NodeConfigError::Heuristic(HeuristicConfigError::ThresholdNotPositive(-1.0))
+        );
 
         let err = NodeConfig::builder()
             .heuristic(HeuristicConfig::Relative {
                 threshold: 0.3,
                 window: 1,
             })
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
-        assert_eq!(err, NodeConfigError::WindowTooSmall(1));
+        assert_eq!(
+            err,
+            NodeConfigError::Heuristic(HeuristicConfigError::WindowTooSmall { window: 1, min: 2 })
+        );
 
         let err = NodeConfig::builder()
             .max_consecutive_losses(0)
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
         assert_eq!(err, NodeConfigError::ZeroLossLimit);
         // Errors render as prose for operator-facing logs.
@@ -575,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn try_build_reports_an_outlier_gate_its_own_check_refuses() {
+    fn validate_reports_an_outlier_gate_its_own_check_refuses() {
         // Accepted, this configuration panicked inside `StableNode::new`.
         let gate = OutlierGateConfig {
             window: 1,
@@ -583,17 +366,116 @@ mod tests {
         };
         let err = NodeConfig::builder()
             .outlier_gate(gate)
-            .try_build()
+            .build()
+            .validate()
             .unwrap_err();
         assert_eq!(
             err,
-            NodeConfigError::OutlierGate(GateConfigError::WindowTooSmall(1))
+            NodeConfigError::Vivaldi(VivaldiConfigError::WindowTooSmall(1))
         );
         assert!(err.to_string().contains("window"), "{err}");
         assert!(NodeConfig::builder()
             .outlier_gate(OutlierGateConfig::default())
-            .try_build()
+            .build()
+            .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn config_rules_boundary_table() {
+        let losses: Vec<bool> = [None, Some(0), Some(1), Some(2)]
+            .into_iter()
+            .map(|limit| {
+                NodeConfig {
+                    max_consecutive_losses: limit,
+                    ..NodeConfig::paper_defaults()
+                }
+                .validate()
+                .is_ok()
+            })
+            .collect();
+        assert_eq!(losses, [true, false, true, true]);
+        // The warm-up count has no rule: 0 and 1 both disable it.
+        for warmup_samples in [0, 1, 2, u64::MAX] {
+            let config = NodeConfig::builder().warmup_samples(warmup_samples).build();
+            assert_eq!(config.validate(), Ok(()), "{warmup_samples}");
+        }
+        // Every part is checked, and wrapped by the crate that owns it.
+        let vivaldi = VivaldiConfig::paper_defaults().with_dimensions(0);
+        assert_eq!(
+            NodeConfig::builder().vivaldi(vivaldi).build().validate(),
+            Err(NodeConfigError::Vivaldi(VivaldiConfigError::Dimensions(0)))
+        );
+        let centroid = |window| {
+            NodeConfig::builder()
+                .heuristic(HeuristicConfig::ApplicationCentroid {
+                    threshold_ms: 16.0,
+                    window,
+                })
+                .build()
+                .validate()
+        };
+        assert_eq!(centroid(1), Ok(()));
+        assert_eq!(
+            centroid(0),
+            Err(NodeConfigError::Heuristic(
+                HeuristicConfigError::WindowTooSmall { window: 0, min: 1 }
+            ))
+        );
+    }
+
+    #[test]
+    fn config_rules_refuse_an_invalid_vivaldi_config_off_the_wire() {
+        use crate::StableNode;
+        let text = serde::json::to_string(&NodeConfig::paper_defaults());
+        let hostile = text
+            .replacen("\"dimensions\":3", "\"dimensions\":0", 1)
+            .replacen("\"cc\":0.25", "\"cc\":7.5", 1);
+        assert_ne!(hostile, text, "the fields were found: {text}");
+        let config: NodeConfig = serde::json::from_str(&hostile).expect("well-formed JSON");
+        assert_eq!(config.vivaldi.dimensions(), 0);
+        assert_eq!(
+            config.validate(),
+            Err(NodeConfigError::Vivaldi(VivaldiConfigError::Dimensions(0)))
+        );
+        let snapshot = StableNode::<u32>::new(NodeConfig::paper_defaults()).snapshot();
+        assert!(matches!(
+            StableNode::restore(config, &snapshot),
+            Err(crate::RestoreError::Config(NodeConfigError::Vivaldi(
+                VivaldiConfigError::Dimensions(0)
+            )))
+        ));
+        let round_trip: NodeConfig = serde::json::from_str(&text).expect("round trip");
+        assert_eq!(round_trip.validate(), Ok(()));
+    }
+
+    #[test]
+    fn config_rules_panic_with_the_validate_message() {
+        use crate::StableNode;
+        for config in [
+            NodeConfig::builder()
+                .vivaldi(VivaldiConfig::paper_defaults().with_cc(7.5))
+                .build(),
+            NodeConfig::builder()
+                .filter(FilterConfig::Threshold { cutoff_ms: 0.0 })
+                .build(),
+            NodeConfig::builder()
+                .heuristic(HeuristicConfig::System { threshold_ms: -1.0 })
+                .build(),
+            NodeConfig::builder().max_consecutive_losses(0).build(),
+            NodeConfig::builder()
+                .outlier_gate(OutlierGateConfig {
+                    min_remote_error: 2.0,
+                    ..OutlierGateConfig::default()
+                })
+                .build(),
+        ] {
+            let message = config.validate().unwrap_err().to_string();
+            let panic =
+                std::panic::catch_unwind(|| StableNode::<u32>::new(config.clone())).unwrap_err();
+            let text = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.ends_with(&message), "{text}");
+        }
     }
 
     #[test]

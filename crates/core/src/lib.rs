@@ -123,14 +123,15 @@ pub mod ledger;
 pub mod node;
 mod peers;
 
-pub use config::{FilterConfig, HeuristicConfig, NodeConfig, NodeConfigBuilder, NodeConfigError};
+pub use config::{NodeConfig, NodeConfigBuilder, NodeConfigError};
 pub use fxhash::FxHashMap;
 pub use ledger::ProbeLedger;
 pub use node::{NodeView, PeerView, RestoreError, StableNode};
 
 // Re-export the building blocks so downstream users need only one dependency.
-pub use nc_change::ApplicationUpdate;
+pub use nc_change::{ApplicationUpdate, HeuristicConfig, HeuristicConfigError};
+pub use nc_filters::{FilterConfig, FilterConfigError};
 pub use nc_proto::{
     Event, GossipEntry, NodeSnapshot, ProbeRequest, ProbeResponse, WireError, PROTOCOL_VERSION,
 };
-pub use nc_vivaldi::{Coordinate, GateConfigError, OutlierGateConfig, VivaldiConfig};
+pub use nc_vivaldi::{Coordinate, OutlierGateConfig, VivaldiConfig, VivaldiConfigError};

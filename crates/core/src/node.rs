@@ -14,7 +14,7 @@ use nc_proto::{
 };
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
-use crate::config::NodeConfig;
+use crate::config::{NodeConfig, NodeConfigError};
 use crate::ledger::ProbeLedger;
 use crate::peers::{LinkStore, PeerState, PeerTable, SnapshotStore};
 
@@ -84,6 +84,8 @@ pub struct NodeView<Id> {
 /// Error restoring a [`StableNode`] from a [`NodeSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestoreError {
+    /// The supplied configuration is one [`NodeConfig::validate`] refuses.
+    Config(NodeConfigError),
     /// The snapshot's coordinate space does not match the configuration.
     Dimensions {
         /// Dimensionality the configuration expects.
@@ -123,6 +125,7 @@ impl std::fmt::Display for RestoreError {
                 f,
                 "snapshot coordinate space has {found} dimensions, configuration expects {expected}"
             ),
+            RestoreError::Config(e) => write!(f, "{e}"),
             RestoreError::Heuristic(e) => write!(f, "{e}"),
             RestoreError::Filter(e) => write!(f, "{e}"),
             RestoreError::ErrorEstimate => {
@@ -254,7 +257,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// Creates a node with the given configuration. The node starts at the
     /// origin with no confidence, exactly like a freshly booted Vivaldi
     /// participant.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`NodeConfig::validate`]'s message when it refuses
+    /// `config`. [`StableNode::restore`] returns that error instead.
     pub fn new(config: NodeConfig) -> Self {
+        if let Err(error) = config.validate() {
+            panic!("invalid node config: {error}");
+        }
         let links = LinkStore::new(&config.filter, config.warmup_samples);
         let gate = config.outlier_gate.clone().map(OutlierGate::new);
         let vivaldi = VivaldiState::new(config.vivaldi.clone());
@@ -758,7 +769,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     ///
     /// # Errors
     ///
-    /// Fails when the coordinate spaces disagree, when a link's error
+    /// Fails when [`NodeConfig::validate`] refuses `config`, when the
+    /// coordinate spaces disagree, when a link's error
     /// estimate is not finite, when the nearest neighbour is not a measured
     /// link of the snapshot or its RTT is not a finite non-negative number,
     /// when the membership names a peer twice or names the node itself,
@@ -768,6 +780,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// protocol version is the binary frame's business: a snapshot read
     /// from bytes was checked when it was decoded.)
     pub fn restore(config: NodeConfig, snapshot: &NodeSnapshot<Id>) -> Result<Self, RestoreError> {
+        config.validate().map_err(RestoreError::Config)?;
         let expected = config.vivaldi.dimensions();
         // Every coordinate in the snapshot must live in the configured
         // space: the Vivaldi coordinate, the published application
@@ -1007,8 +1020,8 @@ fn heuristic_state_coordinates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FilterConfig, HeuristicConfig};
     use crate::peers::Handle;
+    use crate::{FilterConfig, HeuristicConfig};
     use nc_filters::FilterState;
     use nc_proto::BinaryMessage;
     use proptest::prelude::*;

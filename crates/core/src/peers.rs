@@ -7,12 +7,11 @@ use std::hash::{Hash, Hasher};
 use std::num::NonZeroU32;
 
 use nc_filters::{
-    EwmaFilter, FilterState, LatencyFilter, MovingPercentileFilter, MovingPercentileWindow,
-    RawFilter, StateMismatch, ThresholdFilter,
+    EwmaFilter, FilterConfig, FilterState, LatencyFilter, MovingPercentileWindow, RawFilter,
+    StateMismatch, ThresholdFilter,
 };
 use nc_vivaldi::Coordinate;
 
-use crate::config::FilterConfig;
 use crate::fxhash::FxHasher;
 
 /// What the engine keeps for every id it has *heard of*, beside the id in
@@ -585,36 +584,24 @@ macro_rules! each_arm {
 
 impl LinkStore {
     /// An empty store for links filtered as `filter` describes, whose links
-    /// warm up over `warmup_samples` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the parameters [`FilterConfig::validate`] reports as typed
-    /// errors, which `NodeConfigBuilder::try_build` surfaces before a node
-    /// exists.
+    /// warm up over `warmup_samples` samples. `filter` is one
+    /// [`FilterConfig::validate`] accepts: [`crate::StableNode::new`] checks
+    /// its configuration before it builds a store.
     pub(crate) fn new(filter: &FilterConfig, warmup_samples: u64) -> Self {
-        let moving_percentile = |history, percentile| {
-            MovingPercentileFilter::new(history, percentile)
-                .map(|_| Records::MovingPercentile(Family::new((history, percentile))))
-        };
         let records = match *filter {
-            FilterConfig::Raw => Ok(Records::Raw(Family::new(()))),
+            FilterConfig::Raw => Records::Raw(Family::new(())),
             FilterConfig::MovingPercentile {
                 history,
                 percentile,
-            } => moving_percentile(history, percentile),
-            FilterConfig::MovingMedian { history } => moving_percentile(history, 50.0),
-            FilterConfig::Ewma { alpha } => {
-                EwmaFilter::new(alpha).map(|_| Records::Ewma(Family::new(alpha)))
+            } => Records::MovingPercentile(Family::new((history, percentile))),
+            FilterConfig::MovingMedian { history } => {
+                Records::MovingPercentile(Family::new((history, 50.0)))
             }
-            FilterConfig::Threshold { cutoff_ms } => {
-                ThresholdFilter::new(cutoff_ms).map(|_| Records::Threshold(Family::new(cutoff_ms)))
-            }
+            FilterConfig::Ewma { alpha } => Records::Ewma(Family::new(alpha)),
+            FilterConfig::Threshold { cutoff_ms } => Records::Threshold(Family::new(cutoff_ms)),
         };
         LinkStore {
-            // nc-lint: allow(panic) — the constructors refuse exactly what
-            // `FilterConfig::validate` reports as a typed error.
-            records: records.expect("filter parameters `FilterConfig::validate` refuses"),
+            records,
             free: Vec::new(),
             warmup_samples,
         }
@@ -852,11 +839,11 @@ macro_rules! whole_filter {
 
 whole_filter!(RawFilter, (), |_: &()| RawFilter::new());
 whole_filter!(EwmaFilter, f64, |alpha: &f64| {
-    // nc-lint: allow(panic) — `LinkStore::new` built a filter of this α.
+    // nc-lint: allow(panic) — `StableNode::new` validated this α.
     EwmaFilter::new(*alpha).expect("a validated α")
 });
 whole_filter!(ThresholdFilter, f64, |cutoff_ms: &f64| {
-    // nc-lint: allow(panic) — `LinkStore::new` built a filter of this cut-off.
+    // nc-lint: allow(panic) — `StableNode::new` validated this cut-off.
     ThresholdFilter::new(*cutoff_ms).expect("a validated cut-off")
 });
 
@@ -864,6 +851,7 @@ whole_filter!(ThresholdFilter, f64, |cutoff_ms: &f64| {
 mod tests {
     use super::*;
     use crate::fxhash::FxHashMap;
+    use nc_filters::MovingPercentileFilter;
     use proptest::prelude::*;
 
     /// A coordinate, height and error estimate drawn from one word; every

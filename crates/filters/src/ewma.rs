@@ -8,8 +8,9 @@
 //! latency for a long time. It is implemented here as the baseline the
 //! experiments compare against.
 
-use crate::moving_percentile::InvalidFilterParameter;
-use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
+use crate::{
+    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+};
 
 /// Exponentially-weighted moving average of raw observations.
 ///
@@ -35,11 +36,10 @@ impl EwmaFilter {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidFilterParameter`] when `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Result<Self, InvalidFilterParameter> {
-        if !alpha.is_finite() || alpha <= 0.0 || alpha > 1.0 {
-            return Err(InvalidFilterParameter("alpha must be in (0, 1]"));
-        }
+    /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
+    /// reports when `alpha` is outside `(0, 1]`.
+    pub fn new(alpha: f64) -> Result<Self, FilterConfigError> {
+        FilterConfig::Ewma { alpha }.validate()?;
         Ok(EwmaFilter {
             alpha,
             value: None,

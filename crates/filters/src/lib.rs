@@ -18,6 +18,11 @@
 //!   stateless baseline the paper tried first (§IV-B "Thresholds").
 //! * [`RawFilter`] — identity pass-through (the "No Filter" configuration).
 //!
+//! [`FilterConfig`] names one of them with its parameters, and its
+//! [`validate`](FilterConfig::validate) is the one place those parameters
+//! are checked: each constructor refuses what it refuses, with the same
+//! [`FilterConfigError`].
+//!
 //! All filters implement [`LatencyFilter`]: they consume one raw observation
 //! at a time and produce the filtered latency estimate that should be handed
 //! to the coordinate algorithm (or `None` when no estimate should be emitted
@@ -43,11 +48,13 @@
 // Lint policy (missing_docs, broken doc links, clippy set) is centralized
 // in the workspace manifest: [workspace.lints] + `lints.workspace = true`.
 
+pub mod config;
 pub mod ewma;
 pub mod moving_percentile;
 pub mod raw;
 pub mod threshold;
 
+pub use config::{FilterConfig, FilterConfigError};
 pub use ewma::EwmaFilter;
 pub use moving_percentile::{MovingPercentileFilter, MovingPercentileWindow};
 pub use raw::RawFilter;

@@ -14,19 +14,9 @@ use std::collections::VecDeque;
 
 use nc_stats::percentile::percentile_of_sorted;
 
-use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
-
-/// Error constructing a filter with invalid parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidFilterParameter(pub(crate) &'static str);
-
-impl std::fmt::Display for InvalidFilterParameter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid filter parameter: {}", self.0)
-    }
-}
-
-impl std::error::Error for InvalidFilterParameter {}
+use crate::{
+    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+};
 
 /// Moving-percentile filter over a per-link observation window.
 ///
@@ -312,15 +302,15 @@ impl MovingPercentileFilter {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidFilterParameter`] when `history_size == 0` or `p` is
-    /// not a finite value in `0.0..=100.0`.
-    pub fn new(history_size: usize, percentile: f64) -> Result<Self, InvalidFilterParameter> {
-        if history_size == 0 {
-            return Err(InvalidFilterParameter("history size must be at least 1"));
+    /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
+    /// reports for these parameters: `history_size == 0`, or `p` not a
+    /// finite value in `0.0..=100.0`.
+    pub fn new(history_size: usize, percentile: f64) -> Result<Self, FilterConfigError> {
+        FilterConfig::MovingPercentile {
+            history: history_size,
+            percentile,
         }
-        if !percentile.is_finite() || !(0.0..=100.0).contains(&percentile) {
-            return Err(InvalidFilterParameter("percentile must be in 0..=100"));
-        }
+        .validate()?;
         Ok(MovingPercentileFilter {
             history_size,
             percentile,

@@ -7,8 +7,9 @@
 //! outliers of trans-continental links does nothing for a 20 ms link whose
 //! outliers are 500 ms.
 
-use crate::moving_percentile::InvalidFilterParameter;
-use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
+use crate::{
+    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+};
 
 /// Pass-through filter that drops observations above a fixed cut-off.
 ///
@@ -34,12 +35,10 @@ impl ThresholdFilter {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidFilterParameter`] when the cut-off is not a positive
-    /// finite number.
-    pub fn new(cutoff_ms: f64) -> Result<Self, InvalidFilterParameter> {
-        if !cutoff_ms.is_finite() || cutoff_ms <= 0.0 {
-            return Err(InvalidFilterParameter("cutoff must be positive"));
-        }
+    /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
+    /// reports when the cut-off is not a positive finite number.
+    pub fn new(cutoff_ms: f64) -> Result<Self, FilterConfigError> {
+        FilterConfig::Threshold { cutoff_ms }.validate()?;
         Ok(ThresholdFilter {
             cutoff_ms,
             last_passed: None,

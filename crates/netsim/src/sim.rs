@@ -262,8 +262,7 @@ impl SimConfig {
             query_index: false,
             time_series: false,
         }
-        .validate()
-        .unwrap_or_else(|error| panic!("invalid simulation schedule: {error}"))
+        .checked()
     }
 
     /// The schedule of the paper's PlanetLab deployment: four hours, one
@@ -272,8 +271,7 @@ impl SimConfig {
         Self::new(4.0 * 3600.0, 5.0)
     }
 
-    /// Checks every invariant of the schedule and returns the config
-    /// unchanged when it is runnable.
+    /// Checks every invariant of the schedule.
     ///
     /// # Errors
     ///
@@ -281,7 +279,7 @@ impl SimConfig {
     /// interval, track interval or timeout; an interval longer than the
     /// run; a measurement start outside `[0, duration)`; or a zero initial
     /// neighbour count.
-    pub fn validate(self) -> Result<Self, ConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
             return Err(ConfigError::NonPositiveDuration(self.duration_s));
         }
@@ -315,7 +313,15 @@ impl SimConfig {
         if let Some(adversary) = &self.adversary {
             adversary.validate()?;
         }
-        Ok(self)
+        Ok(())
+    }
+
+    /// The config itself, or a panic with [`SimConfig::validate`]'s message.
+    fn checked(self) -> Self {
+        if let Err(error) = self.validate() {
+            panic!("invalid simulation schedule: {error}");
+        }
+        self
     }
 
     /// Sets the measurement start time.
@@ -995,20 +1001,27 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics when `configs` is empty, when two configurations share a name,
-    /// when a tracked node index is out of range, when
-    /// [`SimConfig::query_index`] is enabled for a coordinate space the
-    /// index cannot key (more than eight dimensions), or when the schedule
-    /// fails
-    /// [`SimConfig::validate`].
+    /// Panics with `validate`'s message when the schedule fails
+    /// [`SimConfig::validate`], the workload's link model fails
+    /// [`LinkModelConfig::validate`] or a configuration fails
+    /// [`NodeConfig::validate`] (the message names that configuration).
+    /// Panics also when `configs` is empty, when two configurations share a
+    /// name, or when a tracked node index is out of range.
     pub fn new(
         workload: PlanetLabConfig,
         sim_config: SimConfig,
         configs: Vec<(String, NodeConfig)>,
     ) -> Self {
-        let sim_config = sim_config
-            .validate()
-            .unwrap_or_else(|error| panic!("invalid simulation schedule: {error}"));
+        let sim_config = sim_config.checked();
+        let link_config = workload.link_config().clone();
+        if let Err(error) = link_config.validate() {
+            panic!("invalid link model: {error}");
+        }
+        for (name, config) in &configs {
+            if let Err(error) = config.validate() {
+                panic!("invalid node config {name:?}: {error}");
+            }
+        }
         assert!(
             !configs.is_empty(),
             "at least one configuration is required"
@@ -1078,11 +1091,6 @@ impl Simulator {
                 // bounds: peer < n, so peer / 64 < words = ceil(n / 64).
                 neighbor_bits[node][peer / 64] |= 1 << (peer % 64);
             }
-        }
-
-        let link_config = workload.link_config().clone();
-        if let Err(error) = link_config.validate() {
-            panic!("invalid link model: {error}");
         }
 
         // Seeded adversary assignment: the dedicated RNG exists either way
@@ -1703,7 +1711,7 @@ mod tests {
     #[test]
     fn validate_rejects_each_bad_field() {
         let good = SimConfig::new(100.0, 5.0);
-        assert!(good.clone().validate().is_ok());
+        assert!(good.validate().is_ok());
         let mut bad = good.clone();
         bad.duration_s = 0.0;
         assert!(matches!(
@@ -1807,6 +1815,112 @@ mod tests {
     #[should_panic(expected = "invalid simulation schedule")]
     fn constructor_panics_through_validate() {
         let _ = SimConfig::new(0.0, 1.0);
+    }
+
+    #[test]
+    fn config_rules_boundary_table() {
+        // Columns: 0, 1, 2, -1, NaN, +inf, -inf, against a 100 s run.
+        let probes = [
+            0.0,
+            1.0,
+            2.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let accepted = |set: fn(&mut SimConfig, f64)| -> Vec<bool> {
+            probes
+                .iter()
+                .map(|&value| {
+                    let mut config = SimConfig::new(100.0, 5.0);
+                    set(&mut config, value);
+                    config.validate().is_ok()
+                })
+                .collect()
+        };
+        let positive = [false, true, true, false, false, false, false];
+        // A duration of 1 or 2 s is shorter than the 5 s interval.
+        assert_eq!(
+            accepted(|c, v| c.duration_s = v),
+            [false, false, false, false, false, false, false]
+        );
+        assert_eq!(accepted(|c, v| c.probe_interval_s = v), positive);
+        assert_eq!(accepted(|c, v| c.track_interval_s = v), positive);
+        assert_eq!(accepted(|c, v| c.probe_timeout_s = v), positive);
+        assert_eq!(
+            accepted(|c, v| c.measurement_start_s = v),
+            [true, true, true, false, false, false, false]
+        );
+        let neighbors: Vec<bool> = [0, 1, 2]
+            .into_iter()
+            .map(|count| {
+                SimConfig::new(100.0, 5.0)
+                    .with_initial_neighbors(count)
+                    .validate()
+                    .is_ok()
+            })
+            .collect();
+        assert_eq!(neighbors, [false, true, true]);
+        let liar = AdversaryModel::DelayAttacker {
+            extra_delay_ms: 10.0,
+        };
+        let fractions: Vec<bool> = probes
+            .iter()
+            .map(|&fraction| {
+                SimConfig::new(100.0, 5.0)
+                    .with_adversaries(fraction, liar.clone())
+                    .validate()
+                    .is_ok()
+            })
+            .collect();
+        assert_eq!(fractions, [true, true, false, false, false, false, false]);
+        let losses: Vec<bool> = probes
+            .iter()
+            .map(|&p| {
+                LinkModelConfig::default()
+                    .with_loss_probability(p)
+                    .validate()
+                    .is_ok()
+            })
+            .collect();
+        assert_eq!(losses, [true, true, false, false, false, false, false]);
+    }
+
+    #[test]
+    fn config_rules_panic_with_the_validate_message() {
+        let expect_message = |message: String, run: &dyn Fn()| {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            let text = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.ends_with(&message), "{text}");
+            text.clone()
+        };
+        let mut schedule = SimConfig::new(100.0, 5.0);
+        schedule.duration_s = 0.0;
+        expect_message(schedule.validate().unwrap_err().to_string(), &|| {
+            let _ = SimConfig::new(0.0, 5.0);
+        });
+        let zero = SimConfig::new(100.0, 5.0).with_initial_neighbors(0);
+        expect_message(zero.validate().unwrap_err().to_string(), &|| {
+            let _ = Simulator::new(
+                PlanetLabConfig::small(4),
+                zero.clone(),
+                vec![("paper".into(), NodeConfig::paper_defaults())],
+            );
+        });
+        // Every configuration is checked, and the message names it.
+        let bad = NodeConfig::builder().max_consecutive_losses(0).build();
+        let text = expect_message(bad.validate().unwrap_err().to_string(), &|| {
+            let _ = Simulator::new(
+                PlanetLabConfig::small(4),
+                SimConfig::new(100.0, 5.0),
+                vec![
+                    ("paper".into(), NodeConfig::paper_defaults()),
+                    ("evicting".into(), bad.clone()),
+                ],
+            );
+        });
+        assert!(text.contains("\"evicting\""), "{text}");
     }
 
     #[test]

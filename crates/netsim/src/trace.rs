@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::linkmodel::{LinkModel, LinkModelConfig};
 use crate::planetlab::PlanetLabConfig;
+use crate::sim::ConfigError;
 use crate::topology::Topology;
 use stable_nc::FxHashMap;
 
@@ -41,19 +42,33 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// Creates a schedule over `network` lasting `duration_s` with one probe
-    /// per node every `probe_interval_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when duration or interval is not positive and finite.
+    /// per node every `probe_interval_s` seconds. Nothing is checked here:
+    /// [`TraceConfig::validate`] does, and [`TraceGenerator::new`] refuses
+    /// what it refuses.
     pub fn new(network: PlanetLabConfig, duration_s: f64, probe_interval_s: f64) -> Self {
-        assert!(duration_s.is_finite() && duration_s > 0.0);
-        assert!(probe_interval_s.is_finite() && probe_interval_s > 0.0);
         TraceConfig {
             network,
             duration_s,
             probe_interval_s,
         }
+    }
+
+    /// Checks the schedule and the network's link model.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::NonPositiveDuration`] or
+    /// [`ConfigError::NonPositiveProbeInterval`] when the duration or the
+    /// interval is not positive and finite, and the error
+    /// [`LinkModelConfig::validate`] reports for the link model.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(ConfigError::NonPositiveDuration(self.duration_s));
+        }
+        if !(self.probe_interval_s.is_finite() && self.probe_interval_s > 0.0) {
+            return Err(ConfigError::NonPositiveProbeInterval(self.probe_interval_s));
+        }
+        self.network.link_config().validate()
     }
 
     /// Total number of probe records the trace will contain.
@@ -79,7 +94,15 @@ pub struct TraceGenerator {
 
 impl TraceGenerator {
     /// Builds the generator (topology and lazily populated link models).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`TraceConfig::validate`]'s message when it refuses
+    /// `config`.
     pub fn new(config: TraceConfig) -> Self {
+        if let Err(error) = config.validate() {
+            panic!("invalid trace schedule: {error}");
+        }
         let topology = config.network.build_topology();
         TraceGenerator {
             config,
@@ -268,8 +291,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "invalid trace schedule")]
     fn zero_duration_panics() {
-        let _ = TraceConfig::new(PlanetLabConfig::small(4), 0.0, 1.0);
+        let _ = TraceGenerator::new(TraceConfig::new(PlanetLabConfig::small(4), 0.0, 1.0));
+    }
+
+    #[test]
+    fn config_rules_boundary_table() {
+        // Columns: 0, 1, 2, -1, NaN, +inf, -inf.
+        let probes = [
+            0.0,
+            1.0,
+            2.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let positive = [false, true, true, false, false, false, false];
+        let network = || PlanetLabConfig::small(4);
+        let durations: Vec<bool> = probes
+            .iter()
+            .map(|&d| TraceConfig::new(network(), d, 1.0).validate().is_ok())
+            .collect();
+        assert_eq!(durations, positive);
+        let intervals: Vec<bool> = probes
+            .iter()
+            .map(|&i| TraceConfig::new(network(), 10.0, i).validate().is_ok())
+            .collect();
+        assert_eq!(intervals, positive);
+        let lossy =
+            network().with_link_config(LinkModelConfig::default().with_loss_probability(2.0));
+        assert_eq!(
+            TraceConfig::new(lossy, 10.0, 1.0).validate(),
+            Err(ConfigError::LossProbabilityOutOfRange(2.0))
+        );
+    }
+
+    #[test]
+    fn config_rules_panic_with_the_validate_message() {
+        // The generator checks its link model, as `Simulator::new` does.
+        let links = LinkModelConfig::default().with_delay_asymmetry(1.0);
+        let config = TraceConfig::new(PlanetLabConfig::small(4).with_link_config(links), 10.0, 1.0);
+        let message = config.validate().unwrap_err().to_string();
+        let panic = std::panic::catch_unwind(|| TraceGenerator::new(config)).unwrap_err();
+        let text = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(text.ends_with(&message), "{text}");
     }
 }

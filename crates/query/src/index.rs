@@ -256,7 +256,7 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
     ///
     /// Returns the [`QueryError`] reported by [`QueryConfig::validate`].
     pub fn new(config: QueryConfig) -> Result<Self, QueryError> {
-        let config = config.validate()?;
+        config.validate()?;
         Ok(CoordinateIndex {
             config,
             positions: FxHashMap::default(),

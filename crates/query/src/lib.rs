@@ -56,8 +56,9 @@ pub use index::{ClusterSummary, CoordinateIndex, QueryMatch};
 
 /// An invalid [`QueryConfig`] or query argument, reported by
 /// [`QueryConfig::validate`] and the [`CoordinateIndex`] entry points —
-/// the same typed-error validation idiom as `SimConfig`, `NodeConfig` and
-/// `LinkModelConfig`.
+/// the workspace's one validation idiom: `validate(&self) -> Result<(), E>`
+/// with one error enum per crate, as `SimConfig`, `NodeConfig` and
+/// `LinkModelConfig` have.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// The dimension count is outside `1..=8` (a Morton key holds at most
@@ -151,15 +152,14 @@ impl Default for QueryConfig {
 }
 
 impl QueryConfig {
-    /// Checks every invariant and returns the config unchanged when it is
-    /// usable.
+    /// Checks every invariant.
     ///
     /// # Errors
     ///
     /// Returns the first [`QueryError`] found: a dimension count outside
     /// `1..=8`, a non-positive quantization bound, or a shard capacity
     /// below 8.
-    pub fn validate(self) -> Result<Self, QueryError> {
+    pub fn validate(&self) -> Result<(), QueryError> {
         if !(1..=curve::MAX_DIMENSIONS).contains(&self.dimensions) {
             return Err(QueryError::DimensionsOutOfRange(self.dimensions));
         }
@@ -169,7 +169,7 @@ impl QueryConfig {
         if self.max_shard_entries < 8 {
             return Err(QueryError::ShardCapacityTooSmall(self.max_shard_entries));
         }
-        Ok(self)
+        Ok(())
     }
 }
 
@@ -209,5 +209,38 @@ mod tests {
         assert!(QueryError::NonFiniteCoordinate
             .to_string()
             .contains("finite"));
+    }
+
+    #[test]
+    fn config_rules_boundary_table() {
+        let with = |set: &dyn Fn(&mut QueryConfig)| {
+            let mut config = QueryConfig::default();
+            set(&mut config);
+            config.validate().is_ok()
+        };
+        let dimensions: Vec<bool> = [0, 1, 2, 8, 9]
+            .into_iter()
+            .map(|d| with(&|c| c.dimensions = d))
+            .collect();
+        assert_eq!(dimensions, [false, true, true, true, false]);
+        // Columns: 0, 1, 2, -1, NaN, +inf, -inf.
+        let bounds: Vec<bool> = [
+            0.0,
+            1.0,
+            2.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+        .into_iter()
+        .map(|b| with(&|c| c.coordinate_bound_ms = b))
+        .collect();
+        assert_eq!(bounds, [false, true, true, false, false, false, false]);
+        let shards: Vec<bool> = [0, 1, 2, 7, 8]
+            .into_iter()
+            .map(|n| with(&|c| c.max_shard_entries = n))
+            .collect();
+        assert_eq!(shards, [false, false, false, false, true]);
     }
 }

@@ -56,5 +56,5 @@ pub mod wheel;
 pub use clock::MonoClock;
 pub use harness::{DelayHarness, HarnessBuilder, LinkSpec};
 pub use persist::{load_snapshot, save_snapshot};
-pub use runtime::{NodeRuntime, RuntimeConfig, RuntimeStats};
+pub use runtime::{NodeRuntime, RuntimeConfig, RuntimeConfigError, RuntimeStats};
 pub use wheel::TimerWheel;

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use nc_proto::{BinaryMessage, Event, NodeSnapshot, Packet, ProbeRequest, ProbeResponse};
 use nc_query::{CoordinateIndex, QueryConfig, QueryHandle, QueryPublisher};
 use nc_vivaldi::Coordinate;
-use stable_nc::{NodeConfig, StableNode};
+use stable_nc::{NodeConfig, NodeConfigError, StableNode};
 
 use crate::clock::MonoClock;
 use crate::persist::{load_snapshot, save_snapshot};
@@ -74,6 +74,62 @@ impl Default for RuntimeConfig {
             probe_timeout_ms: 2_000,
             stats_interval_ms: 0,
             snapshot_path: None,
+        }
+    }
+}
+
+impl RuntimeConfig {
+    /// Checks the engine configuration and the two timer periods.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`RuntimeConfigError`] found: the error
+    /// [`NodeConfig::validate`] reports, a probe interval of 0 ms or a probe
+    /// timeout of 0 ms.
+    pub fn validate(&self) -> Result<(), RuntimeConfigError> {
+        self.node.validate().map_err(RuntimeConfigError::Node)?;
+        if self.probe_interval_ms == 0 {
+            return Err(RuntimeConfigError::ZeroProbeInterval);
+        }
+        if self.probe_timeout_ms == 0 {
+            return Err(RuntimeConfigError::ZeroProbeTimeout);
+        }
+        Ok(())
+    }
+}
+
+/// A [`RuntimeConfig`] the runtime refuses to start with, reported by
+/// [`RuntimeConfig::validate`]; [`NodeRuntime::start`] returns it inside an
+/// [`io::ErrorKind::InvalidInput`] error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RuntimeConfigError {
+    /// The engine configuration, as [`NodeConfig::validate`] refuses it.
+    Node(NodeConfigError),
+    /// A probe interval of 0 ms: the tick thread would probe without pause.
+    ZeroProbeInterval,
+    /// A probe timeout of 0 ms: every probe would expire before its reply.
+    ZeroProbeTimeout,
+}
+
+impl std::fmt::Display for RuntimeConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RuntimeConfigError::Node(error) => write!(f, "{error}"),
+            RuntimeConfigError::ZeroProbeInterval => {
+                write!(f, "probe interval must be at least 1 ms")
+            }
+            RuntimeConfigError::ZeroProbeTimeout => {
+                write!(f, "probe timeout must be at least 1 ms")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RuntimeConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuntimeConfigError::Node(error) => Some(error),
+            _ => None,
         }
     }
 }
@@ -121,21 +177,43 @@ impl AtomicStats {
             malformed_datagrams: self.malformed_datagrams.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Counts the losses and evictions among the events of one expiry.
-    fn count_expired(&self, events: &[Event<SocketAddr>]) {
-        for event in events {
-            match event {
-                Event::ProbeLost { .. } => {
-                    self.probes_lost.fetch_add(1, Ordering::Relaxed);
-                }
-                Event::NeighborEvicted { .. } => {
-                    self.neighbors_evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
+/// The departure instant of each outstanding probe, by `(peer, seq)`.
+type Departures = HashMap<(SocketAddr, u64), Instant>;
+
+/// The one pass over a batch of engine events: counts the losses,
+/// evictions and ignored responses, drops the departure stamps of probes
+/// that will never be answered, and reports whether the batch published a
+/// new application coordinate.
+fn fold_events(
+    events: &[Event<SocketAddr>],
+    stats: &AtomicStats,
+    departures: &mut Departures,
+) -> bool {
+    let mut application_updated = false;
+    for event in events {
+        match event {
+            Event::ProbeLost { id, seq } => {
+                stats.probes_lost.fetch_add(1, Ordering::Relaxed);
+                departures.remove(&(*id, *seq));
             }
+            // Eviction silently drops the peer's *other* in-flight probes
+            // from the pending table (no ProbeLost for them); purge their
+            // departure stamps too or a long-lived daemon leaks one entry
+            // per swallowed probe.
+            Event::NeighborEvicted { id } => {
+                stats.neighbors_evicted.fetch_add(1, Ordering::Relaxed);
+                departures.retain(|(peer, _), _| peer != id);
+            }
+            Event::ResponseIgnored { .. } => {
+                stats.responses_ignored.fetch_add(1, Ordering::Relaxed);
+            }
+            Event::ApplicationUpdated { .. } => application_updated = true,
+            _ => {}
         }
     }
+    application_updated
 }
 
 /// The engine plus the per-probe departure instants used for RTT stamping.
@@ -144,7 +222,7 @@ struct EngineCore {
     /// `(peer, seq)` → the instant the probe left. Entries are removed when
     /// the reply arrives or the probe expires; an entry with no match left
     /// means the reply will be uncorrelated anyway.
-    departures: HashMap<(SocketAddr, u64), Instant>,
+    departures: Departures,
 }
 
 struct Shared {
@@ -181,7 +259,17 @@ impl NodeRuntime {
     /// restored from it: the node keeps its coordinate and membership, and
     /// the probes that were in flight at snapshot time are expired as lost
     /// (their replies, if they ever arrive, are ignored as uncorrelated).
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`io::ErrorKind::InvalidInput`] error whose inner error is
+    /// the [`RuntimeConfigError`] when [`RuntimeConfig::validate`] refuses
+    /// `config`; no thread is started then. Socket and snapshot failures
+    /// come back as they occur.
     pub fn start(socket: UdpSocket, config: RuntimeConfig) -> io::Result<Self> {
+        config
+            .validate()
+            .map_err(|error| io::Error::new(io::ErrorKind::InvalidInput, error))?;
         let local_addr = socket.local_addr()?;
         let advertised = config.advertised_addr.unwrap_or(local_addr);
 
@@ -200,7 +288,8 @@ impl NodeRuntime {
         let mut stale = Vec::new();
         node.expire_pending_into(u64::MAX, 0, &mut stale);
         let stats = AtomicStats::default();
-        stats.count_expired(&stale);
+        let mut departures = Departures::new();
+        fold_events(&stale, &stats, &mut departures);
         for seed in &config.seeds {
             if *seed != advertised {
                 node.seed_neighbor(*seed);
@@ -212,10 +301,7 @@ impl NodeRuntime {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?,
         );
         let shared = Arc::new(Shared {
-            engine: Mutex::new(EngineCore {
-                node,
-                departures: HashMap::new(),
-            }),
+            engine: Mutex::new(EngineCore { node, departures }),
             stats,
             shutdown: AtomicBool::new(false),
             clock: MonoClock::new(),
@@ -401,32 +487,14 @@ fn socket_loop(shared: &Shared, socket: &UdpSocket) {
                 };
                 response.rtt_ms = rtt_ms.max(0.01);
                 events.clear();
-                engine.node.handle_response_into(&response, &mut events);
+                let EngineCore { node, departures } = &mut *engine;
+                node.handle_response_into(&response, &mut events);
+                let application_updated = fold_events(&events, &shared.stats, departures);
                 drop(engine);
                 // A published application coordinate is the one event class
                 // query snapshots must not lag behind.
-                if events
-                    .iter()
-                    .any(|event| matches!(event, Event::ApplicationUpdated { .. }))
-                {
+                if application_updated {
                     publish_query_snapshot(shared);
-                }
-                for event in &events {
-                    match event {
-                        Event::ResponseIgnored { .. } => {
-                            shared
-                                .stats
-                                .responses_ignored
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        Event::NeighborEvicted { .. } => {
-                            shared
-                                .stats
-                                .neighbors_evicted
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
                 }
             }
             Err(_) => {
@@ -504,28 +572,13 @@ fn tick_loop(shared: &Shared, socket: &UdpSocket) {
                             shared.config.probe_timeout_ms,
                             &mut events,
                         );
-                        for event in &events {
-                            match event {
-                                Event::ProbeLost { id, seq } => {
-                                    departures.remove(&(*id, *seq));
-                                }
-                                // Eviction silently drops the peer's *other*
-                                // in-flight probes from the pending table
-                                // (no ProbeLost for them); purge their
-                                // departure stamps too or a long-lived
-                                // daemon leaks one entry per swallowed
-                                // probe.
-                                Event::NeighborEvicted { id } => {
-                                    departures.retain(|(peer, _), _| peer != id);
-                                }
-                                _ => {}
-                            }
-                        }
+                        fold_events(&events, &shared.stats, departures);
                     }
-                    shared.stats.count_expired(&events);
                     // Peer coordinates refresh with every digested reply;
                     // republishing on the expire cadence keeps query
-                    // snapshots current without an extra timer.
+                    // snapshots current without an extra timer (so whether
+                    // the expiry moved the application coordinate does not
+                    // matter here).
                     publish_query_snapshot(shared);
                     wheel.schedule(now_ms + expire_interval_ms, Tick::Expire);
                 }

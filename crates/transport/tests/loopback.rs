@@ -401,3 +401,74 @@ fn a_restored_daemon_counts_the_snapshots_pending_probes_as_lost() {
     drop(peers);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn config_rules_start_refuses_invalid_input_before_any_thread() {
+    use nc_proto::BinaryMessage;
+    use nc_transport::RuntimeConfigError;
+    use stable_nc::{NodeConfigError, ProbeRequest, VivaldiConfig, VivaldiConfigError};
+
+    let quick = RuntimeConfig {
+        probe_interval_ms: 20,
+        probe_timeout_ms: 100,
+        ..RuntimeConfig::default()
+    };
+    let cases = [
+        (
+            RuntimeConfig {
+                node: NodeConfig::builder().max_consecutive_losses(0).build(),
+                ..quick.clone()
+            },
+            RuntimeConfigError::Node(NodeConfigError::ZeroLossLimit),
+        ),
+        (
+            RuntimeConfig {
+                node: NodeConfig::builder()
+                    .vivaldi(VivaldiConfig::paper_defaults().with_dimensions(0))
+                    .build(),
+                ..quick.clone()
+            },
+            RuntimeConfigError::Node(NodeConfigError::Vivaldi(VivaldiConfigError::Dimensions(0))),
+        ),
+        (
+            RuntimeConfig {
+                probe_interval_ms: 0,
+                ..quick.clone()
+            },
+            RuntimeConfigError::ZeroProbeInterval,
+        ),
+        (
+            RuntimeConfig {
+                probe_timeout_ms: 0,
+                ..quick.clone()
+            },
+            RuntimeConfigError::ZeroProbeTimeout,
+        ),
+    ];
+    for (config, expected) in cases {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind real socket");
+        let addr = socket.local_addr().expect("local addr");
+        let ours = socket.try_clone().expect("clone socket");
+        let error = match NodeRuntime::start(socket, config) {
+            Ok(runtime) => {
+                runtime.shutdown().expect("shutdown");
+                panic!("started with {expected:?}");
+            }
+            Err(error) => error,
+        };
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(error.to_string(), expected.to_string());
+        let typed = error
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<RuntimeConfigError>());
+        assert_eq!(typed, Some(&expected));
+        // No socket thread took the datagram: it is still ours to read.
+        let probe = ProbeRequest::new(addr, 1, 0);
+        ours.send_to(&probe.encode_binary(), addr)
+            .expect("send to self");
+        ours.set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("read timeout");
+        let mut buffer = [0u8; 256];
+        assert!(ours.recv_from(&mut buffer).is_ok(), "{expected:?}");
+    }
+}

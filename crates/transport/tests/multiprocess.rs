@@ -162,3 +162,23 @@ fn bad_flags_exit_with_usage() {
         .expect("run nc-node");
     assert_eq!(output.status.code(), Some(2), "--bind is required");
 }
+
+#[test]
+fn config_rules_nc_node_refuses_a_zero_loss_limit() {
+    // Accepted, a limit of zero evicted every peer after its first loss.
+    let output = Command::new(NC_NODE)
+        .args(["--bind", "127.0.0.1:0", "--max-consecutive-losses", "0"])
+        .args(["--duration-s", "1", "--stats-interval-s", "0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run nc-node");
+    // A clean refusal (exit 1), not a panic inside the runtime (101).
+    assert_eq!(output.status.code(), Some(1), "{:?}", output.status);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("max consecutive losses must be at least 1"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(!stdout.contains("nc-node listening"), "{stdout}");
+}

@@ -39,6 +39,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::VivaldiConfigError;
+
 /// Tuning parameters of the [`OutlierGate`].
 ///
 /// The defaults (window 16, threshold 4 MADs, warm-up 8, MAD floor 10 ms,
@@ -86,64 +88,28 @@ impl Default for OutlierGateConfig {
     }
 }
 
-/// The field an [`OutlierGateConfig`] gets wrong, reported by
-/// [`OutlierGateConfig::validate`] with the offending value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GateConfigError {
-    /// `window` holds fewer than two residuals.
-    WindowTooSmall(usize),
-    /// `mad_threshold` is not finite and positive.
-    MadThresholdNotPositive(f64),
-    /// `mad_floor_ms` is not finite and non-negative.
-    MadFloorOutOfRange(f64),
-    /// `min_remote_error` lies outside `[0, 1]` (or is not finite).
-    MinRemoteErrorOutOfRange(f64),
-}
-
-impl std::fmt::Display for GateConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GateConfigError::WindowTooSmall(window) => {
-                write!(f, "outlier gate window must be at least 2, got {window}")
-            }
-            GateConfigError::MadThresholdNotPositive(threshold) => write!(
-                f,
-                "outlier gate MAD threshold must be finite and positive, got {threshold}"
-            ),
-            GateConfigError::MadFloorOutOfRange(floor) => write!(
-                f,
-                "outlier gate MAD floor must be finite and non-negative, got {floor}"
-            ),
-            GateConfigError::MinRemoteErrorOutOfRange(error) => write!(
-                f,
-                "outlier gate remote-error floor must lie in [0, 1], got {error}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for GateConfigError {}
-
 impl OutlierGateConfig {
     /// Checks the configuration for nonsense values.
     ///
     /// # Errors
     ///
-    /// Returns the [`GateConfigError`] of the first field found wrong: a
+    /// Returns the [`VivaldiConfigError`] of the first field found wrong: a
     /// window below two, a non-positive MAD threshold, a negative or
     /// non-finite MAD floor, or a remote-error floor outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), GateConfigError> {
+    pub fn validate(&self) -> Result<(), VivaldiConfigError> {
         if self.window < 2 {
-            return Err(GateConfigError::WindowTooSmall(self.window));
+            return Err(VivaldiConfigError::WindowTooSmall(self.window));
         }
         if !self.mad_threshold.is_finite() || self.mad_threshold <= 0.0 {
-            return Err(GateConfigError::MadThresholdNotPositive(self.mad_threshold));
+            return Err(VivaldiConfigError::MadThresholdNotPositive(
+                self.mad_threshold,
+            ));
         }
         if !self.mad_floor_ms.is_finite() || self.mad_floor_ms < 0.0 {
-            return Err(GateConfigError::MadFloorOutOfRange(self.mad_floor_ms));
+            return Err(VivaldiConfigError::MadFloorOutOfRange(self.mad_floor_ms));
         }
         if !self.min_remote_error.is_finite() || !(0.0..=1.0).contains(&self.min_remote_error) {
-            return Err(GateConfigError::MinRemoteErrorOutOfRange(
+            return Err(VivaldiConfigError::MinRemoteErrorOutOfRange(
                 self.min_remote_error,
             ));
         }
@@ -351,14 +317,17 @@ mod tests {
             window: 1,
             ..OutlierGateConfig::default()
         };
-        assert_eq!(config.validate(), Err(GateConfigError::WindowTooSmall(1)));
+        assert_eq!(
+            config.validate(),
+            Err(VivaldiConfigError::WindowTooSmall(1))
+        );
         let config = OutlierGateConfig {
             mad_threshold: 0.0,
             ..OutlierGateConfig::default()
         };
         assert_eq!(
             config.validate(),
-            Err(GateConfigError::MadThresholdNotPositive(0.0))
+            Err(VivaldiConfigError::MadThresholdNotPositive(0.0))
         );
         let config = OutlierGateConfig {
             mad_floor_ms: f64::NAN,
@@ -366,14 +335,14 @@ mod tests {
         };
         assert!(matches!(
             config.validate(),
-            Err(GateConfigError::MadFloorOutOfRange(floor)) if floor.is_nan()
+            Err(VivaldiConfigError::MadFloorOutOfRange(floor)) if floor.is_nan()
         ));
         let config = OutlierGateConfig {
             min_remote_error: 1.5,
             ..OutlierGateConfig::default()
         };
         let error = config.validate().unwrap_err();
-        assert_eq!(error, GateConfigError::MinRemoteErrorOutOfRange(1.5));
+        assert_eq!(error, VivaldiConfigError::MinRemoteErrorOutOfRange(1.5));
         assert!(error.to_string().contains("remote-error floor"), "{error}");
         assert_eq!(OutlierGateConfig::default().validate(), Ok(()));
     }
@@ -386,6 +355,66 @@ mod tests {
             ..OutlierGateConfig::default()
         };
         let _ = OutlierGate::new(config);
+    }
+
+    #[test]
+    fn config_rules_boundary_table() {
+        // Columns: 0, 1, 2, -1, NaN, +inf, -inf.
+        let probes = [
+            0.0,
+            1.0,
+            2.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let accepted = |set: fn(&mut OutlierGateConfig, f64)| -> Vec<bool> {
+            probes
+                .iter()
+                .map(|&value| {
+                    let mut config = OutlierGateConfig::default();
+                    set(&mut config, value);
+                    config.validate().is_ok()
+                })
+                .collect()
+        };
+        assert_eq!(
+            accepted(|c, v| c.mad_threshold = v),
+            [false, true, true, false, false, false, false]
+        );
+        assert_eq!(
+            accepted(|c, v| c.mad_floor_ms = v),
+            [true, true, true, false, false, false, false]
+        );
+        assert_eq!(
+            accepted(|c, v| c.min_remote_error = v),
+            [true, true, false, false, false, false, false]
+        );
+        let windows: Vec<bool> = [0, 1, 2]
+            .into_iter()
+            .map(|window| {
+                OutlierGateConfig {
+                    window,
+                    ..OutlierGateConfig::default()
+                }
+                .validate()
+                .is_ok()
+            })
+            .collect();
+        assert_eq!(windows, [false, false, true]);
+    }
+
+    #[test]
+    fn config_rules_panic_with_the_validate_message() {
+        let config = OutlierGateConfig {
+            mad_floor_ms: -1.0,
+            ..OutlierGateConfig::default()
+        };
+        let message = config.validate().unwrap_err().to_string();
+        let panic = std::panic::catch_unwind(|| OutlierGate::new(config)).unwrap_err();
+        let text = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(text.ends_with(&message), "{text}");
     }
 
     #[test]

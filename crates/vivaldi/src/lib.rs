@@ -51,8 +51,8 @@ pub mod error;
 pub mod gate;
 pub mod state;
 
-pub use config::VivaldiConfig;
+pub use config::{VivaldiConfig, VivaldiConfigError};
 pub use coordinate::{Coordinate, MAX_DIMS};
 pub use error::{relative_error, CoordinateError};
-pub use gate::{GateConfigError, OutlierGate, OutlierGateConfig};
+pub use gate::{OutlierGate, OutlierGateConfig};
 pub use state::{RemoteObservation, UpdateOutcome, VivaldiState};

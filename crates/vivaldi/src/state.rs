@@ -124,7 +124,15 @@ pub struct VivaldiState {
 impl VivaldiState {
     /// Creates a node at the origin with the configured initial error
     /// estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`VivaldiConfig::validate`]'s message when it refuses
+    /// `config`.
     pub fn new(config: VivaldiConfig) -> Self {
+        if let Err(error) = config.validate() {
+            panic!("invalid Vivaldi config: {error}");
+        }
         let coordinate = Coordinate::origin(config.dimensions());
         let error_estimate = config.initial_error_estimate();
         let tie_break_state = config.seed() | 1;
@@ -136,19 +144,6 @@ impl VivaldiState {
             total_displacement_ms: 0.0,
             tie_break_state,
         }
-    }
-
-    /// Creates a node at an explicit starting coordinate (useful in tests and
-    /// when warm-starting from a persisted coordinate).
-    pub fn with_coordinate(config: VivaldiConfig, coordinate: Coordinate) -> Self {
-        assert_eq!(
-            coordinate.dimensions(),
-            config.dimensions(),
-            "starting coordinate must match the configured dimensionality"
-        );
-        let mut state = Self::new(config);
-        state.coordinate = coordinate;
-        state
     }
 
     /// Replaces the tuning constants while keeping the runtime state
@@ -334,6 +329,13 @@ mod tests {
         VivaldiState::new(VivaldiConfig::paper_defaults())
     }
 
+    /// A fresh node placed at `coordinate`.
+    fn at(config: VivaldiConfig, coordinate: Coordinate) -> VivaldiState {
+        let mut state = VivaldiState::new(config);
+        state.coordinate = coordinate;
+        state
+    }
+
     fn observation_of(state: &VivaldiState, rtt: f64) -> RemoteObservation {
         RemoteObservation::new(state.coordinate().clone(), state.error_estimate(), rtt)
     }
@@ -439,7 +441,7 @@ mod tests {
     #[test]
     fn confidence_building_treats_margin_as_equal() {
         let config = VivaldiConfig::paper_defaults().with_confidence_building(Some(3.0));
-        let mut a = VivaldiState::with_coordinate(
+        let mut a = at(
             config.clone(),
             Coordinate::new(vec![1.0, 0.0, 0.0]).unwrap(),
         );
@@ -461,11 +463,11 @@ mod tests {
         // The Figure 6 effect: on a ~1 ms link, a 3 ms sample produces a huge
         // relative error and damages confidence unless the margin is allowed.
         let config = VivaldiConfig::paper_defaults();
-        let mut with_margin = VivaldiState::with_coordinate(
+        let mut with_margin = at(
             config.clone().with_confidence_building(Some(3.0)),
             Coordinate::new(vec![1.0, 0.0, 0.0]).unwrap(),
         );
-        let mut without_margin = VivaldiState::with_coordinate(
+        let mut without_margin = at(
             config.clone(),
             Coordinate::new(vec![1.0, 0.0, 0.0]).unwrap(),
         );
@@ -517,15 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn with_coordinate_requires_matching_dimensions() {
-        let config = VivaldiConfig::paper_defaults().with_dimensions(2);
-        let result = std::panic::catch_unwind(|| {
-            VivaldiState::with_coordinate(config, Coordinate::origin(3))
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn confident_remote_pulls_harder_than_unconfident() {
         // A node observing a very confident neighbour (low w_j) should move
         // further than when observing an unconfident one, all else equal.
@@ -533,11 +526,11 @@ mod tests {
         let start = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         let remote_coord = Coordinate::origin(3);
 
-        let mut toward_confident = VivaldiState::with_coordinate(config.clone(), start.clone());
+        let mut toward_confident = at(config.clone(), start.clone());
         let confident = RemoteObservation::new(remote_coord.clone(), 0.01, 100.0);
         let d_confident = toward_confident.observe(&confident).displacement_ms;
 
-        let mut toward_unsure = VivaldiState::with_coordinate(config, start);
+        let mut toward_unsure = at(config, start);
         let unsure = RemoteObservation::new(remote_coord, 1.0, 100.0);
         let d_unsure = toward_unsure.observe(&unsure).displacement_ms;
 
@@ -573,7 +566,7 @@ mod tests {
             // because w_s <= 1.
             let config = VivaldiConfig::paper_defaults();
             let start = Coordinate::new(vec![px, 0.0, 0.0]).unwrap();
-            let mut s = VivaldiState::with_coordinate(config.clone(), start.clone());
+            let mut s = at(config.clone(), start.clone());
             let remote = Coordinate::origin(3);
             let predicted = start.distance(&remote);
             let outcome = s.observe(&RemoteObservation::new(remote, 0.5, rtt));
