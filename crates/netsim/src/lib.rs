@@ -53,7 +53,7 @@
 //! [`Simulator::run`](sim::Simulator::run) has one engine, plan/execute:
 //! the schedule is planned serially in bounded epochs against one
 //! [`ProbeLedger`](stable_nc::ProbeLedger) per node, and each epoch's engine
-//! work runs on `min(cores, nodes / 128)` workers, node `i` on worker
+//! work runs on `min(cores, nodes / 64)` workers, node `i` on worker
 //! `i mod workers` — at least one, which is the calling thread and spawns
 //! nothing. [`with_threads`](sim::Simulator::with_threads) overrides the
 //! worker count. The loop behind

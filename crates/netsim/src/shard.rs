@@ -19,22 +19,36 @@
 //!    call pops at most one epoch's budget of events ([`EPOCH_EVENTS`]) and
 //!    turns them into one [`Batch`] of engine operations per shard, each in
 //!    global event order.
-//! 2. **Execute (parallel).** Worker `w` owns every node with
-//!    `index % threads == w` (across all named configurations) and runs its
-//!    batch in order through [`Worker::apply`]. The only cross-shard data
+//! 2. **Execute (cooperative).** Shard `w` holds every node with
+//!    `index % threads == w` (across all named configurations): a
+//!    [`Worker`], its batch and a cursor into it. The only cross-shard data
 //!    flow is a probe response travelling from the responder's shard to the
 //!    prober's shard; it moves through a slab of turn-versioned
 //!    [`SlotCell`]s with acquire/release handshakes, whose response buffers
 //!    are rewritten in place turn after turn, so the steady state neither
 //!    allocates nor locks.
 //!
-//! The two alternate until the queue is dry. Workers are dealt their nodes
-//! once, keep them for the whole run on one thread each, and are
-//! reassembled once; between epochs they sleep on a channel while the
-//! planner refills the batches they handed back. The batches are cleared
-//! and reused and the cell slab is as large as the most exchanges ever in
-//! flight at once, so the plan's memory is a few megabytes whatever the
-//! simulated duration.
+//! The two phases overlap. The calling thread releases epoch `k` to the
+//! shards, plans epoch `k + 1` into a second set of batches while its
+//! `threads - 1` helper threads execute `k`, and then joins `k` itself. No
+//! shard belongs to a thread: each thread has a home shard, and any thread
+//! may claim any free one. Before every op the thread running it checks,
+//! without waiting, whether the op's cell is at the turn the op needs
+//! ([`ready`]). A thread runs its home shard until the next op is not ready,
+//! then runs another free shard until that one is not ready either or home
+//! can move again, and goes home. No thread ever waits inside an op.
+//!
+//! **Progress.** The op with the lowest global index among the shards' next
+//! ops is always ready: the cell turn it needs was passed on by an op earlier
+//! in the global order, and every such op has run — earlier epochs in full,
+//! this one up to the shards' cursors. So one thread alone finishes any
+//! epoch. That is what lets the helpers run the whole epoch while the calling
+//! thread plans, and why one worker (`threads == 1`) needs no path of its own.
+//!
+//! Workers are dealt their nodes once and reassembled once; between epochs
+//! the helpers sleep on a channel. The batches are cleared and reused and the
+//! cell slab is as large as the most exchanges ever in flight at once, so the
+//! plan's memory is a few megabytes whatever the simulated duration.
 //!
 //! An exchange may straddle an epoch boundary — answered in one epoch,
 //! digested (or dropped) in a later one — and nothing but its cell carries
@@ -46,7 +60,8 @@
 //! it is pushed; `Respond` publishes exactly when the link model had not
 //! already lost the reply at send time; and a reply dropped at delivery gets
 //! an operation of its own, [`PlanOp::DropReply`], which takes the
-//! publication and releases the cell in the digest's stead.
+//! publication and releases the cell in the digest's stead. The same rule
+//! is what makes it safe to plan epoch `k + 1` while epoch `k` executes.
 //!
 //! [`Worker::apply`] is the simulator's only engine executor. The reference
 //! loop deals every node to one worker and applies the same [`PlanOp`]s as
@@ -71,8 +86,8 @@
 //! loop's unanimity rule across the sets.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{mpsc, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, RwLock, TryLockError};
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::CoordinateIndex;
@@ -87,16 +102,21 @@ use crate::sim::{
 };
 
 /// Events the planner pops per epoch. Large enough that the two channel
-/// round trips per worker and epoch vanish (a 1,024-node hour is ≈ 45
-/// epochs), small enough that the batches (≤ 48 bytes per event) stay a few
-/// megabytes. Reports do not depend on it; the tests run budgets down to 1.
-pub(crate) const EPOCH_EVENTS: usize = 65_536;
+/// round trips per helper and epoch vanish (a 1,024-node hour is ≈ 90
+/// epochs), small enough that both sets of batches (≤ 48 bytes per event)
+/// stay a few megabytes. Reports do not depend on it; the tests run budgets
+/// down to 1.
+pub(crate) const EPOCH_EVENTS: usize = 32_768;
 
 /// Fewest nodes that keep one worker busier than the handshakes cost it.
-/// Measured on a 2-core host (default executor against two workers,
-/// exchanges per second): 1,024 nodes +41 %, 512 +45 %, 256 +16 %, 128 ±0 %
-/// at +50 % CPU, 51 −47 %; with two configurations 256 +13 %, 128 −13 %.
-const NODES_PER_WORKER: usize = 128;
+/// Measured on a 2-core host, two workers against one (`ncbench --scale`,
+/// three alternating pairs per row, exchanges per second): 512 nodes +30 to
+/// +140 %, 256 +80 to +93 %, 128 +60 to +81 % at +7 to +20 % CPU per
+/// exchange, 64 +30 to +53 % at +24 to +45 %; with two configurations
+/// (`sim-compare`) 128 +42 to +123 %, 64 +23 to +63 % at +19 to +56 % CPU.
+/// From 128 nodes two workers won every pair by 40 % or more; below, the
+/// rate they add costs a fifth to a half more CPU per exchange.
+const NODES_PER_WORKER: usize = 64;
 
 /// How many workers [`Simulator::run`](crate::sim::Simulator::run) shards a
 /// run of `nodes` nodes across on a host with `cores` cores when the caller
@@ -266,19 +286,18 @@ fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
 /// configuration and is reused across exchanges (turns), so the steady-state
 /// exchange path allocates nothing.
 ///
-/// Protocol: the responder of turn `t` first waits for `consumed == t - 1`
+/// Protocol: the responder of turn `t` runs only once `consumed == t - 1`
 /// (the previous use is fully digested), writes the responses, then either
 /// stores `published = t` (someone will come for them) or `consumed = t`
 /// (the reply was lost as it was sent; it consumes its own use). The
-/// prober's shard waits for `published == t`, reads — or, for a reply
-/// dropped at delivery, does not — and stores `consumed = t`. Every wait is
-/// on an operation strictly earlier in the planner's global order, and
-/// every earlier epoch has been executed in full before a later one starts,
-/// so the executor can never deadlock; the reference loop runs every op as
-/// it emits it, so its waits are always already met. A cell may stay
-/// published across any number of epoch boundaries; the slab only ever
-/// grows between epochs, under the write lock, while no worker holds a
-/// reference into it.
+/// prober's shard runs its op only once `published == t`, reads — or, for a
+/// reply dropped at delivery, does not — and stores `consumed = t`. Each
+/// condition is met by an operation strictly earlier in the planner's global
+/// order, which is the module's progress argument; the executor checks it
+/// before every op ([`ready`]) and the reference loop, which runs every op
+/// as it emits it, always finds it met. A cell may stay published across any
+/// number of epoch boundaries; the slab only ever grows between epochs,
+/// under the write lock, while no thread holds a reference into it.
 pub(crate) struct SlotCell {
     published: AtomicU32,
     consumed: AtomicU32,
@@ -305,11 +324,29 @@ impl SlotCell {
     }
 }
 
-/// Spins until `counter` — a cell's `published` or `consumed` — reads `turn`.
-fn await_turn(counter: &AtomicU32, turn: u32) {
-    while counter.load(Ordering::Acquire) != turn {
-        std::thread::yield_now();
+/// Whether `op` can run now: the cell turn it needs has been passed on. Ops
+/// without a cell are always ready. Never waits.
+fn ready(op: &PlanOp, cells: &[SlotCell]) -> bool {
+    match *op {
+        PlanOp::Respond { slot, turn, .. } => {
+            cells[slot as usize].consumed.load(Ordering::Acquire) == turn - 1
+        }
+        PlanOp::Digest { slot, turn, .. } | PlanOp::DropReply { slot, turn } => {
+            cells[slot as usize].published.load(Ordering::Acquire) == turn
+        }
+        _ => true,
     }
+}
+
+/// Asserts that `counter` — a cell's `published` or `consumed` — reads
+/// `turn`. The executor runs an op only once [`ready`] says so and the
+/// reference loop's turns are always met, so an op never waits for one.
+fn assert_turn(counter: &AtomicU32, turn: u32) {
+    let at = counter.load(Ordering::Acquire);
+    assert!(
+        at == turn,
+        "a response cell is at turn {at}, not at the {turn} its op needs"
+    );
 }
 
 /// One probe exchange in flight, between the events that carry its index:
@@ -409,20 +446,14 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    fn execute(&mut self, batch: &Batch, cells: &[SlotCell]) {
-        for &op in &batch.ops {
-            self.apply(op, &batch.lies, cells);
-        }
-    }
-
     /// Runs `op` on every configuration of its node and returns what the
     /// engines decided. `lies` is what a `Respond`'s `lie` indexes into;
     /// `cells` is the response slab, at least as long as the highest slot
-    /// an op names. The cell handshake holds when the ops' slots and turns
-    /// come from one [`InFlight`] and each node's ops run in the order they
-    /// were emitted — by the planner's epochs, or by the reference loop on
-    /// one thread.
-    // Inlined into `execute`'s loop over a batch, the sharded hot path.
+    /// an op names. The op's cell must be [`ready`]: it is when the ops'
+    /// slots and turns come from one [`InFlight`], each node's ops run in the
+    /// order they were emitted, and the executor checked before the call —
+    /// or the reference loop runs each op as it emits it.
+    // Inlined into `Shard::run`'s loop over a batch, the sharded hot path.
     #[inline]
     pub(crate) fn apply(
         &mut self,
@@ -455,7 +486,7 @@ impl Worker {
             } => {
                 let local = dst as usize / self.threads;
                 let cell = &cells[slot as usize];
-                await_turn(&cell.consumed, turn - 1);
+                assert_turn(&cell.consumed, turn - 1);
                 // SAFETY: `consumed == turn - 1` means the previous use
                 // of the cell — possibly epochs ago — is finished, and
                 // `InFlight::respond` names this turn in no other
@@ -498,7 +529,7 @@ impl Worker {
             } => {
                 let local = src as usize / self.threads;
                 let cell = &cells[slot as usize];
-                await_turn(&cell.published, turn);
+                assert_turn(&cell.published, turn);
                 // SAFETY: `published == turn` means the responder is done
                 // writing (in this epoch or an earlier one); the emitting
                 // loop releases each slot once, so it emits one taker per
@@ -528,11 +559,10 @@ impl Worker {
                 cell.consumed.store(turn, Ordering::Release);
             }
             PlanOp::DropReply { slot, turn } => {
-                // The responder may not have run yet: wait for the
-                // publication exactly as a digest would, then pass the
-                // cell on without reading it.
+                // Ready exactly when a digest would be; pass the cell on
+                // without reading it.
                 let cell = &cells[slot as usize];
-                await_turn(&cell.published, turn);
+                assert_turn(&cell.published, turn);
                 cell.consumed.store(turn, Ordering::Release);
             }
             PlanOp::Timeout { node, seq } => {
@@ -950,109 +980,260 @@ pub(crate) fn run_sharded(
     threads: usize,
     epoch_events: usize,
 ) -> PlanFootprint {
+    run_epochs(env, state, threads, threads - 1, epoch_events)
+}
+
+/// [`run_sharded`] on `shards` shards with `helpers` threads beside the
+/// calling one; the tests run every shard from the calling thread alone.
+pub(crate) fn run_epochs(
+    env: &SimEnv,
+    state: &mut EngineState,
+    shards: usize,
+    helpers: usize,
+    epoch_events: usize,
+) -> PlanFootprint {
     assert!(epoch_events > 0, "an epoch must make progress");
     let groups = ledger_groups(state);
-    let workers = deal(env, state, threads);
-    let mut planner = Planner::new(env, &mut state.schedule, groups, threads);
-    // Room for an epoch in which every event lands on one shard, so the
-    // lists never reallocate (tracking, several ops per event, may grow
-    // them once).
-    let mut batches: Vec<Batch> = (0..threads)
-        .map(|_| Batch {
-            ops: Vec::with_capacity(epoch_events),
-            lies: Vec::new(),
-        })
-        .collect();
-    // Workers hold the read lock for the length of an epoch; the planner
-    // takes the write lock between epochs, when nobody does.
-    let cells: RwLock<Vec<SlotCell>> = RwLock::new(Vec::new());
-
-    // Shard 0 runs on the calling thread, between two rounds of planning:
-    // it has nothing else to do while an epoch executes, and the memory the
-    // planner frees (the link table's growth) is reused by that shard's
-    // engines instead of idling in an allocator arena no worker draws on.
-    let mut workers = workers.into_iter();
-    // nc-lint: allow(panic) — `deal` builds one worker per thread and
-    // `with_threads` rejects zero.
-    let mut local = workers.next().expect("at least one worker");
-    let remote: Vec<Worker> = std::thread::scope(|scope| {
-        let cells = &cells;
-        let mut links = Vec::with_capacity(threads - 1);
-        let mut handles = Vec::with_capacity(threads - 1);
-        for mut worker in workers {
-            let (work_tx, work_rx) = mpsc::channel::<Batch>();
-            let (done_tx, done_rx) = mpsc::channel::<Batch>();
-            links.push((work_tx, done_rx));
-            handles.push(scope.spawn(move || {
-                // Ends when the planner hangs up: after the last epoch, or
-                // while unwinding.
-                for batch in work_rx {
-                    {
-                        // nc-lint: allow(panic) — only a panic poisons the
-                        // lock, and that run is already lost.
-                        let cells = cells.read().expect("a worker or the planner panicked");
-                        worker.execute(&batch, &cells);
-                    }
-                    if done_tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-                worker
-            }));
-        }
-        // A send or receive fails only when its worker has panicked; stop
-        // planning and let the join below re-raise that panic.
-        'epochs: loop {
-            let more = planner.plan_epoch(&mut batches, epoch_events);
-            cells
-                .write()
-                // nc-lint: allow(panic) — only a panic poisons the lock, and
-                // that run is already lost.
-                .expect("a worker panicked")
-                .resize_with(planner.in_flight.len(), SlotCell::new);
-            // bounds: batches[0] is the calling thread's; batches[1..] pair
-            // up with the spawned workers' links.
-            let (mine, theirs) = batches.split_at_mut(1);
-            for ((work_tx, _), batch) in links.iter().zip(theirs.iter_mut()) {
-                if work_tx.send(std::mem::take(batch)).is_err() {
-                    break 'epochs;
-                }
-            }
-            {
-                // nc-lint: allow(panic) — only a panic poisons the lock, and
-                // that run is already lost.
-                let cells = cells.read().expect("a worker panicked");
-                local.execute(&mine[0], &cells);
-            }
-            for ((_, done_rx), batch) in links.iter().zip(theirs.iter_mut()) {
-                match done_rx.recv() {
-                    Ok(executed) => *batch = executed,
-                    Err(_) => break 'epochs,
-                }
-            }
-            if !more {
-                break;
-            }
-        }
-        drop(links);
-        handles
-            .into_iter()
-            // nc-lint: allow(panic) — a panicking worker already poisoned
-            // the run; re-raising it here is the contract.
-            .map(|handle| handle.join().expect("sharded simulation worker panicked"))
-            .collect()
+    let workers = deal(env, state, shards);
+    let mut planner = Planner::new(env, &mut state.schedule, groups, shards);
+    let (finished, op_capacity) = execute(workers, helpers, epoch_events, |batches| Planned {
+        more: planner.plan_epoch(batches, epoch_events),
+        cells: planner.in_flight.len(),
     });
-    let finished: Vec<Worker> = std::iter::once(local).chain(remote).collect();
-
     state.events_popped = planner.queue.popped();
     let scenario_actions = planner.scenario_actions;
     let footprint = PlanFootprint {
-        op_capacity: batches.iter().map(|batch| batch.ops.capacity()).sum(),
+        op_capacity,
         cells: planner.in_flight.len(),
     };
     let groups = planner.groups;
     reassemble(env, state, finished, scenario_actions, &groups);
     footprint
+}
+
+/// What the planner of [`execute`] says about the epoch it just planned.
+struct Planned {
+    /// False for the run's last epoch.
+    more: bool,
+    /// How many response cells the ops planned so far name.
+    cells: usize,
+}
+
+/// One shard as the executor holds it: the worker, its share of the
+/// released epoch and how far into it the shard has run. Any thread may
+/// claim it; the mutex is the claim, and a panic inside an op poisons it.
+struct Shard {
+    worker: Worker,
+    batch: Batch,
+    cursor: usize,
+}
+
+impl Shard {
+    /// The next op to run; `None` once the batch has run.
+    fn head(&self) -> Option<PlanOp> {
+        self.batch.ops.get(self.cursor).copied()
+    }
+
+    /// Runs ops while the next one is [`ready`], stopping after any op once
+    /// `leave` says so, and returns how many ran.
+    #[inline]
+    fn run(&mut self, cells: &[SlotCell], leave: impl Fn() -> bool) -> usize {
+        let start = self.cursor;
+        while let Some(op) = self.head() {
+            if !ready(&op, cells) {
+                break;
+            }
+            self.worker.apply(op, &self.batch.lies, cells);
+            self.cursor += 1;
+            if leave() {
+                break;
+            }
+        }
+        self.cursor - start
+    }
+}
+
+/// A thread panicked inside an op of a shard, and the run is lost.
+struct Poisoned;
+
+/// Runs the released epoch from one thread until every shard has run its
+/// batch: `home` whenever it can move, another free shard otherwise, and
+/// back home as soon as home's next op is ready. Yields only when no free
+/// shard can move. Fails as soon as it meets a poisoned shard.
+fn join_epoch(
+    shards: &[Mutex<Shard>],
+    home: usize,
+    cells: &[SlotCell],
+    unfinished: &AtomicUsize,
+) -> Result<(), Poisoned> {
+    // The op home stopped at, while this thread is away from it; `None`
+    // when home is finished or another thread has it.
+    let mut home_head = None;
+    while unfinished.load(Ordering::Acquire) > 0 {
+        let mut moved = false;
+        for offset in 0..shards.len() {
+            let index = (home + offset) % shards.len();
+            let mut shard = match shards[index].try_lock() {
+                Ok(shard) => shard,
+                Err(TryLockError::WouldBlock) => {
+                    if offset == 0 {
+                        home_head = None;
+                    }
+                    continue;
+                }
+                Err(TryLockError::Poisoned(_)) => return Err(Poisoned),
+            };
+            let ran = if offset == 0 {
+                let ran = shard.run(cells, || false);
+                home_head = shard.head();
+                ran
+            } else {
+                shard.run(cells, || home_head.is_some_and(|op| ready(&op, cells)))
+            };
+            if ran > 0 {
+                if shard.head().is_none() {
+                    unfinished.fetch_sub(1, Ordering::AcqRel);
+                }
+                moved = true;
+                break;
+            }
+        }
+        if !moved {
+            std::thread::yield_now();
+        }
+    }
+    Ok(())
+}
+
+/// Executes the epochs `plan` fills, one shard per worker, on the calling
+/// thread and `helpers` scoped threads (homed on shards 0 to `helpers`), and
+/// hands back the workers and the op capacity of both sets of batches.
+/// `plan` fills the batches it is given, one per shard and cleared first; it
+/// runs on the calling thread, one epoch ahead of the shards.
+fn execute(
+    workers: Vec<Worker>,
+    helpers: usize,
+    epoch_events: usize,
+    mut plan: impl FnMut(&mut [Batch]) -> Planned,
+) -> (Vec<Worker>, usize) {
+    // Room for an epoch in which every event lands on one shard, so the
+    // lists never reallocate (tracking, several ops per event, may grow
+    // them once).
+    let batch = || Batch {
+        ops: Vec::with_capacity(epoch_events),
+        lies: Vec::new(),
+    };
+    let mut next: Vec<Batch> = workers.iter().map(|_| batch()).collect();
+    let shards: Vec<Mutex<Shard>> = workers
+        .into_iter()
+        .map(|worker| {
+            Mutex::new(Shard {
+                worker,
+                batch: batch(),
+                cursor: 0,
+            })
+        })
+        .collect();
+    // Executing threads hold the read lock for the length of an epoch; the
+    // calling thread grows the slab under the write lock between epochs,
+    // when nobody does.
+    let cells: RwLock<Vec<SlotCell>> = RwLock::new(Vec::new());
+    // Shards of the released epoch that have ops left to run. Stored
+    // (Release) before the helpers are signalled, decremented (AcqRel) by
+    // the thread that runs a shard's last op and read (Acquire) by every
+    // joining thread, so a thread that reads 0 has seen every op run.
+    let unfinished = AtomicUsize::new(0);
+    let mut planned = plan(&mut next);
+    std::thread::scope(|scope| {
+        let (shards, cells, unfinished) = (&shards, &cells, &unfinished);
+        let mut links = Vec::with_capacity(helpers);
+        let mut handles = Vec::with_capacity(helpers);
+        for home in 1..=helpers {
+            let (start_tx, start_rx) = mpsc::channel::<()>();
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            links.push((start_tx, done_rx));
+            handles.push(scope.spawn(move || {
+                // Ends when the calling thread hangs up — after the last
+                // epoch, or while unwinding — or at a poisoned shard.
+                for () in start_rx {
+                    let joined = {
+                        // nc-lint: allow(panic) — only a panic under the
+                        // write lock poisons it, and that run is lost.
+                        let cells = cells.read().expect("the planning thread panicked");
+                        join_epoch(shards, home, &cells, unfinished)
+                    };
+                    if joined.is_err() || done_tx.send(()).is_err() {
+                        break;
+                    }
+                }
+            }));
+        }
+        // A handshake fails only when a helper has died, and a shard is
+        // poisoned only when a thread panicked in it: either way stop, and
+        // let the joins below re-raise the panic.
+        'epochs: loop {
+            cells
+                .write()
+                // nc-lint: allow(panic) — only a panic under the write lock
+                // poisons it, and that run is already lost.
+                .expect("the planning thread panicked")
+                .resize_with(planned.cells, SlotCell::new);
+            let mut released = 0;
+            for (shard, batch) in shards.iter().zip(next.iter_mut()) {
+                // nc-lint: allow(panic) — every shard ran its batch to the
+                // end, so no op of it panicked.
+                let mut shard = shard.lock().expect("a finished shard is not poisoned");
+                std::mem::swap(&mut shard.batch, batch);
+                shard.cursor = 0;
+                released += usize::from(!shard.batch.ops.is_empty());
+            }
+            unfinished.store(released, Ordering::Release);
+            for (start_tx, _) in &links {
+                if start_tx.send(()).is_err() {
+                    break 'epochs;
+                }
+            }
+            let last = !planned.more;
+            if !last {
+                planned = plan(&mut next);
+            }
+            let joined = {
+                // nc-lint: allow(panic) — only a panic under the write lock
+                // poisons it, and that run is already lost.
+                let cells = cells.read().expect("the planning thread panicked");
+                join_epoch(shards, 0, &cells, unfinished)
+            };
+            if joined.is_err() {
+                break;
+            }
+            for (_, done_rx) in &links {
+                if done_rx.recv().is_err() {
+                    break 'epochs;
+                }
+            }
+            if last {
+                break;
+            }
+        }
+        drop(links);
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    let mut op_capacity: usize = next.iter().map(|batch| batch.ops.capacity()).sum();
+    let workers = shards
+        .into_iter()
+        .map(|shard| {
+            // nc-lint: allow(panic) — a panic inside an op was re-raised
+            // above; a poisoned shard that got this far is an executor bug.
+            let shard = shard.into_inner().expect("no thread panicked in a shard");
+            op_capacity += shard.batch.ops.capacity();
+            shard.worker
+        })
+        .collect();
+    (workers, op_capacity)
 }
 
 /// Deals node `i` (engines, metrics, crash snapshots — every configuration)
@@ -1224,20 +1405,21 @@ mod tests {
 
     fn streamed_json(
         mut simulator: Simulator,
-        threads: usize,
+        shards: usize,
+        helpers: usize,
         epoch_events: usize,
     ) -> (String, PlanFootprint) {
-        let (report, footprint) = simulator.run_streamed(threads, epoch_events);
+        let (report, footprint) = simulator.run_streamed(shards, helpers, epoch_events);
         (serde::json::to_string(&report), footprint)
     }
 
     #[test]
-    fn auto_workers_is_one_per_core_capped_at_one_per_128_nodes() {
-        assert_eq!(auto_workers(255, 8), 1);
-        assert_eq!(auto_workers(256, 1), 1);
-        assert_eq!(auto_workers(256, 2), 2);
+    fn auto_workers_is_one_per_core_capped_at_one_per_64_nodes() {
+        assert_eq!(auto_workers(127, 8), 1);
+        assert_eq!(auto_workers(128, 1), 1);
+        assert_eq!(auto_workers(128, 2), 2);
         assert_eq!(auto_workers(1_024, 2), 2);
-        assert_eq!(auto_workers(1_024, 64), 8);
+        assert_eq!(auto_workers(1_024, 64), 16);
         assert_eq!(auto_workers(0, 0), 1);
     }
 
@@ -1284,7 +1466,12 @@ mod tests {
         for threads in 1..=3 {
             for epoch_events in [1, 7] {
                 let (streamed, footprint) = under_watchdog(move || {
-                    streamed_json(reply_in_flight(disruption()), threads, epoch_events)
+                    streamed_json(
+                        reply_in_flight(disruption()),
+                        threads,
+                        threads - 1,
+                        epoch_events,
+                    )
                 });
                 assert_eq!(
                     streamed, serial,
@@ -1321,11 +1508,169 @@ mod tests {
                 SimConfig::new(hours * 3_600.0, 5.0).with_initial_neighbors(4),
                 vec![("mp".to_string(), NodeConfig::paper_defaults())],
             );
-            streamed_json(simulator, 2, 256).1
+            streamed_json(simulator, 2, 1, 256).1
         };
         let one_hour = footprint(1.0);
-        assert_eq!(one_hour.op_capacity, 2 * 256);
+        // Two shards, two sets of batches: the one executing and the one
+        // being planned.
+        assert_eq!(one_hour.op_capacity, 4 * 256);
         assert_eq!(footprint(4.0).op_capacity, one_hour.op_capacity);
+    }
+
+    /// Twelve nodes under 5 % loss and asymmetric delays.
+    fn lossy() -> Simulator {
+        Simulator::new(
+            PlanetLabConfig::small(12).with_seed(7).with_link_config(
+                LinkModelConfig::default()
+                    .with_loss_probability(0.05)
+                    .with_delay_asymmetry(0.2),
+            ),
+            SimConfig::new(600.0, 5.0)
+                .with_measurement_start(0.0)
+                .with_initial_neighbors(4),
+            vec![("mp".to_string(), NodeConfig::paper_defaults())],
+        )
+    }
+
+    /// Joins, a leave and crashes with snapshot restarts, two configurations
+    /// with differing eviction thresholds, tracked coordinates.
+    fn churn() -> Simulator {
+        let scenario = Scenario::crash_restart(vec![1, 2, 7], 200.0, 330.0)
+            .with_initially_down(vec![10, 11])
+            .at(
+                150.0,
+                ScenarioAction::Join {
+                    nodes: vec![10, 11],
+                },
+            )
+            .at(400.0, ScenarioAction::Leave { nodes: vec![3] });
+        Simulator::new(
+            PlanetLabConfig::small(12)
+                .with_seed(5)
+                .with_link_config(LinkModelConfig::default().with_loss_probability(0.02)),
+            SimConfig::new(600.0, 5.0)
+                .with_measurement_start(0.0)
+                .with_initial_neighbors(4)
+                .with_tracked_nodes(vec![0, 5], 60.0),
+            vec![
+                (
+                    "mp".to_string(),
+                    NodeConfig::builder().max_consecutive_losses(3).build(),
+                ),
+                ("raw".to_string(), NodeConfig::original_vivaldi()),
+            ],
+        )
+        .with_scenario(scenario)
+    }
+
+    /// A partition that comes up under replies in flight and heals.
+    fn partition() -> Simulator {
+        Simulator::new(
+            PlanetLabConfig::small(12).with_seed(13),
+            SimConfig::new(600.0, 5.0)
+                .with_measurement_start(0.0)
+                .with_initial_neighbors(4),
+            vec![("mp".to_string(), NodeConfig::paper_defaults())],
+        )
+        .with_scenario(Scenario::new().at(
+            200.0,
+            ScenarioAction::Partition {
+                group: vec![0, 1, 2, 4],
+                heal_at_s: 400.0,
+            },
+        ))
+    }
+
+    /// The calling thread alone drives every shard of every epoch it plans,
+    /// with no helper to run the op another shard waits for: it finishes
+    /// only if the lowest op among the shards' next ones is always ready.
+    #[test]
+    fn one_thread_alone_runs_every_shard_of_every_epoch() {
+        let families = [
+            ("loss", lossy as fn() -> Simulator),
+            ("churn", churn),
+            ("partition", partition),
+        ];
+        for (family, build) in families {
+            let serial = serial_json(build());
+            for shards in [2, 3] {
+                for epoch_events in [1, 7, 64, 4_096] {
+                    let (streamed, _) =
+                        under_watchdog(move || streamed_json(build(), shards, 0, epoch_events));
+                    assert_eq!(
+                        streamed, serial,
+                        "{family}: {shards} shards, {epoch_events} events per epoch"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A worker with no configurations: its ops pass cells on and touch
+    /// nothing else.
+    fn bare_worker(threads: usize) -> Worker {
+        Worker {
+            threads,
+            runs: Vec::new(),
+            events: Vec::new(),
+            evicted: Vec::new(),
+        }
+    }
+
+    /// One shard digests a reply that only the other shard's second op
+    /// publishes, and that shard's first op names a slot beyond the slab.
+    /// Whichever thread runs it panics; the other must notice the poisoned
+    /// shard instead of waiting for the reply, and the run must re-raise the
+    /// panic instead of hanging.
+    #[test]
+    fn a_panic_inside_an_op_is_reraised_not_a_hang() {
+        for helpers in [0, 1] {
+            for faulty in [0, 1] {
+                let message = under_watchdog(move || {
+                    let workers = vec![bare_worker(2), bare_worker(2)];
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        execute(workers, helpers, 4, |batches| {
+                            batches[1 - faulty].ops.push(PlanOp::Digest {
+                                src: 0,
+                                slot: 0,
+                                turn: 1,
+                                measuring: false,
+                                now: 0.0,
+                            });
+                            batches[faulty].ops.extend([
+                                PlanOp::DropReply { slot: 9, turn: 1 },
+                                PlanOp::Respond {
+                                    dst: 0,
+                                    slot: 0,
+                                    turn: 1,
+                                    lie: None,
+                                    seq: 0,
+                                    sent_at_ms: 0,
+                                    rtt_ms: 1.0,
+                                    publish: true,
+                                },
+                            ]);
+                            Planned {
+                                more: false,
+                                cells: 1,
+                            }
+                        })
+                    }));
+                    let panic = run.err()?;
+                    panic.downcast_ref::<String>().cloned().or_else(|| {
+                        panic
+                            .downcast_ref::<&str>()
+                            .map(|message| message.to_string())
+                    })
+                });
+                assert!(
+                    message
+                        .as_deref()
+                        .is_some_and(|message| message.contains("index out of bounds")),
+                    "{helpers} helpers, faulty shard {faulty}: {message:?}"
+                );
+            }
+        }
     }
 
     const NODES: usize = 10;
@@ -1440,7 +1785,7 @@ mod tests {
             for epoch_events in [1usize, 7, 64, 4_096] {
                 let words = op_words.clone();
                 let (streamed, _) = under_watchdog(move || {
-                    streamed_json(build(&words), threads, epoch_events)
+                    streamed_json(build(&words), threads, threads - 1, epoch_events)
                 });
                 prop_assert_eq!(
                     &streamed, &serial,

@@ -984,8 +984,9 @@ pub(crate) struct EngineState {
 ///
 /// [`Simulator::run`] has one engine: the schedule is planned serially in
 /// bounded epochs and each epoch's engine work runs on
-/// `min(cores, nodes / 128)` workers, at least one — the calling thread,
-/// which then simply alternates planning and executing. The loop behind
+/// `min(cores, nodes / 64)` workers, at least one. The calling thread plans
+/// the next epoch while the others execute one, then joins them; alone, it
+/// plans and executes in turn. The loop behind
 /// [`Simulator::with_serial_execution`] is the reference the regression
 /// suites compare that engine against, byte for byte.
 pub struct Simulator {
@@ -1250,8 +1251,8 @@ impl Simulator {
     /// (coordinate updates, filters, response digestion) runs on the
     /// workers, so the plan's memory does not grow with the duration. The
     /// worker count is [`Simulator::with_threads`]' or, unasked,
-    /// `min(cores, nodes / 128)` and at least one, with `cores` taken from
-    /// [`std::thread::available_parallelism`]; the 128-nodes-per-worker
+    /// `min(cores, nodes / 64)` and at least one, with `cores` taken from
+    /// [`std::thread::available_parallelism`]; the 64-nodes-per-worker
     /// floor is measured (README, "How many workers `run()` uses"). One
     /// worker is the calling thread — no thread is spawned for it. Neither
     /// the worker count nor the epoch size reaches the report.
@@ -1304,15 +1305,18 @@ impl Simulator {
         )
     }
 
-    /// Runs the engine with an explicit epoch budget, for the tests that
-    /// prove the budget never reaches the report.
+    /// Runs the engine on `shards` shards and `helpers` helper threads with
+    /// an explicit epoch budget, for the tests that prove neither reaches the
+    /// report.
     #[cfg(test)]
     pub(crate) fn run_streamed(
         &mut self,
-        threads: usize,
+        shards: usize,
+        helpers: usize,
         epoch_events: usize,
     ) -> (SimReport, PlanFootprint) {
-        let footprint = run_sharded(&self.env, &mut self.state, threads, epoch_events);
+        let footprint =
+            crate::shard::run_epochs(&self.env, &mut self.state, shards, helpers, epoch_events);
         (self.take_report(), footprint)
     }
 }
@@ -2365,7 +2369,7 @@ mod tests {
         .with_scenario(Scenario::new().at(150.0, ScenarioAction::Crash { nodes: vec![4] }))
         .with_threads(4);
         let footprint = simulator.execute().expect("the engine, not the reference");
-        assert_eq!(footprint.op_capacity, 4 * EPOCH_EVENTS);
+        assert_eq!(footprint.op_capacity, 8 * EPOCH_EVENTS);
         let report = simulator.take_report();
         let evicted = |name| report.config(name).unwrap().total_neighbors_evicted();
         assert!(evicted("evict5") > 0);

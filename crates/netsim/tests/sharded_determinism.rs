@@ -437,8 +437,8 @@ fn two_consecutive_runs_agree_across_engines() {
 
 #[test]
 fn the_default_engine_at_256_nodes_matches_serial_and_three_workers() {
-    // 256 nodes is where `run()` starts sharding on its own (two workers on
-    // a two-core host, the calling thread alone on a one-core host):
+    // `run()` shards 256 nodes on its own (two workers on a two-core host,
+    // the calling thread alone on a one-core host):
     // whatever it picked, the report and the event count must equal the
     // serial reference and an explicit three-worker run byte for byte.
     let build = || {
