@@ -11,14 +11,14 @@
 //! This module splits the two and streams the one into the other in bounded
 //! **epochs**:
 //!
-//! 1. **Plan (serial).** The [`Planner`] replays the exact event loop
-//!    against the real [`ScheduleState`], with a [`ProbeLedger`] per node
-//!    standing in for the engines: the ledger is the only engine state that
-//!    feeds back into the schedule (pending probes, loss streaks, the
-//!    sequence counter), and it is the very type the engines embed. One
-//!    call pops at most one epoch's budget of events ([`EPOCH_EVENTS`]) and
-//!    turns them into one [`Batch`] of engine operations per shard, each in
-//!    global event order.
+//! 1. **Plan (serial).** The simulation's one event loop
+//!    ([`EventLoop`]) runs with the [`Planner`] as its engines: a
+//!    [`ProbeLedger`] per node stands in for the engines, because the
+//!    ledger is the only engine state that feeds back into the schedule
+//!    (pending probes, loss streaks, the sequence counter), and it is the
+//!    very type the engines embed. One call pops at most one epoch's budget
+//!    of events ([`EPOCH_EVENTS`]) and turns them into one [`Batch`] of
+//!    engine operations per shard, each in global event order.
 //! 2. **Execute (cooperative).** Shard `w` holds every node with
 //!    `index % threads == w` (across all named configurations): a
 //!    [`Worker`], its batch and a cursor into it. The only cross-shard data
@@ -63,14 +63,14 @@
 //! publication and releases the cell in the digest's stead. The same rule
 //! is what makes it safe to plan epoch `k + 1` while epoch `k` executes.
 //!
-//! [`Worker::apply`] is the simulator's only engine executor. The reference
-//! loop deals every node to one worker and applies the same [`PlanOp`]s as
-//! it emits them; it keeps only the schedule to itself, deciding from what
-//! the engines decided ([`Decided`]) where the planner reads its ledgers.
-//! Because phase 1 performs byte-identical schedule decisions and phase 2
-//! applies the same operations in the same per-node order, the
-//! [`crate::metrics::SimReport`] is byte-identical to the reference's for
-//! every thread count and every epoch budget — a contract enforced by the
+//! [`Worker::apply`] is the simulator's only engine executor, and the event
+//! loop its only scheduler. The reference runs the same loop with one worker
+//! as its engines, applying each [`PlanOp`] as the loop hands it over, so
+//! the facts the loop schedules from ([`Decided`]) come from the engines
+//! themselves, where the planner reads them off its ledgers. Since that is
+//! the only difference, the [`crate::metrics::SimReport`] is byte-identical
+//! to the reference's for every thread count and every epoch budget exactly
+//! when the planner decides as the engines do — a contract enforced by the
 //! regression and property-test suites.
 //!
 //! The ledgers are sufficient because an engine influences the schedule
@@ -82,8 +82,9 @@
 //! from the engines' when the nodes are dealt and fed the same calls, stay
 //! equal to them; [`reassemble`] asserts it after every run. Configurations
 //! with one eviction threshold keep equal ledgers, so the planner holds one
-//! set per *distinct* threshold ([`LedgerGroup`]) and applies the reference
-//! loop's unanimity rule across the sets.
+//! set per *distinct* threshold ([`LedgerGroup`]) and applies the loop's
+//! unanimity rule across the sets: a peer leaves the shared rotation once
+//! every configuration has evicted it.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -95,11 +96,7 @@ use stable_nc::{NodeConfig, ProbeLedger, StableNode};
 
 use crate::adversary::{apply_lie, CoordinateLie};
 use crate::metrics::{NodeMetrics, TrackedCoordinate};
-use crate::scenario::ScenarioAction;
-use crate::sim::{
-    feed_query_index, fold_events, EngineState, EventQueue, ScheduleState, SimEnv, SimEvent,
-    TICK_LANE, TIMEOUT_LANE,
-};
+use crate::sim::{feed_query_index, fold_events, Beside, EngineState, Engines, EventLoop, SimEnv};
 
 /// Events the planner pops per epoch. Large enough that the two channel
 /// round trips per helper and epoch vanish (a 1,024-node hour is ≈ 90
@@ -126,10 +123,9 @@ pub(crate) fn auto_workers(nodes: usize, cores: usize) -> usize {
     cores.min(nodes / NODES_PER_WORKER).max(1)
 }
 
-/// One engine operation for one node, emitted by the planner (or the
-/// reference loop) in global event order. Every field is fixed when the
-/// operation is pushed: workers may run it epochs later, and never see
-/// planner state.
+/// One engine operation for one node, emitted by the event loop in global
+/// event order. Every field is fixed when the operation is pushed: workers
+/// may run it epochs later, and never see planner state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PlanOp {
     /// `probe_request_for(dst, now_ms)` on every configuration's `node`.
@@ -163,7 +159,7 @@ pub(crate) enum PlanOp {
     /// partition came up, while the reply was in flight): take the
     /// publication and release the cell. Runs on the prober's shard — the
     /// side that would have digested it.
-    DropReply { slot: u32, turn: u32 },
+    DropReply { src: u32, slot: u32, turn: u32 },
     /// `handle_timeout_into(seq)` on every configuration's `node`.
     Timeout { node: u32, seq: u64 },
     /// Take crash snapshots of every configuration's `node`.
@@ -185,10 +181,10 @@ pub(crate) enum PlanOp {
     },
 }
 
-/// What the engines decided while one op ran: the facts an engine feeds
-/// back into the schedule. The reference loop schedules from them; the
-/// planner reads the same facts off its ledgers and the sharded path drops
-/// these.
+/// What the engines decided on one op: the facts an engine feeds back into
+/// the schedule, and all the event loop reads of an [`Engines`]. The
+/// reference returns [`Worker::apply`]'s; the planner reads the same facts
+/// off its ledgers, and its shards drop the ones they compute again.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Decided<'a> {
     /// `Issue`: the sequence number every configuration gave the probe.
@@ -209,18 +205,26 @@ fn agree_on_seq(node: usize, agreed: Option<u64>, seq: u64) -> Option<u64> {
     Some(seq)
 }
 
-/// Narrows `evicted` to the peers that one more configuration's `events`
-/// evicted as well; the first configuration's events seed it.
-fn evicted_by_every(evicted: &mut Vec<usize>, first: bool, events: &[Event<usize>]) {
-    let evicted_here = events.iter().filter_map(|event| match event {
-        Event::NeighborEvicted { id } => Some(*id),
-        _ => None,
-    });
+/// Narrows `evicted` to the peers that one more configuration — or ledger
+/// group — evicted as well; the first one seeds it.
+fn evicted_by_every(
+    evicted: &mut Vec<usize>,
+    first: bool,
+    evicted_here: impl Iterator<Item = usize> + Clone,
+) {
     if first {
         evicted.extend(evicted_here);
     } else {
         evicted.retain(|id| evicted_here.clone().any(|here| here == *id));
     }
+}
+
+/// The peers `events` report evicted.
+fn evicted_in(events: &[Event<usize>]) -> impl Iterator<Item = usize> + Clone + '_ {
+    events.iter().filter_map(|event| match event {
+        Event::NeighborEvicted { id } => Some(*id),
+        _ => None,
+    })
 }
 
 /// One shard's share of one epoch: its operations in global event order
@@ -294,8 +298,8 @@ fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
 /// reply dropped at delivery, does not — and stores `consumed = t`. Each
 /// condition is met by an operation strictly earlier in the planner's global
 /// order, which is the module's progress argument; the executor checks it
-/// before every op ([`ready`]) and the reference loop, which runs every op
-/// as it emits it, always finds it met. A cell may stay published across any
+/// before every op ([`ready`]) and the reference, which runs every op as the
+/// loop emits it, always finds it met. A cell may stay published across any
 /// number of epoch boundaries; the slab only ever grows between epochs,
 /// under the write lock, while no thread holds a reference into it.
 pub(crate) struct SlotCell {
@@ -331,7 +335,7 @@ fn ready(op: &PlanOp, cells: &[SlotCell]) -> bool {
         PlanOp::Respond { slot, turn, .. } => {
             cells[slot as usize].consumed.load(Ordering::Acquire) == turn - 1
         }
-        PlanOp::Digest { slot, turn, .. } | PlanOp::DropReply { slot, turn } => {
+        PlanOp::Digest { slot, turn, .. } | PlanOp::DropReply { slot, turn, .. } => {
             cells[slot as usize].published.load(Ordering::Acquire) == turn
         }
         _ => true,
@@ -382,12 +386,12 @@ impl InFlight {
     }
 
     /// The `Respond` that answers the probe in `slot` from `dst`: the slot's
-    /// cell takes its next turn.
+    /// cell takes its next turn. It names no lie; the [`Engines`] that gets
+    /// one beside it sets the index.
     pub(crate) fn respond(
         &mut self,
         slot: usize,
         dst: usize,
-        lie: Option<u32>,
         rtt_ms: f64,
         publish: bool,
     ) -> PlanOp {
@@ -397,7 +401,7 @@ impl InFlight {
             dst: dst as u32,
             slot: slot as u32,
             turn: exchange.turn,
-            lie,
+            lie: None,
             seq: exchange.seq,
             sent_at_ms: exchange.sent_at_ms,
             rtt_ms,
@@ -452,7 +456,7 @@ impl Worker {
     /// an op names. The op's cell must be [`ready`]: it is when the ops'
     /// slots and turns come from one [`InFlight`], each node's ops run in the
     /// order they were emitted, and the executor checked before the call —
-    /// or the reference loop runs each op as it emits it.
+    /// or the reference runs each op as the loop hands it over.
     // Inlined into `Shard::run`'s loop over a batch, the sharded hot path.
     #[inline]
     pub(crate) fn apply(
@@ -558,7 +562,7 @@ impl Worker {
                 }
                 cell.consumed.store(turn, Ordering::Release);
             }
-            PlanOp::DropReply { slot, turn } => {
+            PlanOp::DropReply { slot, turn, .. } => {
                 // Ready exactly when a digest would be; pass the cell on
                 // without reading it.
                 let cell = &cells[slot as usize];
@@ -570,7 +574,7 @@ impl Worker {
                 for (index, run) in self.runs.iter_mut().enumerate() {
                     self.events.clear();
                     run.nodes[local].handle_timeout_into(seq, &mut self.events);
-                    evicted_by_every(&mut self.evicted, index == 0, &self.events);
+                    evicted_by_every(&mut self.evicted, index == 0, evicted_in(&self.events));
                     fold_events(&mut run.metrics[local], 0.0, false, &self.events);
                 }
             }
@@ -604,7 +608,7 @@ impl Worker {
                     // A rebooted daemon stops waiting for pre-crash replies.
                     self.events.clear();
                     revived.expire_pending_into(now_ms, 0, &mut self.events);
-                    evicted_by_every(&mut self.evicted, index == 0, &self.events);
+                    evicted_by_every(&mut self.evicted, index == 0, evicted_in(&self.events));
                     fold_events(&mut run.metrics[local], now, false, &self.events);
                     run.nodes[local] = revived;
                 }
@@ -637,354 +641,114 @@ impl Worker {
     }
 }
 
-/// Phase 1, resumable: the serial schedule replay. Mutates `schedule`
-/// exactly as the reference loop would and emits the operations for phase 2
-/// one epoch at a time.
+/// The planner's engines: the facts the schedule needs, read off one
+/// [`LedgerGroup`] per eviction threshold, and every op queued with its lie
+/// for the shard that owns its node. Built around each epoch's batches.
 struct Planner<'a> {
-    env: &'a SimEnv,
-    schedule: &'a mut ScheduleState,
-    threads: usize,
-    queue: EventQueue<SimEvent>,
-    groups: Vec<LedgerGroup>,
-    in_flight: InFlight,
-    scenario_actions: u64,
-    track_sample: u32,
+    groups: &'a mut [LedgerGroup],
+    /// What [`Decided::evicted`] lends out, refilled by every op.
+    evicted: &'a mut Vec<usize>,
+    /// One per shard: node `i`'s ops go to batch `i % batches.len()`.
+    batches: &'a mut [Batch],
 }
 
-impl<'a> Planner<'a> {
-    fn new(
-        env: &'a SimEnv,
-        schedule: &'a mut ScheduleState,
-        groups: Vec<LedgerGroup>,
-        threads: usize,
-    ) -> Self {
-        Planner {
-            env,
-            queue: schedule.start(env),
-            schedule,
-            threads,
-            groups,
-            in_flight: InFlight::default(),
-            scenario_actions: 0,
-            track_sample: 0,
-        }
-    }
-
-    /// Plans the next epoch into `batches` (one per shard, cleared first):
-    /// at most `budget` popped events. Returns false once the run is over —
-    /// the queue is dry or the clock has reached the duration — and this
-    /// epoch is the last.
-    fn plan_epoch(&mut self, batches: &mut [Batch], budget: usize) -> bool {
-        for batch in batches.iter_mut() {
-            batch.ops.clear();
-            batch.lies.clear();
-        }
-        for _ in 0..budget {
-            match self.queue.pop() {
-                Some((now, event)) if now < self.env.sim_config.duration_s => {
-                    self.on_event(batches, now, event);
-                }
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    fn emit(&self, batches: &mut [Batch], node: usize, op: PlanOp) {
-        // bounds: node % threads < threads == batches.len().
-        batches[node % self.threads].ops.push(op);
-    }
-
-    fn on_event(&mut self, batches: &mut [Batch], now: f64, event: SimEvent) {
-        let env = self.env;
-        match event {
-            SimEvent::ProbeSend { src } => {
-                let schedule = &mut *self.schedule;
-                schedule
-                    .active_partitions
-                    .retain(|window| window.heal_at_s > now);
-                if !schedule.alive[src] {
-                    schedule.probe_cycle_active[src] = false;
-                    return;
-                }
-                let next_tick = now + env.sim_config.probe_interval_s;
-                if next_tick < env.sim_config.duration_s {
-                    self.queue
-                        .schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
-                } else {
-                    schedule.probe_cycle_active[src] = false;
-                }
-                let neighbor_count = schedule.neighbor_sets[src].len();
-                if neighbor_count == 0 {
-                    return;
-                }
-                // bounds: the cursor is reduced modulo neighbor_count == len.
-                let dst = schedule.neighbor_sets[src][schedule.round_robin[src] % neighbor_count];
-                schedule.round_robin[src] = schedule.round_robin[src].wrapping_add(1);
-                if dst == src {
-                    return;
-                }
-                let draw = schedule.sample_exchange(env, src, dst, now);
-                let now_ms = (now * 1_000.0) as u64;
-                // Every group numbers the probe alike: sequence numbers
-                // do not depend on the threshold.
-                let seq = self
+impl Engines for Planner<'_> {
+    #[inline]
+    fn apply(&mut self, mut op: PlanOp, beside: Beside) -> Decided<'_> {
+        let mut seq = 0;
+        self.evicted.clear();
+        let node = match op {
+            PlanOp::Issue { node, dst, now_ms } => {
+                // Every group numbers the probe alike: sequence numbers do
+                // not depend on the threshold.
+                seq = self
                     .groups
                     .iter_mut()
                     .fold(None, |agreed, group| {
-                        agree_on_seq(src, agreed, group.nodes[src].issue(dst, now_ms))
+                        let issued = group.nodes[node as usize].issue(dst as usize, now_ms);
+                        agree_on_seq(node as usize, agreed, issued)
                     })
                     .unwrap_or_default();
-                self.emit(
-                    batches,
-                    src,
-                    PlanOp::Issue {
-                        node: src as u32,
-                        dst: dst as u32,
-                        now_ms,
-                    },
-                );
-                self.queue.schedule_timer(
-                    TIMEOUT_LANE,
-                    now + env.sim_config.probe_timeout_s,
-                    SimEvent::ProbeTimeout { src, seq },
-                );
-                if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
-                    return;
-                }
-                let slot = self.in_flight.acquire(seq, now_ms);
-                self.queue.schedule(
-                    now + draw.forward_delay_s,
-                    SimEvent::ProbeDeliver {
-                        src,
-                        dst,
-                        slot,
-                        rtt_ms: draw.rtt_ms,
-                        reverse_delay_s: draw.reverse_delay_s,
-                        reverse_lost: draw.reverse_lost,
-                    },
-                );
+                node
             }
-            SimEvent::ProbeDeliver {
-                src,
-                dst,
-                slot,
-                rtt_ms,
-                reverse_delay_s,
-                reverse_lost,
-            } => {
-                if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
-                    self.in_flight.release(slot);
-                    return;
-                }
-                // Adversary draw: same point of the schedule as the reference
-                // loop's, so the dedicated adversary RNG advances identically
-                // and reference/sharded runs stay byte-identical.
-                let adversary = self.schedule.sample_adversary(dst);
-                let (rtt_ms, reverse_delay_s) = match &adversary {
-                    Some(draw) => (
-                        rtt_ms + draw.extra_delay_ms,
-                        reverse_delay_s + draw.extra_delay_ms / 1_000.0,
-                    ),
-                    None => (rtt_ms, reverse_delay_s),
-                };
-                // bounds: dst % threads < threads == batches.len().
-                let batch = &mut batches[dst % self.threads];
-                let lie = adversary.and_then(|draw| draw.lie).map(|lie| {
-                    batch.lies.push(lie);
-                    (batch.lies.len() - 1) as u32
-                });
-                batch.ops.push(
-                    self.in_flight
-                        .respond(slot, dst, lie, rtt_ms, !reverse_lost),
-                );
-                if reverse_lost {
-                    self.in_flight.release(slot);
-                    return;
-                }
-                self.queue.schedule(
-                    now + reverse_delay_s,
-                    SimEvent::ResponseDeliver { src, dst, slot },
-                );
-            }
-            SimEvent::ResponseDeliver { src, dst, slot } => {
-                let exchange = self.in_flight.release(slot);
-                if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
-                    self.emit(
-                        batches,
-                        src,
-                        PlanOp::DropReply {
-                            slot: slot as u32,
-                            turn: exchange.turn,
-                        },
-                    );
-                    return;
-                }
-                for group in &mut self.groups {
-                    group.nodes[src].settle(&dst, exchange.seq);
-                }
-                self.emit(
-                    batches,
-                    src,
-                    PlanOp::Digest {
-                        src: src as u32,
-                        slot: slot as u32,
-                        turn: exchange.turn,
-                        measuring: now >= env.sim_config.measurement_start_s,
-                        now,
-                    },
-                );
-                self.schedule.learn_gossip(env, src, dst);
-            }
-            SimEvent::ProbeTimeout { src, seq } => {
-                if !self.schedule.alive[src] {
-                    return;
-                }
-                self.emit(
-                    batches,
-                    src,
-                    PlanOp::Timeout {
-                        node: src as u32,
-                        seq,
-                    },
-                );
-                // The shared rotation drops the peer only once *every*
-                // configuration has evicted it — the reference loop's rule.
-                let mut target = None;
-                let mut evicted_by_all = true;
-                for group in &mut self.groups {
-                    let lost = group.nodes[src].timeout(seq);
-                    evicted_by_all &= lost.as_ref().is_some_and(|(_, evicted)| *evicted);
-                    target = lost.map(|(probe, _)| probe.target).or(target);
-                }
-                if evicted_by_all {
-                    if let Some(dst) = target {
-                        self.schedule.neighbor_remove(src, dst);
+            PlanOp::Respond { dst, .. } => dst,
+            PlanOp::Digest { src, .. } => {
+                if let Beside::Settle { responder, seq } = beside {
+                    for group in self.groups.iter_mut() {
+                        group.nodes[src as usize].settle(&responder, seq);
                     }
                 }
+                src
             }
-            SimEvent::TrackSample => {
-                for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
-                    self.emit(
-                        batches,
-                        node,
-                        PlanOp::Track {
-                            node: node as u32,
-                            sample: self.track_sample,
-                            order: order as u32,
-                            now,
-                        },
-                    );
+            PlanOp::DropReply { src, .. } => src,
+            PlanOp::Timeout { node, seq } => {
+                for (index, group) in self.groups.iter_mut().enumerate() {
+                    let lost = group.nodes[node as usize].timeout(seq);
+                    let evicted = lost.filter(|(_, evicted)| *evicted);
+                    let evicted_here = evicted.map(|(probe, _)| probe.target).into_iter();
+                    evicted_by_every(self.evicted, index == 0, evicted_here);
                 }
-                self.track_sample += 1;
-                let next = now + env.sim_config.track_interval_s;
-                if next < env.sim_config.duration_s {
-                    self.queue.schedule(next, SimEvent::TrackSample);
-                }
+                node
             }
-            SimEvent::ScenarioAction { index } => {
-                self.scenario_actions += 1;
-                let action = env.scenario.events()[index].action.clone();
-                match self.schedule.apply(env, action) {
-                    Some(ScenarioAction::Join { nodes }) => {
-                        for node in nodes {
-                            self.bring_up(batches, now, node, true);
-                        }
-                    }
-                    Some(ScenarioAction::Crash { nodes }) => {
-                        for node in nodes {
-                            if !self.schedule.alive[node] {
-                                continue;
-                            }
-                            self.schedule.alive[node] = false;
-                            for group in &mut self.groups {
-                                group.crashed[node] = Some(group.nodes[node].clone());
-                            }
-                            self.emit(batches, node, PlanOp::Crash { node: node as u32 });
-                        }
-                    }
-                    Some(ScenarioAction::Restart { nodes }) => {
-                        for node in nodes {
-                            self.bring_up(batches, now, node, false);
-                        }
-                    }
-                    _ => {}
+            PlanOp::Crash { node } => {
+                for group in self.groups.iter_mut() {
+                    group.crashed[node as usize] = Some(group.nodes[node as usize].clone());
                 }
+                node
             }
-        }
-    }
-
-    /// The planner's side of `EngineState::bring_up`: identical schedule
-    /// mutations (including the restart-expiry evictions, under the same
-    /// unanimity rule), a `Restore` op instead of the engine work.
-    fn bring_up(&mut self, batches: &mut [Batch], now: f64, node: usize, fresh: bool) {
-        if self.schedule.alive[node] {
-            return;
-        }
-        self.schedule.alive[node] = true;
-        let now_ms = (now * 1_000.0) as u64;
-        let mut evicted_by_all: Option<Vec<usize>> = None;
-        for group in &mut self.groups {
-            let crashed = if fresh {
-                None
-            } else {
-                group.crashed[node].take()
-            };
-            let mut revived = crashed.unwrap_or_else(|| ProbeLedger::new(group.threshold));
-            let mut evicted_here = Vec::new();
-            while let Some((lost, evicted)) = revived.expire(now_ms, 0) {
-                if evicted {
-                    evicted_here.push(lost.target);
-                }
-            }
-            group.nodes[node] = revived;
-            evicted_by_all = Some(match evicted_by_all {
-                None => evicted_here,
-                Some(previous) => previous
-                    .into_iter()
-                    .filter(|id| evicted_here.contains(id))
-                    .collect(),
-            });
-        }
-        self.emit(
-            batches,
-            node,
             PlanOp::Restore {
-                node: node as u32,
+                node,
                 fresh,
-                now,
                 now_ms,
-            },
-        );
-        let schedule = &mut *self.schedule;
-        for target in evicted_by_all.unwrap_or_default() {
-            schedule.neighbor_remove(node, target);
+                ..
+            } => {
+                for (index, group) in self.groups.iter_mut().enumerate() {
+                    let crashed = if fresh {
+                        None
+                    } else {
+                        group.crashed[node as usize].take()
+                    };
+                    let mut revived = crashed.unwrap_or_else(|| ProbeLedger::new(group.threshold));
+                    let expired = std::iter::from_fn(|| revived.expire(now_ms, 0));
+                    let evicted = expired.filter(|(_, evicted)| *evicted);
+                    let evicted_here: Vec<usize> = evicted.map(|(lost, _)| lost.target).collect();
+                    evicted_by_every(self.evicted, index == 0, evicted_here.into_iter());
+                    group.nodes[node as usize] = revived;
+                }
+                node
+            }
+            PlanOp::Track { node, .. } => node,
+        };
+        // bounds: node % batches.len() < batches.len().
+        let batch = &mut self.batches[node as usize % self.batches.len()];
+        if let (PlanOp::Respond { lie: index, .. }, Beside::Lie(lie)) = (&mut op, beside) {
+            *index = Some(batch.lies.len() as u32);
+            batch.lies.push(lie);
         }
-        if fresh {
-            schedule.bootstrap_joiner(self.env, node);
-        }
-        if !schedule.probe_cycle_active[node] {
-            schedule.probe_cycle_active[node] = true;
-            self.queue.schedule(now, SimEvent::ProbeSend { src: node });
+        batch.ops.push(op);
+        Decided {
+            seq,
+            evicted: self.evicted,
         }
     }
+}
+
+/// Plans the next epoch into `planner`'s batches, cleared first: at most
+/// `budget` popped events. Returns false once the run is over and this
+/// epoch is the last.
+fn plan_epoch(events: &mut EventLoop, planner: &mut Planner, budget: usize) -> bool {
+    for batch in planner.batches.iter_mut() {
+        batch.ops.clear();
+        batch.lies.clear();
+    }
+    (0..budget).all(|_| events.step(planner))
 }
 
 /// Runs the simulation to completion with engine work sharded across
-/// `threads` workers, planning `epoch_events` events at a time, and leaves
-/// `state` (metrics, engines, schedule, crash snapshots) byte-identical to
-/// what the reference loop would have produced.
-pub(crate) fn run_sharded(
-    env: &SimEnv,
-    state: &mut EngineState,
-    threads: usize,
-    epoch_events: usize,
-) -> PlanFootprint {
-    run_epochs(env, state, threads, threads - 1, epoch_events)
-}
-
-/// [`run_sharded`] on `shards` shards with `helpers` threads beside the
-/// calling one; the tests run every shard from the calling thread alone.
+/// `shards` workers, run by the calling thread and `helpers` more (the tests
+/// run every shard from the calling thread alone), planning `epoch_events`
+/// events at a time. Leaves `state` (metrics, engines, schedule, crash
+/// snapshots) byte-identical to what the reference would have produced.
 pub(crate) fn run_epochs(
     env: &SimEnv,
     state: &mut EngineState,
@@ -993,20 +757,27 @@ pub(crate) fn run_epochs(
     epoch_events: usize,
 ) -> PlanFootprint {
     assert!(epoch_events > 0, "an epoch must make progress");
-    let groups = ledger_groups(state);
+    let mut groups = ledger_groups(state);
+    let mut evicted = Vec::new();
     let workers = deal(env, state, shards);
-    let mut planner = Planner::new(env, &mut state.schedule, groups, shards);
-    let (finished, op_capacity) = execute(workers, helpers, epoch_events, |batches| Planned {
-        more: planner.plan_epoch(batches, epoch_events),
-        cells: planner.in_flight.len(),
+    let mut events = EventLoop::new(env, &mut state.schedule);
+    let (finished, op_capacity) = execute(workers, helpers, epoch_events, |batches| {
+        let mut planner = Planner {
+            groups: &mut groups,
+            evicted: &mut evicted,
+            batches,
+        };
+        Planned {
+            more: plan_epoch(&mut events, &mut planner, epoch_events),
+            cells: events.in_flight.len(),
+        }
     });
-    state.events_popped = planner.queue.popped();
-    let scenario_actions = planner.scenario_actions;
+    let scenario_actions = events.scenario_actions;
     let footprint = PlanFootprint {
         op_capacity,
-        cells: planner.in_flight.len(),
+        cells: events.in_flight.len(),
     };
-    let groups = planner.groups;
+    state.events_popped = events.queue.popped();
     reassemble(env, state, finished, scenario_actions, &groups);
     footprint
 }
@@ -1355,18 +1126,32 @@ pub(crate) fn reassemble(
         }
     }
     // The direct form of what the byte-comparison suites infer: the planner
-    // fed its ledgers what the engines fed theirs. Always on — it is one
+    // fed its ledgers what the engines fed theirs, and every crash snapshot
+    // still unclaimed holds the ledger the planner keeps for its restart —
+    // the one `ledger_groups` seeds a later run with. Always on — it is one
     // comparison per node and configuration per run.
     for group in groups {
         for &index in &group.runs {
             let run = &state.runs[index];
-            for (node, (engine, planned)) in run.nodes.iter().zip(&group.nodes).enumerate() {
+            let engines = run.nodes.iter().zip(&state.crash_snapshots[index]);
+            let planned = group.nodes.iter().zip(&group.crashed);
+            for (node, ((engine, snapshot), (planned, crashed))) in engines.zip(planned).enumerate()
+            {
                 assert!(
                     engine.ledger() == planned,
                     "node {node} of configuration {:?}: the engine's probe ledger \
                      diverged from the planner's\n engine: {:?}\nplanner: {planned:?}",
                     run.name,
                     engine.ledger(),
+                );
+                let snapshot = snapshot
+                    .as_ref()
+                    .map(|snapshot| ProbeLedger::import(group.threshold, snapshot));
+                assert!(
+                    snapshot == *crashed,
+                    "node {node} of configuration {:?}: the crash snapshot's probe \
+                     ledger diverged from the planner's\nsnapshot: {snapshot:?}\n planner: {crashed:?}",
+                    run.name,
                 );
             }
         }
@@ -1383,7 +1168,7 @@ mod tests {
     use crate::adversary::AdversaryModel;
     use crate::linkmodel::LinkModelConfig;
     use crate::planetlab::PlanetLabConfig;
-    use crate::scenario::Scenario;
+    use crate::scenario::{Scenario, ScenarioAction};
     use crate::sim::{SimConfig, Simulator};
 
     /// Runs `job` on a thread of its own and fails the test when it is not
@@ -1638,7 +1423,11 @@ mod tests {
                                 now: 0.0,
                             });
                             batches[faulty].ops.extend([
-                                PlanOp::DropReply { slot: 9, turn: 1 },
+                                PlanOp::DropReply {
+                                    src: 0,
+                                    slot: 9,
+                                    turn: 1,
+                                },
                                 PlanOp::Respond {
                                     dst: 0,
                                     slot: 0,

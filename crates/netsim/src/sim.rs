@@ -46,11 +46,17 @@
 //! them. Timeouts run through [`StableNode::handle_timeout_into`], the same
 //! API a daemon's timer wheel would call. Every one of those calls is made
 //! in one place, `shard::Worker::apply`, which runs one engine operation on
-//! every configuration of one node. Both loops drive it: the planner of
-//! [`Simulator::run`] in epochs, and the reference loop behind
-//! [`Simulator::with_serial_execution`] one operation at a time. The
-//! reference shares those operation bodies, and nothing else: it takes its
-//! schedule from what the engines decided, where the planner reads ledgers.
+//! every configuration of one node.
+//!
+//! The schedule is made in one place too: one event loop (`EventLoop`)
+//! decides every probe target, link draw, timer, adversary draw, gossip pick
+//! and scenario effect, and hands each engine operation to an `Engines`.
+//! [`Simulator::run`] gives it the planner, which reads what the engines
+//! will decide off its probe ledgers and queues the operations for its
+//! workers; the reference behind [`Simulator::with_serial_execution`] gives
+//! it one worker that applies each operation at once, and reads what the
+//! engines decided off the engines themselves. That is the only difference
+//! between the two.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -69,8 +75,8 @@ use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport};
 use crate::planetlab::PlanetLabConfig;
 use crate::scenario::{Scenario, ScenarioAction};
 use crate::shard::{
-    auto_workers, deal, reassemble, run_sharded, Decided, InFlight, PlanFootprint, PlanOp,
-    SlotCell, Worker, EPOCH_EVENTS,
+    auto_workers, deal, reassemble, run_epochs, Decided, InFlight, PlanFootprint, PlanOp, SlotCell,
+    Worker, EPOCH_EVENTS,
 };
 use crate::topology::Topology;
 
@@ -840,9 +846,8 @@ impl ScheduleState {
     }
 
     /// Draws the adversarial action for a reply about to be sent by `node`,
-    /// or `None` when the node is honest. Called at probe-delivery time —
-    /// the same point of the schedule in the reference loop and the sharded
-    /// planner — and consumes randomness only for actual adversaries.
+    /// or `None` when the node is honest. Called at probe-delivery time, and
+    /// consumes randomness only for actual adversaries.
     pub(crate) fn sample_adversary(&mut self, node: usize) -> Option<AdversaryDraw> {
         let model = self.adversaries[node].as_ref()?;
         Some(model.draw(&mut self.adversary_rng))
@@ -900,30 +905,6 @@ impl ScheduleState {
         None
     }
 
-    /// The queue a run starts from: the scripted scenario actions, one probe
-    /// tick per live node at `t = 0`, and the first tracking sample.
-    pub(crate) fn start(&mut self, env: &SimEnv) -> EventQueue<SimEvent> {
-        let mut queue = EventQueue::new();
-        for &node in env.scenario.initially_down() {
-            self.alive[node] = false;
-        }
-        for (index, event) in env.scenario.events().iter().enumerate() {
-            if event.at_s < env.sim_config.duration_s {
-                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
-            }
-        }
-        for src in 0..env.topology.len() {
-            if self.alive[src] {
-                self.probe_cycle_active[src] = true;
-                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
-            }
-        }
-        if !env.sim_config.track_nodes.is_empty() {
-            queue.schedule(0.0, SimEvent::TrackSample);
-        }
-        queue
-    }
-
     /// Gossip: the probed node `dst` hands back one address from its own
     /// neighbour set and the prober `src` adds it. Identical across
     /// configurations because it only affects the probe schedule.
@@ -965,8 +946,9 @@ impl ScheduleState {
 }
 
 /// The mutable half of a simulation: the protocol-level [`ScheduleState`],
-/// the per-configuration node stacks and their crash snapshots. Either loop
-/// deals the stacks out to its workers for a run and puts them back after.
+/// the per-configuration node stacks and their crash snapshots. Either
+/// executor deals the stacks out to its workers for a run and puts them back
+/// after.
 pub(crate) struct EngineState {
     pub(crate) schedule: ScheduleState,
     pub(crate) runs: Vec<ConfigRun>,
@@ -1166,14 +1148,13 @@ impl Simulator {
         self
     }
 
-    /// Runs the reference loop instead of the planner: every node on one
-    /// worker on the calling thread, whatever [`Simulator::with_threads`]
-    /// says, each engine operation applied the moment the loop emits it.
-    /// The reference executes operations with the same code as the sharded
-    /// run, but decides the schedule on its own, from what the engines
-    /// decided — never from the planner's ledgers. It exists for the
-    /// regression suites, which assert the planner's [`SimReport`] equal to
-    /// this one's byte for byte; it is not a mode to run experiments in.
+    /// Runs the reference instead of the planner: the same event loop, with
+    /// every node on one worker on the calling thread, whatever
+    /// [`Simulator::with_threads`] says, and each engine operation applied
+    /// the moment the loop hands it over. The loop then schedules from what
+    /// the engines decided, never from the planner's ledgers. It exists for
+    /// the regression suites, which assert the planner's [`SimReport`] equal
+    /// to this one's byte for byte; it is not a mode to run experiments in.
     pub fn with_serial_execution(mut self, serial: bool) -> Self {
         self.reference = serial;
         self
@@ -1277,10 +1258,11 @@ impl Simulator {
             let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
             auto_workers(self.env.topology.len(), cores)
         });
-        Some(run_sharded(
+        Some(run_epochs(
             &self.env,
             &mut self.state,
             workers,
+            workers - 1,
             EPOCH_EVENTS,
         ))
     }
@@ -1315,8 +1297,7 @@ impl Simulator {
         helpers: usize,
         epoch_events: usize,
     ) -> (SimReport, PlanFootprint) {
-        let footprint =
-            crate::shard::run_epochs(&self.env, &mut self.state, shards, helpers, epoch_events);
+        let footprint = run_epochs(&self.env, &mut self.state, shards, helpers, epoch_events);
         (self.take_report(), footprint)
     }
 }
@@ -1386,63 +1367,91 @@ pub(crate) fn fold_events(
     }
 }
 
-/// The reference loop behind [`Simulator::with_serial_execution`], while it
-/// runs: the schedule, every node on one [`Worker`], and the exchanges in
-/// flight with their response cells. It emits the sharded path's engine ops
-/// and applies each one the moment it is emitted; every schedule decision
-/// it takes from what the engines decided, never from a ledger of its own.
-struct Reference<'a> {
+/// Where the [`EventLoop`]'s engine decisions come from. The loop hands
+/// every engine operation to it, with what the operation needs beside it,
+/// and schedules from the [`Decided`] facts it hands back: the number an
+/// `Issue` gave the probe, and the peers every configuration evicted on a
+/// `Timeout` or a `Restore`. The reference ([`Reference`]) reads them off
+/// the engines; the planner (`shard::Planner`) off its probe ledgers.
+pub(crate) trait Engines {
+    /// Runs or queues `op` on its node's engines and returns what they
+    /// decided.
+    fn apply(&mut self, op: PlanOp, beside: Beside) -> Decided<'_>;
+}
+
+/// What an operation needs that it does not carry: too wide for every
+/// [`PlanOp`], or read only by the planner.
+#[derive(Clone, Copy)]
+pub(crate) enum Beside {
+    Nothing,
+    /// The coordinate lie a `Respond` stamps on its reply.
+    Lie(CoordinateLie),
+    /// What a `Digest` settles: the responder and the probe's number.
+    Settle {
+        responder: usize,
+        seq: u64,
+    },
+}
+
+/// The simulation's event loop, while it runs: the schedule, the queue and
+/// the exchanges in flight. Every schedule decision of a run is made here,
+/// whichever executor runs it; the engines' side of each comes from an
+/// [`Engines`].
+pub(crate) struct EventLoop<'a> {
     env: &'a SimEnv,
     schedule: &'a mut ScheduleState,
-    queue: EventQueue<SimEvent>,
-    worker: Worker,
-    in_flight: InFlight,
-    cells: Vec<SlotCell>,
-    /// The lie of the reply being answered: what a `Respond`'s `lie: Some(0)`
-    /// names.
-    lie: Option<CoordinateLie>,
-    scenario_actions: u64,
+    pub(crate) queue: EventQueue<SimEvent>,
+    pub(crate) in_flight: InFlight,
+    pub(crate) scenario_actions: u64,
     track_sample: u32,
 }
 
-/// Runs the reference loop from `t = 0` to the configured duration, every
-/// node dealt to one worker on the calling thread.
-fn run_reference(env: &SimEnv, state: &mut EngineState) {
-    // nc-lint: allow(panic) — `deal` builds one worker per thread.
-    let worker = deal(env, state, 1).pop().expect("one worker");
-    let mut reference = Reference {
-        env,
-        queue: state.schedule.start(env),
-        schedule: &mut state.schedule,
-        worker,
-        in_flight: InFlight::default(),
-        cells: Vec::new(),
-        lie: None,
-        scenario_actions: 0,
-        track_sample: 0,
-    };
-    while let Some((now, event)) = reference.queue.pop() {
-        if now >= env.sim_config.duration_s {
-            break;
+impl<'a> EventLoop<'a> {
+    /// A loop at `t = 0`, its queue holding the scripted scenario actions,
+    /// one probe tick per live node and the first tracking sample.
+    pub(crate) fn new(env: &'a SimEnv, schedule: &'a mut ScheduleState) -> Self {
+        let mut queue = EventQueue::new();
+        for &node in env.scenario.initially_down() {
+            schedule.alive[node] = false;
         }
-        reference.on_event(now, event);
+        for (index, event) in env.scenario.events().iter().enumerate() {
+            if event.at_s < env.sim_config.duration_s {
+                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
+            }
+        }
+        for src in 0..env.topology.len() {
+            if schedule.alive[src] {
+                schedule.probe_cycle_active[src] = true;
+                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
+            }
+        }
+        if !env.sim_config.track_nodes.is_empty() {
+            queue.schedule(0.0, SimEvent::TrackSample);
+        }
+        EventLoop {
+            env,
+            queue,
+            schedule,
+            in_flight: InFlight::default(),
+            scenario_actions: 0,
+            track_sample: 0,
+        }
     }
-    let Reference {
-        queue,
-        worker,
-        scenario_actions,
-        ..
-    } = reference;
-    state.events_popped = queue.popped();
-    reassemble(env, state, vec![worker], scenario_actions, &[]);
-}
 
-impl Reference<'_> {
-    fn apply(&mut self, op: PlanOp) -> Decided<'_> {
-        self.worker.apply(op, self.lie.as_slice(), &self.cells)
+    /// Pops and handles the next event. False once the run is over: the
+    /// queue is dry or the clock has reached the duration.
+    #[inline]
+    pub(crate) fn step(&mut self, engines: &mut impl Engines) -> bool {
+        match self.queue.pop() {
+            Some((now, event)) if now < self.env.sim_config.duration_s => {
+                self.on_event(engines, now, event);
+                true
+            }
+            _ => false,
+        }
     }
 
-    fn on_event(&mut self, now: f64, event: SimEvent) {
+    fn on_event(&mut self, engines: &mut impl Engines, now: f64, event: SimEvent) {
         let env = self.env;
         match event {
             SimEvent::ProbeSend { src } => {
@@ -1482,7 +1491,7 @@ impl Reference<'_> {
                     dst: dst as u32,
                     now_ms,
                 };
-                let seq = self.apply(issue).seq;
+                let seq = engines.apply(issue, Beside::Nothing).seq;
                 // The timer is armed regardless of the probe's fate — exactly
                 // what a deployed prober would do.
                 self.queue.schedule_timer(
@@ -1494,9 +1503,6 @@ impl Reference<'_> {
                     return;
                 }
                 let slot = self.in_flight.acquire(seq, now_ms);
-                if slot == self.cells.len() {
-                    self.cells.push(SlotCell::new());
-                }
                 self.queue.schedule(
                     now + draw.forward_delay_s,
                     SimEvent::ProbeDeliver {
@@ -1523,13 +1529,12 @@ impl Reference<'_> {
                     self.in_flight.release(slot);
                     return;
                 }
-                // An adversarial responder corrupts the reply here, in the
-                // shared schedule: delay attacks stretch both the observed
-                // RTT and the reply's in-flight time (a held-back reply
-                // really is late and can cross the prober's timeout),
-                // coordinate lies are drawn once and applied identically to
-                // every configuration's response. The sharded planner draws
-                // at the exact same point of the schedule.
+                // An adversarial responder corrupts the reply here: delay
+                // attacks stretch both the observed RTT and the reply's
+                // in-flight time (a held-back reply really is late and can
+                // cross the prober's timeout), and a coordinate lie is drawn
+                // once and applied identically to every configuration's
+                // response.
                 let adversary = self.schedule.sample_adversary(dst);
                 let (rtt_ms, reverse_delay_s) = match &adversary {
                     Some(draw) => (
@@ -1538,12 +1543,12 @@ impl Reference<'_> {
                     ),
                     None => (rtt_ms, reverse_delay_s),
                 };
-                self.lie = adversary.and_then(|draw| draw.lie);
-                let lie = self.lie.is_some().then_some(0);
-                let respond = self
-                    .in_flight
-                    .respond(slot, dst, lie, rtt_ms, !reverse_lost);
-                self.apply(respond);
+                let beside = match adversary.and_then(|draw| draw.lie) {
+                    Some(lie) => Beside::Lie(lie),
+                    None => Beside::Nothing,
+                };
+                let respond = self.in_flight.respond(slot, dst, rtt_ms, !reverse_lost);
+                engines.apply(respond, beside);
                 if reverse_lost {
                     self.in_flight.release(slot);
                     return;
@@ -1554,7 +1559,8 @@ impl Reference<'_> {
                 );
             }
             SimEvent::ResponseDeliver { src, dst, slot } => {
-                let (slot, turn) = (slot as u32, self.in_flight.release(slot).turn);
+                let exchange = self.in_flight.release(slot);
+                let (src32, slot, turn) = (src as u32, slot as u32, exchange.turn);
                 // A reply reaching a node that crashed meanwhile is dropped;
                 // the pending entry survives in its crash snapshot and is
                 // expired as lost if the node restarts. A reply crossing a
@@ -1562,16 +1568,26 @@ impl Reference<'_> {
                 // too — every packet across the boundary, in both
                 // directions, is lost until the heal.
                 if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
-                    self.apply(PlanOp::DropReply { slot, turn });
+                    let drop = PlanOp::DropReply {
+                        src: src32,
+                        slot,
+                        turn,
+                    };
+                    engines.apply(drop, Beside::Nothing);
                     return;
                 }
-                self.apply(PlanOp::Digest {
-                    src: src as u32,
+                let digest = PlanOp::Digest {
+                    src: src32,
                     slot,
                     turn,
                     measuring: now >= env.sim_config.measurement_start_s,
                     now,
-                });
+                };
+                let settle = Beside::Settle {
+                    responder: dst,
+                    seq: exchange.seq,
+                };
+                engines.apply(digest, settle);
                 self.schedule.learn_gossip(env, src, dst);
             }
             SimEvent::ProbeTimeout { src, seq } => {
@@ -1588,19 +1604,19 @@ impl Reference<'_> {
                     node: src as u32,
                     seq,
                 };
-                let decided = self.worker.apply(timeout, &[], &self.cells);
-                for &dst in decided.evicted {
+                for &dst in engines.apply(timeout, Beside::Nothing).evicted {
                     self.schedule.neighbor_remove(src, dst);
                 }
             }
             SimEvent::TrackSample => {
                 for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
-                    self.apply(PlanOp::Track {
+                    let track = PlanOp::Track {
                         node: node as u32,
                         sample: self.track_sample,
                         order: order as u32,
                         now,
-                    });
+                    };
+                    engines.apply(track, Beside::Nothing);
                 }
                 self.track_sample += 1;
                 let next = now + env.sim_config.track_interval_s;
@@ -1614,20 +1630,20 @@ impl Reference<'_> {
                 match self.schedule.apply(env, action) {
                     Some(ScenarioAction::Join { nodes }) => {
                         for node in nodes {
-                            self.bring_up(now, node, true);
+                            self.bring_up(engines, now, node, true);
                         }
                     }
                     Some(ScenarioAction::Crash { nodes }) => {
                         for node in nodes {
                             if self.schedule.alive[node] {
                                 self.schedule.alive[node] = false;
-                                self.apply(PlanOp::Crash { node: node as u32 });
+                                engines.apply(PlanOp::Crash { node: node as u32 }, Beside::Nothing);
                             }
                         }
                     }
                     Some(ScenarioAction::Restart { nodes }) => {
                         for node in nodes {
-                            self.bring_up(now, node, false);
+                            self.bring_up(engines, now, node, false);
                         }
                     }
                     _ => {}
@@ -1640,7 +1656,7 @@ impl Reference<'_> {
     /// restores on a restart. Either way its probe cycle resumes
     /// immediately and any probes outstanding at the crash are expired as
     /// lost (a rebooted daemon stops waiting for pre-crash replies).
-    fn bring_up(&mut self, now: f64, node: usize, fresh: bool) {
+    fn bring_up(&mut self, engines: &mut impl Engines, now: f64, node: usize, fresh: bool) {
         if self.schedule.alive[node] {
             return;
         }
@@ -1656,8 +1672,7 @@ impl Reference<'_> {
             now,
             now_ms: (now * 1_000.0) as u64,
         };
-        let decided = self.worker.apply(restore, &[], &self.cells);
-        for &target in decided.evicted {
+        for &target in engines.apply(restore, Beside::Nothing).evicted {
             self.schedule.neighbor_remove(node, target);
         }
         if fresh {
@@ -1668,6 +1683,52 @@ impl Reference<'_> {
             self.queue.schedule(now, SimEvent::ProbeSend { src: node });
         }
     }
+}
+
+/// The engines of the reference loop behind
+/// [`Simulator::with_serial_execution`]: every node on one [`Worker`], each
+/// operation applied the moment the loop hands it over. It holds no ledger
+/// of its own — every decision it hands back is what the engines decided —
+/// which keeps it an independent oracle for the planner.
+struct Reference {
+    worker: Worker,
+    cells: Vec<SlotCell>,
+}
+
+impl Engines for Reference {
+    fn apply(&mut self, mut op: PlanOp, beside: Beside) -> Decided<'_> {
+        let lie = match beside {
+            Beside::Lie(lie) => Some(lie),
+            _ => None,
+        };
+        if let PlanOp::Respond {
+            slot, lie: index, ..
+        } = &mut op
+        {
+            // A slot's first `Respond` is its cell's first use.
+            let cells = *slot as usize + 1;
+            if self.cells.len() < cells {
+                self.cells.resize_with(cells, SlotCell::new);
+            }
+            *index = lie.map(|_| 0);
+        }
+        self.worker.apply(op, lie.as_slice(), &self.cells)
+    }
+}
+
+/// Runs the reference loop from `t = 0` to the configured duration, every
+/// node dealt to one worker on the calling thread.
+fn run_reference(env: &SimEnv, state: &mut EngineState) {
+    let mut reference = Reference {
+        // nc-lint: allow(panic) — `deal` builds one worker per thread.
+        worker: deal(env, state, 1).pop().expect("one worker"),
+        cells: Vec::new(),
+    };
+    let mut events = EventLoop::new(env, &mut state.schedule);
+    while events.step(&mut reference) {}
+    let scenario_actions = events.scenario_actions;
+    state.events_popped = events.queue.popped();
+    reassemble(env, state, vec![reference.worker], scenario_actions, &[]);
 }
 
 /// One sampled exchange over a link.

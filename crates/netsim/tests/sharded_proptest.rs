@@ -1,14 +1,21 @@
 //! Property test for the plan/execute engine (vendored proptest): across
-//! *randomized* loss rates, churn schedules and partition windows, a run on
-//! 1, 2 or 4 workers must serialize to exactly the same bytes as the
-//! reference loop's. The
+//! *randomized* loss rates, churn schedules, partition windows and
+//! adversaries, a run on 1, 2 or 4 workers must serialize to exactly the
+//! same bytes as the reference loop's. The reference and the planner run
+//! one event loop and differ only in where its engine decisions come from —
+//! the engines, or the planner's ledgers — so this suite draws every kind of
+//! event whose decisions differ in source: crashes racing in-flight probes,
+//! restarts expiring pending streaks, fresh joins bootstrapping their
+//! rotation, partitions slicing arbitrary groups, coordinate liars switched
+//! on and off, gossip on and off, and beside some runs a second
+//! configuration with another eviction threshold, so that the planner's
+//! per-threshold ledgers and the unanimity rule are drawn too. The
 //! hand-picked scenarios in `sharded_determinism.rs` pin the known corner
-//! cases; this suite searches the space between them (crashes racing
-//! in-flight probes, restarts expiring pending streaks, partitions slicing
-//! arbitrary groups, gossip on and off, several worker-thread counts).
+//! cases.
 
 use proptest::prelude::*;
 
+use nc_netsim::adversary::AdversaryModel;
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::{Scenario, ScenarioAction};
@@ -20,23 +27,23 @@ const DURATION_S: f64 = 500.0;
 
 /// Decodes one churn operation from a random word (the vendored proptest
 /// shim offers primitive strategies only, so structured cases are derived
-/// from integers): a crash + restart pair, a graceful leave, or a timed
-/// partition over an arbitrary node subset.
+/// from integers): a crash + restart pair, a graceful leave, a timed
+/// partition over an arbitrary node subset, a join with fresh engines — of
+/// a node that starts down, or of one that crashed and never restarts — or
+/// a spell as a coordinate liar.
 fn apply_op(scenario: Scenario, word: u64) -> Scenario {
-    let node = ((word >> 2) % NODES as u64) as usize;
+    let node = ((word >> 3) % NODES as u64) as usize;
     let at_s = 50.0 + ((word >> 8) % 300) as f64;
-    match word % 3 {
-        0 => {
-            let downtime_s = 30.0 + ((word >> 18) % 90) as f64;
-            scenario
-                .at(at_s, ScenarioAction::Crash { nodes: vec![node] })
-                .at(
-                    at_s + downtime_s,
-                    ScenarioAction::Restart { nodes: vec![node] },
-                )
-        }
+    let width_s = 30.0 + ((word >> 18) % 90) as f64;
+    match word % 5 {
+        0 => scenario
+            .at(at_s, ScenarioAction::Crash { nodes: vec![node] })
+            .at(
+                at_s + width_s,
+                ScenarioAction::Restart { nodes: vec![node] },
+            ),
         1 => scenario.at(at_s, ScenarioAction::Leave { nodes: vec![node] }),
-        _ => {
+        2 => {
             let mask = ((word >> 28) & 0xFFFF) | 1;
             let width_s = 40.0 + ((word >> 44) % 110) as f64;
             let group: Vec<usize> = (0..NODES).filter(|&n| mask & (1 << n) != 0).collect();
@@ -48,8 +55,44 @@ fn apply_op(scenario: Scenario, word: u64) -> Scenario {
                 },
             )
         }
+        3 => {
+            let join = ScenarioAction::Join { nodes: vec![node] };
+            if (word >> 28) & 1 == 0 {
+                scenario.with_initially_down(vec![node]).at(at_s, join)
+            } else {
+                scenario
+                    .at(at_s, ScenarioAction::Crash { nodes: vec![node] })
+                    .at(at_s + width_s, join)
+            }
+        }
+        _ => {
+            let liar = AdversaryModel::CoordinateLiar {
+                displacement_ms: 500.0 + ((word >> 28) % 1_500) as f64,
+                inflate: 1.0,
+                error_estimate: 0.01,
+            };
+            scenario
+                .at(
+                    at_s,
+                    ScenarioAction::SetAdversary {
+                        nodes: vec![node],
+                        model: Some(liar),
+                    },
+                )
+                .at(
+                    at_s + width_s,
+                    ScenarioAction::SetAdversary {
+                        nodes: vec![node],
+                        model: None,
+                    },
+                )
+        }
     }
 }
+
+/// The eviction thresholds a draw picks from: none at all, or 2 to 6
+/// consecutive losses.
+const THRESHOLDS: [Option<u32>; 6] = [None, Some(2), Some(3), Some(4), Some(5), Some(6)];
 
 proptest! {
     #[test]
@@ -58,12 +101,20 @@ proptest! {
         loss in 0.0f64..0.15,
         gossip_word in 0u32..2,
         evict_word in 0u32..8,
+        second_word in 0u32..10,
         op_words in proptest::collection::vec(0u64..u64::MAX, 0..5),
     ) {
         let gossip = gossip_word == 1;
         // 2 in 8 draws disable eviction entirely; the rest spread the
         // threshold over 2..=6 consecutive losses.
         let evict = (evict_word >= 2).then(|| 2 + (evict_word - 2) % 5);
+        // Half the draws run a second configuration beside the first, with
+        // any other threshold (none included).
+        let second = (second_word >= 5).then(|| {
+            let others: Vec<Option<u32>> =
+                THRESHOLDS.into_iter().filter(|&other| other != evict).collect();
+            others[second_word as usize % others.len()]
+        });
         let build = || {
             let workload = PlanetLabConfig::small(NODES)
                 .with_seed(seed)
@@ -79,13 +130,14 @@ proptest! {
             if let Some(max) = evict {
                 config = config.max_consecutive_losses(max);
             }
+            let mut configs = vec![("mp".to_string(), config.build())];
+            if let Some(max_consecutive_losses) = second {
+                let mut raw = NodeConfig::original_vivaldi();
+                raw.max_consecutive_losses = max_consecutive_losses;
+                configs.push(("raw".to_string(), raw));
+            }
             let scenario = op_words.iter().fold(Scenario::new(), |s, &w| apply_op(s, w));
-            Simulator::new(
-                workload,
-                sim_config,
-                vec![("mp".to_string(), config.build())],
-            )
-            .with_scenario(scenario)
+            Simulator::new(workload, sim_config, configs).with_scenario(scenario)
         };
         let serial = serde::json::to_string(&build().with_serial_execution(true).run());
         for threads in [1usize, 2, 4] {
