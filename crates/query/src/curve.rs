@@ -21,27 +21,84 @@ pub const BITS_PER_DIM: u32 = 16;
 /// (`8 × 16 = 128` bits fills the `u128`).
 pub const MAX_DIMENSIONS: usize = 8;
 
+/// `SPREAD[dims - 1][byte]`: the eight bits of `byte` spread `dims` apart,
+/// bit `b` landing at position `b * dims`. Bit 7 of an 8-dimensional byte
+/// lands at 56, so every entry fits a `u64`; one row is 2 KiB.
+const SPREAD: [[u64; 256]; MAX_DIMENSIONS] = {
+    let mut table = [[0u64; 256]; MAX_DIMENSIONS];
+    let mut row = 0;
+    while row < MAX_DIMENSIONS {
+        let dims = row + 1;
+        let mut byte = 0;
+        while byte < 256 {
+            let mut spread = 0u64;
+            let mut b = 0;
+            while b < 8 {
+                if byte & (1 << b) != 0 {
+                    spread |= 1 << (b * dims);
+                }
+                b += 1;
+            }
+            table[row][byte] = spread;
+            byte += 1;
+        }
+        row += 1;
+    }
+    table
+};
+
+/// `DIMENSION_OF[dims - 1][p]`: the dimension whose cell bit a
+/// `dims`-dimensional key carries at position `p`, `dims - 1 - p % dims`.
+const DIMENSION_OF: [[u8; 128]; MAX_DIMENSIONS] = {
+    let mut table = [[0u8; 128]; MAX_DIMENSIONS];
+    let mut row = 0;
+    while row < MAX_DIMENSIONS {
+        let mut p = 0;
+        while p < 128 {
+            table[row][p] = (row - p % (row + 1)) as u8;
+            p += 1;
+        }
+        row += 1;
+    }
+    table
+};
+
+/// `MASKS[dims - 1]` is [`dimension_masks`]`(dims)`.
+const MASKS: [[u128; MAX_DIMENSIONS]; MAX_DIMENSIONS] = {
+    let mut table = [[0u128; MAX_DIMENSIONS]; MAX_DIMENSIONS];
+    let mut row = 0;
+    while row < MAX_DIMENSIONS {
+        let mut p = 0;
+        while p < BITS_PER_DIM as usize * (row + 1) {
+            table[row][DIMENSION_OF[row][p] as usize] |= 1u128 << p;
+            p += 1;
+        }
+        row += 1;
+    }
+    table
+};
+
 /// Interleaves `cells` (one 16-bit cell index per dimension) into a Morton
 /// key. Bit `b` of dimension `d` lands at position `b * dims + (dims-1-d)`,
 /// so at equal bit level an earlier dimension is more significant.
 ///
-/// `cells.len()` must be in `1..=MAX_DIMENSIONS`; cell values above
-/// `2^16 - 1` are masked. The caller (the index) guarantees the length by
-/// construction.
+/// `cells.len()` must be in `1..=MAX_DIMENSIONS` (any other length yields
+/// 0). The caller (the index) guarantees the length by construction. Each
+/// cell is spread a byte at a time through a table built at compile time,
+/// so a key costs two lookups per dimension and no bit loop.
 pub fn interleave(cells: &[u16]) -> u128 {
-    let dims = cells.len() as u32;
+    let dims = cells.len();
+    let Some(spread) = SPREAD.get(dims.wrapping_sub(1)) else {
+        return 0;
+    };
+    // The high byte's bits start at bit level 8.
+    let high = 8 * dims as u32;
     let mut key = 0u128;
-    for (d, &cell) in cells.iter().enumerate() {
-        let lane = dims - 1 - d as u32;
-        let mut bits = cell;
-        let mut b = 0u32;
-        while bits != 0 {
-            if bits & 1 != 0 {
-                key |= 1u128 << (b * dims + lane);
-            }
-            bits >>= 1;
-            b += 1;
-        }
+    for (lane, &cell) in cells.iter().rev().enumerate() {
+        let [low_byte, high_byte] = cell.to_le_bytes();
+        let bits = u128::from(spread[usize::from(low_byte)])
+            | u128::from(spread[usize::from(high_byte)]) << high;
+        key |= bits << lane;
     }
     key
 }
@@ -67,20 +124,18 @@ pub fn deinterleave(key: u128, dims: u32, out: &mut [u16]) {
 }
 
 /// Per-dimension bit masks of a `dims`-dimensional key: `masks[d]` selects
-/// exactly the key bits carrying dimension `d`'s cell index. Because the
-/// interleaving preserves bit significance within a dimension, masked keys
-/// compare like the cell values themselves: `cellₔ(a) < cellₔ(b)` iff
+/// exactly the key bits carrying dimension `d`'s cell index (all zero when
+/// `dims` is outside `1..=MAX_DIMENSIONS`). Because the interleaving
+/// preserves bit significance within a dimension, masked keys compare like
+/// the cell values themselves: `cellₔ(a) < cellₔ(b)` iff
 /// `a & masks[d] < b & masks[d]`. The scan loop uses this for in-box tests
 /// without deinterleaving every entry.
 pub fn dimension_masks(dims: u32) -> [u128; MAX_DIMENSIONS] {
-    let mut masks = [0u128; MAX_DIMENSIONS];
-    for p in 0..BITS_PER_DIM * dims {
-        let d = (dims - 1 - p % dims) as usize;
-        if let Some(mask) = masks.get_mut(d) {
-            *mask |= 1u128 << p;
-        }
-    }
-    masks
+    (dims as usize)
+        .checked_sub(1)
+        .and_then(|row| MASKS.get(row))
+        .copied()
+        .unwrap_or_default()
 }
 
 /// The mask of bits belonging to the same dimension as bit `p`, strictly
@@ -120,6 +175,9 @@ pub fn bigmin(
     masks: &[u128; MAX_DIMENSIONS],
 ) -> Option<u128> {
     let mut result: Option<u128> = None;
+    let dimension_of = (dims as usize)
+        .checked_sub(1)
+        .and_then(|row| DIMENSION_OF.get(row))?;
     let total = BITS_PER_DIM * dims;
     let total_mask = if total >= 128 {
         u128::MAX
@@ -133,8 +191,9 @@ pub fn bigmin(
     while diff != 0 {
         let p = 127 - diff.leading_zeros();
         let bit = 1u128 << p;
+        // p < 128: it is a set bit's position in a u128.
         let dim_mask = masks
-            .get((dims - 1 - p % dims) as usize)
+            .get(usize::from(dimension_of[p as usize]))
             .copied()
             .unwrap_or(0);
         match (zcode & bit != 0, zmin & bit != 0, zmax & bit != 0) {
@@ -164,6 +223,69 @@ pub fn bigmin(
 mod tests {
     use super::*;
 
+    /// The bit loop the spread table replaced, kept as the oracle: bit `b`
+    /// of dimension `d` goes to `b * dims + (dims - 1 - d)`, one bit at a
+    /// time.
+    fn interleave_bit_by_bit(cells: &[u16]) -> u128 {
+        let dims = cells.len() as u32;
+        let mut key = 0u128;
+        for (d, &cell) in cells.iter().enumerate() {
+            let lane = dims - 1 - d as u32;
+            for b in 0..BITS_PER_DIM {
+                if cell & (1 << b) != 0 {
+                    key |= 1u128 << (b * dims + lane);
+                }
+            }
+        }
+        key
+    }
+
+    #[test]
+    fn interleave_matches_the_bit_loop() {
+        // A splitmix64 stream of cells, with the grid's edges mixed in.
+        let mut state = 7u64;
+        let mut next_cell = |round: usize, d: usize| match (round + d) % 16 {
+            0 => 0u16,
+            1 => u16::MAX,
+            _ => {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u16
+            }
+        };
+        for dims in 1..=MAX_DIMENSIONS {
+            assert_eq!(interleave(&vec![0; dims]), 0, "dims={dims}");
+            assert_eq!(
+                interleave(&vec![u16::MAX; dims]),
+                interleave_bit_by_bit(&vec![u16::MAX; dims]),
+                "dims={dims}"
+            );
+            for round in 0..2_000 {
+                let cells: Vec<u16> = (0..dims).map(|d| next_cell(round, d)).collect();
+                assert_eq!(
+                    interleave(&cells),
+                    interleave_bit_by_bit(&cells),
+                    "cells={cells:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dimension_masks_select_each_dimension_s_bits() {
+        for dims in 1..=MAX_DIMENSIONS {
+            let masks = dimension_masks(dims as u32);
+            for d in 0..dims {
+                let mut cells = vec![0u16; dims];
+                cells[d] = u16::MAX;
+                assert_eq!(masks[d], interleave_bit_by_bit(&cells), "dims={dims} d={d}");
+            }
+            assert!(masks[dims..].iter().all(|mask| *mask == 0), "dims={dims}");
+        }
+    }
+
     #[test]
     fn interleave_round_trips() {
         for dims in 1..=MAX_DIMENSIONS {
@@ -191,36 +313,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bigmin_matches_a_brute_force_scan_on_small_grids() {
-        // Exhaustive 2-D differential test on a 16×16 grid (4 bits used of
-        // the 16 available): for every box and every *out-of-box* probe key
-        // — the only keys the scan ever hands to BIGMIN — the result must
-        // equal the smallest in-box key above the probe.
-        let dims = 2u32;
-        let boxes = [
-            ([2u16, 3u16], [6u16, 12u16]),
-            ([0, 0], [15, 15]),
-            ([5, 5], [5, 5]),
-            ([0, 7], [3, 9]),
-        ];
+    /// Exhaustive differential test of [`bigmin`] on a grid of `side`
+    /// cells per dimension: for every box and every *out-of-box* probe key
+    /// — the only keys the scan ever hands to BIGMIN — the result must
+    /// equal the smallest in-box key above the probe.
+    fn bigmin_matches_a_brute_force_scan(side: u16, boxes: &[(Vec<u16>, Vec<u16>)]) {
+        let dims = boxes[0].0.len();
+        let top = interleave(&vec![side - 1; dims]);
+        let masks = dimension_masks(dims as u32);
         for (lo, hi) in boxes {
-            let zmin = interleave(&lo);
-            let zmax = interleave(&hi);
+            let zmin = interleave(lo);
+            let zmax = interleave(hi);
             let in_box = |z: u128| {
-                let mut cells = [0u16; 2];
-                deinterleave(z, dims, &mut cells);
-                (lo[0]..=hi[0]).contains(&cells[0]) && (lo[1]..=hi[1]).contains(&cells[1])
+                let mut cells = vec![0u16; dims];
+                deinterleave(z, dims as u32, &mut cells);
+                (0..dims).all(|d| (lo[d]..=hi[d]).contains(&cells[d]))
             };
-            let members: Vec<u128> = (0..=interleave(&[15, 15])).filter(|&z| in_box(z)).collect();
-            for probe in 0..=interleave(&[15, 15]) {
+            let members: Vec<u128> = (0..=top).filter(|&z| in_box(z)).collect();
+            for probe in 0..=top {
                 if in_box(probe) {
                     continue;
                 }
                 let expected = members.iter().copied().find(|&z| z > probe);
-                let got = bigmin(probe, zmin, zmax, dims, &dimension_masks(dims));
+                let got = bigmin(probe, zmin, zmax, dims as u32, &masks);
                 assert_eq!(got, expected, "probe={probe} box={lo:?}..{hi:?}");
             }
         }
+    }
+
+    #[test]
+    fn bigmin_matches_a_brute_force_scan_on_small_grids() {
+        // 2-D on a 16×16 grid (4 bits used of the 16 available).
+        bigmin_matches_a_brute_force_scan(
+            16,
+            &[
+                (vec![2, 3], vec![6, 12]),
+                (vec![0, 0], vec![15, 15]),
+                (vec![5, 5], vec![5, 5]),
+                (vec![0, 7], vec![3, 9]),
+            ],
+        );
+        // The paper's 3-D on an 8×8×8 grid.
+        bigmin_matches_a_brute_force_scan(
+            8,
+            &[
+                (vec![1, 2, 3], vec![5, 6, 4]),
+                (vec![0, 0, 0], vec![7, 7, 7]),
+                (vec![3, 3, 3], vec![3, 3, 3]),
+                (vec![0, 5, 2], vec![2, 7, 6]),
+                (vec![6, 0, 0], vec![7, 1, 7]),
+            ],
+        );
     }
 }

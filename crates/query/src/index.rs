@@ -19,14 +19,22 @@
 //! dimension with `r = D − h_target`, and quantization is monotone, so the
 //! box's quantized corners bound the candidate set exactly. The scan phase
 //! walks the key range of that box, stepping over short out-of-box gaps
-//! and BIGMIN-jumping the long ones, and re-ranks by exact distance with a
-//! total `(distance, id)` order. Every time the k-th best distance
-//! improves it becomes the new `D` and the box contracts, so the scan
-//! range keeps tightening around the answer. The result is byte-identical
-//! to a brute-force scan of every entry (the oracle the test suite
-//! compares against): pruning only ever discards entries strictly farther
-//! than the current k-th best, and distance ties stay inside the box
-//! because the corners are inclusive.
+//! and BIGMIN-jumping the long ones, and offers every in-box entry to the
+//! seed's best-k, which it keeps: the seed's entries form one contiguous
+//! run of cursors, and the scan crosses that run in one step wherever it
+//! meets it, so no entry is offered twice. Every time the k-th best
+//! distance improves it becomes the new `D` and the box contracts, so the
+//! scan range keeps tightening around the answer.
+//!
+//! The result is byte-identical to a brute-force scan of every entry (the
+//! oracle the test suite compares against). The answer is the k smallest,
+//! under the total `(distance, id)` order, of the set of offered entries,
+//! each offered once. That set holds every entry within the final bound,
+//! and so the true k nearest: such an entry lies inside every box the scan
+//! used, since each was built from a bound no smaller, so the scan offered
+//! it unless the seed had. Pruning only ever discards entries strictly
+//! farther than the current k-th best, and distance ties stay inside the
+//! box because the corners are inclusive.
 //!
 //! # Shards
 //!
@@ -220,6 +228,38 @@ const SEED_SPAN: usize = 4;
 /// geometric, at most a handful per query, while the box still tracks the
 /// contracting answer.
 const SHRINK_FACTOR: f64 = 0.75;
+
+/// The units of work a k-NN scan is tallied in.
+enum Work {
+    /// One entry key put through the in-box test.
+    KeyTested,
+    /// One entry ranked by exact distance (seed and scan alike).
+    Ranked,
+    /// One BIGMIN jump.
+    Jump,
+    /// One binary search of the fences for a key.
+    Locate,
+}
+
+/// The exact work of k-NN scans, counted in the crate's own test build
+/// only. Everywhere else it is an empty type and [`Tally::add`] compiles
+/// to nothing, so the query path pays nothing for it.
+#[derive(Default)]
+struct Tally {
+    /// Indexed by [`Work`].
+    #[cfg(test)]
+    counts: [u64; 4],
+}
+
+impl Tally {
+    #[inline(always)]
+    fn add(&mut self, _work: Work) {
+        #[cfg(test)]
+        if let Some(count) = self.counts.get_mut(_work as usize) {
+            *count += 1;
+        }
+    }
+}
 
 /// A query's current search box: Morton corner keys plus the per-dimension
 /// masked corner values ([`dimension_masks`]) that the scan's in-box test
@@ -433,6 +473,16 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         target: &Coordinate,
         k: usize,
     ) -> Result<Vec<QueryMatch<Id>>, QueryError> {
+        self.k_nearest_tallied(target, k, &mut Tally::default())
+    }
+
+    /// [`Self::k_nearest`], adding the scan's work to `tally`.
+    fn k_nearest_tallied(
+        &self,
+        target: &Coordinate,
+        k: usize,
+        tally: &mut Tally,
+    ) -> Result<Vec<QueryMatch<Id>>, QueryError> {
         self.check(target)?;
         if k == 0 || self.positions.is_empty() {
             return Ok(Vec::new());
@@ -449,7 +499,8 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         // initial bound shrinks the whole scan that follows.
         let span = k.saturating_mul(SEED_SPAN);
         let zq = self.key_for(target);
-        let mut seed = RankedSet::new(k);
+        let mut best = RankedSet::new(k);
+        tally.add(Work::Locate);
         let start = self.locate_key(zq);
         let mut forward = start;
         let mut taken = 0usize;
@@ -457,7 +508,8 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
             let Some((distance, id)) = self.rank_at(forward, target) else {
                 break;
             };
-            seed.offer(distance, id, forward);
+            tally.add(Work::Ranked);
+            best.offer(distance, id, forward);
             forward = self.advance(forward);
             taken += 1;
         }
@@ -469,11 +521,12 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
             };
             backward = previous;
             if let Some((distance, id)) = self.rank_at(backward, target) {
-                seed.offer(distance, id, backward);
+                tally.add(Work::Ranked);
+                best.offer(distance, id, backward);
             }
             taken += 1;
         }
-        let Some(bound) = seed.worst() else {
+        let Some(bound) = best.worst() else {
             // The seed under-filled (cannot happen while shards and
             // positions agree, since len > 2k here); fall back to the
             // oracle-equivalent full scan rather than guess a bound.
@@ -490,29 +543,49 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
         let mut qbox = self.query_box(target, bound, &masks);
 
         // Scan the box's key range, stepping over short out-of-box gaps
-        // entry by entry and BIGMIN-jumping the long ones, re-ranking every
-        // in-box entry by exact distance. The scan re-ranks from scratch in
-        // the seed's buffer.
-        let mut best = seed;
-        best.clear();
-        let (mut si, mut ei) = self.locate_key(qbox.zmin);
+        // entry by entry and BIGMIN-jumping the long ones, and offer every
+        // in-box entry to the seed's best-k. The seed ranked the cursors
+        // `[backward, forward)` already, so wherever the scan meets that
+        // range (stepping into it, starting inside it or jumping into it)
+        // it resumes at `forward`: every entry is ranked at most once.
+        let mut before_seed = true;
+        tally.add(Work::Locate);
+        let mut cursor = self.locate_key(qbox.zmin);
         let mut outside_streak = 0usize;
-        'shards: while let Some(shard) = self.shards.get(si) {
-            while let Some(&key) = shard.keys.get(ei) {
+        'scan: loop {
+            if before_seed && cursor >= backward {
+                before_seed = false;
+                cursor = cursor.max(forward);
+            }
+            let (si, mut ei) = cursor;
+            let Some(shard) = self.shards.get(si) else {
+                break;
+            };
+            // This run of keys ends at the shard's end or where the seed's
+            // range starts, whichever comes first.
+            let end = if before_seed && si == backward.0 {
+                backward.1
+            } else {
+                shard.len()
+            };
+            let keys = shard.keys.get(..end).unwrap_or_default();
+            while let Some(&key) = keys.get(ei) {
                 if key > qbox.zmax {
-                    break 'shards;
+                    break 'scan;
                 }
-                let in_box = masks
-                    .iter()
-                    .zip(qbox.lo.iter().zip(qbox.hi.iter()))
-                    .take(dims)
-                    .all(|(mask, (lo, hi))| {
-                        let masked = key & mask;
-                        (*lo..=*hi).contains(&masked)
-                    });
+                tally.add(Work::KeyTested);
+                // Every dimension is tested and the results combined with
+                // `&`: a short-circuit test would branch on which dimension
+                // fails first, which the data makes unpredictable.
+                let mut in_box = true;
+                for ((mask, lo), hi) in masks.iter().zip(&qbox.lo).zip(&qbox.hi).take(dims) {
+                    let masked = key & mask;
+                    in_box &= (*lo <= masked) & (masked <= *hi);
+                }
                 if in_box {
                     outside_streak = 0;
                     if let Some((distance, id)) = shard.rank(ei, stride, target) {
+                        tally.add(Work::Ranked);
                         best.offer(distance, id, (si, ei));
                     }
                     // The k-th best so far is itself a valid radius:
@@ -538,27 +611,33 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
                     // Long gap: the whole key range up to BIGMIN lies
                     // outside the box.
                     outside_streak = 0;
+                    tally.add(Work::Jump);
                     match bigmin(key, qbox.zmin, qbox.zmax, dims as u32, &masks) {
                         Some(next) if next > key => {
                             // Most jumps land in the current shard: bisect
-                            // its remaining slice before paying for the
+                            // its remaining keys before paying for the
                             // full fence search.
-                            match shard.keys.get(ei..) {
+                            cursor = match shard.keys.get(ei..) {
                                 Some(rest) if rest.last().is_some_and(|last| next <= *last) => {
-                                    ei += rest.partition_point(|k| *k < next);
+                                    (si, ei + rest.partition_point(|k| *k < next))
                                 }
                                 _ => {
-                                    (si, ei) = self.locate_key(next);
-                                    continue 'shards;
+                                    tally.add(Work::Locate);
+                                    self.locate_key(next)
                                 }
-                            }
+                            };
+                            continue 'scan;
                         }
-                        _ => break 'shards,
+                        _ => break 'scan,
                     }
                 }
             }
-            si += 1;
-            ei = 0;
+            // The run is done: on to the next shard, or to the seed's range.
+            cursor = if end < shard.len() {
+                (si, end)
+            } else {
+                (si + 1, 0)
+            };
         }
         Ok(self.resolve(best))
     }
@@ -927,10 +1006,13 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
 }
 
 /// A bounded best-k set ordered by `(distance, id)`: the exact-distance
-/// re-ranking buffer. Each candidate carries the cursor of its entry, so
-/// the answer's coordinates are read back without a `positions` lookup.
-/// Insertion keeps the vector sorted; `offer` is `O(k)` in the worst case
-/// and `O(log k)` when the candidate does not qualify.
+/// ranking buffer. Each candidate carries the cursor of its entry, so the
+/// answer's coordinates are read back without a `positions` lookup. The
+/// vector stays sorted: an offer that does not beat the k-th best costs
+/// one comparison, and one that does takes the k-th best's slot and is
+/// swapped toward the front past every entry it beats, an insertion-sort
+/// step that never moves the entries behind it and never grows the buffer
+/// past `k`.
 struct RankedSet<Id> {
     k: usize,
     entries: Vec<(f64, Id, Cursor)>,
@@ -940,13 +1022,8 @@ impl<Id: Clone + Ord> RankedSet<Id> {
     fn new(k: usize) -> Self {
         RankedSet {
             k,
-            entries: Vec::with_capacity(k.min(1024) + 1),
+            entries: Vec::with_capacity(k.min(1024)),
         }
-    }
-
-    /// Empties the set, keeping its buffer.
-    fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// The current k-th best distance — only a valid pruning bound once k
@@ -960,23 +1037,20 @@ impl<Id: Clone + Ord> RankedSet<Id> {
     }
 
     fn offer(&mut self, distance: f64, id: &Id, cursor: Cursor) {
-        if self.entries.len() >= self.k {
-            if let Some((worst, worst_id, _)) = self.entries.last() {
-                let candidate_wins = distance
-                    .total_cmp(worst)
-                    .then_with(|| id.cmp(worst_id))
-                    .is_lt();
-                if !candidate_wins {
-                    return;
-                }
+        let precedes =
+            |(d, i, _): &(f64, Id, Cursor)| distance.total_cmp(d).then_with(|| id.cmp(i)).is_lt();
+        if self.entries.len() < self.k {
+            self.entries.push((distance, id.clone(), cursor));
+        } else {
+            match self.entries.last_mut() {
+                Some(last) if precedes(last) => *last = (distance, id.clone(), cursor),
+                _ => return,
             }
         }
-        let pos = self
-            .entries
-            .partition_point(|(d, i, _)| d.total_cmp(&distance).then_with(|| i.cmp(id)).is_lt());
-        self.entries.insert(pos, (distance, id.clone(), cursor));
-        if self.entries.len() > self.k {
-            self.entries.pop();
+        let mut at = self.entries.len() - 1;
+        while at > 0 && self.entries.get(at - 1).is_some_and(precedes) {
+            self.entries.swap(at - 1, at);
+            at -= 1;
         }
     }
 }
@@ -1205,6 +1279,68 @@ mod tests {
             cycle(&mut idx);
         }
         assert_eq!(idx.footprint(), after_first);
+    }
+
+    /// A splitmix64 step: the pinned workload's inputs depend on nothing
+    /// outside this file.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A 3-D coordinate within ±300 ms with a height of 0–4 ms, the shape
+    /// of the `query-drift` benchmark's nodes.
+    fn drawn(state: &mut u64) -> Coordinate {
+        let mut unit = || (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64;
+        let components = [
+            unit() * 600.0 - 300.0,
+            unit() * 600.0 - 300.0,
+            unit() * 600.0 - 300.0,
+        ];
+        Coordinate::with_height(components, unit() * 4.0).unwrap()
+    }
+
+    /// Work pin: 1,000 exact 8-NN reads on a seeded 10,000-node 3-D index
+    /// do exactly this much work, and every answer equals a brute-force
+    /// ranking. The counts move only when the scan does different work.
+    #[test]
+    fn knn_work_tally_is_pinned() {
+        let mut state = 44u64;
+        let mut idx = CoordinateIndex::new(QueryConfig::default()).unwrap();
+        let nodes: Vec<Coordinate> = (0..10_000).map(|_| drawn(&mut state)).collect();
+        for (id, coordinate) in nodes.iter().enumerate() {
+            idx.update(id as u32, coordinate).unwrap();
+        }
+        let mut tally = Tally::default();
+        for _ in 0..1_000 {
+            let target = drawn(&mut state);
+            let answer: Vec<(u32, f64)> = idx
+                .k_nearest_tallied(&target, 8, &mut tally)
+                .unwrap()
+                .into_iter()
+                .map(|m| (m.id, m.distance_ms))
+                .collect();
+            let by_rank = |a: &(u32, f64), b: &(u32, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+            let mut oracle: Vec<(u32, f64)> = nodes
+                .iter()
+                .enumerate()
+                .map(|(id, coordinate)| (id as u32, target.distance(coordinate)))
+                .collect();
+            oracle.select_nth_unstable_by(8, by_rank);
+            oracle.truncate(8);
+            oracle.sort_by(by_rank);
+            assert_eq!(answer, oracle);
+        }
+        // Keys tested, entries ranked (63,949 of them in seed phases, at most
+        // 2 × 32 a query), BIGMIN jumps and fence locates. A scan that ranks the
+        // seed's range again into a cleared best-k reads 150,680 / 93,144
+        // / 6,260 / 3,684. One that ranks it again into the carried best-k,
+        // or skips it only where the scan steps onto its first cursor,
+        // offers seed entries twice and fails the oracle above.
+        assert_eq!(tally.counts, [111_271, 78_869, 5_490, 3_652]);
     }
 
     #[test]
