@@ -2059,11 +2059,12 @@ mod tests {
     }
 
     /// Layout pin: a link record is the configured family's per-link state
-    /// and nothing else — no family tag, and no `h` or `p`, which the store
-    /// holds once. A moving-percentile window of up to four samples is
-    /// 48 bytes (pinned in `nc-filters` too), a raw filter 24 (last sample
-    /// and count), an EWMA 32 (its α besides) and a threshold filter 40
-    /// (its cut-off and discard count besides).
+    /// and nothing else — no family tag, and none of the family's
+    /// parameters (`h` and `p`, `α`, the cut-off), which the store holds
+    /// once. A moving-percentile window of up to four samples is 48 bytes,
+    /// a raw or an EWMA link 24 (last sample or average, and count) and a
+    /// threshold link 32 (its discard count besides); every width is pinned
+    /// in `nc-filters` too.
     #[test]
     fn layout_pin_link_record_at_family_width() {
         let bytes = |filter: FilterConfig| LinkStore::new(&filter, 0).record_bytes();
@@ -2079,8 +2080,8 @@ mod tests {
             assert_eq!(bytes(FilterConfig::MovingMedian { history }), record);
         }
         assert_eq!(bytes(FilterConfig::Raw), 24);
-        assert_eq!(bytes(FilterConfig::Ewma { alpha: 0.2 }), 32);
-        assert_eq!(bytes(FilterConfig::Threshold { cutoff_ms: 1_000.0 }), 40);
+        assert_eq!(bytes(FilterConfig::Ewma { alpha: 0.2 }), 24);
+        assert_eq!(bytes(FilterConfig::Threshold { cutoff_ms: 1_000.0 }), 32);
     }
 
     #[test]

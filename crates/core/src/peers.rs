@@ -7,8 +7,8 @@ use std::hash::{Hash, Hasher};
 use std::num::NonZeroU32;
 
 use nc_filters::{
-    EwmaFilter, FilterConfig, FilterState, LatencyFilter, MovingPercentileWindow, RawFilter,
-    StateMismatch, ThresholdFilter,
+    EwmaLink, FilterConfig, FilterState, LinkFilter, MovingPercentileWindow, RawLink,
+    StateMismatch, ThresholdLink,
 };
 use nc_vivaldi::Coordinate;
 
@@ -528,14 +528,15 @@ impl SnapshotStore {
 /// — and keeps the records of one node together.
 ///
 /// A node runs one filter family with one set of parameters
-/// (`NodeConfig::filter`), so the store is built for that family: a record
-/// is the family's per-link state at the family's own width — a
-/// moving-percentile window of up to four samples in 48 bytes, a raw filter
-/// in 24, an EWMA in 32, a threshold filter in 40 — and the moving
-/// percentile's `h` and `p` are held once, beside the pages, not in every
-/// record. The link's filtered RTT and observation count, which views and
-/// snapshots report, are read from the record when asked for — they are
-/// not copied out per observation.
+/// (`NodeConfig::filter`), so the store is built for that family through
+/// the one per-link contract, [`LinkFilter`]: a record is the family's
+/// per-link state at the family's own width — a moving-percentile window of
+/// up to four samples in 48 bytes, a raw or an EWMA link in 24, a threshold
+/// link in 32 — and the family's parameters (`h` and `p`, `α`, the cut-off)
+/// are held once, beside the pages, not in every record. The link's
+/// filtered RTT and observation count, which views and snapshots report,
+/// are read from the record when asked for — they are not copied out per
+/// observation.
 ///
 /// The store is also the one place a link's estimate leaves through, so it
 /// applies the §VI warm-up fix: [`observe`](LinkStore::observe) and
@@ -562,11 +563,11 @@ pub(crate) struct LinkStore {
 /// pages of its per-link state, by value — no box, no vtable, and (for the
 /// moving-percentile family up to `h = 4`) no heap-backed window either.
 enum Records {
-    Raw(Family<RawFilter>),
+    Raw(Family<RawLink>),
     /// The moving-percentile family, the moving median included (p = 50).
     MovingPercentile(Family<MovingPercentileWindow>),
-    Ewma(Family<EwmaFilter>),
-    Threshold(Family<ThresholdFilter>),
+    Ewma(Family<EwmaLink>),
+    Threshold(Family<ThresholdLink>),
 }
 
 /// Runs `$body` with `$family` bound to the store's [`Family`], whichever
@@ -611,7 +612,7 @@ impl LinkStore {
     /// its handle.
     pub(crate) fn insert(&mut self) -> Handle {
         each_arm!(&mut self.records, family => {
-            let record = family.fresh();
+            let record = LinkFilter::fresh(&family.params);
             family.insert(&mut self.free, record)
         })
     }
@@ -650,12 +651,12 @@ impl LinkStore {
 
     /// Valid observations the link's filter has consumed.
     pub(crate) fn observations_seen(&self, handle: Handle) -> u64 {
-        each_arm!(&self.records, family => family.records.record(handle).seen())
+        each_arm!(&self.records, family => family.records.record(handle).observations_seen())
     }
 
     /// The link's filter state, in the family's export format.
     pub(crate) fn export_state(&self, handle: Handle) -> FilterState {
-        each_arm!(&self.records, family => family.records.record(handle).export())
+        each_arm!(&self.records, family => family.records.record(handle).export_state())
     }
 
     /// Records currently owned by a table entry.
@@ -694,11 +695,6 @@ impl<F: LinkFilter> Family<F> {
         }
     }
 
-    /// The state of a link with no observation yet.
-    fn fresh(&self) -> F {
-        F::fresh(&self.params)
-    }
-
     /// Stores `record`, in a freed slot before the pages grow, and returns
     /// its handle.
     fn insert(&mut self, free: &mut Vec<Handle>, record: F) -> Handle {
@@ -722,8 +718,8 @@ impl<F: LinkFilter> Family<F> {
         slot: &mut Option<Handle>,
         state: &FilterState,
     ) -> Result<(), StateMismatch> {
-        let mut record = self.fresh();
-        record.import(&self.params, state)?;
+        let mut record = F::fresh(&self.params);
+        record.import_state(&self.params, state)?;
         match *slot {
             Some(handle) => *self.records.record_mut(handle) = record,
             None => *slot = Some(self.insert(free, record)),
@@ -735,13 +731,13 @@ impl<F: LinkFilter> Family<F> {
     fn observe(&mut self, handle: Handle, raw_rtt_ms: f64, warmup_samples: u64) -> Option<f64> {
         let record = self.records.record_mut(handle);
         let estimate = record.observe(&self.params, raw_rtt_ms)?;
-        (record.seen() >= warmup_samples).then_some(estimate)
+        (record.observations_seen() >= warmup_samples).then_some(estimate)
     }
 
     /// As [`LinkStore::estimate`], for links warm after `warmup_samples`.
     fn estimate(&self, handle: Handle, warmup_samples: u64) -> Option<f64> {
         let record = self.records.record(handle);
-        if record.seen() >= warmup_samples {
+        if record.observations_seen() >= warmup_samples {
             record.estimate(&self.params)
         } else {
             None
@@ -754,104 +750,13 @@ impl<F: LinkFilter> Family<F> {
     }
 }
 
-/// A filter family as the [`LinkStore`] holds it: `Self` is one link's
-/// state and `Params` what every link of a node shares, passed in to each
-/// call. The calls mean what [`LatencyFilter`]'s do.
-trait LinkFilter: Sized {
-    type Params;
-    fn fresh(params: &Self::Params) -> Self;
-    fn observe(&mut self, params: &Self::Params, raw_rtt_ms: f64) -> Option<f64>;
-    fn estimate(&self, params: &Self::Params) -> Option<f64>;
-    fn seen(&self) -> u64;
-    fn export(&self) -> FilterState;
-    fn import(&mut self, params: &Self::Params, state: &FilterState) -> Result<(), StateMismatch>;
-}
-
-/// The record is the window alone; `h` and `p` are the store's.
-impl LinkFilter for MovingPercentileWindow {
-    type Params = (usize, f64);
-
-    fn fresh(&(history, _): &(usize, f64)) -> Self {
-        MovingPercentileWindow::new(history)
-    }
-
-    fn observe(&mut self, &(history, percentile): &(usize, f64), raw_rtt_ms: f64) -> Option<f64> {
-        MovingPercentileWindow::observe(self, raw_rtt_ms, history, percentile)
-    }
-
-    fn estimate(&self, &(_, percentile): &(usize, f64)) -> Option<f64> {
-        MovingPercentileWindow::estimate(self, percentile)
-    }
-
-    fn seen(&self) -> u64 {
-        self.observations_seen()
-    }
-
-    fn export(&self) -> FilterState {
-        self.export_state()
-    }
-
-    fn import(
-        &mut self,
-        &(history, _): &(usize, f64),
-        state: &FilterState,
-    ) -> Result<(), StateMismatch> {
-        self.import_state(state, history)
-    }
-}
-
-/// Implements [`LinkFilter`] for a family whose record is the standalone
-/// filter itself, its one parameter (if any) inside; the store keeps that
-/// parameter once more, for `$fresh` to build a newly measured link's
-/// filter from. (A whole filter kept as the prototype instead would widen
-/// the store, and with it every node, by a threshold filter's 40 bytes.)
-macro_rules! whole_filter {
-    ($filter:ty, $params:ty, $fresh:expr) => {
-        impl LinkFilter for $filter {
-            type Params = $params;
-
-            fn fresh(params: &$params) -> Self {
-                $fresh(params)
-            }
-
-            fn observe(&mut self, _: &$params, raw_rtt_ms: f64) -> Option<f64> {
-                LatencyFilter::observe(self, raw_rtt_ms)
-            }
-
-            fn estimate(&self, _: &$params) -> Option<f64> {
-                self.current_estimate()
-            }
-
-            fn seen(&self) -> u64 {
-                self.observations_seen()
-            }
-
-            fn export(&self) -> FilterState {
-                self.export_state()
-            }
-
-            fn import(&mut self, _: &$params, state: &FilterState) -> Result<(), StateMismatch> {
-                self.import_state(state)
-            }
-        }
-    };
-}
-
-whole_filter!(RawFilter, (), |_: &()| RawFilter::new());
-whole_filter!(EwmaFilter, f64, |alpha: &f64| {
-    // nc-lint: allow(panic) — `StableNode::new` validated this α.
-    EwmaFilter::new(*alpha).expect("a validated α")
-});
-whole_filter!(ThresholdFilter, f64, |cutoff_ms: &f64| {
-    // nc-lint: allow(panic) — `StableNode::new` validated this cut-off.
-    ThresholdFilter::new(*cutoff_ms).expect("a validated cut-off")
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fxhash::FxHashMap;
-    use nc_filters::MovingPercentileFilter;
+    use nc_filters::{
+        EwmaFilter, LatencyFilter, MovingPercentileFilter, RawFilter, ThresholdFilter,
+    };
     use proptest::prelude::*;
 
     /// A coordinate, height and error estimate drawn from one word; every
@@ -909,7 +814,7 @@ mod tests {
             let mut handles = Vec::new();
             for _ in 0..count {
                 handles.push((links.insert(), snapshots.insert(&coordinate, 0.5)));
-                link_vec.push(MovingPercentileWindow::new(4));
+                link_vec.push(MovingPercentileWindow::fresh(&(4, 25.0)));
                 snapshot_vec.resize(snapshot_vec.len() + stride, 0.0);
             }
             let check = |links: &LinkStore, snapshots: &SnapshotStore| {
@@ -1000,8 +905,10 @@ mod tests {
     }
 
     proptest! {
-        /// The link store holds each family's per-link state its own way;
-        /// fed the same samples, every link of it must be, bit for bit, the
+        /// The link store and the standalone filters run the same family
+        /// code (its arithmetic is held against closed-form models in
+        /// `nc-filters`); what this checks is the store around it. Fed the
+        /// same samples, every link of the store must be, bit for bit, the
         /// standalone filter of its family behind the warm-up rule: the
         /// same released estimate, current estimate, observation count and
         /// exported state at every step, across an export and re-import in

@@ -9,7 +9,8 @@
 //! experiments compare against.
 
 use crate::{
-    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+    is_valid_sample, Filter, FilterConfig, FilterConfigError, FilterState, LinkFilter,
+    StateMismatch,
 };
 
 /// Exponentially-weighted moving average of raw observations.
@@ -24,9 +25,13 @@ use crate::{
 /// let after_outlier = f.observe(10_000.0).unwrap();
 /// assert!(after_outlier > 1_000.0, "the EWMA lets the outlier through: {after_outlier}");
 /// ```
+pub type EwmaFilter = Filter<EwmaLink>;
+
+/// The per-link state of an [`EwmaFilter`]: the running average and the
+/// count of valid samples. The family's parameter, the smoothing factor
+/// `α ∈ (0, 1]`, is held outside.
 #[derive(Debug, Clone)]
-pub struct EwmaFilter {
-    alpha: f64,
+pub struct EwmaLink {
     value: Option<f64>,
     seen: u64,
 }
@@ -39,35 +44,35 @@ impl EwmaFilter {
     /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
     /// reports when `alpha` is outside `(0, 1]`.
     pub fn new(alpha: f64) -> Result<Self, FilterConfigError> {
-        FilterConfig::Ewma { alpha }.validate()?;
-        Ok(EwmaFilter {
-            alpha,
-            value: None,
-            seen: 0,
-        })
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
+        Filter::checked(FilterConfig::Ewma { alpha }, alpha)
     }
 }
 
-impl LatencyFilter for EwmaFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
+/// The parameter is `α`.
+impl LinkFilter for EwmaLink {
+    type Params = f64;
+
+    fn fresh(_: &f64) -> Self {
+        EwmaLink {
+            value: None,
+            seen: 0,
+        }
+    }
+
+    fn observe(&mut self, &alpha: &f64, raw_rtt_ms: f64) -> Option<f64> {
         if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.seen += 1;
         let next = match self.value {
             None => raw_rtt_ms,
-            Some(v) => self.alpha * raw_rtt_ms + (1.0 - self.alpha) * v,
+            Some(v) => alpha * raw_rtt_ms + (1.0 - alpha) * v,
         };
         self.value = Some(next);
         Some(next)
     }
 
-    fn current_estimate(&self) -> Option<f64> {
+    fn estimate(&self, _: &f64) -> Option<f64> {
         self.value
     }
 
@@ -82,7 +87,7 @@ impl LatencyFilter for EwmaFilter {
         }
     }
 
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
+    fn import_state(&mut self, _: &f64, state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::Ewma { value, seen } => {
                 state.check_samples()?;
@@ -101,6 +106,7 @@ impl LatencyFilter for EwmaFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyFilter;
     use proptest::prelude::*;
 
     #[test]

@@ -9,26 +9,33 @@
 //!
 //! * [`MovingPercentileFilter`] — the paper's recommended non-linear low-pass
 //!   filter: keep the last `h` observations per link and output their `p`-th
-//!   percentile (`h = 4`, `p = 25` performed best, §IV). Its per-link state
-//!   alone, without the parameters, is a [`MovingPercentileWindow`], for a
-//!   holder that keeps many links of one configuration.
+//!   percentile (`h = 4`, `p = 25` performed best, §IV).
 //! * [`EwmaFilter`] — exponentially-weighted moving average baseline
 //!   (Table I shows it is *worse* than no filter at all for this workload).
 //! * [`ThresholdFilter`] — discard observations above a fixed cut-off, the
 //!   stateless baseline the paper tried first (§IV-B "Thresholds").
 //! * [`RawFilter`] — identity pass-through (the "No Filter" configuration).
 //!
-//! [`FilterConfig`] names one of them with its parameters, and its
+//! Each family is written once, against one contract: [`LinkFilter`], the
+//! state of one link with the family's parameters held outside it and
+//! passed to every call. [`MovingPercentileWindow`], [`EwmaLink`],
+//! [`ThresholdLink`] and [`RawLink`] are those states. A holder of many
+//! links filtered alike — a node's link store — keeps the parameters once
+//! beside bare states; a holder of one link keeps a [`Filter`], the
+//! parameters beside one state, and the four filters above are its four
+//! instances.
+//!
+//! [`FilterConfig`] names one family with its parameters, and its
 //! [`validate`](FilterConfig::validate) is the one place those parameters
 //! are checked: each constructor refuses what it refuses, with the same
 //! [`FilterConfigError`].
 //!
-//! All filters implement [`LatencyFilter`]: they consume one raw observation
-//! at a time and produce the filtered latency estimate that should be handed
-//! to the coordinate algorithm (or `None` when no estimate should be emitted
-//! yet). The paper's §VI warm-up fix — withhold a link's estimate until it
-//! has delivered a minimum number of samples — is a check on
-//! [`LatencyFilter::observations_seen`] made by the engine that keeps the
+//! Every [`Filter`] implements [`LatencyFilter`]: it consumes one raw
+//! observation at a time and produces the filtered latency estimate that
+//! should be handed to the coordinate algorithm (or `None` when no estimate
+//! should be emitted yet). The paper's §VI warm-up fix — withhold a link's
+//! estimate until it has delivered a minimum number of samples — is a check
+//! on [`LatencyFilter::observations_seen`] made by the engine that keeps the
 //! filters, not a filter of its own.
 //!
 //! # Example
@@ -55,14 +62,14 @@ pub mod raw;
 pub mod threshold;
 
 pub use config::{FilterConfig, FilterConfigError};
-pub use ewma::EwmaFilter;
+pub use ewma::{EwmaFilter, EwmaLink};
 pub use moving_percentile::{MovingPercentileFilter, MovingPercentileWindow};
-pub use raw::RawFilter;
-pub use threshold::ThresholdFilter;
+pub use raw::{RawFilter, RawLink};
+pub use threshold::{ThresholdFilter, ThresholdLink};
 
 /// Whether `rtt_ms` is a sample a filter accepts: finite and positive.
-/// Anything else is refused by [`LatencyFilter::observe`] and, inside
-/// imported state, by [`LatencyFilter::import_state`].
+/// Anything else is refused by [`LinkFilter::observe`] and, inside
+/// imported state, by [`LinkFilter::import_state`].
 pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
     rtt_ms.is_finite() && rtt_ms > 0.0
 }
@@ -72,33 +79,33 @@ pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
 /// Filters are small state machines; this enum captures exactly the fields
 /// that evolve at run time (window contents, counters), not the
 /// configuration (history size, percentile, cut-off), which is supplied
-/// separately when a filter is rebuilt. Used by snapshot/restore: a filter
-/// exports its state with [`LatencyFilter::export_state`] and a freshly
-/// configured filter re-adopts it with [`LatencyFilter::import_state`].
+/// separately when a filter is rebuilt. Used by snapshot/restore: a link
+/// exports its state with [`LinkFilter::export_state`] and a fresh link of
+/// the same family re-adopts it with [`LinkFilter::import_state`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FilterState {
-    /// State of a [`RawFilter`].
+    /// State of a [`RawLink`].
     Raw {
         /// The last valid observation, if any.
         last: Option<f64>,
         /// Number of valid observations consumed.
         seen: u64,
     },
-    /// State of a [`MovingPercentileFilter`].
+    /// State of a [`MovingPercentileWindow`].
     MovingPercentile {
         /// The sliding observation window, oldest first.
         window: Vec<f64>,
         /// Number of valid observations consumed.
         seen: u64,
     },
-    /// State of an [`EwmaFilter`].
+    /// State of an [`EwmaLink`].
     Ewma {
         /// The current smoothed estimate, if initialised.
         value: Option<f64>,
         /// Number of valid observations consumed.
         seen: u64,
     },
-    /// State of a [`ThresholdFilter`].
+    /// State of a [`ThresholdLink`].
     Threshold {
         /// The last observation that passed the cut-off.
         last_passed: Option<f64>,
@@ -121,7 +128,7 @@ impl FilterState {
     }
 
     /// Checks that every sample the state holds is one
-    /// [`LatencyFilter::observe`] would have accepted. A state off the wire
+    /// [`LinkFilter::observe`] would have accepted. A state off the wire
     /// can carry anything; restored, a negative or NaN sample would come
     /// back out as the link's estimate.
     pub(crate) fn check_samples(&self) -> Result<(), StateMismatch> {
@@ -199,9 +206,9 @@ impl std::error::Error for StateMismatch {}
 /// A per-link latency filter.
 ///
 /// A filter receives the raw observation stream of **one** link and emits the
-/// latency estimate the coordinate algorithm should use. Implementations are
-/// deliberately small state machines; a node keeps one filter instance per
-/// neighbour.
+/// latency estimate the coordinate algorithm should use. Its one
+/// implementation is [`Filter`], a family's parameters beside one link's
+/// [`LinkFilter`] state.
 pub trait LatencyFilter {
     /// Feeds one raw observation (milliseconds) and returns the filtered
     /// estimate to use, or `None` when the filter chooses to suppress output
@@ -233,6 +240,105 @@ pub trait LatencyFilter {
     /// filter family or holds a sample [`observe`](LatencyFilter::observe)
     /// would refuse; the filter is left unchanged in that case.
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch>;
+}
+
+/// One link's state of a filter family, with the family's parameters held
+/// outside it — the one contract every family is written against.
+///
+/// `Self` is what evolves as the link's samples arrive (a window, a running
+/// average, a last sample and counters); [`Params`](LinkFilter::Params) is
+/// what every link filtered alike shares (the moving percentile's `h` and
+/// `p`, the EWMA's `α`, the threshold's cut-off) and is passed to each call.
+/// A holder of many links keeps the parameters once beside bare states; a
+/// [`Filter`] keeps them beside one. The parameters must be ones
+/// [`FilterConfig::validate`] accepts, and a state must always be passed the
+/// parameters it was made [`fresh`](LinkFilter::fresh) with.
+///
+/// # Examples
+///
+/// ```
+/// use nc_filters::{EwmaLink, LinkFilter};
+///
+/// let alpha = 0.5;
+/// let mut links = [EwmaLink::fresh(&alpha), EwmaLink::fresh(&alpha)];
+/// links[0].observe(&alpha, 10.0);
+/// assert_eq!(links[0].observe(&alpha, 20.0), Some(15.0));
+/// assert_eq!(links[1].estimate(&alpha), None);
+/// ```
+pub trait LinkFilter: Sized {
+    /// What every link of the family shares.
+    type Params;
+
+    /// The state of a link with no observation yet.
+    fn fresh(params: &Self::Params) -> Self;
+
+    /// Feeds one raw observation, as [`LatencyFilter::observe`].
+    fn observe(&mut self, params: &Self::Params, raw_rtt_ms: f64) -> Option<f64>;
+
+    /// The current estimate, as [`LatencyFilter::current_estimate`].
+    fn estimate(&self, params: &Self::Params) -> Option<f64>;
+
+    /// Valid observations consumed, as [`LatencyFilter::observations_seen`].
+    fn observations_seen(&self) -> u64;
+
+    /// The link's runtime state, as [`LatencyFilter::export_state`].
+    fn export_state(&self) -> FilterState;
+
+    /// Adopts exported state, as [`LatencyFilter::import_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateMismatch`] when `state` belongs to another family or
+    /// holds a sample [`observe`](LinkFilter::observe) would refuse; the
+    /// state is left unchanged in that case.
+    fn import_state(
+        &mut self,
+        params: &Self::Params,
+        state: &FilterState,
+    ) -> Result<(), StateMismatch>;
+}
+
+/// A standalone filter: a family's parameters beside one link's state.
+///
+/// [`MovingPercentileFilter`], [`EwmaFilter`], [`ThresholdFilter`] and
+/// [`RawFilter`] are its instances, each built by a constructor that checks
+/// its parameters through [`FilterConfig::validate`].
+#[derive(Debug, Clone, Default)]
+pub struct Filter<L: LinkFilter> {
+    params: L::Params,
+    link: L,
+}
+
+impl<L: LinkFilter> Filter<L> {
+    /// A filter with no observation yet, once `config` — the same family
+    /// and parameters as `params` — passes [`FilterConfig::validate`].
+    fn checked(config: FilterConfig, params: L::Params) -> Result<Self, FilterConfigError> {
+        config.validate()?;
+        let link = L::fresh(&params);
+        Ok(Filter { params, link })
+    }
+}
+
+impl<L: LinkFilter> LatencyFilter for Filter<L> {
+    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
+        self.link.observe(&self.params, raw_rtt_ms)
+    }
+
+    fn current_estimate(&self) -> Option<f64> {
+        self.link.estimate(&self.params)
+    }
+
+    fn observations_seen(&self) -> u64 {
+        self.link.observations_seen()
+    }
+
+    fn export_state(&self) -> FilterState {
+        self.link.export_state()
+    }
+
+    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
+        self.link.import_state(&self.params, state)
+    }
 }
 
 #[cfg(test)]

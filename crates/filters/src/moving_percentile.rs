@@ -15,15 +15,12 @@ use std::collections::VecDeque;
 use nc_stats::percentile::percentile_of_sorted;
 
 use crate::{
-    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+    is_valid_sample, Filter, FilterConfig, FilterConfigError, FilterState, LinkFilter,
+    StateMismatch,
 };
 
-/// Moving-percentile filter over a per-link observation window.
-///
-/// The filter is its two parameters beside one [`MovingPercentileWindow`],
-/// and every call passes them to the window. A holder of many links with
-/// the same parameters — a node's link store — keeps bare windows instead
-/// and the parameters once.
+/// Moving-percentile filter over a per-link observation window: the
+/// parameters `(h, p)` beside one [`MovingPercentileWindow`].
 ///
 /// # Examples
 ///
@@ -37,36 +34,27 @@ use crate::{
 /// let estimate = f.observe(101.0).unwrap();
 /// assert!(estimate <= 102.0, "the outlier is filtered out, got {estimate}");
 /// ```
-#[derive(Debug, Clone)]
-pub struct MovingPercentileFilter {
-    history_size: usize,
-    percentile: f64,
-    window: MovingPercentileWindow,
-}
+pub type MovingPercentileFilter = Filter<MovingPercentileWindow>;
 
 /// Window sizes up to this bound — the paper's `h = 4` — store the window
 /// inline in the window value itself.
 const INLINE_HISTORY: usize = 4;
 
 /// The per-link state of a moving-percentile filter: the last `h` valid
-/// samples and the count of valid samples seen, without the parameters.
-///
-/// `h` and `p` are the holder's to keep and to pass to every call:
-/// [`MovingPercentileFilter`] keeps them beside one window, a node's link
-/// store once for all its links. A window must always be passed the
-/// history size it was built with, and a percentile in `0.0..=100.0`
-/// ([`MovingPercentileFilter::new`] checks both parameters).
+/// samples and the count of valid samples seen. The family's parameters,
+/// the history size `h` and the percentile `p`, are held outside: its
+/// [`LinkFilter::Params`] are `(h, p)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use nc_filters::{LatencyFilter, MovingPercentileFilter, MovingPercentileWindow};
+/// use nc_filters::{LatencyFilter, LinkFilter, MovingPercentileFilter, MovingPercentileWindow};
 ///
-/// let (history, percentile) = (4, 25.0);
-/// let mut window = MovingPercentileWindow::new(history);
-/// let mut filter = MovingPercentileFilter::new(history, percentile).unwrap();
+/// let params = (4, 25.0);
+/// let mut window = MovingPercentileWindow::fresh(&params);
+/// let mut filter = MovingPercentileFilter::new(params.0, params.1).unwrap();
 /// for raw in [100.0, 102.0, 5_000.0, 101.0] {
-///     assert_eq!(window.observe(raw, history, percentile), filter.observe(raw));
+///     assert_eq!(window.observe(&params, raw), filter.observe(raw));
 /// }
 /// assert_eq!(window.export_state(), filter.export_state());
 /// ```
@@ -121,13 +109,6 @@ impl WindowStorage {
                 window: VecDeque::with_capacity(history_size),
                 sorted: Vec::with_capacity(history_size),
             }))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            WindowStorage::Inline { len, .. } => *len as usize,
-            WindowStorage::Heap(heap) => heap.window.len(),
         }
     }
 
@@ -208,76 +189,73 @@ impl WindowStorage {
     }
 }
 
-impl MovingPercentileWindow {
-    /// An empty window for a history of `history_size ≥ 1` samples.
-    pub fn new(history_size: usize) -> Self {
+impl MovingPercentileFilter {
+    /// Creates a filter with history size `h` and percentile `p` (0–100).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
+    /// reports for these parameters: `history_size == 0`, or `p` not a
+    /// finite value in `0.0..=100.0`.
+    pub fn new(history_size: usize, percentile: f64) -> Result<Self, FilterConfigError> {
+        let config = FilterConfig::MovingPercentile {
+            history: history_size,
+            percentile,
+        };
+        Filter::checked(config, (history_size, percentile))
+    }
+
+    /// The parameters the paper recommends and uses in its PlanetLab
+    /// deployment: a history of four observations and the 25th percentile.
+    pub fn paper_defaults() -> Self {
+        Self::new(4, 25.0).expect("paper defaults are valid")
+    }
+}
+
+/// The parameters are `(h, p)`: the history size and the percentile.
+impl LinkFilter for MovingPercentileWindow {
+    type Params = (usize, f64);
+
+    fn fresh(&(history_size, _): &(usize, f64)) -> Self {
         MovingPercentileWindow {
             samples: WindowStorage::with_capacity(history_size),
             seen: 0,
         }
     }
 
-    /// Number of observations currently held (≤ `h`).
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the window holds no observation yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of valid observations consumed, as
-    /// [`LatencyFilter::observations_seen`].
-    pub fn observations_seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Feeds one raw observation to a window of `history_size` samples and
-    /// returns its `percentile`-th percentile, as
-    /// [`LatencyFilter::observe`]: an invalid sample changes nothing and
-    /// yields `None`.
-    pub fn observe(
+    fn observe(
         &mut self,
+        &(history_size, percentile): &(usize, f64),
         raw_rtt_ms: f64,
-        history_size: usize,
-        percentile: f64,
     ) -> Option<f64> {
         if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.samples.push(raw_rtt_ms, history_size);
         self.seen += 1;
-        self.estimate(percentile)
-    }
-
-    /// The `percentile`-th percentile of the window, `None` while it is
-    /// empty, as [`LatencyFilter::current_estimate`].
-    pub fn estimate(&self, percentile: f64) -> Option<f64> {
         self.samples.estimate(percentile)
     }
 
-    /// The window's runtime state, as [`LatencyFilter::export_state`].
-    pub fn export_state(&self) -> FilterState {
+    fn estimate(&self, &(_, percentile): &(usize, f64)) -> Option<f64> {
+        self.samples.estimate(percentile)
+    }
+
+    fn observations_seen(&self) -> u64 {
+        self.seen
+    }
+
+    fn export_state(&self) -> FilterState {
         FilterState::MovingPercentile {
             window: self.samples.export_window(),
             seen: self.seen,
         }
     }
 
-    /// Adopts exported state into a window of `history_size` samples, as
-    /// [`LatencyFilter::import_state`]: of a longer exported window only
-    /// the newest `history_size` samples are kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateMismatch`] when `state` belongs to another family or
-    /// holds a sample [`observe`](MovingPercentileWindow::observe) would
-    /// refuse; the window is left unchanged in that case.
-    pub fn import_state(
+    /// Of a longer exported window only the newest `h` samples are kept.
+    fn import_state(
         &mut self,
+        &(history_size, _): &(usize, f64),
         state: &FilterState,
-        history_size: usize,
     ) -> Result<(), StateMismatch> {
         match state {
             FilterState::MovingPercentile { window, seen } => {
@@ -297,76 +275,19 @@ impl MovingPercentileWindow {
     }
 }
 
-impl MovingPercentileFilter {
-    /// Creates a filter with history size `h` and percentile `p` (0–100).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
-    /// reports for these parameters: `history_size == 0`, or `p` not a
-    /// finite value in `0.0..=100.0`.
-    pub fn new(history_size: usize, percentile: f64) -> Result<Self, FilterConfigError> {
-        FilterConfig::MovingPercentile {
-            history: history_size,
-            percentile,
-        }
-        .validate()?;
-        Ok(MovingPercentileFilter {
-            history_size,
-            percentile,
-            window: MovingPercentileWindow::new(history_size),
-        })
-    }
-
-    /// The parameters the paper recommends and uses in its PlanetLab
-    /// deployment: a history of four observations and the 25th percentile.
-    pub fn paper_defaults() -> Self {
-        Self::new(4, 25.0).expect("paper defaults are valid")
-    }
-
-    /// The configured history size `h`.
-    pub fn history_size(&self) -> usize {
-        self.history_size
-    }
-
-    /// The configured percentile `p`.
-    pub fn percentile(&self) -> f64 {
-        self.percentile
-    }
-
-    /// Number of observations currently held in the window (≤ `h`).
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-}
-
-impl LatencyFilter for MovingPercentileFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
-        self.window
-            .observe(raw_rtt_ms, self.history_size, self.percentile)
-    }
-
-    fn current_estimate(&self) -> Option<f64> {
-        self.window.estimate(self.percentile)
-    }
-
-    fn observations_seen(&self) -> u64 {
-        self.window.observations_seen()
-    }
-
-    fn export_state(&self) -> FilterState {
-        self.window.export_state()
-    }
-
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
-        self.window.import_state(state, self.history_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyFilter;
     use proptest::prelude::*;
+
+    /// Samples the filter's window holds.
+    fn window_len(filter: &MovingPercentileFilter) -> usize {
+        match filter.export_state() {
+            FilterState::MovingPercentile { window, .. } => window.len(),
+            other => panic!("{other:?}"),
+        }
+    }
 
     #[test]
     fn rejects_invalid_parameters() {
@@ -379,8 +300,7 @@ mod tests {
     #[test]
     fn paper_defaults_are_h4_p25() {
         let f = MovingPercentileFilter::paper_defaults();
-        assert_eq!(f.history_size(), 4);
-        assert_eq!(f.percentile(), 25.0);
+        assert_eq!(f.params, (4, 25.0));
     }
 
     #[test]
@@ -480,7 +400,7 @@ mod tests {
                     value: 0.0
                 }
             );
-            assert_eq!(f.window_len(), 1);
+            assert_eq!(window_len(&f), 1);
             assert_eq!(f.observe(5.0), Some(4.5));
             assert_eq!(f.observe(6.0), Some(5.0));
         }
@@ -494,23 +414,33 @@ mod tests {
         }
     }
 
-    /// Layout pin: `history_size` 8 + `percentile` 8 + the window 48 (its
-    /// storage's larger arm is the inline one: `[f64; 4]` = 32, `len` and
-    /// the enum tag sharing one more word; then `seen` 8) = 64 bytes. A
-    /// node's link store holds a bare window per measured link, a large
-    /// simulation hundreds of thousands, so a field added to either is a
-    /// conscious decision.
+    /// Layout pin: the per-link state of every family, and the standalone
+    /// moving-percentile filter. A node's link store holds one bare state
+    /// per measured link, a large simulation hundreds of thousands, so a
+    /// field added to any of them is a conscious decision:
+    /// - raw: `last` 16 (`Option<f64>`) + `seen` 8 = 24;
+    /// - EWMA: `value` 16 + `seen` 8 = 24 (`α` is held outside);
+    /// - threshold: `last_passed` 16 + `seen` 8 + `discarded` 8 = 32 (the
+    ///   cut-off is held outside);
+    /// - moving-percentile window ≤ 48: its storage's larger arm is the
+    ///   inline one, `[f64; 4]` = 32 with `len` and the enum tag sharing one
+    ///   more word, then `seen` 8;
+    /// - `MovingPercentileFilter` ≤ 64: `(h, p)` 16 beside the window.
     #[test]
     fn layout_pin_filter_within_64_bytes() {
-        let window = std::mem::size_of::<MovingPercentileWindow>();
+        use std::mem::size_of;
+        assert_eq!(size_of::<crate::RawLink>(), 24);
+        assert_eq!(size_of::<crate::EwmaLink>(), 24);
+        assert_eq!(size_of::<crate::ThresholdLink>(), 32);
+        let window = size_of::<MovingPercentileWindow>();
         assert!(
             window <= 48,
             "MovingPercentileWindow grew to {window} bytes"
         );
         assert!(
-            std::mem::size_of::<MovingPercentileFilter>() <= 64,
+            size_of::<MovingPercentileFilter>() <= 64,
             "MovingPercentileFilter grew to {} bytes",
-            std::mem::size_of::<MovingPercentileFilter>()
+            size_of::<MovingPercentileFilter>()
         );
     }
 
@@ -642,7 +572,7 @@ mod tests {
             let mut f = MovingPercentileFilter::new(h, 25.0).unwrap();
             for &v in &values {
                 f.observe(v);
-                prop_assert!(f.window_len() <= h);
+                prop_assert!(window_len(&f) <= h);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Identity pass-through — the "No Filter" configuration.
 
-use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
+use crate::{is_valid_sample, Filter, FilterState, LinkFilter, StateMismatch};
 
 /// Passes every valid observation straight through. This is the
 /// configuration the paper calls "No Filter" / "Raw": the original Vivaldi
@@ -14,8 +14,12 @@ use crate::{is_valid_sample, FilterState, LatencyFilter, StateMismatch};
 /// let mut f = RawFilter::new();
 /// assert_eq!(f.observe(123.4), Some(123.4));
 /// ```
+pub type RawFilter = Filter<RawLink>;
+
+/// The per-link state of a [`RawFilter`]: the last valid sample and the
+/// count of valid samples. The family has no parameters.
 #[derive(Debug, Clone, Default)]
-pub struct RawFilter {
+pub struct RawLink {
     last: Option<f64>,
     seen: u64,
 }
@@ -27,8 +31,14 @@ impl RawFilter {
     }
 }
 
-impl LatencyFilter for RawFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
+impl LinkFilter for RawLink {
+    type Params = ();
+
+    fn fresh(_: &()) -> Self {
+        RawLink::default()
+    }
+
+    fn observe(&mut self, _: &(), raw_rtt_ms: f64) -> Option<f64> {
         if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
@@ -37,7 +47,7 @@ impl LatencyFilter for RawFilter {
         Some(raw_rtt_ms)
     }
 
-    fn current_estimate(&self) -> Option<f64> {
+    fn estimate(&self, _: &()) -> Option<f64> {
         self.last
     }
 
@@ -52,7 +62,7 @@ impl LatencyFilter for RawFilter {
         }
     }
 
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
+    fn import_state(&mut self, _: &(), state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::Raw { last, seen } => {
                 state.check_samples()?;
@@ -71,6 +81,7 @@ impl LatencyFilter for RawFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyFilter;
     use proptest::prelude::*;
 
     #[test]

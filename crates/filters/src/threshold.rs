@@ -8,7 +8,8 @@
 //! outliers are 500 ms.
 
 use crate::{
-    is_valid_sample, FilterConfig, FilterConfigError, FilterState, LatencyFilter, StateMismatch,
+    is_valid_sample, Filter, FilterConfig, FilterConfigError, FilterState, LinkFilter,
+    StateMismatch,
 };
 
 /// Pass-through filter that drops observations above a fixed cut-off.
@@ -22,9 +23,14 @@ use crate::{
 /// assert_eq!(f.observe(80.0), Some(80.0));
 /// assert_eq!(f.observe(5000.0), None); // discarded
 /// ```
+pub type ThresholdFilter = Filter<ThresholdLink>;
+
+/// The per-link state of a [`ThresholdFilter`]: the last sample that
+/// passed, the count of valid samples and the count of those the cut-off
+/// discarded. The family's parameter, the cut-off in milliseconds, is held
+/// outside.
 #[derive(Debug, Clone)]
-pub struct ThresholdFilter {
-    cutoff_ms: f64,
+pub struct ThresholdLink {
     last_passed: Option<f64>,
     seen: u64,
     discarded: u64,
@@ -38,33 +44,28 @@ impl ThresholdFilter {
     /// Returns the [`FilterConfigError`] that [`FilterConfig::validate`]
     /// reports when the cut-off is not a positive finite number.
     pub fn new(cutoff_ms: f64) -> Result<Self, FilterConfigError> {
-        FilterConfig::Threshold { cutoff_ms }.validate()?;
-        Ok(ThresholdFilter {
-            cutoff_ms,
-            last_passed: None,
-            seen: 0,
-            discarded: 0,
-        })
-    }
-
-    /// The configured cut-off in milliseconds.
-    pub fn cutoff_ms(&self) -> f64 {
-        self.cutoff_ms
-    }
-
-    /// Number of observations discarded so far.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
+        Filter::checked(FilterConfig::Threshold { cutoff_ms }, cutoff_ms)
     }
 }
 
-impl LatencyFilter for ThresholdFilter {
-    fn observe(&mut self, raw_rtt_ms: f64) -> Option<f64> {
+/// The parameter is the cut-off in milliseconds.
+impl LinkFilter for ThresholdLink {
+    type Params = f64;
+
+    fn fresh(_: &f64) -> Self {
+        ThresholdLink {
+            last_passed: None,
+            seen: 0,
+            discarded: 0,
+        }
+    }
+
+    fn observe(&mut self, &cutoff_ms: &f64, raw_rtt_ms: f64) -> Option<f64> {
         if !is_valid_sample(raw_rtt_ms) {
             return None;
         }
         self.seen += 1;
-        if raw_rtt_ms > self.cutoff_ms {
+        if raw_rtt_ms > cutoff_ms {
             self.discarded += 1;
             return None;
         }
@@ -72,7 +73,7 @@ impl LatencyFilter for ThresholdFilter {
         Some(raw_rtt_ms)
     }
 
-    fn current_estimate(&self) -> Option<f64> {
+    fn estimate(&self, _: &f64) -> Option<f64> {
         self.last_passed
     }
 
@@ -88,7 +89,7 @@ impl LatencyFilter for ThresholdFilter {
         }
     }
 
-    fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
+    fn import_state(&mut self, _: &f64, state: &FilterState) -> Result<(), StateMismatch> {
         match state {
             FilterState::Threshold {
                 last_passed,
@@ -112,6 +113,7 @@ impl LatencyFilter for ThresholdFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyFilter;
     use proptest::prelude::*;
 
     #[test]
@@ -127,7 +129,10 @@ mod tests {
         assert_eq!(f.observe(99.0), Some(99.0));
         assert_eq!(f.observe(100.0), Some(100.0));
         assert_eq!(f.observe(100.1), None);
-        assert_eq!(f.discarded(), 1);
+        assert!(matches!(
+            f.export_state(),
+            FilterState::Threshold { discarded: 1, .. }
+        ));
         assert_eq!(f.observations_seen(), 3);
         assert_eq!(f.current_estimate(), Some(100.0));
     }

@@ -368,15 +368,10 @@ impl SimConfig {
     }
 
     /// Makes a seeded random `fraction` of the population run `model`
-    /// (see [`AdversaryConfig`] for the seed default).
+    /// (see [`AdversaryConfig`] for the seed default; another seed is set
+    /// through the [`adversary`](SimConfig::adversary) field).
     pub fn with_adversaries(mut self, fraction: f64, model: AdversaryModel) -> Self {
         self.adversary = Some(AdversaryConfig::new(fraction, model));
-        self
-    }
-
-    /// Sets the full adversary assignment, including its RNG seed.
-    pub fn with_adversary_config(mut self, adversary: AdversaryConfig) -> Self {
-        self.adversary = Some(adversary);
         self
     }
 
@@ -1824,7 +1819,7 @@ mod tests {
         };
         assert!(good
             .clone()
-            .with_adversary_config(AdversaryConfig::new(0.25, liar.clone()))
+            .with_adversaries(0.25, liar.clone())
             .validate()
             .is_ok());
 

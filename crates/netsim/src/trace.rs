@@ -7,6 +7,8 @@
 //! produces such traces from the synthetic substrate: every record says who
 //! pinged whom, when, and what RTT the probe observed.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::linkmodel::{LinkModel, LinkModelConfig};
@@ -89,6 +91,8 @@ impl TraceConfig {
 pub struct TraceGenerator {
     config: TraceConfig,
     topology: Topology,
+    /// The network's link model configuration, shared by every link.
+    link_config: Arc<LinkModelConfig>,
     links: FxHashMap<(usize, usize), LinkModel>,
 }
 
@@ -104,9 +108,11 @@ impl TraceGenerator {
             panic!("invalid trace schedule: {error}");
         }
         let topology = config.network.build_topology();
+        let link_config = Arc::new(config.network.link_config().clone());
         TraceGenerator {
             config,
             topology,
+            link_config,
             links: FxHashMap::default(),
         }
     }
@@ -121,17 +127,21 @@ impl TraceGenerator {
         &self.topology
     }
 
-    fn link_config(&self) -> LinkModelConfig {
-        self.config.network.link_config().clone()
-    }
-
-    fn link_seed(&self, a: usize, b: usize) -> u64 {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.config
+    /// The model of the (unordered) link `a`–`b`, built on first use.
+    fn link(&mut self, a: usize, b: usize) -> &mut LinkModel {
+        let key = if a < b { (a, b) } else { (b, a) };
+        let seed = self
+            .config
             .network
             .seed()
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((lo as u64) << 32 | hi as u64)
+            .wrapping_add((key.0 as u64) << 32 | key.1 as u64);
+        let duration = self.config.duration_s;
+        let base = self.topology.base_rtt_ms(key.0, key.1);
+        let shared = &self.link_config;
+        self.links.entry(key).or_insert_with(|| {
+            LinkModel::with_shared_config(base, Arc::clone(shared), duration, seed)
+        })
     }
 
     /// Samples one observation of the (unordered) link `a`–`b` at `time_s`.
@@ -141,30 +151,12 @@ impl TraceGenerator {
     /// Panics when `a == b` or either index is out of range.
     pub fn sample_link(&mut self, a: usize, b: usize, time_s: f64) -> f64 {
         assert!(a != b, "a node does not ping itself");
-        let key = if a < b { (a, b) } else { (b, a) };
-        let seed = self.link_seed(a, b);
-        let duration = self.config.duration_s;
-        let link_config = self.link_config();
-        let base = self.topology.base_rtt_ms(key.0, key.1);
-        let model = self
-            .links
-            .entry(key)
-            .or_insert_with(|| LinkModel::new(base, link_config, duration, seed));
-        model.sample(time_s)
+        self.link(a, b).sample(time_s)
     }
 
     /// The underlying (noise-free) latency of link `a`–`b` at `time_s`.
     pub fn underlying_rtt_ms(&mut self, a: usize, b: usize, time_s: f64) -> f64 {
-        let key = if a < b { (a, b) } else { (b, a) };
-        let seed = self.link_seed(a, b);
-        let duration = self.config.duration_s;
-        let link_config = self.link_config();
-        let base = self.topology.base_rtt_ms(key.0, key.1);
-        let model = self
-            .links
-            .entry(key)
-            .or_insert_with(|| LinkModel::new(base, link_config, duration, seed));
-        model.underlying_rtt_ms(time_s)
+        self.link(a, b).underlying_rtt_ms(time_s)
     }
 
     /// Generates the full trace: at every probe interval each node probes the

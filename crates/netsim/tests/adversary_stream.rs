@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use nc_netsim::adversary::{AdversaryConfig, AdversaryModel};
+use nc_netsim::adversary::AdversaryModel;
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::{Scenario, ScenarioAction};
@@ -50,7 +50,7 @@ fn zero_adversary_fraction_preserves_the_event_stream() {
     // RNG is never consumed and the report must not change by a byte.
     let with_block = encode(&mut Simulator::new(
         workload(),
-        base_sim_config().with_adversary_config(AdversaryConfig::new(0.0, liar())),
+        base_sim_config().with_adversaries(0.0, liar()),
         configs(),
     ));
     assert_eq!(with_block, baseline);
@@ -144,8 +144,7 @@ proptest! {
             let workload = PlanetLabConfig::small(NODES)
                 .with_seed(seed)
                 .with_link_config(link);
-            let sim_config = base_sim_config()
-                .with_adversary_config(AdversaryConfig::new(fraction, model.clone()));
+            let sim_config = base_sim_config().with_adversaries(fraction, model.clone());
             let mut node = NodeConfig::builder();
             if gated {
                 node = node.outlier_gate(OutlierGateConfig::default());
