@@ -1,8 +1,6 @@
 //! Which heuristic a node runs, and the one place its parameters are
 //! checked.
 
-use serde::{Deserialize, Serialize};
-
 use crate::heuristics::{
     ApplicationHeuristic, CentroidHeuristic, EnergyHeuristic, Heuristic, RelativeHeuristic,
     SystemHeuristic,
@@ -28,7 +26,7 @@ use crate::heuristics::{
 ///     Err(HeuristicConfigError::WindowTooSmall { window: 1, min: 2 })
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HeuristicConfig {
     /// Publish every system-level update unchanged — the application sees the
     /// raw (filtered) coordinate stream. This is the "Raw MP Filter"

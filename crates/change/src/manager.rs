@@ -31,7 +31,7 @@ pub struct ApplicationState {
 }
 
 /// One published change of the application-level coordinate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationUpdate {
     /// The coordinate that was published before this update.
     pub previous: Coordinate,

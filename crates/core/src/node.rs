@@ -7,10 +7,10 @@ use std::hash::Hash;
 
 use nc_change::{ApplicationCoordinate, Heuristic, HeuristicStateMismatch, UpdateContext};
 
-use crate::fxhash::FxHashMap;
 use nc_filters::StateMismatch;
 use nc_proto::{
     Event, GossipEntry, LinkSnapshot, NodeSnapshot, PendingProbe, ProbeRequest, ProbeResponse,
+    SnapshotError,
 };
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
@@ -99,23 +99,9 @@ pub enum RestoreError {
     /// A link's filter state belongs to a different filter family than the
     /// configuration builds.
     Filter(StateMismatch),
-    /// A link's last-known error estimate is NaN or infinite. Restored, it
-    /// would ride out on this node's gossip, and every peer drops a response
-    /// carrying one as malformed.
-    ErrorEstimate,
-    /// The nearest neighbour names no link with a filter state in the
-    /// snapshot, or carries an RTT that is not finite and non-negative.
-    /// Restored, a neighbour without a link is never re-measured and a NaN
-    /// RTT is never beaten (`x < NaN` is false), so either would hold the
-    /// title — and RELATIVE's context — for the node's lifetime.
-    NearestNeighbor,
-    /// The membership list names a peer twice, or names the node's own
-    /// identity — both of which the node refuses to enter into its probe
-    /// rotation itself. Restored, a repeated peer is probed twice a cycle
-    /// and outlives its eviction, which removes one occurrence; the node's
-    /// own id is probed every cycle, and each such probe is counted lost,
-    /// because a node drops replies from itself.
-    Membership,
+    /// The snapshot breaks a rule of [`NodeSnapshot::validate`], one that
+    /// holds whatever the configuration.
+    Snapshot(SnapshotError),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -128,20 +114,7 @@ impl std::fmt::Display for RestoreError {
             RestoreError::Config(e) => write!(f, "{e}"),
             RestoreError::Heuristic(e) => write!(f, "{e}"),
             RestoreError::Filter(e) => write!(f, "{e}"),
-            RestoreError::ErrorEstimate => {
-                write!(
-                    f,
-                    "snapshot holds a link whose error estimate is not finite"
-                )
-            }
-            RestoreError::NearestNeighbor => write!(
-                f,
-                "snapshot's nearest neighbour is not a measured link with a finite, non-negative RTT"
-            ),
-            RestoreError::Membership => write!(
-                f,
-                "snapshot's membership names a peer twice or names the node itself"
-            ),
+            RestoreError::Snapshot(e) => write!(f, "{e}"),
         }
     }
 }
@@ -769,18 +742,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     ///
     /// # Errors
     ///
-    /// Fails when [`NodeConfig::validate`] refuses `config`, when the
-    /// coordinate spaces disagree, when a link's error
-    /// estimate is not finite, when the nearest neighbour is not a measured
-    /// link of the snapshot or its RTT is not a finite non-negative number,
-    /// when the membership names a peer twice or names the node itself,
-    /// when the configuration builds a different filter or heuristic family
-    /// than the snapshot's states belong to, or when a link's filter state
-    /// holds a sample the filter would have refused to observe. (The
-    /// protocol version is the binary frame's business: a snapshot read
-    /// from bytes was checked when it was decoded.)
+    /// [`RestoreError::Config`] or [`RestoreError::Snapshot`] when
+    /// [`NodeConfig::validate`] or [`NodeSnapshot::validate`] refuses its
+    /// input; [`RestoreError::Dimensions`] when a snapshot coordinate has
+    /// another dimensionality than the configuration; and
+    /// [`RestoreError::Heuristic`] or [`RestoreError::Filter`] when the
+    /// configuration builds another heuristic or filter family than the
+    /// snapshot's states belong to. (A snapshot read from bytes had its
+    /// frame, version and `validate` checked when it was decoded.)
     pub fn restore(config: NodeConfig, snapshot: &NodeSnapshot<Id>) -> Result<Self, RestoreError> {
         config.validate().map_err(RestoreError::Config)?;
+        snapshot.validate().map_err(RestoreError::Snapshot)?;
         let expected = config.vivaldi.dimensions();
         // Every coordinate in the snapshot must live in the configured
         // space: the Vivaldi coordinate, the published application
@@ -796,35 +768,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
             if expected != found {
                 return Err(RestoreError::Dimensions { expected, found });
             }
-        }
-        if snapshot
-            .links
-            .iter()
-            .any(|link| !link.error_estimate.is_finite())
-        {
-            return Err(RestoreError::ErrorEstimate);
-        }
-        // An honest node's nearest neighbour is always a measured link with
-        // a filtered RTT: `evict` recomputes it when its link goes.
-        if let Some((nearest, rtt)) = &snapshot.nearest_neighbor {
-            let measured = snapshot
-                .links
-                .iter()
-                .any(|link| link.id == *nearest && link.filter.is_some());
-            if !(measured && rtt.is_finite() && *rtt >= 0.0) {
-                return Err(RestoreError::NearestNeighbor);
-            }
-        }
-        // The rotation a node builds holds each peer once and never the
-        // node itself (`register_member`); one off the wire must too.
-        let mut members = FxHashMap::default();
-        members.reserve(snapshot.membership.len());
-        if snapshot
-            .membership
-            .iter()
-            .any(|id| snapshot.identity.as_ref() == Some(id) || members.insert(id, ()).is_some())
-        {
-            return Err(RestoreError::Membership);
         }
         let mut node = Self::new(config);
         // Runtime state comes from the snapshot, tuning constants from the
@@ -870,12 +813,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         node.nearest_neighbor = snapshot.nearest_neighbor.clone();
         node.observations = snapshot.observations;
         node.identity = snapshot.identity.clone();
-        // Snapshots written before the rotation became churn-stable carry a
-        // free-running counter; reducing it modulo the schedule length lands
-        // on the same next peer either way.
-        node.probe_cursor = match node.peers.rotation_len() {
-            0 => 0,
-            len => snapshot.probe_cursor % len,
+        // An engine's cursor stands at most at the end of the rotation,
+        // where the last peer's probe leaves it, and is restored there: a
+        // peer learned next is probed next, as by the snapshotted node, and
+        // the node snapshots to the same bytes. Snapshots written before the
+        // rotation became churn-stable carry a free-running counter;
+        // reducing it modulo the schedule length lands on the same next
+        // peer.
+        let len = node.peers.rotation_len();
+        node.probe_cursor = match snapshot.probe_cursor {
+            cursor if cursor <= len => cursor,
+            cursor => cursor.checked_rem(len).unwrap_or(0),
         };
         node.gossip_cursor = snapshot.gossip_cursor;
         node.ledger = ProbeLedger::import(node.config.max_consecutive_losses, snapshot);
@@ -2298,7 +2246,11 @@ mod tests {
             let mut snapshot = node.snapshot();
             snapshot.links[1].error_estimate = poison;
             let err = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap_err();
-            assert_eq!(err, RestoreError::ErrorEstimate, "{err}");
+            assert_eq!(
+                err,
+                RestoreError::Snapshot(SnapshotError::ErrorEstimate),
+                "{err}"
+            );
         }
     }
 
@@ -2324,7 +2276,11 @@ mod tests {
             let mut snapshot = honest.clone();
             snapshot.nearest_neighbor = Some(ghost);
             let err = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap_err();
-            assert_eq!(err, RestoreError::NearestNeighbor, "{ghost:?}");
+            assert_eq!(
+                err,
+                RestoreError::Snapshot(SnapshotError::NearestNeighbor),
+                "{ghost:?}"
+            );
         }
         assert!(Node::restore(NodeConfig::paper_defaults(), &honest).is_ok());
     }
@@ -2352,7 +2308,12 @@ mod tests {
             let mut snapshot = honest.clone();
             snapshot.membership = forged;
             let err = Node::restore(config.clone(), &snapshot).unwrap_err();
-            assert_eq!(err, RestoreError::Membership, "{:?}", snapshot.membership);
+            assert_eq!(
+                err,
+                RestoreError::Snapshot(SnapshotError::Membership),
+                "{:?}",
+                snapshot.membership
+            );
             assert!(err.to_string().contains("membership"), "{err}");
         }
         // The honest rotation holds 1 once, through an eviction and the
@@ -2613,11 +2574,70 @@ mod tests {
                 }
                 let err = Node::restore(config.clone(), &hostile).unwrap_err();
                 assert!(
-                    matches!(err, RestoreError::Filter(StateMismatch::Sample { .. })),
+                    matches!(
+                        err,
+                        RestoreError::Snapshot(SnapshotError::Filter(StateMismatch::Sample { .. }))
+                    ),
                     "{filter:?} restored {poison}: {err}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn restore_rejects_filter_counters_that_contradict_the_samples() {
+        // Restored, a window of three samples counted as none seen was
+        // listed with a filtered RTT and zero observations, and a link
+        // holding samples counted as cold under any warm-up.
+        let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
+        let forged = [
+            (
+                FilterConfig::paper_mp(),
+                FilterState::MovingPercentile {
+                    window: vec![5.0, 6.0, 7.0],
+                    seen: 0,
+                },
+            ),
+            (
+                FilterConfig::Threshold { cutoff_ms: 1_000.0 },
+                FilterState::Threshold {
+                    last_passed: Some(30.0),
+                    seen: 1,
+                    discarded: 7,
+                },
+            ),
+        ];
+        for (filter, state) in forged {
+            let config = filtered(filter, 0);
+            let mut node = Node::new(config.clone());
+            feed(&mut node, 1, remote.clone(), 0.5, 30.0);
+            let mut hostile = node.snapshot();
+            hostile.links[0].filter = Some(state.clone());
+            let err = Node::restore(config, &hostile).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RestoreError::Snapshot(SnapshotError::Filter(StateMismatch::Counters { .. }))
+                ),
+                "{state:?} restored: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_application_displacement_that_is_not_a_finite_non_negative_number() {
+        // Restored, a NaN total read NaN in `view()` for the node's
+        // lifetime: every published displacement is added to it.
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        feed_with_gossip(&mut node, 1, 50);
+        let honest = node.snapshot();
+        for poison in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut snapshot = honest.clone();
+            snapshot.application.total_displacement_ms = poison;
+            let err = Node::restore(NodeConfig::paper_defaults(), &snapshot).unwrap_err();
+            assert_eq!(err, RestoreError::Snapshot(SnapshotError::Displacement));
+        }
+        assert!(Node::restore(NodeConfig::paper_defaults(), &honest).is_ok());
     }
 
     #[test]

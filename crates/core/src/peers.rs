@@ -618,12 +618,11 @@ impl LinkStore {
     }
 
     /// Puts a link whose filter state is `state` where `slot` names, or
-    /// stores it and names it there.
+    /// stores it and names it there; `state` is one `restore` validated.
     ///
     /// # Errors
     ///
-    /// Returns the [`StateMismatch`] the family's filter refuses `state`
-    /// with; nothing is stored then.
+    /// The [`StateMismatch`] of a foreign family; nothing is stored then.
     pub(crate) fn import(
         &mut self,
         slot: &mut Option<Handle>,

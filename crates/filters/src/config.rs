@@ -1,7 +1,5 @@
 //! Which filter a link runs, and the one place its parameters are checked.
 
-use serde::{Deserialize, Serialize};
-
 /// Which per-link filter a node applies to raw latency observations.
 ///
 /// [`FilterConfig::validate`] holds every filter-parameter rule; the
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(config.validate(), Err(FilterConfigError::AlphaOutOfRange(1.5)));
 /// assert_eq!(EwmaFilter::new(1.5).unwrap_err(), FilterConfigError::AlphaOutOfRange(1.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterConfig {
     /// No filtering: raw observations go straight into Vivaldi (the paper's
     /// "No Filter" baseline).

@@ -88,18 +88,12 @@ impl LinkFilter for EwmaLink {
     }
 
     fn import_state(&mut self, _: &f64, state: &FilterState) -> Result<(), StateMismatch> {
-        match state {
-            FilterState::Ewma { value, seen } => {
-                state.check_samples()?;
-                self.value = *value;
-                self.seen = *seen;
-                Ok(())
-            }
-            other => Err(StateMismatch::Family {
-                expected: "ewma",
-                found: other.family(),
-            }),
-        }
+        let FilterState::Ewma { value, seen } = *state else {
+            return Err(state.foreign("ewma"));
+        };
+        self.value = value;
+        self.seen = seen;
+        Ok(())
     }
 }
 

@@ -69,7 +69,7 @@ pub use threshold::{ThresholdFilter, ThresholdLink};
 
 /// Whether `rtt_ms` is a sample a filter accepts: finite and positive.
 /// Anything else is refused by [`LinkFilter::observe`] and, inside
-/// imported state, by [`LinkFilter::import_state`].
+/// exported state, by [`FilterState::validate`].
 pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
     rtt_ms.is_finite() && rtt_ms > 0.0
 }
@@ -81,7 +81,8 @@ pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
 /// configuration (history size, percentile, cut-off), which is supplied
 /// separately when a filter is rebuilt. Used by snapshot/restore: a link
 /// exports its state with [`LinkFilter::export_state`] and a fresh link of
-/// the same family re-adopts it with [`LinkFilter::import_state`].
+/// the same family re-adopts it with [`LinkFilter::import_state`], once
+/// [`validate`](FilterState::validate) accepts it.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FilterState {
     /// State of a [`RawLink`].
@@ -127,23 +128,38 @@ impl FilterState {
         }
     }
 
-    /// Checks that every sample the state holds is one
-    /// [`LinkFilter::observe`] would have accepted. A state off the wire
-    /// can carry anything; restored, a negative or NaN sample would come
-    /// back out as the link's estimate.
-    pub(crate) fn check_samples(&self) -> Result<(), StateMismatch> {
-        let samples: &[f64] = match self {
-            FilterState::Raw { last, .. } => last.as_slice(),
-            FilterState::MovingPercentile { window, .. } => window,
-            FilterState::Ewma { value, .. } => value.as_slice(),
-            FilterState::Threshold { last_passed, .. } => last_passed.as_slice(),
+    /// The error of a link of the `expected` family importing this state.
+    pub(crate) fn foreign(&self, expected: &'static str) -> StateMismatch {
+        let found = self.family();
+        StateMismatch::Family { expected, found }
+    }
+
+    /// Checks the rules every exported state satisfies: each sample held is
+    /// one [`LinkFilter::observe`] accepts, and at least as many passed
+    /// (`seen`, less a threshold's `discarded ≤ seen`) as are held.
+    ///
+    /// # Errors
+    ///
+    /// [`StateMismatch::Sample`] for the first invalid sample, else
+    /// [`StateMismatch::Counters`].
+    pub fn validate(&self) -> Result<(), StateMismatch> {
+        let (samples, seen, discarded): (&[f64], u64, u64) = match self {
+            FilterState::Raw { last, seen } => (last.as_slice(), *seen, 0),
+            FilterState::MovingPercentile { window, seen } => (window, *seen, 0),
+            FilterState::Ewma { value, seen } => (value.as_slice(), *seen, 0),
+            FilterState::Threshold {
+                last_passed,
+                seen,
+                discarded,
+            } => (last_passed.as_slice(), *seen, *discarded),
         };
-        match samples.iter().find(|&&sample| !is_valid_sample(sample)) {
-            Some(&value) => Err(StateMismatch::Sample {
-                family: self.family(),
-                value,
-            }),
-            None => Ok(()),
+        let family = self.family();
+        if let Some(&value) = samples.iter().find(|&&sample| !is_valid_sample(sample)) {
+            return Err(StateMismatch::Sample { family, value });
+        }
+        match seen.checked_sub(discarded) {
+            Some(passed) if passed >= samples.len() as u64 => Ok(()),
+            _ => Err(StateMismatch::Counters { family, seen }),
         }
     }
 }
@@ -186,6 +202,14 @@ pub enum StateMismatch {
         /// The first such sample.
         value: f64,
     },
+    /// The state discarded more samples than it saw, or holds more than
+    /// passed.
+    Counters {
+        /// The family of the state.
+        family: &'static str,
+        /// The state's count of valid samples seen.
+        seen: u64,
+    },
 }
 
 impl std::fmt::Display for StateMismatch {
@@ -196,6 +220,9 @@ impl std::fmt::Display for StateMismatch {
             }
             StateMismatch::Sample { family, value } => {
                 write!(f, "{family} filter state holds the invalid sample {value}")
+            }
+            StateMismatch::Counters { family, seen } => {
+                write!(f, "{family} filter state's counters conflict ({seen} seen)")
             }
         }
     }
@@ -237,8 +264,8 @@ pub trait LatencyFilter {
     /// # Errors
     ///
     /// Returns [`StateMismatch`] when `state` was exported by a different
-    /// filter family or holds a sample [`observe`](LatencyFilter::observe)
-    /// would refuse; the filter is left unchanged in that case.
+    /// filter family or [`FilterState::validate`] refuses it; the filter is
+    /// left unchanged in that case.
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch>;
 }
 
@@ -284,13 +311,13 @@ pub trait LinkFilter: Sized {
     /// The link's runtime state, as [`LatencyFilter::export_state`].
     fn export_state(&self) -> FilterState;
 
-    /// Adopts exported state, as [`LatencyFilter::import_state`].
+    /// Adopts exported state that [`FilterState::validate`] accepted,
+    /// checking only its family.
     ///
     /// # Errors
     ///
-    /// Returns [`StateMismatch`] when `state` belongs to another family or
-    /// holds a sample [`observe`](LinkFilter::observe) would refuse; the
-    /// state is left unchanged in that case.
+    /// [`StateMismatch::Family`] for another family's state, leaving the
+    /// link unchanged.
     fn import_state(
         &mut self,
         params: &Self::Params,
@@ -337,6 +364,7 @@ impl<L: LinkFilter> LatencyFilter for Filter<L> {
     }
 
     fn import_state(&mut self, state: &FilterState) -> Result<(), StateMismatch> {
+        state.validate()?;
         self.link.import_state(&self.params, state)
     }
 }
@@ -457,6 +485,147 @@ mod tests {
                 },
                 bad,
             );
+        }
+    }
+
+    #[test]
+    fn importing_counters_that_contradict_the_samples_is_rejected() {
+        let mp = MovingPercentileFilter::paper_defaults;
+        let threshold = || ThresholdFilter::new(1_000.0).unwrap();
+        let contradictions: [(Box<dyn LatencyFilter>, FilterState); 6] = [
+            // Three samples held, none counted: restored, a cold link.
+            (
+                Box::new(mp()),
+                FilterState::MovingPercentile {
+                    window: vec![5.0, 6.0, 7.0],
+                    seen: 0,
+                },
+            ),
+            (
+                Box::new(mp()),
+                FilterState::MovingPercentile {
+                    window: vec![5.0, 6.0, 7.0],
+                    seen: 2,
+                },
+            ),
+            // Seven discarded of one seen.
+            (
+                Box::new(threshold()),
+                FilterState::Threshold {
+                    last_passed: Some(80.0),
+                    seen: 1,
+                    discarded: 7,
+                },
+            ),
+            (
+                Box::new(threshold()),
+                FilterState::Threshold {
+                    last_passed: None,
+                    seen: 1,
+                    discarded: 2,
+                },
+            ),
+            // A sample passed, though every sample seen was discarded.
+            (
+                Box::new(threshold()),
+                FilterState::Threshold {
+                    last_passed: Some(80.0),
+                    seen: 3,
+                    discarded: 3,
+                },
+            ),
+            (
+                Box::new(EwmaFilter::new(0.1).unwrap()),
+                FilterState::Ewma {
+                    value: Some(80.0),
+                    seen: 0,
+                },
+            ),
+        ];
+        for (mut filter, state) in contradictions {
+            filter.observe(40.0);
+            let before = filter.export_state();
+            let err = filter.import_state(&state).unwrap_err();
+            assert!(
+                matches!(err, StateMismatch::Counters { family, .. } if family == state.family()),
+                "{state:?} refused as {err}"
+            );
+            assert!(!err.to_string().is_empty());
+            assert_eq!(filter.export_state(), before, "{state:?}");
+        }
+        let raw = FilterState::Raw {
+            last: Some(80.0),
+            seen: 0,
+        };
+        assert!(matches!(
+            RawFilter::new().import_state(&raw),
+            Err(StateMismatch::Counters {
+                family: "raw",
+                seen: 0
+            })
+        ));
+        // The edges every exporter reaches are accepted.
+        for state in [
+            FilterState::Raw {
+                last: None,
+                seen: 0,
+            },
+            FilterState::MovingPercentile {
+                window: vec![5.0, 6.0, 7.0],
+                seen: 3,
+            },
+            FilterState::Threshold {
+                last_passed: None,
+                seen: 3,
+                discarded: 3,
+            },
+            FilterState::Threshold {
+                last_passed: Some(80.0),
+                seen: 4,
+                discarded: 3,
+            },
+        ] {
+            assert_eq!(state.validate(), Ok(()), "{state:?}");
+        }
+    }
+
+    /// Maps a random word onto an observation: ordinary latencies, values
+    /// above any cut-off drawn below, and samples `observe` refuses.
+    fn observation(word: u64) -> f64 {
+        match word % 8 {
+            0 => f64::NAN,
+            1 => -((word >> 8) as f64),
+            2 => 0.0,
+            3 => 1e6 + (word >> 8) as f64,
+            _ => 0.1 + ((word >> 8) % 5_000) as f64,
+        }
+    }
+
+    proptest::proptest! {
+        /// `validate` is not stricter than the filters: every state any
+        /// family exports, after any observation sequence, passes it.
+        #[test]
+        fn every_exported_state_passes_validate(
+            words in proptest::collection::vec(0u64..u64::MAX, 0..64),
+            history in 1usize..8,
+            percentile in 0.0f64..=100.0,
+            alpha in 0.01f64..=1.0,
+            cutoff_ms in 1.0f64..2_000.0,
+        ) {
+            let mut filters: [Box<dyn LatencyFilter>; 4] = [
+                Box::new(RawFilter::new()),
+                Box::new(MovingPercentileFilter::new(history, percentile).unwrap()),
+                Box::new(EwmaFilter::new(alpha).unwrap()),
+                Box::new(ThresholdFilter::new(cutoff_ms).unwrap()),
+            ];
+            for filter in &mut filters {
+                proptest::prop_assert_eq!(filter.export_state().validate(), Ok(()));
+                for &word in &words {
+                    filter.observe(observation(word));
+                    let state = filter.export_state();
+                    proptest::prop_assert_eq!(state.validate(), Ok(()), "{:?}", state);
+                }
+            }
         }
     }
 }

@@ -257,21 +257,15 @@ impl LinkFilter for MovingPercentileWindow {
         &(history_size, _): &(usize, f64),
         state: &FilterState,
     ) -> Result<(), StateMismatch> {
-        match state {
-            FilterState::MovingPercentile { window, seen } => {
-                state.check_samples()?;
-                // Keep only the newest `history_size` entries so a state
-                // exported under a larger history still restores sanely.
-                let start = window.len().saturating_sub(history_size);
-                self.samples.replace(&window[start..]);
-                self.seen = *seen;
-                Ok(())
-            }
-            other => Err(StateMismatch::Family {
-                expected: "moving-percentile",
-                found: other.family(),
-            }),
-        }
+        let FilterState::MovingPercentile { window, seen } = state else {
+            return Err(state.foreign("moving-percentile"));
+        };
+        // Keep only the newest `history_size` entries so a state exported
+        // under a larger history still restores sanely.
+        let start = window.len().saturating_sub(history_size);
+        self.samples.replace(&window[start..]);
+        self.seen = *seen;
+        Ok(())
     }
 }
 

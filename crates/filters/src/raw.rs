@@ -63,18 +63,12 @@ impl LinkFilter for RawLink {
     }
 
     fn import_state(&mut self, _: &(), state: &FilterState) -> Result<(), StateMismatch> {
-        match state {
-            FilterState::Raw { last, seen } => {
-                state.check_samples()?;
-                self.last = *last;
-                self.seen = *seen;
-                Ok(())
-            }
-            other => Err(StateMismatch::Family {
-                expected: "raw",
-                found: other.family(),
-            }),
-        }
+        let FilterState::Raw { last, seen } = *state else {
+            return Err(state.foreign("raw"));
+        };
+        self.last = last;
+        self.seen = seen;
+        Ok(())
     }
 }
 

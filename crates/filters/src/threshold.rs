@@ -90,23 +90,18 @@ impl LinkFilter for ThresholdLink {
     }
 
     fn import_state(&mut self, _: &f64, state: &FilterState) -> Result<(), StateMismatch> {
-        match state {
-            FilterState::Threshold {
-                last_passed,
-                seen,
-                discarded,
-            } => {
-                state.check_samples()?;
-                self.last_passed = *last_passed;
-                self.seen = *seen;
-                self.discarded = *discarded;
-                Ok(())
-            }
-            other => Err(StateMismatch::Family {
-                expected: "threshold",
-                found: other.family(),
-            }),
-        }
+        let FilterState::Threshold {
+            last_passed,
+            seen,
+            discarded,
+        } = *state
+        else {
+            return Err(state.foreign("threshold"));
+        };
+        self.last_passed = last_passed;
+        self.seen = seen;
+        self.discarded = discarded;
+        Ok(())
     }
 }
 

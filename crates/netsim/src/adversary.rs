@@ -34,12 +34,11 @@
 use nc_proto::ProbeResponse;
 use nc_vivaldi::{Coordinate, MAX_DIMS};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sim::ConfigError;
 
 /// One node's adversarial behaviour, applied to every probe reply it sends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdversaryModel {
     /// Reports a displaced/inflated coordinate and a bogus error estimate
     /// (reply body and gossip alike). Each reply lies in a fresh uniformly
@@ -160,7 +159,7 @@ impl AdversaryModel {
 /// population runs `model` from the start. Scenario scripts can change
 /// individual nodes later via
 /// [`crate::scenario::ScenarioAction::SetAdversary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryConfig {
     /// Fraction of nodes (rounded to the nearest count) made adversarial.
     pub fraction: f64,

@@ -22,13 +22,12 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::rand_ext;
 use crate::sim::ConfigError;
 
 /// Tuning of the observation model, shared by every link of a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkModelConfig {
     /// Standard deviation of the lognormal jitter, expressed as a fraction of
     /// the base RTT (default 0.03: a 100 ms link jitters by a few ms).
@@ -207,7 +206,7 @@ impl LinkModelConfig {
 
 /// A route-change event: from `at_s` onward the base RTT is multiplied by
 /// `factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RouteShift {
     at_s: f64,
     factor: f64,

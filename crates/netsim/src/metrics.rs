@@ -8,10 +8,10 @@
 //! `measurement_start` so start-up transients can be excluded, exactly as the
 //! paper reports "the second half of the run".
 
+use std::collections::BTreeMap;
+
 use nc_stats::{percentile, Ecdf, StatsError, StreamingSummary};
 use nc_vivaldi::Coordinate;
-use serde::{Deserialize, Serialize};
-use stable_nc::FxHashMap;
 
 /// Per-node metric accumulators.
 ///
@@ -31,7 +31,7 @@ use stable_nc::FxHashMap;
 /// series on, every one of those samples is also kept as a 16 B
 /// `(time_s, value)` pair. The struct itself is 160 B
 /// (`layout_pin_node_metrics`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeMetrics {
     /// Relative error of every accepted observation, measured against the
     /// system-level coordinate before its update.
@@ -232,7 +232,7 @@ impl NodeMetrics {
 /// the simulated time (seconds) of the event that produced it. Recorded only
 /// under [`SimConfig::with_time_series`](crate::sim::SimConfig::with_time_series),
 /// for readers that bin or window by time (Figure 14, the churn tests).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeSeries {
     /// `(time_s, relative_error)` against the system-level coordinate.
     pub system_errors: Vec<(f64, f64)>,
@@ -286,7 +286,7 @@ impl<'a> ConfigSeries<'a> {
 }
 
 /// A tracked coordinate sample (for the Figure 7 trajectory plot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackedCoordinate {
     /// Sample time in seconds.
     pub time_s: f64,
@@ -300,7 +300,7 @@ pub struct TrackedCoordinate {
 
 /// Metrics of one configuration (one coordinate stack run over the whole
 /// workload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigMetrics {
     /// Per-node accumulators, indexed by node id.
     pub nodes: Vec<NodeMetrics>,
@@ -512,9 +512,12 @@ impl ConfigMetrics {
 }
 
 /// The result of one simulation run: metrics per named configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Its `Debug` text lists the configurations in name order and every `f64`
+/// in shortest round-trip form (`-0.0`, `NaN`): equal text, equal bits.
+#[derive(Debug, Clone)]
 pub struct SimReport {
-    configs: FxHashMap<String, ConfigMetrics>,
+    configs: BTreeMap<String, ConfigMetrics>,
     /// Total simulated duration in seconds.
     pub duration_s: f64,
     /// Time at which measurement started (warm-up exclusion).
@@ -524,12 +527,12 @@ pub struct SimReport {
 impl SimReport {
     /// Builds a report from named per-configuration metrics.
     pub fn new(
-        configs: FxHashMap<String, ConfigMetrics>,
+        configs: impl IntoIterator<Item = (String, ConfigMetrics)>,
         duration_s: f64,
         measurement_start_s: f64,
     ) -> Self {
         SimReport {
-            configs,
+            configs: configs.into_iter().collect(),
             duration_s,
             measurement_start_s,
         }
@@ -540,25 +543,21 @@ impl SimReport {
         self.configs.get(name)
     }
 
-    /// Names of all configurations in the run.
+    /// Names of all configurations in the run, in name order.
     pub fn config_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.configs.keys().map(|s| s.as_str()).collect();
-        names.sort();
-        names
+        self.configs.keys().map(String::as_str).collect()
     }
 
     /// Iterates over `(name, metrics)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ConfigMetrics)> {
-        let mut entries: Vec<(&str, &ConfigMetrics)> =
-            self.configs.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries.into_iter()
+        self.configs.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stable_nc::FxHashMap;
 
     /// Sample `i` is stamped at time `i` seconds; displacement `i` (when
     /// given) rides on error sample `i`.
@@ -642,6 +641,38 @@ mod tests {
         assert_eq!(report.config_names(), vec!["mp", "raw"]);
         let order: Vec<&str> = report.iter().map(|(k, _)| k).collect();
         assert_eq!(order, vec!["mp", "raw"]);
+    }
+
+    #[test]
+    fn report_text_is_bit_exact_and_in_name_order() {
+        // Two configurations inserted in either order, one node each with
+        // the measurement window and one error sample drawn from `values`.
+        let report = |names: [&str; 2], values: [f64; 2]| {
+            let mut map = FxHashMap::default();
+            for name in names {
+                let mut metrics = ConfigMetrics::new(1, values[0]);
+                metrics.nodes[0] = node_with(&[values[1]], &[]);
+                map.insert(name.to_string(), metrics);
+            }
+            format!("{:?}", SimReport::new(map, 10.0, 5.0))
+        };
+        let text = report(["mp", "raw"], [5.0, 0.25]);
+        assert_eq!(report(["raw", "mp"], [5.0, 0.25]), text);
+        assert!(text.find("\"mp\"") < text.find("\"raw\""), "{text}");
+        // The sign of a zero shows, where `PartialEq` would call the two
+        // equal; a NaN matches a NaN, where `PartialEq` would not.
+        assert_ne!(
+            report(["mp", "raw"], [-0.0, 0.25]),
+            report(["mp", "raw"], [0.0, 0.25])
+        );
+        assert_eq!(
+            report(["mp", "raw"], [5.0, f64::NAN]),
+            report(["mp", "raw"], [5.0, f64::NAN])
+        );
+        assert_ne!(
+            report(["mp", "raw"], [5.0, 0.1 + 0.2]),
+            report(["mp", "raw"], [5.0, 0.3])
+        );
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! deployment over 270 nodes — with a parameterised synthetic equivalent
 //! built from [`crate::topology`] and [`crate::linkmodel`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::linkmodel::LinkModelConfig;
 use crate::topology::Topology;
 
 /// Describes a synthetic PlanetLab-like network: how many nodes exist and how
 /// their links behave.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanetLabConfig {
     node_count: usize,
     seed: u64,

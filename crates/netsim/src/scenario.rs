@@ -35,13 +35,11 @@
 //! assert_eq!(scenario.events().len(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::adversary::AdversaryModel;
 use crate::topology::Region;
 
 /// One scripted disruption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioAction {
     /// The nodes (down until now) enter the mesh with fresh coordinate
     /// stacks and seeded neighbour sets. A batch of several nodes is a
@@ -101,7 +99,7 @@ pub enum ScenarioAction {
 }
 
 /// A [`ScenarioAction`] bound to its simulation time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
     /// Simulation time (seconds) at which the action fires.
     pub at_s: f64,
@@ -111,7 +109,7 @@ pub struct ScenarioEvent {
 
 /// A time-ordered script of churn and disruption events, plus the set of
 /// nodes that start the run down (waiting for a [`ScenarioAction::Join`]).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scenario {
     events: Vec<ScenarioEvent>,
     initially_down: Vec<usize>,
@@ -333,14 +331,5 @@ mod tests {
                 }),
             },
         );
-    }
-
-    #[test]
-    fn scenarios_serialize_round_trip() {
-        let scenario = Scenario::regional_partition(vec![Region::Europe], 10.0, 20.0)
-            .with_initially_down(vec![3]);
-        let text = serde::json::to_string(&scenario);
-        let back: Scenario = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, scenario);
     }
 }

@@ -1184,18 +1184,18 @@ mod tests {
             .expect("the sharded run deadlocked, or panicked on its own thread")
     }
 
-    fn serial_json(simulator: Simulator) -> String {
-        serde::json::to_string(&simulator.with_serial_execution(true).run())
+    fn serial_text(simulator: Simulator) -> String {
+        format!("{:?}", simulator.with_serial_execution(true).run())
     }
 
-    fn streamed_json(
+    fn streamed_text(
         mut simulator: Simulator,
         shards: usize,
         helpers: usize,
         epoch_events: usize,
     ) -> (String, PlanFootprint) {
         let (report, footprint) = simulator.run_streamed(shards, helpers, epoch_events);
-        (serde::json::to_string(&report), footprint)
+        (format!("{report:?}"), footprint)
     }
 
     #[test]
@@ -1247,11 +1247,11 @@ mod tests {
     /// `Respond`; one that forgot to free the slot grows the slab past the
     /// two exchanges this mesh can have in flight.
     fn assert_dropped_reply_releases_its_slot(disruption: fn() -> Scenario) {
-        let serial = serial_json(reply_in_flight(disruption()));
+        let serial = serial_text(reply_in_flight(disruption()));
         for threads in 1..=3 {
             for epoch_events in [1, 7] {
                 let (streamed, footprint) = under_watchdog(move || {
-                    streamed_json(
+                    streamed_text(
                         reply_in_flight(disruption()),
                         threads,
                         threads - 1,
@@ -1293,7 +1293,7 @@ mod tests {
                 SimConfig::new(hours * 3_600.0, 5.0).with_initial_neighbors(4),
                 vec![("mp".to_string(), NodeConfig::paper_defaults())],
             );
-            streamed_json(simulator, 2, 1, 256).1
+            streamed_text(simulator, 2, 1, 256).1
         };
         let one_hour = footprint(1.0);
         // Two shards, two sets of batches: the one executing and the one
@@ -1377,11 +1377,11 @@ mod tests {
             ("partition", partition),
         ];
         for (family, build) in families {
-            let serial = serial_json(build());
+            let serial = serial_text(build());
             for shards in [2, 3] {
                 for epoch_events in [1, 7, 64, 4_096] {
                     let (streamed, _) =
-                        under_watchdog(move || streamed_json(build(), shards, 0, epoch_events));
+                        under_watchdog(move || streamed_text(build(), shards, 0, epoch_events));
                     assert_eq!(
                         streamed, serial,
                         "{family}: {shards} shards, {epoch_events} events per epoch"
@@ -1570,11 +1570,11 @@ mod tests {
                 )
                 .with_scenario(scenario)
             };
-            let serial = serial_json(build(&op_words));
+            let serial = serial_text(build(&op_words));
             for epoch_events in [1usize, 7, 64, 4_096] {
                 let words = op_words.clone();
                 let (streamed, _) = under_watchdog(move || {
-                    streamed_json(build(&words), threads, threads - 1, epoch_events)
+                    streamed_text(build(&words), threads, threads - 1, epoch_events)
                 });
                 prop_assert_eq!(
                     &streamed, &serial,

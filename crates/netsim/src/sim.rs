@@ -66,7 +66,6 @@ use nc_proto::{Event, NodeSnapshot};
 use nc_query::{CoordinateIndex, QueryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use stable_nc::{FxHashMap, NodeConfig, StableNode};
 
 use crate::adversary::{AdversaryConfig, AdversaryDraw, AdversaryModel, CoordinateLie};
@@ -200,7 +199,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Measurement schedule and protocol parameters of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total simulated time in seconds.
     pub duration_s: f64,
@@ -1266,15 +1265,11 @@ impl Simulator {
     /// behind — no second copy of every series at the moment memory peaks.
     fn take_report(&mut self) -> SimReport {
         let nodes = self.env.topology.len();
-        // Results merge in the stable configuration order (the report's
-        // serialization sorts by name), so parallel and serial runs encode
-        // identically.
-        let mut configs = FxHashMap::default();
-        for run in &mut self.state.runs {
+        let configs = self.state.runs.iter_mut().map(|run| {
             let metrics =
                 std::mem::replace(&mut run.metrics, self.env.sim_config.empty_metrics(nodes));
-            configs.insert(run.name.clone(), metrics);
-        }
+            (run.name.clone(), metrics)
+        });
         SimReport::new(
             configs,
             self.env.sim_config.duration_s,

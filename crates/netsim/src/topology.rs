@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::rand_ext;
 
@@ -22,7 +21,7 @@ use crate::rand_ext;
 const DENSE_PAIR_OFFSET_LIMIT: usize = 4096;
 
 /// Geographic region of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Eastern United States.
     UsEast,
@@ -80,7 +79,7 @@ impl std::fmt::Display for Region {
 }
 
 /// One placed node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedNode {
     /// Region the node lives in.
     pub region: Region,
@@ -93,7 +92,7 @@ pub struct PlacedNode {
 }
 
 /// A generated topology: node placements and the base RTT between any pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<PlacedNode>,
     /// Deterministic per-pair RTT offsets (upper-triangular, flattened).
@@ -256,7 +255,7 @@ impl Topology {
 /// `(a, b)` node-index pairs. Flat storage keeps the simulator's per-probe
 /// lookup a single multiply-add away from contiguous memory rather than a
 /// pointer chase through `Vec<Vec<f64>>` rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RttMatrix {
     n: usize,
     data: Vec<f64>,

@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::linkmodel::{LinkModel, LinkModelConfig};
 use crate::planetlab::PlanetLabConfig;
 use crate::sim::ConfigError;
@@ -18,7 +16,7 @@ use crate::topology::Topology;
 use stable_nc::FxHashMap;
 
 /// One ping observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Time of the observation, seconds from the start of the trace.
     pub time_s: f64,
@@ -31,7 +29,7 @@ pub struct TraceRecord {
 }
 
 /// Measurement schedule for a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// The network being measured.
     pub network: PlanetLabConfig,

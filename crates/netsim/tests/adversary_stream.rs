@@ -20,7 +20,7 @@ use stable_nc::{NodeConfig, OutlierGateConfig};
 const NODES: usize = 10;
 
 fn encode(simulator: &mut Simulator) -> String {
-    serde::json::to_string(&simulator.run())
+    format!("{:?}", simulator.run())
 }
 
 fn base_sim_config() -> SimConfig {

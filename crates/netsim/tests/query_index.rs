@@ -100,11 +100,11 @@ fn k_nearest_matches_a_brute_force_oracle_over_the_index() {
 #[test]
 fn index_contents_are_identical_across_execution_modes() {
     let mut serial = build(true).with_serial_execution(true);
-    let serial_report = serde::json::to_string(&serial.run());
+    let serial_report = format!("{:?}", serial.run());
     let mut parallel = build(true);
-    let parallel_report = serde::json::to_string(&parallel.run());
+    let parallel_report = format!("{:?}", parallel.run());
     let mut sharded = build(true).with_threads(3);
-    let sharded_report = serde::json::to_string(&sharded.run());
+    let sharded_report = format!("{:?}", sharded.run());
 
     assert_eq!(parallel_report, serial_report);
     assert_eq!(sharded_report, serial_report);
@@ -118,7 +118,7 @@ fn index_contents_are_identical_across_execution_modes() {
 
 #[test]
 fn enabling_the_index_does_not_change_the_report() {
-    let baseline = serde::json::to_string(&build(false).run());
-    let with_index = serde::json::to_string(&build(true).run());
+    let baseline = format!("{:?}", build(false).run());
+    let with_index = format!("{:?}", build(true).run());
     assert_eq!(with_index, baseline);
 }

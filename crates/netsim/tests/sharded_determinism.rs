@@ -13,7 +13,7 @@ use nc_netsim::sim::{SimConfig, Simulator};
 use stable_nc::NodeConfig;
 
 fn encode(simulator: &mut Simulator) -> String {
-    serde::json::to_string(&simulator.run())
+    format!("{:?}", simulator.run())
 }
 
 /// Byte-compares the reference loop against the engine on the worker count
@@ -418,8 +418,8 @@ fn two_consecutive_runs_agree_across_engines() {
         let second = simulator.run();
         let totals = second.config("mp").unwrap();
         (
-            serde::json::to_string(&first),
-            serde::json::to_string(&second),
+            format!("{first:?}"),
+            format!("{second:?}"),
             totals.total_responses_received(),
             totals.total_responses_ignored(),
         )

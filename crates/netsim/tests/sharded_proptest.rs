@@ -139,9 +139,9 @@ proptest! {
             let scenario = op_words.iter().fold(Scenario::new(), |s, &w| apply_op(s, w));
             Simulator::new(workload, sim_config, configs).with_scenario(scenario)
         };
-        let serial = serde::json::to_string(&build().with_serial_execution(true).run());
+        let serial = format!("{:?}", build().with_serial_execution(true).run());
         for threads in [1usize, 2, 4] {
-            let sharded = serde::json::to_string(&build().with_threads(threads).run());
+            let sharded = format!("{:?}", build().with_threads(threads).run());
             prop_assert_eq!(
                 &sharded, &serial,
                 "sharded ({} threads) diverged from serial (seed {})", threads, seed

@@ -72,10 +72,9 @@
 //! varint gossip_cursor · list(pending: id · varint seq · varint sent_at_ms)
 //! · list(streak: id · varint count).
 //!
-//! Decoding rejects a non-finite `error_estimate` — a response's, a gossip
-//! entry's, a snapshot link's — and a non-finite `rtt_ms` as
-//! [`WireError::Malformed`]: all of them are values a node stores and hands
-//! on.
+//! Decoding rejects a non-finite `error_estimate` or `rtt_ms` of a response
+//! or gossip entry, and a snapshot [`NodeSnapshot::validate`] refuses, as
+//! [`WireError::Malformed`]: they are values a node stores and hands on.
 //!
 //! # Value blobs
 //!
@@ -98,6 +97,7 @@
 //! Nesting depth is capped at 64 on decode so hostile input cannot overflow
 //! the stack.
 
+use std::hash::Hash;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use nc_vivaldi::{Coordinate, MAX_DIMS};
@@ -483,7 +483,8 @@ pub trait BinaryMessage: Sized {
     /// # Errors
     ///
     /// [`WireError::Malformed`] for anything structurally wrong (bad magic,
-    /// wrong kind, truncation, trailing bytes, invalid coordinates);
+    /// wrong kind, truncation, trailing bytes, invalid coordinates, a
+    /// snapshot [`NodeSnapshot::validate`] refuses);
     /// [`WireError::VersionMismatch`] when the header carries a different
     /// [`PROTOCOL_VERSION`].
     fn decode_binary(bytes: &[u8]) -> Result<Self, WireError>;
@@ -593,7 +594,7 @@ impl<Id: WireId> BinaryMessage for ProbeResponse<Id> {
     }
 }
 
-impl<Id: WireId> BinaryMessage for NodeSnapshot<Id> {
+impl<Id: WireId + Eq + Hash> BinaryMessage for NodeSnapshot<Id> {
     fn encode_binary(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
         put_header(&mut out, KIND_SNAPSHOT);
@@ -661,11 +662,6 @@ impl<Id: WireId> BinaryMessage for NodeSnapshot<Id> {
             };
             let coordinate = reader.read_coordinate()?;
             let error_estimate = reader.read_f64()?;
-            // What a restored node holds for a link it gossips onward, where
-            // the response decoder above refuses it.
-            if !error_estimate.is_finite() {
-                return Err(malformed("non-finite link error estimate"));
-            }
             let filtered_rtt_ms = if reader.read_option()? {
                 Some(reader.read_f64()?)
             } else {
@@ -738,7 +734,11 @@ impl<Id: WireId> BinaryMessage for NodeSnapshot<Id> {
             pending,
             loss_streaks,
         };
-        finish(reader, snapshot)
+        let snapshot = finish(reader, snapshot)?;
+        snapshot
+            .validate()
+            .map_err(|e| malformed(format!("invalid snapshot: {e}")))?;
+        Ok(snapshot)
     }
 }
 

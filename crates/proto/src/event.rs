@@ -7,7 +7,6 @@
 //! to the embedding application, a debugger logs everything.
 
 use nc_change::ApplicationUpdate;
-use serde::{Deserialize, Serialize};
 
 /// One thing the engine did while digesting a probe response.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// may suppress the raw sample, Vivaldi may reject the filtered sample as
 /// implausible, an accepted sample moves the system-level coordinate, and
 /// the update heuristic occasionally publishes an application-level update.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event<Id> {
     /// A peer was seen for the first time (as a responder or through
     /// gossip) and entered the neighbour table / probe schedule.
@@ -159,39 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn ignored_responses_name_their_peer_and_round_trip() {
+    fn ignored_responses_name_their_peer() {
         let ignored: Event<u32> = Event::ResponseIgnored { id: 5, seq: 17 };
         assert_eq!(ignored.peer(), Some(&5));
         assert!(!ignored.is_application_update());
-        let wire: Event<String> = Event::ResponseIgnored {
-            id: "peer".into(),
-            seq: 17,
-        };
-        let back: Event<String> = serde::json::from_str(&serde::json::to_string(&wire)).unwrap();
-        assert_eq!(back, wire);
-    }
-
-    #[test]
-    fn loss_events_serialize_round_trip() {
-        let lost: Event<String> = Event::ProbeLost {
-            id: "peer".into(),
-            seq: 7,
-        };
-        let back: Event<String> = serde::json::from_str(&serde::json::to_string(&lost)).unwrap();
-        assert_eq!(back, lost);
-    }
-
-    #[test]
-    fn events_serialize_round_trip() {
-        let event: Event<String> = Event::SystemMoved {
-            id: "peer".into(),
-            filtered_rtt_ms: 80.0,
-            displacement_ms: 1.25,
-            relative_error: 0.1,
-            application_relative_error: 0.2,
-        };
-        let text = serde::json::to_string(&event);
-        let back: Event<String> = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, event);
     }
 }

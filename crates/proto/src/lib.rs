@@ -62,5 +62,5 @@ pub mod wire;
 
 pub use binary::{BinaryMessage, Packet, WireId};
 pub use event::Event;
-pub use snapshot::{LinkSnapshot, NodeSnapshot, PendingProbe};
+pub use snapshot::{LinkSnapshot, NodeSnapshot, PendingProbe, SnapshotError};
 pub use wire::{GossipEntry, ProbeRequest, ProbeResponse, WireError, PROTOCOL_VERSION};

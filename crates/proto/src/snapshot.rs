@@ -12,10 +12,11 @@
 //!
 //! A snapshot's bytes are the binary codec's snapshot frame
 //! ([`crate::BinaryMessage`], layout in [`crate::binary`]), whose header
-//! carries the protocol version it was written under.
+//! carries the protocol version it was written under. The decoder and a
+//! restoring engine both check a snapshot through [`NodeSnapshot::validate`].
 
 use nc_change::ApplicationState;
-use nc_filters::FilterState;
+use nc_filters::{FilterState, StateMismatch};
 use nc_vivaldi::{Coordinate, VivaldiState};
 
 /// One probe that has been sent but not yet answered or expired.
@@ -93,6 +94,89 @@ pub struct NodeSnapshot<Id> {
     /// Consecutive unanswered probes per peer (the eviction counter), in
     /// membership order so snapshots are deterministic.
     pub loss_streaks: Vec<(Id, u32)>,
+}
+
+/// A rule of [`NodeSnapshot::validate`] that a snapshot breaks: a value no
+/// engine exports, which restored would stay wrong for the node's lifetime.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotError {
+    /// A link's error estimate is not finite: peers drop it as malformed.
+    ErrorEstimate,
+    /// A link's filter state breaks a rule of [`FilterState::validate`].
+    Filter(StateMismatch),
+    /// The nearest neighbour is no measured link at a finite RTT `≥ 0`.
+    NearestNeighbor,
+    /// The membership names a peer twice (it outlives its eviction) or
+    /// names the node itself (probed every cycle, each probe lost).
+    Membership,
+    /// A displacement total (system or application) is negative or not finite.
+    Displacement,
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rule = match self {
+            SnapshotError::ErrorEstimate => "a link's error estimate is not finite",
+            SnapshotError::Filter(e) => return write!(f, "snapshot link: {e}"),
+            SnapshotError::NearestNeighbor => {
+                "the nearest neighbour is no measured link at a valid RTT"
+            }
+            SnapshotError::Membership => "the membership repeats a peer or names the node",
+            SnapshotError::Displacement => "a displacement total is negative or not finite",
+        };
+        write!(f, "snapshot breaks a rule: {rule}")
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
+    /// Checks every rule of a snapshot that needs no configuration, one
+    /// [`SnapshotError`] each; every snapshot an engine takes passes.
+    ///
+    /// # Errors
+    ///
+    /// The [`SnapshotError`] of the first rule broken.
+    pub fn validate(&self) -> Result<(), SnapshotError> {
+        for link in &self.links {
+            if !link.error_estimate.is_finite() {
+                return Err(SnapshotError::ErrorEstimate);
+            }
+            if let Some(filter) = &link.filter {
+                filter.validate().map_err(SnapshotError::Filter)?;
+            }
+        }
+        // Eviction recomputes the nearest neighbour when its link goes.
+        if let Some((nearest, rtt)) = &self.nearest_neighbor {
+            let measured = self
+                .links
+                .iter()
+                .any(|link| link.id == *nearest && link.filter.is_some());
+            if !(measured && rtt.is_finite() && *rtt >= 0.0) {
+                return Err(SnapshotError::NearestNeighbor);
+            }
+        }
+        // nc-lint: allow(det-map) — a membership test only: never iterated.
+        let mut members = std::collections::HashSet::with_capacity(self.membership.len());
+        if self
+            .membership
+            .iter()
+            .any(|id| self.identity.as_ref() == Some(id) || !members.insert(id))
+        {
+            return Err(SnapshotError::Membership);
+        }
+        let totals = [
+            self.vivaldi.total_displacement_ms(),
+            self.application.total_displacement_ms,
+        ];
+        if !totals
+            .iter()
+            .all(|total| total.is_finite() && *total >= 0.0)
+        {
+            return Err(SnapshotError::Displacement);
+        }
+        Ok(())
+    }
 }
 
 impl<Id> NodeSnapshot<Id> {

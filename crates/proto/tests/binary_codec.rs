@@ -11,8 +11,8 @@ use std::net::SocketAddr;
 
 use nc_proto::binary::{KIND_REQUEST, KIND_RESPONSE, KIND_SNAPSHOT, MAGIC};
 use nc_proto::{
-    BinaryMessage, GossipEntry, NodeSnapshot, Packet, ProbeRequest, ProbeResponse, WireError,
-    PROTOCOL_VERSION,
+    BinaryMessage, GossipEntry, NodeSnapshot, Packet, ProbeRequest, ProbeResponse, SnapshotError,
+    WireError, PROTOCOL_VERSION,
 };
 use nc_vivaldi::Coordinate;
 use proptest::prelude::*;
@@ -289,6 +289,118 @@ fn a_snapshot_link_with_a_non_finite_error_estimate_is_malformed() {
             NodeSnapshot::<String>::decode_binary(&snapshot.encode_binary()),
             Err(WireError::Malformed(_))
         ));
+    }
+}
+
+/// A fresh Vivaldi state whose displacement total reads `total`, as a
+/// snapshot off the wire may carry it.
+fn vivaldi_with_total_displacement(total: f64) -> nc_vivaldi::VivaldiState {
+    use nc_vivaldi::{VivaldiConfig, VivaldiState};
+    use serde::{Deserialize, Serialize, Value};
+    let fields = match VivaldiState::new(VivaldiConfig::paper_defaults()).to_value() {
+        Value::Map(fields) => fields,
+        other => panic!("a Vivaldi state serializes as a map, not {other:?}"),
+    };
+    let forged = fields
+        .into_iter()
+        .map(|(name, value)| match name.as_str() {
+            "total_displacement_ms" => (name, Value::Float(total)),
+            _ => (name, value),
+        })
+        .collect();
+    VivaldiState::from_value(&Value::Map(forged)).expect("well-formed value")
+}
+
+#[test]
+fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
+    use nc_filters::{FilterState, StateMismatch};
+    type Poison = fn(&mut NodeSnapshot<String>);
+    let counters = |family, seen| SnapshotError::Filter(StateMismatch::Counters { family, seen });
+    // A non-finite link error estimate is the case of the test above.
+    let cases: [(Poison, SnapshotError); 12] = [
+        (
+            |s| {
+                s.links[0].filter = Some(FilterState::Raw {
+                    last: Some(-3.0),
+                    seen: 1,
+                })
+            },
+            SnapshotError::Filter(StateMismatch::Sample {
+                family: "raw",
+                value: -3.0,
+            }),
+        ),
+        // A window of three samples counted as none seen.
+        (
+            |s| {
+                s.links[0].filter = Some(FilterState::MovingPercentile {
+                    window: vec![5.0, 6.0, 7.0],
+                    seen: 0,
+                })
+            },
+            counters("moving-percentile", 0),
+        ),
+        // Seven discarded of one seen.
+        (
+            |s| {
+                s.links[0].filter = Some(FilterState::Threshold {
+                    last_passed: Some(80.0),
+                    seen: 1,
+                    discarded: 7,
+                })
+            },
+            counters("threshold", 1),
+        ),
+        (
+            |s| s.nearest_neighbor = Some(("peer-b".into(), 80.0)),
+            SnapshotError::NearestNeighbor,
+        ),
+        (
+            |s| s.nearest_neighbor = Some(("peer-a".into(), f64::NAN)),
+            SnapshotError::NearestNeighbor,
+        ),
+        (
+            |s| s.nearest_neighbor = Some(("peer-a".into(), -1.0)),
+            SnapshotError::NearestNeighbor,
+        ),
+        (
+            |s| s.membership.push("peer-a".into()),
+            SnapshotError::Membership,
+        ),
+        (
+            |s| s.membership.push("self".into()),
+            SnapshotError::Membership,
+        ),
+        (
+            |s| s.application.total_displacement_ms = f64::NAN,
+            SnapshotError::Displacement,
+        ),
+        (
+            |s| s.application.total_displacement_ms = -1.0,
+            SnapshotError::Displacement,
+        ),
+        (
+            |s| s.vivaldi = vivaldi_with_total_displacement(f64::INFINITY),
+            SnapshotError::Displacement,
+        ),
+        (
+            |s| s.vivaldi = vivaldi_with_total_displacement(-0.5),
+            SnapshotError::Displacement,
+        ),
+    ];
+    assert_eq!(sample_snapshot().validate(), Ok(()));
+    let mut unmoved = sample_snapshot();
+    unmoved.application.total_displacement_ms = 0.0;
+    assert_eq!(unmoved.validate(), Ok(()));
+    for (index, (poison, expected)) in cases.into_iter().enumerate() {
+        let mut snapshot = sample_snapshot();
+        poison(&mut snapshot);
+        assert_eq!(snapshot.validate(), Err(expected), "case {index}");
+        let err = NodeSnapshot::<String>::decode_binary(&snapshot.encode_binary()).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed(detail) if detail.starts_with("invalid snapshot")),
+            "case {index}: {err}"
+        );
     }
 }
 

@@ -7,13 +7,11 @@
 //! enough to regenerate that figure textually (median, quartiles, whisker
 //! extent, number and maximum of outliers).
 
-use serde::{Deserialize, Serialize};
-
 use crate::percentile::percentile_of_sorted;
 use crate::StatsError;
 
 /// Five-number summary with Tukey whiskers and outliers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxplotSummary {
     /// Minimum observation.
     pub min: f64,

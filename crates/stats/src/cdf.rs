@@ -5,8 +5,6 @@
 //! evaluates the empirical CDF at arbitrary points, inverts it (quantiles) and
 //! renders the evenly spaced series used to regenerate those figures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::percentile::percentile_of_sorted;
 use crate::StatsError;
 
@@ -22,7 +20,7 @@ use crate::StatsError;
 /// assert_eq!(cdf.eval(2.0), 0.5);
 /// assert_eq!(cdf.eval(10.0), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

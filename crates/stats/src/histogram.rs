@@ -8,15 +8,13 @@
 //! binnings and [`Histogram::paper_figure2_bins`] provides the Figure-2 edges
 //! directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::StatsError;
 
 /// A single histogram bin: `[lo, hi)` with an observation count.
 ///
 /// The final bin of a histogram built from open-ended edges uses
 /// `hi = f64::INFINITY`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramBin {
     /// Inclusive lower edge of the bin.
     pub lo: f64,
@@ -52,7 +50,7 @@ impl HistogramBin {
 /// assert_eq!(h.total(), 5);
 /// assert_eq!(h.overflow(), 1); // 250.0 is above the last edge
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bin edges; `edges[i]..edges[i+1]` is bin `i`. Always ≥ 2 entries.
     edges: Vec<f64>,

@@ -9,12 +9,10 @@
 //! change in one-dimensional latency streams (e.g. deciding that a link's
 //! underlying latency shifted after a route change).
 
-use serde::{Deserialize, Serialize};
-
 use crate::StatsError;
 
 /// Outcome of a rank-sum test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankSumOutcome {
     /// The Mann–Whitney U statistic for the first sample.
     pub u_statistic: f64,

@@ -5,8 +5,6 @@
 //! and displacement values; storing them all is wasteful when only aggregate
 //! statistics are reported, so this type accumulates them in constant space.
 
-use serde::{Deserialize, Serialize};
-
 /// Constant-space accumulator of count, mean, variance, min and max.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingSummary {
     count: u64,
     mean: f64,

@@ -5,13 +5,11 @@
 //! accumulates `(timestamp, value)` samples into fixed-width bins and reports
 //! a chosen per-bin statistic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::percentile::percentile;
 use crate::StatsError;
 
 /// Which statistic to report per bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinStatistic {
     /// Arithmetic mean of the samples in the bin.
     Mean,
@@ -27,7 +25,7 @@ pub enum BinStatistic {
 }
 
 /// One reported bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeBin {
     /// Start of the bin (seconds).
     pub start: f64,
@@ -56,7 +54,7 @@ pub struct TimeBin {
 /// assert_eq!(bins[0].value, Some(2.0));
 /// assert_eq!(bins[1].value, Some(10.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeBinner {
     origin: f64,
     width: f64,

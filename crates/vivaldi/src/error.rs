@@ -1,9 +1,7 @@
 //! Error types and the relative-error accuracy metric.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors raised when constructing or combining coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordinateError {
     /// The coordinate would have zero dimensions.
     Dimension,

@@ -37,8 +37,6 @@
 //! The gate is **off by default** and entirely opt-in; see
 //! `stable_nc::NodeConfigBuilder::outlier_gate`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::VivaldiConfigError;
 
 /// Tuning parameters of the [`OutlierGate`].
@@ -57,7 +55,7 @@ use crate::config::VivaldiConfigError;
 /// assert_eq!(config.window, 16);
 /// assert!(config.mad_threshold > 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutlierGateConfig {
     /// Number of most-recently accepted residuals the gate remembers.
     pub window: usize,
@@ -415,13 +413,5 @@ mod tests {
         let panic = std::panic::catch_unwind(|| OutlierGate::new(config)).unwrap_err();
         let text = panic.downcast_ref::<String>().expect("formatted panic");
         assert!(text.ends_with(&message), "{text}");
-    }
-
-    #[test]
-    fn config_serializes_round_trip() {
-        let config = OutlierGateConfig::default();
-        let text = serde::json::to_string(&config);
-        let back: OutlierGateConfig = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, config);
     }
 }

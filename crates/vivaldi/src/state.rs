@@ -8,7 +8,7 @@ use crate::error::{relative_error, MIN_LATENCY_MS};
 
 /// One latency observation of a remote node: the remote coordinate, the
 /// remote node's error estimate `w_j`, and the measured round-trip latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoteObservation {
     remote_coordinate: Coordinate,
     remote_error_estimate: f64,
@@ -52,7 +52,7 @@ impl RemoteObservation {
 }
 
 /// What one call to [`VivaldiState::observe`] did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateOutcome {
     /// Relative error of the pre-update prediction against this observation.
     pub relative_error: f64,

@@ -452,10 +452,10 @@ fn identical_seeds_give_byte_identical_reports_even_under_churn() {
         )
         .with_scenario(scenario)
         .run();
-        serde::json::to_string(&report)
+        format!("{report:?}")
     };
     let first = run();
     let second = run();
-    assert_eq!(first, second, "serialized reports diverged between runs");
+    assert_eq!(first, second, "reports diverged between runs");
     assert!(!first.is_empty());
 }
