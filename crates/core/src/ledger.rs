@@ -9,7 +9,9 @@
 //! compares them with the engines' through `PartialEq`.
 //!
 //! The contract is the simple one: a reply [settles](ProbeLedger::settle) a
-//! pending probe or it is ignored.
+//! pending probe or it is ignored, and a probe no reply settled is lost
+//! only when the owner [expires](ProbeLedger::expire) the deadline it was
+//! sent before.
 
 use std::hash::Hash;
 
@@ -44,25 +46,20 @@ impl<Id: Eq + Hash + Clone> ProbeLedger<Id> {
     }
 
     /// Rebuilds the ledger a node was snapshotted with, from the snapshot's
-    /// `probe_seq`, `pending` and `loss_streaks` fields. The threshold is
-    /// configuration, not state, and is supplied afresh.
+    /// `probe_seq`, `pending` and `loss_streaks` fields — of a snapshot that
+    /// passes [`NodeSnapshot::validate`], whose streaks are all live. The
+    /// threshold is configuration, not state, and is supplied afresh.
     pub fn import(max_consecutive_losses: Option<u32>, snapshot: &NodeSnapshot<Id>) -> Self {
         ProbeLedger {
             next_seq: snapshot.probe_seq,
             pending: snapshot.pending.clone(),
-            // Only live streaks are kept; a zero carries no information.
-            streaks: snapshot
-                .loss_streaks
-                .iter()
-                .filter(|(_, streak)| *streak > 0)
-                .cloned()
-                .collect(),
+            streaks: snapshot.loss_streaks.iter().cloned().collect(),
             max_consecutive_losses,
         }
     }
 
     /// Sequence number the next probe will carry.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -73,14 +70,17 @@ impl<Id: Eq + Hash + Clone> ProbeLedger<Id> {
 
     /// Consecutive unanswered probes of `id`; zero when the last one was
     /// answered or the peer was never probed.
-    pub fn loss_streak(&self, id: &Id) -> u32 {
+    pub(crate) fn loss_streak(&self, id: &Id) -> u32 {
         self.streaks.get(id).copied().unwrap_or(0)
     }
 
     /// The live streaks of the peers in `order`, in that order — the
     /// `loss_streaks` field of a snapshot. The table itself is unordered, so
     /// the caller names the order that makes the export deterministic.
-    pub fn loss_streaks_of<'a>(&self, order: impl IntoIterator<Item = &'a Id>) -> Vec<(Id, u32)>
+    pub(crate) fn loss_streaks_of<'a>(
+        &self,
+        order: impl IntoIterator<Item = &'a Id>,
+    ) -> Vec<(Id, u32)>
     where
         Id: 'a,
     {
@@ -126,14 +126,19 @@ impl<Id: Eq + Hash + Clone> ProbeLedger<Id> {
         true
     }
 
-    /// Declares the probe carrying `seq` lost and returns it, or `None` when
-    /// no pending probe carries `seq` (its reply arrived first, or it was
-    /// already given up on). The flag is true when this loss took the
-    /// target's streak to the eviction threshold: the ledger has then
-    /// [forgotten](ProbeLedger::forget) the peer, and the owner drops
-    /// whatever else it holds about it.
-    pub fn timeout(&mut self, seq: u64) -> Option<(PendingProbe<Id>, bool)> {
-        let position = self.pending.iter().position(|probe| probe.seq == seq)?;
+    /// Declares the oldest pending probe sent at or before
+    /// `now_ms - timeout_ms` lost and returns it, or `None` when there is
+    /// none. The flag is true when this loss took the target's streak to
+    /// the eviction threshold: the ledger has then forgotten the peer — its
+    /// other pending probes and its streak — and the owner drops whatever
+    /// else it holds about it. Callers loop until `None`: one probe per
+    /// call, because a loss that evicts releases *several* pending entries.
+    /// This is the only place a probe is declared lost.
+    pub fn expire(&mut self, now_ms: u64, timeout_ms: u64) -> Option<(PendingProbe<Id>, bool)> {
+        let position = self
+            .pending
+            .iter()
+            .position(|probe| probe.sent_at_ms.saturating_add(timeout_ms) <= now_ms)?;
         let lost = self.pending.remove(position);
         let streak = self.streaks.entry(lost.target.clone()).or_insert(0);
         *streak = streak.saturating_add(1);
@@ -146,21 +151,8 @@ impl<Id: Eq + Hash + Clone> ProbeLedger<Id> {
         Some((lost, evicted))
     }
 
-    /// [Times out](ProbeLedger::timeout) the oldest pending probe sent at or
-    /// before `now_ms - timeout_ms`, if there is one. Callers loop until
-    /// `None`: one probe per call, because a loss that evicts releases
-    /// *several* pending entries.
-    pub fn expire(&mut self, now_ms: u64, timeout_ms: u64) -> Option<(PendingProbe<Id>, bool)> {
-        let seq = self
-            .pending
-            .iter()
-            .find(|probe| probe.sent_at_ms.saturating_add(timeout_ms) <= now_ms)?
-            .seq;
-        self.timeout(seq)
-    }
-
     /// Drops everything about `id`: its pending probes and its loss streak.
-    pub fn forget(&mut self, id: &Id) {
+    pub(crate) fn forget(&mut self, id: &Id) {
         self.pending.retain(|probe| probe.target != *id);
         self.streaks.remove(id);
     }
@@ -190,17 +182,17 @@ mod tests {
     fn the_threshold_evicts_and_releases_every_probe_of_the_peer() {
         let mut ledger = Ledger::new(Some(2));
         let first = ledger.issue(7, 0);
-        let second = ledger.issue(7, 5);
-        let third = ledger.issue(7, 10);
+        ledger.issue(7, 5);
+        ledger.issue(7, 10);
         let other = ledger.issue(8, 10);
-        let (lost, evicted) = ledger.timeout(first).unwrap();
+        let (lost, evicted) = ledger.expire(0, 0).unwrap();
         assert_eq!((lost.target, lost.seq, evicted), (7, first, false));
         assert_eq!(ledger.loss_streak(&7), 1);
-        let (_, evicted) = ledger.timeout(second).unwrap();
+        assert_eq!(ledger.expire(0, 0), None, "nothing else is that old");
+        let (_, evicted) = ledger.expire(5, 0).unwrap();
         assert!(evicted);
         assert_eq!(ledger.loss_streak(&7), 0, "an evicted peer starts over");
-        assert_eq!(ledger.timeout(third), None, "released by the eviction");
-        assert_eq!(ledger.pending().len(), 1);
+        assert_eq!(ledger.pending().len(), 1, "the eviction released the third");
         assert_eq!(ledger.pending()[0].seq, other);
     }
 
@@ -231,9 +223,10 @@ mod tests {
             let (mut issued, mut settled, mut lost) = (0usize, 0usize, 0usize);
             let mut last_seq = None;
             let mut now_ms = 0u64;
-            // Sequence numbers ever handed out, with their targets: the pool
-            // late, duplicate and wrong-responder replies are drawn from.
-            let mut history: Vec<(u32, u64)> = Vec::new();
+            // Sequence numbers ever handed out, with their targets and send
+            // times: the pool late, duplicate and wrong-responder replies
+            // and timers are drawn from.
+            let mut history: Vec<(u32, u64, u64)> = Vec::new();
             for word in words {
                 let peer = ((word >> 8) % PEERS as u64) as u32;
                 let pick = (word >> 16) as usize;
@@ -243,14 +236,14 @@ mod tests {
                         let seq = ledger.issue(peer, now_ms);
                         prop_assert!(last_seq.is_none_or(|last| seq > last));
                         last_seq = Some(seq);
-                        history.push((peer, seq));
+                        history.push((peer, seq, now_ms));
                         issued += 1;
                     }
                     3 | 4 if !history.is_empty() => {
                         // Correlated, late or duplicate — whichever the
                         // drawn probe happens to be by now — or, one time
                         // in four, from the wrong responder.
-                        let (target, seq) = history[pick % history.len()];
+                        let (target, seq, _) = history[pick % history.len()];
                         let responder = if word >> 60 == 0 { (target + 1) % PEERS } else { target };
                         let was_pending = ledger
                             .pending()
@@ -270,11 +263,17 @@ mod tests {
                         prop_assert!(!ledger.settle(&peer, word), "never issued");
                     }
                     5 if !history.is_empty() => {
-                        let (_, seq) = history[pick % history.len()];
-                        if let Some(loss) = ledger.timeout(seq) {
+                        // The timer of a drawn probe fires: everything sent
+                        // at or before it is lost, oldest first.
+                        let (_, _, sent_at_ms) = history[pick % history.len()];
+                        while let Some(loss) = ledger.expire(sent_at_ms, 0) {
                             lost += 1;
                             check_loss(&ledger, &loss, threshold);
                         }
+                        prop_assert!(ledger
+                            .pending()
+                            .iter()
+                            .all(|probe| probe.sent_at_ms > sent_at_ms));
                     }
                     6 => {
                         while let Some(loss) = ledger.expire(now_ms, 100) {
@@ -399,10 +398,16 @@ mod tests {
                         prop_assert!(!ledger.settle(&peer, word));
                     }
                     7 if !sent.is_empty() => {
-                        let seq = sent[pick % sent.len()].seq;
+                        // The timer of some probe ever sent fires.
+                        let sent_at_ms = sent[pick % sent.len()].sent_at_ms;
                         events.clear();
-                        node.handle_timeout_into(seq, &mut events);
-                        prop_assert_eq!(events.is_empty(), ledger.timeout(seq).is_none());
+                        node.expire_pending_into(sent_at_ms, 0, &mut events);
+                        let lost = std::iter::from_fn(|| ledger.expire(sent_at_ms, 0)).count();
+                        let reported = events
+                            .iter()
+                            .filter(|event| matches!(event, Event::ProbeLost { .. }))
+                            .count();
+                        prop_assert_eq!(reported, lost);
                     }
                     8 => {
                         node.expire_pending_into(now_ms, 120, &mut events);

@@ -9,8 +9,7 @@ use nc_change::{ApplicationCoordinate, Heuristic, HeuristicStateMismatch, Update
 
 use nc_filters::StateMismatch;
 use nc_proto::{
-    Event, GossipEntry, LinkSnapshot, NodeSnapshot, PendingProbe, ProbeRequest, ProbeResponse,
-    SnapshotError,
+    Event, GossipEntry, LinkSnapshot, NodeSnapshot, ProbeRequest, ProbeResponse, SnapshotError,
 };
 use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
 
@@ -417,58 +416,33 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
 
     /// The node's [`ProbeLedger`]: its pending probes, oldest first, and
     /// per-peer loss streaks. The driver is responsible for expiring pending
-    /// entries — either per probe with
-    /// [`handle_timeout_into`](StableNode::handle_timeout_into) (when it
-    /// tracks its own timers, as the discrete-event simulator does) or in
-    /// bulk with [`expire_pending_into`](StableNode::expire_pending_into).
-    /// A driver that must predict this node's scheduling decisions without
-    /// running it keeps a ledger of its own and compares the two.
+    /// entries, through [`expire_pending_into`](StableNode::expire_pending_into)
+    /// — the UDP runtime on every tick of its timer wheel, the simulator when
+    /// a probe's own timer fires. A driver that must predict this node's
+    /// scheduling decisions without running it keeps a ledger of its own and
+    /// compares the two.
     pub fn ledger(&self) -> &ProbeLedger<Id> {
         &self.ledger
     }
 
-    /// Declares the probe with sequence number `seq` lost: its reply never
-    /// arrived within the driver's timeout. The pending entry is released
-    /// and [`Event::ProbeLost`] appended to `events`; the round-robin
-    /// schedule is unaffected, so the next
-    /// [`next_probe`](StableNode::next_probe) simply moves on — a lost probe
-    /// never stalls the engine.
+    /// Declares lost every pending probe sent at or before
+    /// `now_ms - timeout_ms`, oldest first: its reply never arrived within
+    /// the driver's timeout. Each entry is released and [`Event::ProbeLost`]
+    /// appended to `events`; the round-robin schedule is unaffected, so the
+    /// next [`next_probe`](StableNode::next_probe) simply moves on — a lost
+    /// probe never stalls the engine.
     ///
     /// When [`NodeConfig::max_consecutive_losses`] is configured and the
     /// target's streak reaches it, the peer is evicted from the neighbour
     /// table and the probe schedule and [`Event::NeighborEvicted`] follows.
     ///
-    /// Appends nothing when no pending probe carries `seq` (its response
-    /// already arrived, or it was already expired) — drivers may fire timers
-    /// unconditionally and let the engine sort it out. `events` is appended
-    /// to, never cleared: hot-loop drivers (the discrete-event simulator)
-    /// clear and reuse one buffer across calls, so the steady-state timeout
-    /// path performs no heap allocation.
-    pub fn handle_timeout_into(&mut self, seq: u64, events: &mut Vec<Event<Id>>) {
-        if let Some((lost, evicted)) = self.ledger.timeout(seq) {
-            self.report_loss(lost, evicted, events);
-        }
-    }
-
-    /// Reports a probe the ledger gave up on, and drops the peer from every
-    /// other table when the loss evicted it.
-    fn report_loss(&mut self, lost: PendingProbe<Id>, evicted: bool, events: &mut Vec<Event<Id>>) {
-        events.push(Event::ProbeLost {
-            id: lost.target.clone(),
-            seq: lost.seq,
-        });
-        if evicted {
-            self.evict(&lost.target);
-            events.push(Event::NeighborEvicted { id: lost.target });
-        }
-    }
-
-    /// Expires every pending probe sent at or before `now_ms - timeout_ms`,
-    /// oldest first, appending the same events to `events` as
-    /// [`handle_timeout_into`](StableNode::handle_timeout_into) does for
-    /// each. Drivers without per-probe timers call this once per tick —
-    /// the UDP transport's timer wheel every few milliseconds — so the
-    /// common no-probe-due case does not touch the heap.
+    /// Appends nothing when no probe is that old (its response already
+    /// arrived, or it was already expired) — drivers may call it on every
+    /// tick, or fire one timer per probe with `timeout_ms = 0` at the
+    /// probe's send time, and let the engine sort it out. `events` is
+    /// appended to, never cleared: hot-loop drivers clear and reuse one
+    /// buffer across calls, so the common no-probe-due case does not touch
+    /// the heap.
     pub fn expire_pending_into(
         &mut self,
         now_ms: u64,
@@ -476,7 +450,15 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         events: &mut Vec<Event<Id>>,
     ) {
         while let Some((lost, evicted)) = self.ledger.expire(now_ms, timeout_ms) {
-            self.report_loss(lost, evicted, events);
+            events.push(Event::ProbeLost {
+                id: lost.target.clone(),
+                seq: lost.seq,
+            });
+            if evicted {
+                // The ledger forgot the peer; drop it from every other table.
+                self.evict(&lost.target);
+                events.push(Event::NeighborEvicted { id: lost.target });
+            }
         }
     }
 
@@ -1020,10 +1002,18 @@ mod tests {
         response
     }
 
-    /// The events [`StableNode::handle_timeout_into`] reports for `seq`.
-    fn time_out(node: &mut Node, seq: u64) -> Vec<Event<u32>> {
+    /// The events [`StableNode::expire_pending_into`] reports when the
+    /// timer of `request` fires: everything sent at or before it is lost.
+    /// As in the simulator, the timers fire in send order, so no other
+    /// probe that old is still pending.
+    fn time_out(node: &mut Node, request: &ProbeRequest<u32>) -> Vec<Event<u32>> {
+        assert!(node
+            .ledger()
+            .pending()
+            .iter()
+            .all(|probe| probe.seq == request.seq || probe.sent_at_ms > request.sent_at_ms));
         let mut events = Vec::new();
-        node.handle_timeout_into(seq, &mut events);
+        node.expire_pending_into(request.sent_at_ms, 0, &mut events);
         events
     }
 
@@ -1571,7 +1561,7 @@ mod tests {
         node.seed_neighbor(2);
         let request = node.next_probe(0).unwrap();
         assert_eq!(node.ledger().pending().len(), 1);
-        let events = time_out(&mut node, request.seq);
+        let events = time_out(&mut node, &request);
         assert_eq!(
             events,
             vec![Event::ProbeLost {
@@ -1583,7 +1573,7 @@ mod tests {
         // The schedule moved on to the next peer; nothing is stuck waiting.
         assert_eq!(node.next_probe(1).unwrap().target, 2);
         // A second timeout for the same seq is a no-op (reply raced the timer).
-        assert!(time_out(&mut node, request.seq).is_empty());
+        assert!(time_out(&mut node, &request).is_empty());
     }
 
     #[test]
@@ -1608,7 +1598,7 @@ mod tests {
         let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         // One probe lost, then one answered: the streak must reset.
         let lost = node.probe_request_for(1, 0);
-        time_out(&mut node, lost.seq);
+        time_out(&mut node, &lost);
         assert_eq!(node.ledger().loss_streak(&1), 1);
         let request = node.probe_request_for(1, 1);
         let mut response = ProbeResponse::new(1, &request, remote, 0.5);
@@ -1628,7 +1618,7 @@ mod tests {
         assert!(node.view().nearest_neighbor.is_some());
         for round in 0..3u64 {
             let request = node.probe_request_for(7, round);
-            let events = time_out(&mut node, request.seq);
+            let events = time_out(&mut node, &request);
             if round < 2 {
                 assert_eq!(events.len(), 1, "no eviction yet: {events:?}");
             } else {
@@ -1656,7 +1646,7 @@ mod tests {
         let mut node = Node::new(NodeConfig::paper_defaults());
         let remote = Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap();
         let request = node.probe_request_for(1, 0);
-        time_out(&mut node, request.seq);
+        time_out(&mut node, &request);
         assert_eq!(node.ledger().loss_streak(&1), 1);
 
         let mut late = ProbeResponse::new(1, &request, remote, 0.5);
@@ -1784,13 +1774,14 @@ mod tests {
         for peer in [10, 11, 12, 13, 14] {
             node.seed_neighbor(peer);
         }
-        // Probe 10 and 11, then evict 10 (already behind the cursor).
-        assert_eq!(node.next_probe(0).unwrap().target, 10);
-        let lost = node.next_probe(1).unwrap();
-        assert_eq!(lost.target, 11);
-        let doomed = node.probe_request_for(10, 2);
-        let events = time_out(&mut node, doomed.seq);
+        // Probe 10 and 11, then evict 10 (already behind the cursor) while
+        // the probe of 11 is still in flight.
+        let doomed = node.next_probe(0).unwrap();
+        assert_eq!(doomed.target, 10);
+        assert_eq!(node.next_probe(1).unwrap().target, 11);
+        let events = time_out(&mut node, &doomed);
         assert!(events.contains(&Event::NeighborEvicted { id: 10 }));
+        assert_eq!(node.ledger().pending().len(), 1, "11 still waits");
 
         // The rest of the cycle visits exactly the not-yet-probed survivors.
         let rest: Vec<u32> = (0..3)
@@ -1813,16 +1804,26 @@ mod tests {
         for peer in [20, 21, 22] {
             node.seed_neighbor(peer);
         }
-        assert_eq!(node.next_probe(0).unwrap().target, 20);
+        // The rotation's own probes are answered, so each timer below loses
+        // only the probe it was armed for.
+        let answered = |node: &mut Node, now_ms| {
+            let request = node.next_probe(now_ms).unwrap();
+            let mut reply =
+                ProbeResponse::new(request.target, &request, Coordinate::origin(3), 0.5);
+            reply.rtt_ms = 30.0;
+            digest(node, &reply);
+            request.target
+        };
+        assert_eq!(answered(&mut node, 0), 20);
         // Cursor now points at 21; evict it.
         let doomed = node.probe_request_for(21, 1);
-        time_out(&mut node, doomed.seq);
-        assert_eq!(node.next_probe(2).unwrap().target, 22);
-        assert_eq!(node.next_probe(3).unwrap().target, 20);
+        time_out(&mut node, &doomed);
+        assert_eq!(answered(&mut node, 2), 22);
+        assert_eq!(answered(&mut node, 3), 20);
 
         // Evict 22 (now *behind* a wrapped cursor position) and keep going.
         let doomed = node.probe_request_for(22, 4);
-        time_out(&mut node, doomed.seq);
+        time_out(&mut node, &doomed);
         assert_eq!(node.next_probe(5).unwrap().target, 20);
         assert_eq!(node.next_probe(6).unwrap().target, 20);
     }
@@ -1846,7 +1847,7 @@ mod tests {
     fn snapshot_carries_pending_probes_and_streaks() {
         let mut node = Node::new(NodeConfig::paper_defaults());
         let lost = node.probe_request_for(1, 0);
-        time_out(&mut node, lost.seq);
+        time_out(&mut node, &lost);
         let in_flight = node.probe_request_for(2, 10);
         let encoded = node.snapshot().encode_binary();
         let snapshot = NodeSnapshot::<u32>::decode_binary(&encoded).unwrap();
@@ -1855,8 +1856,8 @@ mod tests {
         assert_eq!(restored.ledger().loss_streak(&1), 1);
         // The restored node settles the in-flight probe exactly like the
         // original would.
-        let events_o = time_out(&mut node, in_flight.seq);
-        let events_r = time_out(&mut restored, in_flight.seq);
+        let events_o = time_out(&mut node, &in_flight);
+        let events_r = time_out(&mut restored, &in_flight);
         assert_eq!(events_o, events_r);
         assert!(restored.ledger().pending().is_empty());
     }
@@ -1979,7 +1980,7 @@ mod tests {
                 let request = nodes[prober].next_probe(round * 1_000).unwrap();
                 exchanges += 1;
                 if exchanges.is_multiple_of(29) {
-                    nodes[prober].handle_timeout_into(request.seq, &mut events);
+                    nodes[prober].expire_pending_into(request.sent_at_ms, 0, &mut events);
                     continue;
                 }
                 let target = request.target;
@@ -2057,7 +2058,7 @@ mod tests {
             // theirs in the store but last in the rotation. Re-observing the
             // incumbent at an unchanged RTT rescans the table.
             let doomed = node.probe_request_for(4, 0);
-            assert!(time_out(&mut node, doomed.seq).contains(&Event::NeighborEvicted { id: 4 }));
+            assert!(time_out(&mut node, &doomed).contains(&Event::NeighborEvicted { id: 4 }));
             feed(&mut node, 40, at(0.0), 0.5, 20.0);
             feed(&mut node, first, at(10.0), 0.5, 20.0);
             assert_eq!(node.view().nearest_neighbor, Some((first, 20.0)));
@@ -2120,7 +2121,7 @@ mod tests {
         // Evicted and gossiped again, it is discovered again, at the end of
         // the rotation.
         let doomed = node.probe_request_for(7, 0);
-        assert!(time_out(&mut node, doomed.seq).contains(&Event::NeighborEvicted { id: 7 }));
+        assert!(time_out(&mut node, &doomed).contains(&Event::NeighborEvicted { id: 7 }));
         let events = feed_with_gossip(&mut node, 2, 7);
         assert!(discovered(&events, 7), "{events:?}");
         assert_eq!(node.view().membership, vec![2, 3, 7]);
@@ -2139,7 +2140,7 @@ mod tests {
         feed(&mut node, 1, remote.clone(), 0.5, 30.0);
         feed_with_gossip(&mut node, 2, 50);
         let lost = node.probe_request_for(1, 0);
-        time_out(&mut node, lost.seq);
+        time_out(&mut node, &lost);
         let mut trimmed = node.snapshot();
         trimmed.membership.retain(|&id| id == 2);
         let mut first = Node::restore(config.clone(), &trimmed).unwrap();
@@ -2320,10 +2321,64 @@ mod tests {
         // gossip that brings it back.
         let mut restored = Node::restore(config, &honest).unwrap();
         let doomed = restored.probe_request_for(1, 0);
-        assert!(time_out(&mut restored, doomed.seq).contains(&Event::NeighborEvicted { id: 1 }));
+        assert!(time_out(&mut restored, &doomed).contains(&Event::NeighborEvicted { id: 1 }));
         assert_eq!(restored.view().membership, vec![2, 50]);
         feed_with_gossip(&mut restored, 2, 1);
         assert_eq!(restored.view().membership, vec![2, 50, 1]);
+    }
+
+    #[test]
+    fn restore_rejects_a_stray_loss_streak_or_pending_probe() {
+        let config = NodeConfig::builder().max_consecutive_losses(3).build();
+        let mut node = Node::new(config.clone());
+        node.set_identity(0);
+        node.seed_neighbor(1);
+        let lost = node.probe_request_for(1, 0);
+        time_out(&mut node, &lost);
+        node.probe_request_for(1, 10);
+        let honest = node.snapshot();
+        assert_eq!((honest.loss_streaks.len(), honest.pending.len()), (1, 1));
+        // A streak of a peer the node does not know, or a zero one, was
+        // dropped by the restored node's next snapshot; a probe of a
+        // stranger, lost, counted a streak for a peer outside the table.
+        type Forge = fn(&mut NodeSnapshot<u32>);
+        let forgeries: [(Forge, SnapshotError); 4] = [
+            (|s| s.loss_streaks.push((99, 2)), SnapshotError::LossStreak),
+            (|s| s.loss_streaks[0].1 = 0, SnapshotError::LossStreak),
+            (|s| s.pending[0].target = 77, SnapshotError::Pending),
+            (|s| s.probe_seq = s.pending[0].seq, SnapshotError::Pending),
+        ];
+        for (forge, expected) in forgeries {
+            let mut snapshot = honest.clone();
+            forge(&mut snapshot);
+            let err = Node::restore(config.clone(), &snapshot).unwrap_err();
+            assert_eq!(err, RestoreError::Snapshot(expected));
+        }
+        let restored = Node::restore(config, &honest).unwrap();
+        assert_eq!(restored.ledger(), node.ledger());
+    }
+
+    #[test]
+    fn a_probe_of_the_node_itself_snapshots_and_restores() {
+        // `probe_request_for` of the node's own identity numbers a probe
+        // without registering the id; the snapshot carries it, and it
+        // restores and expires like any other.
+        let config = NodeConfig::builder().max_consecutive_losses(1).build();
+        let mut node = Node::new(config.clone());
+        node.set_identity(0);
+        node.seed_neighbor(1);
+        let own = node.probe_request_for(0, 5);
+        let snapshot = node.snapshot();
+        assert_eq!(snapshot.membership, vec![1]);
+        assert_eq!(snapshot.pending[0].target, 0);
+        assert_eq!(snapshot.validate(), Ok(()));
+        let mut restored = Node::restore(config, &snapshot).unwrap();
+        assert_eq!(restored.snapshot(), snapshot);
+        assert!(time_out(&mut restored, &own).contains(&Event::ProbeLost {
+            id: 0,
+            seq: own.seq
+        }));
+        assert_eq!(restored.view().membership, vec![1]);
     }
 
     /// A configuration of `filter` with a warm-up of `warmup` samples and
@@ -2441,7 +2496,7 @@ mod tests {
         feed(&mut node, 1, remote.clone(), 0.5, 10.0);
         assert_eq!(link_view(&node, 1), (Some(10.0), 2));
         let doomed = node.probe_request_for(1, 0);
-        assert!(time_out(&mut node, doomed.seq).contains(&Event::NeighborEvicted { id: 1 }));
+        assert!(time_out(&mut node, &doomed).contains(&Event::NeighborEvicted { id: 1 }));
         assert!(withheld(&feed(&mut node, 1, remote.clone(), 0.5, 10.0)));
         assert_eq!(link_view(&node, 1), (None, 1));
     }
@@ -2654,7 +2709,7 @@ mod tests {
             feed(node, 100, remote.clone(), 0.5, 25.0);
             assert_eq!((node.links.live(), node.snapshots.live()), (9, 9));
             let doomed = node.probe_request_for(100, 0);
-            let events = time_out(node, doomed.seq);
+            let events = time_out(node, &doomed);
             assert!(events.contains(&Event::NeighborEvicted { id: 100 }));
             assert_eq!((node.links.live(), node.snapshots.live()), (8, 8));
         };
@@ -2696,7 +2751,7 @@ mod tests {
         feed_with_gossip(&mut node, 2, 51);
         for evicted in [3, 4] {
             let doomed = node.probe_request_for(evicted, 0);
-            time_out(&mut node, doomed.seq);
+            time_out(&mut node, &doomed);
         }
         feed_with_gossip(&mut node, 1, 4);
         feed_with_gossip(&mut node, 2, 3);

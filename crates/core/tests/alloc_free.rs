@@ -280,7 +280,7 @@ fn steady_state_expire_pending_performs_zero_allocations() {
     // timeout, and let the pending table reach its working size.
     for step in 0..16u64 {
         let request = node.probe_request_for(7, step);
-        node.handle_timeout_into(request.seq, &mut events);
+        node.expire_pending_into(request.sent_at_ms, 0, &mut events);
     }
     events.clear();
     for step in 0..4u64 {

@@ -3,8 +3,9 @@
 //! however corrupted, makes decode → restore → further exchanges panic.
 //!
 //! A cluster of five nodes is driven by random words: each word is one probe
-//! of `next_probe`'s choosing, lost (a timeout, and after two in a row an
-//! eviction) or answered with a synthetic RTT and the responder's gossip.
+//! of `next_probe`'s choosing, lost (it stays pending until every node's
+//! clock tick expires it, and after two in a row the peer is evicted) or
+//! answered with a synthetic RTT and the responder's gossip.
 //! Every filter family and every heuristic family run in turn.
 
 use nc_proto::BinaryMessage;
@@ -15,6 +16,10 @@ use stable_nc::{
 };
 
 const NODES: usize = 5;
+
+/// How long a lost probe stays pending: long enough that most snapshots
+/// carry probes in flight.
+const TIMEOUT_MS: u64 = 8;
 
 /// The configuration every node of a case runs.
 fn config(family: usize, heuristic: usize, warmup_samples: u64) -> NodeConfig {
@@ -66,7 +71,8 @@ fn cluster(config: &NodeConfig) -> Vec<StableNode<u32>> {
 
 /// One probe, driven by `word`: which node probes, whether the probe is
 /// lost, and the RTT measured when it is answered (a tenth of them a
-/// heavy-tail spike). A probe of an id outside the cluster is lost.
+/// heavy-tail spike). A probe of an id outside the cluster is lost; a lost
+/// probe waits for [`drive`] to expire it.
 fn exchange(
     nodes: &mut [StableNode<u32>],
     word: u64,
@@ -81,7 +87,6 @@ fn exchange(
     };
     let target = request.target as usize;
     if (word >> 8).is_multiple_of(5) || target >= NODES || target == prober {
-        nodes[prober].handle_timeout_into(request.seq, events);
         return;
     }
     nodes[target].respond_into(&request, response);
@@ -95,20 +100,19 @@ fn exchange(
     nodes[prober].handle_response_into(response, events);
 }
 
-/// Runs every word as one exchange, one millisecond apart.
+/// Runs every word as one exchange, one millisecond apart, each after a
+/// clock tick that expires every probe older than [`TIMEOUT_MS`].
 fn drive(nodes: &mut [StableNode<u32>], words: &[u64], start_ms: u64) {
     let mut response =
         ProbeResponse::new(0, &ProbeRequest::new(0, 0, 0), Coordinate::origin(3), 1.0);
     let mut events = Vec::new();
     for (step, &word) in words.iter().enumerate() {
+        let now_ms = start_ms + step as u64;
         events.clear();
-        exchange(
-            nodes,
-            word,
-            start_ms + step as u64,
-            &mut response,
-            &mut events,
-        );
+        for node in nodes.iter_mut() {
+            node.expire_pending_into(now_ms, TIMEOUT_MS, &mut events);
+        }
+        exchange(nodes, word, now_ms, &mut response, &mut events);
     }
 }
 

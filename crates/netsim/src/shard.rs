@@ -74,11 +74,11 @@
 //! regression and property-test suites.
 //!
 //! The ledgers are sufficient because an engine influences the schedule
-//! through exactly three facts: whether a timeout correlates with a pending
-//! probe, whether a loss streak reaches the eviction threshold, and which
-//! sequence number a probe carries. All three are answered by the engine's
-//! [`ProbeLedger`] — one definition, in `stable-nc` — and that ledger is a
-//! function of the calls made on it alone, so the planner's copies, seeded
+//! through exactly three facts: which probes a deadline expires, whether a
+//! loss streak reaches the eviction threshold, and which sequence number a
+//! probe carries. All three are answered by the engine's [`ProbeLedger`] —
+//! one definition, in `stable-nc` — and that ledger is a function of the
+//! calls made on it alone, so the planner's copies, seeded
 //! from the engines' when the nodes are dealt and fed the same calls, stay
 //! equal to them; [`reassemble`] asserts it after every run. Configurations
 //! with one eviction threshold keep equal ledgers, so the planner holds one
@@ -160,18 +160,16 @@ pub(crate) enum PlanOp {
     /// publication and release the cell. Runs on the prober's shard — the
     /// side that would have digested it.
     DropReply { src: u32, slot: u32, turn: u32 },
-    /// `handle_timeout_into(seq)` on every configuration's `node`.
-    Timeout { node: u32, seq: u64 },
+    /// `expire_pending_into(sent_at_ms, 0)` on every configuration's
+    /// `node`: a probe's timer fired, or the node came back up. Every probe
+    /// sent at or before `sent_at_ms` is lost.
+    Expire { node: u32, sent_at_ms: u64 },
     /// Take crash snapshots of every configuration's `node`.
     Crash { node: u32 },
     /// Revive `node`: fresh engines on a join, snapshot restores on a
-    /// restart, expiring pre-crash pending probes either way.
-    Restore {
-        node: u32,
-        fresh: bool,
-        now: f64,
-        now_ms: u64,
-    },
+    /// restart. The loop follows it with an `Expire` of the probes
+    /// outstanding at the crash.
+    Restore { node: u32, fresh: bool },
     /// Sample `node`'s coordinates for the trajectory metrics.
     Track {
         node: u32,
@@ -189,8 +187,8 @@ pub(crate) enum PlanOp {
 pub(crate) struct Decided<'a> {
     /// `Issue`: the sequence number every configuration gave the probe.
     pub(crate) seq: u64,
-    /// `Timeout` and `Restore`: the peers that every configuration evicted,
-    /// in the first configuration's order.
+    /// `Expire`: the peers that every configuration evicted, in the first
+    /// configuration's order.
     pub(crate) evicted: &'a [usize],
 }
 
@@ -569,11 +567,11 @@ impl Worker {
                 assert_turn(&cell.published, turn);
                 cell.consumed.store(turn, Ordering::Release);
             }
-            PlanOp::Timeout { node, seq } => {
+            PlanOp::Expire { node, sent_at_ms } => {
                 let local = node as usize / self.threads;
                 for (index, run) in self.runs.iter_mut().enumerate() {
                     self.events.clear();
-                    run.nodes[local].handle_timeout_into(seq, &mut self.events);
+                    run.nodes[local].expire_pending_into(sent_at_ms, 0, &mut self.events);
                     evicted_by_every(&mut self.evicted, index == 0, evicted_in(&self.events));
                     fold_events(&mut run.metrics[local], 0.0, false, &self.events);
                 }
@@ -584,20 +582,15 @@ impl Worker {
                     run.snapshots[local] = Some(run.nodes[local].snapshot());
                 }
             }
-            PlanOp::Restore {
-                node,
-                fresh,
-                now,
-                now_ms,
-            } => {
+            PlanOp::Restore { node, fresh } => {
                 let local = node as usize / self.threads;
-                for (index, run) in self.runs.iter_mut().enumerate() {
+                for run in &mut self.runs {
                     let snapshot = if fresh {
                         None
                     } else {
                         run.snapshots[local].take()
                     };
-                    let mut revived = match snapshot {
+                    run.nodes[local] = match snapshot {
                         Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
                             // nc-lint: allow(panic) — restoring a snapshot
                             // this run took under the same config cannot
@@ -605,12 +598,6 @@ impl Worker {
                             .expect("a crash snapshot restores under its own configuration"),
                         None => StableNode::new(run.config.clone()),
                     };
-                    // A rebooted daemon stops waiting for pre-crash replies.
-                    self.events.clear();
-                    revived.expire_pending_into(now_ms, 0, &mut self.events);
-                    evicted_by_every(&mut self.evicted, index == 0, evicted_in(&self.events));
-                    fold_events(&mut run.metrics[local], now, false, &self.events);
-                    run.nodes[local] = revived;
                 }
             }
             PlanOp::Track {
@@ -681,12 +668,18 @@ impl Engines for Planner<'_> {
                 src
             }
             PlanOp::DropReply { src, .. } => src,
-            PlanOp::Timeout { node, seq } => {
+            PlanOp::Expire { node, sent_at_ms } => {
                 for (index, group) in self.groups.iter_mut().enumerate() {
-                    let lost = group.nodes[node as usize].timeout(seq);
-                    let evicted = lost.filter(|(_, evicted)| *evicted);
-                    let evicted_here = evicted.map(|(probe, _)| probe.target).into_iter();
-                    evicted_by_every(self.evicted, index == 0, evicted_here);
+                    let ledger = &mut group.nodes[node as usize];
+                    let evicted_here = std::iter::from_fn(|| ledger.expire(sent_at_ms, 0))
+                        .filter_map(|(lost, evicted)| evicted.then_some(lost.target));
+                    if index == 0 {
+                        self.evicted.extend(evicted_here);
+                    } else {
+                        // Allocates only when this group evicts as well.
+                        let evicted_here: Vec<usize> = evicted_here.collect();
+                        self.evicted.retain(|id| evicted_here.contains(id));
+                    }
                 }
                 node
             }
@@ -696,24 +689,15 @@ impl Engines for Planner<'_> {
                 }
                 node
             }
-            PlanOp::Restore {
-                node,
-                fresh,
-                now_ms,
-                ..
-            } => {
-                for (index, group) in self.groups.iter_mut().enumerate() {
+            PlanOp::Restore { node, fresh } => {
+                for group in self.groups.iter_mut() {
                     let crashed = if fresh {
                         None
                     } else {
                         group.crashed[node as usize].take()
                     };
-                    let mut revived = crashed.unwrap_or_else(|| ProbeLedger::new(group.threshold));
-                    let expired = std::iter::from_fn(|| revived.expire(now_ms, 0));
-                    let evicted = expired.filter(|(_, evicted)| *evicted);
-                    let evicted_here: Vec<usize> = evicted.map(|(lost, _)| lost.target).collect();
-                    evicted_by_every(self.evicted, index == 0, evicted_here.into_iter());
-                    group.nodes[node as usize] = revived;
+                    group.nodes[node as usize] =
+                        crashed.unwrap_or_else(|| ProbeLedger::new(group.threshold));
                 }
                 node
             }

@@ -43,10 +43,11 @@
 //! [`ProbeResponse`](nc_proto::ProbeResponse) →
 //! [`StableNode::handle_response_into`] — and the metrics are folded from
 //! the reported [`Event`] stream, exactly as a deployed daemon would consume
-//! them. Timeouts run through [`StableNode::handle_timeout_into`], the same
-//! API a daemon's timer wheel would call. Every one of those calls is made
-//! in one place, `shard::Worker::apply`, which runs one engine operation on
-//! every configuration of one node.
+//! them. A probe's timer, and a restart, lose probes through
+//! [`StableNode::expire_pending_into`], the call a daemon's timer wheel
+//! makes. Every one of those calls is made in one place,
+//! `shard::Worker::apply`, which runs one engine operation on every
+//! configuration of one node.
 //!
 //! The schedule is made in one place too: one event loop (`EventLoop`)
 //! decides every probe target, link draw, timer, adversary draw, gossip pick
@@ -673,9 +674,9 @@ pub(crate) enum SimEvent {
     /// A reply reaches the prober, which digests the responses held in the
     /// slot's cell.
     ResponseDeliver { src: usize, dst: usize, slot: usize },
-    /// The prober's timer for one probe fires; a no-op when the reply
-    /// arrived first.
-    ProbeTimeout { src: usize, seq: u64 },
+    /// The prober's timer for the probe it sent at `sent_at_ms` fires; a
+    /// no-op when the reply arrived first.
+    ProbeTimeout { src: usize, sent_at_ms: u64 },
     /// Sample the tracked nodes' coordinates (Figure 7 trajectories).
     TrackSample,
     /// Apply the next scripted scenario action.
@@ -1360,8 +1361,8 @@ pub(crate) fn fold_events(
 /// Where the [`EventLoop`]'s engine decisions come from. The loop hands
 /// every engine operation to it, with what the operation needs beside it,
 /// and schedules from the [`Decided`] facts it hands back: the number an
-/// `Issue` gave the probe, and the peers every configuration evicted on a
-/// `Timeout` or a `Restore`. The reference ([`Reference`]) reads them off
+/// `Issue` gave the probe, and the peers every configuration evicted on an
+/// `Expire`. The reference ([`Reference`]) reads them off
 /// the engines; the planner (`shard::Planner`) off its probe ledgers.
 pub(crate) trait Engines {
     /// Runs or queues `op` on its node's engines and returns what they
@@ -1487,7 +1488,10 @@ impl<'a> EventLoop<'a> {
                 self.queue.schedule_timer(
                     TIMEOUT_LANE,
                     now + env.sim_config.probe_timeout_s,
-                    SimEvent::ProbeTimeout { src, seq },
+                    SimEvent::ProbeTimeout {
+                        src,
+                        sent_at_ms: now_ms,
+                    },
                 );
                 if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
                     return;
@@ -1580,22 +1584,16 @@ impl<'a> EventLoop<'a> {
                 engines.apply(digest, settle);
                 self.schedule.learn_gossip(env, src, dst);
             }
-            SimEvent::ProbeTimeout { src, seq } => {
-                if !self.schedule.alive[src] {
-                    return;
-                }
-                // When a configuration's engine evicts the unresponsive peer
-                // (`NodeConfig::max_consecutive_losses`), the shared probe
-                // rotation honours it — but only once *every* configuration
-                // has evicted, so the schedule stays identical across
-                // side-by-side stacks. With matching eviction thresholds
-                // (the usual case) they all fire on the same timeout.
-                let timeout = PlanOp::Timeout {
-                    node: src as u32,
-                    seq,
-                };
-                for &dst in engines.apply(timeout, Beside::Nothing).evicted {
-                    self.schedule.neighbor_remove(src, dst);
+            SimEvent::ProbeTimeout { src, sent_at_ms } => {
+                // Timers sit in one FIFO lane at one offset, so every older
+                // probe of `src` is settled or lost by now: the deadline
+                // loses this probe or, when its reply came first, nothing.
+                // (Probes of one millisecond share a deadline: ticks under
+                // 1 ms apart, or a crash and restart in the millisecond of
+                // a send.) A timer that finds its node down is dropped; the
+                // restart expires what the node went down with.
+                if self.schedule.alive[src] {
+                    self.expire(engines, src, sent_at_ms);
                 }
             }
             SimEvent::TrackSample => {
@@ -1651,26 +1649,37 @@ impl<'a> EventLoop<'a> {
             return;
         }
         self.schedule.alive[node] = true;
-        // Expiring the probes that were outstanding at the crash can push a
-        // loss streak over the eviction threshold. Those evictions must reach
-        // the shared probe rotation under the same unanimity rule as timeout
-        // evictions — otherwise the revived node keeps probing a peer every
-        // engine already evicted, and its losses diverge from a deployment.
         let restore = PlanOp::Restore {
             node: node as u32,
             fresh,
-            now,
-            now_ms: (now * 1_000.0) as u64,
         };
-        for &target in engines.apply(restore, Beside::Nothing).evicted {
-            self.schedule.neighbor_remove(node, target);
-        }
+        engines.apply(restore, Beside::Nothing);
+        // A rebooted daemon stops waiting for pre-crash replies; the
+        // evictions that causes reach the rotation as a timer's do.
+        self.expire(engines, node, (now * 1_000.0) as u64);
         if fresh {
             self.schedule.bootstrap_joiner(self.env, node);
         }
         if !self.schedule.probe_cycle_active[node] {
             self.schedule.probe_cycle_active[node] = true;
             self.queue.schedule(now, SimEvent::ProbeSend { src: node });
+        }
+    }
+
+    /// Loses every probe `node` sent at or before `sent_at_ms`. When a
+    /// configuration's engine evicts the unresponsive peer
+    /// (`NodeConfig::max_consecutive_losses`), the shared probe rotation
+    /// honours it — but only once *every* configuration has evicted, so the
+    /// schedule stays identical across side-by-side stacks. With matching
+    /// eviction thresholds (the usual case) they all evict on the same
+    /// expiry.
+    fn expire(&mut self, engines: &mut impl Engines, node: usize, sent_at_ms: u64) {
+        let expire = PlanOp::Expire {
+            node: node as u32,
+            sent_at_ms,
+        };
+        for &peer in engines.apply(expire, Beside::Nothing).evicted {
+            self.schedule.neighbor_remove(node, peer);
         }
     }
 }

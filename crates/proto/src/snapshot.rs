@@ -111,6 +111,13 @@ pub enum SnapshotError {
     Membership,
     /// A displacement total (system or application) is negative or not finite.
     Displacement,
+    /// A loss streak is zero (no engine keeps one), repeats a peer, or
+    /// names an id that is neither a link nor a member.
+    LossStreak,
+    /// The pending probes are not in strictly increasing sequence order,
+    /// one is numbered at or past `probe_seq`, or one addresses an id that
+    /// is neither a link, a member nor the node itself.
+    Pending,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -123,6 +130,10 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::Membership => "the membership repeats a peer or names the node",
             SnapshotError::Displacement => "a displacement total is negative or not finite",
+            SnapshotError::LossStreak => "a loss streak is zero, repeated or of an unknown id",
+            SnapshotError::Pending => {
+                "the pending probes are out of order, numbered past probe_seq or to an unknown id"
+            }
         };
         write!(f, "snapshot breaks a rule: {rule}")
     }
@@ -156,14 +167,40 @@ impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
                 return Err(SnapshotError::NearestNeighbor);
             }
         }
-        // nc-lint: allow(det-map) — a membership test only: never iterated.
-        let mut members = std::collections::HashSet::with_capacity(self.membership.len());
+        // nc-lint: allow(det-map) — membership tests only: never iterated.
+        let mut known = std::collections::HashSet::with_capacity(self.membership.len());
         if self
             .membership
             .iter()
-            .any(|id| self.identity.as_ref() == Some(id) || !members.insert(id))
+            .any(|id| self.identity.as_ref() == Some(id) || !known.insert(id))
         {
             return Err(SnapshotError::Membership);
+        }
+        // The ids the node knows: its members and its links.
+        known.extend(self.links.iter().map(|link| &link.id));
+        // nc-lint: allow(det-map) — a membership test only: never iterated.
+        let mut streaks = std::collections::HashSet::with_capacity(self.loss_streaks.len());
+        if !self
+            .loss_streaks
+            .iter()
+            .all(|(id, streak)| *streak > 0 && known.contains(id) && streaks.insert(id))
+        {
+            return Err(SnapshotError::LossStreak);
+        }
+        // `probe_request_for` numbers a probe of the node's own identity
+        // without registering it, so a pending probe may address the node.
+        let ordered = self
+            .pending
+            .windows(2)
+            .all(|pair| pair[0].seq < pair[1].seq);
+        if !ordered
+            || !self.pending.iter().all(|probe| {
+                probe.seq < self.probe_seq
+                    && (known.contains(&probe.target)
+                        || self.identity.as_ref() == Some(&probe.target))
+            })
+        {
+            return Err(SnapshotError::Pending);
         }
         let totals = [
             self.vivaldi.total_displacement_ms(),

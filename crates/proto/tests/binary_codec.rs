@@ -317,7 +317,7 @@ fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
     type Poison = fn(&mut NodeSnapshot<String>);
     let counters = |family, seen| SnapshotError::Filter(StateMismatch::Counters { family, seen });
     // A non-finite link error estimate is the case of the test above.
-    let cases: [(Poison, SnapshotError); 12] = [
+    let cases: [(Poison, SnapshotError); 18] = [
         (
             |s| {
                 s.links[0].filter = Some(FilterState::Raw {
@@ -387,11 +387,47 @@ fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
             |s| s.vivaldi = vivaldi_with_total_displacement(-0.5),
             SnapshotError::Displacement,
         ),
+        (|s| s.loss_streaks[0].1 = 0, SnapshotError::LossStreak),
+        (
+            |s| s.loss_streaks.push(("peer-b".into(), 2)),
+            SnapshotError::LossStreak,
+        ),
+        (
+            |s| s.loss_streaks.push(("stranger".into(), 2)),
+            SnapshotError::LossStreak,
+        ),
+        // Numbered before the probe it follows.
+        (
+            |s| {
+                s.pending.push(nc_proto::PendingProbe {
+                    target: "peer-a".into(),
+                    seq: 1,
+                    sent_at_ms: 950,
+                })
+            },
+            SnapshotError::Pending,
+        ),
+        // `probe_seq` is the number the *next* probe carries.
+        (|s| s.pending[0].seq = 3, SnapshotError::Pending),
+        (
+            |s| s.pending[0].target = "stranger".into(),
+            SnapshotError::Pending,
+        ),
     ];
     assert_eq!(sample_snapshot().validate(), Ok(()));
     let mut unmoved = sample_snapshot();
     unmoved.application.total_displacement_ms = 0.0;
     assert_eq!(unmoved.validate(), Ok(()));
+    // An engine may probe its own identity, and a probe of a link outside
+    // the membership may be lost: both are snapshots an engine takes.
+    let mut own = sample_snapshot();
+    own.pending[0].target = "self".into();
+    assert_eq!(own.validate(), Ok(()));
+    let mut outside = sample_snapshot();
+    outside.membership.retain(|id| id != "peer-a");
+    outside.pending[0].target = "peer-a".into();
+    outside.loss_streaks[0].0 = "peer-a".into();
+    assert_eq!(outside.validate(), Ok(()));
     for (index, (poison, expected)) in cases.into_iter().enumerate() {
         let mut snapshot = sample_snapshot();
         poison(&mut snapshot);
@@ -486,9 +522,9 @@ proptest! {
     fn snapshots_round_trip(
         observations in 0u64..1_000_000,
         probe_cursor in 0usize..64,
-        probe_seq in 0u64..1_000_000,
+        seq_gap in 1u64..1_000_000,
         gossip_cursor in 0usize..64,
-        streak in 0u32..1_000,
+        streak in 1u32..1_000,
         window in proptest::collection::vec(1.0f64..500.0, 1..6),
         pending_seq in 0u64..1_000_000,
         sent_at in 0u64..1_000_000_000,
@@ -497,7 +533,7 @@ proptest! {
         let mut snapshot = sample_snapshot();
         snapshot.observations = observations;
         snapshot.probe_cursor = probe_cursor;
-        snapshot.probe_seq = probe_seq;
+        snapshot.probe_seq = pending_seq + seq_gap;
         snapshot.gossip_cursor = gossip_cursor;
         snapshot.loss_streaks = vec![("peer-b".to_string(), streak)];
         snapshot.links[0].filter = Some(FilterState::MovingPercentile {
