@@ -417,8 +417,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// The node's [`ProbeLedger`]: its pending probes, oldest first, and
     /// per-peer loss streaks. The driver is responsible for expiring pending
     /// entries, through [`expire_pending_into`](StableNode::expire_pending_into)
-    /// — the UDP runtime on every tick of its timer wheel, the simulator when
-    /// a probe's own timer fires. A driver that must predict this node's
+    /// — the UDP runtime on every tick of its timer wheel, the simulator at
+    /// every probe tick of the node. A driver that must predict this node's
     /// scheduling decisions without running it keeps a ledger of its own and
     /// compares the two.
     pub fn ledger(&self) -> &ProbeLedger<Id> {

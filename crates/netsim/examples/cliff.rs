@@ -75,7 +75,7 @@ fn main() {
         let relative = baseline.get_or_insert(rate);
         println!(
             "{nodes:>6} nodes  {duration_s:>6.0} s simulated  {elapsed:>8.2} s wall  \
-             {rate:>6.2}M ev/s  ({:.2}x baseline cost)",
+             {events:>10} events  {rate:>6.2}M ev/s  ({:.2}x baseline cost)",
             *relative / rate
         );
     }

@@ -161,14 +161,17 @@ pub(crate) enum PlanOp {
     /// side that would have digested it.
     DropReply { src: u32, slot: u32, turn: u32 },
     /// `expire_pending_into(sent_at_ms, 0)` on every configuration's
-    /// `node`: a probe's timer fired, or the node came back up. Every probe
-    /// sent at or before `sent_at_ms` is lost.
+    /// `node`: every probe sent at or before `sent_at_ms` is lost. Emitted
+    /// at each of the node's probe ticks, with the tick's time less the
+    /// probe timeout (none while that would precede `t = 0`), and at each
+    /// restart, with the restart's time.
     Expire { node: u32, sent_at_ms: u64 },
     /// Take crash snapshots of every configuration's `node`.
     Crash { node: u32 },
     /// Revive `node`: fresh engines on a join, snapshot restores on a
-    /// restart. The loop follows it with an `Expire` of the probes
-    /// outstanding at the crash.
+    /// restart. The loop follows it with an `Expire` of every probe
+    /// outstanding at the crash, then ticks the node at once unless its
+    /// tick is still queued.
     Restore { node: u32, fresh: bool },
     /// Sample `node`'s coordinates for the trajectory metrics.
     Track {

@@ -19,9 +19,9 @@
 //! link model says so), the reply takes the other half back, and only then
 //! does the prober's engine digest the observation. A probe or reply may be
 //! dropped by the link's loss process or by an active network partition, in
-//! which case the prober's timeout fires instead and the engine reports
-//! [`Event::ProbeLost`] — the round-robin schedule keeps advancing either
-//! way; nothing ever stalls on an unanswered probe.
+//! which case the prober's first tick past the probe's deadline expires it
+//! and the engine reports [`Event::ProbeLost`] — the round-robin schedule
+//! keeps advancing either way; nothing ever stalls on an unanswered probe.
 //!
 //! Probing follows the paper's protocol: every node samples its neighbour
 //! set in round-robin order at a fixed interval, neighbour sets start small
@@ -43,15 +43,16 @@
 //! [`ProbeResponse`](nc_proto::ProbeResponse) →
 //! [`StableNode::handle_response_into`] — and the metrics are folded from
 //! the reported [`Event`] stream, exactly as a deployed daemon would consume
-//! them. A probe's timer, and a restart, lose probes through
-//! [`StableNode::expire_pending_into`], the call a daemon's timer wheel
-//! makes. Every one of those calls is made in one place,
-//! `shard::Worker::apply`, which runs one engine operation on every
-//! configuration of one node.
+//! them. A node's probe tick, and a restart, lose probes through
+//! [`StableNode::expire_pending_into`], the call a daemon makes on its own
+//! clock; the tick is the only timer a node has. Every one of those calls is
+//! made in one place, `shard::Worker::apply`, which runs one engine
+//! operation on every configuration of one node.
 //!
 //! The schedule is made in one place too: one event loop (`EventLoop`)
-//! decides every probe target, link draw, timer, adversary draw, gossip pick
-//! and scenario effect, and hands each engine operation to an `Engines`.
+//! decides every probe target, link draw, expiry, adversary draw, gossip
+//! pick and scenario effect, and hands each engine operation to an
+//! `Engines`.
 //! [`Simulator::run`] gives it the planner, which reads what the engines
 //! will decide off its probe ledgers and queues the operations for its
 //! workers; the reference behind [`Simulator::with_serial_execution`] gives
@@ -60,7 +61,6 @@
 //! between the two.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use nc_proto::{Event, NodeSnapshot};
@@ -223,8 +223,17 @@ pub struct SimConfig {
     pub protocol_seed: u64,
     /// How long a prober waits for a reply before declaring the probe lost
     /// (seconds). Defaults to three probe intervals — far above any
-    /// in-flight delay, so timeouts fire only for genuinely dropped packets
-    /// and dead peers.
+    /// in-flight delay, so losses are declared only for genuinely dropped
+    /// packets and dead peers.
+    ///
+    /// The prober's tick is its loss clock, as a daemon's is: a probe is
+    /// declared lost at the prober's first tick at or after its send time
+    /// plus the timeout, both in whole milliseconds, and a reply that
+    /// arrives before that tick is still digested. With a timeout of a
+    /// whole number of intervals that is the very instant the timeout
+    /// elapses; a 7.5 s timeout at a 5 s interval declares the loss at the
+    /// second tick, 10 s after the send, and a timeout shorter than one
+    /// interval at the next tick.
     pub probe_timeout_s: f64,
     /// Optional Byzantine assignment: a seeded random fraction of the
     /// population runs an [`AdversaryModel`] from the start. `None` (the
@@ -422,9 +431,8 @@ impl SimConfig {
 /// A queue entry, ordered by `(time_s, insertion)`: earliest time first,
 /// FIFO among equal times. Insertion numbers are unique, so the order is a
 /// *strict* total order — every correct priority queue pops the exact same
-/// sequence, which is what lets the containers behind [`EventQueue`] change
-/// (a binary heap, a 4-ary heap, FIFO timer lanes beside it) without
-/// touching simulation results.
+/// sequence, which is what lets the container behind [`EventQueue`] change
+/// without touching simulation results.
 #[derive(Debug)]
 struct QueueEntry<T> {
     time_s: f64,
@@ -434,41 +442,20 @@ struct QueueEntry<T> {
 
 /// Heap arity. A 4-ary heap halves the tree depth of a binary heap and
 /// packs each node's children into one or two cache lines. Inside a
-/// simulation the heap holds only what the timer lanes do not take — packets
-/// in flight, about `n · RTT / probe_interval` entries (≈ 30 at 1,024 nodes,
-/// beside ≈ 4 · n timers in the lanes), and the scripted scenario actions —
-/// and at that depth any arity would do. The arity is chosen for the other
-/// callers: plain [`EventQueue::schedule`] takes arbitrary times, a caller
-/// that sends everything through it keeps thousands of entries resident (two
-/// per node in the `ncbench` queue replay), and there the fewer, more local
-/// levels measurably cut per-pop cost.
+/// simulation the heap holds about one probe tick per live node beside the
+/// packets in flight, about `n · RTT / probe_interval` entries (≈ 30 at
+/// 1,024 nodes), and the scripted scenario actions; outside it, the
+/// `ncbench` queue replay keeps two entries per node resident. At those
+/// depths the fewer, more local levels measurably cut per-pop cost.
 const HEAP_ARITY: usize = 4;
-
-/// Number of FIFO timer lanes an [`EventQueue`] keeps beside its heap (see
-/// [`EventQueue::schedule_timer`]). One lane per family of timers that share
-/// a constant offset from the clock.
-pub const TIMER_LANES: usize = 2;
-
-/// The lane of the probe ticks: the initial ticks at `t = 0` and every
-/// re-arm one probe interval after the tick that fired.
-pub(crate) const TICK_LANE: usize = 0;
-/// The lane of the probe timeouts: one probe timeout after each send.
-pub(crate) const TIMEOUT_LANE: usize = 1;
 
 /// A deterministic discrete-event queue: events pop in nondecreasing time
 /// order, and events scheduled for the same instant pop in insertion order
 /// (FIFO), so a simulation's behaviour is a pure function of its inputs.
-///
-/// Entries live in one of two kinds of container under that single order: a
-/// min-heap, which takes any time, and [`TIMER_LANES`] FIFO lanes, which
-/// take the timers a periodic protocol schedules in the very order they
-/// will fire. [`pop`](EventQueue::pop) returns the earliest of the heap's
-/// head and the lane fronts, so which container an entry went into decides
-/// what it costs, never when it pops.
+/// One 4-ary min-heap holds every entry.
 #[derive(Debug, Default)]
 pub struct EventQueue<T> {
     heap: Vec<QueueEntry<T>>,
-    lanes: [VecDeque<QueueEntry<T>>; TIMER_LANES],
     insertions: u64,
     popped: u64,
 }
@@ -478,7 +465,6 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            lanes: Default::default(),
             insertions: 0,
             popped: 0,
         }
@@ -528,117 +514,40 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Stamps `item` with the next insertion number.
+    /// Schedules `item` at `time_s`.
     ///
     /// # Panics
     ///
     /// Panics when `time_s` is not finite (an event at NaN-o'clock would
     /// never pop in a defined order).
-    fn stamp(&mut self, time_s: f64, item: T) -> QueueEntry<T> {
+    pub fn schedule(&mut self, time_s: f64, item: T) {
         assert!(time_s.is_finite(), "event times must be finite");
         let insertion = self.insertions;
         self.insertions += 1;
-        QueueEntry {
+        self.heap.push(QueueEntry {
             time_s,
             insertion,
             item,
-        }
-    }
-
-    fn push_heap(&mut self, entry: QueueEntry<T>) {
-        self.heap.push(entry);
+        });
         self.sift_up(self.heap.len() - 1);
-    }
-
-    fn pop_heap(&mut self) -> Option<QueueEntry<T>> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some(last);
-        }
-        let entry = std::mem::replace(&mut self.heap[0], last);
-        self.sift_down(0);
-        Some(entry)
-    }
-
-    /// Schedules `item` at `time_s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `time_s` is not finite.
-    pub fn schedule(&mut self, time_s: f64, item: T) {
-        let entry = self.stamp(time_s, item);
-        self.push_heap(entry);
-    }
-
-    /// Schedules a timer: an event at a constant offset from a clock that
-    /// only moves forward, so that successive calls on one `lane` carry
-    /// nondecreasing times. Such an entry is appended to the lane's FIFO in
-    /// O(1) and never enters the heap. A call that breaks the promise — a
-    /// time before the lane's last entry — is scheduled through the heap
-    /// exactly as [`schedule`](EventQueue::schedule) would: declaring
-    /// something a timer can cost speed, never order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `time_s` is not finite or `lane >= TIMER_LANES`.
-    pub fn schedule_timer(&mut self, lane: usize, time_s: f64, item: T) {
-        let entry = self.stamp(time_s, item);
-        let fifo = &mut self.lanes[lane];
-        // The new entry carries the largest insertion number so far, so it
-        // sorts after the tail exactly when its time is not earlier.
-        match fifo.back() {
-            Some(tail) if time_s.total_cmp(&tail.time_s) == Ordering::Less => self.push_heap(entry),
-            _ => fifo.push_back(entry),
-        }
-    }
-
-    /// The lane whose front is the earliest entry of the whole queue, or
-    /// `None` when that entry is the heap's head (or the queue is empty).
-    fn earliest_lane(&self) -> Option<usize> {
-        let mut earliest = self.heap.first();
-        let mut source = None;
-        for (lane, fifo) in self.lanes.iter().enumerate() {
-            if let Some(front) = fifo.front() {
-                if earliest.is_none_or(|entry| Self::earlier(front, entry)) {
-                    earliest = Some(front);
-                    source = Some(lane);
-                }
-            }
-        }
-        source
     }
 
     /// Removes and returns the earliest event as `(time, item)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        let entry = match self.earliest_lane() {
-            Some(lane) => self.lanes[lane].pop_front()?,
-            None => self.pop_heap()?,
+        let last = self.heap.pop()?;
+        let entry = if self.heap.is_empty() {
+            last
+        } else {
+            let entry = std::mem::replace(&mut self.heap[0], last);
+            self.sift_down(0);
+            entry
         };
         self.popped += 1;
         Some((entry.time_s, entry.item))
     }
 
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        let next = match self.earliest_lane() {
-            Some(lane) => self.lanes[lane].front(),
-            None => self.heap.first(),
-        };
-        next.map(|entry| entry.time_s)
-    }
-
-    /// Number of scheduled events, heap and lanes together.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
-    }
-
-    /// Events popped since the queue was created, whichever container they
-    /// came from — the exact count behind an events-per-second figure.
+    /// Events popped since the queue was created — the exact count behind an
+    /// events-per-second figure.
     pub fn popped(&self) -> u64 {
         self.popped
     }
@@ -656,9 +565,9 @@ impl<T> EventQueue<T> {
 /// through the queue instead of cloning coordinates and messages per event.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SimEvent {
-    /// A node's probe tick: pick the next round-robin target and launch the
-    /// exchange. Reschedules itself every probe interval while the node is
-    /// up.
+    /// A node's probe tick: expire the probes whose timeout has elapsed,
+    /// pick the next round-robin target and launch the exchange. Reschedules
+    /// itself every probe interval while the node is up.
     ProbeSend { src: usize },
     /// A probe reaches its target, which answers it (the reply may then be
     /// lost on the way back). What the reply needs of the send lives in the
@@ -674,9 +583,6 @@ pub(crate) enum SimEvent {
     /// A reply reaches the prober, which digests the responses held in the
     /// slot's cell.
     ResponseDeliver { src: usize, dst: usize, slot: usize },
-    /// The prober's timer for the probe it sent at `sent_at_ms` fires; a
-    /// no-op when the reply arrived first.
-    ProbeTimeout { src: usize, sent_at_ms: u64 },
     /// Sample the tracked nodes' coordinates (Figure 7 trajectories).
     TrackSample,
     /// Apply the next scripted scenario action.
@@ -1413,7 +1319,7 @@ impl<'a> EventLoop<'a> {
         for src in 0..env.topology.len() {
             if schedule.alive[src] {
                 schedule.probe_cycle_active[src] = true;
-                queue.schedule_timer(TICK_LANE, 0.0, SimEvent::ProbeSend { src });
+                queue.schedule(0.0, SimEvent::ProbeSend { src });
             }
         }
         if !env.sim_config.track_nodes.is_empty() {
@@ -1452,14 +1358,22 @@ impl<'a> EventLoop<'a> {
                     .active_partitions
                     .retain(|window| window.heal_at_s > now);
                 if !self.schedule.alive[src] {
-                    // The cycle dies with the node; a restart schedules a new one.
+                    // The cycle dies with the node; a restart schedules a new one
+                    // and expires what the node went down with.
                     self.schedule.probe_cycle_active[src] = false;
                     return;
                 }
+                // The tick is the prober's loss clock, as a daemon's is: every
+                // probe sent at least one timeout ago is lost, before the
+                // rotation is read, so its evictions already apply.
+                let now_ms = (now * 1_000.0) as u64;
+                let timeout_ms = (env.sim_config.probe_timeout_s * 1_000.0) as u64;
+                if let Some(deadline_ms) = now_ms.checked_sub(timeout_ms) {
+                    self.expire(engines, src, deadline_ms);
+                }
                 let next_tick = now + env.sim_config.probe_interval_s;
                 if next_tick < env.sim_config.duration_s {
-                    self.queue
-                        .schedule_timer(TICK_LANE, next_tick, SimEvent::ProbeSend { src });
+                    self.queue.schedule(next_tick, SimEvent::ProbeSend { src });
                 } else {
                     self.schedule.probe_cycle_active[src] = false;
                 }
@@ -1476,23 +1390,12 @@ impl<'a> EventLoop<'a> {
                 }
                 // One raw observation shared by every configuration.
                 let draw = self.schedule.sample_exchange(env, src, dst, now);
-                let now_ms = (now * 1_000.0) as u64;
                 let issue = PlanOp::Issue {
                     node: src as u32,
                     dst: dst as u32,
                     now_ms,
                 };
                 let seq = engines.apply(issue, Beside::Nothing).seq;
-                // The timer is armed regardless of the probe's fate — exactly
-                // what a deployed prober would do.
-                self.queue.schedule_timer(
-                    TIMEOUT_LANE,
-                    now + env.sim_config.probe_timeout_s,
-                    SimEvent::ProbeTimeout {
-                        src,
-                        sent_at_ms: now_ms,
-                    },
-                );
                 if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
                     return;
                 }
@@ -1518,7 +1421,7 @@ impl<'a> EventLoop<'a> {
                 reverse_lost,
             } => {
                 // A crash between send and delivery silently eats the probe;
-                // the prober's timeout reports the loss.
+                // the prober's first tick past its deadline reports the loss.
                 if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
                     self.in_flight.release(slot);
                     return;
@@ -1526,9 +1429,9 @@ impl<'a> EventLoop<'a> {
                 // An adversarial responder corrupts the reply here: delay
                 // attacks stretch both the observed RTT and the reply's
                 // in-flight time (a held-back reply really is late and can
-                // cross the prober's timeout), and a coordinate lie is drawn
-                // once and applied identically to every configuration's
-                // response.
+                // reach a prober that already declared it lost), and a
+                // coordinate lie is drawn once and applied identically to
+                // every configuration's response.
                 let adversary = self.schedule.sample_adversary(dst);
                 let (rtt_ms, reverse_delay_s) = match &adversary {
                     Some(draw) => (
@@ -1583,18 +1486,6 @@ impl<'a> EventLoop<'a> {
                 };
                 engines.apply(digest, settle);
                 self.schedule.learn_gossip(env, src, dst);
-            }
-            SimEvent::ProbeTimeout { src, sent_at_ms } => {
-                // Timers sit in one FIFO lane at one offset, so every older
-                // probe of `src` is settled or lost by now: the deadline
-                // loses this probe or, when its reply came first, nothing.
-                // (Probes of one millisecond share a deadline: ticks under
-                // 1 ms apart, or a crash and restart in the millisecond of
-                // a send.) A timer that finds its node down is dropped; the
-                // restart expires what the node went down with.
-                if self.schedule.alive[src] {
-                    self.expire(engines, src, sent_at_ms);
-                }
             }
             SimEvent::TrackSample => {
                 for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
@@ -1655,7 +1546,7 @@ impl<'a> EventLoop<'a> {
         };
         engines.apply(restore, Beside::Nothing);
         // A rebooted daemon stops waiting for pre-crash replies; the
-        // evictions that causes reach the rotation as a timer's do.
+        // evictions that causes reach the rotation as a tick's do.
         self.expire(engines, node, (now * 1_000.0) as u64);
         if fresh {
             self.schedule.bootstrap_joiner(self.env, node);
@@ -1993,13 +1884,11 @@ mod tests {
         queue.schedule(5.0, "late");
         queue.schedule(1.0, "early-first");
         queue.schedule(1.0, "early-second");
-        assert_eq!(queue.len(), 3);
-        assert_eq!(queue.peek_time(), Some(1.0));
         assert_eq!(queue.pop(), Some((1.0, "early-first")));
         assert_eq!(queue.pop(), Some((1.0, "early-second")));
         assert_eq!(queue.pop(), Some((5.0, "late")));
-        assert!(queue.is_empty());
         assert_eq!(queue.pop(), None);
+        assert_eq!(queue.popped(), 3);
     }
 
     #[test]

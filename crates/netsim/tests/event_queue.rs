@@ -1,15 +1,17 @@
 //! Property tests for the discrete-event core (vendored proptest).
 //!
-//! Three invariants carry the whole simulator:
+//! Four invariants carry the whole simulator:
 //!
 //! 1. the [`EventQueue`] pops events in nondecreasing time order, FIFO among
 //!    equal times — the determinism and causality guarantee every handler
-//!    relies on — whichever container (heap or timer lane) an event went
-//!    into;
-//! 2. a link that loses every packet produces *only* `ProbeLost` events:
+//!    relies on;
+//! 2. the prober's tick is its loss clock: a probe is declared lost at the
+//!    prober's first tick at or after its send time plus the timeout, and
+//!    a reply that arrives before that tick is digested;
+//! 3. a link that loses every packet produces *only* `ProbeLost` events:
 //!    no observation arrives, no coordinate ever moves, and the probe
 //!    schedule still runs to completion (lost probes never stall it);
-//! 3. a fixed run produces the report it produced yesterday: the executor
+//! 4. a fixed run produces the report it produced yesterday: the executor
 //!    suites compare the engine with the reference loop, the pinned digest
 //!    below compares both with a constant — with and without the time
 //!    series, which only keep timestamps beside the values the report reads.
@@ -22,7 +24,7 @@ use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::metrics::{ConfigMetrics, SimReport};
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::Scenario;
-use nc_netsim::sim::{EventQueue, SimConfig, Simulator, TIMER_LANES};
+use nc_netsim::sim::{EventQueue, SimConfig, Simulator};
 use nc_stats::{percentile, StatsError};
 use stable_nc::{NodeConfig, OutlierGateConfig};
 
@@ -30,6 +32,27 @@ use stable_nc::{NodeConfig, OutlierGateConfig};
 /// insertion order among equal times.
 fn reference_order(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// One configuration's metrics of a run of five nodes with two initial
+/// neighbours each, probing every 5 s over links that lose `loss` of the
+/// packets in each direction.
+fn five_nodes(
+    seed: u64,
+    loss: f64,
+    duration_s: f64,
+    timeout_s: f64,
+    config: NodeConfig,
+) -> ConfigMetrics {
+    let workload = PlanetLabConfig::small(5)
+        .with_seed(seed)
+        .with_link_config(LinkModelConfig::default().with_loss_probability(loss));
+    let mut sim_config = SimConfig::new(duration_s, 5.0)
+        .with_measurement_start(0.0)
+        .with_initial_neighbors(2);
+    sim_config.probe_timeout_s = timeout_s;
+    let report = Simulator::new(workload, sim_config, vec![("mp".to_string(), config)]).run();
+    report.config("mp").unwrap().clone()
 }
 
 proptest! {
@@ -41,7 +64,6 @@ proptest! {
         for (index, &time) in times.iter().enumerate() {
             queue.schedule(time, index);
         }
-        prop_assert_eq!(queue.len(), times.len());
         let mut last = f64::NEG_INFINITY;
         let mut popped = 0;
         while let Some((time, index)) = queue.pop() {
@@ -54,7 +76,7 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, times.len());
-        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.popped(), times.len() as u64);
     }
 
     #[test]
@@ -73,65 +95,32 @@ proptest! {
         }
     }
 
-    /// A random mix of heap schedules, timer-lane schedules (monotone per
-    /// lane, deliberately non-monotone, and repeated equal times) and
-    /// interleaved pops: every pop returns the `(time, insertion)` minimum of
-    /// what is resident, `len` / `peek_time` agree at every step, and the
-    /// final drain is the stable sort of the remainder. Times sit on a
-    /// half-second grid so that ties across containers are common.
+    /// A random interleaving of schedules and pops: every pop returns the
+    /// `(time, insertion)` minimum of what is resident, and the final drain
+    /// is the stable sort of the remainder. Times sit on a half-second grid
+    /// so that ties are common.
     #[test]
-    fn lanes_and_heap_pop_in_one_strict_order(
+    fn interleaved_schedules_and_pops_follow_one_strict_order(
         ops in proptest::collection::vec(0u64..u64::MAX, 1..400),
     ) {
         let mut queue: EventQueue<usize> = EventQueue::new();
         let mut resident: Vec<(f64, usize)> = Vec::new();
-        let mut lane_clock = [0.0f64; TIMER_LANES];
         let mut scheduled = 0usize;
         let mut popped = 0u64;
         for op in ops {
-            let lane = (op >> 8) as usize % TIMER_LANES;
-            let grid = ((op >> 16) % 64) as f64 * 0.5;
-            match op % 8 {
-                // Plain heap schedule at an arbitrary time.
-                0 | 1 => {
-                    queue.schedule(grid, scheduled);
-                    resident.push((grid, scheduled));
-                    scheduled += 1;
+            if op % 4 == 0 {
+                let expected = resident.iter().copied().min_by(reference_order);
+                prop_assert_eq!(queue.pop(), expected);
+                if let Some(entry) = expected {
+                    resident.retain(|other| other.1 != entry.1);
+                    popped += 1;
                 }
-                // A well-behaved timer: at or after the lane's last one
-                // (a zero step repeats the time exactly).
-                2..=4 => {
-                    let time = lane_clock[lane] + ((op >> 16) % 4) as f64 * 0.5;
-                    lane_clock[lane] = time;
-                    queue.schedule_timer(lane, time, scheduled);
-                    resident.push((time, scheduled));
-                    scheduled += 1;
-                }
-                // A mis-declared timer: anywhere on the grid, usually
-                // earlier than the lane's tail.
-                5 => {
-                    queue.schedule_timer(lane, grid, scheduled);
-                    resident.push((grid, scheduled));
-                    scheduled += 1;
-                }
-                _ => {
-                    let expected = resident
-                        .iter()
-                        .copied()
-                        .min_by(reference_order);
-                    prop_assert_eq!(queue.pop(), expected);
-                    if let Some(entry) = expected {
-                        resident.retain(|other| other.1 != entry.1);
-                        popped += 1;
-                    }
-                }
+            } else {
+                let time = ((op >> 16) % 64) as f64 * 0.5;
+                queue.schedule(time, scheduled);
+                resident.push((time, scheduled));
+                scheduled += 1;
             }
-            prop_assert_eq!(queue.len(), resident.len());
-            prop_assert_eq!(queue.is_empty(), resident.is_empty());
-            prop_assert_eq!(
-                queue.peek_time(),
-                resident.iter().copied().min_by(reference_order).map(|entry| entry.0)
-            );
             prop_assert_eq!(queue.popped(), popped);
         }
         // `sort_by` is stable and `resident` is in insertion order, so
@@ -142,73 +131,105 @@ proptest! {
         prop_assert_eq!(queue.popped(), scheduled as u64);
     }
 
+    /// Every probe is lost, and each loss is declared at the prober's first
+    /// tick at or after send + timeout.
+    ///
+    /// Without eviction every node probes at each of the 24 ticks of the
+    /// 120 s run; the probes of the 21 ticks up to t = 100 s reach their
+    /// deadline tick (send + 15 s) inside the run and are reported lost, the
+    /// last three are still pending at its end.
+    ///
+    /// With eviction after one loss, each node's rotation of two, `[a, b]`,
+    /// empties within five ticks: t = 0 probes a, 5 b, 10 a; at 15 the probe
+    /// of a sent at 0 is lost, a is evicted (its probe of t = 10 with it)
+    /// and the tick probes b; at 20 the probe of b sent at 5 is lost and b is
+    /// evicted with its probe of t = 15. Four probes sent, two lost, two
+    /// evictions per node, and the node is silent from then on. An expiry
+    /// run after the tick picks its target probes once more per node.
     #[test]
     fn total_loss_yields_only_probe_lost_and_frozen_coordinates(
         seed in 0u64..500,
     ) {
-        let workload = PlanetLabConfig::small(5)
-            .with_seed(seed)
-            .with_link_config(LinkModelConfig::default().with_loss_probability(1.0));
-        let sim_config = SimConfig::new(120.0, 5.0)
-            .with_measurement_start(0.0)
-            .with_initial_neighbors(2);
-        let report = Simulator::new(
-            workload,
-            sim_config,
-            vec![("mp".to_string(), NodeConfig::paper_defaults())],
-        )
-        .run();
-        let metrics = report.config("mp").unwrap();
-        prop_assert!(
-            metrics.total_probes_lost() > 0,
-            "every probe must eventually be reported lost (seed {})", seed
-        );
-        for (node, node_metrics) in metrics.nodes.iter().enumerate() {
-            prop_assert!(
-                node_metrics.system_errors().is_empty(),
-                "node {} observed through a 100% lossy mesh (seed {})", node, seed
-            );
-            prop_assert!(node_metrics.system_displacements().is_empty());
-            prop_assert_eq!(node_metrics.observations, 0);
+        let runs = [
+            ("no eviction", NodeConfig::paper_defaults(), 24, 21, 0),
+            (
+                "eviction after one loss",
+                NodeConfig::builder().max_consecutive_losses(1).build(),
+                4,
+                2,
+                2,
+            ),
+        ];
+        for (arm, config, sent, lost, evicted) in runs {
+            let metrics = five_nodes(seed, 1.0, 120.0, 15.0, config);
+            for (node, node_metrics) in metrics.nodes.iter().enumerate() {
+                prop_assert_eq!(
+                    (
+                        node_metrics.probes_sent,
+                        node_metrics.probes_lost,
+                        node_metrics.neighbors_evicted,
+                    ),
+                    (sent, lost, evicted),
+                    "{}, node {} (seed {}): probes sent, lost and evictions", arm, node, seed
+                );
+                prop_assert!(
+                    node_metrics.system_errors().is_empty(),
+                    "node {} observed through a 100% lossy mesh (seed {})", node, seed
+                );
+                prop_assert!(node_metrics.system_displacements().is_empty());
+                prop_assert_eq!(node_metrics.observations, 0);
+                prop_assert_eq!(node_metrics.responses_received, 0);
+            }
         }
     }
 }
 
-/// The restart re-arm case: a node revived mid-interval ticks *now*, while
-/// the tick lane's tail already sits one interval ahead. The early timer
-/// must fall through to the heap and still pop first — and the lane keeps
-/// accepting later timers behind its old tail.
+/// The loss rule with timeouts that are not a whole number of 5 s probe
+/// intervals. Over a mesh that loses everything, each node probes at every
+/// tick, and a probe sent at `t` is reported lost at the first tick at or
+/// after `t + timeout` — so the count of losses inside the run tells which
+/// tick declared them:
+///
+/// - 7.5 s: the second tick, 10 s after the send. In 30 s the probes of
+///   t = 0, 5, 10 and 15 are lost; a loss at the deadline itself would add
+///   t = 20's, and one at the third tick drop t = 15's. In 10 s none is: the
+///   tick at 5 s comes before the deadline of the probe sent at 0, which a
+///   cutoff clamped at `t = 0` would lose.
+/// - 2.5 s and 1 ms, shorter than one interval: the next tick. In 30 s the
+///   probes of t = 0 through 20 are lost.
+/// - 15 s, three whole intervals: the deadline's own tick, the probes of
+///   t = 0 through 10.
 #[test]
-fn timer_earlier_than_its_lanes_tail_falls_through_in_order() {
-    let mut queue: EventQueue<&str> = EventQueue::new();
-    queue.schedule_timer(0, 10.0, "tick-a");
-    queue.schedule_timer(0, 10.0, "tick-b");
-    queue.schedule_timer(0, 7.5, "restart");
-    queue.schedule_timer(0, 12.5, "restart-rearm");
-    queue.schedule_timer(1, 9.0, "timeout");
-    queue.schedule(10.0, "packet");
-    assert_eq!(queue.len(), 6);
-    assert_eq!(queue.peek_time(), Some(7.5));
-    let order: Vec<(f64, &str)> = std::iter::from_fn(|| queue.pop()).collect();
-    assert_eq!(
-        order,
-        vec![
-            (7.5, "restart"),
-            (9.0, "timeout"),
-            (10.0, "tick-a"),
-            (10.0, "tick-b"),
-            (10.0, "packet"),
-            (12.5, "restart-rearm"),
-        ]
-    );
-    assert_eq!(queue.popped(), 6);
+fn a_loss_is_declared_at_the_first_tick_past_its_deadline() {
+    let cases = [
+        (7.5, 30.0, 4),
+        (7.5, 10.0, 0),
+        (2.5, 30.0, 5),
+        (0.001, 30.0, 5),
+        (15.0, 30.0, 3),
+    ];
+    for (timeout_s, duration_s, lost) in cases {
+        let metrics = five_nodes(3, 1.0, duration_s, timeout_s, NodeConfig::paper_defaults());
+        for node in &metrics.nodes {
+            assert_eq!(node.probes_sent, (duration_s / 5.0) as u64);
+            assert_eq!(
+                node.probes_lost, lost,
+                "timeout {timeout_s} s over a {duration_s} s run"
+            );
+        }
+    }
 }
 
+/// A reply that arrives after the timeout but before the prober's next tick
+/// is digested, because that tick is when the prober gives up on it: over a
+/// clean mesh a 1 ms timeout, far below every round trip, loses nothing.
 #[test]
-#[should_panic(expected = "event times must be finite")]
-fn timers_reject_nan_times() {
-    let mut queue: EventQueue<u8> = EventQueue::new();
-    queue.schedule_timer(0, f64::NAN, 0);
+fn a_reply_before_the_deadline_tick_is_digested() {
+    let clean = five_nodes(3, 0.0, 30.0, 0.001, NodeConfig::paper_defaults());
+    assert_eq!(clean.total_probes_lost(), 0);
+    assert_eq!(clean.total_probes_sent(), 5 * 6);
+    assert_eq!(clean.total_responses_received(), 5 * 6);
+    assert_eq!(clean.total_responses_ignored(), 0);
 }
 
 fn fnv1a(hash: &mut u64, bits: u64) {
@@ -263,19 +284,20 @@ fn report_digest(report: &SimReport) -> u64 {
     hash
 }
 
-/// Digest of [`pinned_run`], taken at the commit *before* timers left the
-/// heap (PR 12, `157f771`). A change that moves it changed what the
-/// simulator computes — the pop order, a draw, an engine decision — and
-/// must say so; a pure performance change must not.
+/// Digest of [`pinned_run`], unchanged since `157f771` through every change
+/// to the queue's containers and to how a probe's loss is timed. A change
+/// that moves it changed what the simulator computes — the pop order, a
+/// draw, an engine decision — and must say so; a pure performance change
+/// must not.
 const PINNED_DIGEST: u64 = 0x535D_35F5_A7D1_2649;
 
 /// Events [`pinned_run`] pops from its queue: the exact work count of the
 /// schedule, which the digest (a fold of the report) does not cover.
-const PINNED_EVENTS: u64 = 58_115;
+const PINNED_EVENTS: u64 = 43_138;
 
 /// 64 nodes, 20 simulated minutes, 5 % loss, eviction after three straight
 /// losses, eight nodes crashed for two minutes and restored from their
-/// snapshots: timeouts, evictions, the restart re-arm and snapshot/restore
+/// snapshots: losses, evictions, the restart re-arm and snapshot/restore
 /// all fire, on two configurations side by side.
 fn pinned_run() -> Simulator {
     pinned_run_on(pinned_schedule())
