@@ -18,17 +18,16 @@
 
 use nc_stats::{cross_sum_by, energy_distance_by, energy_from_sums, slide_delta_by, within_sum_by};
 use nc_vivaldi::Coordinate;
-use serde::{Deserialize, Serialize};
 
 use crate::config::HeuristicConfig;
 use crate::window::{DetectorState, TwoWindowDetector};
 
-/// The serializable runtime state of an [`UpdateHeuristic`].
+/// The runtime state of an [`UpdateHeuristic`].
 ///
 /// Thresholds and window sizes are configuration and are not captured here;
 /// a restored heuristic is first built from its configuration and then
 /// adopts one of these states via [`UpdateHeuristic::import_state`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HeuristicState {
     /// The heuristic keeps no runtime state (APPLICATION).
     Stateless,

@@ -8,15 +8,14 @@
 //! stability and update frequency (the metrics of Figures 9–13).
 
 use nc_vivaldi::Coordinate;
-use serde::{Deserialize, Serialize};
 
 use crate::heuristics::{Heuristic, HeuristicState, HeuristicStateMismatch, UpdateContext};
 
-/// The serializable runtime state of an [`ApplicationCoordinate`]: the
+/// The runtime state of an [`ApplicationCoordinate`]: the
 /// published coordinate, the accounting counters and the heuristic's own
 /// state. The heuristic itself (family and parameters) is configuration and
 /// is rebuilt separately on restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationState {
     /// The currently published application-level coordinate.
     pub coordinate: Coordinate,

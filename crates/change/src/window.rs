@@ -17,14 +17,13 @@
 use std::collections::VecDeque;
 
 use nc_vivaldi::Coordinate;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{check_detector_window, HeuristicConfigError};
 
-/// The serializable runtime state of a [`TwoWindowDetector`]: the window
+/// The runtime state of a [`TwoWindowDetector`]: the window
 /// contents and counters, without the configured window size (which is
 /// supplied when the detector is rebuilt).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorState {
     /// The frozen start window, oldest first.
     pub start: Vec<Coordinate>,

@@ -424,25 +424,14 @@ mod tests {
     }
 
     #[test]
-    fn config_rules_refuse_an_invalid_vivaldi_config_off_the_wire() {
-        // A `VivaldiConfig` comes off the wire inside a snapshot's Vivaldi
-        // state, through its derived `Deserialize`, which writes the fields
-        // without a check: the node built from one must still refuse it.
+    fn config_rules_refuse_an_invalid_vivaldi_config_at_restore() {
+        // The Vivaldi setters store what they are given, so a builder can
+        // hold constants no node runs: `restore` refuses them before it
+        // reads the snapshot, as `new` does.
         use crate::StableNode;
-        use serde::{Deserialize, Serialize, Value};
-        let fields = match VivaldiConfig::paper_defaults().to_value() {
-            Value::Map(fields) => fields,
-            other => panic!("a config serializes as a map, not {other:?}"),
-        };
-        let hostile = fields
-            .into_iter()
-            .map(|(name, value)| match name.as_str() {
-                "dimensions" => (name, Value::UInt(0)),
-                "cc" => (name, Value::Float(7.5)),
-                _ => (name, value),
-            })
-            .collect();
-        let vivaldi = VivaldiConfig::from_value(&Value::Map(hostile)).expect("well-formed value");
+        let vivaldi = VivaldiConfig::paper_defaults()
+            .with_dimensions(0)
+            .with_cc(7.5);
         assert_eq!((vivaldi.dimensions(), vivaldi.cc()), (0, 7.5));
         let config = NodeConfig::builder().vivaldi(vivaldi).build();
         assert_eq!(

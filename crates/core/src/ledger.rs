@@ -93,11 +93,18 @@ impl<Id: Eq + Hash + Clone> ProbeLedger<Id> {
             .collect()
     }
 
+    /// Takes the next sequence number without recording a probe: for a
+    /// probe no reply can settle (one of the node itself).
+    pub(crate) fn skip(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        seq
+    }
+
     /// Records a probe of `target` sent at `sent_at_ms` and returns the
     /// sequence number it carries.
     pub fn issue(&mut self, target: Id, sent_at_ms: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq = seq.wrapping_add(1);
+        let seq = self.skip();
         self.pending.push(PendingProbe {
             target,
             seq,

@@ -404,9 +404,18 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
     /// schedule if it is new. Drivers that control their own schedule (the
     /// simulator, trace replay) use this instead of
     /// [`next_probe`](StableNode::next_probe).
+    ///
+    /// A probe of the node's own identity is numbered, so sequence numbers
+    /// stay monotonic, but not entered in the [`ledger`](StableNode::ledger):
+    /// no reply can settle it, so it can be neither lost nor counted toward
+    /// a streak, and it never evicts the node.
     pub fn probe_request_for(&mut self, target: Id, now_ms: u64) -> ProbeRequest<Id> {
-        self.register_member(&target);
-        let seq = self.ledger.issue(target.clone(), now_ms);
+        let seq = if self.identity.as_ref() == Some(&target) {
+            self.ledger.skip()
+        } else {
+            self.register_member(&target);
+            self.ledger.issue(target.clone(), now_ms)
+        };
         let request = ProbeRequest::new(target, seq, now_ms);
         match &self.identity {
             Some(me) => request.from_source(me.clone()),
@@ -692,13 +701,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
                     filter: peer.link.map(|link| self.links.export_state(link)),
                     coordinate,
                     error_estimate,
-                    filtered_rtt_ms: peer.link.and_then(|link| self.links.estimate(link)),
-                    observations: self.observations_of(peer),
                 })
             })
             .collect();
         NodeSnapshot {
-            vivaldi: self.vivaldi.clone(),
+            vivaldi: self.vivaldi.export_state(),
             application: self.application.export_state(),
             links,
             nearest_neighbor: self.nearest_neighbor.clone(),
@@ -741,7 +748,7 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // coordinate, every link's last-seen coordinate, and the heuristic's
         // windowed coordinates. A single mismatched one would restore fine
         // and then panic the first time a distance against it is computed.
-        let snapshot_coordinates = std::iter::once(snapshot.vivaldi.coordinate())
+        let snapshot_coordinates = std::iter::once(&snapshot.vivaldi.coordinate)
             .chain(std::iter::once(&snapshot.application.coordinate))
             .chain(snapshot.links.iter().map(|link| &link.coordinate))
             .chain(heuristic_state_coordinates(&snapshot.application.heuristic));
@@ -753,12 +760,8 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
         let mut node = Self::new(config);
         // Runtime state comes from the snapshot, tuning constants from the
-        // *supplied* configuration: a snapshot embeds the VivaldiConfig it
-        // ran under, but configuration is deployment input and must win, or
-        // operators changing e.g. the confidence-building margin would see
-        // restored nodes silently keep the old constants.
-        node.vivaldi = snapshot.vivaldi.clone();
-        node.vivaldi.replace_config(node.config.vivaldi.clone());
+        // supplied configuration, which the fresh node was built with.
+        node.vivaldi.import_state(&snapshot.vivaldi);
         let mut application = snapshot.application.clone();
         if matches!(node.application.heuristic(), Heuristic::FollowSystem) {
             // Without a heuristic the published coordinate is the system
@@ -778,9 +781,6 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
         for link in &snapshot.links {
             let peer = node.peers.outside_rotation(&link.id);
-            // The link's filtered RTT and observation count are not taken
-            // from the snapshot's copies: the imported filter state yields
-            // the same two numbers, and is what the link continues from.
             if let Some(filter_state) = &link.filter {
                 // A snapshot off the wire may name a link twice; the later
                 // entry wins, in the slot the earlier one took (in both
@@ -795,18 +795,10 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         node.nearest_neighbor = snapshot.nearest_neighbor.clone();
         node.observations = snapshot.observations;
         node.identity = snapshot.identity.clone();
-        // An engine's cursor stands at most at the end of the rotation,
-        // where the last peer's probe leaves it, and is restored there: a
-        // peer learned next is probed next, as by the snapshotted node, and
-        // the node snapshots to the same bytes. Snapshots written before the
-        // rotation became churn-stable carry a free-running counter;
-        // reducing it modulo the schedule length lands on the same next
-        // peer.
-        let len = node.peers.rotation_len();
-        node.probe_cursor = match snapshot.probe_cursor {
-            cursor if cursor <= len => cursor,
-            cursor => cursor.checked_rem(len).unwrap_or(0),
-        };
+        // `validate` holds the cursor at most at the end of the rotation,
+        // where the last peer's probe leaves it: a peer learned next is
+        // probed next, as by the snapshotted node.
+        node.probe_cursor = snapshot.probe_cursor;
         node.gossip_cursor = snapshot.gossip_cursor;
         node.ledger = ProbeLedger::import(node.config.max_consecutive_losses, snapshot);
         Ok(node)
@@ -2154,7 +2146,11 @@ mod tests {
         assert_eq!(snapshot.nearest_neighbor, Some((1, 30.0)));
         assert_eq!(snapshot.loss_streaks, vec![(1, 1)]);
         let one = &snapshot.links[1];
-        assert_eq!((one.observations, one.filtered_rtt_ms), (1, Some(30.0)));
+        let window = FilterState::MovingPercentile {
+            window: vec![30.0],
+            seen: 1,
+        };
+        assert_eq!(one.filter, Some(window));
 
         // A reply from 1 continues its link on both nodes alike: no
         // discovery, and the same filter output.
@@ -2359,26 +2355,35 @@ mod tests {
     }
 
     #[test]
-    fn a_probe_of_the_node_itself_snapshots_and_restores() {
+    fn a_probe_of_the_node_itself_is_numbered_but_never_pending() {
         // `probe_request_for` of the node's own identity numbers a probe
-        // without registering the id; the snapshot carries it, and it
-        // restores and expires like any other.
+        // but enters it nowhere: no snapshot carries it, and no expiry
+        // loses it or evicts the node, even one loss from eviction.
         let config = NodeConfig::builder().max_consecutive_losses(1).build();
         let mut node = Node::new(config.clone());
         node.set_identity(0);
         node.seed_neighbor(1);
         let own = node.probe_request_for(0, 5);
+        let next = node.probe_request_for(1, 6);
+        assert_eq!(next.seq, own.seq + 1, "sequence numbers stay monotonic");
         let snapshot = node.snapshot();
         assert_eq!(snapshot.membership, vec![1]);
-        assert_eq!(snapshot.pending[0].target, 0);
+        assert_eq!(snapshot.pending, node.ledger().pending());
+        assert!(snapshot.pending.iter().all(|probe| probe.target != 0));
         assert_eq!(snapshot.validate(), Ok(()));
         let mut restored = Node::restore(config, &snapshot).unwrap();
         assert_eq!(restored.snapshot(), snapshot);
-        assert!(time_out(&mut restored, &own).contains(&Event::ProbeLost {
-            id: 0,
-            seq: own.seq
-        }));
-        assert_eq!(restored.view().membership, vec![1]);
+        for node in [&mut node, &mut restored] {
+            let events = time_out(node, &own);
+            assert!(
+                !events.iter().any(|event| matches!(
+                    event,
+                    Event::ProbeLost { id: 0, .. } | Event::NeighborEvicted { id: 0 }
+                )),
+                "{events:?}"
+            );
+            assert_eq!(node.view().membership, vec![1]);
+        }
     }
 
     /// A configuration of `filter` with a warm-up of `warmup` samples and
@@ -2477,8 +2482,15 @@ mod tests {
         assert_eq!(node.view().nearest_neighbor, Some((1, 80.0)));
         let snapshot = node.snapshot();
         let link = snapshot.links.iter().find(|link| link.id == 2).unwrap();
-        assert_eq!((link.filtered_rtt_ms, link.observations), (None, 1));
-        assert!(link.filter.is_some(), "the withheld sample is still state");
+        let withheld = FilterState::Raw {
+            last: Some(10.0),
+            seen: 1,
+        };
+        assert_eq!(
+            link.filter,
+            Some(withheld),
+            "the withheld sample is still state"
+        );
         // Restored, the link keeps warming from where it was.
         let mut restored = Node::restore(filtered(FilterConfig::Raw, 2), &snapshot).unwrap();
         feed(&mut restored, 2, at(10.0), 0.5, 10.0);

@@ -74,7 +74,7 @@ pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
     rtt_ms.is_finite() && rtt_ms > 0.0
 }
 
-/// The serializable runtime state of a per-link filter.
+/// The runtime state of a per-link filter.
 ///
 /// Filters are small state machines; this enum captures exactly the fields
 /// that evolve at run time (window contents, counters), not the
@@ -83,7 +83,7 @@ pub(crate) fn is_valid_sample(rtt_ms: f64) -> bool {
 /// exports its state with [`LinkFilter::export_state`] and a fresh link of
 /// the same family re-adopts it with [`LinkFilter::import_state`], once
 /// [`validate`](FilterState::validate) accepts it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterState {
     /// State of a [`RawLink`].
     Raw {

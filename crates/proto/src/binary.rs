@@ -39,7 +39,10 @@
 //!
 //! A coordinate is one byte of dimensionality `d` (1 ≤ `d` ≤ [`MAX_DIMS`]),
 //! then `d` components as f64, then the height as f64. Decoding re-validates
-//! the [`Coordinate`] invariants, so NaN/∞ cannot enter off the wire.
+//! the [`Coordinate`] invariants, so NaN/∞ cannot enter off the wire, and
+//! refuses a component or height beyond ±10¹⁰⁰ ms: finite, but so large
+//! that a distance to it would overflow to ∞ and turn the coordinate it
+//! pulls on into NaN.
 //!
 //! # Peer identifiers
 //!
@@ -60,48 +63,65 @@
 //! varint sent_at_ms · coordinate · f64 error_estimate ·
 //! list(gossip entry: id · coordinate · f64 error_estimate) · f64 rtt_ms.
 //!
-//! **`NodeSnapshot`** (kind `0x03`): a hand-laid skeleton carrying the
-//! engine's own tables, with the three deep sub-states (Vivaldi state,
-//! application-coordinate manager state, per-link filter states) embedded as
-//! self-describing *value blobs* (below), so their evolution does not
-//! require relaying this format: value(vivaldi) · value(application) ·
-//! list(link: id · option(value(filter)) · coordinate · f64 error_estimate ·
-//! option(f64 filtered_rtt_ms) · varint observations) ·
-//! option(nearest: id · f64 rtt) · varint observations · option(identity id)
-//! · list(member id) · varint probe_cursor · varint probe_seq ·
-//! varint gossip_cursor · list(pending: id · varint seq · varint sent_at_ms)
-//! · list(streak: id · varint count).
+//! **`NodeSnapshot`** (kind `0x03`): the fields below in this order, each
+//! sub-state in its fixed layout (next section).
+//!
+//! | field              | layout                                               |
+//! |--------------------|------------------------------------------------------|
+//! | `vivaldi`          | Vivaldi state                                        |
+//! | `application`      | application state                                    |
+//! | `links`            | list(link: id · option(filter state) · coordinate · f64 error_estimate) |
+//! | `nearest_neighbor` | option(id · f64 rtt)                                 |
+//! | `observations`     | varint                                               |
+//! | `identity`         | option(id)                                           |
+//! | `membership`       | list(id)                                             |
+//! | `probe_cursor`     | varint                                               |
+//! | `probe_seq`        | varint                                               |
+//! | `gossip_cursor`    | varint                                               |
+//! | `pending`          | list(id target · varint seq · varint sent_at_ms)     |
+//! | `loss_streaks`     | list(id · varint streak)                             |
 //!
 //! Decoding rejects a non-finite `error_estimate` or `rtt_ms` of a response
 //! or gossip entry, and a snapshot [`NodeSnapshot::validate`] refuses, as
 //! [`WireError::Malformed`]: they are values a node stores and hands on.
 //!
-//! # Value blobs
+//! # Snapshot sub-states
 //!
-//! A value blob is the serde data model ([`serde::Value`]) in tagged binary
-//! form, reusing each nested state's `Serialize`/`Deserialize`
-//! implementation:
+//! A sub-state is its fields back to back in a fixed order, with no field
+//! name or type marker; an enum opens with one tag byte naming its variant,
+//! and an unknown tag is [`WireError::Malformed`]. Every list count is
+//! checked against the bytes left before anything is allocated.
 //!
-//! | tag    | value | payload                                   |
-//! |--------|-------|-------------------------------------------|
-//! | `0x00` | null  | —                                         |
-//! | `0x01` | false | —                                         |
-//! | `0x02` | true  | —                                         |
-//! | `0x03` | int   | zigzag varint (`(n << 1) ^ (n >> 63)`)    |
-//! | `0x04` | uint  | varint                                    |
-//! | `0x05` | float | f64                                       |
-//! | `0x06` | str   | string                                    |
-//! | `0x07` | seq   | varint count, then that many values       |
-//! | `0x08` | map   | varint count, then (string key, value) pairs |
+//! | sub-state                              | layout                              |
+//! |----------------------------------------|-------------------------------------|
+//! | Vivaldi state ([`VivaldiRuntime`])     | coordinate · f64 error_estimate · varint observation_count · f64 total_displacement_ms · varint tie_break_state |
+//! | application state ([`ApplicationState`]) | coordinate · varint update_count · varint system_updates_seen · f64 total_displacement_ms · heuristic state |
+//! | detector state ([`DetectorState`])     | list(coordinate start) · list(coordinate current) · varint pushes_since_reset · varint total_pushes · varint change_points |
 //!
-//! Nesting depth is capped at 64 on decode so hostile input cannot overflow
-//! the stack.
+//! Heuristic state ([`HeuristicState`]):
+//!
+//! | tag    | variant     | payload                                |
+//! |--------|-------------|----------------------------------------|
+//! | `0x00` | `Stateless` | —                                      |
+//! | `0x01` | `System`    | option(coordinate previous_system)     |
+//! | `0x02` | `Windowed`  | detector state                         |
+//! | `0x03` | `Centroid`  | list(coordinate window)                |
+//!
+//! Filter state ([`FilterState`]):
+//!
+//! | tag    | variant            | payload                                         |
+//! |--------|--------------------|-------------------------------------------------|
+//! | `0x00` | `Raw`              | option(f64 last) · varint seen                  |
+//! | `0x01` | `MovingPercentile` | list(f64 window) · varint seen                  |
+//! | `0x02` | `Ewma`             | option(f64 value) · varint seen                 |
+//! | `0x03` | `Threshold`        | option(f64 last_passed) · varint seen · varint discarded |
 
 use std::hash::Hash;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
-use nc_vivaldi::{Coordinate, MAX_DIMS};
-use serde::{Deserialize, Serialize, Value};
+use nc_change::{ApplicationState, DetectorState, HeuristicState};
+use nc_filters::FilterState;
+use nc_vivaldi::{Coordinate, VivaldiRuntime, MAX_DIMS};
 
 use crate::snapshot::{LinkSnapshot, NodeSnapshot, PendingProbe};
 use crate::wire::{GossipEntry, ProbeRequest, ProbeResponse, WireError, PROTOCOL_VERSION};
@@ -116,8 +136,14 @@ pub const KIND_RESPONSE: u8 = 0x02;
 /// Message-kind byte for [`NodeSnapshot`].
 pub const KIND_SNAPSHOT: u8 = 0x03;
 
-/// Maximum nesting depth a value blob may reach on decode.
-const MAX_VALUE_DEPTH: u32 = 64;
+/// The fewest bytes a coordinate takes: one dimension and the height.
+const MIN_COORDINATE_BYTES: usize = 1 + 8 + 8;
+
+/// The largest magnitude a decoded coordinate component or height may
+/// have (ms). Squares of differences of such values sum far below
+/// `f64::MAX` in any dimensionality up to [`MAX_DIMS`], and adding a
+/// latency to one does not move it.
+const MAX_COORDINATE_MS: f64 = 1e100;
 
 fn malformed(detail: impl Into<String>) -> WireError {
     WireError::Malformed(detail.into())
@@ -164,6 +190,13 @@ fn put_option<T>(out: &mut Vec<u8>, value: Option<&T>, put: impl FnOnce(&mut Vec
             out.push(1);
             put(out, inner);
         }
+    }
+}
+
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_varint(out, items.len() as u64);
+    for item in items {
+        put(out, item);
     }
 }
 
@@ -256,6 +289,38 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads an option marker and, when present, the payload `read` reads.
+    fn read_some<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        if self.read_option()? {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Reads a list of elements of at least `min_element_bytes` each.
+    fn read_list<T>(
+        &mut self,
+        min_element_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.read_count(min_element_bytes)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Reads a varint that must fit a `usize`.
+    fn read_usize(&mut self, what: &str) -> Result<usize, WireError> {
+        usize::try_from(self.read_varint()?)
+            .map_err(|_| malformed(format!("{what} overflows usize")))
+    }
+
     /// Reads a coordinate, re-validating its invariants.
     pub fn read_coordinate(&mut self) -> Result<Coordinate, WireError> {
         let dims = usize::from(self.read_u8()?);
@@ -267,6 +332,13 @@ impl<'a> Reader<'a> {
             *slot = self.read_f64()?;
         }
         let height = self.read_f64()?;
+        if components[..dims]
+            .iter()
+            .chain([&height])
+            .any(|value| value.abs() > MAX_COORDINATE_MS)
+        {
+            return Err(malformed("coordinate beyond the latency space"));
+        }
         Coordinate::with_height(&components[..dims], height)
             .map_err(|e| malformed(format!("invalid coordinate: {e}")))
     }
@@ -347,91 +419,146 @@ impl WireId for SocketAddr {
 }
 
 // ---------------------------------------------------------------------
-// Value blobs
+// Snapshot sub-states
 // ---------------------------------------------------------------------
 
-fn put_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => out.push(0x00),
-        Value::Bool(false) => out.push(0x01),
-        Value::Bool(true) => out.push(0x02),
-        Value::Int(n) => {
+fn read_coordinates(reader: &mut Reader<'_>) -> Result<Vec<Coordinate>, WireError> {
+    reader.read_list(MIN_COORDINATE_BYTES, Reader::read_coordinate)
+}
+
+fn put_f64_option(out: &mut Vec<u8>, value: Option<f64>) {
+    put_option(out, value.as_ref(), |out, &value| put_f64(out, value));
+}
+
+fn put_vivaldi(out: &mut Vec<u8>, state: &VivaldiRuntime) {
+    put_coordinate(out, &state.coordinate);
+    put_f64(out, state.error_estimate);
+    put_varint(out, state.observation_count);
+    put_f64(out, state.total_displacement_ms);
+    put_varint(out, state.tie_break_state);
+}
+
+fn read_vivaldi(reader: &mut Reader<'_>) -> Result<VivaldiRuntime, WireError> {
+    Ok(VivaldiRuntime {
+        coordinate: reader.read_coordinate()?,
+        error_estimate: reader.read_f64()?,
+        observation_count: reader.read_varint()?,
+        total_displacement_ms: reader.read_f64()?,
+        tie_break_state: reader.read_varint()?,
+    })
+}
+
+fn put_application(out: &mut Vec<u8>, state: &ApplicationState) {
+    put_coordinate(out, &state.coordinate);
+    put_varint(out, state.update_count);
+    put_varint(out, state.system_updates_seen);
+    put_f64(out, state.total_displacement_ms);
+    put_heuristic(out, &state.heuristic);
+}
+
+fn read_application(reader: &mut Reader<'_>) -> Result<ApplicationState, WireError> {
+    Ok(ApplicationState {
+        coordinate: reader.read_coordinate()?,
+        update_count: reader.read_varint()?,
+        system_updates_seen: reader.read_varint()?,
+        total_displacement_ms: reader.read_f64()?,
+        heuristic: read_heuristic(reader)?,
+    })
+}
+
+fn put_heuristic(out: &mut Vec<u8>, state: &HeuristicState) {
+    match state {
+        HeuristicState::Stateless => out.push(0x00),
+        HeuristicState::System { previous_system } => {
+            out.push(0x01);
+            put_option(out, previous_system.as_ref(), put_coordinate);
+        }
+        HeuristicState::Windowed(detector) => {
+            out.push(0x02);
+            put_list(out, &detector.start, put_coordinate);
+            put_list(out, &detector.current, put_coordinate);
+            put_varint(out, detector.pushes_since_reset);
+            put_varint(out, detector.total_pushes);
+            put_varint(out, detector.change_points);
+        }
+        HeuristicState::Centroid { window } => {
             out.push(0x03);
-            put_varint(out, ((n << 1) ^ (n >> 63)) as u64);
-        }
-        Value::UInt(n) => {
-            out.push(0x04);
-            put_varint(out, *n);
-        }
-        Value::Float(f) => {
-            out.push(0x05);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            out.push(0x06);
-            put_str(out, s);
-        }
-        Value::Seq(items) => {
-            out.push(0x07);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                put_value(out, item);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(0x08);
-            put_varint(out, entries.len() as u64);
-            for (key, entry) in entries {
-                put_str(out, key);
-                put_value(out, entry);
-            }
+            put_list(out, window, put_coordinate);
         }
     }
 }
 
-fn read_value(reader: &mut Reader<'_>, depth: u32) -> Result<Value, WireError> {
-    if depth > MAX_VALUE_DEPTH {
-        return Err(malformed("value nesting too deep"));
-    }
-    match reader.read_u8()? {
-        0x00 => Ok(Value::Null),
-        0x01 => Ok(Value::Bool(false)),
-        0x02 => Ok(Value::Bool(true)),
-        0x03 => {
-            let zigzag = reader.read_varint()?;
-            Ok(Value::Int(((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64)))
+fn read_heuristic(reader: &mut Reader<'_>) -> Result<HeuristicState, WireError> {
+    Ok(match reader.read_u8()? {
+        0x00 => HeuristicState::Stateless,
+        0x01 => HeuristicState::System {
+            previous_system: reader.read_some(Reader::read_coordinate)?,
+        },
+        0x02 => HeuristicState::Windowed(DetectorState {
+            start: read_coordinates(reader)?,
+            current: read_coordinates(reader)?,
+            pushes_since_reset: reader.read_varint()?,
+            total_pushes: reader.read_varint()?,
+            change_points: reader.read_varint()?,
+        }),
+        0x03 => HeuristicState::Centroid {
+            window: read_coordinates(reader)?,
+        },
+        other => return Err(malformed(format!("invalid heuristic state tag {other}"))),
+    })
+}
+
+fn put_filter(out: &mut Vec<u8>, state: &FilterState) {
+    match state {
+        FilterState::Raw { last, seen } => {
+            out.push(0x00);
+            put_f64_option(out, *last);
+            put_varint(out, *seen);
         }
-        0x04 => Ok(Value::UInt(reader.read_varint()?)),
-        0x05 => Ok(Value::Float(reader.read_f64()?)),
-        0x06 => Ok(Value::Str(reader.read_str()?)),
-        0x07 => {
-            let count = reader.read_count(1)?;
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(read_value(reader, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
+        FilterState::MovingPercentile { window, seen } => {
+            out.push(0x01);
+            put_list(out, window, |out, &sample| put_f64(out, sample));
+            put_varint(out, *seen);
         }
-        0x08 => {
-            let count = reader.read_count(2)?;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let key = reader.read_str()?;
-                entries.push((key, read_value(reader, depth + 1)?));
-            }
-            Ok(Value::Map(entries))
+        FilterState::Ewma { value, seen } => {
+            out.push(0x02);
+            put_f64_option(out, *value);
+            put_varint(out, *seen);
         }
-        other => Err(malformed(format!("invalid value tag {other}"))),
+        FilterState::Threshold {
+            last_passed,
+            seen,
+            discarded,
+        } => {
+            out.push(0x03);
+            put_f64_option(out, *last_passed);
+            put_varint(out, *seen);
+            put_varint(out, *discarded);
+        }
     }
 }
 
-fn put_serialized<T: Serialize>(out: &mut Vec<u8>, value: &T) {
-    put_value(out, &value.to_value());
-}
-
-fn read_deserialized<T: Deserialize>(reader: &mut Reader<'_>, what: &str) -> Result<T, WireError> {
-    let value = read_value(reader, 0)?;
-    T::from_value(&value).map_err(|e| malformed(format!("invalid {what}: {e}")))
+fn read_filter(reader: &mut Reader<'_>) -> Result<FilterState, WireError> {
+    Ok(match reader.read_u8()? {
+        0x00 => FilterState::Raw {
+            last: reader.read_some(Reader::read_f64)?,
+            seen: reader.read_varint()?,
+        },
+        0x01 => FilterState::MovingPercentile {
+            window: reader.read_list(8, Reader::read_f64)?,
+            seen: reader.read_varint()?,
+        },
+        0x02 => FilterState::Ewma {
+            value: reader.read_some(Reader::read_f64)?,
+            seen: reader.read_varint()?,
+        },
+        0x03 => FilterState::Threshold {
+            last_passed: reader.read_some(Reader::read_f64)?,
+            seen: reader.read_varint()?,
+            discarded: reader.read_varint()?,
+        },
+        other => return Err(malformed(format!("invalid filter state tag {other}"))),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -498,15 +625,9 @@ fn put_request<Id: WireId>(out: &mut Vec<u8>, request: &ProbeRequest<Id>) {
 }
 
 fn read_request<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeRequest<Id>, WireError> {
-    let target = Id::decode_id(reader)?;
-    let source = if reader.read_option()? {
-        Some(Id::decode_id(reader)?)
-    } else {
-        None
-    };
     Ok(ProbeRequest {
-        target,
-        source,
+        target: Id::decode_id(reader)?,
+        source: reader.read_some(Id::decode_id)?,
         seq: reader.read_varint()?,
         sent_at_ms: reader.read_varint()?,
     })
@@ -536,12 +657,11 @@ fn put_response<Id: WireId>(out: &mut Vec<u8>, response: &ProbeResponse<Id>) {
     put_varint(out, response.sent_at_ms);
     put_coordinate(out, &response.coordinate);
     put_f64(out, response.error_estimate);
-    put_varint(out, response.gossip.len() as u64);
-    for entry in &response.gossip {
+    put_list(out, &response.gossip, |out, entry| {
         entry.id.encode_id(out);
         put_coordinate(out, &entry.coordinate);
         put_f64(out, entry.error_estimate);
-    }
+    });
     put_f64(out, response.rtt_ms);
 }
 
@@ -551,18 +671,13 @@ fn read_response<Id: WireId>(reader: &mut Reader<'_>) -> Result<ProbeResponse<Id
     let sent_at_ms = reader.read_varint()?;
     let coordinate = reader.read_coordinate()?;
     let error_estimate = reader.read_f64()?;
-    let count = reader.read_count(1)?;
-    let mut gossip = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = Id::decode_id(reader)?;
-        let coordinate = reader.read_coordinate()?;
-        let error_estimate = reader.read_f64()?;
-        gossip.push(GossipEntry {
-            id,
-            coordinate,
-            error_estimate,
-        });
-    }
+    let gossip = reader.read_list(1, |reader| {
+        Ok(GossipEntry {
+            id: Id::decode_id(reader)?,
+            coordinate: reader.read_coordinate()?,
+            error_estimate: reader.read_f64()?,
+        })
+    })?;
     let response = ProbeResponse {
         responder,
         seq,
@@ -598,19 +713,14 @@ impl<Id: WireId + Eq + Hash> BinaryMessage for NodeSnapshot<Id> {
     fn encode_binary(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
         put_header(&mut out, KIND_SNAPSHOT);
-        put_serialized(&mut out, &self.vivaldi);
-        put_serialized(&mut out, &self.application);
-        put_varint(&mut out, self.links.len() as u64);
-        for link in &self.links {
-            link.id.encode_id(&mut out);
-            put_option(&mut out, link.filter.as_ref(), put_serialized);
-            put_coordinate(&mut out, &link.coordinate);
-            put_f64(&mut out, link.error_estimate);
-            put_option(&mut out, link.filtered_rtt_ms.as_ref(), |out, &rtt| {
-                put_f64(out, rtt)
-            });
-            put_varint(&mut out, link.observations);
-        }
+        put_vivaldi(&mut out, &self.vivaldi);
+        put_application(&mut out, &self.application);
+        put_list(&mut out, &self.links, |out, link| {
+            link.id.encode_id(out);
+            put_option(out, link.filter.as_ref(), put_filter);
+            put_coordinate(out, &link.coordinate);
+            put_f64(out, link.error_estimate);
+        });
         put_option(
             &mut out,
             self.nearest_neighbor.as_ref(),
@@ -623,24 +733,19 @@ impl<Id: WireId + Eq + Hash> BinaryMessage for NodeSnapshot<Id> {
         put_option(&mut out, self.identity.as_ref(), |out, id| {
             id.encode_id(out)
         });
-        put_varint(&mut out, self.membership.len() as u64);
-        for member in &self.membership {
-            member.encode_id(&mut out);
-        }
+        put_list(&mut out, &self.membership, |out, id| id.encode_id(out));
         put_varint(&mut out, self.probe_cursor as u64);
         put_varint(&mut out, self.probe_seq);
         put_varint(&mut out, self.gossip_cursor as u64);
-        put_varint(&mut out, self.pending.len() as u64);
-        for probe in &self.pending {
-            probe.target.encode_id(&mut out);
-            put_varint(&mut out, probe.seq);
-            put_varint(&mut out, probe.sent_at_ms);
-        }
-        put_varint(&mut out, self.loss_streaks.len() as u64);
-        for (id, streak) in &self.loss_streaks {
-            id.encode_id(&mut out);
-            put_varint(&mut out, u64::from(*streak));
-        }
+        put_list(&mut out, &self.pending, |out, probe| {
+            probe.target.encode_id(out);
+            put_varint(out, probe.seq);
+            put_varint(out, probe.sent_at_ms);
+        });
+        put_list(&mut out, &self.loss_streaks, |out, (id, streak)| {
+            id.encode_id(out);
+            put_varint(out, u64::from(*streak));
+        });
         out
     }
 
@@ -649,90 +754,38 @@ impl<Id: WireId + Eq + Hash> BinaryMessage for NodeSnapshot<Id> {
         if kind != KIND_SNAPSHOT {
             return Err(malformed(format!("expected snapshot, found kind {kind}")));
         }
-        let vivaldi = read_deserialized(&mut reader, "vivaldi state")?;
-        let application = read_deserialized(&mut reader, "application state")?;
-        let link_count = reader.read_count(1)?;
-        let mut links = Vec::with_capacity(link_count);
-        for _ in 0..link_count {
-            let id = Id::decode_id(&mut reader)?;
-            let filter = if reader.read_option()? {
-                Some(read_deserialized(&mut reader, "filter state")?)
-            } else {
-                None
-            };
-            let coordinate = reader.read_coordinate()?;
-            let error_estimate = reader.read_f64()?;
-            let filtered_rtt_ms = if reader.read_option()? {
-                Some(reader.read_f64()?)
-            } else {
-                None
-            };
-            let observations = reader.read_varint()?;
-            links.push(LinkSnapshot {
-                id,
-                filter,
-                coordinate,
-                error_estimate,
-                filtered_rtt_ms,
-                observations,
-            });
-        }
-        let nearest_neighbor = if reader.read_option()? {
-            let id = Id::decode_id(&mut reader)?;
-            let rtt = reader.read_f64()?;
-            Some((id, rtt))
-        } else {
-            None
-        };
-        let observations = reader.read_varint()?;
-        let identity = if reader.read_option()? {
-            Some(Id::decode_id(&mut reader)?)
-        } else {
-            None
-        };
-        let member_count = reader.read_count(1)?;
-        let mut membership = Vec::with_capacity(member_count);
-        for _ in 0..member_count {
-            membership.push(Id::decode_id(&mut reader)?);
-        }
-        let probe_cursor = usize::try_from(reader.read_varint()?)
-            .map_err(|_| malformed("probe cursor overflows usize"))?;
-        let probe_seq = reader.read_varint()?;
-        let gossip_cursor = usize::try_from(reader.read_varint()?)
-            .map_err(|_| malformed("gossip cursor overflows usize"))?;
-        let pending_count = reader.read_count(1)?;
-        let mut pending = Vec::with_capacity(pending_count);
-        for _ in 0..pending_count {
-            let target = Id::decode_id(&mut reader)?;
-            let seq = reader.read_varint()?;
-            let sent_at_ms = reader.read_varint()?;
-            pending.push(PendingProbe {
-                target,
-                seq,
-                sent_at_ms,
-            });
-        }
-        let streak_count = reader.read_count(1)?;
-        let mut loss_streaks = Vec::with_capacity(streak_count);
-        for _ in 0..streak_count {
-            let id = Id::decode_id(&mut reader)?;
-            let streak = u32::try_from(reader.read_varint()?)
-                .map_err(|_| malformed("loss streak overflows u32"))?;
-            loss_streaks.push((id, streak));
-        }
         let snapshot = NodeSnapshot {
-            vivaldi,
-            application,
-            links,
-            nearest_neighbor,
-            observations,
-            identity,
-            membership,
-            probe_cursor,
-            probe_seq,
-            gossip_cursor,
-            pending,
-            loss_streaks,
+            vivaldi: read_vivaldi(&mut reader)?,
+            application: read_application(&mut reader)?,
+            links: reader.read_list(1, |reader| {
+                Ok(LinkSnapshot {
+                    id: Id::decode_id(reader)?,
+                    filter: reader.read_some(read_filter)?,
+                    coordinate: reader.read_coordinate()?,
+                    error_estimate: reader.read_f64()?,
+                })
+            })?,
+            nearest_neighbor: reader
+                .read_some(|reader| Ok((Id::decode_id(reader)?, reader.read_f64()?)))?,
+            observations: reader.read_varint()?,
+            identity: reader.read_some(Id::decode_id)?,
+            membership: reader.read_list(1, Id::decode_id)?,
+            probe_cursor: reader.read_usize("probe cursor")?,
+            probe_seq: reader.read_varint()?,
+            gossip_cursor: reader.read_usize("gossip cursor")?,
+            pending: reader.read_list(1, |reader| {
+                Ok(PendingProbe {
+                    target: Id::decode_id(reader)?,
+                    seq: reader.read_varint()?,
+                    sent_at_ms: reader.read_varint()?,
+                })
+            })?,
+            loss_streaks: reader.read_list(1, |reader| {
+                let id = Id::decode_id(reader)?;
+                let streak = u32::try_from(reader.read_varint()?)
+                    .map_err(|_| malformed("loss streak overflows u32"))?;
+                Ok((id, streak))
+            })?,
         };
         let snapshot = finish(reader, snapshot)?;
         snapshot
@@ -828,13 +881,55 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_ints_round_trip() {
-        for n in [0i64, -1, 1, -2, i64::MIN, i64::MAX] {
-            let mut out = Vec::new();
-            put_value(&mut out, &Value::Int(n));
-            let mut reader = Reader::new(&out);
-            assert_eq!(read_value(&mut reader, 0).unwrap(), Value::Int(n));
+    fn decoding_a_coordinate_enforces_construction_invariants() {
+        let coordinate = |dims: u8, component: f64, height: f64| {
+            let mut out = vec![dims];
+            for _ in 0..dims {
+                put_f64(&mut out, component);
+            }
+            put_f64(&mut out, height);
+            out
+        };
+        // A well-formed coordinate round-trips…
+        let bytes = coordinate(2, 1.5, 3.0);
+        let decoded = Reader::new(&bytes).read_coordinate().unwrap();
+        assert_eq!(
+            decoded,
+            Coordinate::with_height(vec![1.5, 1.5], 3.0).unwrap()
+        );
+        // …as does one at the edge of the latency space…
+        let bytes = coordinate(1, -MAX_COORDINATE_MS, MAX_COORDINATE_MS);
+        assert!(Reader::new(&bytes).read_coordinate().is_ok());
+        // …but one breaking an invariant of construction is Malformed:
+        // a non-finite component, no dimension, a negative height, more
+        // dimensions than a coordinate holds. So is one whose distances
+        // would overflow.
+        for bytes in [
+            coordinate(2, f64::NAN, 0.0),
+            coordinate(2, f64::INFINITY, 0.0),
+            coordinate(2, 1e101, 0.0),
+            coordinate(2, -1e300, 0.0),
+            coordinate(2, 1.0, 1e300),
+            coordinate(0, 1.0, 0.0),
+            coordinate(1, 1.0, -4.0),
+            coordinate(MAX_DIMS as u8 + 1, 1.0, 0.0),
+        ] {
+            assert!(matches!(
+                Reader::new(&bytes).read_coordinate(),
+                Err(WireError::Malformed(_))
+            ));
         }
+    }
+
+    #[test]
+    fn a_coordinate_is_written_with_its_active_components_only() {
+        let mut out = Vec::new();
+        put_coordinate(&mut out, &Coordinate::new(vec![1.0, 2.0]).unwrap());
+        assert_eq!(
+            out.len(),
+            1 + 2 * 8 + 8,
+            "dimension byte, components, height"
+        );
     }
 
     #[test]
@@ -855,18 +950,59 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn deep_value_nesting_is_rejected() {
-        let mut bytes = Vec::new();
-        put_header(&mut bytes, KIND_SNAPSHOT);
-        for _ in 0..200 {
-            bytes.push(0x07); // Seq
-            bytes.push(1); // of one element
+    /// A snapshot frame up to its heuristic state, which `heuristic`
+    /// opens with; then, when `filter` is given, one link whose filter
+    /// state opens with those bytes.
+    fn snapshot_opening(heuristic: &[u8], filter: Option<&[u8]>) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_header(&mut out, KIND_SNAPSHOT);
+        let vivaldi = nc_vivaldi::VivaldiState::new(Default::default());
+        put_vivaldi(&mut out, &vivaldi.export_state());
+        put_coordinate(&mut out, &Coordinate::origin(3));
+        put_varint(&mut out, 0); // update count
+        put_varint(&mut out, 0); // system updates seen
+        put_f64(&mut out, 0.0); // displacement
+        out.extend_from_slice(heuristic);
+        if let Some(filter) = filter {
+            put_varint(&mut out, 1); // one link
+            7u64.encode_id(&mut out);
+            out.push(1); // with a filter
+            out.extend_from_slice(filter);
         }
-        bytes.push(0x00);
-        assert!(matches!(
-            NodeSnapshot::<u64>::decode_binary(&bytes),
-            Err(WireError::Malformed(_))
-        ));
+        out
+    }
+
+    #[test]
+    fn a_hostile_snapshot_count_is_rejected_without_allocating() {
+        // A heuristic window, or a link's filter window, claiming u64::MAX
+        // entries: the count check must reject it instead of attempting
+        // the allocation.
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u64::MAX);
+        let windowed = snapshot_opening(&[&[0x02][..], &huge].concat(), None);
+        let filtered = snapshot_opening(&[0x00], Some(&[&[0x01][..], &huge].concat()));
+        for bytes in [windowed, filtered] {
+            assert!(matches!(
+                NodeSnapshot::<u64>::decode_binary(&bytes),
+                Err(WireError::Malformed(detail)) if detail.contains("count exceeds")
+            ));
+        }
+    }
+
+    #[test]
+    fn an_unknown_sub_state_tag_is_malformed() {
+        let cases = [
+            (snapshot_opening(&[0x04], None), "heuristic state tag 4"),
+            (
+                snapshot_opening(&[0x00], Some(&[0x04])),
+                "filter state tag 4",
+            ),
+        ];
+        for (bytes, detail) in cases {
+            assert!(matches!(
+                NodeSnapshot::<u64>::decode_binary(&bytes),
+                Err(WireError::Malformed(found)) if found.contains(detail)
+            ));
+        }
     }
 }

@@ -1,23 +1,27 @@
 //! Node state for persist/restore.
 //!
 //! A [`NodeSnapshot`] captures everything a node's engine accumulates at run
-//! time: the Vivaldi state (coordinate, error estimate, counters), the
-//! application-level coordinate manager's state (published coordinate and
-//! heuristic windows), each link's filter state and last-seen neighbour
-//! info, and the probe-scheduling cursors. It deliberately does **not**
-//! embed the node's configuration — the stack a node runs (filter family,
-//! heuristic family, Vivaldi constants) is deployment configuration and is
-//! supplied separately when the node is rebuilt, which keeps a snapshot
-//! valid across configuration-compatible binary upgrades.
+//! time, and nothing a restoring engine would re-derive or discard: the
+//! Vivaldi runtime state (coordinate, error estimate, counters, tie-break
+//! generator), the application-level coordinate manager's state (published
+//! coordinate and heuristic windows), each link's filter state and
+//! last-seen neighbour info, and the probe schedule and ledger. It does
+//! **not** embed the node's configuration: the stack a node runs (filter
+//! family, heuristic family, Vivaldi constants) is deployment configuration
+//! and is supplied again when the node is rebuilt. Each sub-state is the
+//! export of its owner (`VivaldiState`, the application coordinate manager,
+//! a link filter), which the restored owner imports.
 //!
 //! A snapshot's bytes are the binary codec's snapshot frame
-//! ([`crate::BinaryMessage`], layout in [`crate::binary`]), whose header
-//! carries the protocol version it was written under. The decoder and a
-//! restoring engine both check a snapshot through [`NodeSnapshot::validate`].
+//! ([`crate::BinaryMessage`]), every field in the fixed layout given in
+//! [`crate::binary`], under a header carrying the protocol version it was
+//! written under; a frame of another version is refused, not migrated. The
+//! decoder and a restoring engine both check a snapshot through
+//! [`NodeSnapshot::validate`].
 
 use nc_change::ApplicationState;
 use nc_filters::{FilterState, StateMismatch};
-use nc_vivaldi::{Coordinate, VivaldiState};
+use nc_vivaldi::{Coordinate, VivaldiRuntime};
 
 /// One probe that has been sent but not yet answered or expired.
 ///
@@ -48,13 +52,6 @@ pub struct LinkSnapshot<Id> {
     pub coordinate: Coordinate,
     /// The neighbour's error estimate when last observed.
     pub error_estimate: f64,
-    /// The most recent filtered latency estimate for the link (ms): what
-    /// `filter` yields at capture time. Informational — a restoring engine
-    /// re-derives it from `filter`, which it continues the link from.
-    pub filtered_rtt_ms: Option<f64>,
-    /// Number of raw observations of this link (likewise derived from
-    /// `filter`).
-    pub observations: u64,
 }
 
 /// The full runtime state of a `StableNode`, detached from its
@@ -65,10 +62,10 @@ pub struct LinkSnapshot<Id> {
 /// the probe messages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot<Id> {
-    /// Complete Vivaldi state: system coordinate, error estimate, counters
-    /// and the tie-break RNG state (so a restored node continues the exact
+    /// Vivaldi runtime state: system coordinate, error estimate, counters
+    /// and the tie-break generator (so a restored node continues the exact
     /// same trajectory).
-    pub vivaldi: VivaldiState,
+    pub vivaldi: VivaldiRuntime,
     /// Application-level coordinate manager state: published coordinate,
     /// counters and heuristic windows.
     pub application: ApplicationState,
@@ -83,7 +80,8 @@ pub struct NodeSnapshot<Id> {
     pub identity: Option<Id>,
     /// The probe schedule: peers in round-robin order.
     pub membership: Vec<Id>,
-    /// Index into `membership` of the next peer to probe.
+    /// Index into `membership` of the next peer to probe; at most its
+    /// length, where the last peer's probe leaves it.
     pub probe_cursor: usize,
     /// Sequence number the next outgoing probe will carry.
     pub probe_seq: u64,
@@ -116,8 +114,10 @@ pub enum SnapshotError {
     LossStreak,
     /// The pending probes are not in strictly increasing sequence order,
     /// one is numbered at or past `probe_seq`, or one addresses an id that
-    /// is neither a link, a member nor the node itself.
+    /// is neither a link nor a member.
     Pending,
+    /// The probe cursor stands past the end of the membership.
+    ProbeCursor,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -134,6 +134,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Pending => {
                 "the pending probes are out of order, numbered past probe_seq or to an unknown id"
             }
+            SnapshotError::ProbeCursor => "the probe cursor stands past the membership",
         };
         write!(f, "snapshot breaks a rule: {rule}")
     }
@@ -176,6 +177,9 @@ impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
         {
             return Err(SnapshotError::Membership);
         }
+        if self.probe_cursor > self.membership.len() {
+            return Err(SnapshotError::ProbeCursor);
+        }
         // The ids the node knows: its members and its links.
         known.extend(self.links.iter().map(|link| &link.id));
         // nc-lint: allow(det-map) — a membership test only: never iterated.
@@ -187,23 +191,20 @@ impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
         {
             return Err(SnapshotError::LossStreak);
         }
-        // `probe_request_for` numbers a probe of the node's own identity
-        // without registering it, so a pending probe may address the node.
         let ordered = self
             .pending
             .windows(2)
             .all(|pair| pair[0].seq < pair[1].seq);
         if !ordered
-            || !self.pending.iter().all(|probe| {
-                probe.seq < self.probe_seq
-                    && (known.contains(&probe.target)
-                        || self.identity.as_ref() == Some(&probe.target))
-            })
+            || !self
+                .pending
+                .iter()
+                .all(|probe| probe.seq < self.probe_seq && known.contains(&probe.target))
         {
             return Err(SnapshotError::Pending);
         }
         let totals = [
-            self.vivaldi.total_displacement_ms(),
+            self.vivaldi.total_displacement_ms,
             self.application.total_displacement_ms,
         ];
         if !totals
@@ -224,7 +225,7 @@ impl<Id> NodeSnapshot<Id> {
 
     /// The system-level coordinate at snapshot time.
     pub fn system_coordinate(&self) -> &Coordinate {
-        self.vivaldi.coordinate()
+        &self.vivaldi.coordinate
     }
 
     /// The application-level coordinate at snapshot time.

@@ -21,7 +21,11 @@ use nc_vivaldi::Coordinate;
 ///
 /// Version 2 added the pending-probe table and per-peer loss streaks to
 /// [`crate::NodeSnapshot`] (the bookkeeping behind probe timeouts).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Version 3 writes every snapshot sub-state in a fixed layout and drops
+/// the per-link copies of the filtered RTT and observation count and the
+/// embedded Vivaldi configuration; requests and responses are unchanged
+/// but for the version bytes.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Errors produced while decoding wire messages.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,7 +26,7 @@ fn request_golden_bytes() {
     let request: ProbeRequest<u32> = ProbeRequest::new(7, 300, 45).from_source(1);
     let expected: Vec<u8> = vec![
         0x4E, 0x43, // magic "NC"
-        0x02, 0x00, // protocol version 2, u16 LE
+        0x03, 0x00, // protocol version 3, u16 LE
         0x01, // kind: request
         0x07, // target id 7 (varint)
         0x01, 0x01, // source present, id 1
@@ -52,7 +52,7 @@ fn response_golden_bytes() {
     );
     let mut expected: Vec<u8> = vec![
         0x4E, 0x43, // magic
-        0x02, 0x00, // version 2
+        0x03, 0x00, // version 3
         0x02, // kind: response
         0x04, 127, 0, 0, 1, 0x28, 0x23, // responder 127.0.0.1:9000 (port LE)
         0x05, // seq 5
@@ -70,6 +70,132 @@ fn response_golden_bytes() {
     assert_eq!(
         ProbeResponse::<SocketAddr>::decode_binary(&expected).unwrap(),
         response
+    );
+}
+
+/// A small snapshot holding one of each shape the layout has: a
+/// moving-percentile link, a gossip-only link with no filter, a windowed
+/// heuristic state, a pending probe and a loss streak.
+fn golden_snapshot() -> NodeSnapshot<u32> {
+    use nc_change::{ApplicationState, DetectorState, HeuristicState};
+    use nc_filters::FilterState;
+    use nc_proto::{LinkSnapshot, PendingProbe};
+    use nc_vivaldi::VivaldiRuntime;
+
+    let at = |x: f64| Coordinate::new(vec![x]).unwrap();
+    NodeSnapshot {
+        vivaldi: VivaldiRuntime {
+            coordinate: at(12.5),
+            error_estimate: 0.25,
+            observation_count: 3,
+            total_displacement_ms: 20.0,
+            tie_break_state: 5,
+        },
+        application: ApplicationState {
+            coordinate: at(10.0),
+            update_count: 1,
+            system_updates_seen: 3,
+            total_displacement_ms: 10.0,
+            heuristic: HeuristicState::Windowed(DetectorState {
+                start: vec![at(10.0)],
+                current: vec![at(12.5)],
+                pushes_since_reset: 2,
+                total_pushes: 3,
+                change_points: 1,
+            }),
+        },
+        links: vec![
+            LinkSnapshot {
+                id: 1,
+                filter: Some(FilterState::MovingPercentile {
+                    window: vec![40.0, 42.0],
+                    seen: 2,
+                }),
+                coordinate: at(50.0),
+                error_estimate: 0.5,
+            },
+            LinkSnapshot {
+                id: 2,
+                filter: None,
+                coordinate: at(-30.0),
+                error_estimate: 0.75,
+            },
+        ],
+        nearest_neighbor: Some((1, 40.0)),
+        observations: 2,
+        identity: Some(0),
+        membership: vec![1, 2],
+        probe_cursor: 2,
+        probe_seq: 4,
+        gossip_cursor: 1,
+        pending: vec![PendingProbe {
+            target: 2,
+            seq: 3,
+            sent_at_ms: 300,
+        }],
+        loss_streaks: vec![(2, 1)],
+    }
+}
+
+#[test]
+fn snapshot_golden_bytes() {
+    let snapshot = golden_snapshot();
+    // A 1-D coordinate: dimension byte, component, height 0.
+    let coordinate = |out: &mut Vec<u8>, x: f64| {
+        out.push(0x01);
+        out.extend_from_slice(&le_f64(x));
+        out.extend_from_slice(&le_f64(0.0));
+    };
+    let mut expected: Vec<u8> = vec![
+        0x4E, 0x43, // magic
+        0x03, 0x00, // version 3
+        0x03, // kind: snapshot
+    ];
+    // Vivaldi state.
+    coordinate(&mut expected, 12.5);
+    expected.extend_from_slice(&le_f64(0.25)); // error estimate
+    expected.push(0x03); // observation count
+    expected.extend_from_slice(&le_f64(20.0)); // displacement total
+    expected.push(0x05); // tie-break state
+                         // Application state.
+    coordinate(&mut expected, 10.0);
+    expected.extend_from_slice(&[0x01, 0x03]); // updates, system updates seen
+    expected.extend_from_slice(&le_f64(10.0)); // displacement total
+    expected.push(0x02); // heuristic state: Windowed
+    expected.push(0x01); // start window: one coordinate
+    coordinate(&mut expected, 10.0);
+    expected.push(0x01); // current window: one coordinate
+    coordinate(&mut expected, 12.5);
+    expected.extend_from_slice(&[0x02, 0x03, 0x01]); // since reset, pushes, change points
+                                                     // Links.
+    expected.push(0x02); // two links
+    expected.extend_from_slice(&[0x01, 0x01, 0x01]); // id 1, filter present: MovingPercentile
+    expected.push(0x02); // window of two samples
+    expected.extend_from_slice(&le_f64(40.0));
+    expected.extend_from_slice(&le_f64(42.0));
+    expected.push(0x02); // seen
+    coordinate(&mut expected, 50.0);
+    expected.extend_from_slice(&le_f64(0.5)); // error estimate
+    expected.extend_from_slice(&[0x02, 0x00]); // id 2, no filter: known by gossip
+    coordinate(&mut expected, -30.0);
+    expected.extend_from_slice(&le_f64(0.75));
+    // Nearest neighbour: link 1 at 40 ms.
+    expected.extend_from_slice(&[0x01, 0x01]);
+    expected.extend_from_slice(&le_f64(40.0));
+    expected.extend_from_slice(&[
+        0x02, // observations
+        0x01, 0x00, // identity 0
+        0x02, 0x01, 0x02, // membership [1, 2]
+        0x02, // probe cursor
+        0x04, // probe seq
+        0x01, // gossip cursor
+        0x01, 0x02, 0x03, 0xAC, 0x02, // one pending probe: target 2, seq 3, sent at 300
+        0x01, 0x02, 0x01, // one loss streak: peer 2, one loss
+    ]);
+    assert_eq!(snapshot.encode_binary(), expected);
+    assert_eq!(
+        NodeSnapshot::<u32>::decode_binary(&expected).unwrap(),
+        snapshot
     );
 }
 
@@ -161,7 +287,7 @@ fn sample_snapshot() -> NodeSnapshot<String> {
     use nc_vivaldi::{VivaldiConfig, VivaldiState};
 
     NodeSnapshot {
-        vivaldi: VivaldiState::new(VivaldiConfig::paper_defaults()),
+        vivaldi: VivaldiState::new(VivaldiConfig::paper_defaults()).export_state(),
         application: ApplicationState {
             coordinate: Coordinate::new(vec![1.0, 2.0, 3.0]).unwrap(),
             update_count: 4,
@@ -177,8 +303,6 @@ fn sample_snapshot() -> NodeSnapshot<String> {
             }),
             coordinate: Coordinate::new(vec![10.0, 0.0, 0.0]).unwrap(),
             error_estimate: 0.5,
-            filtered_rtt_ms: Some(80.0),
-            observations: 2,
         }],
         nearest_neighbor: Some(("peer-a".into(), 80.0)),
         observations: 2,
@@ -292,32 +416,13 @@ fn a_snapshot_link_with_a_non_finite_error_estimate_is_malformed() {
     }
 }
 
-/// A fresh Vivaldi state whose displacement total reads `total`, as a
-/// snapshot off the wire may carry it.
-fn vivaldi_with_total_displacement(total: f64) -> nc_vivaldi::VivaldiState {
-    use nc_vivaldi::{VivaldiConfig, VivaldiState};
-    use serde::{Deserialize, Serialize, Value};
-    let fields = match VivaldiState::new(VivaldiConfig::paper_defaults()).to_value() {
-        Value::Map(fields) => fields,
-        other => panic!("a Vivaldi state serializes as a map, not {other:?}"),
-    };
-    let forged = fields
-        .into_iter()
-        .map(|(name, value)| match name.as_str() {
-            "total_displacement_ms" => (name, Value::Float(total)),
-            _ => (name, value),
-        })
-        .collect();
-    VivaldiState::from_value(&Value::Map(forged)).expect("well-formed value")
-}
-
 #[test]
 fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
     use nc_filters::{FilterState, StateMismatch};
     type Poison = fn(&mut NodeSnapshot<String>);
     let counters = |family, seen| SnapshotError::Filter(StateMismatch::Counters { family, seen });
     // A non-finite link error estimate is the case of the test above.
-    let cases: [(Poison, SnapshotError); 18] = [
+    let cases: [(Poison, SnapshotError); 20] = [
         (
             |s| {
                 s.links[0].filter = Some(FilterState::Raw {
@@ -380,11 +485,11 @@ fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
             SnapshotError::Displacement,
         ),
         (
-            |s| s.vivaldi = vivaldi_with_total_displacement(f64::INFINITY),
+            |s| s.vivaldi.total_displacement_ms = f64::INFINITY,
             SnapshotError::Displacement,
         ),
         (
-            |s| s.vivaldi = vivaldi_with_total_displacement(-0.5),
+            |s| s.vivaldi.total_displacement_ms = -0.5,
             SnapshotError::Displacement,
         ),
         (|s| s.loss_streaks[0].1 = 0, SnapshotError::LossStreak),
@@ -413,16 +518,23 @@ fn a_snapshot_breaking_a_rule_of_validate_is_malformed() {
             |s| s.pending[0].target = "stranger".into(),
             SnapshotError::Pending,
         ),
+        // A probe of the node itself is never entered as pending.
+        (
+            |s| s.pending[0].target = "self".into(),
+            SnapshotError::Pending,
+        ),
+        // Two members: the cursor stands at most past the second.
+        (|s| s.probe_cursor = 3, SnapshotError::ProbeCursor),
     ];
     assert_eq!(sample_snapshot().validate(), Ok(()));
     let mut unmoved = sample_snapshot();
     unmoved.application.total_displacement_ms = 0.0;
     assert_eq!(unmoved.validate(), Ok(()));
-    // An engine may probe its own identity, and a probe of a link outside
-    // the membership may be lost: both are snapshots an engine takes.
-    let mut own = sample_snapshot();
-    own.pending[0].target = "self".into();
-    assert_eq!(own.validate(), Ok(()));
+    // A cursor at the end of the rotation, and a lost probe of a link
+    // outside the membership, are snapshots an engine takes.
+    let mut at_end = sample_snapshot();
+    at_end.probe_cursor = at_end.membership.len();
+    assert_eq!(at_end.validate(), Ok(()));
     let mut outside = sample_snapshot();
     outside.membership.retain(|id| id != "peer-a");
     outside.pending[0].target = "peer-a".into();
@@ -521,7 +633,7 @@ proptest! {
     #[test]
     fn snapshots_round_trip(
         observations in 0u64..1_000_000,
-        probe_cursor in 0usize..64,
+        probe_cursor in 0usize..=2,
         seq_gap in 1u64..1_000_000,
         gossip_cursor in 0usize..64,
         streak in 1u32..1_000,
@@ -531,6 +643,7 @@ proptest! {
     ) {
         use nc_filters::FilterState;
         let mut snapshot = sample_snapshot();
+        prop_assert_eq!(snapshot.membership.len(), 2);
         snapshot.observations = observations;
         snapshot.probe_cursor = probe_cursor;
         snapshot.probe_seq = pending_seq + seq_gap;

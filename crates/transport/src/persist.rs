@@ -26,10 +26,14 @@ pub fn save_snapshot(path: &Path, snapshot: &NodeSnapshot<SocketAddr>) -> io::Re
 
 /// Loads a snapshot previously written by [`save_snapshot`].
 ///
+/// A file written under another protocol version is refused, not migrated:
+/// move it aside, and the node starts afresh and re-converges.
+///
 /// # Errors
 ///
 /// I/O errors pass through; a malformed or version-mismatched file surfaces
-/// as [`io::ErrorKind::InvalidData`].
+/// as [`io::ErrorKind::InvalidData`], carrying the [`nc_proto::WireError`]
+/// message.
 pub fn load_snapshot(path: &Path) -> io::Result<NodeSnapshot<SocketAddr>> {
     let bytes = std::fs::read(path)?;
     NodeSnapshot::decode_binary(&bytes)

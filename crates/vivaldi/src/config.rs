@@ -1,7 +1,5 @@
 //! Tuning parameters for the Vivaldi update rule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coordinate::MAX_DIMS;
 
 /// Configuration of a [`crate::VivaldiState`].
@@ -26,7 +24,7 @@ use crate::coordinate::MAX_DIMS;
 /// assert_eq!(config.dimensions(), 2);
 /// assert_eq!(config.error_margin_ms(), Some(3.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VivaldiConfig {
     dimensions: usize,
     cc: f64,

@@ -16,13 +16,9 @@
 //! — runs without touching the heap. Cloning a coordinate is a `memcpy`.
 //! Spaces with more than [`MAX_DIMS`] dimensions are rejected at
 //! construction; raise the constant (one line) and rebuild if a workload
-//! ever needs more. The serialized form is unchanged from the previous
-//! `Vec<f64>`-backed representation: only the active components travel on
-//! the wire.
+//! ever needs more.
 
 use std::borrow::Borrow;
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoordinateError;
 
@@ -52,37 +48,6 @@ pub struct Coordinate {
     components: [f64; MAX_DIMS],
     len: usize,
     height: f64,
-}
-
-// Hand-written so that *decoding* enforces the same invariants as
-// construction: a coordinate arriving off the wire (probe response, gossip
-// entry, snapshot) with non-finite components, a negative height, or zero
-// dimensions is a malformed message, not a valid value. Deriving this impl
-// would let a crafted payload inject NaN/∞ into the coordinate space, where
-// it propagates to every distance computation and, via gossip, to peers.
-impl Deserialize for Coordinate {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let components = Vec::<f64>::from_value(serde::de_field(value, "components")?)?;
-        let height = f64::from_value(serde::de_field(value, "height")?)?;
-        Coordinate::with_height(components, height)
-            .map_err(|e| serde::Error::msg(format!("invalid coordinate: {e}")))
-    }
-}
-
-// Hand-written because the derive would serialize the whole backing array
-// including inactive lanes; only the active components are meaningful. The
-// output is byte-identical to what the old `Vec<f64>`-backed derive
-// produced.
-impl Serialize for Coordinate {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "components".to_string(),
-                serde::Value::Seq(self.components().iter().map(|c| c.to_value()).collect()),
-            ),
-            ("height".to_string(), self.height.to_value()),
-        ])
-    }
 }
 
 // Equality over the *active* components only; inactive lanes are
@@ -554,64 +519,6 @@ mod tests {
         assert_eq!(c.components(), &[2.0, 2.0]);
         let by_iter = Coordinate::centroid_iter(coords.iter()).unwrap();
         assert_eq!(c, by_iter);
-    }
-
-    #[test]
-    fn deserializing_enforces_construction_invariants() {
-        // A well-formed coordinate round-trips…
-        let c = Coordinate::with_height(vec![1.0, -2.5], 3.0).unwrap();
-        assert_eq!(Coordinate::from_value(&c.to_value()).unwrap(), c);
-        // …but payloads violating the invariants are rejected: non-finite
-        // components (serialized as null), empty dimension lists, negative
-        // heights, oversized dimension lists.
-        let nan = serde::Value::Map(vec![
-            (
-                "components".into(),
-                serde::Value::Seq(vec![serde::Value::Null, serde::Value::Float(1.0)]),
-            ),
-            ("height".into(), serde::Value::Float(0.0)),
-        ]);
-        assert!(Coordinate::from_value(&nan).is_err());
-        let empty = serde::Value::Map(vec![
-            ("components".into(), serde::Value::Seq(vec![])),
-            ("height".into(), serde::Value::Float(0.0)),
-        ]);
-        assert!(Coordinate::from_value(&empty).is_err());
-        let sunken = serde::Value::Map(vec![
-            (
-                "components".into(),
-                serde::Value::Seq(vec![serde::Value::Float(1.0)]),
-            ),
-            ("height".into(), serde::Value::Float(-4.0)),
-        ]);
-        assert!(Coordinate::from_value(&sunken).is_err());
-        let oversized = serde::Value::Map(vec![
-            (
-                "components".into(),
-                serde::Value::Seq(vec![serde::Value::Float(1.0); MAX_DIMS + 1]),
-            ),
-            ("height".into(), serde::Value::Float(0.0)),
-        ]);
-        assert!(Coordinate::from_value(&oversized).is_err());
-    }
-
-    #[test]
-    fn serialized_form_only_carries_active_components() {
-        let c = Coordinate::new(vec![1.0, 2.0]).unwrap();
-        match c.to_value() {
-            serde::Value::Map(fields) => {
-                let components = fields
-                    .iter()
-                    .find(|(k, _)| k == "components")
-                    .map(|(_, v)| v)
-                    .expect("components field");
-                match components {
-                    serde::Value::Seq(items) => assert_eq!(items.len(), 2),
-                    other => panic!("expected a sequence, got {other:?}"),
-                }
-            }
-            other => panic!("expected a map, got {other:?}"),
-        }
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use config::{VivaldiConfig, VivaldiConfigError};
 pub use coordinate::{Coordinate, MAX_DIMS};
 pub use error::{relative_error, CoordinateError};
 pub use gate::{OutlierGate, OutlierGateConfig};
-pub use state::{RemoteObservation, UpdateOutcome, VivaldiState};
+pub use state::{RemoteObservation, UpdateOutcome, VivaldiRuntime, VivaldiState};

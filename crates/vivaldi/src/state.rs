@@ -1,7 +1,5 @@
 //! The per-node Vivaldi algorithm state and update rule (paper Figure 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::VivaldiConfig;
 use crate::coordinate::{self as nc_coordinate, Coordinate};
 use crate::error::{relative_error, MIN_LATENCY_MS};
@@ -77,6 +75,26 @@ pub struct UpdateOutcome {
 /// it at a small positive value.
 pub const MIN_ERROR_ESTIMATE: f64 = 1e-4;
 
+/// The runtime state of a [`VivaldiState`], without its configuration:
+/// what a snapshot carries and a restored node continues from.
+///
+/// Produced by [`VivaldiState::export_state`] and adopted by
+/// [`VivaldiState::import_state`] on a node built from the configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VivaldiRuntime {
+    /// The system-level coordinate `x_i`.
+    pub coordinate: Coordinate,
+    /// The error estimate `w_i`.
+    pub error_estimate: f64,
+    /// Number of accepted observations.
+    pub observation_count: u64,
+    /// Sum of all coordinate displacements (milliseconds).
+    pub total_displacement_ms: f64,
+    /// State of the tie-break generator, so a restored node separates
+    /// coincident coordinates along the same directions.
+    pub tie_break_state: u64,
+}
+
 /// Per-node Vivaldi algorithm state: the coordinate `x_i` and the error
 /// estimate `w_i` (the paper calls `1 − w_i` the node's *confidence*).
 ///
@@ -111,7 +129,7 @@ pub const MIN_ERROR_ESTIMATE: f64 = 1e-4;
 /// assert!(!outcome.rejected);
 /// assert!(outcome.displacement_ms > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VivaldiState {
     config: VivaldiConfig,
     coordinate: Coordinate,
@@ -146,31 +164,44 @@ impl VivaldiState {
         }
     }
 
-    /// Replaces the tuning constants while keeping the runtime state
-    /// (coordinate, error estimate, counters, tie-break RNG). Used when
-    /// restoring persisted state under a — possibly updated — deployment
-    /// configuration: the constants always come from the configuration, the
-    /// trajectory from the persisted state. The error estimate is
-    /// re-clamped into its valid range so corrupt persisted values cannot
-    /// enter the update rule.
+    /// Exports the runtime state — everything but the configuration — for
+    /// persistence.
+    pub fn export_state(&self) -> VivaldiRuntime {
+        VivaldiRuntime {
+            coordinate: self.coordinate.clone(),
+            error_estimate: self.error_estimate,
+            observation_count: self.observation_count,
+            total_displacement_ms: self.total_displacement_ms,
+            tie_break_state: self.tie_break_state,
+        }
+    }
+
+    /// Adopts runtime state exported by [`VivaldiState::export_state`],
+    /// keeping this node's configuration: the constants come from the
+    /// configuration, the trajectory from the state. The error estimate is
+    /// clamped into its valid range, a non-finite one read as 1.0, so a
+    /// corrupt persisted value cannot enter the update rule.
     ///
     /// # Panics
     ///
-    /// Panics when the new configuration's dimensionality does not match
-    /// the current coordinate (callers restoring from untrusted input must
-    /// check dimensions first).
-    pub fn replace_config(&mut self, config: VivaldiConfig) {
+    /// Panics when the state's coordinate has another dimensionality than
+    /// the configuration (callers restoring from untrusted input check
+    /// dimensions first).
+    pub fn import_state(&mut self, state: &VivaldiRuntime) {
         assert_eq!(
-            self.coordinate.dimensions(),
-            config.dimensions(),
-            "replacement configuration must match the coordinate dimensionality"
+            state.coordinate.dimensions(),
+            self.config.dimensions(),
+            "imported coordinate must match the configured dimensionality"
         );
-        self.config = config;
-        self.error_estimate = if self.error_estimate.is_finite() {
-            self.error_estimate.clamp(MIN_ERROR_ESTIMATE, 1.0)
+        self.coordinate = state.coordinate.clone();
+        self.error_estimate = if state.error_estimate.is_finite() {
+            state.error_estimate.clamp(MIN_ERROR_ESTIMATE, 1.0)
         } else {
             1.0
         };
+        self.observation_count = state.observation_count;
+        self.total_displacement_ms = state.total_displacement_ms;
+        self.tie_break_state = state.tie_break_state;
     }
 
     /// The node's current system-level coordinate `x_i`.
@@ -200,11 +231,6 @@ impl VivaldiState {
     /// elapsed time gives the paper's stability metric for this node.
     pub fn total_displacement_ms(&self) -> f64 {
         self.total_displacement_ms
-    }
-
-    /// The configuration this node runs with.
-    pub fn config(&self) -> &VivaldiConfig {
-        &self.config
     }
 
     /// Predicted round-trip latency to a remote coordinate, in milliseconds.
@@ -538,6 +564,32 @@ mod tests {
             d_confident > d_unsure,
             "confident neighbour should exert more pull ({d_confident} vs {d_unsure})"
         );
+    }
+
+    #[test]
+    fn imported_state_continues_the_trajectory_under_the_importers_constants() {
+        let mut original = paper_state();
+        let remote = paper_state();
+        for rtt in [40.0, 55.0, 47.0] {
+            original.observe(&observation_of(&remote, rtt));
+        }
+        let mut restored = paper_state();
+        restored.import_state(&original.export_state());
+        assert_eq!(restored, original);
+        let next = observation_of(&remote, 61.0);
+        assert_eq!(restored.observe(&next), original.observe(&next));
+        assert_eq!(restored, original);
+
+        // The constants stay the importer's; a non-finite error estimate
+        // is read as a completely unconfident node.
+        let margin = VivaldiConfig::paper_defaults().with_confidence_building(Some(3.0));
+        let mut state = original.export_state();
+        state.error_estimate = f64::NAN;
+        let mut other = VivaldiState::new(margin.clone());
+        other.import_state(&state);
+        assert_eq!(other.config, margin);
+        assert_eq!(other.coordinate(), original.coordinate());
+        assert_eq!(other.error_estimate(), 1.0);
     }
 
     proptest! {
