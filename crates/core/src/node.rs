@@ -11,7 +11,7 @@ use nc_filters::StateMismatch;
 use nc_proto::{
     Event, GossipEntry, LinkSnapshot, NodeSnapshot, ProbeRequest, ProbeResponse, SnapshotError,
 };
-use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState};
+use nc_vivaldi::{Coordinate, OutlierGate, RemoteObservation, VivaldiState, MAX_COORDINATE_MS};
 
 use crate::config::{NodeConfig, NodeConfigError};
 use crate::ledger::ProbeLedger;
@@ -654,9 +654,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         for entry in &response.gossip {
             // Our own address coming back around through gossip is not a
             // neighbour, and a coordinate from a different-dimensional
-            // deployment is not usable information.
+            // deployment or beyond the latency space is not usable
+            // information.
             if self.identity.as_ref() == Some(&entry.id)
                 || entry.coordinate.dimensions() != dimensions
+                || !in_latency_space(&entry.coordinate)
             {
                 continue;
             }
@@ -824,11 +826,13 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         // Track the neighbour snapshot regardless of whether the filter lets
         // the sample through: the coordinate and error estimate are still
         // fresh information.
-        snapshots.put(
-            &mut peer.snapshot,
-            &response.coordinate,
-            response.error_estimate,
-        );
+        if in_latency_space(&response.coordinate) {
+            snapshots.put(
+                &mut peer.snapshot,
+                &response.coordinate,
+                response.error_estimate,
+            );
+        }
         links.observe(handle, response.rtt_ms)
     }
 
@@ -921,6 +925,17 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         }
         self.peers.member(id).1
     }
+}
+
+/// Whether no component and not the height of `coordinate` exceeds
+/// [`MAX_COORDINATE_MS`]. The neighbour table stores no other: a distance to
+/// one overflows, and no snapshot or reply could carry it.
+fn in_latency_space(coordinate: &Coordinate) -> bool {
+    coordinate
+        .components()
+        .iter()
+        .chain([&coordinate.height()])
+        .all(|value| value.abs() <= MAX_COORDINATE_MS)
 }
 
 /// Every coordinate embedded in a heuristic's exported runtime state (the
@@ -1333,6 +1348,44 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::ObservationRejected { id: 1, .. })));
+    }
+
+    #[test]
+    fn a_coordinate_beyond_the_latency_space_is_rejected() {
+        let mut node = Node::new(NodeConfig::paper_defaults());
+        let near = Coordinate::new(vec![30.0, 0.0, 0.0]).unwrap();
+        for _ in 0..10 {
+            feed(&mut node, 1, near.clone(), 0.5, 40.0);
+        }
+        let (coordinate, error) = (node.system_coordinate().clone(), node.error_estimate());
+        // Finite, but far enough out that a distance to it overflows; then
+        // just past the bound, where it does not. Each reply gossips the
+        // same point, which the neighbour table must not take either.
+        for (peer, x) in [(2, 1e300), (3, 2e100)] {
+            for _ in 0..10 {
+                let far = Coordinate::new(vec![x, 0.0, 0.0]).unwrap();
+                let request = node.probe_request_for(peer, 0);
+                let mut response = ProbeResponse::new(peer, &request, far.clone(), 0.5)
+                    .with_gossip(GossipEntry {
+                        id: 9,
+                        coordinate: far,
+                        error_estimate: 0.5,
+                    });
+                response.rtt_ms = 40.0;
+                let events = digest(&mut node, &response);
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| matches!(e, Event::ObservationRejected { id, .. } if *id == peer)),
+                    "{x:e}: {events:?}"
+                );
+            }
+            assert_eq!(node.system_coordinate(), &coordinate, "{x:e}");
+            assert_eq!(node.error_estimate(), error, "{x:e}");
+        }
+        let encoded = node.snapshot().encode_binary();
+        let decoded = NodeSnapshot::<u32>::decode_binary(&encoded);
+        assert!(decoded.is_ok(), "{:?}", decoded.err());
     }
 
     #[test]

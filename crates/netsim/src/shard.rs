@@ -25,8 +25,9 @@
 //!    flow is a probe response travelling from the responder's shard to the
 //!    prober's shard; it moves through a slab of turn-versioned
 //!    [`SlotCell`]s with acquire/release handshakes, whose response buffers
-//!    are rewritten in place turn after turn, so the steady state neither
-//!    allocates nor locks.
+//!    are rewritten in place turn after turn, so the steady state does not
+//!    allocate; each `Respond` and `Digest` takes its cell's lock once,
+//!    uncontended.
 //!
 //! The two phases overlap. The calling thread releases epoch `k` to the
 //! shards, plans epoch `k + 1` into a second set of batches while its
@@ -86,9 +87,8 @@
 //! unanimity rule across the sets: a peer leaves the shared rotation once
 //! every configuration has evicted it.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, RwLock, TryLockError};
+use std::sync::{mpsc, Mutex, MutexGuard, RwLock, TryLockError};
 
 use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
 use nc_query::CoordinateIndex;
@@ -300,31 +300,24 @@ fn ledger_groups(state: &EngineState) -> Vec<LedgerGroup> {
 /// condition is met by an operation strictly earlier in the planner's global
 /// order, which is the module's progress argument; the executor checks it
 /// before every op ([`ready`]) and the reference, which runs every op as the
-/// loop emits it, always finds it met. A cell may stay published across any
-/// number of epoch boundaries; the slab only ever grows between epochs,
-/// under the write lock, while no thread holds a reference into it.
+/// loop emits it, always finds it met. The counters say whose turn it is and
+/// the lock on `data` proves it exclusive: an op takes it without waiting
+/// ([`lock_responses`]) and drops it before the store that passes the cell
+/// on. A cell may stay published across any number of epoch boundaries; the
+/// slab only ever grows between epochs, under the write lock, while no
+/// thread holds a reference into it.
 pub(crate) struct SlotCell {
     published: AtomicU32,
     consumed: AtomicU32,
-    data: UnsafeCell<Vec<ProbeResponse<usize>>>,
+    data: Mutex<Vec<ProbeResponse<usize>>>,
 }
-
-// The handshake state lives in the cell itself, so the argument below
-// holds across epochs and across the slab's reallocation (a move of cells
-// nobody is touching, made while the planner has the slab to itself).
-//
-// SAFETY: access to `data` is serialized by the published/consumed turn
-// handshake — at any instant at most one worker holds the right to touch
-// the vector, and the Acquire/Release pairs order those accesses. The
-// atomics are `Sync` by themselves.
-unsafe impl Sync for SlotCell {}
 
 impl SlotCell {
     pub(crate) fn new() -> Self {
         SlotCell {
             published: AtomicU32::new(0),
             consumed: AtomicU32::new(0),
-            data: UnsafeCell::new(Vec::new()),
+            data: Mutex::new(Vec::new()),
         }
     }
 }
@@ -352,6 +345,18 @@ fn assert_turn(counter: &AtomicU32, turn: u32) {
         at == turn,
         "a response cell is at turn {at}, not at the {turn} its op needs"
     );
+}
+
+/// Takes `cell`'s responses without waiting. The turn handshake hands a
+/// cell to one op at a time and every op lets go before passing it on, so a
+/// held lock — like a poisoned one, left by a panic inside an earlier op —
+/// means a broken plan, and panics as [`assert_turn`] does.
+fn lock_responses(cell: &SlotCell) -> MutexGuard<'_, Vec<ProbeResponse<usize>>> {
+    match cell.data.try_lock() {
+        Ok(responses) => responses,
+        Err(TryLockError::WouldBlock) => panic!("a response cell is held by another op"),
+        Err(TryLockError::Poisoned(_)) => panic!("an op panicked holding a response cell"),
+    }
 }
 
 /// One probe exchange in flight, between the events that carry its index:
@@ -492,12 +497,7 @@ impl Worker {
                 let local = dst as usize / self.threads;
                 let cell = &cells[slot as usize];
                 assert_turn(&cell.consumed, turn - 1);
-                // SAFETY: `consumed == turn - 1` means the previous use
-                // of the cell — possibly epochs ago — is finished, and
-                // `InFlight::respond` names this turn in no other
-                // `Respond`, so this worker has exclusive access until it
-                // stores published/consumed below.
-                let responses = unsafe { &mut *cell.data.get() };
+                let mut responses = lock_responses(cell);
                 let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
                 let lie = lie.map(|index| &lies[index as usize]);
                 for (index, run) in self.runs.iter_mut().enumerate() {
@@ -519,6 +519,7 @@ impl Worker {
                         apply_lie(&mut responses[index], lie);
                     }
                 }
+                drop(responses);
                 if publish {
                     cell.published.store(turn, Ordering::Release);
                 } else {
@@ -535,12 +536,7 @@ impl Worker {
                 let local = src as usize / self.threads;
                 let cell = &cells[slot as usize];
                 assert_turn(&cell.published, turn);
-                // SAFETY: `published == turn` means the responder is done
-                // writing (in this epoch or an earlier one); the emitting
-                // loop releases each slot once, so it emits one taker per
-                // published turn — this digest — and no one else touches
-                // the cell until we store `consumed`.
-                let responses = unsafe { &*cell.data.get() };
+                let responses = lock_responses(cell);
                 for (index, run) in self.runs.iter_mut().enumerate() {
                     self.events.clear();
                     run.nodes[local].handle_response_into(&responses[index], &mut self.events);
@@ -561,6 +557,7 @@ impl Worker {
                     fold_events(node_metrics, now, measuring, &self.events);
                     feed_query_index(run.index.as_mut(), src as usize, &self.events);
                 }
+                drop(responses);
                 cell.consumed.store(turn, Ordering::Release);
             }
             PlanOp::DropReply { slot, turn, .. } => {
@@ -1150,6 +1147,8 @@ mod tests {
     use std::time::Duration;
 
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use super::*;
     use crate::adversary::AdversaryModel;
@@ -1181,7 +1180,8 @@ mod tests {
         helpers: usize,
         epoch_events: usize,
     ) -> (String, PlanFootprint) {
-        let (report, footprint) = simulator.run_streamed(shards, helpers, epoch_events);
+        let (report, footprint) =
+            simulator.run_with(|env, state| run_epochs(env, state, shards, helpers, epoch_events));
         (format!("{report:?}"), footprint)
     }
 
@@ -1568,6 +1568,157 @@ mod tests {
                     "{} threads, {} events per epoch diverged from serial (seed {})",
                     threads, epoch_events, seed
                 );
+            }
+        }
+    }
+
+    /// Runs a whole simulation on the calling thread one op at a time. Each
+    /// epoch is planned, then `pick` chooses which of the shards whose next
+    /// op is [`ready`] runs it, until every shard has run its batch. Some
+    /// shard must be ready until then — the module's progress argument, held
+    /// for whatever order the handshake admits, not only the ones threads
+    /// happen to take. Returns how many `DropReply` ops ran.
+    fn explore(
+        env: &SimEnv,
+        state: &mut EngineState,
+        shards: usize,
+        epoch_events: usize,
+        mut pick: impl FnMut(usize) -> usize,
+    ) -> usize {
+        let mut groups = ledger_groups(state);
+        let mut evicted = Vec::new();
+        let mut batches: Vec<Batch> = (0..shards).map(|_| Batch::default()).collect();
+        let mut running: Vec<Shard> = deal(env, state, shards)
+            .into_iter()
+            .map(|worker| Shard {
+                worker,
+                batch: Batch::default(),
+                cursor: 0,
+            })
+            .collect();
+        let mut cells = Vec::new();
+        let mut drops = 0;
+        let mut events = EventLoop::new(env, &mut state.schedule);
+        let mut more = true;
+        while more {
+            let mut planner = Planner {
+                groups: &mut groups,
+                evicted: &mut evicted,
+                batches: &mut batches,
+            };
+            more = plan_epoch(&mut events, &mut planner, epoch_events);
+            cells.resize_with(events.in_flight.len(), SlotCell::new);
+            for (shard, batch) in running.iter_mut().zip(&mut batches) {
+                std::mem::swap(&mut shard.batch, batch);
+                shard.cursor = 0;
+            }
+            loop {
+                let movable: Vec<usize> = (0..shards)
+                    .filter(|&index| running[index].head().is_some_and(|op| ready(&op, &cells)))
+                    .collect();
+                if movable.is_empty() {
+                    assert!(
+                        running.iter().all(|shard| shard.head().is_none()),
+                        "no shard can move, yet some have ops left"
+                    );
+                    break;
+                }
+                let shard = &mut running[movable[pick(movable.len())]];
+                drops += usize::from(matches!(shard.head(), Some(PlanOp::DropReply { .. })));
+                assert_eq!(shard.run(&cells, || true), 1);
+            }
+        }
+        let scenario_actions = events.scenario_actions;
+        state.events_popped = events.queue.popped();
+        let workers = running.into_iter().map(|shard| shard.worker).collect();
+        reassemble(env, state, workers, scenario_actions, &groups);
+        drops
+    }
+
+    /// The pinned run's shape at a quarter of its size: two configurations
+    /// with different eviction thresholds under 5 % loss, a coordinate liar,
+    /// half the mesh holding its replies back three seconds, four nodes that
+    /// crash while such replies are in flight and restart from their
+    /// snapshots, and a partition that comes up under such replies.
+    fn hostile() -> Simulator {
+        let scenario = Scenario::crash_restart(vec![0, 4, 5, 6], 101.0, 160.0)
+            .at(
+                0.0,
+                ScenarioAction::SetAdversary {
+                    nodes: (8..16).collect(),
+                    model: Some(AdversaryModel::DelayAttacker {
+                        extra_delay_ms: 3_000.0,
+                    }),
+                },
+            )
+            .at(
+                0.0,
+                ScenarioAction::SetAdversary {
+                    nodes: vec![7],
+                    model: Some(AdversaryModel::CoordinateLiar {
+                        displacement_ms: 2_000.0,
+                        inflate: 1.0,
+                        error_estimate: 0.01,
+                    }),
+                },
+            )
+            .at(
+                201.0,
+                ScenarioAction::Partition {
+                    group: vec![0, 1, 8, 9, 10],
+                    heal_at_s: 260.0,
+                },
+            );
+        Simulator::new(
+            PlanetLabConfig::small(16)
+                .with_seed(16)
+                .with_link_config(LinkModelConfig::default().with_loss_probability(0.05)),
+            SimConfig::new(300.0, 5.0)
+                .with_measurement_start(60.0)
+                .with_initial_neighbors(4),
+            vec![
+                (
+                    "mp".to_string(),
+                    NodeConfig::builder().max_consecutive_losses(3).build(),
+                ),
+                (
+                    "raw".to_string(),
+                    NodeConfig::builder()
+                        .filter(stable_nc::FilterConfig::Raw)
+                        .max_consecutive_losses(2)
+                        .build(),
+                ),
+            ],
+        )
+        .with_scenario(scenario)
+    }
+
+    proptest! {
+        /// Every order of ops that respects [`ready`], with 2, 3 and 4
+        /// shards and epochs of 1 to 64 events (so exchanges straddle
+        /// boundaries), gives the reference's report.
+        #[test]
+        fn every_ready_respecting_interleaving_gives_the_reference_report(
+            epoch_events in 1usize..65,
+            order in 0u64..u64::MAX,
+        ) {
+            static REFERENCE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+            let reference = REFERENCE.get_or_init(|| serial_text(hostile()));
+            let mut picks = StdRng::seed_from_u64(order);
+            for shards in 2..=4 {
+                let case = format!("{shards} shards, {epoch_events} events per epoch, order {order:#x}");
+                let explored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    hostile().run_with(|env, state| {
+                        explore(env, state, shards, epoch_events, |movable| {
+                            picks.gen_range(0..movable)
+                        })
+                    })
+                }));
+                let Ok((report, drops)) = explored else {
+                    panic!("{case}: the explorer panicked");
+                };
+                prop_assert!(drops > 0, "the run drops no reply in flight");
+                prop_assert_eq!(&format!("{report:?}"), reference, "{}", case);
             }
         }
     }

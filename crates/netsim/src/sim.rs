@@ -1184,18 +1184,17 @@ impl Simulator {
         )
     }
 
-    /// Runs the engine on `shards` shards and `helpers` helper threads with
-    /// an explicit epoch budget, for the tests that prove neither reaches the
+    /// Runs the schedule through `execute` — an executor with the shard
+    /// count, threads, epoch budget or op order a test picks — and reports
+    /// what it collected, for the tests that prove none of them reaches the
     /// report.
     #[cfg(test)]
-    pub(crate) fn run_streamed(
+    pub(crate) fn run_with<T>(
         &mut self,
-        shards: usize,
-        helpers: usize,
-        epoch_events: usize,
-    ) -> (SimReport, PlanFootprint) {
-        let footprint = run_epochs(&self.env, &mut self.state, shards, helpers, epoch_events);
-        (self.take_report(), footprint)
+        execute: impl FnOnce(&SimEnv, &mut EngineState) -> T,
+    ) -> (SimReport, T) {
+        let outcome = execute(&self.env, &mut self.state);
+        (self.take_report(), outcome)
     }
 }
 

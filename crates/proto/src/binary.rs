@@ -121,7 +121,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use nc_change::{ApplicationState, DetectorState, HeuristicState};
 use nc_filters::FilterState;
-use nc_vivaldi::{Coordinate, VivaldiRuntime, MAX_DIMS};
+use nc_vivaldi::{Coordinate, VivaldiRuntime, MAX_COORDINATE_MS, MAX_DIMS};
 
 use crate::snapshot::{LinkSnapshot, NodeSnapshot, PendingProbe};
 use crate::wire::{GossipEntry, ProbeRequest, ProbeResponse, WireError, PROTOCOL_VERSION};
@@ -138,12 +138,6 @@ pub const KIND_SNAPSHOT: u8 = 0x03;
 
 /// The fewest bytes a coordinate takes: one dimension and the height.
 const MIN_COORDINATE_BYTES: usize = 1 + 8 + 8;
-
-/// The largest magnitude a decoded coordinate component or height may
-/// have (ms). Squares of differences of such values sum far below
-/// `f64::MAX` in any dimensionality up to [`MAX_DIMS`], and adding a
-/// latency to one does not move it.
-const MAX_COORDINATE_MS: f64 = 1e100;
 
 fn malformed(detail: impl Into<String>) -> WireError {
     WireError::Malformed(detail.into())

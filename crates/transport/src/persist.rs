@@ -7,21 +7,30 @@
 //! [`NodeSnapshot`] (see `nc_proto::binary`), so they are protocol-version
 //! checked on load like every other message.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 
 use nc_proto::{BinaryMessage, NodeSnapshot};
 
-/// Writes `snapshot` to `path` atomically: the bytes land in a sibling
-/// `.tmp` file first and replace the destination with a rename, so a crash
-/// mid-write never leaves a truncated snapshot behind.
+/// Writes `snapshot` to `path` durably and atomically: the bytes land in a
+/// sibling `.tmp` file, which is synced to disk before a rename replaces the
+/// destination, and the directory is synced after the rename so that the
+/// rename is on disk too. A crash or a power loss at any point leaves the
+/// old snapshot or the new one, never a truncated one.
 pub fn save_snapshot(path: &Path, snapshot: &NodeSnapshot<SocketAddr>) -> io::Result<()> {
-    let bytes = snapshot.encode_binary();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)
+    let mut file = File::create(&tmp)?;
+    file.write_all(&snapshot.encode_binary())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// Loads a snapshot previously written by [`save_snapshot`].

@@ -31,6 +31,13 @@ pub const MIN_HEIGHT: f64 = 0.0;
 /// keeping a coordinate at 80 inline bytes.
 pub const MAX_DIMS: usize = 8;
 
+/// The largest magnitude a component or height of a point of the latency
+/// space may have (ms). Squares of differences of such values sum far below
+/// `f64::MAX` in any dimensionality up to [`MAX_DIMS`], and adding a latency
+/// to one does not move it. Vivaldi rejects an observation of a coordinate
+/// beyond it, and the wire decoder refuses one.
+pub const MAX_COORDINATE_MS: f64 = 1e100;
+
 /// A point in the latency space: a Euclidean component of fixed dimension
 /// plus a non-negative height.
 ///

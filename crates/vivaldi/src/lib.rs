@@ -52,7 +52,7 @@ pub mod gate;
 pub mod state;
 
 pub use config::{VivaldiConfig, VivaldiConfigError};
-pub use coordinate::{Coordinate, MAX_DIMS};
+pub use coordinate::{Coordinate, MAX_COORDINATE_MS, MAX_DIMS};
 pub use error::{relative_error, CoordinateError};
 pub use gate::{OutlierGate, OutlierGateConfig};
 pub use state::{RemoteObservation, UpdateOutcome, VivaldiRuntime, VivaldiState};

@@ -1,7 +1,7 @@
 //! The per-node Vivaldi algorithm state and update rule (paper Figure 1).
 
 use crate::config::VivaldiConfig;
-use crate::coordinate::{self as nc_coordinate, Coordinate};
+use crate::coordinate::{self as nc_coordinate, Coordinate, MAX_COORDINATE_MS};
 use crate::error::{relative_error, MIN_LATENCY_MS};
 
 /// One latency observation of a remote node: the remote coordinate, the
@@ -240,12 +240,23 @@ impl VivaldiState {
 
     /// Applies one latency observation, returning what changed.
     ///
-    /// Rejected observations (non-finite, non-positive, or larger than the
-    /// configured plausibility bound) leave the state untouched and are
+    /// Rejected observations (an RTT that is non-finite, non-positive or
+    /// larger than the configured plausibility bound, or a remote coordinate
+    /// beyond [`MAX_COORDINATE_MS`]) leave the state untouched and are
     /// flagged in the outcome; the caller decides whether to count them.
     pub fn observe(&mut self, observation: &RemoteObservation) -> UpdateOutcome {
         let rtt = observation.rtt_ms();
-        if !rtt.is_finite() || rtt <= 0.0 || rtt > self.config.max_observed_latency_ms() {
+        let remote = observation.remote_coordinate();
+        let beyond_space = remote
+            .components()
+            .iter()
+            .chain([&remote.height()])
+            .any(|value| value.abs() > MAX_COORDINATE_MS);
+        if !rtt.is_finite()
+            || rtt <= 0.0
+            || rtt > self.config.max_observed_latency_ms()
+            || beyond_space
+        {
             return UpdateOutcome {
                 relative_error: f64::NAN,
                 displacement_ms: 0.0,
@@ -255,7 +266,6 @@ impl VivaldiState {
             };
         }
         let rtt = rtt.max(MIN_LATENCY_MS);
-        let remote = observation.remote_coordinate();
         let predicted = self.coordinate.distance(remote);
 
         // Confidence building (§IV-B): within the measurement-error margin the
