@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release --bin run_all [quick|standard|paper] [name…]`
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // The report is this program's output.
+
 fn main() {
     let (scale, selected) =
         nc_experiments::parse_args(std::env::args().skip(1)).unwrap_or_else(|error| {

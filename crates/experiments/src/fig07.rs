@@ -10,7 +10,7 @@
 use nc_vivaldi::Coordinate;
 use stable_nc::NodeConfig;
 
-use crate::workloads::{coordinate_simulator, Scale};
+use crate::workloads::{coordinate_simulator, Scale, PLACEMENT_SEED};
 
 /// Configuration of the Figure 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,8 +113,8 @@ pub fn run(config: Fig07Config) -> Fig07Result {
     }
     drop(probe);
 
-    let workload =
-        nc_netsim::planetlab::PlanetLabConfig::small(config.scale.node_count()).with_seed(20050502);
+    let workload = nc_netsim::planetlab::PlanetLabConfig::small(config.scale.node_count())
+        .with_seed(PLACEMENT_SEED);
     let sim_config =
         nc_netsim::sim::SimConfig::new(config.scale.duration_s(), config.scale.probe_interval_s())
             .with_measurement_start(config.scale.measurement_start_s())

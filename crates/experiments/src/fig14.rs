@@ -10,7 +10,7 @@ use nc_netsim::metrics::ConfigMetrics;
 use nc_stats::timeseries::{BinStatistic, TimeBinner};
 
 use crate::report::format_table;
-use crate::workloads::{deployment_configs, Scale};
+use crate::workloads::{deployment_configs, Scale, PLACEMENT_SEED};
 
 /// Configuration of the Figure 14 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,8 +153,8 @@ fn series_for(name: &str, metrics: &ConfigMetrics, bin_width_s: f64) -> ConfigTi
 /// exclusion) because the convergence period itself is the point of the
 /// figure.
 pub fn run(config: Fig14Config) -> Fig14Result {
-    let workload =
-        nc_netsim::planetlab::PlanetLabConfig::small(config.scale.node_count()).with_seed(20050502);
+    let workload = nc_netsim::planetlab::PlanetLabConfig::small(config.scale.node_count())
+        .with_seed(PLACEMENT_SEED);
     let sim_config =
         nc_netsim::sim::SimConfig::new(config.scale.duration_s(), config.scale.probe_interval_s())
             .with_measurement_start(0.0)

@@ -24,7 +24,7 @@ use nc_stats::percentile;
 use stable_nc::{NodeConfig, OutlierGateConfig};
 
 use crate::report::{fmt, format_table};
-use crate::workloads::Scale;
+use crate::workloads::{Scale, PLACEMENT_SEED};
 
 /// Configuration of the liar-tolerance experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +178,7 @@ pub fn run(config: Fig15Config) -> Fig15Result {
         .iter()
         .map(|&fraction| {
             let workload = PlanetLabConfig::small(nodes)
-                .with_seed(20050502)
+                .with_seed(PLACEMENT_SEED)
                 .with_link_config(
                     LinkModelConfig::default().with_drift_walk(config.drift_sigma, 600.0),
                 );

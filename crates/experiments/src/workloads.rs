@@ -18,6 +18,10 @@ use nc_netsim::sim::{SimConfig, Simulator};
 use nc_netsim::trace::{TraceConfig, TraceGenerator};
 use stable_nc::NodeConfig;
 
+/// The seed of every experiment's PlanetLab-like node placement: each figure
+/// runs on the same generated network, so their numbers are comparable.
+pub(crate) const PLACEMENT_SEED: u64 = 20050502;
+
 /// How large a workload the experiment should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -97,7 +101,7 @@ impl std::fmt::Display for Scale {
 /// Builds the standard coordinate-system simulator for this scale with the
 /// given named configurations.
 pub fn coordinate_simulator(scale: Scale, configs: Vec<(String, NodeConfig)>) -> Simulator {
-    let workload = PlanetLabConfig::small(scale.node_count()).with_seed(20050502);
+    let workload = PlanetLabConfig::small(scale.node_count()).with_seed(PLACEMENT_SEED);
     let sim_config = SimConfig::new(scale.duration_s(), scale.probe_interval_s())
         .with_measurement_start(scale.measurement_start_s())
         .with_initial_neighbors(8.min(scale.node_count() - 1));
@@ -107,7 +111,7 @@ pub fn coordinate_simulator(scale: Scale, configs: Vec<(String, NodeConfig)>) ->
 /// Builds the raw-trace generator (Figures 2–4) for this scale. The trace
 /// probes once per second as the paper's measurement trace did.
 pub fn trace_generator(scale: Scale) -> TraceGenerator {
-    let network = PlanetLabConfig::small(scale.node_count().max(16)).with_seed(20050502);
+    let network = PlanetLabConfig::small(scale.node_count().max(16)).with_seed(PLACEMENT_SEED);
     let duration_s = scale.trace_samples_per_link() as f64;
     TraceGenerator::new(TraceConfig::new(network, duration_s, 1.0))
 }

@@ -11,6 +11,8 @@
 //! Exit status is the contract: 0 means no diagnostics, 1 means findings
 //! were printed (format: see `nc_lint::diag`), 2 means usage error.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // Findings are reported on the terminal.
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

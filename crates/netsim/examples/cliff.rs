@@ -17,6 +17,8 @@
 //! executor (`Simulator::with_threads`); profile with `perf record` around
 //! this binary to attribute per-event cost.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // A measurement program prints its table.
+
 use std::time::Instant;
 
 use nc_netsim::planetlab::PlanetLabConfig;

@@ -15,6 +15,8 @@
 //! `--snapshot` is given; starting again with the same snapshot path
 //! resumes from it, keeping the node's coordinate and membership.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // A daemon reports on the terminal.
+
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -129,11 +131,12 @@ fn main() -> ExitCode {
         advertised_addr: None,
         probe_interval_ms: args.probe_interval_ms,
         probe_timeout_ms: args.probe_timeout_ms,
-        stats_interval_ms: args.stats_interval_s * 1_000,
         snapshot_path: args.snapshot.clone(),
     };
     let restoring = args.snapshot.as_deref().is_some_and(|path| path.exists());
 
+    // The `t=` of every stats line counts from here.
+    let started = Instant::now();
     let runtime = match NodeRuntime::bind(args.bind, config) {
         Ok(runtime) => runtime,
         Err(e) => {
@@ -174,9 +177,18 @@ fn main() -> ExitCode {
         });
     }
 
-    let started = Instant::now();
+    let stats_interval = Duration::from_secs(args.stats_interval_s);
+    let mut next_stats = stats_interval;
     loop {
         std::thread::sleep(Duration::from_millis(50));
+        if args.stats_interval_s > 0 && started.elapsed() >= next_stats {
+            println!(
+                "[{}] {}",
+                runtime.advertised_addr(),
+                stats_line(&runtime, started)
+            );
+            next_stats += stats_interval;
+        }
         if args.duration_s > 0 {
             if started.elapsed() >= Duration::from_secs(args.duration_s) {
                 break;
@@ -186,7 +198,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("nc-node final: {}", runtime.stats_line());
+    println!("nc-node final: {}", stats_line(&runtime, started));
     match runtime.shutdown() {
         Ok(snapshot) => {
             if args.snapshot.is_some() {
@@ -203,4 +215,31 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// One human-readable status line: the engine's coordinate and error, its
+/// peer count and the runtime's counters, `t=` seconds after `started`.
+fn stats_line(runtime: &NodeRuntime, started: Instant) -> String {
+    let view = runtime.view();
+    let stats = runtime.stats();
+    let components: Vec<String> = view
+        .system
+        .components()
+        .iter()
+        .map(|c| format!("{c:.1}"))
+        .collect();
+    format!(
+        "t={:.1}s coord=[{}] h={:.1} err={:.3} peers={} sent={} recv={} answered={} ignored={} lost={} evicted={}",
+        started.elapsed().as_secs_f64(),
+        components.join(","),
+        view.system.height(),
+        view.error_estimate,
+        view.membership.len(),
+        stats.probes_sent,
+        stats.responses_received,
+        stats.requests_answered,
+        stats.responses_ignored,
+        stats.probes_lost,
+        stats.neighbors_evicted,
+    )
 }

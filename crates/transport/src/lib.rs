@@ -5,11 +5,12 @@
 //! time; this crate is that driver for an actual network:
 //!
 //! * [`NodeRuntime`] — a threaded per-process runtime: a socket thread
-//!   answering probes and stamping measured RTTs, and a tick thread walking
-//!   a [`TimerWheel`] to fire probes, expire the pending table and print
-//!   stats. Peers are identified by their `SocketAddr`; datagrams carry the
-//!   compact binary codec of `nc_proto::binary`. Graceful shutdown persists
-//!   a [`NodeSnapshot`](nc_proto::NodeSnapshot); starting with the same
+//!   answering probes and stamping measured RTTs, and a tick thread whose
+//!   probe tick is also its loss clock: each tick expires the probes older
+//!   than the timeout, then sends the next one. Peers are identified by
+//!   their `SocketAddr`; datagrams carry the compact binary codec of
+//!   `nc_proto::binary`. Graceful shutdown persists a
+//!   [`NodeSnapshot`](nc_proto::NodeSnapshot); starting with the same
 //!   snapshot path restores the node, which rejoins the overlay without
 //!   resetting its coordinate.
 //! * [`DelayHarness`] — an emulated network over `127.0.0.1`: per-link

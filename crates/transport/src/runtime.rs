@@ -8,9 +8,11 @@
 //!   measured round trip (the [`Instant`] the probe left, kept per
 //!   outstanding probe) before handing them to
 //!   [`StableNode::handle_response_into`];
-//! * the **tick thread** walks a [`TimerWheel`] that fires the recurring
-//!   deadlines — send the next round-robin probe, sweep the pending table
-//!   through [`StableNode::expire_pending_into`], print a stats line.
+//! * the **tick thread** sleeps toward one deadline, the next probe. Each
+//!   probe tick is also the node's loss clock, as in the simulator: it
+//!   declares lost every probe sent at least one timeout ago
+//!   ([`StableNode::expire_pending_into`]), sends the next round-robin probe
+//!   and republishes the query snapshot.
 //!
 //! The engine itself lives behind one mutex; both threads take it briefly
 //! per datagram/tick, which at probing rates (tens of probes per second per
@@ -38,7 +40,6 @@ use stable_nc::{NodeConfig, NodeConfigError, StableNode};
 
 use crate::clock::MonoClock;
 use crate::persist::{load_snapshot, save_snapshot};
-use crate::wheel::TimerWheel;
 
 /// How a [`NodeRuntime`] drives its engine.
 #[derive(Debug, Clone)]
@@ -57,8 +58,6 @@ pub struct RuntimeConfig {
     pub probe_interval_ms: u64,
     /// Milliseconds after which an unanswered probe is declared lost.
     pub probe_timeout_ms: u64,
-    /// Milliseconds between stats lines on stdout; `0` disables them.
-    pub stats_interval_ms: u64,
     /// When set, the engine snapshot is loaded from this file at start (if
     /// it exists) and written back on shutdown.
     pub snapshot_path: Option<PathBuf>,
@@ -72,14 +71,14 @@ impl Default for RuntimeConfig {
             advertised_addr: None,
             probe_interval_ms: 500,
             probe_timeout_ms: 2_000,
-            stats_interval_ms: 0,
             snapshot_path: None,
         }
     }
 }
 
 impl RuntimeConfig {
-    /// Checks the engine configuration and the two timer periods.
+    /// Checks the engine configuration, the probe interval and the probe
+    /// timeout.
     ///
     /// # Errors
     ///
@@ -235,8 +234,8 @@ struct Shared {
     advertised: SocketAddr,
     /// Publisher side of the coordinate query snapshots: rebuilt from the
     /// engine's [`stable_nc::NodeView`] whenever the application coordinate
-    /// moves (and on the expire tick, so peer refreshes flow too), consumed
-    /// lock-free through [`NodeRuntime::query_handle`].
+    /// moves (and at the end of every probe tick, so peer refreshes flow
+    /// too), consumed lock-free through [`NodeRuntime::query_handle`].
     query: QueryPublisher<SocketAddr>,
 }
 
@@ -372,11 +371,6 @@ impl NodeRuntime {
         engine.node.view()
     }
 
-    /// One human-readable status line (what the stats tick prints).
-    pub fn stats_line(&self) -> String {
-        runtime_stats_line(&self.shared)
-    }
-
     /// A cheap, cloneable handle onto this node's coordinate query
     /// snapshots. Each [`QueryHandle::snapshot`] call returns an immutable
     /// [`CoordinateIndex`] over the node's own application coordinate and
@@ -507,116 +501,47 @@ fn socket_loop(shared: &Shared, socket: &UdpSocket) {
     }
 }
 
-/// The recurring deadlines the tick thread serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tick {
-    Probe,
-    Expire,
-    Stats,
-}
-
+/// The probe tick is the runtime's loss clock and its only timer. Each tick
+/// makes the engine calls of the simulator's `ProbeSend` arm, in its order,
+/// under one engine lock: every probe sent at least one timeout ago is
+/// declared lost, then the rotation hands out the next probe, whose
+/// departure is stamped before the lock is released.
 fn tick_loop(shared: &Shared, socket: &UdpSocket) {
-    let granularity_ms = 1;
-    let mut wheel: TimerWheel<Tick> = TimerWheel::new(256, granularity_ms);
-    let mut due: Vec<Tick> = Vec::new();
     let mut events: Vec<Event<SocketAddr>> = Vec::new();
-    let expire_interval_ms = (shared.config.probe_timeout_ms / 4).max(granularity_ms);
-
-    wheel.schedule(0, Tick::Probe);
-    wheel.schedule(0, Tick::Expire);
-    if shared.config.stats_interval_ms > 0 {
-        wheel.schedule(shared.config.stats_interval_ms, Tick::Stats);
-    }
-
+    let mut next_probe_ms: u64 = 0;
     while !shared.shutdown.load(Ordering::Relaxed) {
-        // Sleep until the next scheduled deadline instead of spinning at
-        // wheel granularity: a daemon probing every 500 ms has no business
-        // waking a thousand times a second. The 25 ms cap keeps shutdown
-        // responsive.
-        let sleep_ms = wheel
-            .next_deadline_ms()
-            .map(|deadline| deadline.saturating_sub(shared.clock.now_ms()))
-            .unwrap_or(granularity_ms)
-            .clamp(granularity_ms, 25);
+        // Sleep toward the next probe instead of spinning: a daemon probing
+        // every 500 ms has no business waking a thousand times a second.
+        // The 25 ms cap keeps shutdown responsive.
+        let sleep_ms = next_probe_ms
+            .saturating_sub(shared.clock.now_ms())
+            .clamp(1, 25);
         std::thread::sleep(Duration::from_millis(sleep_ms));
         let now_ms = shared.clock.now_ms();
-        due.clear();
-        wheel.advance(now_ms, &mut due);
-        for tick in &due {
-            match tick {
-                Tick::Probe => {
-                    let request = {
-                        let mut engine = shared.engine.lock().expect("engine lock");
-                        let request = engine.node.next_probe(now_ms);
-                        if let Some(request) = &request {
-                            engine
-                                .departures
-                                .insert((request.target, request.seq), Instant::now());
-                        }
-                        request
-                    };
-                    if let Some(request) = request {
-                        let target = request.target;
-                        let _ = socket.send_to(&request.encode_binary(), target);
-                        shared.stats.probes_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    wheel.schedule(now_ms + shared.config.probe_interval_ms, Tick::Probe);
-                }
-                Tick::Expire => {
-                    events.clear();
-                    {
-                        let mut engine = shared.engine.lock().expect("engine lock");
-                        let EngineCore { node, departures } = &mut *engine;
-                        node.expire_pending_into(
-                            now_ms,
-                            shared.config.probe_timeout_ms,
-                            &mut events,
-                        );
-                        fold_events(&events, &shared.stats, departures);
-                    }
-                    // Peer coordinates refresh with every digested reply;
-                    // republishing on the expire cadence keeps query
-                    // snapshots current without an extra timer (so whether
-                    // the expiry moved the application coordinate does not
-                    // matter here).
-                    publish_query_snapshot(shared);
-                    wheel.schedule(now_ms + expire_interval_ms, Tick::Expire);
-                }
-                Tick::Stats => {
-                    println!("[{}] {}", shared.advertised, runtime_stats_line(shared));
-                    wheel.schedule(now_ms + shared.config.stats_interval_ms, Tick::Stats);
-                }
-            }
+        if now_ms < next_probe_ms {
+            continue;
         }
+        next_probe_ms = now_ms + shared.config.probe_interval_ms;
+        events.clear();
+        let request = {
+            let mut engine = shared.engine.lock().expect("engine lock");
+            let EngineCore { node, departures } = &mut *engine;
+            node.expire_pending_into(now_ms, shared.config.probe_timeout_ms, &mut events);
+            fold_events(&events, &shared.stats, departures);
+            let request = node.next_probe(now_ms);
+            if let Some(request) = &request {
+                departures.insert((request.target, request.seq), Instant::now());
+            }
+            request
+        };
+        if let Some(request) = request {
+            let _ = socket.send_to(&request.encode_binary(), request.target);
+            shared.stats.probes_sent.fetch_add(1, Ordering::Relaxed);
+        }
+        // Peer coordinates refresh with every digested reply; republishing
+        // once per tick keeps query snapshots current without a timer of
+        // their own (so whether this tick moved the application coordinate
+        // does not matter here).
+        publish_query_snapshot(shared);
     }
-}
-
-/// Builds the status line from shared state (the tick thread has no
-/// `NodeRuntime` handle).
-fn runtime_stats_line(shared: &Shared) -> String {
-    let view = {
-        let engine = shared.engine.lock().expect("engine lock");
-        engine.node.view()
-    };
-    let stats = shared.stats.snapshot();
-    let elapsed = shared.clock.now_ms() as f64 / 1e3;
-    let components: Vec<String> = view
-        .system
-        .components()
-        .iter()
-        .map(|c| format!("{c:.1}"))
-        .collect();
-    format!(
-        "t={elapsed:.1}s coord=[{}] h={:.1} err={:.3} peers={} sent={} recv={} answered={} ignored={} lost={} evicted={}",
-        components.join(","),
-        view.system.height(),
-        view.error_estimate,
-        view.membership.len(),
-        stats.probes_sent,
-        stats.responses_received,
-        stats.requests_answered,
-        stats.responses_ignored,
-        stats.probes_lost,
-        stats.neighbors_evicted,
-    )
 }

@@ -1,12 +1,14 @@
-//! A hashed timer wheel for the node runtime's tick thread.
+//! A hashed timer wheel over driver-clock milliseconds.
 //!
-//! The runtime has a handful of recurring deadlines (send the next probe,
-//! sweep the pending table, print a stats line) and wants to poll them from
-//! one loop without allocating or sorting per tick. A classic hashed wheel
-//! does exactly that: deadlines hash into `slots` by time, the cursor walks
-//! the slots as time passes, and each visited slot is drained of the
-//! entries that are actually due (entries scheduled whole laps ahead stay
-//! put until their lap comes around).
+//! Deadlines hash into `slots` by time, the cursor walks the slots as time
+//! passes, and each visited slot is drained of the entries that are
+//! actually due (entries scheduled whole laps ahead stay put until their
+//! lap comes around); nothing is allocated or sorted per tick.
+//!
+//! The node runtime does not use it: its tick thread has one deadline, the
+//! next probe, which is also its loss clock. The wheel's only caller is
+//! ncbench's `transport.wheel_ns_per_timer` micro-benchmark; once that
+//! measurement goes, so does this module.
 
 /// A fixed-size hashed timer wheel over driver-clock milliseconds.
 #[derive(Debug)]
@@ -74,27 +76,6 @@ impl<T> TimerWheel<T> {
         }
         self.swept_ms = now_ms;
     }
-
-    /// The earliest scheduled deadline, or `None` when the wheel is empty.
-    /// Linear in the number of parked entries — meant for drivers with a
-    /// handful of recurring timers deciding how long to sleep.
-    pub fn next_deadline_ms(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|(deadline, _)| *deadline)
-            .min()
-    }
-
-    /// Number of scheduled entries currently parked in the wheel.
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -116,19 +97,7 @@ mod tests {
         assert_eq!(drain(&mut wheel, 10), vec!["a"]);
         assert!(drain(&mut wheel, 24).is_empty());
         assert_eq!(drain(&mut wheel, 100), vec!["b"]);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn next_deadline_tracks_the_earliest_entry() {
-        let mut wheel = TimerWheel::new(16, 1);
-        assert_eq!(wheel.next_deadline_ms(), None);
-        wheel.schedule(40, "late");
-        wheel.schedule(12, "early");
-        assert_eq!(wheel.next_deadline_ms(), Some(12));
-        let mut due = Vec::new();
-        wheel.advance(12, &mut due);
-        assert_eq!(wheel.next_deadline_ms(), Some(40));
+        assert!(drain(&mut wheel, u64::MAX).is_empty(), "nothing is left");
     }
 
     #[test]
@@ -162,6 +131,6 @@ mod tests {
         let mut due = Vec::new();
         wheel.advance(1_000, &mut due);
         assert_eq!(due.len(), 6);
-        assert!(wheel.is_empty());
+        assert!(drain(&mut wheel, u64::MAX).is_empty(), "nothing is left");
     }
 }

@@ -89,7 +89,6 @@ fn eight_node_cluster_converges_under_loss_and_duplication_and_survives_restart(
         advertised_addr: Some(harness.public_addr(index)),
         probe_interval_ms: 4,
         probe_timeout_ms: 500,
-        stats_interval_ms: 0,
         snapshot_path: Some(dir.join(format!("node-{index}.snapshot"))),
     };
 
@@ -223,7 +222,6 @@ fn replies_after_the_probe_timeout_are_ignored_not_double_applied() {
         advertised_addr: Some(harness.public_addr(index)),
         probe_interval_ms: 10,
         probe_timeout_ms: 30,
-        stats_interval_ms: 0,
         snapshot_path: None,
     };
     let a = NodeRuntime::start(
@@ -273,7 +271,6 @@ fn query_snapshots_serve_nearest_replica_without_the_engine_lock() {
         advertised_addr: Some(harness.public_addr(index)),
         probe_interval_ms: 5,
         probe_timeout_ms: 500,
-        stats_interval_ms: 0,
         snapshot_path: None,
     };
     let a = NodeRuntime::start(
@@ -330,7 +327,6 @@ fn duplicated_replies_are_applied_once_and_ignored_after() {
         advertised_addr: Some(harness.public_addr(index)),
         probe_interval_ms: 5,
         probe_timeout_ms: 500,
-        stats_interval_ms: 0,
         snapshot_path: None,
     };
     let a = NodeRuntime::start(
@@ -389,7 +385,6 @@ fn a_restored_daemon_counts_the_snapshots_pending_probes_as_lost() {
             advertised_addr: None,
             probe_interval_ms: 60_000,
             probe_timeout_ms: 60_000,
-            stats_interval_ms: 0,
             snapshot_path: Some(path),
         },
     )
@@ -400,6 +395,55 @@ fn a_restored_daemon_counts_the_snapshots_pending_probes_as_lost() {
     runtime.shutdown().expect("shutdown");
     drop(peers);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_daemon_loses_a_probe_within_one_interval_of_its_deadline() {
+    // The probe tick is the daemon's loss clock, as it is the simulator's:
+    // a probe sent at t is declared lost at the first tick at or after
+    // t + timeout, one 5 ms interval at most. The 60 ms of slack leave room
+    // for a loaded host's scheduler, not for a sweep on a timer of its own.
+    const TIMEOUT_MS: u64 = 1_000;
+    const SLACK_MS: u64 = 60;
+    // A peer that never answers: a bound socket nobody reads.
+    let silent = UdpSocket::bind("127.0.0.1:0").expect("bind silent peer");
+    let runtime = NodeRuntime::bind(
+        "127.0.0.1:0".parse().expect("address"),
+        RuntimeConfig {
+            seeds: vec![silent.local_addr().expect("silent addr")],
+            probe_interval_ms: 5,
+            probe_timeout_ms: TIMEOUT_MS,
+            ..RuntimeConfig::default()
+        },
+    )
+    .expect("start runtime");
+
+    let started = Instant::now();
+    // (milliseconds since start, probes sent by then), one per sample.
+    let mut sent_by: Vec<(u64, u64)> = Vec::new();
+    let mut lost = 0;
+    while started.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(7));
+        let stats = runtime.stats();
+        let at_ms = started.elapsed().as_millis() as u64;
+        let overdue = sent_by
+            .iter()
+            .rev()
+            .find(|(then_ms, _)| at_ms - then_ms >= TIMEOUT_MS + SLACK_MS);
+        if let Some((_, sent)) = overdue {
+            assert!(
+                stats.probes_lost >= *sent,
+                "at {at_ms} ms: {} lost, but {sent} were sent more than {} ms ago",
+                stats.probes_lost,
+                TIMEOUT_MS + SLACK_MS
+            );
+        }
+        sent_by.push((at_ms, stats.probes_sent));
+        lost = stats.probes_lost;
+    }
+    runtime.shutdown().expect("shutdown");
+    drop(silent);
+    assert!(lost > 100, "only {lost} probes were declared lost in 2 s");
 }
 
 #[test]

@@ -104,6 +104,14 @@ fn three_processes_converge_and_persist_restorable_snapshots() {
             output.contains("nc-node snapshot persisted"),
             "node {index} persisted no snapshot:\n{output}"
         );
+        // The periodic stats lines (`--stats-interval-s 1`) come before it.
+        let (periodic, _) = output.split_once("nc-node final:").expect("final line");
+        assert!(
+            periodic
+                .lines()
+                .any(|line| line.starts_with("[127.0.0.1:") && line.contains("recv=")),
+            "node {index} printed no periodic stats line:\n{output}"
+        );
         // The final line proves real cross-process traffic: probes were
         // answered and responses heard.
         let final_line = output

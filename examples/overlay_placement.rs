@@ -22,6 +22,8 @@
 //!
 //! Run with: `cargo run --release --example overlay_placement`
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::scenario::Scenario;
 use nc_netsim::sim::{SimConfig, Simulator};

@@ -17,6 +17,8 @@
 //!
 //! Run with: `cargo run --release --example planetlab_sim`
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::sim::{SimConfig, Simulator};

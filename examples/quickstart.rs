@@ -11,6 +11,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::trace::{TraceConfig, TraceGenerator};
 use stable_network_coordinates::nc_proto::BinaryMessage;

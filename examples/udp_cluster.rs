@@ -8,6 +8,8 @@
 //! coordinate intact. For one-node-per-process deployments, see the
 //! `nc-node` binary (`cargo run -p nc-transport --bin nc-node -- --help`).
 
+#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+
 use std::net::UdpSocket;
 use std::time::Duration;
 
@@ -68,7 +70,6 @@ fn main() -> std::io::Result<()> {
         advertised_addr: Some(harness.public_addr(index)),
         probe_interval_ms: 5,
         probe_timeout_ms: 500,
-        stats_interval_ms: 0,
         snapshot_path: Some(snapshot_dir.join(format!("node-{index}.snapshot"))),
     };
 
