@@ -12,14 +12,16 @@
 //! iteration order — and therefore anything derived from it — is identical
 //! across processes and runs, which keeps simulation reports reproducible.
 
-// nc-lint: allow(det-map) — definition site: this import exists to build
-// the deterministic alias every other crate is required to use.
+#![allow(
+    clippy::disallowed_types,
+    reason = "definition site: std HashMap with the fixed hasher below is the deterministic \
+              alias every other crate is required to use"
+)]
+
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with the deterministic [`FxHasher`].
-// nc-lint: allow(det-map) — the alias itself; the fixed hasher is what
-// makes it deterministic.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -112,7 +114,7 @@ mod tests {
             hasher.write_u64(v);
             hasher.finish()
         };
-        let hashes: std::collections::HashSet<u64> = (0..10_000).map(hash).collect();
+        let hashes: std::collections::BTreeSet<u64> = (0..10_000).map(hash).collect();
         assert_eq!(hashes.len(), 10_000);
     }
 

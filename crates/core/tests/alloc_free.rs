@@ -8,7 +8,10 @@
 //! instead of a benchmark eyeball: the counter is thread-local, so the other
 //! tests in this binary (and the harness itself) cannot pollute the count.
 
-#![allow(unsafe_code)] // A `GlobalAlloc` is an `unsafe impl`; each use below has its SAFETY note.
+#![allow(
+    unsafe_code,
+    reason = "a `GlobalAlloc` is an `unsafe impl`; each use below has its SAFETY note"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -8,7 +8,11 @@
 //!
 //! Usage: `cargo run --release --bin run_all [quick|standard|paper] [name…]`
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // The report is this program's output.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the report is this program's output"
+)]
 
 fn main() {
     let (scale, selected) =

@@ -83,8 +83,8 @@ mod tests {
             path: "crates/netsim/src/sim.rs".to_string(),
             line: 50,
             col: 5,
-            rule: "det-map".to_string(),
-            message: "std HashMap banned".to_string(),
+            rule: "panic".to_string(),
+            message: ".unwrap() can panic".to_string(),
         }
     }
 
@@ -92,7 +92,7 @@ mod tests {
     fn text_format_matches_shared_contract() {
         assert_eq!(
             sample().render_text(),
-            "nc-lint: error[det-map]: crates/netsim/src/sim.rs:50:5: std HashMap banned"
+            "nc-lint: error[panic]: crates/netsim/src/sim.rs:50:5: .unwrap() can panic"
         );
     }
 

@@ -1,9 +1,9 @@
 //! A hand-rolled Rust lexer, just deep enough to lint safely.
 //!
 //! The point of lexing (rather than regexing over source text) is precision
-//! about *where code stops and prose begins*: `HashMap` inside a string
-//! literal, a doc comment, or a nested block comment is not a determinism
-//! violation, and `'a` in `fn f<'a>()` is a lifetime, not an unterminated
+//! about *where code stops and prose begins*: `.unwrap()` inside a string
+//! literal, a doc comment, or a nested block comment is not a hot-path
+//! panic, and `'a` in `fn f<'a>()` is a lifetime, not an unterminated
 //! char literal. The lexer therefore handles, correctly:
 //!
 //! - line comments (`//`, `///`, `//!`) and **nested** block comments
@@ -16,8 +16,8 @@
 //! Everything else becomes an [`Tok::Ident`], a numeric literal, or a
 //! single-character [`Tok::Punct`]; rules match on short token sequences.
 //! Comments are kept out of the token stream but preserved (with their line
-//! spans) so rules can check for `// SAFETY:` notes, justification
-//! comments, and `nc-lint: allow(...)` suppression pragmas.
+//! spans) so rules can check for `// bounds:` notes and `nc-lint:
+//! allow(...)` suppression pragmas.
 
 /// One lexed token kind. Literal contents are deliberately dropped: no rule
 /// looks *inside* a string, which is exactly what makes string/comment

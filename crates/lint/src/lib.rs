@@ -1,22 +1,21 @@
-//! `nc-lint`: the workspace's determinism & safety linter.
+//! `nc-lint`: the workspace's hot-path panic linter.
 //!
-//! This reproduction's load-bearing guarantees — byte-identical
-//! [`SimReport`]s across serial and sharded execution, seeded-RNG-only
-//! simulation, stream-preserving opt-in features — were, until this crate,
-//! defended only by after-the-fact regression tests. `nc-lint` moves them
-//! to the source: a dependency-free static pass with a hand-rolled Rust
-//! lexer (comments, strings and raw strings handled correctly, so prose
-//! never produces false hits) and a crate-scoped rule engine that walks
-//! every workspace `.rs` file outside `vendor/`, `target/` and fixture
-//! directories.
+//! This reproduction's load-bearing guarantee — byte-identical
+//! [`SimReport`]s across serial and sharded execution — is stated in
+//! `DETERMINISM.md`, and clippy enforces most of its clauses (`clippy.toml`
+//! and the workspace lint table). `nc-lint` holds the one clippy cannot
+//! scope: no panics in the engine's hot-path modules. It is a
+//! dependency-free static pass with a hand-rolled Rust lexer (comments,
+//! strings and raw strings handled correctly, so prose never produces false
+//! hits) that walks every workspace `.rs` file outside `vendor/`,
+//! `target/`, `benchmark/` and fixture directories.
 //!
-//! See `DETERMINISM.md` at the workspace root for the contracts each rule
-//! enforces, and `cargo run -p nc-lint -- --list` for the rule set.
+//! `cargo run -p nc-lint -- --list` prints the rule set.
 //!
 //! Suppression is inline and auditable:
 //!
 //! ```text
-//! // nc-lint: allow(det-map) — definition site of the deterministic alias
+//! // nc-lint: allow(panic) — a panicking worker already poisoned the run
 //! ```
 //!
 //! A pragma covers its own line and the line directly below; a pragma
@@ -35,19 +34,13 @@ pub use diag::{render_json, Diagnostic};
 pub use rules::{lint_source, RULES};
 
 /// Lints every discoverable `.rs` file under `root`. Returns the sorted
-/// diagnostics and the number of files checked. `only`, when non-empty,
-/// restricts output to the named rules.
-pub fn lint_tree(root: &Path, only: &[String]) -> std::io::Result<(Vec<Diagnostic>, usize)> {
+/// diagnostics and the number of files checked.
+pub fn lint_tree(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let files = walk::rust_files(root)?;
-    let checked = files.len();
     let mut diagnostics = Vec::new();
     for rel_path in &files {
         let source = std::fs::read_to_string(root.join(rel_path))?;
-        let mut file_diags = rules::lint_source(rel_path, &source);
-        if !only.is_empty() {
-            file_diags.retain(|diag| only.iter().any(|rule| rule == &diag.rule));
-        }
-        diagnostics.extend(file_diags);
+        diagnostics.extend(rules::lint_source(rel_path, &source));
     }
-    Ok((diagnostics, checked))
+    Ok((diagnostics, files.len()))
 }

@@ -1,17 +1,20 @@
-//! The `nc-lint` binary: run the workspace determinism & safety lint pass.
+//! The `nc-lint` binary: run the workspace's hot-path panic lint pass.
 //!
 //! ```text
 //! cargo run -p nc-lint -- --check              # lint the workspace, exit 1 on findings
 //! cargo run -p nc-lint -- --list               # print the rule set
 //! cargo run -p nc-lint -- --check --json       # machine-readable diagnostics
-//! cargo run -p nc-lint -- --check --only panic # restrict to one rule (repeatable)
 //! cargo run -p nc-lint -- --check --root <dir> # lint a different tree (fixtures, CI smoke)
 //! ```
 //!
 //! Exit status is the contract: 0 means no diagnostics, 1 means findings
 //! were printed (format: see `nc_lint::diag`), 2 means usage error.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // Findings are reported on the terminal.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "findings are reported on the terminal"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,14 +29,13 @@ fn workspace_root() -> PathBuf {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: nc-lint [--check] [--json] [--list] [--only <rule>]... [--root <dir>]");
+    eprintln!("usage: nc-lint [--check] [--json] [--list] [--root <dir>]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut list = false;
-    let mut only: Vec<String> = Vec::new();
     let mut root = workspace_root();
 
     let mut args = std::env::args().skip(1);
@@ -44,14 +46,6 @@ fn main() -> ExitCode {
             "--check" => {}
             "--json" => json = true,
             "--list" => list = true,
-            "--only" => match args.next() {
-                Some(rule) if nc_lint::rules::is_known_rule(&rule) => only.push(rule),
-                Some(rule) => {
-                    eprintln!("nc-lint: unknown rule `{rule}` (see --list)");
-                    return ExitCode::from(2);
-                }
-                None => return usage(),
-            },
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage(),
@@ -67,7 +61,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let (diagnostics, checked) = match nc_lint::lint_tree(&root, &only) {
+    let (diagnostics, checked) = match nc_lint::lint_tree(&root) {
         Ok(result) => result,
         Err(error) => {
             eprintln!("nc-lint: cannot lint {}: {error}", root.display());

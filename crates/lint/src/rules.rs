@@ -1,40 +1,28 @@
-//! The rule engine: the repo's reproducibility contracts, made mechanical.
+//! The rule engine: the clause of the determinism contract that clippy
+//! cannot scope, made mechanical.
 //!
-//! Every rule here encodes an invariant that DETERMINISM.md states in prose
-//! and the regression suites defend after the fact; the linter rejects the
-//! violation at the source instead. Rules are scoped by *crate class*
-//! (derived from the file's path inside the workspace) so that, e.g., the
-//! wall-clock ban applies to the simulation stack but not to the real-time
-//! transport layer, and test code is exempt where the contract only
-//! concerns shipped library paths.
+//! DETERMINISM.md states the contract; clippy (`clippy.toml` and the
+//! workspace lint table) enforces the clauses it has lints for. What is
+//! left is the hot-path panic rule: it binds named engine modules, not
+//! crates, and asks for a written `// bounds:` argument beside an
+//! arithmetic index rather than banning indexing outright. Its scope comes
+//! from the file's path inside the workspace, and test code is exempt
+//! because the contract only concerns shipped library paths.
 //!
 //! Suppression is deliberate and auditable: only an inline
 //! `// nc-lint: allow(<rule>) — <reason>` pragma on the same line or the
 //! line directly above silences a diagnostic, and a pragma without a
 //! written reason is itself a diagnostic.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Comment, Lexed, Tok, Token};
-
-/// Crates whose library code must be deterministic: no unordered std maps,
-/// no wall-clock reads, no ambient RNG. (Directory names under `crates/`.)
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "core", "netsim", "vivaldi", "filters", "stats", "change", "proto", "query",
-];
-
-/// Crates allowed to read real clocks and ambient randomness: the UDP
-/// deployment layer.
-const WALLCLOCK_CRATES: &[&str] = &["transport"];
 
 /// Engine hot-path modules held to the no-panic rule.
 const HOT_PATH_FILES: &[&str] = &[
     "node.rs", "peers.rs", "sim.rs", "shard.rs", "index.rs", "curve.rs",
 ];
-
-/// How many lines above an `unsafe` token a `// SAFETY:` comment may sit.
-const SAFETY_WINDOW: u32 = 5;
 
 /// How many lines above an arithmetic slice index a `// bounds:` note may
 /// sit.
@@ -51,24 +39,8 @@ pub struct RuleInfo {
 /// The shipped rule set.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "det-map",
-        description: "no std HashMap/HashSet in deterministic crates (core, netsim, vivaldi, filters, stats, change, proto, query) — use stable_nc::FxHashMap or a sorted structure",
-    },
-    RuleInfo {
-        id: "det-wallclock",
-        description: "no Instant::now / SystemTime / thread_rng / rand::random outside crates/transport — simulation time and seeded RNG only",
-    },
-    RuleInfo {
         id: "panic",
         description: "no unwrap/expect and no un-annotated arithmetic slice index in engine hot-path modules (node.rs, peers.rs, sim.rs, shard.rs, index.rs, curve.rs library code; tests exempt)",
-    },
-    RuleInfo {
-        id: "unsafe-comment",
-        description: "every `unsafe` block/fn/impl needs a `// SAFETY:` comment on the same or preceding lines",
-    },
-    RuleInfo {
-        id: "allow-justify",
-        description: "every #[allow(...)] needs a trailing justification comment",
     },
     RuleInfo {
         id: "pragma",
@@ -130,7 +102,7 @@ fn is_doc_comment(text: &str) -> bool {
 /// line the whole block precedes (its `end_line` becomes the block's last
 /// line). A comment trailing code stays its own block — it is anchored to
 /// the line it annotates, not to whatever comment happens to follow.
-fn comment_blocks(comments: &[Comment], code_lines: &HashSet<u32>) -> Vec<Comment> {
+fn comment_blocks(comments: &[Comment], code_lines: &BTreeSet<u32>) -> Vec<Comment> {
     let mut blocks: Vec<Comment> = Vec::new();
     for comment in comments {
         let continues_block = !is_doc_comment(&comment.text)
@@ -156,7 +128,7 @@ fn comment_blocks(comments: &[Comment], code_lines: &HashSet<u32>) -> Vec<Commen
 }
 
 fn parse_pragmas(lexed: &Lexed) -> Vec<Pragma> {
-    let code_lines: HashSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
+    let code_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
     let mut pragmas = Vec::new();
     for comment in &comment_blocks(&lexed.comments, &code_lines) {
         if is_doc_comment(&comment.text) {
@@ -318,184 +290,81 @@ fn has_note(comments: &[Comment], needle: &str, line: u32, window: u32) -> bool 
     })
 }
 
+/// Rule: panic, over the library code of a hot-path module.
+fn panic_rule(rel_path: &str, lexed: &Lexed, raw: &mut Vec<Diagnostic>) {
+    let test_spans = cfg_test_spans(lexed);
+    let tokens = &lexed.tokens;
+    for (i, token) in tokens.iter().enumerate() {
+        if in_spans(&test_spans, token.line) {
+            continue;
+        }
+        let mut push = |message: String| {
+            raw.push(Diagnostic {
+                path: rel_path.to_string(),
+                line: token.line,
+                col: token.col,
+                rule: "panic".to_string(),
+                message,
+            });
+        };
+        if is_punct(tokens.get(i.wrapping_sub(1)), '.') && is_punct(tokens.get(i + 1), '(') {
+            if let Some(name @ ("unwrap" | "expect")) = ident_name(Some(token)) {
+                push(format!(
+                    ".{name}() can panic on the engine hot path; return an error, \
+                     restructure, or justify with a pragma"
+                ));
+            }
+        }
+        // Arithmetic slice index: `expr[... + ...]` where expr ends in an
+        // identifier or closing bracket. An adjacent `// bounds:` note
+        // acknowledges the in-range argument.
+        if token.tok == Tok::Punct('[')
+            && matches!(
+                tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
+                Some(Tok::Ident(_)) | Some(Tok::Punct(')')) | Some(Tok::Punct(']'))
+            )
+        {
+            let mut depth = 0usize;
+            let mut j = i;
+            let mut arithmetic = false;
+            while j < tokens.len() {
+                match tokens[j].tok {
+                    Tok::Punct('[') => depth += 1,
+                    Tok::Punct(']') => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                    Tok::Punct('+' | '-' | '*' | '/' | '%') => arithmetic = true,
+                    _ => {}
+                }
+                j += 1;
+            }
+            if arithmetic && !has_note(&lexed.comments, "bounds:", token.line, BOUNDS_WINDOW) {
+                push(
+                    "slice index computed with arithmetic; add a `// bounds: ...` note \
+                     arguing why it is in range (or restructure to a checked access)"
+                        .to_string(),
+                );
+            }
+        }
+    }
+}
+
 /// Lints one file's source. `rel_path` must be workspace-relative with
 /// forward slashes — rule scoping is derived from it.
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let lexed = lex(source);
     let class = classify(rel_path);
     let pragmas = parse_pragmas(&lexed);
-    let test_spans = cfg_test_spans(&lexed);
 
     let mut raw: Vec<Diagnostic> = Vec::new();
-    let mut push = |rule: &'static str, token: &Token, message: String| {
-        raw.push(Diagnostic {
-            path: rel_path.to_string(),
-            line: token.line,
-            col: token.col,
-            rule: rule.to_string(),
-            message,
-        });
-    };
-
-    let deterministic_scope = DETERMINISTIC_CRATES.contains(&class.crate_name.as_str());
-    let wallclock_banned = !WALLCLOCK_CRATES.contains(&class.crate_name.as_str());
-    let hot_path = matches!(class.crate_name.as_str(), "core" | "netsim" | "query")
-        && HOT_PATH_FILES.contains(&class.file_name.as_str());
-
-    let tokens = &lexed.tokens;
-    for (i, token) in tokens.iter().enumerate() {
-        let exempt_as_test = class.is_test_target || in_spans(&test_spans, token.line);
-
-        // Rule: det-map.
-        if deterministic_scope && !exempt_as_test {
-            if let Some(name @ ("HashMap" | "HashSet")) = ident_name(Some(token)) {
-                push(
-                    "det-map",
-                    token,
-                    format!(
-                        "std {name} has a randomized iteration order; use stable_nc::FxHashMap \
-                         (crates/core/src/fxhash.rs) or a sorted structure"
-                    ),
-                );
-            }
-        }
-
-        // Rule: det-wallclock.
-        if wallclock_banned && !exempt_as_test {
-            let flagged = match ident_name(Some(token)) {
-                Some("SystemTime") => Some("SystemTime reads the wall clock"),
-                Some("thread_rng") => Some("thread_rng is ambient, unseeded randomness"),
-                Some("Instant")
-                    if is_punct(tokens.get(i + 1), ':')
-                        && is_punct(tokens.get(i + 2), ':')
-                        && is_ident(tokens.get(i + 3), "now") =>
-                {
-                    Some("Instant::now reads the wall clock")
-                }
-                Some("rand")
-                    if is_punct(tokens.get(i + 1), ':')
-                        && is_punct(tokens.get(i + 2), ':')
-                        && is_ident(tokens.get(i + 3), "random") =>
-                {
-                    Some("rand::random is ambient, unseeded randomness")
-                }
-                _ => None,
-            };
-            if let Some(why) = flagged {
-                push(
-                    "det-wallclock",
-                    token,
-                    format!(
-                        "{why}; simulation code must use event time and seeded RNG streams \
-                         (allowed only in crates/transport)"
-                    ),
-                );
-            }
-        }
-
-        // Rule: panic (hot-path modules, library code only).
-        if hot_path && !exempt_as_test {
-            if is_punct(tokens.get(i.wrapping_sub(1)), '.') && is_punct(tokens.get(i + 1), '(') {
-                if let Some(name @ ("unwrap" | "expect")) = ident_name(Some(token)) {
-                    push(
-                        "panic",
-                        token,
-                        format!(
-                            ".{name}() can panic on the engine hot path; return an error, \
-                             restructure, or justify with a pragma"
-                        ),
-                    );
-                }
-            }
-            // Arithmetic slice index: `expr[... + ...]` where expr ends in an
-            // identifier or closing bracket. An adjacent `// bounds:` note
-            // acknowledges the in-range argument.
-            if token.tok == Tok::Punct('[')
-                && matches!(
-                    tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                    Some(Tok::Ident(_)) | Some(Tok::Punct(')')) | Some(Tok::Punct(']'))
-                )
-            {
-                let mut depth = 0usize;
-                let mut j = i;
-                let mut arithmetic = false;
-                while j < tokens.len() {
-                    match tokens[j].tok {
-                        Tok::Punct('[') => depth += 1,
-                        Tok::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        Tok::Punct('+' | '-' | '*' | '/' | '%') => arithmetic = true,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if arithmetic && !has_note(&lexed.comments, "bounds:", token.line, BOUNDS_WINDOW) {
-                    push(
-                        "panic",
-                        token,
-                        "slice index computed with arithmetic; add a `// bounds: ...` note \
-                         arguing why it is in range (or restructure to a checked access)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-
-        // Rule: unsafe-comment (everywhere, tests included — unsafe test
-        // scaffolding needs its reasoning written down too).
-        if is_ident(Some(token), "unsafe")
-            && !has_note(&lexed.comments, "SAFETY:", token.line, SAFETY_WINDOW)
-        {
-            push(
-                "unsafe-comment",
-                token,
-                "`unsafe` without a `// SAFETY:` comment on the same or preceding lines"
-                    .to_string(),
-            );
-        }
-
-        // Rule: allow-justify (everywhere).
-        if token.tok == Tok::Punct('#') {
-            let mut j = i + 1;
-            if is_punct(tokens.get(j), '!') {
-                j += 1;
-            }
-            if is_punct(tokens.get(j), '[') && is_ident(tokens.get(j + 1), "allow") {
-                // Find the attribute's closing bracket; the justification
-                // must trail on that same line.
-                let mut depth = 0usize;
-                let mut close = j;
-                while close < tokens.len() {
-                    match tokens[close].tok {
-                        Tok::Punct('[') => depth += 1,
-                        Tok::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    close += 1;
-                }
-                let close_line = tokens.get(close).map(|t| t.line).unwrap_or(token.line);
-                let justified = lexed
-                    .comments
-                    .iter()
-                    .any(|comment| comment.start_line == close_line);
-                if !justified {
-                    push(
-                        "allow-justify",
-                        token,
-                        "#[allow(...)] without a trailing justification comment".to_string(),
-                    );
-                }
-            }
-        }
+    if matches!(class.crate_name.as_str(), "core" | "netsim" | "query")
+        && HOT_PATH_FILES.contains(&class.file_name.as_str())
+        && !class.is_test_target
+    {
+        panic_rule(rel_path, &lexed, &mut raw);
     }
 
     // Rule: pragma — malformed suppressions are diagnostics themselves.

@@ -2,15 +2,17 @@
 //!
 //! Collects every `.rs` file under the root, skipping directories that are
 //! not the workspace's own source: `vendor/` (offline stand-ins with their
-//! own style), `target/`, VCS metadata, and any `fixtures/` directory —
-//! lint-rule fixtures *deliberately* violate the rules, and must be
-//! reachable only by pointing `--root` directly at them.
+//! own style), `benchmark/` (a cargo workspace of its own, outside the
+//! root workspace's lint settings as well), `target/`, VCS metadata, and
+//! any `fixtures/` directory — lint-rule fixtures *deliberately* violate
+//! the rules, and must be reachable only by pointing `--root` directly at
+//! them.
 
 use std::fs;
 use std::path::Path;
 
 /// Directory names never descended into.
-const SKIPPED_DIRS: &[&str] = &["vendor", "target", "fixtures"];
+const SKIPPED_DIRS: &[&str] = &["vendor", "benchmark", "target", "fixtures"];
 
 /// Returns the workspace-relative (forward-slash) paths of all lintable
 /// `.rs` files under `root`, sorted for deterministic diagnostic order.

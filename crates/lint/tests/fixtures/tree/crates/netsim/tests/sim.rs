@@ -1,14 +1,11 @@
-//! Fixture: `tests/` directories are exempt from the determinism and
-//! panic rules (this file is even named `sim.rs` to prove the hot-path
-//! scope does not reach into test targets).
-
-use std::collections::HashMap;
-use std::time::Instant;
+//! Fixture: `tests/` directories are exempt from the panic rule (this file
+//! is even named `sim.rs` to prove the hot-path scope does not reach into
+//! test targets).
 
 #[test]
 fn test_scaffolding_may_unwrap() {
-    let started = Instant::now();
-    let mut map = HashMap::new();
-    map.insert("k", started.elapsed());
-    let _ = map.get("k").unwrap();
+    let values = vec![1_u32, 2, 3];
+    let first = values.first().unwrap();
+    let last = values[values.len() - 1];
+    assert!(*first < last, "{}", "ordered".parse::<String>().expect("parses"));
 }

@@ -17,7 +17,11 @@
 //! executor (`Simulator::with_threads`); profile with `perf record` around
 //! this binary to attribute per-event cost.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // A measurement program prints its table.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a measurement program prints its table"
+)]
 
 use std::time::Instant;
 
@@ -37,6 +41,7 @@ fn run(nodes: usize, duration_s: f64, threads: Option<usize>) -> (f64, u64) {
     if let Some(threads) = threads {
         simulator = simulator.with_threads(threads);
     }
+    #[allow(clippy::disallowed_methods, reason = "this program measures wall time")]
     let start = Instant::now();
     let report = simulator.run();
     std::hint::black_box(report);

@@ -44,9 +44,9 @@
 //! Given the same seed and configuration, a simulation produces a
 //! byte-identical [`SimReport`] at any thread count —
 //! the property every regression suite and golden file in the repo leans
-//! on. The contract, and the `nc-lint` rules that enforce it at the source
-//! level (no std `HashMap`, no wall-clock reads, no hot-path panics), is
-//! written down in `DETERMINISM.md` at the workspace root.
+//! on. The contract, and the clippy bans and `nc-lint` rule that enforce it
+//! at the source level (no std `HashMap`, no wall-clock reads, no hot-path
+//! panics), is written down in `DETERMINISM.md` at the workspace root.
 //!
 //! # Which engine runs
 //!

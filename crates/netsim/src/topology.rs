@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn pair_index_is_unique() {
         let t = Topology::generate(20, 2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..20 {
             for j in (i + 1)..20 {
                 assert!(

@@ -239,7 +239,7 @@ mod tests {
     fn round_robin_covers_many_destinations() {
         let mut generator = TraceGenerator::new(small_config());
         let records = generator.generate();
-        let mut destinations: std::collections::HashSet<usize> = std::collections::HashSet::new();
+        let mut destinations = std::collections::BTreeSet::new();
         for r in records.iter().filter(|r| r.src == 0) {
             destinations.insert(r.dst);
         }

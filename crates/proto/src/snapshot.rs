@@ -168,7 +168,10 @@ impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
                 return Err(SnapshotError::NearestNeighbor);
             }
         }
-        // nc-lint: allow(det-map) — membership tests only: never iterated.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "membership tests only: never iterated"
+        )]
         let mut known = std::collections::HashSet::with_capacity(self.membership.len());
         if self
             .membership
@@ -182,7 +185,10 @@ impl<Id: Eq + std::hash::Hash> NodeSnapshot<Id> {
         }
         // The ids the node knows: its members and its links.
         known.extend(self.links.iter().map(|link| &link.id));
-        // nc-lint: allow(det-map) — a membership test only: never iterated.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "a membership test only: never iterated"
+        )]
         let mut streaks = std::collections::HashSet::with_capacity(self.loss_streaks.len());
         if !self
             .loss_streaks

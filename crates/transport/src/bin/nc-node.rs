@@ -15,7 +15,11 @@
 //! `--snapshot` is given; starting again with the same snapshot path
 //! resumes from it, keeping the node's coordinate and membership.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // A daemon reports on the terminal.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a daemon reports on the terminal"
+)]
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -136,6 +140,10 @@ fn main() -> ExitCode {
     let restoring = args.snapshot.as_deref().is_some_and(|path| path.exists());
 
     // The `t=` of every stats line counts from here.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a daemon's stats line reports wall time"
+    )]
     let started = Instant::now();
     let runtime = match NodeRuntime::bind(args.bind, config) {
         Ok(runtime) => runtime,

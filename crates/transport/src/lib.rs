@@ -47,6 +47,12 @@
 
 // Lint policy (missing_docs, broken doc links, clippy set) is centralized
 // in the workspace manifest: [workspace.lints] + `lints.workspace = true`.
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the real-time layer: sockets are stamped with the monotonic clock, and its \
+              address tables are never iterated into anything a report or snapshot holds"
+)]
 
 pub mod clock;
 pub mod harness;

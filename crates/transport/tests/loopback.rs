@@ -171,6 +171,7 @@ fn eight_node_cluster_converges_under_loss_and_duplication_and_survives_restart(
     // First looked at after 1.5 s as before, then every 250 ms up to 6 s: on
     // a host that is busy elsewhere the harness delivers late and a single
     // sample can catch the node mid-step.
+    #[allow(clippy::disallowed_methods, reason = "real sockets run on wall time")]
     let rejoined_at = Instant::now();
     std::thread::sleep(Duration::from_millis(1_500));
     let node0_median = loop {
@@ -418,6 +419,7 @@ fn a_daemon_loses_a_probe_within_one_interval_of_its_deadline() {
     )
     .expect("start runtime");
 
+    #[allow(clippy::disallowed_methods, reason = "real sockets run on wall time")]
     let started = Instant::now();
     // (milliseconds since start, probes sent by then), one per sample.
     let mut sent_by: Vec<(u64, u64)> = Vec::new();

@@ -12,7 +12,11 @@
 //!
 //! Run with: `cargo run --release --example cluster_confidence`
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example shows its results"
+)]
 
 use nc_netsim::cluster::ClusterModel;
 use nc_vivaldi::{RemoteObservation, VivaldiConfig, VivaldiState};

@@ -17,7 +17,11 @@
 //!
 //! Run with: `cargo run --release --example planetlab_sim`
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example shows its results"
+)]
 
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;

@@ -11,7 +11,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example shows its results"
+)]
 
 use nc_netsim::planetlab::PlanetLabConfig;
 use nc_netsim::trace::{TraceConfig, TraceGenerator};

@@ -8,7 +8,11 @@
 //! coordinate intact. For one-node-per-process deployments, see the
 //! `nc-node` binary (`cargo run -p nc-transport --bin nc-node -- --help`).
 
-#![allow(clippy::print_stdout, clippy::print_stderr)] // An example shows its results.
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example shows its results"
+)]
 
 use std::net::UdpSocket;
 use std::time::Duration;
