@@ -49,7 +49,7 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// True iff `id` names a shipped rule.
-pub fn is_known_rule(id: &str) -> bool {
+fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|rule| rule.id == id)
 }
 

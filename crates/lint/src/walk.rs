@@ -2,8 +2,10 @@
 //!
 //! Collects every `.rs` file under the root, skipping directories that are
 //! not the workspace's own source: `vendor/` (offline stand-ins with their
-//! own style), `benchmark/` (a cargo workspace of its own, outside the
-//! root workspace's lint settings as well), `target/`, VCS metadata, and
+//! own style), `benchmark/` (a cargo workspace of its own, which clippy
+//! holds to the same bans in a run of its own; no `panic` scope reaches
+//! it, and its one pragma still names the wall-clock ban that clippy now
+//! holds), `target/`, VCS metadata, and
 //! any `fixtures/` directory — lint-rule fixtures *deliberately* violate
 //! the rules, and must be reachable only by pointing `--root` directly at
 //! them.
